@@ -42,6 +42,7 @@ from .moments import (
     evaluate_state_detailed,
     evaluate_state_shifted,
     expectation,
+    fock_vectors,
     gram_matrix,
     inner_product,
     l2_distance,
@@ -68,6 +69,7 @@ from .conjugate import (
     modular_covariance_check,
     self_adjoint_defect,
     solve_conjugate,
+    solve_family,
 )
 from .brownian import EpsExpansion, expand_state, verify_gradient_expansion
 from .core_cp import (

@@ -24,10 +24,10 @@ from .conjugate import (
     BasisSpec,
     chi_star,
     cramer_rao_audit,
-    fisher_multi,
     modular_covariance_check,
     self_adjoint_defect,
     solve_conjugate,
+    solve_family,
 )
 from .core_cp import factoriality_bound, verify_core_identity
 from .derivation import verify_insertion_identity
@@ -212,6 +212,8 @@ def _cmd_conjugate(m, args):
         "xi_norm_sq": sol.xi_norm_sq,
         "phi_star": sol.phi_star,
         "gram_condition": sol.gram_condition,
+        "fock_dim": sol.fock_dim,
+        "eigenvalues_cut": sol.eigenvalues_cut,
         "self_adjoint_defect": defect,
     }
     return out, defect < args.tol
@@ -219,12 +221,9 @@ def _cmd_conjugate(m, args):
 
 def _cmd_fisher(m, args):
     gens = _gens_from_args(m, args)
-    basis = _basis_from_args(args)
-    per_gen = {}
-    for g in gens:
-        others = tuple(h for h in gens if h != g)
-        per_gen[g] = solve_conjugate(m, g, basis, b_gens=others).phi_star
-    total = fisher_multi(m, gens, basis)
+    sols = solve_family(m, gens, _basis_from_args(args))
+    per_gen = {g: sol.phi_star for g, sol in zip(gens, sols)}
+    total = sum(sol.phi_star for sol in sols)
     return {"gens": gens, "per_gen": per_gen, "phi_star_total": total}, None
 
 
@@ -470,26 +469,29 @@ def run(argv=None) -> int:
         m = load_model(args.model) if args.model else two_atom_model()
         handler = _HANDLERS[args.command]
         outputs, passed = handler(m, args)
+        report = {
+            "command": args.command,
+            "model_digest": _model_digest(m),
+            "inputs": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("command",) and v is not None
+            },
+            "outputs": outputs,
+            "tolerance": args.tol,
+            "passed": passed,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        # strict JSON: a non-finite number becomes a usage error, exit 2
+        text = json.dumps(_jsonify(report), sort_keys=True, indent=2,
+                          allow_nan=False)
     except (ConfigError, DetailedBalanceViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": args.command,
-        "model_digest": _model_digest(m),
-        "inputs": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command",) and v is not None
-        },
-        "outputs": outputs,
-        "tolerance": args.tol,
-        "passed": passed,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    print(json.dumps(_jsonify(report), sort_keys=True, indent=2))
+    print(text)
     status = "ok" if passed in (True, None) else "FAIL"
     print(f"[{args.command}] {status}", file=sys.stderr)
     return 0 if passed in (True, None) else 1

@@ -6,19 +6,29 @@ and test space to the span of a finite word basis, so the solution is the
 orthogonal projection of the true conjugate variable onto that span
 whenever the latter exists.
 
-Two numerical facts shape the implementation:
+Three numerical facts shape the implementation:
 
+* Each basis word W is assembled once as its vector W.Omega in the
+  truncated free Fock space (:func:`ncfisher.moments.fock_vectors`), so
+  the Gram matrix is V^H V and never needs one pairing recursion per
+  entry.  By freeness the partner letter of b_W pairs only with the
+  inserted partner, so b_W = sum over target letters W_k at time t_k of
+  eta(t_k - t0) state(W[:k]) state(W[k+1:]), read off the vacuum
+  components.  The memoized pairing recursion stays the evaluator for
+  single words and the independent check behind ``self_adjoint_defect``
+  and the covariance and freeness audits.
 * Gram matrices of time-translate words are not merely ill-conditioned but
   exactly rank-deficient for finitely-atomic covariances (translates of a
-  k-atom generator span a k-dimensional one-particle space).  A plain
-  minimum-norm pseudo-inverse would therefore smear an exact solution over
-  linearly dependent words.  The solver first prunes the basis to a
-  maximal independent subset, scanned in a deterministic order that puts
-  the target letter first (degree ascending, then distance of the letter
-  times from the target time), and then solves on the reduced Gram.
-  Vector-level outputs (residual, norms, the projection itself) do not
-  depend on this choice; only the reported coefficients do, and with it an
-  exactly representable solution is reported concentrated.
+  k-atom generator span a k-dimensional one-particle space, and the words
+  span at most the Fock dimension).  A plain minimum-norm pseudo-inverse
+  would therefore smear an exact solution over linearly dependent words.
+  The solver first prunes the basis to a maximal independent subset by
+  Gram-Schmidt on the Fock vectors, scanned in a deterministic order that
+  puts the target letter first (degree ascending, then distance of the
+  letter times from the target time), and then solves on the reduced
+  Gram.  Vector-level outputs (residual, norms, the projection itself) do
+  not depend on this choice; only the reported coefficients do, and with
+  it an exactly representable solution is reported concentrated.
 * The reduced Gram is solved through its spectral decomposition with a
   relative cutoff, so near-dependence that survives pruning cannot blow up
   the coefficients.
@@ -33,10 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Letter, NcPoly, TimeLike, Word, as_time, word_adjoint, x
-from .derivation import differentiate, pair_with_y
+from .algebra import Letter, NcPoly, TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
-from .moments import evaluate_state, l2_distance, l2_norm
+from .moments import fock_vectors, l2_distance, l2_norm
 
 __all__ = [
     "BasisError",
@@ -46,6 +55,7 @@ __all__ = [
     "ConjugateSolution",
     "enumerate_basis",
     "solve_conjugate",
+    "solve_family",
     "self_adjoint_defect",
     "fisher_multi",
     "CramerRaoReport",
@@ -57,6 +67,7 @@ __all__ = [
 SPECTRAL_CUTOFF = 1e-10  # relative eigenvalue cutoff of the reduced Gram
 PRUNE_RTOL = 1e-10       # relative Gram-Schmidt residual below which a word
                          # counts as dependent on its predecessors
+MAX_BASIS_ENTRIES = 2_000_000  # words times Fock dimension of one solve
 
 
 class BasisError(ValueError):
@@ -125,12 +136,15 @@ def enumerate_basis(
     """Basis words in pivot order: identity (optional), then degree by
     degree with target-generator letters nearest the target time first.
 
-    Letters of flow-fixed generators are collapsed to time 0 and the
-    resulting duplicate words dropped, keeping the first occurrence.
+    Letters of flow-fixed generators are collapsed to time 0 before the
+    words are formed, so each such generator contributes one letter.
+    Raises :class:`BasisError` before enumerating when the word count
+    times the Fock dimension exceeds ``MAX_BASIS_ENTRIES``.
     """
     t0 = as_time(target_time)
-    gens = [target_gen] + [g for g in (b_gens if b_gens is not None
-                                       else spec.b_gens) if g != target_gen]
+    gens = list(dict.fromkeys(
+        [target_gen, *(b_gens if b_gens is not None else spec.b_gens)]
+    ))
     for g in gens:
         m.gen(g)  # raises ConfigError for unknown ids
     if t0 not in spec.time_grid:
@@ -139,33 +153,40 @@ def enumerate_basis(
         )
     alphabet = [x(g, t) for g in gens for t in spec.time_grid]
     alphabet.sort(key=lambda l: _letter_pivot_key(l, target_gen, t0))
-
     tracial = {g.gen_id for g in m.generators if g.is_tracial}
+    alphabet = list(dict.fromkeys(
+        l._replace(time=Fraction(0)) if l.gen in tracial else l
+        for l in alphabet
+    ))
 
-    def collapse(w: Word) -> Word:
-        if not tracial:
-            return w
-        return tuple(
-            l._replace(time=Fraction(0)) if l.gen in tracial else l for l in w
-        )
-
-    words: list = []
-    seen = set()
-    if spec.include_identity:
-        words.append(())
-        seen.add(())
-    for degree in range(1, spec.max_degree + 1):
-        for combo in itertools.product(alphabet, repeat=degree):
-            w = collapse(combo)
-            if w not in seen:
-                seen.add(w)
-                words.append(w)
+    # word count and Fock dimension, summed degree by degree so that a
+    # huge degree stops at the first one over the bound
+    atoms = sum(len(m.gen(g).atoms) for g in gens)
+    n = dim = 0
+    for d in range(spec.max_degree + 1):
+        if d or spec.include_identity:
+            n += len(alphabet) ** d
+        dim += atoms**d
+        if n * dim > MAX_BASIS_ENTRIES:
+            raise BasisError(
+                f"degree {d} already gives {n} basis words in a Fock space "
+                f"of dimension {dim}, over {MAX_BASIS_ENTRIES} entries; "
+                "lower the degree or the grid size"
+            )
+    words: list = [()] if spec.include_identity else []
+    for d in range(1, spec.max_degree + 1):
+        words.extend(itertools.product(alphabet, repeat=d))
     return words
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugateSolution:
-    """Solved Galerkin data for one conjugate-variable problem."""
+    """Solved Galerkin data for one conjugate-variable problem.
+
+    ``fock_dim`` is the dimension of the truncated Fock space the basis
+    words live in (an upper bound on ``len(kept)``); ``eigenvalues_cut``
+    counts the reduced-Gram eigenvalues dropped by ``SPECTRAL_CUTOFF``.
+    """
 
     target_gen: str
     target_time: Fraction
@@ -177,6 +198,8 @@ class ConjugateSolution:
     xi_norm_sq: float
     phi_star: float
     gram_condition: float
+    fock_dim: int
+    eigenvalues_cut: int
 
     def polynomial(self) -> NcPoly:
         return NcPoly(
@@ -191,31 +214,27 @@ class ConjugateSolution:
         }
 
 
-def _prune_independent(gram: np.ndarray) -> list:
-    """Greedy scan keeping indices whose Gram-Schmidt residual against the
-    kept set exceeds PRUNE_RTOL relative to their own norm."""
+def _prune_independent(vecs: np.ndarray) -> list:
+    """Greedy scan over the columns of ``vecs`` keeping those whose squared
+    Gram-Schmidt residual against the kept ones exceeds PRUNE_RTOL times
+    their own squared norm (classical Gram-Schmidt, applied twice)."""
+    dim = vecs.shape[0]
+    q = np.zeros((dim, dim), dtype=complex)  # orthonormal kept directions
     kept: list = []
-    chol: np.ndarray | None = None  # lower Cholesky factor of kept Gram
-    for i in range(gram.shape[0]):
-        d = gram[i, i].real
+    for i in range(vecs.shape[1]):
+        if len(kept) == dim:
+            break  # the kept words span the whole Fock space
+        v = vecs[:, i]
+        d = float(np.vdot(v, v).real)
         if d <= 0:
             continue
-        if kept:
-            v = gram[kept, i]
-            ysol = np.linalg.solve(chol, v)
-            r = d - float(np.vdot(ysol, ysol).real)
-        else:
-            ysol = np.zeros(0, dtype=complex)
-            r = d
-        if r > PRUNE_RTOL * d:
+        span = q[:, : len(kept)]
+        r = v - span @ (span.conj().T @ v)
+        r -= span @ (span.conj().T @ r)
+        res = float(np.vdot(r, r).real)
+        if res > PRUNE_RTOL * d:
+            q[:, len(kept)] = r / math.sqrt(res)
             kept.append(i)
-            k = len(kept)
-            new = np.zeros((k, k), dtype=complex)
-            if k > 1:
-                new[: k - 1, : k - 1] = chol
-                new[k - 1, : k - 1] = ysol.conjugate()
-            new[k - 1, k - 1] = math.sqrt(r)
-            chol = new
     return kept
 
 
@@ -228,41 +247,44 @@ def solve_conjugate(
 ) -> ConjugateSolution:
     """Solve the truncated defining equations of the conjugate variable.
 
-    Computes b_P = <partner, d(P)> for every basis word P and the Gram
-    matrix of the basis, prunes the basis to a maximal independent subset,
-    and solves the reduced system through the spectral pseudo-inverse
-    (eigenvalues below ``SPECTRAL_CUTOFF`` times the largest are dropped).
-    The residual is the Euclidean norm of the unmatched part of the
-    defining data over the full basis, xi_norm_sq the squared norm of the
-    solution, and phi_star its normalization by the target's second
-    moment.
+    Builds the Fock vectors of the basis words and from them
+    b_P = <partner, d(P)> for every basis word P, prunes the basis to a
+    maximal independent subset, and solves the reduced system through the
+    spectral pseudo-inverse (eigenvalues below ``SPECTRAL_CUTOFF`` times
+    the largest are dropped and counted in ``eigenvalues_cut``).  The
+    residual is the Euclidean norm of the unmatched part of the defining
+    data over the full basis, xi_norm_sq the squared norm of the solution,
+    and phi_star its normalization by the target's second moment.
     """
     t0 = as_time(target_time)
     words = enumerate_basis(m, target_gen, basis, b_gens, t0)
     n = len(words)
+    vecs, phi = fock_vectors(m, words)
+    gen = m.gen(target_gen)
 
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        wi_adj = word_adjoint(words[i])
-        for j in range(i, n):
-            val = evaluate_state(m, wi_adj + words[j])
-            gram[i, j] = val
-            gram[j, i] = val.conjugate()
-
+    # the basis is closed under prefixes, so phi covers both sides
     b = np.array(
         [
-            pair_with_y(m, differentiate(target_gen, NcPoly.word(w)), t0)
+            sum(
+                (
+                    gen.eta(l.time - t0) * phi[w[:k]] * phi[w[k + 1:]]
+                    for k, l in enumerate(w)
+                    if l.gen == target_gen
+                ),
+                0j,
+            )
             for w in words
         ],
         dtype=complex,
     )
     rhs = b.conjugate()
 
-    kept = _prune_independent(gram)
+    kept = _prune_independent(vecs)
     if not kept:
         raise DegenerateGramError("no basis word survives the rank screen")
 
-    reduced = gram[np.ix_(kept, kept)]
+    kept_vecs = vecs[:, kept]
+    reduced = kept_vecs.conj().T @ kept_vecs
     reduced = 0.5 * (reduced + reduced.conj().T)
     eigvals, eigvecs = np.linalg.eigh(reduced)
     cutoff = SPECTRAL_CUTOFF * float(eigvals.max())
@@ -275,9 +297,8 @@ def solve_conjugate(
 
     coefficients = np.zeros(n, dtype=complex)
     coefficients[kept] = c_kept
-    residual = float(np.linalg.norm(gram[:, kept] @ c_kept - rhs))
+    residual = float(np.linalg.norm(vecs.conj().T @ (kept_vecs @ c_kept) - rhs))
     xi_norm_sq = float(np.vdot(c_kept, reduced @ c_kept).real)
-    gen = m.gen(target_gen)
     return ConjugateSolution(
         target_gen=target_gen,
         target_time=t0,
@@ -289,7 +310,23 @@ def solve_conjugate(
         xi_norm_sq=xi_norm_sq,
         phi_star=xi_norm_sq / gen.v,
         gram_condition=float(lam.max() / lam.min()),
+        fock_dim=vecs.shape[0],
+        eigenvalues_cut=int(np.count_nonzero(~keep_spec)),
     )
+
+
+def solve_family(
+    m: ModelSpec, gens: Sequence[str], basis: BasisSpec
+) -> list:
+    """One solution per generator of the family, in order, each generator
+    solved against the words of all the others."""
+    gens = list(gens)
+    if not gens:
+        raise ConfigError("at least one generator is required")
+    return [
+        solve_conjugate(m, g, basis, b_gens=tuple(h for h in gens if h != g))
+        for g in gens
+    ]
 
 
 def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
@@ -303,15 +340,7 @@ def fisher_multi(
 ) -> float:
     """Sum over the family of per-generator normalized conjugate norms,
     each generator solved against the words of all the others."""
-    gens = list(gens)
-    if not gens:
-        raise ConfigError("at least one generator is required")
-    total = 0.0
-    for g in gens:
-        others = tuple(h for h in gens if h != g)
-        sol = solve_conjugate(m, g, basis, b_gens=others)
-        total += sol.phi_star
-    return total
+    return sum(sol.phi_star for sol in solve_family(m, gens, basis))
 
 
 @dataclass(frozen=True)
@@ -341,13 +370,7 @@ def cramer_rao_audit(
     m: ModelSpec, gens: Sequence[str], basis: BasisSpec
 ) -> CramerRaoReport:
     gens = list(gens)
-    if not gens:
-        raise ConfigError("at least one generator is required")
-    norms = []
-    for g in gens:
-        others = tuple(h for h in gens if h != g)
-        sol = solve_conjugate(m, g, basis, b_gens=others)
-        norms.append(sol.xi_norm_sq)
+    norms = [sol.xi_norm_sq for sol in solve_family(m, gens, basis)]
     second_moment = math.fsum(m.gen(g).v for g in gens)
     phi_star_tuple = math.fsum(norms) / second_moment
     lhs = phi_star_tuple * second_moment**2

@@ -250,15 +250,31 @@ def _parse_frequency(value) -> float:
                 f'use a number or "{_FREQ_LITERAL}"'
             )
         return -LN2_OVER_2PI if negative else LN2_OVER_2PI
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"frequency must be a number or literal, got {value!r}")
+    f = _finite_float(value)
+    if f is None:
+        raise ConfigError(
+            f"frequency must be a finite number or literal, got {value!r}"
+        )
+    return f
 
 
 def _parse_weight(value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"weight must be a number, got {value!r}")
+    f = _finite_float(value)
+    if f is None:
+        raise ConfigError(f"weight must be a finite number, got {value!r}")
+    return f
+
+
+def _finite_float(value):
+    """``value`` as a finite float, or None; json.load accepts NaN and
+    Infinity, and neither is a valid model number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        f = float(value)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
 
 
 def _build_generator(entry) -> GeneratorSpec:
@@ -317,11 +333,10 @@ def build_model(config: dict) -> ModelSpec:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     tol = config.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-        raise ConfigError("tolerance must be a positive number")
-    return ModelSpec(
-        tuple(_build_generator(e) for e in gens_cfg), tolerance=float(tol)
-    )
+    tol = _finite_float(tol)
+    if tol is None or tol <= 0:
+        raise ConfigError("tolerance must be a positive finite number")
+    return ModelSpec(tuple(_build_generator(e) for e in gens_cfg), tolerance=tol)
 
 
 def load_model(path) -> ModelSpec:

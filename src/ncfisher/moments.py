@@ -15,12 +15,23 @@ memoized on subwords with times rebased to the first letter (covariances
 depend on time differences only, so rebasing is lossless and turns the
 exponential tree into Catalan-bounded work per distinct shape).
 
+Bases of many words are evaluated all at once in the free Fock space
+instead (the free Gaussian functor): letter (family, gen, t) acts as
+creation plus annihilation of the one-particle vector with components
+sqrt(w_j) exp(2 pi i t x_j) in the block of (family, gen), so
+<f_s, f_t> = eta(t - s), and the word W maps the vacuum to a vector W.Omega
+with state(U* W) = <U.Omega, W.Omega>.  :func:`fock_vectors` builds these
+vectors for real times; the recursion stays the evaluator for single
+words, complex times included, and the cross-check of the Fock vectors.
+
 An independent oracle enumerates all pair partitions and filters crossings
 with the literal interval-nesting predicate; it shares nothing with the
 recursion above except the covariance kernel.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,6 +48,8 @@ __all__ = [
     "evaluate_state",
     "evaluate_state_detailed",
     "evaluate_state_shifted",
+    "fock_dimension",
+    "fock_vectors",
     "expectation",
     "inner_product",
     "l2_norm",
@@ -173,6 +186,74 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
         for i, l in enumerate(letters)
     )
     return _phi(m, shifted)
+
+
+def fock_dimension(k: int, degree: int) -> int:
+    """Dimension 1 + k + ... + k^degree of the full Fock space over a
+    k-dimensional one-particle space, truncated at ``degree`` particles."""
+    return sum(k**n for n in range(degree + 1))
+
+
+def fock_vectors(m: ModelSpec, words: Sequence[Word]):
+    """Vectors W.Omega of ``words`` in the truncated full Fock space.
+
+    Returns ``(vecs, vacuum)``: ``vecs`` is the D x n complex matrix whose
+    column j is ``words[j]`` applied to the vacuum, so its Gram matrix
+    vecs^H vecs holds state(w_i* w_j); ``vacuum`` maps every word of
+    ``words``, each of their suffixes and the empty word to its state
+    value, the vacuum component of its vector.  The one-particle space is
+    the direct sum of C^{k} over the (family, generator) pairs present,
+    k the generator's atom count; D counts particle numbers up to the
+    longest word.  Letter times must be real.
+
+    An n-particle tensor is stored with its first factor varying fastest,
+    so creation on the whole vector is one outer product and annihilation
+    one contraction, each word built from its cached suffix.
+    """
+    offsets: dict = {}
+    k = 0
+    for w in words:
+        for letter in w:
+            key = (letter.family, letter.gen)
+            if key not in offsets:
+                offsets[key] = k
+                k += len(m.gen(letter.gen).atoms)
+    depth = max((len(w) for w in words), default=0)
+    dim = fock_dimension(k, depth)
+    below = dim - k**depth  # entries below the top particle number
+
+    vacuum_vec = np.zeros(dim, dtype=complex)
+    vacuum_vec[0] = 1
+    one_particle: dict = {}
+    vectors: dict = {(): vacuum_vec}
+
+    def vector(w):
+        v = vectors.get(w)
+        if v is not None:
+            return v
+        tail = vector(w[1:])
+        letter = w[0]
+        f = one_particle.get(letter)
+        if f is None:
+            f = np.zeros(k, dtype=complex)
+            start = offsets[(letter.family, letter.gen)]
+            t = float(letter.time)
+            for j, a in enumerate(m.gen(letter.gen).atoms):
+                f[start + j] = math.sqrt(a.w) * cmath.exp(2j * math.pi * t * a.x)
+            one_particle[letter] = f
+        v = np.zeros(dim, dtype=complex)
+        v[:below] = tail[1:].reshape(below, k) @ f.conj()
+        v[1:] += np.outer(tail[:below], f).ravel()
+        vectors[w] = v
+        return v
+
+    vecs = np.empty((dim, len(words)), dtype=complex, order="F")
+    for j, w in enumerate(words):
+        w = tuple(w)
+        vecs[:, j] = vector(w)
+        vectors[w] = vecs[:, j]  # keep one copy: the column view
+    vacuum = {w: complex(v[0]) for w, v in vectors.items()}
+    return vecs, vacuum
 
 
 def expectation(m: ModelSpec, p: NcPoly) -> complex:

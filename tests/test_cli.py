@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ncfisher
 from ncfisher.cli import run
 
 
@@ -183,3 +189,81 @@ def test_reports_deterministic_modulo_wall_time(capsys):
         return json.dumps(report, sort_keys=True)
 
     assert snap() == snap()
+
+
+def test_conjugate_reports_solver_health(capsys):
+    code, report = run_json(capsys, ["conjugate"])
+    assert code == 0
+    out = report["outputs"]
+    assert out["fock_dim"] == 15
+    assert out["kept_size"] == 15
+    assert out["eigenvalues_cut"] == 0
+
+
+def test_conjugate_degree_bound_is_usage_error(capsys):
+    started = time.perf_counter()
+    assert run(["conjugate", "--degree", "9"]) == 2
+    assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_fisher_total_sums_per_generator(tmp_path, capsys):
+    config = {
+        "generators": [
+            {"name": n, "mode": "half",
+             "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]}
+            for n in ("1", "2")
+        ]
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(config))
+    code, report = run_json(capsys, ["fisher", "--model", str(path)])
+    assert code == 0
+    out = report["outputs"]
+    assert list(out["per_gen"]) == ["1", "2"]
+    assert out["phi_star_total"] == out["per_gen"]["1"] + out["per_gen"]["2"]
+    assert out["phi_star_total"] == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("text", [
+    '{"generators": [{"name": "q", "mode": "half",'
+    ' "atoms": [{"x": NaN, "w": 1}]}]}',
+    '{"generators": [{"name": "q", "mode": "half",'
+    ' "atoms": [{"x": 0.1, "w": Infinity}]}]}',
+    '{"generators": [{"name": "q", "mode": "full",'
+    ' "atoms": [{"x": -Infinity, "w": 1}]}]}',
+    '{"generators": [{"name": "q", "mode": "half",'
+    ' "atoms": [{"x": 0, "w": 1}]}], "tolerance": Infinity}',
+])
+def test_non_finite_model_numbers_rejected(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert run(["moment", "--model", str(path), "--word", "Xq:0 Xq:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_non_finite_output_is_usage_error(capsys):
+    assert run(["bound", "--alpha", "0.5", "--delta", "0.1",
+                "--tol", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(ncfisher.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncfisher", "bound", "--alpha", "0.5",
+         "--delta", "0.1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["value"] == 25.0

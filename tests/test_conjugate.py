@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncfisher.algebra import x
+from ncfisher.algebra import NcPoly, x
 from ncfisher.conjugate import (
     BasisError,
     BasisSpec,
@@ -17,6 +17,7 @@ from ncfisher.conjugate import (
     self_adjoint_defect,
     solve_conjugate,
 )
+from ncfisher.derivation import differentiate, pair_with_y
 from ncfisher.model import build_model, tracial_model, two_atom_model
 from ncfisher.moments import l2_distance
 
@@ -31,6 +32,18 @@ def pair_model():
                 {"name": "1", "mode": "half",
                  "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]},
                 {"name": "2", "mode": "half",
+                 "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]},
+            ]
+        }
+    )
+
+
+def mixed_model():
+    return build_model(
+        {
+            "generators": [
+                {"name": "t", "mode": "half", "atoms": [{"x": 0, "w": 1}]},
+                {"name": "q", "mode": "half",
                  "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]},
             ]
         }
@@ -75,6 +88,20 @@ def test_enumerate_basis_order_and_identity(m):
     assert () not in no_id
 
 
+def test_basis_bound_is_checked_before_enumerating(m):
+    for degree in (9, 10**9):
+        with pytest.raises(BasisError, match="degree 6 already gives"):
+            enumerate_basis(m, "g", BasisSpec(GRID5, degree))
+
+
+def test_basis_size_closed_form():
+    # one letter for the tracial generator, five for the flowing one
+    mixed = mixed_model()
+    words = enumerate_basis(mixed, "q", BasisSpec(GRID5, 3), b_gens=("t",))
+    assert len(words) == 1 + 6 + 36 + 216
+    assert len(set(words)) == len(words)
+
+
 def test_enumerate_basis_collapses_tracial():
     mt = tracial_model()
     words = enumerate_basis(mt, "g", BasisSpec(GRID5, 3))
@@ -99,6 +126,48 @@ def test_tracial_solution_is_target_letter():
     assert off < 1e-10
     assert sol.residual < 1e-10
     assert sol.phi_star == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("degree, size, kept", [(4, 781, 31), (5, 3906, 63)])
+def test_high_degree_solve(m, degree, size, kept):
+    sol = solve_conjugate(m, "g", BasisSpec(GRID5, degree))
+    assert len(sol.basis_words) == size
+    assert len(sol.kept) == kept == sol.fock_dim
+    assert sol.phi_star == pytest.approx(1.0, abs=1e-9)
+    assert sol.residual < 1e-8
+
+
+def test_solver_health_counters(m):
+    sol = solve_conjugate(m, "g", BasisSpec(GRID5, 3))
+    assert sol.fock_dim == 15
+    assert sol.eigenvalues_cut == 0
+    # a single grid point spans one direction per particle number
+    sol = solve_conjugate(m, "g", BasisSpec((Fraction(0),), 2))
+    assert sol.fock_dim == 7
+    assert len(sol.kept) == 3
+
+
+def rhs_cases():
+    three = build_model({"generators": [
+        {"name": "g", "mode": "half",
+         "atoms": [{"x": 0, "w": 0.5}, {"x": 0.27, "w": 0.6}]}]})
+    return [
+        (two_atom_model(), "g", (), BasisSpec(GRID5, 3), Fraction(0)),
+        (two_atom_model(), "g", (), BasisSpec(GRID5, 3), Fraction(1, 2)),
+        (three, "g", (), BasisSpec(GRID3, 3), Fraction(-1, 2)),
+        (pair_model(), "1", ("2",), BasisSpec(GRID3, 2), Fraction(0)),
+        (mixed_model(), "t", ("q",), BasisSpec(GRID3, 2), Fraction(1, 2)),
+        (mixed_model(), "q", ("t",), BasisSpec(GRID3, 2), Fraction(0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(rhs_cases())))
+def test_rhs_matches_derivative_pairing(case):
+    model, target, b_gens, spec, t0 = rhs_cases()[case]
+    sol = solve_conjugate(model, target, spec, b_gens=b_gens, target_time=t0)
+    for w, b in zip(sol.basis_words, sol.rhs):
+        want = pair_with_y(model, differentiate(target, NcPoly.word(w)), t0)
+        assert abs(b - want) <= 1e-12, w
 
 
 def test_scaling_of_solution(m):
@@ -255,15 +324,7 @@ def test_modular_covariance_tracial_model():
 
 
 def test_mixed_tracial_and_flowing_generators():
-    mixed = build_model(
-        {
-            "generators": [
-                {"name": "t", "mode": "half", "atoms": [{"x": 0, "w": 1}]},
-                {"name": "q", "mode": "half",
-                 "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]},
-            ]
-        }
-    )
+    mixed = mixed_model()
     spec = BasisSpec(GRID3, 2)
     for target, other in (("t", "q"), ("q", "t")):
         sol = solve_conjugate(mixed, target, spec, b_gens=(other,))

@@ -191,3 +191,23 @@ def test_model_lookup():
     with pytest.raises(ConfigError):
         m.gen("nope")
     assert m.sole_generator().gen_id == "g"
+
+
+@pytest.mark.parametrize("atom", [
+    {"x": float("nan"), "w": 1.0},
+    {"x": 0.1, "w": float("inf")},
+    {"x": 0.1, "w": float("nan")},
+    {"x": 10**400, "w": 1.0},
+])
+def test_non_finite_atom_numbers_rejected(atom):
+    with pytest.raises(ConfigError, match="finite"):
+        build_model({"generators": [
+            {"name": "g", "mode": "half", "atoms": [atom]}]})
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tolerance_rejected(tol):
+    with pytest.raises(ConfigError, match="finite"):
+        build_model({"generators": [
+            {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1}]}],
+            "tolerance": tol})
