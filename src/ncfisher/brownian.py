@@ -9,17 +9,26 @@ single-letter substitutions by the (time-shifted) conjugate variable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .algebra import NcPoly, Word, X_FAMILY, Y_FAMILY
+from .algebra import NcPoly, Word, X_FAMILY
 from .derivation import FamilyError
 from .model import ModelSpec
-from .moments import evaluate_state, expectation
+from .moments import SizeLimitError, expectation, pairing_sum, word_kernel
 
-__all__ = ["EpsExpansion", "expand_state", "verify_gradient_expansion"]
+__all__ = [
+    "EpsExpansion",
+    "MAX_EXPANSION_WORDS",
+    "expand_state",
+    "verify_gradient_expansion",
+]
+
+#: most flipped words one expansion may evaluate
+MAX_EXPANSION_WORDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,11 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
     """State of ``w`` after the substitution, truncated at eps^max_order.
 
     Sums over subsets of positions replaced by partner letters at the same
-    generator and time, with weight eps^(|subset|/2).
+    generator and time, with weight eps^(|subset|/2).  Flipping changes
+    only which letters pair, not their time differences, so the kernel of
+    ``w`` is built once and each subset keeps the pairs on one side of it.
+    Raises :class:`SizeLimitError` before any work when there would be more
+    than ``MAX_EXPANSION_WORDS`` subsets.
     """
     letters = tuple(w)
     if any(l.family != X_FAMILY for l in letters):
@@ -56,14 +69,27 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a nonnegative integer")
     n = len(letters)
+    top = min(n, 2 * max_order)
+    count = 0
+    for k in range(top + 1):
+        count += math.comb(n, k)
+        if count > MAX_EXPANSION_WORDS:
+            raise SizeLimitError(
+                f"expansion of a {n}-letter word to order {max_order} has "
+                f"more than {MAX_EXPANSION_WORDS} flipped words"
+            )
+    rows = word_kernel(m, letters)
     coeffs = {}
-    for k in range(0, min(n, 2 * max_order) + 1):
+    for k in range(top + 1):
         total = 0j
         for subset in combinations(range(n), k):
-            flipped = list(letters)
+            flipped = [False] * n
             for i in subset:
-                flipped[i] = letters[i]._replace(family=Y_FAMILY)
-            total += evaluate_state(m, tuple(flipped))
+                flipped[i] = True
+            total += pairing_sum([
+                [(j, c) for j, c in row if flipped[j] == flipped[i]]
+                for i, row in enumerate(rows)
+            ])
         coeffs[Fraction(k, 2)] = total
     return EpsExpansion(coefficients=coeffs)
 

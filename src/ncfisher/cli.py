@@ -3,7 +3,7 @@
 Reports go to stdout as JSON (sorted keys, lossless float round-trip);
 a one-line human summary goes to stderr.  Exit codes: 0 when every
 asserted check passed, 1 on an assertion failure, 2 on configuration or
-usage errors.
+usage errors, inputs over a size limit and degenerate Galerkin bases.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .algebra import NcPoly, Word, Y_FAMILY, word_str, x, y
 from .brownian import expand_state, verify_gradient_expansion
 from .conjugate import (
     BasisSpec,
+    DegenerateGramError,
     chi_star,
     cramer_rao_audit,
     modular_covariance_check,
@@ -320,7 +321,7 @@ def _cmd_covariance(m, args):
 
 
 def _cmd_suite(m, args):
-    results = run_suite(seed=args.seed, jobs=args.jobs)
+    results = run_suite(seed=args.seed)
     ok = all(r.passed for r in results if r.asserted)
     checks = [
         {
@@ -357,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "two-atom example is used when omitted")
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="ncfisher",
@@ -485,7 +485,8 @@ def run(argv=None) -> int:
         # strict JSON: a non-finite number becomes a usage error, exit 2
         text = json.dumps(_jsonify(report), sort_keys=True, indent=2,
                           allow_nan=False)
-    except (ConfigError, DetailedBalanceViolation, OSError) as exc:
+    except (ConfigError, DetailedBalanceViolation, DegenerateGramError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -14,9 +14,9 @@ Three numerical facts shape the implementation:
   entry.  By freeness the partner letter of b_W pairs only with the
   inserted partner, so b_W = sum over target letters W_k at time t_k of
   eta(t_k - t0) state(W[:k]) state(W[k+1:]), read off the vacuum
-  components.  The memoized pairing recursion stays the evaluator for
-  single words and the independent check behind ``self_adjoint_defect``
-  and the covariance and freeness audits.
+  components.  The single-word interval pass of :mod:`ncfisher.moments`
+  stays the evaluator for single words and the independent check behind
+  ``self_adjoint_defect`` and the covariance and freeness audits.
 * Gram matrices of time-translate words are not merely ill-conditioned but
   exactly rank-deficient for finitely-atomic covariances (translates of a
   k-atom generator span a k-dimensional one-particle space, and the words

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
@@ -177,13 +177,11 @@ class ModelSpec:
     """A family of mutually free generators plus a default tolerance.
 
     Instances are immutable by convention and safe to share between
-    workers; the private memo tables only cache pure evaluation results.
+    workers; evaluation keeps no state on them.
     """
 
     generators: tuple
     tolerance: float = DEFAULT_TOLERANCE
-    _state_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _count_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)

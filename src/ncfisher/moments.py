@@ -7,13 +7,14 @@ family and generator id agree, and zero otherwise; this block-diagonal
 kernel is exactly what makes distinct generators (and the X/Y families)
 mutually free.
 
-The production evaluator uses the first-letter recursion
+A single word is evaluated in one pass over its kernel.  The kernel holds
+cov(l_i, l_k) for i < k at odd distance, with eta called once per distinct
+(generator, time difference); the pass fills the pairing sum over index
+intervals [i, j), shortest first, by the first-letter recursion
 
-    phi(l1 ... ln) = sum_k cov(l1, lk) phi(l2 .. l_{k-1}) phi(l_{k+1} .. ln)
+    phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
 
-memoized on subwords with times rebased to the first letter (covariances
-depend on time differences only, so rebasing is lossless and turns the
-exponential tree into Catalan-bounded work per distinct shape).
+which is cubic in the word length.  Nothing is cached between calls.
 
 Bases of many words are evaluated all at once in the free Fock space
 instead (the free Gaussian functor): letter (family, gen, t) acts as
@@ -21,12 +22,12 @@ creation plus annihilation of the one-particle vector with components
 sqrt(w_j) exp(2 pi i t x_j) in the block of (family, gen), so
 <f_s, f_t> = eta(t - s), and the word W maps the vacuum to a vector W.Omega
 with state(U* W) = <U.Omega, W.Omega>.  :func:`fock_vectors` builds these
-vectors for real times; the recursion stays the evaluator for single
+vectors for real times; the interval pass stays the evaluator for single
 words, complex times included, and the cross-check of the Fock vectors.
 
 An independent oracle enumerates all pair partitions and filters crossings
 with the literal interval-nesting predicate; it shares nothing with the
-recursion above except the covariance kernel.
+interval pass above except the covariance kernel.
 """
 from __future__ import annotations
 
@@ -48,6 +49,8 @@ __all__ = [
     "evaluate_state",
     "evaluate_state_detailed",
     "evaluate_state_shifted",
+    "word_kernel",
+    "pairing_sum",
     "fock_dimension",
     "fock_vectors",
     "expectation",
@@ -65,7 +68,8 @@ ORACLE_MAX_LETTERS = 12
 
 
 class SizeLimitError(ValueError):
-    """Word too long for exhaustive pair-partition enumeration."""
+    """Input too large for the enumeration asked of it: a word too long for
+    the exhaustive oracle, or a noise expansion with too many subsets."""
 
 
 @dataclass(frozen=True)
@@ -97,68 +101,88 @@ def covariance(m: ModelSpec, a: Letter, b: Letter) -> complex:
     return m.gen(a.gen).eta(_sub_time(b.time, a.time))
 
 
-def _rebase(letters):
-    t0 = letters[0].time
-    return tuple(
-        (l.family, l.gen, _sub_time(l.time, t0)) for l in letters
-    )
+def word_kernel(m: ModelSpec, letters) -> list:
+    """Kernel of a word, by rows: row i lists ``(k, cov(l_i, l_k))`` in
+    increasing k over the later letters at odd distance whose family and
+    generator agree with letter i, leaving out exact zeros.
+
+    eta is called once per distinct (generator, time difference).
+    """
+    n = len(letters)
+    etas: dict = {}
+    rows = []
+    for i, a in enumerate(letters):
+        row = []
+        for k in range(i + 1, n, 2):
+            b = letters[k]
+            if b.family == a.family and b.gen == a.gen:
+                d = _sub_time(b.time, a.time)
+                key = (a.gen, d)
+                c = etas.get(key)
+                if c is None:
+                    c = etas[key] = m.gen(a.gen).eta(d)
+                if c != 0:
+                    row.append((k, c))
+        rows.append(row)
+    return rows
+
+
+def pairing_sum(rows, one=1 + 0j):
+    """Non-crossing pairing sum of a whole word from its kernel ``rows``.
+
+    Fills phi over the index intervals [i, j) of even length, row by row
+    from the last letter, so every interval is filled after the shorter
+    ones it needs:
+
+        phi[i, j) = sum_k rows[i][k] * phi[i+1, k) * phi[k+1, j)
+
+    summed in increasing k, the order of the first-letter recursion.
+    ``one`` is the value of the empty interval: ``1 + 0j`` for state
+    values, or the integer 1 with every row entry 1 to count pairings.
+    """
+    n = len(rows)
+    zero = one - one
+    if n % 2:
+        return zero
+    # phi[i][j] for even j - i >= 0; phi[i][i] is the empty interval and
+    # the slots below the diagonal or at odd distance are never read
+    phi = [[one] * (n + 1) for _ in range(n + 1)]
+    for i in range(n - 2, -1, -1):
+        inner, cur, row = phi[i + 1], phi[i], rows[i]
+        for j in range(i + 2, n + 1, 2):
+            total = zero
+            for k, c in row:
+                if k >= j:
+                    break
+                total += c * inner[k] * phi[k + 1][j]
+            cur[j] = total
+    return phi[0][n]
 
 
 def _phi(m: ModelSpec, letters) -> complex:
-    n = len(letters)
-    if n == 0:
-        return 1 + 0j
-    if n % 2:
-        return 0j
-    key = _rebase(letters)
-    memo = m._state_memo
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    first = letters[0]
-    total = 0j
-    for k in range(1, n, 2):
-        c = covariance(m, first, letters[k])
-        if c != 0:
-            total += c * _phi(m, letters[1:k]) * _phi(m, letters[k + 1:])
-    memo[key] = total
-    return total
-
-
-def _count(m: ModelSpec, shape) -> int:
-    # shape: tuple of (family, gen); counts non-crossing pairings whose
-    # pairs all match in family and generator, regardless of weight
-    n = len(shape)
-    if n == 0:
-        return 1
-    if n % 2:
-        return 0
-    memo = m._count_memo
-    cached = memo.get(shape)
-    if cached is not None:
-        return cached
-    total = 0
-    for k in range(1, n, 2):
-        if shape[0] == shape[k]:
-            total += _count(m, shape[1:k]) * _count(m, shape[k + 1:])
-    memo[shape] = total
-    return total
+    return pairing_sum(word_kernel(m, letters))
 
 
 def evaluate_state(m: ModelSpec, w: Word) -> complex:
     """Value of the model state on the word ``w``.
 
     1 for the empty word, 0 for odd length; otherwise the non-crossing
-    pairing sum computed by the memoized first-letter recursion.
+    pairing sum, computed by one interval pass over the word's kernel.
     """
     return _phi(m, tuple(w))
 
 
 def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     letters = tuple(w)
+    n = len(letters)
+    mask = [
+        [(k, 1) for k in range(i + 1, n, 2)
+         if letters[k].family == a.family and letters[k].gen == a.gen]
+        for i, a in enumerate(letters)
+    ]
     return StateValue(
         value=_phi(m, letters),
-        partition_count=_count(m, tuple((l.family, l.gen) for l in letters)),
+        partition_count=pairing_sum(mask, 1),
     )
 
 

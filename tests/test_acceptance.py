@@ -25,9 +25,10 @@ def test_every_criterion_has_a_check(results):
 
 
 def test_suite_deterministic_across_workers():
-    serial = run_suite(seed=0, jobs=1)
-    threaded = run_suite(seed=0, jobs=4)
-    for a, b in zip(serial, threaded):
+    first = run_suite(seed=0)
+    second = run_suite(seed=0)
+    assert [r.cid for r in first] == ALL_CHECK_IDS
+    for a, b in zip(first, second):
         assert a.cid == b.cid
         assert a.passed == b.passed
         assert a.details == b.details

@@ -7,7 +7,7 @@ from ncfisher.algebra import NcPoly, x, y
 from ncfisher.brownian import expand_state, verify_gradient_expansion
 from ncfisher.derivation import FamilyError
 from ncfisher.model import two_atom_model
-from ncfisher.moments import evaluate_state
+from ncfisher.moments import SizeLimitError, evaluate_state
 from ncfisher.sampling import HALF_GRID, random_word
 
 
@@ -99,3 +99,11 @@ def test_gradient_identity_solver_output(m):
     for _ in range(10):
         w = random_word(rng, ["g"], 4, even=True)
         assert verify_gradient_expansion(m, w, xi) < 1e-8
+
+
+def test_expansion_size_limit_precedes_work(m):
+    w = (x("g", 0),) * 40
+    with pytest.raises(SizeLimitError):
+        expand_state(m, w, 20)
+    # the limit counts only the subsets up to the order
+    assert len(expand_state(m, w, 1).powers()) == 3

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import ncfisher
+from ncfisher import cli
 from ncfisher.cli import run
+from ncfisher.conjugate import DegenerateGramError
 
 
 def run_json(capsys, argv):
@@ -204,6 +206,29 @@ def test_conjugate_degree_bound_is_usage_error(capsys):
     started = time.perf_counter()
     assert run(["conjugate", "--degree", "9"]) == 2
     assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_brownian_expansion_bound_is_usage_error(capsys):
+    word = " ".join(f"X:{k}" for k in range(40))
+    started = time.perf_counter()
+    assert run(["brownian", "--word", word, "--order", "20"]) == 2
+    assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_degenerate_gram_is_usage_error(monkeypatch, capsys):
+    def degenerate(*args, **kwargs):
+        raise DegenerateGramError("all Gram eigenvalues fall below the cutoff")
+
+    monkeypatch.setattr(cli, "solve_conjugate", degenerate)
+    assert run(["conjugate"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
