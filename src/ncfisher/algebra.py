@@ -100,12 +100,134 @@ def word_str(w: Word) -> str:
     return " ".join(str(letter) for letter in w) if w else "1"
 
 
+def _accumulate(data: dict, key, c) -> None:
+    """Add ``c`` to ``data[key]`` (from ``0j`` when absent) and drop the
+    key when the sum is zero, keeping ``data`` canonical."""
+    acc = data.get(key, 0j) + c
+    if acc == 0:
+        data.pop(key, None)
+    else:
+        data[key] = acc
+
+
+class _SparseSum:
+    """Finite complex linear combination of hashable keys, kept canonical.
+
+    The canonical form is one dict ``_terms`` with no zero coefficients;
+    equal canonical forms are equal elements.  Subclasses turn one
+    constructor item into a normalized ``(key, coefficient)`` pair in
+    ``_normal_term``, set ``_UNIT`` to the key of the scalar unit when
+    numbers coerce to elements (None: no coercion), and define their own
+    products, adjoint, sort key (``_sort_key``) and term text
+    (``_term_str``).
+    """
+
+    __slots__ = ("_terms",)
+
+    _UNIT = None
+    _sort_key = None
+
+    def __init__(self, terms=None):
+        data: dict = {}
+        if terms is not None:
+            items = terms.items() if hasattr(terms, "items") else terms
+            for item in items:
+                _accumulate(data, *self._normal_term(*item))
+        self._terms = data
+
+    @classmethod
+    def _raw(cls, data: dict):
+        # data must already be canonical (no zeros, normalized keys)
+        obj = object.__new__(cls)
+        obj._terms = data
+        return obj
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def sorted_terms(self) -> list:
+        return sorted(self._terms.items(), key=self._sort_key)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if self._UNIT is not None and isinstance(other, numbers.Complex):
+            c = complex(other)
+            return self._raw({self._UNIT: c} if c != 0 else {})
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in rhs._terms.items():
+            _accumulate(out, key, c)
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs + (-self)
+
+    def __mul__(self, other):
+        """Scalar multiplication; subclasses add their own products."""
+        if not isinstance(other, numbers.Complex):
+            return NotImplemented
+        c = complex(other)
+        if c == 0:
+            return self.zero()
+        return self._raw({k: cc * c for k, cc in self._terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, numbers.Complex):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._terms == rhs._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        bits = [self._term_str(k, c) for k, c in self.sorted_terms()]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
 def _term_key(item):
     w = item[0]
     return (len(w), w)
 
 
-class NcPoly:
+class NcPoly(_SparseSum):
     """Finite complex linear combination of words, kept in canonical form.
 
     Canonical form stores no zero coefficients.  Iteration and repr are
@@ -113,35 +235,18 @@ class NcPoly:
     the letter tuples (family, generator id, time).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[Word, complex] = {}
-        if terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for w, c in items:
-                w = tuple(w)
-                acc = data.get(w, 0j) + complex(c)
-                if acc == 0:
-                    data.pop(w, None)
-                else:
-                    data[w] = acc
-        self._terms = data
+    _UNIT = EMPTY_WORD
+    _sort_key = staticmethod(_term_key)
 
-    @classmethod
-    def _raw(cls, data: dict) -> "NcPoly":
-        # data must already be canonical (no zeros, words are tuples)
-        obj = object.__new__(cls)
-        obj._terms = data
-        return obj
+    @staticmethod
+    def _normal_term(w, c) -> tuple:
+        return tuple(w), complex(c)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "NcPoly":
-        return cls._raw({})
 
     @classmethod
     def one(cls) -> "NcPoly":
@@ -160,22 +265,11 @@ class NcPoly:
     # inspection
     # ------------------------------------------------------------------
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def sorted_terms(self) -> list:
-        return sorted(self._terms.items(), key=_term_key)
-
     def coefficient(self, w: Word) -> complex:
         return self._terms.get(tuple(w), 0j)
 
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def letters(self) -> set:
         return {letter for w in self._terms for letter in w}
@@ -183,77 +277,18 @@ class NcPoly:
     def __iter__(self) -> Iterator:
         return iter(self.sorted_terms())
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     # ------------------------------------------------------------------
     # ring structure
     # ------------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, NcPoly):
-            return other
-        if isinstance(other, numbers.Complex):
-            c = complex(other)
-            return NcPoly._raw({EMPTY_WORD: c}) if c != 0 else NcPoly.zero()
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for w, c in rhs._terms.items():
-            acc = out.get(w, 0j) + c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return NcPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NcPoly._raw({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
-        if isinstance(other, NcPoly):
-            out: dict[Word, complex] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    acc = out.get(w, 0j) + c1 * c2
-                    if acc == 0:
-                        out.pop(w, None)
-                    else:
-                        out[w] = acc
-            return NcPoly._raw(out)
-        if isinstance(other, numbers.Complex):
-            c = complex(other)
-            if c == 0:
-                return NcPoly.zero()
-            return NcPoly._raw({w: cc * c for w, cc in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, NcPoly):
+            return super().__mul__(other)
+        out: dict[Word, complex] = {}
+        for w1, c1 in self._terms.items():
+            for w2, c2 in other._terms.items():
+                _accumulate(out, w1 + w2, c1 * c2)
+        return NcPoly._raw(out)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -286,22 +321,9 @@ class NcPoly:
                 return False
         return True
 
-    # ------------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._terms == rhs._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "NcPoly(0)"
-        bits = [f"({c}) {word_str(w)}" for w, c in self.sorted_terms()]
-        return "NcPoly(" + " + ".join(bits) + ")"
+    @staticmethod
+    def _term_str(w, c) -> str:
+        return f"({c}) {word_str(w)}"
 
 
 def multiply(p: NcPoly, q: NcPoly) -> NcPoly:

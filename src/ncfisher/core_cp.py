@@ -27,6 +27,8 @@ from .algebra import (
     TimeLike,
     Word,
     X_FAMILY,
+    _SparseSum,
+    _accumulate,
     as_time,
     x,
 )
@@ -48,33 +50,16 @@ __all__ = [
 ]
 
 
-class TrigPoly:
+class TrigPoly(_SparseSum):
     """Finitely supported combination of flow unitaries, sum a_k U_{t_k}."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[Fraction, complex] = {}
-        if terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for t, c in items:
-                t = as_time(t)
-                acc = data.get(t, 0j) + complex(c)
-                if acc == 0:
-                    data.pop(t, None)
-                else:
-                    data[t] = acc
-        self._terms = data
+    _UNIT = Fraction(0)
 
-    @classmethod
-    def _raw(cls, data):
-        obj = object.__new__(cls)
-        obj._terms = data
-        return obj
-
-    @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls._raw({})
+    @staticmethod
+    def _normal_term(t, c) -> tuple:
+        return as_time(t), complex(c)
 
     @classmethod
     def one(cls) -> "TrigPoly":
@@ -84,98 +69,29 @@ class TrigPoly:
     def u(cls, t: TimeLike) -> "TrigPoly":
         return cls._raw({as_time(t): 1 + 0j})
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def sorted_terms(self):
-        return sorted(self._terms.items())
-
     def coefficient(self, t: TimeLike) -> complex:
         return self._terms.get(as_time(t), 0j)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for t, c in rhs._terms.items():
-            acc = out.get(t, 0j) + c
-            if acc == 0:
-                out.pop(t, None)
-            else:
-                out[t] = acc
-        return TrigPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TrigPoly._raw({t: -c for t, c in self._terms.items()})
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def _coerce(self, other):
-        if isinstance(other, TrigPoly):
-            return other
-        if isinstance(other, numbers.Complex):
-            c = complex(other)
-            return TrigPoly._raw({Fraction(0): c}) if c != 0 else TrigPoly.zero()
-        return None
-
     def __mul__(self, other):
-        if isinstance(other, TrigPoly):
-            out: dict[Fraction, complex] = {}
-            for s, c1 in self._terms.items():
-                for t, c2 in other._terms.items():
-                    st = s + t
-                    acc = out.get(st, 0j) + c1 * c2
-                    if acc == 0:
-                        out.pop(st, None)
-                    else:
-                        out[st] = acc
-            return TrigPoly._raw(out)
-        if isinstance(other, numbers.Complex):
-            c = complex(other)
-            if c == 0:
-                return TrigPoly.zero()
-            return TrigPoly._raw({t: cc * c for t, cc in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, TrigPoly):
+            return super().__mul__(other)
+        out: dict[Fraction, complex] = {}
+        for s, c1 in self._terms.items():
+            for t, c2 in other._terms.items():
+                _accumulate(out, s + t, c1 * c2)
+        return TrigPoly._raw(out)
 
     def adjoint(self) -> "TrigPoly":
         return TrigPoly._raw(
             {-t: c.conjugate() for t, c in self._terms.items()}
         )
 
-    def __eq__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._terms == rhs._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "TrigPoly(0)"
-        bits = [f"({c}) U:{t}" for t, c in self.sorted_terms()]
-        return "TrigPoly(" + " + ".join(bits) + ")"
+    @staticmethod
+    def _term_str(t, c) -> str:
+        return f"({c}) U:{t}"
 
 
 class UStep(NamedTuple):
@@ -261,17 +177,14 @@ class CoreWord:
                 letters.append(tok._replace(time=tok.time + shift))
         return tuple(letters), shift
 
-    def normal_key(self) -> tuple:
-        word, r = self.normal_form()
-        return (word, r)
-
     def __eq__(self, other):
         if not isinstance(other, CoreWord):
             return NotImplemented
-        return self.coeff == other.coeff and self.normal_key() == other.normal_key()
+        return (self.coeff == other.coeff
+                and self.normal_form() == other.normal_form())
 
     def __hash__(self):
-        return hash((self.coeff, self.normal_key()))
+        return hash((self.coeff, self.normal_form()))
 
     def __repr__(self):
         bits = []
@@ -302,112 +215,48 @@ def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
     return TrigPoly({t: c * g.eta(t) for t, c in p.terms.items()})
 
 
-class EtaBimoduleElem:
+class EtaBimoduleElem(_SparseSum):
     """Finite sum of simple tensors a (x) b of core words.
 
     Terms are keyed on the normal forms of both legs, so the bimodule
-    relations that normal-forming encodes hold on the nose.
+    relations that normal-forming encodes hold on the nose.  The
+    constructor takes ``(coeff, a, b)`` triples.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms is not None:
-            for coeff, a, b in terms:
-                key = (a.normal_key(), b.normal_key())
-                c = complex(coeff) * a.coeff * b.coeff
-                acc = data.get(key, 0j) + c
-                if acc == 0:
-                    data.pop(key, None)
-                else:
-                    data[key] = acc
-        self._terms = data
-
-    @classmethod
-    def _raw(cls, data):
-        obj = object.__new__(cls)
-        obj._terms = data
-        return obj
-
-    @classmethod
-    def zero(cls) -> "EtaBimoduleElem":
-        return cls._raw({})
+    @staticmethod
+    def _normal_term(coeff, a, b) -> tuple:
+        key = (a.normal_form(), b.normal_form())
+        return key, complex(coeff) * a.coeff * b.coeff
 
     @classmethod
     def simple(cls, a: CoreWord, b: CoreWord, coeff: complex = 1.0
                ) -> "EtaBimoduleElem":
         return cls([(coeff, a, b)])
 
+    @staticmethod
+    def _legs(key) -> tuple:
+        # the coefficient-1 core words (word) U_r of both normal forms
+        return tuple(CoreWord(w + ((UStep(r),) if r else ())) for w, r in key)
+
     def __iter__(self) -> Iterator:
         """Yield (coeff, a, b) with coefficient-1 core words."""
-        for ((wa, ra), (wb, rb)), c in sorted(self._terms.items(),
-                                              key=lambda kv: kv[0]):
-            a = CoreWord(wa + ((UStep(ra),) if ra else ()))
-            b = CoreWord(wb + ((UStep(rb),) if rb else ()))
-            yield c, a, b
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, EtaBimoduleElem):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = out.get(key, 0j) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return EtaBimoduleElem._raw(out)
-
-    def __neg__(self):
-        return EtaBimoduleElem._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, EtaBimoduleElem):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "EtaBimoduleElem":
-        f = complex(factor)
-        if f == 0:
-            return EtaBimoduleElem.zero()
-        return EtaBimoduleElem._raw(
-            {k: c * f for k, c in self._terms.items()}
-        )
+        for key, c in self.sorted_terms():
+            yield (c, *self._legs(key))
 
     def left_mul(self, cw: CoreWord) -> "EtaBimoduleElem":
         """x . (a (x) b) = (x a) (x) b."""
-        out = EtaBimoduleElem.zero()
-        for c, a, b in self:
-            out = out + EtaBimoduleElem.simple(cw * a, b, c)
-        return out
+        return EtaBimoduleElem((c, cw * a, b) for c, a, b in self)
 
     def right_mul(self, cw: CoreWord) -> "EtaBimoduleElem":
         """(a (x) b) . y = a (x) (b y)."""
-        out = EtaBimoduleElem.zero()
-        for c, a, b in self:
-            out = out + EtaBimoduleElem.simple(a, b * cw, c)
-        return out
+        return EtaBimoduleElem((c, a, b * cw) for c, a, b in self)
 
-    def __eq__(self, other):
-        if not isinstance(other, EtaBimoduleElem):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self):
-        if not self._terms:
-            return "EtaBimoduleElem(0)"
-        bits = []
-        for c, a, b in self:
-            bits.append(f"({c}) {a!r} (x) {b!r}")
-        return "EtaBimoduleElem(" + " + ".join(bits) + ")"
+    @classmethod
+    def _term_str(cls, key, c) -> str:
+        a, b = cls._legs(key)
+        return f"({c}) {a!r} (x) {b!r}"
 
 
 def eta_inner(
@@ -418,7 +267,7 @@ def eta_inner(
     On simple tensors: <a (x) b, a' (x) b'> =
     E(b* . eta_map(E(a* a')) . b').
     """
-    out = TrigPoly.zero()
+    out: dict = {}
     for cu, a, b in u:
         b_adj = b.adjoint()
         for cv, a2, b2 in v:
@@ -427,27 +276,22 @@ def eta_inner(
             )
             scalar = cu.conjugate() * cv
             for t, g_c in inner.terms.items():
-                out = out + (
-                    conditional_expectation(m, b_adj * CoreWord.u(t) * b2)
-                    * (g_c * scalar)
-                )
-    return out
+                term = conditional_expectation(m, b_adj * CoreWord.u(t) * b2)
+                for r, c in (term * (g_c * scalar)).terms.items():
+                    _accumulate(out, r, c)
+    return TrigPoly._raw(out)
 
 
 def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
     """Tensor-valued derivation: letters of ``gen_id`` at written time t
     contribute (prefix U_t) (x) (U_{-t} suffix); U steps and letters of
     other generators are constants."""
-    out = EtaBimoduleElem.zero()
-    for k, tok in enumerate(cw.tokens):
-        if isinstance(tok, UStep):
-            continue
-        if tok.gen != gen_id:
-            continue
-        left = CoreWord(cw.tokens[:k] + (UStep(tok.time),), cw.coeff)
-        right = CoreWord((UStep(-tok.time),) + cw.tokens[k + 1:])
-        out = out + EtaBimoduleElem.simple(left, right)
-    return out
+    return EtaBimoduleElem(
+        (1.0, CoreWord(cw.tokens[:k] + (UStep(tok.time),), cw.coeff),
+         CoreWord((UStep(-tok.time),) + cw.tokens[k + 1:]))
+        for k, tok in enumerate(cw.tokens)
+        if isinstance(tok, Letter) and tok.gen == gen_id
+    )
 
 
 def verify_core_identity(
@@ -459,18 +303,20 @@ def verify_core_identity(
     the derivative of Q in the group-valued inner product.  Zero for the
     embedded conjugate variable.
     """
-    lhs = TrigPoly.zero()
+    lhs: dict = {}
     for w, c in zeta.adjoint().terms.items():
-        lhs = lhs + conditional_expectation(m, CoreWord.from_word(w, c) * q)
+        term = conditional_expectation(m, CoreWord.from_word(w, c) * q)
+        for r, v in term.terms.items():
+            _accumulate(lhs, r, v)
 
-    rhs = TrigPoly.zero()
+    rhs: dict = {}
     for c, a, b in core_differentiate(gen_id, q):
         inner = eta_map(m, gen_id, conditional_expectation(m, a))
         for t, g_c in inner.terms.items():
-            rhs = rhs + (
-                conditional_expectation(m, CoreWord.u(t) * b) * (g_c * c)
-            )
-    return (lhs - rhs).max_abs()
+            term = conditional_expectation(m, CoreWord.u(t) * b) * (g_c * c)
+            for r, v in term.terms.items():
+                _accumulate(rhs, r, v)
+    return (TrigPoly._raw(lhs) - TrigPoly._raw(rhs)).max_abs()
 
 
 def factoriality_bound(alpha: float, delta: float) -> float:

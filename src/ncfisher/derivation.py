@@ -19,6 +19,8 @@ from .algebra import (
     Word,
     X_FAMILY,
     Y_FAMILY,
+    _SparseSum,
+    _accumulate,
     as_time,
     shift_word,
     word_adjoint,
@@ -46,7 +48,7 @@ def _term_sort_key(item):
     return (len(left) + len(right), gen, mid, left, right)
 
 
-class TensorElem:
+class TensorElem(_SparseSum):
     """Finite sum of terms c * (left . partner_mid . right).
 
     ``left`` and ``right`` are plain words, ``mid`` is the exact time of
@@ -54,31 +56,14 @@ class TensorElem:
     zero coefficients.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for key, c in items:
-                left, gen, mid, right = key
-                key = (tuple(left), gen, mid, tuple(right))
-                acc = data.get(key, 0j) + complex(c)
-                if acc == 0:
-                    data.pop(key, None)
-                else:
-                    data[key] = acc
-        self._terms = data
+    _sort_key = staticmethod(_term_sort_key)
 
-    @classmethod
-    def _raw(cls, data):
-        obj = object.__new__(cls)
-        obj._terms = data
-        return obj
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    @staticmethod
+    def _normal_term(key, c) -> tuple:
+        left, gen, mid, right = key
+        return (tuple(left), gen, mid, tuple(right)), complex(c)
 
     @classmethod
     def single(cls, left: Word, gen: str, mid, right: Word, coeff=1.0):
@@ -87,69 +72,19 @@ class TensorElem:
             return cls.zero()
         return cls._raw({(tuple(left), gen, as_time(mid), tuple(right)): c})
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=_term_sort_key)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = out.get(key, 0j) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return TensorElem._raw(out)
-
-    def __neg__(self):
-        return TensorElem._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "TensorElem":
-        f = complex(factor)
-        if f == 0:
-            return TensorElem.zero()
-        return TensorElem._raw({k: c * f for k, c in self._terms.items()})
-
     def mul_left(self, p: NcPoly) -> "TensorElem":
         """p . (left (.) mid (.) right) = (p-word + left) (.) mid (.) right."""
         out = {}
         for w, cp in p.terms.items():
             for (left, gen, mid, right), c in self._terms.items():
-                key = (tuple(w) + left, gen, mid, right)
-                acc = out.get(key, 0j) + cp * c
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                _accumulate(out, (tuple(w) + left, gen, mid, right), cp * c)
         return TensorElem._raw(out)
 
     def mul_right(self, p: NcPoly) -> "TensorElem":
         out = {}
         for w, cp in p.terms.items():
             for (left, gen, mid, right), c in self._terms.items():
-                key = (left, gen, mid, right + tuple(w))
-                acc = out.get(key, 0j) + cp * c
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                _accumulate(out, (left, gen, mid, right + tuple(w)), cp * c)
         return TensorElem._raw(out)
 
     def adjoint(self) -> "TensorElem":
@@ -171,22 +106,10 @@ class TensorElem:
             }
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "TensorElem(0)"
-        bits = [
-            f"({c}) {word_str(left)} (.) Y{gen}:{mid} (.) {word_str(right)}"
-            for (left, gen, mid, right), c in self.sorted_terms()
-        ]
-        return "TensorElem(" + " + ".join(bits) + ")"
+    @staticmethod
+    def _term_str(key, c) -> str:
+        left, gen, mid, right = key
+        return f"({c}) {word_str(left)} (.) Y{gen}:{mid} (.) {word_str(right)}"
 
 
 def differentiate(gen_id: str, p: NcPoly) -> TensorElem:
@@ -204,12 +127,7 @@ def differentiate(gen_id: str, p: NcPoly) -> TensorElem:
                 )
         for k, letter in enumerate(w):
             if letter.family == X_FAMILY and letter.gen == gen_id:
-                key = (w[:k], gen_id, letter.time, w[k + 1:])
-                acc = out.get(key, 0j) + c
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                _accumulate(out, (w[:k], gen_id, letter.time, w[k + 1:]), c)
     return TensorElem._raw(out)
 
 

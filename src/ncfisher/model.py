@@ -29,6 +29,7 @@ __all__ = [
     "GeneratorSpec",
     "ModelSpec",
     "KmsReport",
+    "KMS_GRID",
     "eta",
     "check_detailed_balance",
     "check_kms",
@@ -46,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 LN2_OVER_2PI = math.log(2.0) / TWO_PI
 
 DEFAULT_TOLERANCE = 1e-9
+
+#: default real times of the KMS check: 101 points on [-5, 5]
+KMS_GRID = tuple(-5.0 + 0.1 * k for k in range(101))
 
 _BALANCE_RTOL = 1e-12
 

@@ -44,6 +44,7 @@ from .model import ModelSpec
 
 __all__ = [
     "SizeLimitError",
+    "MAX_WORD_LETTERS",
     "StateValue",
     "covariance",
     "evaluate_state",
@@ -66,10 +67,14 @@ __all__ = [
 
 ORACLE_MAX_LETTERS = 12
 
+#: longest word the interval pass takes; its time is cubic in the length
+MAX_WORD_LETTERS = 256
+
 
 class SizeLimitError(ValueError):
-    """Input too large for the enumeration asked of it: a word too long for
-    the exhaustive oracle, or a noise expansion with too many subsets."""
+    """Input too large for the work asked of it: a word too long for the
+    interval pass or the exhaustive oracle, or a noise expansion with too
+    many subsets."""
 
 
 @dataclass(frozen=True)
@@ -106,9 +111,14 @@ def word_kernel(m: ModelSpec, letters) -> list:
     increasing k over the later letters at odd distance whose family and
     generator agree with letter i, leaving out exact zeros.
 
-    eta is called once per distinct (generator, time difference).
+    eta is called once per distinct (generator, time difference).  Raises
+    :class:`SizeLimitError` first for words over ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
+    if n > MAX_WORD_LETTERS:
+        raise SizeLimitError(
+            f"words have at most {MAX_WORD_LETTERS} letters, got {n}"
+        )
     etas: dict = {}
     rows = []
     for i, a in enumerate(letters):
@@ -175,13 +185,14 @@ def evaluate_state(m: ModelSpec, w: Word) -> complex:
 def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     letters = tuple(w)
     n = len(letters)
+    rows = word_kernel(m, letters)  # checks the length before the mask
     mask = [
         [(k, 1) for k in range(i + 1, n, 2)
          if letters[k].family == a.family and letters[k].gen == a.gen]
         for i, a in enumerate(letters)
     ]
     return StateValue(
-        value=_phi(m, letters),
+        value=pairing_sum(rows),
         partition_count=pairing_sum(mask, 1),
     )
 

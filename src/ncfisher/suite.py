@@ -25,7 +25,8 @@ from .conjugate import (
 )
 from .core_cp import factoriality_bound, verify_core_identity
 from .derivation import verify_insertion_identity
-from .model import ModelSpec, build_model, tracial_model, two_atom_model
+from .model import (KMS_GRID, ModelSpec, build_model, tracial_model,
+                    two_atom_model)
 from .model import check_kms as kms_report
 from .moments import (
     brute_force_oracle,
@@ -35,7 +36,8 @@ from .moments import (
 )
 from .sampling import HALF_GRID, random_core_word, random_word
 
-__all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite"]
+__all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite",
+           "insertion_residual", "core_residual"]
 
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
 GRID3 = tuple(Fraction(k, 2) for k in range(-1, 2))
@@ -153,7 +155,7 @@ def check_wick_oracle(ctx: SuiteContext) -> CheckResult:
 
 
 def check_kms(ctx: SuiteContext) -> CheckResult:
-    grid = [-5.0 + 0.1 * k for k in range(101)]
+    grid = KMS_GRID
     strip_tol = 1e-12
     word_tol = 1e-9
     max_dev = 0.0
@@ -192,17 +194,24 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
     )
 
 
+def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
+                       count: int, degree: int) -> float:
+    """Worst insertion-identity residual of the letter of ``gen`` at time 0
+    over ``count`` pairs of random ``degree``-letter words drawn from
+    ``rng``."""
+    xi = NcPoly.letter(x(gen, 0))
+    worst = 0.0
+    for _ in range(count):
+        p = NcPoly.word(random_word(rng, [gen], degree))
+        q = NcPoly.word(random_word(rng, [gen], degree))
+        worst = max(worst, verify_insertion_identity(m, gen, p, q, xi))
+    return worst
+
+
 def check_insertion_identity(ctx: SuiteContext) -> CheckResult:
     tol = 1e-9
     m = ctx.two_atom
-    gen = m.generators[0].gen_id
-    xi = NcPoly.letter(x(gen, 0))
-    rng = ctx.rng(4)
-    worst = 0.0
-    for _ in range(100):
-        p = NcPoly.word(random_word(rng, [gen], 4))
-        q = NcPoly.word(random_word(rng, [gen], 4))
-        worst = max(worst, verify_insertion_identity(m, gen, p, q, xi))
+    worst = insertion_residual(m, m.generators[0].gen_id, ctx.rng(4), 100, 4)
     return CheckResult(
         "insertion_identity",
         "inserting the conjugate variable equals the two derivative pairings",
@@ -248,16 +257,23 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
     )
 
 
+def core_residual(m: ModelSpec, gen: str, rng: random.Random,
+                  count: int, degree: int) -> float:
+    """Worst core-identity residual of the letter of ``gen`` at time 0 over
+    ``count`` random core words with ``degree`` letters drawn from
+    ``rng``."""
+    zeta = NcPoly.letter(x(gen, 0))
+    worst = 0.0
+    for _ in range(count):
+        q = random_core_word(rng, [gen], degree)
+        worst = max(worst, verify_core_identity(m, gen, q, zeta))
+    return worst
+
+
 def check_core_identity(ctx: SuiteContext) -> CheckResult:
     tol = 1e-9
     m = ctx.two_atom
-    gen = m.generators[0].gen_id
-    zeta = NcPoly.letter(x(gen, 0))
-    rng = ctx.rng(6)
-    worst = 0.0
-    for _ in range(100):
-        q = random_core_word(rng, [gen], 4)
-        worst = max(worst, verify_core_identity(m, gen, q, zeta))
+    worst = core_residual(m, m.generators[0].gen_id, ctx.rng(6), 100, 4)
     return CheckResult(
         "core_identity",
         "group-valued pairing of the embedded conjugate variable matches "

@@ -1,8 +1,10 @@
+import doctest
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncfisher.algebra
 from ncfisher.algebra import (
     EMPTY_WORD,
     Letter,
@@ -17,6 +19,8 @@ from ncfisher.algebra import (
     x,
     y,
 )
+from ncfisher.core_cp import CoreWord, EtaBimoduleElem, TrigPoly
+from ncfisher.derivation import TensorElem
 
 TIMES = [Fraction(k, 2) for k in range(-2, 3)]
 
@@ -142,3 +146,53 @@ def test_shift_is_multiplicative(p, q, s):
 @given(w=words)
 def test_word_adjoint_involution(w):
     assert word_adjoint(word_adjoint(w)) == w
+
+
+def test_module_doctest():
+    failed, attempted = doctest.testmod(ncfisher.algebra)
+    assert attempted > 0 and failed == 0
+
+
+def _eta_elem(pairs):
+    return EtaBimoduleElem((c, a, b) for (a, b), c in pairs)
+
+
+_XU = CoreWord.x_letter("g", 1) * CoreWord.u(1)
+# constructor from (key, coefficient) pairs, a key, another spelling of
+# the same key, a second key, and the key of the scalar unit (None: none)
+SPARSE_SUMS = {
+    "NcPoly": (NcPoly, (x("g", 0),), [x("g", 0)],
+               (x("g", 0), y("g", "1/2")), ()),
+    "TensorElem": (TensorElem, ((), "g", Fraction(1), ()),
+                   ([], "g", Fraction(1), []),
+                   ((x("g", 0),), "g", Fraction(0), ()), None),
+    "TrigPoly": (TrigPoly, Fraction(1, 2), "1/2", Fraction(-1), 0),
+    "EtaBimoduleElem": (_eta_elem, (_XU, CoreWord.one()),
+                        (CoreWord.u(1) * CoreWord.x_letter("g", 0),
+                         CoreWord.one()),
+                        (CoreWord.one(), CoreWord.u(-1)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_SUMS))
+def test_sparse_sum_canonical_form(name):
+    make, k1, k1_again, k2, unit = SPARSE_SUMS[name]
+    a = make([(k1, 2), (k2, 1j), (k1_again, 3), (k2, -1j)])
+    assert len(a) == 1 and list(a.terms.values()) == [5]
+    assert a == make([(k1, 5)])
+    zero = a + (-a)
+    assert zero.is_zero and len(zero) == 0 and zero == type(a).zero()
+    b = make([(k1, 1), (k2, -2)])
+    assert a - b == a + (-b)
+    assert 2 * a == a * 2 == a + a
+    assert (0 * a).is_zero
+    b_again = make([(k2, -2), (k1_again, 1)])
+    assert b_again == b and hash(b_again) == hash(b)
+    if unit is None:
+        assert a != 5
+        with pytest.raises(TypeError):
+            a + 1
+    else:
+        assert make([(unit, 3)]) == 3
+        assert b + 1 == 1 + b == b + make([(unit, 1)])
+        assert 1 - b == -(b - 1)

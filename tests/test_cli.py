@@ -6,12 +6,19 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncfisher
 from ncfisher import cli
 from ncfisher.cli import run
 from ncfisher.conjugate import DegenerateGramError
+from ncfisher.moments import MAX_WORD_LETTERS
+from ncfisher.suite import (
+    SuiteContext,
+    check_core_identity,
+    check_insertion_identity,
+)
 
 
 def run_json(capsys, argv):
@@ -130,6 +137,18 @@ def test_verify_commands_quick(capsys):
     assert code == 0 and report["passed"] is True
 
 
+def test_verify_commands_match_suite_checks(capsys):
+    # at seed 0 the suite's rng(k) is Random(k), and the defaults are the
+    # suite's model, count and degree
+    ctx = SuiteContext.fresh(0)
+    _, report = run_json(capsys, ["verify-lemma2", "--seed", "4"])
+    expected = check_insertion_identity(ctx).details["max_residual"]
+    assert report["outputs"]["max_residual"] == expected
+    _, report = run_json(capsys, ["verify-core", "--seed", "6"])
+    expected = check_core_identity(ctx).details["max_residual"]
+    assert report["outputs"]["max_residual"] == expected
+
+
 def test_covariance_command(capsys):
     code, report = run_json(capsys, ["covariance", "--shift", "1/2"])
     assert code == 0
@@ -229,6 +248,29 @@ def test_degenerate_gram_is_usage_error(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "solve_conjugate", degenerate)
     assert run(["conjugate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_linalg_error_is_usage_error(monkeypatch, capsys):
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "solve_conjugate", unconverged)
+    assert run(["conjugate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_overlong_moment_word_is_usage_error(capsys):
+    word = " ".join(f"X:{k}" for k in range(MAX_WORD_LETTERS + 1))
+    started = time.perf_counter()
+    assert run(["moment", "--word", word]) == 2
+    assert time.perf_counter() - started < 5.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

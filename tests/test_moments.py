@@ -5,6 +5,7 @@ import pytest
 
 from ncfisher.algebra import NcPoly, shift_word, word_adjoint, x, y
 from ncfisher.moments import (
+    MAX_WORD_LETTERS,
     SizeLimitError,
     brute_force_oracle,
     collapse_tracial_times,
@@ -87,6 +88,15 @@ def test_oracle_matches_recursion(m):
 def test_oracle_size_limit(m):
     with pytest.raises(SizeLimitError):
         brute_force_oracle(m, (x("g", 0),) * 14)
+
+
+def test_word_length_limit(m):
+    w = (x("g", 0),) * (MAX_WORD_LETTERS + 1)
+    for evaluate in (evaluate_state, evaluate_state_detailed):
+        with pytest.raises(SizeLimitError):
+            evaluate(m, w)
+    with pytest.raises(SizeLimitError):
+        evaluate_state_shifted(m, w, [0], 1j)
 
 
 def test_state_of_adjoint_is_conjugate(m):
