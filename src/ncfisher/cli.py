@@ -184,6 +184,18 @@ def _cmd_moment(m, args):
     return out, None
 
 
+def _solver_health(sol) -> dict:
+    """Size, rank and conditioning of one Galerkin solve."""
+    return {
+        "basis_size": len(sol.basis_words),
+        "kept_size": len(sol.kept),
+        "fock_dim": sol.fock_dim,
+        "eigenvalues_cut": sol.eigenvalues_cut,
+        "gram_condition": sol.gram_condition,
+        "residual": sol.residual,
+    }
+
+
 def _cmd_conjugate(m, args):
     target = _resolve_gen(m, args.target)
     b_gens = tuple(
@@ -200,18 +212,13 @@ def _cmd_conjugate(m, args):
     out = {
         "target": target,
         "target_time": sol.target_time,
-        "basis_size": len(sol.basis_words),
-        "kept_size": len(sol.kept),
+        **_solver_health(sol),
         "coefficients": [
             {"word": word_str(w), "re": c.real, "im": c.imag}
             for w, c in sol.coefficient_map().items()
         ],
-        "residual": sol.residual,
         "xi_norm_sq": sol.xi_norm_sq,
         "phi_star": sol.phi_star,
-        "gram_condition": sol.gram_condition,
-        "fock_dim": sol.fock_dim,
-        "eigenvalues_cut": sol.eigenvalues_cut,
         "self_adjoint_defect": defect,
     }
     return out, defect < args.tol
@@ -222,7 +229,9 @@ def _cmd_fisher(m, args):
     sols = solve_family(m, gens, _basis_from_args(args))
     per_gen = {g: sol.phi_star for g, sol in zip(gens, sols)}
     total = sum(sol.phi_star for sol in sols)
-    return {"gens": gens, "per_gen": per_gen, "phi_star_total": total}, None
+    solver = {g: _solver_health(sol) for g, sol in zip(gens, sols)}
+    return {"gens": gens, "per_gen": per_gen, "phi_star_total": total,
+            "solver": solver}, None
 
 
 def _cmd_cramer_rao(m, args):

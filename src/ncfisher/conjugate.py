@@ -8,13 +8,14 @@ whenever the latter exists.
 
 Three numerical facts shape the implementation:
 
-* Each basis word W is assembled once as its vector W.Omega in the
-  truncated free Fock space (:func:`ncfisher.moments.fock_vectors`), so
-  the Gram matrix is V^H V and never needs one pairing recursion per
-  entry.  By freeness the partner letter of b_W pairs only with the
-  inserted partner, so b_W = sum over target letters W_k at time t_k of
-  eta(t_k - t0) state(W[:k]) state(W[k+1:]), read off the vacuum
-  components.  The single-word interval pass of :mod:`ncfisher.moments`
+* The basis is every word over one alphabet up to the degree, so
+  :func:`ncfisher.moments.fock_vectors` builds the vectors W.Omega in the
+  truncated free Fock space degree by degree, all letters at once, and the
+  Gram matrix is V^H V.  By freeness the partner letter of b_W pairs only
+  with the inserted partner, so b_W = sum over target letters W_k at time
+  t_k of eta(t_k - t0) state(W[:k]) state(W[k+1:]), on each degree a sum
+  of tensor products of state values (row 0 of V) and the kernel on the
+  alphabet.  The single-word interval pass of :mod:`ncfisher.moments`
   stays the evaluator for single words and the independent check behind
   ``self_adjoint_defect`` and the covariance and freeness audits.
 * Gram matrices of time-translate words are not merely ill-conditioned but
@@ -45,7 +46,7 @@ import numpy as np
 
 from .algebra import Letter, NcPoly, TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
-from .moments import fock_vectors, l2_distance, l2_norm
+from .moments import fock_dimension, fock_vectors, l2_distance, l2_norm
 
 __all__ = [
     "BasisError",
@@ -220,20 +221,23 @@ def _prune_independent(vecs: np.ndarray) -> list:
     their own squared norm (classical Gram-Schmidt, applied twice)."""
     dim = vecs.shape[0]
     q = np.zeros((dim, dim), dtype=complex)  # orthonormal kept directions
+    qh = np.zeros((dim, dim), dtype=complex)  # their conjugates, as rows
     kept: list = []
     for i in range(vecs.shape[1]):
-        if len(kept) == dim:
+        n = len(kept)
+        if n == dim:
             break  # the kept words span the whole Fock space
         v = vecs[:, i]
         d = float(np.vdot(v, v).real)
         if d <= 0:
             continue
-        span = q[:, : len(kept)]
-        r = v - span @ (span.conj().T @ v)
-        r -= span @ (span.conj().T @ r)
+        span, span_h = q[:, :n], qh[:n]
+        r = v - span @ (span_h @ v)
+        r -= span @ (span_h @ r)
         res = float(np.vdot(r, r).real)
         if res > PRUNE_RTOL * d:
-            q[:, len(kept)] = r / math.sqrt(res)
+            q[:, n] = r / math.sqrt(res)
+            qh[n] = q[:, n].conj()
             kept.append(i)
     return kept
 
@@ -259,24 +263,25 @@ def solve_conjugate(
     t0 = as_time(target_time)
     words = enumerate_basis(m, target_gen, basis, b_gens, t0)
     n = len(words)
-    vecs, phi = fock_vectors(m, words)
+    alphabet = [w[0] for w in words if len(w) == 1]
+    vecs = fock_vectors(m, alphabet, basis.max_degree)
     gen = m.gen(target_gen)
 
-    # the basis is closed under prefixes, so phi covers both sides
-    b = np.array(
-        [
-            sum(
-                (
-                    gen.eta(l.time - t0) * phi[w[:k]] * phi[w[k + 1:]]
-                    for k, l in enumerate(w)
-                    if l.gen == target_gen
-                ),
-                0j,
-            )
-            for w in words
-        ],
-        dtype=complex,
-    )
+    # b on the degree-d words is sum_k phi_k (x) e (x) phi_{d-1-k}: phi_k
+    # holds the state values of the degree-k words (row 0 of V, from
+    # column 1 + a + ... + a^(k-1) on) and e the kernel at target letters
+    a = len(alphabet)
+    e = np.array([gen.eta(l.time - t0) if l.gen == target_gen else 0
+                  for l in alphabet], dtype=complex)
+    phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
+           for d in range(basis.max_degree + 1)]
+    b = np.concatenate([
+        sum(((phi[k][:, None, None] * e[:, None] * phi[d - 1 - k]).ravel()
+             for k in range(d)), np.zeros(a**d, dtype=complex))
+        for d in range(basis.max_degree + 1)
+    ])
+    if not basis.include_identity:
+        vecs, b = vecs[:, 1:], b[1:]
     rhs = b.conjugate()
 
     kept = _prune_independent(vecs)
@@ -319,10 +324,12 @@ def solve_family(
     m: ModelSpec, gens: Sequence[str], basis: BasisSpec
 ) -> list:
     """One solution per generator of the family, in order, each generator
-    solved against the words of all the others."""
+    solved against the words of all the others; ids must not repeat."""
     gens = list(gens)
     if not gens:
         raise ConfigError("at least one generator is required")
+    if len(set(gens)) < len(gens):
+        raise ConfigError(f"generator ids repeat in {gens}")
     return [
         solve_conjugate(m, g, basis, b_gens=tuple(h for h in gens if h != g))
         for g in gens

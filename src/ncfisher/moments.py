@@ -22,8 +22,10 @@ creation plus annihilation of the one-particle vector with components
 sqrt(w_j) exp(2 pi i t x_j) in the block of (family, gen), so
 <f_s, f_t> = eta(t - s), and the word W maps the vacuum to a vector W.Omega
 with state(U* W) = <U.Omega, W.Omega>.  :func:`fock_vectors` builds these
-vectors for real times; the interval pass stays the evaluator for single
-words, complex times included, and the cross-check of the Fock vectors.
+vectors for every word over an alphabet of real-time letters up to a
+degree, degree by degree with all letters applied at once; the interval
+pass stays the evaluator for single words, complex times included, and the
+cross-check of the Fock vectors.
 
 An independent oracle enumerates all pair partitions and filters crossings
 with the literal interval-nesting predicate; it shares nothing with the
@@ -229,66 +231,56 @@ def fock_dimension(k: int, degree: int) -> int:
     return sum(k**n for n in range(degree + 1))
 
 
-def fock_vectors(m: ModelSpec, words: Sequence[Word]):
-    """Vectors W.Omega of ``words`` in the truncated full Fock space.
+def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
+    """Vectors W.Omega of every word over ``alphabet`` with at most
+    ``degree`` letters, in the truncated full Fock space.
 
-    Returns ``(vecs, vacuum)``: ``vecs`` is the D x n complex matrix whose
-    column j is ``words[j]`` applied to the vacuum, so its Gram matrix
-    vecs^H vecs holds state(w_i* w_j); ``vacuum`` maps every word of
-    ``words``, each of their suffixes and the empty word to its state
-    value, the vacuum component of its vector.  The one-particle space is
-    the direct sum of C^{k} over the (family, generator) pairs present,
-    k the generator's atom count; D counts particle numbers up to the
-    longest word.  Letter times must be real.
+    Returns the D x n complex matrix V with one column per word, degree by
+    degree from the empty word and each degree in ``itertools.product``
+    order, so V^H V holds state(w_i* w_j) and row 0 the state values.  The
+    one-particle space is the direct sum of C^{k} over the (family,
+    generator) pairs of the alphabet, k the generator's atom count; D
+    counts particle numbers up to ``degree``.  Letter times must be real.
 
-    An n-particle tensor is stored with its first factor varying fastest,
-    so creation on the whole vector is one outer product and annihilation
-    one contraction, each word built from its cached suffix.
+    An n-particle tensor is stored first factor fastest, so fewer particles
+    fill a prefix of the rows.  The degree-d block is the degree-(d-1)
+    block with all a letters applied at once: one batched annihilation (a
+    contraction with the conjugated one-particle vectors), one batched
+    creation (an outer product), and a reshape that puts letter l applied
+    to word j in column l a^{d-1} + j.
     """
     offsets: dict = {}
     k = 0
-    for w in words:
-        for letter in w:
-            key = (letter.family, letter.gen)
-            if key not in offsets:
-                offsets[key] = k
-                k += len(m.gen(letter.gen).atoms)
-    depth = max((len(w) for w in words), default=0)
-    dim = fock_dimension(k, depth)
-    below = dim - k**depth  # entries below the top particle number
+    for letter in alphabet:
+        key = (letter.family, letter.gen)
+        if key not in offsets:
+            offsets[key] = k
+            k += len(m.gen(letter.gen).atoms)
+    a = len(alphabet)
+    f = np.zeros((a, k), dtype=complex)  # row l: one-particle vector of l
+    for l, letter in enumerate(alphabet):
+        start = offsets[(letter.family, letter.gen)]
+        phase = 2j * math.pi * float(letter.time)
+        for j, at in enumerate(m.gen(letter.gen).atoms):
+            f[l, start + j] = math.sqrt(at.w) * cmath.exp(phase * at.x)
 
-    vacuum_vec = np.zeros(dim, dtype=complex)
-    vacuum_vec[0] = 1
-    one_particle: dict = {}
-    vectors: dict = {(): vacuum_vec}
-
-    def vector(w):
-        v = vectors.get(w)
-        if v is not None:
-            return v
-        tail = vector(w[1:])
-        letter = w[0]
-        f = one_particle.get(letter)
-        if f is None:
-            f = np.zeros(k, dtype=complex)
-            start = offsets[(letter.family, letter.gen)]
-            t = float(letter.time)
-            for j, a in enumerate(m.gen(letter.gen).atoms):
-                f[start + j] = math.sqrt(a.w) * cmath.exp(2j * math.pi * t * a.x)
-            one_particle[letter] = f
-        v = np.zeros(dim, dtype=complex)
-        v[:below] = tail[1:].reshape(below, k) @ f.conj()
-        v[1:] += np.outer(tail[:below], f).ravel()
-        vectors[w] = v
-        return v
-
-    vecs = np.empty((dim, len(words)), dtype=complex, order="F")
-    for j, w in enumerate(words):
-        w = tuple(w)
-        vecs[:, j] = vector(w)
-        vectors[w] = vecs[:, j]  # keep one copy: the column view
-    vacuum = {w: complex(v[0]) for w, v in vectors.items()}
-    return vecs, vacuum
+    vecs = np.zeros((fock_dimension(k, degree), fock_dimension(a, degree)),
+                    dtype=complex, order="F")
+    vecs[0, 0] = 1
+    block = vecs[:1, :1]  # degree d - 1, up to d - 1 particles
+    for d in range(1, degree + 1):
+        rows, n = block.shape
+        # creation: row 1 + r k + i of l on word j is f[l, i] block[r, j]
+        created = block[:, None, None] * f.T[:, :, None]  # (rows, k, a, n)
+        new = np.zeros((1 + rows * k, a, n), dtype=complex)
+        new[1:] = created.reshape(rows * k, a, n)
+        # annihilation: contract the first factor with conj(f[l])
+        below = fock_dimension(k, d - 2)
+        new[:below] += f.conj() @ block[1:].reshape(below, k, n)
+        block = new.reshape(len(new), a * n)
+        first = fock_dimension(a, d - 1)  # words of lower degree come first
+        vecs[:len(block), first:first + a * n] = block
+    return vecs
 
 
 def expectation(m: ModelSpec, p: NcPoly) -> complex:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 import ncfisher
 from ncfisher import cli
 from ncfisher.cli import run
-from ncfisher.conjugate import DegenerateGramError
+from ncfisher.conjugate import BasisSpec, DegenerateGramError, solve_family
+from ncfisher.model import load_model
 from ncfisher.moments import MAX_WORD_LETTERS
 from ncfisher.suite import (
     SuiteContext,
@@ -277,7 +279,7 @@ def test_overlong_moment_word_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_fisher_total_sums_per_generator(tmp_path, capsys):
+def pair_model_file(tmp_path):
     config = {
         "generators": [
             {"name": n, "mode": "half",
@@ -287,12 +289,51 @@ def test_fisher_total_sums_per_generator(tmp_path, capsys):
     }
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(config))
-    code, report = run_json(capsys, ["fisher", "--model", str(path)])
+    return str(path)
+
+
+def test_fisher_total_sums_per_generator(tmp_path, capsys):
+    path = pair_model_file(tmp_path)
+    code, report = run_json(capsys, ["fisher", "--model", path])
     assert code == 0
     out = report["outputs"]
     assert list(out["per_gen"]) == ["1", "2"]
     assert out["phi_star_total"] == out["per_gen"]["1"] + out["per_gen"]["2"]
     assert out["phi_star_total"] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_fisher_reports_solver_health(tmp_path, capsys):
+    path = pair_model_file(tmp_path)
+    code, report = run_json(capsys, ["fisher", "--model", path])
+    assert code == 0
+    out = report["outputs"]
+    assert set(out) == {"gens", "per_gen", "phi_star_total", "solver"}
+    sols = solve_family(load_model(path), ["1", "2"],
+                        BasisSpec((Fraction(-1, 2), Fraction(0),
+                                   Fraction(1, 2)), 2))
+    for g, sol in zip(["1", "2"], sols):
+        assert out["per_gen"][g] == sol.phi_star
+        assert out["solver"][g] == {
+            "basis_size": len(sol.basis_words),
+            "kept_size": len(sol.kept),
+            "fock_dim": sol.fock_dim,
+            "eigenvalues_cut": sol.eigenvalues_cut,
+            "gram_condition": sol.gram_condition,
+            "residual": sol.residual,
+        }
+    assert out["solver"]["1"]["basis_size"] == 43
+    assert out["solver"]["1"]["fock_dim"] == 21
+
+
+@pytest.mark.parametrize("command", ["fisher", "cramer-rao", "chi-star"])
+def test_repeated_generator_ids_are_usage_errors(tmp_path, capsys, command):
+    path = pair_model_file(tmp_path)
+    assert run([command, "--model", path, "--gens", "1,2,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "repeat" in captured.err
+    assert run([command, "--gens", "g,g"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

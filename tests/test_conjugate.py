@@ -2,13 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncfisher.algebra import NcPoly, x
 from ncfisher.conjugate import (
+    PRUNE_RTOL,
     BasisError,
     BasisSpec,
     GridError,
+    _prune_independent,
     chi_star,
     cramer_rao_audit,
     enumerate_basis,
@@ -16,9 +19,15 @@ from ncfisher.conjugate import (
     modular_covariance_check,
     self_adjoint_defect,
     solve_conjugate,
+    solve_family,
 )
 from ncfisher.derivation import differentiate, pair_with_y
-from ncfisher.model import build_model, tracial_model, two_atom_model
+from ncfisher.model import (
+    ConfigError,
+    build_model,
+    tracial_model,
+    two_atom_model,
+)
 from ncfisher.moments import l2_distance
 
 GRID3 = tuple(Fraction(k, 2) for k in range(-1, 2))
@@ -158,6 +167,8 @@ def rhs_cases():
         (pair_model(), "1", ("2",), BasisSpec(GRID3, 2), Fraction(0)),
         (mixed_model(), "t", ("q",), BasisSpec(GRID3, 2), Fraction(1, 2)),
         (mixed_model(), "q", ("t",), BasisSpec(GRID3, 2), Fraction(0)),
+        (pair_model(), "2", ("1",),
+         BasisSpec(GRID3, 2, include_identity=False), Fraction(1, 2)),
     ]
 
 
@@ -168,6 +179,61 @@ def test_rhs_matches_derivative_pairing(case):
     for w, b in zip(sol.basis_words, sol.rhs):
         want = pair_with_y(model, differentiate(target, NcPoly.word(w)), t0)
         assert abs(b - want) <= 1e-12, w
+
+
+def unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("ratio, kept", [(1e-9, [0, 1]), (1e-11, [0])])
+def test_prune_threshold(ratio, kept):
+    # the second column's squared residual against the first, over its
+    # squared norm, is ``ratio``; PRUNE_RTOL sits between the two cases
+    u = unitary(4, 1)
+    eps = math.sqrt(ratio / (1 - ratio))
+    vecs = np.stack([2j * u[:, 0], 3 * (u[:, 0] + eps * u[:, 1])], axis=1)
+    assert 1e-11 < PRUNE_RTOL < 1e-9
+    assert _prune_independent(vecs) == kept
+
+
+def test_prune_skips_zero_and_keeps_first_of_parallel():
+    u = unitary(3, 2)
+    vecs = np.stack([np.zeros(3), u[:, 1], (1 - 2j) * u[:, 0],
+                     -5 * u[:, 1], 0.5 * u[:, 0], u[:, 2]], axis=1)
+    assert _prune_independent(vecs) == [1, 2, 5]
+    assert _prune_independent(vecs[:, [4, 2]]) == [0]
+
+
+def test_prune_stops_when_the_space_is_spanned():
+    class Reads(np.ndarray):
+        """Logs the column indices read through ``vecs[:, i]``."""
+
+        def __getitem__(self, key):
+            self.log.append(key[1])
+            return np.asarray(self).__getitem__(key)
+
+    u = unitary(2, 3)
+    vecs = np.stack([u[:, 0], u[:, 0] + u[:, 1], u[:, 1], u[:, 0]],
+                    axis=1).view(Reads)
+    vecs.log = []
+    assert _prune_independent(vecs) == [0, 1]
+    assert vecs.log == [0, 1]
+
+
+def test_repeated_generator_ids_rejected():
+    mp = pair_model()
+    spec = BasisSpec(GRID3, 2)
+    for gens in (["1", "1"], ["1", "2", "1"]):
+        with pytest.raises(ConfigError, match="repeat"):
+            solve_family(mp, gens, spec)
+        with pytest.raises(ConfigError):
+            fisher_multi(mp, gens, spec)
+        with pytest.raises(ConfigError):
+            cramer_rao_audit(mp, gens, spec)
+        with pytest.raises(ConfigError):
+            chi_star(mp, gens, [0.0, 1.0], 2.0, spec)
 
 
 def test_scaling_of_solution(m):

@@ -5,14 +5,18 @@ vacuum components state values of the words themselves, within 1e-12 of
 the pairing scale (number of compatible non-crossing pairings times the
 largest second moment to the power of the pair count).
 """
+import cmath
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ncfisher.algebra import word_adjoint, x, y
-from ncfisher.conjugate import BasisSpec, enumerate_basis
-from ncfisher.model import build_model
+from ncfisher.conjugate import BasisSpec, enumerate_basis, solve_conjugate
+from ncfisher.model import GeneratorSpec, build_model, two_atom_model
 from ncfisher.moments import (
     evaluate_state,
     evaluate_state_detailed,
@@ -59,15 +63,28 @@ def assert_close(m, got, word):
     assert abs(got - detail.value) <= RTOL * scale, (word, got, detail.value)
 
 
-def check_basis(m, words, picks):
-    vecs, vacuum = fock_vectors(m, words)
+def words_over(alphabet, degree):
+    return [w for d in range(degree + 1)
+            for w in itertools.product(alphabet, repeat=d)]
+
+
+def check_basis(m, alphabet, degree, picks):
+    """Gram entries of the picked columns and the vacuum components of
+    every column (all words up to the degree, so every suffix too)."""
+    vecs = fock_vectors(m, alphabet, degree)
+    words = words_over(alphabet, degree)
+    assert vecs.shape[1] == len(words)
     gram = vecs.conj().T @ vecs
     for i in picks:
         for j in picks:
             assert_close(m, gram[i, j], word_adjoint(words[i]) + words[j])
-    for w, value in vacuum.items():
+    for w, value in zip(words, vecs[0]):
         assert_close(m, value, w)
     return vecs
+
+
+def alphabet_of(words):
+    return [w[0] for w in words if len(w) == 1]
 
 
 def picks_from(draw, n):
@@ -83,7 +100,10 @@ def test_single_generator_basis_gram(data, kind):
     degree = data.draw(st.integers(1, 3))
     t0 = data.draw(st.sampled_from(grid))
     words = enumerate_basis(m, "0", BasisSpec(grid, degree), target_time=t0)
-    vecs = check_basis(m, words, picks_from(data.draw, len(words)))
+    alphabet = alphabet_of(words)
+    assert words == words_over(alphabet, degree)
+    vecs = check_basis(m, alphabet, degree,
+                       picks_from(data.draw, len(words)))
     atoms = len(m.generators[0].atoms)
     assert vecs.shape == (fock_dimension(atoms, degree), len(words))
 
@@ -98,7 +118,10 @@ def test_multi_generator_basis_gram(data, kinds):
     b_gens = tuple(str(i) for i in range(1, len(kinds)))
     words = enumerate_basis(m, "0", BasisSpec(grid, degree), b_gens,
                             target_time=grid[0])
-    vecs = check_basis(m, words, picks_from(data.draw, len(words)))
+    alphabet = alphabet_of(words)
+    assert words == words_over(alphabet, degree)
+    vecs = check_basis(m, alphabet, degree,
+                       picks_from(data.draw, len(words)))
     atoms = sum(len(g.atoms) for g in m.generators)
     assert vecs.shape[0] == fock_dimension(atoms, degree)
 
@@ -115,15 +138,78 @@ def test_mixed_family_words(data, kinds):
         st.integers(0, len(kinds) - 1),
         st.integers(-8, 8),
     )
-    words = data.draw(st.lists(st.lists(letter, max_size=4).map(tuple),
-                               min_size=1, max_size=10))
-    check_basis(m, words, range(len(words)))
+    alphabet = data.draw(st.lists(letter, min_size=1, max_size=4,
+                                  unique=True))
+    degree = data.draw(st.integers(1, 4))
+    n = fock_dimension(len(alphabet), degree)
+    check_basis(m, alphabet, degree, picks_from(data.draw, n))
 
 
 def test_empty_basis_is_the_vacuum():
     m = build_model({"generators": [
         {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1}]}]})
-    vecs, vacuum = fock_vectors(m, [()])
-    assert np.array_equal(vecs, np.ones((1, 1)))
-    assert vacuum == {(): 1 + 0j}
+    for degree in (0, 3):
+        vecs = fock_vectors(m, [], degree)
+        assert np.array_equal(vecs, np.ones((1, 1)))
     assert evaluate_state(m, ()) == 1
+
+
+def reference_column(m, alphabet, word, degree):
+    """W.Omega applied letter by letter to a sparse tensor keyed by
+    one-particle index tuples (first factor first), then laid out with the
+    first factor varying fastest: row((i,) + rest) = 1 + row(rest) k + i."""
+    blocks, k = {}, 0
+    for letter in alphabet:
+        if (letter.family, letter.gen) not in blocks:
+            blocks[(letter.family, letter.gen)] = k
+            k += len(m.gen(letter.gen).atoms)
+
+    def one_particle(letter):
+        start = blocks[(letter.family, letter.gen)]
+        return {start + j: math.sqrt(at.w)
+                * cmath.exp(2j * math.pi * float(letter.time) * at.x)
+                for j, at in enumerate(m.gen(letter.gen).atoms)}
+
+    tensor = {(): 1 + 0j}
+    for letter in reversed(word):
+        f = one_particle(letter)
+        out = defaultdict(complex)
+        for idx, c in tensor.items():
+            for i, fi in f.items():
+                out[(i,) + idx] += fi * c  # creation
+            if idx and idx[0] in f:
+                out[idx[1:]] += f[idx[0]].conjugate() * c  # annihilation
+        tensor = out
+
+    def row(idx):
+        return 1 + row(idx[1:]) * k + idx[0] if idx else 0
+
+    col = np.zeros(fock_dimension(k, degree), dtype=complex)
+    for idx, c in tensor.items():
+        col[row(idx)] += c
+    return col
+
+
+def test_solve_counts_and_fock_layout(monkeypatch):
+    m = two_atom_model()
+    grid = tuple(Fraction(k, 2) for k in range(-2, 3))
+    basis = BasisSpec(grid, 3)
+    words = enumerate_basis(m, "g", basis)
+    alphabet = alphabet_of(words)
+
+    eta_calls = []
+    eta = GeneratorSpec.eta
+    monkeypatch.setattr(GeneratorSpec, "eta",
+                        lambda g, z: eta_calls.append(z) or eta(g, z))
+    solve_conjugate(m, "g", basis)
+    assert 0 < len(eta_calls) <= len(alphabet)
+    monkeypatch.undo()
+
+    vecs = fock_vectors(m, alphabet, 3)
+    k = len(m.gen("g").atoms)
+    assert vecs.shape == (fock_dimension(k, 3),
+                          sum(len(alphabet) ** d for d in range(4)))
+    assert vecs.shape[1] == len(words)
+    for j, w in enumerate(words):
+        want = reference_column(m, alphabet, w, 3)
+        assert np.abs(vecs[:, j] - want).max() <= RTOL, w
