@@ -36,14 +36,12 @@ from .moments import (
     SizeLimitError,
     StateValue,
     brute_force_oracle,
-    collapse_tracial_times,
     covariance,
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
     expectation,
     fock_vectors,
-    gram_matrix,
     inner_product,
     l2_distance,
     l2_norm,

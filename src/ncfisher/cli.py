@@ -190,7 +190,6 @@ def _solver_health(sol) -> dict:
         "basis_size": len(sol.basis_words),
         "kept_size": len(sol.kept),
         "fock_dim": sol.fock_dim,
-        "eigenvalues_cut": sol.eigenvalues_cut,
         "gram_condition": sol.gram_condition,
         "residual": sol.residual,
     }

@@ -26,13 +26,15 @@ Three numerical facts shape the implementation:
   The solver first prunes the basis to a maximal independent subset by
   Gram-Schmidt on the Fock vectors, scanned in a deterministic order that
   puts the target letter first (degree ascending, then distance of the
-  letter times from the target time), and then solves on the reduced
-  Gram.  Vector-level outputs (residual, norms, the projection itself) do
-  not depend on this choice; only the reported coefficients do, and with
-  it an exactly representable solution is reported concentrated.
-* The reduced Gram is solved through its spectral decomposition with a
-  relative cutoff, so near-dependence that survives pruning cannot blow up
-  the coefficients.
+  letter times from the target time), and solves on the factor
+  V_kept = QR that the scan builds.  Vector-level outputs (residual, norms,
+  the projection itself) do not depend on this choice; only the reported
+  coefficients do, and with it an exactly representable solution is
+  reported concentrated.
+* The defining equations V_kept^H xi = b are solved as R^H z = b and
+  R c = z with xi = Q z, never through the normal equations V_kept^H V_kept,
+  so the working condition is that of R, the square root of the Gram's,
+  and no direction the scan kept is dropped afterwards.
 """
 from __future__ import annotations
 
@@ -65,7 +67,6 @@ __all__ = [
     "modular_covariance_check",
 ]
 
-SPECTRAL_CUTOFF = 1e-10  # relative eigenvalue cutoff of the reduced Gram
 PRUNE_RTOL = 1e-10       # relative Gram-Schmidt residual below which a word
                          # counts as dependent on its predecessors
 MAX_BASIS_ENTRIES = 2_000_000  # words times Fock dimension of one solve
@@ -76,7 +77,7 @@ class BasisError(ValueError):
 
 
 class DegenerateGramError(RuntimeError):
-    """Every basis direction fell below the spectral cutoff."""
+    """No basis word survived the rank screen."""
 
 
 class GridError(ValueError):
@@ -185,8 +186,9 @@ class ConjugateSolution:
     """Solved Galerkin data for one conjugate-variable problem.
 
     ``fock_dim`` is the dimension of the truncated Fock space the basis
-    words live in (an upper bound on ``len(kept)``); ``eigenvalues_cut``
-    counts the reduced-Gram eigenvalues dropped by ``SPECTRAL_CUTOFF``.
+    words live in (an upper bound on ``len(kept)``); ``gram_condition`` is
+    the condition number of the kept words' Gram, cond(R)^2 from the
+    singular values of the triangular factor, with nothing cut off.
     """
 
     target_gen: str
@@ -200,7 +202,6 @@ class ConjugateSolution:
     phi_star: float
     gram_condition: float
     fock_dim: int
-    eigenvalues_cut: int
 
     def polynomial(self) -> NcPoly:
         return NcPoly(
@@ -215,13 +216,20 @@ class ConjugateSolution:
         }
 
 
-def _prune_independent(vecs: np.ndarray) -> list:
+def _prune_independent(vecs: np.ndarray) -> tuple:
     """Greedy scan over the columns of ``vecs`` keeping those whose squared
     Gram-Schmidt residual against the kept ones exceeds PRUNE_RTOL times
-    their own squared norm (classical Gram-Schmidt, applied twice)."""
+    their own squared norm (classical Gram-Schmidt, applied twice).
+
+    Returns ``(kept, Q, R)`` with ``vecs[:, kept] = Q R``, Q orthonormal
+    and R upper triangular with a positive diagonal: each kept column's
+    projection coefficients from both passes above the diagonal, the norm
+    of its residual on it.
+    """
     dim = vecs.shape[0]
     q = np.zeros((dim, dim), dtype=complex)  # orthonormal kept directions
     qh = np.zeros((dim, dim), dtype=complex)  # their conjugates, as rows
+    r_fac = np.zeros((dim, dim), dtype=complex)  # kept columns = q r_fac
     kept: list = []
     for i in range(vecs.shape[1]):
         n = len(kept)
@@ -232,14 +240,19 @@ def _prune_independent(vecs: np.ndarray) -> list:
         if d <= 0:
             continue
         span, span_h = q[:, :n], qh[:n]
-        r = v - span @ (span_h @ v)
-        r -= span @ (span_h @ r)
+        c = span_h @ v
+        r = v - span @ c
+        c2 = span_h @ r
+        r -= span @ c2
         res = float(np.vdot(r, r).real)
         if res > PRUNE_RTOL * d:
             q[:, n] = r / math.sqrt(res)
             qh[n] = q[:, n].conj()
+            r_fac[:n, n] = c + c2
+            r_fac[n, n] = math.sqrt(res)
             kept.append(i)
-    return kept
+    k = len(kept)
+    return kept, q[:, :k], r_fac[:k, :k]
 
 
 def solve_conjugate(
@@ -253,12 +266,12 @@ def solve_conjugate(
 
     Builds the Fock vectors of the basis words and from them
     b_P = <partner, d(P)> for every basis word P, prunes the basis to a
-    maximal independent subset, and solves the reduced system through the
-    spectral pseudo-inverse (eigenvalues below ``SPECTRAL_CUTOFF`` times
-    the largest are dropped and counted in ``eigenvalues_cut``).  The
-    residual is the Euclidean norm of the unmatched part of the defining
-    data over the full basis, xi_norm_sq the squared norm of the solution,
-    and phi_star its normalization by the target's second moment.
+    maximal independent subset with its factor V_kept = QR, and solves
+    R^H z = b[kept], R c = z; the solution is xi = Q z, so
+    xi_norm_sq = |z|^2.  The residual is the Euclidean norm of the
+    unmatched part of the defining data over the full basis, phi_star the
+    solution's squared norm normalized by the target's second moment, and
+    ``gram_condition`` cond(R)^2.
     """
     t0 = as_time(target_time)
     words = enumerate_basis(m, target_gen, basis, b_gens, t0)
@@ -284,26 +297,17 @@ def solve_conjugate(
         vecs, b = vecs[:, 1:], b[1:]
     rhs = b.conjugate()
 
-    kept = _prune_independent(vecs)
+    kept, q, r = _prune_independent(vecs)
     if not kept:
         raise DegenerateGramError("no basis word survives the rank screen")
 
-    kept_vecs = vecs[:, kept]
-    reduced = kept_vecs.conj().T @ kept_vecs
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(reduced)
-    cutoff = SPECTRAL_CUTOFF * float(eigvals.max())
-    keep_spec = eigvals > cutoff
-    if not keep_spec.any():
-        raise DegenerateGramError("all Gram eigenvalues fall below the cutoff")
-    v = eigvecs[:, keep_spec]
-    lam = eigvals[keep_spec]
-    c_kept = v @ ((v.conj().T @ rhs[kept]) / lam)
-
+    # numpy has no triangular solver; LU on the triangular factors is
+    # still backward stable
+    z = np.linalg.solve(r.conj().T, rhs[kept])
     coefficients = np.zeros(n, dtype=complex)
-    coefficients[kept] = c_kept
-    residual = float(np.linalg.norm(vecs.conj().T @ (kept_vecs @ c_kept) - rhs))
-    xi_norm_sq = float(np.vdot(c_kept, reduced @ c_kept).real)
+    coefficients[kept] = np.linalg.solve(r, z)
+    residual = float(np.linalg.norm(vecs.conj().T @ (q @ z) - rhs))
+    xi_norm_sq = float(np.vdot(z, z).real)
     return ConjugateSolution(
         target_gen=target_gen,
         target_time=t0,
@@ -314,9 +318,8 @@ def solve_conjugate(
         residual=residual,
         xi_norm_sq=xi_norm_sq,
         phi_star=xi_norm_sq / gen.v,
-        gram_condition=float(lam.max() / lam.min()),
+        gram_condition=float(np.linalg.cond(r) ** 2),
         fock_dim=vecs.shape[0],
-        eigenvalues_cut=int(np.count_nonzero(~keep_spec)),
     )
 
 

@@ -60,11 +60,9 @@ __all__ = [
     "inner_product",
     "l2_norm",
     "l2_distance",
-    "gram_matrix",
     "brute_force_oracle",
     "all_pairings",
     "is_noncrossing",
-    "collapse_tracial_times",
 ]
 
 ORACLE_MAX_LETTERS = 12
@@ -301,20 +299,6 @@ def l2_distance(m: ModelSpec, p: NcPoly, q: NcPoly) -> float:
     return l2_norm(m, p - q)
 
 
-def gram_matrix(m: ModelSpec, basis: Sequence[NcPoly]) -> np.ndarray:
-    """Hermitian matrix of pairwise inner products of ``basis``."""
-    if len(basis) == 0:
-        raise ValueError("basis must be non-empty")
-    n = len(basis)
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = inner_product(m, basis[i], basis[j])
-            g[i, j] = val
-            g[j, i] = val.conjugate()
-    return g
-
-
 # ----------------------------------------------------------------------
 # independent oracle
 # ----------------------------------------------------------------------
@@ -374,25 +358,3 @@ def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
                 break
         total += prod
     return total
-
-
-# ----------------------------------------------------------------------
-
-
-def collapse_tracial_times(m: ModelSpec, p: NcPoly) -> NcPoly:
-    """Rewrite letters of flow-fixed (tracial) generators to time 0.
-
-    For such generators all formal translates denote the same element, so
-    distinct tags are collapsed before building bases or differentiating.
-    """
-    tracial = {g.gen_id for g in m.generators if g.is_tracial}
-    if not tracial:
-        return p
-    out: dict[Word, complex] = {}
-    for w, c in p.terms.items():
-        ww = tuple(
-            l._replace(time=Fraction(0)) if l.gen in tracial else l
-            for l in w
-        )
-        out[ww] = out.get(ww, 0j) + c
-    return NcPoly(out)

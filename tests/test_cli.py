@@ -220,7 +220,6 @@ def test_conjugate_reports_solver_health(capsys):
     out = report["outputs"]
     assert out["fock_dim"] == 15
     assert out["kept_size"] == 15
-    assert out["eigenvalues_cut"] == 0
 
 
 def test_conjugate_degree_bound_is_usage_error(capsys):
@@ -246,7 +245,7 @@ def test_brownian_expansion_bound_is_usage_error(capsys):
 
 def test_degenerate_gram_is_usage_error(monkeypatch, capsys):
     def degenerate(*args, **kwargs):
-        raise DegenerateGramError("all Gram eigenvalues fall below the cutoff")
+        raise DegenerateGramError("no basis word survives the rank screen")
 
     monkeypatch.setattr(cli, "solve_conjugate", degenerate)
     assert run(["conjugate"]) == 2
@@ -317,7 +316,6 @@ def test_fisher_reports_solver_health(tmp_path, capsys):
             "basis_size": len(sol.basis_words),
             "kept_size": len(sol.kept),
             "fock_dim": sol.fock_dim,
-            "eigenvalues_cut": sol.eigenvalues_cut,
             "gram_condition": sol.gram_condition,
             "residual": sol.residual,
         }

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncfisher.algebra import NcPoly, x
 from ncfisher.conjugate import (
@@ -28,7 +29,7 @@ from ncfisher.model import (
     tracial_model,
     two_atom_model,
 )
-from ncfisher.moments import l2_distance
+from ncfisher.moments import fock_vectors, l2_distance
 
 GRID3 = tuple(Fraction(k, 2) for k in range(-1, 2))
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
@@ -146,10 +147,49 @@ def test_high_degree_solve(m, degree, size, kept):
     assert sol.residual < 1e-8
 
 
+@st.composite
+def ill_conditioned_cases(draw):
+    """Half-mode generators "a" (the target) and maybe "b", each with one or
+    two atom pairs at x in [0.02, 0.40] and maybe a zero atom, on grids of
+    step k/8: step times frequency reaches 0.0025, and the Grams of the kept
+    words reach condition 1e10 and beyond."""
+    names = ["a", "b"][:draw(st.integers(1, 2))]
+    gens = []
+    for name in names:
+        xs = draw(st.lists(st.integers(2, 40), min_size=1, max_size=2,
+                           unique=True))
+        atoms = ([{"x": 0, "w": draw(st.floats(0.3, 0.6))}]
+                 if draw(st.booleans()) else [])
+        atoms += [{"x": k / 100, "w": draw(st.floats(0.4, 0.9))}
+                  for k in sorted(xs)]
+        gens.append({"name": name, "mode": "half", "atoms": atoms})
+    h = Fraction(draw(st.integers(1, 12)), 8)
+    grid = draw(st.sampled_from([(-h, 0, h), (-h, 0, h, 2 * h),
+                                 (-2 * h, -h, 0, h, 2 * h)]))
+    degree = draw(st.integers(2, 4 if len(names) == 1 else 3))
+    return gens, grid, degree, draw(st.booleans())
+
+
+@given(case=ill_conditioned_cases())
+@example(case=(
+    [{"name": "a", "mode": "half",
+      "atoms": [{"x": 0.07, "w": 0.723897}, {"x": 0.35, "w": 0.50903}]}],
+    tuple(Fraction(k, 8) for k in range(-2, 3)), 3, True))
+@settings(max_examples=40, deadline=None)
+def test_ill_conditioned_solves_match_closed_form(case):
+    # quasi-free: the conjugate variable is the target letter over its
+    # second moment, so phi_star = 1 and the defining data are matched
+    gens, grid, degree, include_identity = case
+    b_gens = tuple(g["name"] for g in gens[1:])
+    sol = solve_conjugate(build_model({"generators": gens}), "a",
+                          BasisSpec(grid, degree, b_gens, include_identity))
+    assert abs(sol.phi_star - 1) < 1e-8
+    assert sol.residual < 1e-8
+
+
 def test_solver_health_counters(m):
     sol = solve_conjugate(m, "g", BasisSpec(GRID5, 3))
     assert sol.fock_dim == 15
-    assert sol.eigenvalues_cut == 0
     # a single grid point spans one direction per particle number
     sol = solve_conjugate(m, "g", BasisSpec((Fraction(0),), 2))
     assert sol.fock_dim == 7
@@ -187,6 +227,17 @@ def unitary(dim, seed):
     return np.linalg.qr(z)[0]
 
 
+def assert_factor(vecs, want):
+    """The scan keeps ``want`` and returns its factor vecs[:, kept] = QR:
+    Q orthonormal, R upper triangular with a positive real diagonal."""
+    kept, q, r = _prune_independent(vecs)
+    assert kept == want
+    assert np.allclose(vecs[:, kept], q @ r, rtol=0, atol=1e-12)
+    assert np.allclose(q.conj().T @ q, np.eye(len(kept)), rtol=0, atol=1e-12)
+    assert np.array_equal(r, np.triu(r))
+    assert np.all(r.diagonal().real > 0) and not r.diagonal().imag.any()
+
+
 @pytest.mark.parametrize("ratio, kept", [(1e-9, [0, 1]), (1e-11, [0])])
 def test_prune_threshold(ratio, kept):
     # the second column's squared residual against the first, over its
@@ -195,15 +246,15 @@ def test_prune_threshold(ratio, kept):
     eps = math.sqrt(ratio / (1 - ratio))
     vecs = np.stack([2j * u[:, 0], 3 * (u[:, 0] + eps * u[:, 1])], axis=1)
     assert 1e-11 < PRUNE_RTOL < 1e-9
-    assert _prune_independent(vecs) == kept
+    assert_factor(vecs, kept)
 
 
 def test_prune_skips_zero_and_keeps_first_of_parallel():
     u = unitary(3, 2)
     vecs = np.stack([np.zeros(3), u[:, 1], (1 - 2j) * u[:, 0],
                      -5 * u[:, 1], 0.5 * u[:, 0], u[:, 2]], axis=1)
-    assert _prune_independent(vecs) == [1, 2, 5]
-    assert _prune_independent(vecs[:, [4, 2]]) == [0]
+    assert_factor(vecs, [1, 2, 5])
+    assert_factor(vecs[:, [4, 2]], [0])
 
 
 def test_prune_stops_when_the_space_is_spanned():
@@ -218,8 +269,10 @@ def test_prune_stops_when_the_space_is_spanned():
     vecs = np.stack([u[:, 0], u[:, 0] + u[:, 1], u[:, 1], u[:, 0]],
                     axis=1).view(Reads)
     vecs.log = []
-    assert _prune_independent(vecs) == [0, 1]
+    kept, q, r = _prune_independent(vecs)
+    assert kept == [0, 1]
     assert vecs.log == [0, 1]
+    assert_factor(np.asarray(vecs), kept)
 
 
 def test_repeated_generator_ids_rejected():
@@ -267,6 +320,11 @@ def test_solution_self_adjoint(m):
 def test_gram_condition_reported(m):
     sol = solve_conjugate(m, "g", BasisSpec(GRID3, 2))
     assert sol.gram_condition >= 1.0
+    # the condition of the kept words' Gram, which the solve never forms
+    alphabet = [w[0] for w in sol.basis_words if len(w) == 1]
+    kept = fock_vectors(m, alphabet, 2)[:, list(sol.kept)]
+    assert sol.gram_condition == pytest.approx(
+        np.linalg.cond(kept.conj().T @ kept), rel=1e-6)
 
 
 def test_fisher_single_equals_phi_star(m):

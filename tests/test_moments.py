@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from ncfisher.algebra import NcPoly, shift_word, word_adjoint, x, y
@@ -8,12 +7,10 @@ from ncfisher.moments import (
     MAX_WORD_LETTERS,
     SizeLimitError,
     brute_force_oracle,
-    collapse_tracial_times,
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
     expectation,
-    gram_matrix,
     inner_product,
     is_noncrossing,
     all_pairings,
@@ -154,16 +151,6 @@ def test_inner_product_basics(m):
         assert abs(val.imag) < 1e-10
 
 
-def test_gram_matrix_hermitian_psd(m):
-    rng = random.Random(4)
-    basis = [random_ncpoly(rng, ["g"], 3) for _ in range(6)]
-    gram = gram_matrix(m, basis)
-    assert np.allclose(gram, gram.conj().T)
-    assert np.linalg.eigvalsh(gram).min() >= -1e-9
-    with pytest.raises(ValueError):
-        gram_matrix(m, [])
-
-
 def test_shifted_state_two_letter_is_eta(m):
     g = m.generators[0]
     w = (x("g", 0), x("g", 0))
@@ -212,11 +199,3 @@ def test_shifted_state_block_validation(m):
     evaluate_state_shifted(m, w, [0, 1], 1)
     evaluate_state_shifted(m, w, range(4), 1)
     evaluate_state_shifted(m, w, [], 1)
-
-
-def test_collapse_tracial(mt, m):
-    p = NcPoly.word((x("g", 1), x("g", "1/2")))
-    collapsed = collapse_tracial_times(mt, p)
-    assert collapsed == NcPoly.word((x("g", 0), x("g", 0)))
-    # non-tracial models are untouched
-    assert collapse_tracial_times(m, p) == p
