@@ -76,10 +76,7 @@ def parse_word(m: ModelSpec, text: str, allow_y: bool = False) -> Word:
         if match is None:
             raise ConfigError(f"cannot parse word token {token!r}")
         family, gen_name, time_text = match.groups()
-        try:
-            t = Fraction(time_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad time in token {token!r}: {exc}") from None
+        t = _parse_time(time_text, "--word")
         gen = _resolve_gen(m, gen_name)
         if family == Y_FAMILY:
             if not allow_y:
@@ -92,11 +89,24 @@ def parse_word(m: ModelSpec, text: str, allow_y: bool = False) -> Word:
     return tuple(letters)
 
 
-def _parse_rationals(text: str) -> tuple:
+def _parse_time(text: str, where: str) -> Fraction:
+    """``text`` as an exact rational time tag.
+
+    Tags whose double is not finite are refused, and so are tags so large
+    that twice them is not: the evaluators take the double of a difference
+    or sum of two tags, which must exist.
+    """
     try:
-        return tuple(Fraction(tok) for tok in text.split(",") if tok.strip())
+        t = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational list {text!r}: {exc}") from None
+        raise ConfigError(f"bad time {text!r} in {where}: {exc}") from None
+    try:
+        float(2 * t)
+    except OverflowError:
+        raise ConfigError(
+            f"time {text!r} in {where} is too large for a double"
+        ) from None
+    return t
 
 
 def _parse_floats(text: str) -> list:
@@ -129,7 +139,9 @@ def _jsonify(obj):
 
 
 def _basis_from_args(args) -> BasisSpec:
-    return BasisSpec(_parse_rationals(args.grid), args.degree)
+    grid = tuple(_parse_time(tok, "--grid") for tok in args.grid.split(",")
+                 if tok.strip())
+    return BasisSpec(grid, args.degree)
 
 
 def _gens_from_args(m: ModelSpec, args) -> list:
@@ -205,7 +217,7 @@ def _cmd_conjugate(m, args):
         target,
         _basis_from_args(args),
         b_gens=b_gens,
-        target_time=Fraction(args.time),
+        target_time=_parse_time(args.time, "--time"),
     )
     defect = self_adjoint_defect(m, sol)
     out = {
@@ -246,6 +258,8 @@ def _cmd_cramer_rao(m, args):
         "normalized": rep.normalized,
         "asserted": rep.asserted,
         "note": rep.note,
+        "solver": {g: _solver_health(sol)
+                   for g, sol in zip(gens, rep.solutions)},
     }
     passed = abs(rep.lhs - rep.rhs) < 1e-7 if rep.asserted else None
     return out, passed
@@ -304,10 +318,11 @@ def _cmd_bound(m, args):
 
 def _cmd_covariance(m, args):
     target = _resolve_gen(m, args.target)
+    shift = _parse_time(args.shift, "--shift")
     residual = modular_covariance_check(
-        m, target, Fraction(args.shift), _basis_from_args(args)
+        m, target, shift, _basis_from_args(args)
     )
-    return {"target": target, "shift": Fraction(args.shift),
+    return {"target": target, "shift": shift,
             "residual": residual}, residual < args.tol
 
 

@@ -361,7 +361,8 @@ class CramerRaoReport:
     norms over the family's total second moment) multiplied by the squared
     total second moment; ``rhs`` is n^2.  The identity is asserted only
     for normalized models (every generator of unit second moment); other
-    models get the report without an assertion.
+    models get the report without an assertion.  ``solutions`` holds the
+    per-generator solves, in the order of the generators.
     """
 
     n: int
@@ -374,13 +375,15 @@ class CramerRaoReport:
     normalized: bool
     asserted: bool
     note: str
+    solutions: tuple
 
 
 def cramer_rao_audit(
     m: ModelSpec, gens: Sequence[str], basis: BasisSpec
 ) -> CramerRaoReport:
     gens = list(gens)
-    norms = [sol.xi_norm_sq for sol in solve_family(m, gens, basis)]
+    sols = tuple(solve_family(m, gens, basis))
+    norms = [sol.xi_norm_sq for sol in sols]
     second_moment = math.fsum(m.gen(g).v for g in gens)
     phi_star_tuple = math.fsum(norms) / second_moment
     lhs = phi_star_tuple * second_moment**2
@@ -398,6 +401,7 @@ def cramer_rao_audit(
         normalized=normalized,
         asserted=normalized,
         note="" if normalized else "normalization audit",
+        solutions=sols,
     )
 
 

@@ -107,10 +107,11 @@ class GeneratorSpec:
 
     def eta(self, z) -> complex:
         """Two-point function at real or complex time ``z`` (exact sum)."""
-        zc = complex(z)
-        return sum(
-            a.w * cmath.exp(2j * math.pi * zc * a.x) for a in self.atoms
-        )
+        phase = 2j * math.pi * complex(z)
+        total = 0
+        for a in self.atoms:
+            total += a.w * cmath.exp(phase * a.x)
+        return total
 
     def scaled(self, factor: float) -> "GeneratorSpec":
         """Same frequencies, all weights multiplied by ``factor`` > 0."""

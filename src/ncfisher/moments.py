@@ -8,9 +8,14 @@ kernel is exactly what makes distinct generators (and the X/Y families)
 mutually free.
 
 A single word is evaluated in one pass over its kernel.  The kernel holds
-cov(l_i, l_k) for i < k at odd distance, with eta called once per distinct
-(generator, time difference); the pass fills the pairing sum over index
-intervals [i, j), shortest first, by the first-letter recursion
+cov(l_i, l_k) for i < k at odd distance.  The word's rational times are put
+over their common denominator as integer ticks, so every time difference is
+an exact int d and eta gets d / den, the correctly rounded double of the
+exact difference; eta is called once per distinct (generator, tick
+difference).  A complex shift of a prefix or suffix block enters as a
+per-letter offset (z on the block, 0 elsewhere) added to d / den.  The pass
+fills the pairing sum over index intervals [i, j), shortest first, by the
+first-letter recursion
 
     phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
 
@@ -24,7 +29,7 @@ sqrt(w_j) exp(2 pi i t x_j) in the block of (family, gen), so
 with state(U* W) = <U.Omega, W.Omega>.  :func:`fock_vectors` builds these
 vectors for every word over an alphabet of real-time letters up to a
 degree, degree by degree with all letters applied at once; the interval
-pass stays the evaluator for single words, complex times included, and the
+pass stays the evaluator for single words, complex shifts included, and the
 cross-check of the Fock vectors.
 
 An independent oracle enumerates all pair partitions and filters crossings
@@ -86,54 +91,60 @@ class StateValue:
     partition_count: int
 
 
-def _sub_time(t, s):
-    if isinstance(t, Fraction) and isinstance(s, Fraction):
-        return t - s
-    return complex(t) - complex(s)
-
-
-def _add_time(t, z):
-    if isinstance(t, Fraction) and isinstance(z, (int, Fraction)):
-        return t + z
-    return complex(t) + complex(z)
-
-
 def covariance(m: ModelSpec, a: Letter, b: Letter) -> complex:
     """Kernel value for the ordered letter pair (a, b): eta at the time
-    difference when family and generator agree, zero otherwise."""
+    difference when family and generator agree, zero otherwise.  Times are
+    exact rationals; the oracle also takes complex times."""
     if a.family != b.family or a.gen != b.gen:
         return 0j
-    return m.gen(a.gen).eta(_sub_time(b.time, a.time))
+    s, t = a.time, b.time
+    if isinstance(s, Fraction) and isinstance(t, Fraction):
+        return m.gen(a.gen).eta(t - s)
+    return m.gen(a.gen).eta(complex(t) - complex(s))
 
 
-def word_kernel(m: ModelSpec, letters) -> list:
+def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
     """Kernel of a word, by rows: row i lists ``(k, cov(l_i, l_k))`` in
     increasing k over the later letters at odd distance whose family and
     generator agree with letter i, leaving out exact zeros.
 
-    eta is called once per distinct (generator, time difference).  Raises
-    :class:`SizeLimitError` first for words over ``MAX_WORD_LETTERS``.
+    Letter times are put over their common denominator ``den`` as integer
+    ticks, so time differences are exact ints and eta gets ``d / den``,
+    the correctly rounded float of the exact difference.  ``offsets``, one
+    per letter (default 0), are added to the times after that: the pair
+    (i, k) gets eta at ``d / den + (offsets[k] - offsets[i])``, which is
+    how a complex shift of a block of letters enters.  eta is called once
+    per distinct (generator, tick difference, offset difference), whatever
+    the family.  Raises :class:`SizeLimitError` first for words over
+    ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     if n > MAX_WORD_LETTERS:
         raise SizeLimitError(
             f"words have at most {MAX_WORD_LETTERS} letters, got {n}"
         )
-    etas: dict = {}
-    rows = []
-    for i, a in enumerate(letters):
-        row = []
-        for k in range(i + 1, n, 2):
-            b = letters[k]
-            if b.family == a.family and b.gen == a.gen:
-                d = _sub_time(b.time, a.time)
-                key = (a.gen, d)
-                c = etas.get(key)
-                if c is None:
-                    c = etas[key] = m.gen(a.gen).eta(d)
-                if c != 0:
-                    row.append((k, c))
-        rows.append(row)
+    if offsets is None:
+        offsets = [0] * n
+    den = math.lcm(*[l.time.denominator for l in letters])
+    ticks = [l.time.numerator * (den // l.time.denominator) for l in letters]
+    classes: dict = {}  # (family, generator) -> positions, increasing
+    for i, l in enumerate(letters):
+        classes.setdefault((l.family, l.gen), []).append(i)
+    etas: dict = {}  # generator -> {(tick diff, offset diff): eta}
+    rows = [[] for _ in range(n)]
+    for (_, gen), where in classes.items():
+        eta = m.gen(gen).eta
+        cache = etas.setdefault(gen, {})
+        for a, i in enumerate(where):
+            ti, oi, row = ticks[i], offsets[i], rows[i]
+            for k in where[a + 1:]:
+                if (k - i) & 1:
+                    key = (ticks[k] - ti, offsets[k] - oi)
+                    c = cache.get(key)
+                    if c is None:
+                        c = cache[key] = eta(key[0] / den + key[1])
+                    if c != 0:
+                        row.append((k, c))
     return rows
 
 
@@ -199,11 +210,15 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
 
 def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
     """Evaluate with ``z`` added to the time tags of a prefix or suffix
-    block of ``w`` before kernel evaluation.
+    block of ``w``.
 
-    ``z`` may be complex; at real ``z`` this agrees with evaluating the
-    shifted word directly.  ``positions`` are 0-based indices and must form
-    a contiguous prefix or suffix block.
+    The block enters the kernel as a complex offset ``z`` on its letters
+    (0 on the others), so a pair across the block boundary gets eta at
+    the double of its time difference plus or minus ``z``, and a pair on
+    one side at the double of its time difference.  ``z`` may be complex;
+    at real ``z`` this agrees with evaluating the shifted word directly up
+    to rounding.  ``positions`` are 0-based indices and must form a
+    contiguous prefix or suffix block.
     """
     letters = tuple(w)
     n = len(letters)
@@ -215,12 +230,9 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
     is_suffix = pos == list(range(n - k, n))
     if not (is_prefix or is_suffix):
         raise ValueError("positions must form a prefix or suffix block")
-    block = set(pos)
-    shifted = tuple(
-        l._replace(time=_add_time(l.time, z)) if i in block else l
-        for i, l in enumerate(letters)
-    )
-    return _phi(m, shifted)
+    z, block = complex(z), set(pos)
+    offsets = [z if i in block else 0j for i in range(n)]
+    return pairing_sum(word_kernel(m, letters, offsets))
 
 
 def fock_dimension(k: int, degree: int) -> int:

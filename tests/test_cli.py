@@ -278,6 +278,27 @@ def test_overlong_moment_word_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+HUGE = str(10**320)  # a rational whose double overflows
+HALF = 2**1023  # a finite double, but the difference of -HALF and HALF is not
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--word", f"X:0 X:{HUGE}"],
+    ["moment", "--word", f"X:-{HALF} X:{HALF}"],
+    ["conjugate", "--grid", f"0,{HUGE}"],
+    ["conjugate", "--time", HUGE],
+    ["covariance", "--shift", HUGE],
+], ids=["moment-word", "moment-difference", "conjugate-grid",
+        "conjugate-time", "covariance-shift"])
+def test_overflowing_time_tag_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "too large for a double" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def pair_model_file(tmp_path):
     config = {
         "generators": [
@@ -319,6 +340,24 @@ def test_fisher_reports_solver_health(tmp_path, capsys):
             "gram_condition": sol.gram_condition,
             "residual": sol.residual,
         }
+    assert out["solver"]["1"]["basis_size"] == 43
+    assert out["solver"]["1"]["fock_dim"] == 21
+
+
+def test_cramer_rao_reports_solver_health(tmp_path, capsys):
+    path = pair_model_file(tmp_path)
+    code, report = run_json(capsys, ["cramer-rao", "--model", path])
+    assert code == 0
+    out = report["outputs"]
+    assert set(out) == {"n", "lhs", "rhs", "ratio", "second_moment",
+                        "phi_star_tuple", "normalized", "asserted", "note",
+                        "solver"}
+    sols = solve_family(load_model(path), ["1", "2"],
+                        BasisSpec((Fraction(-1, 2), Fraction(0),
+                                   Fraction(1, 2)), 2))
+    assert list(out["solver"]) == ["1", "2"]
+    for g, sol in zip(["1", "2"], sols):
+        assert out["solver"][g] == cli._solver_health(sol)
     assert out["solver"]["1"]["basis_size"] == 43
     assert out["solver"]["1"]["fock_dim"] == 21
 

@@ -5,11 +5,16 @@ scale (number of compatible non-crossing pairings times the largest second
 moment to the power of the pair count); partition counts with a literal
 count of the oracle's compatible non-crossing pairings; the noise
 expansion exactly with its definition as a sum of states of flipped words.
+The kernel is compared bit for bit with the covariance of each letter pair,
+and its eta calls are counted against the distinct differences it needs.
 """
+import cmath
 import copy
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncfisher.algebra import Letter, x, y
@@ -18,10 +23,12 @@ from ncfisher.model import GeneratorSpec, build_model
 from ncfisher.moments import (
     all_pairings,
     brute_force_oracle,
+    covariance,
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
     is_noncrossing,
+    word_kernel,
 )
 
 RTOL = 1e-12
@@ -40,17 +47,53 @@ def models(draw):
     return build_model({"generators": gens})
 
 
+small_times = st.builds(Fraction, st.integers(-6, 6),
+                        st.sampled_from([1, 2, 3, 4]))
+
+
 @st.composite
-def words(draw, m, families=(x, y), max_size=12):
+def words(draw, m, families=(x, y), max_size=12, times=small_times):
     ids = [g.gen_id for g in m.generators]
     letter = st.builds(
-        lambda fam, g, num, den: fam(g, Fraction(num, den)),
+        lambda fam, g, t: fam(g, t),
         st.sampled_from(families),
         st.sampled_from(ids),
-        st.integers(-6, 6),
-        st.sampled_from([1, 2, 3, 4]),
+        times,
     )
     return tuple(draw(st.lists(letter, max_size=max_size)))
+
+
+# times over large denominators of either sign: primes just below 10**12,
+# pairwise coprime, or any integer of that size, so a word's common
+# denominator runs far past 2**53
+LARGE_PRIMES = (999999999989, 999999999961, 999999999959, 999999999937,
+                999999999899, 999999999877)
+big_times = st.builds(
+    Fraction,
+    st.integers(-(10**13), 10**13),
+    st.one_of(st.sampled_from(LARGE_PRIMES), st.integers(10**11, 10**12))
+    .flatmap(lambda d: st.sampled_from([d, -d])),
+)
+
+
+def compatible_pairs(w):
+    """Index pairs i < k at odd distance with equal family and generator."""
+    return [(i, k) for i in range(len(w)) for k in range(i + 1, len(w), 2)
+            if w[i].family == w[k].family and w[i].gen == w[k].gen]
+
+
+class EtaCounter:
+    """Patches ``GeneratorSpec.eta`` to record (generator, argument)."""
+
+    def __init__(self, mp):
+        self.calls = []
+        original = GeneratorSpec.eta
+
+        def counted(g, z):
+            self.calls.append((g.gen_id, z))
+            return original(g, z)
+
+        mp.setattr(GeneratorSpec, "eta", counted)
 
 
 def compatible_pairings(w) -> int:
@@ -154,3 +197,63 @@ def test_evaluation_leaves_the_model_unchanged(data):
         evaluate_state_detailed(m, w)
         evaluate_state_shifted(m, w, range(len(w) // 2), 0.25 + 1j)
     assert vars(m) == before
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_entries_are_the_letter_covariances(data):
+    m = data.draw(models())
+    w = data.draw(words(m, times=st.one_of(big_times, small_times),
+                        max_size=16))
+    rows = word_kernel(m, w)
+    for i, k in compatible_pairs(w):
+        want = covariance(m, w[i], w[k])
+        got = dict(rows[i]).get(k, 0j)
+        assert got == want, (i, k, got, want)
+    listed = {(i, k) for i, row in enumerate(rows) for k, _ in row}
+    assert listed <= set(compatible_pairs(w))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eta_called_once_per_distinct_generator_and_difference(data):
+    m = data.draw(models())
+    w = data.draw(words(m, times=st.one_of(big_times, small_times),
+                        max_size=16))
+    distinct = {(w[i].gen, w[k].time - w[i].time)
+                for i, k in compatible_pairs(w)}
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        evaluate_state(m, w)
+    assert len(counter.calls) == len(distinct)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_shifted_eta_calls_at_most_one_per_distinct_offset_pair(data):
+    m = data.draw(models())
+    w = data.draw(words(m, max_size=14))
+    n = len(w)
+    k = data.draw(st.integers(0, n))
+    block = data.draw(st.sampled_from([range(k), range(k, n)]))
+    z = complex(data.draw(st.integers(-4, 4)) / 4,
+                data.draw(st.sampled_from([0.0, -1.0, 0.5, 1.0])))
+    off = [z if i in block else 0j for i in range(n)]
+    distinct = {(w[i].gen, w[j].time - w[i].time, off[j] - off[i])
+                for i, j in compatible_pairs(w)}
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        evaluate_state_shifted(m, w, block, z)
+    assert len(counter.calls) <= len(distinct)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eta_is_the_literal_exponential_sum(data):
+    m = data.draw(models())
+    finite = st.floats(-50, 50, allow_nan=False)
+    z = data.draw(st.one_of(finite, st.builds(complex, finite, finite)))
+    for g in m.generators:
+        want = sum(a.w * cmath.exp(2j * math.pi * complex(z) * a.x)
+                   for a in g.atoms)
+        assert g.eta(z) == want
