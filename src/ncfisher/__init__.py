@@ -42,9 +42,6 @@ from .moments import (
     evaluate_state_shifted,
     expectation,
     fock_vectors,
-    inner_product,
-    l2_distance,
-    l2_norm,
 )
 from .derivation import (
     FamilyError,
@@ -62,6 +59,7 @@ from .conjugate import (
     GridError,
     chi_star,
     cramer_rao_audit,
+    embedded_distance,
     enumerate_basis,
     fisher_multi,
     modular_covariance_check,

@@ -8,6 +8,7 @@ usage errors, inputs over a size limit and degenerate Galerkin bases.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -52,6 +53,14 @@ __all__ = ["build_parser", "run", "main"]
 
 _WORD_TOKEN = re.compile(r"^([XY])([A-Za-z0-9_]*):(-?[0-9./]+)$")
 
+#: largest phase |t| x, in turns, of a time tag t at the model's fastest
+#: frequency x; beyond it the double of t x has too few bits after the
+#: point for the exact identities (covariance, adjoint) to hold
+MAX_PHASE_TURNS = 2**16
+
+#: most random inputs one ``verify-lemma2`` or ``verify-core`` run draws
+MAX_CHECK_COUNT = 10_000
+
 
 def _model_digest(m: ModelSpec) -> str:
     blob = json.dumps(m.config_dict(), sort_keys=True)
@@ -76,7 +85,7 @@ def parse_word(m: ModelSpec, text: str, allow_y: bool = False) -> Word:
         if match is None:
             raise ConfigError(f"cannot parse word token {token!r}")
         family, gen_name, time_text = match.groups()
-        t = _parse_time(time_text, "--word")
+        t = _parse_time(m, time_text, "--word")
         gen = _resolve_gen(m, gen_name)
         if family == Y_FAMILY:
             if not allow_y:
@@ -89,12 +98,13 @@ def parse_word(m: ModelSpec, text: str, allow_y: bool = False) -> Word:
     return tuple(letters)
 
 
-def _parse_time(text: str, where: str) -> Fraction:
+def _parse_time(m: ModelSpec, text: str, where: str) -> Fraction:
     """``text`` as an exact rational time tag.
 
     Tags whose double is not finite are refused, and so are tags so large
     that twice them is not: the evaluators take the double of a difference
-    or sum of two tags, which must exist.
+    or sum of two tags, which must exist.  Tags past ``MAX_PHASE_TURNS``
+    of the model's fastest phase are refused too.
     """
     try:
         t = Fraction(text)
@@ -106,7 +116,20 @@ def _parse_time(text: str, where: str) -> Fraction:
         raise ConfigError(
             f"time {text!r} in {where} is too large for a double"
         ) from None
+    _check_phase(m, t, where)
     return t
+
+
+def _check_phase(m: ModelSpec, t, where: str) -> None:
+    """Refuse a time whose phase at the model's fastest frequency exceeds
+    ``MAX_PHASE_TURNS`` turns, or that is not a finite number."""
+    fastest = max((abs(a.x) for g in m.generators for a in g.atoms),
+                  default=0.0)
+    if not abs(t) * fastest <= MAX_PHASE_TURNS:
+        raise ConfigError(
+            f"time {t} in {where} is not within {MAX_PHASE_TURNS} turns "
+            f"of the model's fastest frequency {fastest!r}"
+        )
 
 
 def _parse_floats(text: str) -> list:
@@ -138,9 +161,9 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _basis_from_args(args) -> BasisSpec:
-    grid = tuple(_parse_time(tok, "--grid") for tok in args.grid.split(",")
-                 if tok.strip())
+def _basis_from_args(m: ModelSpec, args) -> BasisSpec:
+    grid = tuple(_parse_time(m, tok, "--grid")
+                 for tok in args.grid.split(",") if tok.strip())
     return BasisSpec(grid, args.degree)
 
 
@@ -157,6 +180,8 @@ def _gens_from_args(m: ModelSpec, args) -> list:
 
 def _cmd_check_kms(m, args):
     grid = _parse_floats(args.grid) if args.grid else KMS_GRID
+    for t in grid:
+        _check_phase(m, t, "--grid")
     reports = []
     worst = 0.0
     ok = True
@@ -215,9 +240,9 @@ def _cmd_conjugate(m, args):
     sol = solve_conjugate(
         m,
         target,
-        _basis_from_args(args),
+        _basis_from_args(m, args),
         b_gens=b_gens,
-        target_time=_parse_time(args.time, "--time"),
+        target_time=_parse_time(m, args.time, "--time"),
     )
     defect = self_adjoint_defect(m, sol)
     out = {
@@ -237,7 +262,7 @@ def _cmd_conjugate(m, args):
 
 def _cmd_fisher(m, args):
     gens = _gens_from_args(m, args)
-    sols = solve_family(m, gens, _basis_from_args(args))
+    sols = solve_family(m, gens, _basis_from_args(m, args))
     per_gen = {g: sol.phi_star for g, sol in zip(gens, sols)}
     total = sum(sol.phi_star for sol in sols)
     solver = {g: _solver_health(sol) for g, sol in zip(gens, sols)}
@@ -247,7 +272,7 @@ def _cmd_fisher(m, args):
 
 def _cmd_cramer_rao(m, args):
     gens = _gens_from_args(m, args)
-    rep = cramer_rao_audit(m, gens, _basis_from_args(args))
+    rep = cramer_rao_audit(m, gens, _basis_from_args(m, args))
     out = {
         "n": rep.n,
         "lhs": rep.lhs,
@@ -268,7 +293,8 @@ def _cmd_cramer_rao(m, args):
 def _cmd_chi_star(m, args):
     gens = _gens_from_args(m, args)
     eps = _parse_floats(args.eps)
-    value = chi_star(m, gens, eps, args.tail_cutoff, _basis_from_args(args))
+    value = chi_star(m, gens, eps, args.tail_cutoff,
+                     _basis_from_args(m, args))
     return {
         "gens": gens,
         "eps_grid": eps,
@@ -277,7 +303,15 @@ def _cmd_chi_star(m, args):
     }, None
 
 
+def _check_count(count: int) -> None:
+    if not 1 <= count <= MAX_CHECK_COUNT:
+        raise ConfigError(
+            f"--count must be between 1 and {MAX_CHECK_COUNT}, got {count}"
+        )
+
+
 def _cmd_verify_lemma2(m, args):
+    _check_count(args.count)
     worst = insertion_residual(m, _resolve_gen(m, args.target),
                                random.Random(args.seed), args.count,
                                args.degree)
@@ -286,6 +320,7 @@ def _cmd_verify_lemma2(m, args):
 
 
 def _cmd_verify_core(m, args):
+    _check_count(args.count)
     worst = core_residual(m, _resolve_gen(m, args.target),
                           random.Random(args.seed), args.count, args.x_degree)
     return {"max_residual": worst, "count": args.count,
@@ -318,9 +353,9 @@ def _cmd_bound(m, args):
 
 def _cmd_covariance(m, args):
     target = _resolve_gen(m, args.target)
-    shift = _parse_time(args.shift, "--shift")
+    shift = _parse_time(m, args.shift, "--shift")
     residual = modular_covariance_check(
-        m, target, shift, _basis_from_args(args)
+        m, target, shift, _basis_from_args(m, args)
     )
     return {"target": target, "shift": shift,
             "residual": residual}, residual < args.tol
@@ -415,13 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lemma2", parents=[common],
                        help="insertion identity on random inputs")
     p.add_argument("--target", default="")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=int, default=100,
+                   help=f"random word pairs, 1 to {MAX_CHECK_COUNT}")
     p.add_argument("--degree", type=int, default=4)
 
     p = sub.add_parser("verify-core", parents=[common],
                        help="crossed-product pairing identity")
     p.add_argument("--target", default="")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=int, default=100,
+                   help=f"random core words, 1 to {MAX_CHECK_COUNT}")
     p.add_argument("--x-degree", type=int, default=4)
 
     p = sub.add_parser("brownian", parents=[common],
@@ -465,11 +502,16 @@ def _merge_negative_values(argv):
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`, built on first use and then reused."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = _parser().parse_args(_merge_negative_values(list(argv)))
     started = time.perf_counter()
     try:
         m = load_model(args.model) if args.model else two_atom_model()

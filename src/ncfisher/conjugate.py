@@ -15,9 +15,10 @@ Three numerical facts shape the implementation:
   with the inserted partner, so b_W = sum over target letters W_k at time
   t_k of eta(t_k - t0) state(W[:k]) state(W[k+1:]), on each degree a sum
   of tensor products of state values (row 0 of V) and the kernel on the
-  alphabet.  The single-word interval pass of :mod:`ncfisher.moments`
-  stays the evaluator for single words and the independent check behind
-  ``self_adjoint_defect`` and the covariance and freeness audits.
+  alphabet.  The L2 audits (``self_adjoint_defect``, the covariance and
+  freeness distances) are norms of Fock vectors V c too, with V rebuilt
+  from the basis alphabet; the consistency of V with the single-word
+  interval pass of :mod:`ncfisher.moments` is pinned by the tests.
 * Gram matrices of time-translate words are not merely ill-conditioned but
   exactly rank-deficient for finitely-atomic covariances (translates of a
   k-atom generator span a k-dimensional one-particle space, and the words
@@ -48,7 +49,7 @@ import numpy as np
 
 from .algebra import Letter, NcPoly, TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
-from .moments import fock_dimension, fock_vectors, l2_distance, l2_norm
+from .moments import fock_dimension, fock_vectors
 
 __all__ = [
     "BasisError",
@@ -60,6 +61,7 @@ __all__ = [
     "solve_conjugate",
     "solve_family",
     "self_adjoint_defect",
+    "embedded_distance",
     "fisher_multi",
     "CramerRaoReport",
     "cramer_rao_audit",
@@ -339,10 +341,47 @@ def solve_family(
     ]
 
 
+def _basis_norm(
+    m: ModelSpec, solution: ConjugateSolution, coefficients: np.ndarray
+) -> float:
+    """L2 norm of the polynomial with ``coefficients`` on the solution's
+    basis words: the norm of its Fock vector V c, with V rebuilt from the
+    basis's degree-1 words (its alphabet) rather than kept on the
+    solution."""
+    words = solution.basis_words
+    alphabet = [w[0] for w in words if len(w) == 1]
+    vecs = fock_vectors(m, alphabet, len(words[-1]))
+    if words[0] != ():
+        vecs = vecs[:, 1:]
+    return float(np.linalg.norm(vecs @ coefficients))
+
+
 def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
-    """L2 norm of xi - xi*; small for every well-posed solve."""
-    p = solution.polynomial()
-    return l2_norm(m, p - p.adjoint())
+    """L2 norm of xi - xi*; small for every well-posed solve.
+
+    Letters are self-adjoint, so the adjoint of a word is the word reversed
+    and the basis is closed under it: with ``rev`` the reversal permutation
+    of basis indices, xi - xi* has coefficients c - conj(c)[rev] and its L2
+    norm is that of its Fock vector V (c - conj(c)[rev]).
+    """
+    words = solution.basis_words
+    index = {w: i for i, w in enumerate(words)}
+    rev = [index[w[::-1]] for w in words]
+    c = solution.coefficients
+    return _basis_norm(m, solution, c - c[rev].conj())
+
+
+def embedded_distance(
+    m: ModelSpec, inner: ConjugateSolution, outer: ConjugateSolution
+) -> float:
+    """L2 distance between two solutions when every basis word of ``inner``
+    is a basis word of ``outer``: ``inner``'s coefficients are scattered
+    onto ``outer``'s words, and the difference is measured through
+    ``outer``'s Fock vectors."""
+    index = {w: i for i, w in enumerate(outer.basis_words)}
+    c = np.zeros(len(outer.basis_words), dtype=complex)
+    c[[index[w] for w in inner.basis_words]] = inner.coefficients
+    return _basis_norm(m, outer, c - outer.coefficients)
 
 
 def fisher_multi(
@@ -452,10 +491,17 @@ def modular_covariance_check(
     m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec
 ) -> float:
     """L2 distance between the shifted solution and the solution of the
-    shifted problem (target letter at time s over the shifted grid)."""
+    shifted problem (target letter at time s over the shifted grid).
+
+    The basis is shift-covariant: shifting the words of the unshifted
+    solve gives the words of the shifted one, position by position
+    (letters of flow-fixed generators stay at time 0, and their Fock
+    vectors do not depend on time).  So the distance is that of the two
+    coefficient vectors through the shifted solve's Fock vectors.
+    """
     ds = as_time(s)
     sol0 = solve_conjugate(m, gen_id, basis)
     sol1 = solve_conjugate(
         m, gen_id, basis.shifted(ds), target_time=ds
     )
-    return l2_distance(m, sol0.polynomial().shift(ds), sol1.polynomial())
+    return _basis_norm(m, sol1, sol0.coefficients - sol1.coefficients)

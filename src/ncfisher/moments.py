@@ -32,9 +32,10 @@ degree, degree by degree with all letters applied at once; the interval
 pass stays the evaluator for single words, complex shifts included, and the
 cross-check of the Fock vectors.
 
-An independent oracle enumerates all pair partitions and filters crossings
-with the literal interval-nesting predicate; it shares nothing with the
-interval pass above except the covariance kernel.
+An independent oracle enumerates pair partitions depth first, dropping a
+partial pairing as soon as a new pair crosses a placed one (the literal
+crossing predicate) or its kernel product is exactly 0; it shares nothing
+with the interval pass above except the covariance kernel.
 """
 from __future__ import annotations
 
@@ -62,12 +63,7 @@ __all__ = [
     "fock_dimension",
     "fock_vectors",
     "expectation",
-    "inner_product",
-    "l2_norm",
-    "l2_distance",
     "brute_force_oracle",
-    "all_pairings",
-    "is_noncrossing",
 ]
 
 ORACLE_MAX_LETTERS = 12
@@ -298,35 +294,9 @@ def expectation(m: ModelSpec, p: NcPoly) -> complex:
     return sum((c * _phi(m, w) for w, c in p.terms.items()), 0j)
 
 
-def inner_product(m: ModelSpec, p: NcPoly, q: NcPoly) -> complex:
-    """Sesquilinear form <p, q> = state(p* q); antilinear in ``p``."""
-    return expectation(m, p.adjoint() * q)
-
-
-def l2_norm(m: ModelSpec, p: NcPoly) -> float:
-    return float(np.sqrt(max(inner_product(m, p, p).real, 0.0)))
-
-
-def l2_distance(m: ModelSpec, p: NcPoly, q: NcPoly) -> float:
-    return l2_norm(m, p - q)
-
-
 # ----------------------------------------------------------------------
 # independent oracle
 # ----------------------------------------------------------------------
-
-
-def all_pairings(items):
-    """Yield every partition of ``items`` into unordered pairs."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items.pop(0)
-    for i, other in enumerate(items):
-        rest = items[:i] + items[i + 1:]
-        for tail in all_pairings(rest):
-            yield [(first, other)] + tail
 
 
 def _crosses(p, q) -> bool:
@@ -335,38 +305,43 @@ def _crosses(p, q) -> bool:
     return (a < c < b < d) or (c < a < d < b)
 
 
-def is_noncrossing(pairing) -> bool:
-    """Literal interval-nesting predicate on a list of (i, j) pairs."""
-    pairs = [tuple(sorted(p)) for p in pairing]
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if _crosses(pairs[i], pairs[j]):
-                return False
-    return True
-
-
 def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
-    """Exhaustive evaluation: enumerate all pair partitions, filter the
-    crossing ones, sum the kernel products.  Limited to 12 letters."""
+    """Exhaustive evaluation over pair partitions, limited to 12 letters.
+
+    Pair partitions are enumerated depth first: the first free letter is
+    paired with each later free letter in turn, and the rest is paired
+    recursively.  A partial pairing is dropped as soon as its new pair
+    crosses one already placed (the literal interval-crossing predicate)
+    or its running kernel product is exactly 0; no completion of it could
+    contribute.  The surviving pairings are summed in enumeration order,
+    each the product of its pairs in the order they were placed.
+    """
     letters = tuple(w)
     n = len(letters)
     if n > ORACLE_MAX_LETTERS:
         raise SizeLimitError(
             f"oracle handles at most {ORACLE_MAX_LETTERS} letters, got {n}"
         )
-    if n == 0:
-        return 1 + 0j
-    if n % 2:
-        return 0j
     total = 0j
-    for pairing in all_pairings(range(n)):
-        if not is_noncrossing(pairing):
-            continue
-        prod = 1 + 0j
-        for i, j in pairing:
-            i, j = (i, j) if i < j else (j, i)
-            prod *= covariance(m, letters[i], letters[j])
-            if prod == 0:
-                break
-        total += prod
+    placed: list = []
+
+    def extend(free, prod):
+        nonlocal total
+        if not free:
+            total += prod
+            return
+        first, rest = free[0], free[1:]
+        for i, other in enumerate(rest):
+            pair = (first, other)
+            if any(_crosses(p, pair) for p in placed):
+                continue
+            value = prod * covariance(m, letters[first], letters[other])
+            if value == 0:
+                continue
+            placed.append(pair)
+            extend(rest[:i] + rest[i + 1:], value)
+            placed.pop()
+
+    if n % 2 == 0:
+        extend(tuple(range(n)), 1 + 0j)
     return total

@@ -19,6 +19,7 @@ from .brownian import expand_state, verify_gradient_expansion
 from .conjugate import (
     BasisSpec,
     cramer_rao_audit,
+    embedded_distance,
     modular_covariance_check,
     self_adjoint_defect,
     solve_conjugate,
@@ -28,12 +29,7 @@ from .derivation import verify_insertion_identity
 from .model import (KMS_GRID, ModelSpec, build_model, tracial_model,
                     two_atom_model)
 from .model import check_kms as kms_report
-from .moments import (
-    brute_force_oracle,
-    evaluate_state,
-    evaluate_state_shifted,
-    l2_distance,
-)
+from .moments import brute_force_oracle, evaluate_state, evaluate_state_shifted
 from .sampling import HALF_GRID, random_core_word, random_word
 
 __all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite",
@@ -322,7 +318,7 @@ def check_freeness_invariance(ctx: SuiteContext) -> CheckResult:
     spec = BasisSpec(GRID3, 2)
     sol_alone = solve_conjugate(m, "1", spec, b_gens=())
     sol_with = solve_conjugate(m, "1", spec, b_gens=("2",))
-    dist = l2_distance(m, sol_alone.polynomial(), sol_with.polynomial())
+    dist = embedded_distance(m, sol_alone, sol_with)
     dphi = abs(sol_alone.phi_star - sol_with.phi_star)
     ok = dist < tol and dphi < tol
     return CheckResult(

@@ -14,7 +14,7 @@ import ncfisher
 from ncfisher import cli
 from ncfisher.cli import run
 from ncfisher.conjugate import BasisSpec, DegenerateGramError, solve_family
-from ncfisher.model import load_model
+from ncfisher.model import load_model, two_atom_model
 from ncfisher.moments import MAX_WORD_LETTERS
 from ncfisher.suite import (
     SuiteContext,
@@ -299,6 +299,75 @@ def test_overflowing_time_tag_is_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_covariance_phase_bound(capsys):
+    # the largest tag the default model takes, then one just past it
+    fastest = max(abs(a.x) for a in two_atom_model().generators[0].atoms)
+    limit = math.floor(cli.MAX_PHASE_TURNS / fastest)
+    code, report = run_json(capsys, ["covariance", "--shift", str(limit)])
+    assert code == 0 and report["passed"] is True
+    assert run(["covariance", "--shift", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "turns" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--word", "X:0 X:{t}"],
+    ["conjugate", "--grid", "0,{t}"],
+    ["conjugate", "--grid", "{t},0", "--time", "{t}"],
+    ["covariance", "--shift", "-{t}"],
+    ["check-kms", "--grid", "0,{t}"],
+], ids=["moment-word", "conjugate-grid", "conjugate-time",
+        "covariance-shift", "check-kms-grid"])
+def test_time_tag_past_the_phase_bound_is_usage_error(capsys, argv):
+    fastest = max(abs(a.x) for a in two_atom_model().generators[0].atoms)
+    past = str(math.floor(cli.MAX_PHASE_TURNS / fastest) + 1)
+    assert run([a.replace("{t}", past) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "turns" in captured.err
+
+
+@pytest.mark.parametrize("count", [0, -3, cli.MAX_CHECK_COUNT + 1])
+@pytest.mark.parametrize("command", ["verify-lemma2", "verify-core"])
+def test_check_count_out_of_range_is_usage_error(capsys, command, count):
+    started = time.perf_counter()
+    assert run([command, "--count", str(count)]) == 2
+    assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--count" in captured.err
+
+
+def without_wall_time(text):
+    report = json.loads(text)
+    report.pop("wall_time_s")
+    return report
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    argvs = [["moment", "--word", "X:0 X:1/2"],
+             ["bound", "--alpha", "0.25", "--delta", "0.5"]]
+    reports = []
+    for argv in argvs:
+        assert run(argv) == 0
+        reports.append(without_wall_time(capsys.readouterr().out))
+    cli._parser.cache_clear()
+    assert len(built) == 1
+    for argv, report in zip(argvs, reports):
+        proc = run_module(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert without_wall_time(proc.stdout) == report
+
+
 def pair_model_file(tmp_path):
     config = {
         "generators": [
@@ -400,15 +469,17 @@ def test_non_finite_output_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_python_dash_m_entry_point():
+def run_module(argv):
+    """``python -m ncfisher`` with ``argv`` in a fresh process."""
     src = str(Path(ncfisher.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncfisher", "bound", "--alpha", "0.5",
-         "--delta", "0.1"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "ncfisher", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_entry_point():
+    proc = run_module(["bound", "--alpha", "0.5", "--delta", "0.1"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outputs"]["value"] == 25.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,9 +13,11 @@ from ncfisher.conjugate import (
     BasisError,
     BasisSpec,
     GridError,
+    _basis_norm,
     _prune_independent,
     chi_star,
     cramer_rao_audit,
+    embedded_distance,
     enumerate_basis,
     fisher_multi,
     modular_covariance_check,
@@ -29,7 +32,12 @@ from ncfisher.model import (
     tracial_model,
     two_atom_model,
 )
-from ncfisher.moments import fock_vectors, l2_distance
+from ncfisher.moments import fock_vectors
+from oracles import (
+    l2_distance,
+    symbolic_covariance_residual,
+    symbolic_self_adjoint_defect,
+)
 
 GRID3 = tuple(Fraction(k, 2) for k in range(-1, 2))
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
@@ -460,3 +468,90 @@ def test_mixed_tracial_and_flowing_generators():
     assert fisher_multi(mixed, ["t", "q"], spec) == pytest.approx(
         2.0, abs=1e-8
     )
+
+
+# the L2 audits work in Fock coordinates; their symbolic definitions (in
+# tests/oracles.py) multiply polynomials and evaluate the state word by
+# word.  Both are compared on the solves and on random coefficients, where
+# the audited quantity is far from 0.
+AUDIT_TOL = 1e-12
+
+
+def audit_cases():
+    return [
+        (two_atom_model(), "g", (), BasisSpec(GRID5, 3)),
+        (tracial_model(), "g", (), BasisSpec(GRID5, 3)),
+        (mixed_model(), "q", ("t",), BasisSpec(GRID3, 2)),
+        (pair_model(), "1", ("2",), BasisSpec(GRID3, 2)),
+    ]
+
+
+def random_coefficients(sol, seed):
+    rng = np.random.default_rng(seed)
+    n = len(sol.basis_words)
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return dataclasses.replace(sol, coefficients=c)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_self_adjoint_defect_matches_symbolic_form(case):
+    model, target, b_gens, spec = audit_cases()[case]
+    sol = solve_conjugate(model, target, spec, b_gens=b_gens)
+    assert abs(self_adjoint_defect(model, sol)
+               - symbolic_self_adjoint_defect(model, sol)) <= AUDIT_TOL
+    rough = random_coefficients(
+        solve_conjugate(model, target, BasisSpec(GRID3, 2), b_gens=b_gens),
+        case)
+    want = symbolic_self_adjoint_defect(model, rough)
+    assert want > 1
+    assert self_adjoint_defect(model, rough) == pytest.approx(
+        want, rel=AUDIT_TOL)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_covariance_residual_matches_symbolic_form(case):
+    model, target, b_gens, _ = audit_cases()[case]
+    spec = BasisSpec(GRID3, 2, b_gens)
+    for s in (Fraction(0), Fraction(1, 2), Fraction(-3, 4)):
+        assert abs(modular_covariance_check(model, target, s, spec)
+                   - symbolic_covariance_residual(model, target, s, spec)
+                   ) <= AUDIT_TOL
+        # the Fock form on coefficients that are not covariant
+        sol0 = random_coefficients(solve_conjugate(model, target, spec), 1)
+        sol1 = random_coefficients(
+            solve_conjugate(model, target, spec.shifted(s), target_time=s), 2)
+        want = l2_distance(model, sol0.polynomial().shift(s),
+                           sol1.polynomial())
+        got = _basis_norm(model, sol1,
+                          sol0.coefficients - sol1.coefficients)
+        assert want > 1
+        assert got == pytest.approx(want, rel=AUDIT_TOL)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_shifted_basis_words_are_the_shifted_problems_words(case):
+    # the covariance audit pairs the two solves' coefficients by position;
+    # letters of flow-fixed generators stay at time 0
+    model, target, b_gens, _ = audit_cases()[case]
+    spec = BasisSpec(GRID5, 2, b_gens)
+    tracial = {g.gen_id for g in model.generators if g.is_tracial}
+    words0 = enumerate_basis(model, target, spec)
+    for s in (Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)):
+        words1 = enumerate_basis(model, target, spec.shifted(s),
+                                 target_time=s)
+        shifted = [tuple(l if l.gen in tracial else l.shifted(s) for l in w)
+                   for w in words0]
+        assert shifted == words1
+
+
+def test_embedded_distance_matches_symbolic_form():
+    mp = pair_model()
+    spec = BasisSpec(GRID3, 2)
+    alone = solve_conjugate(mp, "1", spec, b_gens=())
+    enlarged = solve_conjugate(mp, "1", spec, b_gens=("2",))
+    for inner, outer in ((alone, enlarged),
+                         (random_coefficients(alone, 3),
+                          random_coefficients(enlarged, 4))):
+        want = l2_distance(mp, inner.polynomial(), outer.polynomial())
+        got = embedded_distance(mp, inner, outer)
+        assert abs(got - want) <= AUDIT_TOL * max(1.0, want)

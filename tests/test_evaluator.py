@@ -7,29 +7,32 @@ count of the oracle's compatible non-crossing pairings; the noise
 expansion exactly with its definition as a sum of states of flipped words.
 The kernel is compared bit for bit with the covariance of each letter pair,
 and its eta calls are counted against the distinct differences it needs.
+The pruned depth-first oracle is compared bit for bit with the literal
+filter over all pair partitions (``tests/oracles.py``).
 """
 import cmath
 import copy
 import math
+import struct
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncfisher import moments
 from ncfisher.algebra import Letter, x, y
 from ncfisher.brownian import expand_state
-from ncfisher.model import GeneratorSpec, build_model
+from ncfisher.model import GeneratorSpec, build_model, tracial_model
 from ncfisher.moments import (
-    all_pairings,
     brute_force_oracle,
     covariance,
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
-    is_noncrossing,
     word_kernel,
 )
+from oracles import all_pairings, is_noncrossing, literal_oracle
 
 RTOL = 1e-12
 
@@ -117,6 +120,35 @@ def test_state_matches_oracle(data):
     m = data.draw(models())
     w = data.draw(words(m))
     assert_close(m, evaluate_state(m, w), brute_force_oracle(m, w), w)
+
+
+def bits(z: complex) -> tuple:
+    return (struct.pack("<d", z.real), struct.pack("<d", z.imag))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_oracle_is_the_literal_filter_bit_for_bit(data):
+    # the depth-first oracle visits the non-crossing pairings in the
+    # literal enumeration's order and multiplies their pairs in its order
+    m = data.draw(models())
+    w = data.draw(words(m, max_size=12))
+    assert bits(brute_force_oracle(m, w)) == bits(literal_oracle(m, w)), w
+
+
+def test_oracle_prunes_crossing_pairings(monkeypatch):
+    # 12 equal letters: 10,395 pair partitions, 132 of them non-crossing;
+    # the literal filter multiplies up to 6 covariances on each survivor
+    calls = []
+    original = moments.covariance
+
+    def counted(m, a, b):
+        calls.append((a, b))
+        return original(m, a, b)
+
+    monkeypatch.setattr(moments, "covariance", counted)
+    assert brute_force_oracle(tracial_model(), (x("g", 0),) * 12) == 132
+    assert len(calls) < 10_395
 
 
 @given(data=st.data())

@@ -11,12 +11,10 @@ from ncfisher.moments import (
     evaluate_state_detailed,
     evaluate_state_shifted,
     expectation,
-    inner_product,
-    is_noncrossing,
-    all_pairings,
 )
 from ncfisher.model import tracial_model, two_atom_model
 from ncfisher.sampling import HALF_GRID, random_ncpoly, random_word
+from oracles import all_pairings, inner_product, is_noncrossing
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 
