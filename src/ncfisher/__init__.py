@@ -7,10 +7,7 @@ from .algebra import (
     Word,
     X_FAMILY,
     Y_FAMILY,
-    adjoint,
     as_time,
-    modular_shift,
-    multiply,
     shift_word,
     word_adjoint,
     word_str,
@@ -27,7 +24,6 @@ from .model import (
     build_model,
     check_detailed_balance,
     check_kms,
-    eta,
     load_model,
     tracial_model,
     two_atom_model,
@@ -72,13 +68,11 @@ from .core_cp import (
     CoreWord,
     EtaBimoduleElem,
     TrigPoly,
-    UStep,
     conditional_expectation,
     core_differentiate,
     eta_inner,
     eta_map,
     factoriality_bound,
-    normal_form,
     verify_core_identity,
 )
 from .suite import CheckResult, run_suite

@@ -32,9 +32,6 @@ __all__ = [
     "shift_word",
     "word_str",
     "NcPoly",
-    "multiply",
-    "adjoint",
-    "modular_shift",
 ]
 
 X_FAMILY = "X"
@@ -324,16 +321,3 @@ class NcPoly(_SparseSum):
     @staticmethod
     def _term_str(w, c) -> str:
         return f"({c}) {word_str(w)}"
-
-
-def multiply(p: NcPoly, q: NcPoly) -> NcPoly:
-    """Bilinear concatenation product in canonical form."""
-    return p * q
-
-
-def adjoint(p: NcPoly) -> NcPoly:
-    return p.adjoint()
-
-
-def modular_shift(p: NcPoly, s: TimeLike) -> NcPoly:
-    return p.shift(s)

@@ -45,6 +45,7 @@ from .model import (
 from .moments import (
     brute_force_oracle,
     evaluate_state_detailed,
+    MAX_WORD_LETTERS,
     ORACLE_MAX_LETTERS,
 )
 from .suite import core_residual, insertion_residual, run_suite
@@ -60,6 +61,12 @@ MAX_PHASE_TURNS = 2**16
 
 #: most random inputs one ``verify-lemma2`` or ``verify-core`` run draws
 MAX_CHECK_COUNT = 10_000
+
+#: largest ``verify-lemma2 --degree``: a word p xi q has up to 2d + 1 letters
+MAX_LEMMA2_DEGREE = (MAX_WORD_LETTERS - 1) // 2
+
+#: largest ``verify-core --x-degree``: a word zeta* Q has up to d + 1 letters
+MAX_CORE_DEGREE = MAX_WORD_LETTERS - 1
 
 
 def _model_digest(m: ModelSpec) -> str:
@@ -286,7 +293,7 @@ def _cmd_cramer_rao(m, args):
         "solver": {g: _solver_health(sol)
                    for g, sol in zip(gens, rep.solutions)},
     }
-    passed = abs(rep.lhs - rep.rhs) < 1e-7 if rep.asserted else None
+    passed = abs(rep.lhs - rep.rhs) < args.tol if rep.asserted else None
     return out, passed
 
 
@@ -303,15 +310,16 @@ def _cmd_chi_star(m, args):
     }, None
 
 
-def _check_count(count: int) -> None:
-    if not 1 <= count <= MAX_CHECK_COUNT:
+def _check_range(flag: str, value: int, upper: int) -> None:
+    if not 1 <= value <= upper:
         raise ConfigError(
-            f"--count must be between 1 and {MAX_CHECK_COUNT}, got {count}"
+            f"{flag} must be between 1 and {upper}, got {value}"
         )
 
 
 def _cmd_verify_lemma2(m, args):
-    _check_count(args.count)
+    _check_range("--count", args.count, MAX_CHECK_COUNT)
+    _check_range("--degree", args.degree, MAX_LEMMA2_DEGREE)
     worst = insertion_residual(m, _resolve_gen(m, args.target),
                                random.Random(args.seed), args.count,
                                args.degree)
@@ -320,7 +328,8 @@ def _cmd_verify_lemma2(m, args):
 
 
 def _cmd_verify_core(m, args):
-    _check_count(args.count)
+    _check_range("--count", args.count, MAX_CHECK_COUNT)
+    _check_range("--x-degree", args.x_degree, MAX_CORE_DEGREE)
     worst = core_residual(m, _resolve_gen(m, args.target),
                           random.Random(args.seed), args.count, args.x_degree)
     return {"max_residual": worst, "count": args.count,
@@ -393,12 +402,17 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(tol: float) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", help="model config JSON; a built-in "
                         "two-atom example is used when omitted")
-    common.add_argument("--tol", type=float, default=1e-9)
+    common.add_argument("--tol", type=float, default=tol)
     common.add_argument("--seed", type=int, default=0)
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_flags(1e-9)
 
     parser = argparse.ArgumentParser(
         prog="ncfisher",
@@ -435,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", default="", help="comma separated ids "
                    "(default: all)")
 
-    p = sub.add_parser("cramer-rao", parents=[common],
+    p = sub.add_parser("cramer-rao", parents=[_common_flags(1e-7)],
                        help="information-variance audit")
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--gens", default="")
@@ -452,14 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="")
     p.add_argument("--count", type=int, default=100,
                    help=f"random word pairs, 1 to {MAX_CHECK_COUNT}")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=int, default=4,
+                   help=f"most letters in p and q, 1 to {MAX_LEMMA2_DEGREE}")
 
     p = sub.add_parser("verify-core", parents=[common],
                        help="crossed-product pairing identity")
     p.add_argument("--target", default="")
     p.add_argument("--count", type=int, default=100,
                    help=f"random core words, 1 to {MAX_CHECK_COUNT}")
-    p.add_argument("--x-degree", type=int, default=4)
+    p.add_argument("--x-degree", type=int, default=4,
+                   help=f"most letters in Q, 1 to {MAX_CORE_DEGREE}")
 
     p = sub.add_parser("brownian", parents=[common],
                        help="noise expansion of a word")

@@ -89,7 +89,8 @@ class GridError(ValueError):
 @dataclass(frozen=True)
 class BasisSpec:
     """Finite truncation: all words up to ``max_degree`` over the letters
-    of the target generator and ``b_gens`` at the times in ``time_grid``.
+    of the target generator and the solve's ``b_gens`` at the times in
+    ``time_grid``.
 
     The word set is closed under adjoints (letters are self-adjoint and
     all words up to the degree bound are present).
@@ -97,13 +98,11 @@ class BasisSpec:
 
     time_grid: tuple
     max_degree: int
-    b_gens: tuple = ()
     include_identity: bool = True
 
     def __post_init__(self):
         grid = tuple(as_time(t) for t in self.time_grid)
         object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "b_gens", tuple(self.b_gens))
         if not grid:
             raise BasisError("time grid must be non-empty")
         if len(set(grid)) != len(grid):
@@ -116,7 +115,6 @@ class BasisSpec:
         return BasisSpec(
             tuple(t + ds for t in self.time_grid),
             self.max_degree,
-            self.b_gens,
             self.include_identity,
         )
 
@@ -134,7 +132,7 @@ def enumerate_basis(
     m: ModelSpec,
     target_gen: str,
     spec: BasisSpec,
-    b_gens: Sequence[str] | None = None,
+    b_gens: Sequence[str] = (),
     target_time: TimeLike = 0,
 ) -> list:
     """Basis words in pivot order: identity (optional), then degree by
@@ -146,9 +144,7 @@ def enumerate_basis(
     times the Fock dimension exceeds ``MAX_BASIS_ENTRIES``.
     """
     t0 = as_time(target_time)
-    gens = list(dict.fromkeys(
-        [target_gen, *(b_gens if b_gens is not None else spec.b_gens)]
-    ))
+    gens = list(dict.fromkeys([target_gen, *b_gens]))
     for g in gens:
         m.gen(g)  # raises ConfigError for unknown ids
     if t0 not in spec.time_grid:
@@ -261,7 +257,7 @@ def solve_conjugate(
     m: ModelSpec,
     target_gen: str,
     basis: BasisSpec,
-    b_gens: Sequence[str] | None = None,
+    b_gens: Sequence[str] = (),
     target_time: TimeLike = 0,
 ) -> ConjugateSolution:
     """Solve the truncated defining equations of the conjugate variable.
@@ -488,7 +484,8 @@ def chi_star(
 
 
 def modular_covariance_check(
-    m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec
+    m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec,
+    b_gens: Sequence[str] = (),
 ) -> float:
     """L2 distance between the shifted solution and the solution of the
     shifted problem (target letter at time s over the shifted grid).
@@ -500,8 +497,8 @@ def modular_covariance_check(
     coefficient vectors through the shifted solve's Fock vectors.
     """
     ds = as_time(s)
-    sol0 = solve_conjugate(m, gen_id, basis)
+    sol0 = solve_conjugate(m, gen_id, basis, b_gens)
     sol1 = solve_conjugate(
-        m, gen_id, basis.shifted(ds), target_time=ds
+        m, gen_id, basis.shifted(ds), b_gens, target_time=ds
     )
     return _basis_norm(m, sol1, sol0.coefficients - sol1.coefficients)

@@ -2,11 +2,13 @@
 
 Elements are handled in two shapes: trigonometric polynomials (finitely
 supported combinations of the flow unitaries U_r, a *-algebra under
-U_s U_t = U_{s+t}) and core words, i.e. scalar multiples of alternating
-products of primary letters and U steps.  The commutation rule
-U_s X_t = X_{t+s} U_s normal-forms every core word into (word) * U_r with
-exact rational bookkeeping, which is what makes the conditional
-expectation onto the group part computable: E(m U_r) = state(m) U_r.
+U_s U_t = U_{s+t}) and core words, i.e. scalar multiples of products of
+primary letters and U steps.  The commutation rule U_s X_t = X_{t+s} U_s
+brings every such product to the normal form (word) * U_r with exact
+rational bookkeeping, and core words are stored in that form:
+(w, r) (w', r') = (w + sigma_r(w'), r + r').  That is what makes the
+conditional expectation onto the group part computable:
+E(m U_r) = state(m) U_r.
 
 On top of that sit the diagonal completely positive map
 U_t -> eta(t) U_t, the group-valued inner product of simple tensors
@@ -18,11 +20,11 @@ and the tensor-valued derivation with d(X_t) = U_t (x) U_{-t}, d(U_s) = 0.
 from __future__ import annotations
 
 import numbers
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator
 
 from .algebra import (
-    Letter,
     NcPoly,
     TimeLike,
     Word,
@@ -30,6 +32,8 @@ from .algebra import (
     _SparseSum,
     _accumulate,
     as_time,
+    shift_word,
+    word_adjoint,
     x,
 )
 from .model import ModelSpec
@@ -37,10 +41,8 @@ from .moments import evaluate_state
 
 __all__ = [
     "TrigPoly",
-    "UStep",
     "CoreWord",
     "EtaBimoduleElem",
-    "normal_form",
     "conditional_expectation",
     "eta_map",
     "eta_inner",
@@ -94,116 +96,59 @@ class TrigPoly(_SparseSum):
         return f"({c}) U:{t}"
 
 
-class UStep(NamedTuple):
-    """A single flow unitary U_r inside a core word."""
-
-    r: Fraction
-
-
-Token = Union[Letter, UStep]
-
-
+@dataclass(frozen=True, slots=True)
 class CoreWord:
-    """Scalar multiple of an alternating product of letters and U steps."""
+    """Core word in normal form, ``coeff * (word) U_r``.
 
-    __slots__ = ("coeff", "tokens")
+    ``word`` holds primary letters only; their times already include every
+    U step written before them, by U_s X_t = X_{t+s} U_s.
+    """
 
-    def __init__(self, tokens=(), coeff: complex = 1.0):
-        toks = []
-        for tok in tokens:
-            if isinstance(tok, Letter):
-                if tok.family != X_FAMILY:
-                    raise ValueError("core words carry primary letters only")
-                toks.append(tok)
-            elif isinstance(tok, UStep):
-                toks.append(UStep(as_time(tok.r)))
-            else:
-                raise TypeError(f"bad core token {tok!r}")
-        object.__setattr__(self, "tokens", tuple(toks))
-        object.__setattr__(self, "coeff", complex(coeff))
+    word: Word = ()
+    r: Fraction = Fraction(0)
+    coeff: complex = 1.0
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CoreWord is immutable")
+    def __post_init__(self):
+        word = tuple(self.word)
+        if any(letter.family != X_FAMILY for letter in word):
+            raise ValueError("core words carry primary letters only")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "r", as_time(self.r))
+        object.__setattr__(self, "coeff", complex(self.coeff))
 
     @classmethod
     def one(cls) -> "CoreWord":
-        return cls(())
+        return cls()
 
     @classmethod
     def u(cls, r: TimeLike) -> "CoreWord":
-        return cls((UStep(as_time(r)),))
+        return cls((), r)
 
     @classmethod
     def x_letter(cls, gen: str, t: TimeLike = 0) -> "CoreWord":
         return cls((x(gen, t),))
 
-    @classmethod
-    def from_word(cls, w: Word, coeff: complex = 1.0) -> "CoreWord":
-        return cls(tuple(w), coeff)
-
     def __mul__(self, other):
         if isinstance(other, CoreWord):
-            return CoreWord(self.tokens + other.tokens, self.coeff * other.coeff)
+            tail = shift_word(other.word, self.r) if self.r else other.word
+            return CoreWord(self.word + tail, self.r + other.r,
+                            self.coeff * other.coeff)
         if isinstance(other, numbers.Complex):
-            return CoreWord(self.tokens, self.coeff * complex(other))
+            return CoreWord(self.word, self.r, self.coeff * complex(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            return CoreWord(self.tokens, self.coeff * complex(other))
-        return NotImplemented
+    __rmul__ = __mul__  # only ever called with a scalar on the left
 
     def adjoint(self) -> "CoreWord":
-        toks = []
-        for tok in reversed(self.tokens):
-            if isinstance(tok, UStep):
-                toks.append(UStep(-tok.r))
-            else:
-                toks.append(tok)  # letters are self-adjoint
-        return CoreWord(tuple(toks), self.coeff.conjugate())
-
-    def normal_form(self) -> tuple:
-        """Rewrite to (word, r): push every U step to the right.
-
-        Uses U_s X_t = X_{t+s} U_s exactly; r is the total U exponent.
-        The scalar coefficient is not part of the return value.
-        """
-        shift = Fraction(0)
-        letters = []
-        for tok in self.tokens:
-            if isinstance(tok, UStep):
-                shift += tok.r
-            else:
-                letters.append(tok._replace(time=tok.time + shift))
-        return tuple(letters), shift
-
-    def __eq__(self, other):
-        if not isinstance(other, CoreWord):
-            return NotImplemented
-        return (self.coeff == other.coeff
-                and self.normal_form() == other.normal_form())
-
-    def __hash__(self):
-        return hash((self.coeff, self.normal_form()))
-
-    def __repr__(self):
-        bits = []
-        for tok in self.tokens:
-            bits.append(f"U:{tok.r}" if isinstance(tok, UStep) else str(tok))
-        body = " ".join(bits) if bits else "1"
-        return f"CoreWord(({self.coeff}) {body})"
-
-
-def normal_form(cw: CoreWord) -> tuple:
-    """Normal shape (word, r) of a core word, ignoring its coefficient."""
-    return cw.normal_form()
+        # (w U_r)* = U_{-r} w* and letters are self-adjoint
+        return CoreWord(shift_word(word_adjoint(self.word), -self.r),
+                        -self.r, self.coeff.conjugate())
 
 
 def conditional_expectation(m: ModelSpec, cw: CoreWord) -> TrigPoly:
     """Expectation onto the group part: (m U_r) -> state(m) U_r."""
-    word, r = cw.normal_form()
-    val = cw.coeff * evaluate_state(m, word)
-    return TrigPoly({r: val}) if val != 0 else TrigPoly.zero()
+    val = cw.coeff * evaluate_state(m, cw.word)
+    return TrigPoly({cw.r: val}) if val != 0 else TrigPoly.zero()
 
 
 def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
@@ -218,8 +163,8 @@ def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
 class EtaBimoduleElem(_SparseSum):
     """Finite sum of simple tensors a (x) b of core words.
 
-    Terms are keyed on the normal forms of both legs, so the bimodule
-    relations that normal-forming encodes hold on the nose.  The
+    Terms are keyed on the normal forms (word, r) of both legs, so the
+    bimodule relations that normal-forming encodes hold on the nose.  The
     constructor takes ``(coeff, a, b)`` triples.
     """
 
@@ -227,7 +172,7 @@ class EtaBimoduleElem(_SparseSum):
 
     @staticmethod
     def _normal_term(coeff, a, b) -> tuple:
-        key = (a.normal_form(), b.normal_form())
+        key = ((a.word, a.r), (b.word, b.r))
         return key, complex(coeff) * a.coeff * b.coeff
 
     @classmethod
@@ -237,8 +182,8 @@ class EtaBimoduleElem(_SparseSum):
 
     @staticmethod
     def _legs(key) -> tuple:
-        # the coefficient-1 core words (word) U_r of both normal forms
-        return tuple(CoreWord(w + ((UStep(r),) if r else ())) for w, r in key)
+        # the coefficient-1 core words (word) U_r of both legs
+        return tuple(CoreWord(w, r) for w, r in key)
 
     def __iter__(self) -> Iterator:
         """Yield (coeff, a, b) with coefficient-1 core words."""
@@ -283,14 +228,16 @@ def eta_inner(
 
 
 def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
-    """Tensor-valued derivation: letters of ``gen_id`` at written time t
-    contribute (prefix U_t) (x) (U_{-t} suffix); U steps and letters of
-    other generators are constants."""
+    """Tensor-valued derivation on (word) U_r: the letter of ``gen_id`` at
+    position k, with normal-form time t, contributes
+    (word[:k] U_t) (x) (sigma_{-t}(word[k+1:]) U_{r-t}); U steps and
+    letters of other generators are constants."""
+    w, r = cw.word, cw.r
     return EtaBimoduleElem(
-        (1.0, CoreWord(cw.tokens[:k] + (UStep(tok.time),), cw.coeff),
-         CoreWord((UStep(-tok.time),) + cw.tokens[k + 1:]))
-        for k, tok in enumerate(cw.tokens)
-        if isinstance(tok, Letter) and tok.gen == gen_id
+        (1.0, CoreWord(w[:k], letter.time, cw.coeff),
+         CoreWord(shift_word(w[k + 1:], -letter.time), r - letter.time))
+        for k, letter in enumerate(w)
+        if letter.gen == gen_id
     )
 
 
@@ -305,18 +252,12 @@ def verify_core_identity(
     """
     lhs: dict = {}
     for w, c in zeta.adjoint().terms.items():
-        term = conditional_expectation(m, CoreWord.from_word(w, c) * q)
+        term = conditional_expectation(m, CoreWord(w, 0, c) * q)
         for r, v in term.terms.items():
             _accumulate(lhs, r, v)
-
-    rhs: dict = {}
-    for c, a, b in core_differentiate(gen_id, q):
-        inner = eta_map(m, gen_id, conditional_expectation(m, a))
-        for t, g_c in inner.terms.items():
-            term = conditional_expectation(m, CoreWord.u(t) * b) * (g_c * c)
-            for r, v in term.terms.items():
-                _accumulate(rhs, r, v)
-    return (TrigPoly._raw(lhs) - TrigPoly._raw(rhs)).max_abs()
+    unit = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
+    rhs = eta_inner(m, gen_id, unit, core_differentiate(gen_id, q))
+    return (TrigPoly._raw(lhs) - rhs).max_abs()
 
 
 def factoriality_bound(alpha: float, delta: float) -> float:

@@ -30,7 +30,6 @@ __all__ = [
     "ModelSpec",
     "KmsReport",
     "KMS_GRID",
-    "eta",
     "check_detailed_balance",
     "check_kms",
     "build_model",
@@ -121,10 +120,6 @@ class GeneratorSpec:
             self.gen_id,
             tuple(SpectralAtom(a.x, a.w * factor) for a in self.atoms),
         )
-
-
-def eta(g: GeneratorSpec, z) -> complex:
-    return g.eta(z)
 
 
 def check_detailed_balance(g: GeneratorSpec, rtol: float = _BALANCE_RTOL) -> None:

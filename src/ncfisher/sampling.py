@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from .algebra import NcPoly, Word, X_FAMILY, x, y
-from .core_cp import CoreWord, UStep
+from .core_cp import CoreWord
 
 __all__ = [
     "HALF_GRID",
@@ -69,12 +69,18 @@ def random_core_word(
     pool=HALF_GRID,
     u_pool=HALF_GRID,
 ) -> CoreWord:
-    tokens = []
+    """Up to ``max_x_degree`` letters, each preceded by a U step with
+    probability 0.6, then a final U step with probability 0.7; the U steps
+    are pushed right as they are drawn, so the word comes out in normal
+    form."""
+    gens = list(gens)
+    letters = []
+    shift = Fraction(0)
     n_x = rng.randint(0, max_x_degree)
     for _ in range(n_x):
         if rng.random() < 0.6:
-            tokens.append(UStep(random_time(rng, u_pool)))
-        tokens.append(x(rng.choice(list(gens)), random_time(rng, pool)))
+            shift += random_time(rng, u_pool)
+        letters.append(x(rng.choice(gens), random_time(rng, pool) + shift))
     if rng.random() < 0.7:
-        tokens.append(UStep(random_time(rng, u_pool)))
-    return CoreWord(tuple(tokens))
+        shift += random_time(rng, u_pool)
+    return CoreWord(tuple(letters), shift)

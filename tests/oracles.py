@@ -71,7 +71,8 @@ def symbolic_self_adjoint_defect(m, sol) -> float:
     return l2_norm(m, p - p.adjoint())
 
 
-def symbolic_covariance_residual(m, gen, s, basis: BasisSpec) -> float:
-    sol0 = solve_conjugate(m, gen, basis)
-    sol1 = solve_conjugate(m, gen, basis.shifted(s), target_time=s)
+def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
+                                 b_gens=()) -> float:
+    sol0 = solve_conjugate(m, gen, basis, b_gens)
+    sol1 = solve_conjugate(m, gen, basis.shifted(s), b_gens, target_time=s)
     return l2_distance(m, sol0.polynomial().shift(s), sol1.polynomial())

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -336,6 +338,59 @@ def test_check_count_out_of_range_is_usage_error(capsys, command, count):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "--count" in captured.err
+
+
+DEGREE_FLAGS = {"verify-lemma2": ("--degree", cli.MAX_LEMMA2_DEGREE),
+                "verify-core": ("--x-degree", cli.MAX_CORE_DEGREE)}
+
+
+def test_degree_limits_are_the_word_size_limit():
+    # p xi q has up to 2d + 1 letters, zeta* Q up to d + 1
+    assert 2 * cli.MAX_LEMMA2_DEGREE + 1 <= MAX_WORD_LETTERS
+    assert 2 * cli.MAX_LEMMA2_DEGREE + 3 > MAX_WORD_LETTERS
+    assert cli.MAX_CORE_DEGREE + 1 == MAX_WORD_LETTERS
+
+
+@pytest.mark.parametrize("degree", [0, -5, 10**9])
+@pytest.mark.parametrize("command", sorted(DEGREE_FLAGS))
+def test_check_degree_out_of_range_is_usage_error(capsys, command, degree):
+    flag, _ = DEGREE_FLAGS[command]
+    started = time.perf_counter()
+    assert run([command, "--count", "3", flag, str(degree)]) == 2
+    assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(DEGREE_FLAGS))
+def test_largest_check_degree_runs(capsys, command):
+    flag, top = DEGREE_FLAGS[command]
+    code, report = run_json(
+        capsys, [command, "--count", "1", "--seed", "1", flag, str(top)])
+    # the residuals are absolute, so long words may exceed --tol: a
+    # refusal would be exit 2 with no report
+    assert code in (0, 1)
+    assert report["outputs"][flag[2:].replace("-", "_")] == top
+
+
+def test_cramer_rao_compares_against_its_tolerance(capsys):
+    code, report = run_json(capsys, ["cramer-rao"])
+    assert code == 0 and report["passed"] is True
+    assert report["tolerance"] == report["inputs"]["tol"] == 1e-7
+    code, report = run_json(capsys, ["cramer-rao", "--tol", "0"])
+    assert code == 1 and report["passed"] is False
+    # the other commands keep their own default
+    _, report = run_json(capsys, ["fisher"])
+    assert report["tolerance"] == 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(
+    info.name for info in pkgutil.iter_modules(ncfisher.__path__)))
+def test_module_exports_exist(name):
+    module = importlib.import_module(f"ncfisher.{name}")
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []
 
 
 def without_wall_time(text):

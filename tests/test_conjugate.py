@@ -190,7 +190,7 @@ def test_ill_conditioned_solves_match_closed_form(case):
     gens, grid, degree, include_identity = case
     b_gens = tuple(g["name"] for g in gens[1:])
     sol = solve_conjugate(build_model({"generators": gens}), "a",
-                          BasisSpec(grid, degree, b_gens, include_identity))
+                          BasisSpec(grid, degree, include_identity), b_gens)
     assert abs(sol.phi_star - 1) < 1e-8
     assert sol.residual < 1e-8
 
@@ -511,15 +511,18 @@ def test_self_adjoint_defect_matches_symbolic_form(case):
 @pytest.mark.parametrize("case", range(3))
 def test_covariance_residual_matches_symbolic_form(case):
     model, target, b_gens, _ = audit_cases()[case]
-    spec = BasisSpec(GRID3, 2, b_gens)
+    spec = BasisSpec(GRID3, 2)
     for s in (Fraction(0), Fraction(1, 2), Fraction(-3, 4)):
-        assert abs(modular_covariance_check(model, target, s, spec)
-                   - symbolic_covariance_residual(model, target, s, spec)
+        assert abs(modular_covariance_check(model, target, s, spec, b_gens)
+                   - symbolic_covariance_residual(model, target, s, spec,
+                                                  b_gens)
                    ) <= AUDIT_TOL
         # the Fock form on coefficients that are not covariant
-        sol0 = random_coefficients(solve_conjugate(model, target, spec), 1)
+        sol0 = random_coefficients(
+            solve_conjugate(model, target, spec, b_gens), 1)
         sol1 = random_coefficients(
-            solve_conjugate(model, target, spec.shifted(s), target_time=s), 2)
+            solve_conjugate(model, target, spec.shifted(s), b_gens,
+                            target_time=s), 2)
         want = l2_distance(model, sol0.polynomial().shift(s),
                            sol1.polynomial())
         got = _basis_norm(model, sol1,
@@ -533,11 +536,11 @@ def test_shifted_basis_words_are_the_shifted_problems_words(case):
     # the covariance audit pairs the two solves' coefficients by position;
     # letters of flow-fixed generators stay at time 0
     model, target, b_gens, _ = audit_cases()[case]
-    spec = BasisSpec(GRID5, 2, b_gens)
+    spec = BasisSpec(GRID5, 2)
     tracial = {g.gen_id for g in model.generators if g.is_tracial}
-    words0 = enumerate_basis(model, target, spec)
+    words0 = enumerate_basis(model, target, spec, b_gens)
     for s in (Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)):
-        words1 = enumerate_basis(model, target, spec.shifted(s),
+        words1 = enumerate_basis(model, target, spec.shifted(s), b_gens,
                                  target_time=s)
         shifted = [tuple(l if l.gen in tracial else l.shifted(s) for l in w)
                    for w in words0]

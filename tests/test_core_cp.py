@@ -14,7 +14,6 @@ from ncfisher.core_cp import (
     eta_inner,
     eta_map,
     factoriality_bound,
-    normal_form,
     verify_core_identity,
 )
 from ncfisher.model import two_atom_model
@@ -55,7 +54,7 @@ def test_trig_poly_star_algebra():
 
 def test_normal_form_defining_relation():
     cw = CoreWord.u("1/2") * CoreWord.x_letter("g", "1/4") * CoreWord.u("-1/2")
-    word, r = normal_form(cw)
+    word, r = cw.word, cw.r
     assert word == (x("g", "3/4"),)
     assert r == 0
 
@@ -67,13 +66,14 @@ def test_normal_form_one_commutation():
         * CoreWord.x_letter("g", 0)
         * CoreWord.u(-1)
     )
-    word, r = normal_form(cw)
+    word, r = cw.word, cw.r
     assert word == (x("g", 0), x("g", 1))
     assert r == 0
 
 
 def test_normal_form_pure_group():
-    word, r = normal_form(CoreWord.u("1/2") * CoreWord.u("1/2"))
+    cw = CoreWord.u("1/2") * CoreWord.u("1/2")
+    word, r = cw.word, cw.r
     assert word == ()
     assert r == 1
 
