@@ -29,6 +29,7 @@ from .model import (
     two_atom_model,
 )
 from .moments import (
+    Residual,
     SizeLimitError,
     StateValue,
     brute_force_oracle,

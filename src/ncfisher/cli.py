@@ -68,6 +68,29 @@ MAX_LEMMA2_DEGREE = (MAX_WORD_LETTERS - 1) // 2
 #: largest ``verify-core --x-degree``: a word zeta* Q has up to d + 1 letters
 MAX_CORE_DEGREE = MAX_WORD_LETTERS - 1
 
+#: most work one ``verify-lemma2`` or ``verify-core`` run may ask for:
+#: ``--count`` times the work of one draw, counted as (state evaluations)
+#: x (letters per word)^3 for the cubic interval pass.  256**4 admits one
+#: draw at the largest degree of either command.  The slowest such draws
+#: measured on a 2-core x86-64 host (Python 3.11): 22 s for
+#: ``verify-lemma2`` (p and q of 127 and 126 letters) and 6 s for
+#: ``verify-core`` (Q of 255 letters); the default runs ask for 1/6,500
+#: of it and the heaviest benchmark run (``verify-lemma2 --degree 6``,
+#: count 100) for 1/1,500.
+MAX_CHECK_WORK = 256**4
+
+
+def lemma2_draw_work(degree: int) -> int:
+    """Work bound of one ``verify-lemma2`` draw: p xi q and the terms of
+    both derivatives are at most 2d + 1 words of at most 2d + 1 letters."""
+    return (2 * degree + 1) ** 4
+
+
+def core_draw_work(degree: int) -> int:
+    """Work bound of one ``verify-core`` draw: zeta* Q and, per term of
+    the derivative, two words of at most d + 1 letters together."""
+    return (degree + 1) ** 4
+
 
 def _model_digest(m: ModelSpec) -> str:
     blob = json.dumps(m.config_dict(), sort_keys=True)
@@ -181,7 +204,8 @@ def _gens_from_args(m: ModelSpec, args) -> list:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers: each returns (outputs dict, passed flag or None)
+# subcommand handlers: each returns (outputs dict, passed flag or None),
+# and ``suite`` also a timings dict that goes next to ``wall_time_s``
 # ----------------------------------------------------------------------
 
 
@@ -317,23 +341,36 @@ def _check_range(flag: str, value: int, upper: int) -> None:
         )
 
 
+def _check_work(count: int, draw_work: int) -> None:
+    work = count * draw_work
+    if work > MAX_CHECK_WORK:
+        raise ConfigError(
+            f"--count {count} at this degree asks for {work} units of work, "
+            f"over the limit of {MAX_CHECK_WORK}; lower --count or the degree"
+        )
+
+
 def _cmd_verify_lemma2(m, args):
     _check_range("--count", args.count, MAX_CHECK_COUNT)
     _check_range("--degree", args.degree, MAX_LEMMA2_DEGREE)
-    worst = insertion_residual(m, _resolve_gen(m, args.target),
-                               random.Random(args.seed), args.count,
-                               args.degree)
-    return {"max_residual": worst, "count": args.count,
-            "degree": args.degree}, worst < args.tol
+    _check_work(args.count, lemma2_draw_work(args.degree))
+    worst, relative = insertion_residual(m, _resolve_gen(m, args.target),
+                                         random.Random(args.seed), args.count,
+                                         args.degree)
+    return {"max_residual": worst, "max_relative_residual": relative,
+            "count": args.count, "degree": args.degree}, relative < args.tol
 
 
 def _cmd_verify_core(m, args):
     _check_range("--count", args.count, MAX_CHECK_COUNT)
     _check_range("--x-degree", args.x_degree, MAX_CORE_DEGREE)
-    worst = core_residual(m, _resolve_gen(m, args.target),
-                          random.Random(args.seed), args.count, args.x_degree)
-    return {"max_residual": worst, "count": args.count,
-            "x_degree": args.x_degree}, worst < args.tol
+    _check_work(args.count, core_draw_work(args.x_degree))
+    worst, relative = core_residual(m, _resolve_gen(m, args.target),
+                                    random.Random(args.seed), args.count,
+                                    args.x_degree)
+    return {"max_residual": worst, "max_relative_residual": relative,
+            "count": args.count,
+            "x_degree": args.x_degree}, relative < args.tol
 
 
 def _cmd_brownian(m, args):
@@ -383,7 +420,8 @@ def _cmd_suite(m, args):
         }
         for r in results
     ]
-    return {"checks": checks, "all_passed": ok}, ok
+    timings = {r.cid: r.seconds for r in results}
+    return {"checks": checks, "all_passed": ok}, ok, timings
 
 
 _HANDLERS = {
@@ -532,7 +570,7 @@ def run(argv=None) -> int:
     try:
         m = load_model(args.model) if args.model else two_atom_model()
         handler = _HANDLERS[args.command]
-        outputs, passed = handler(m, args)
+        outputs, passed, *timings = handler(m, args)
         report = {
             "command": args.command,
             "model_digest": _model_digest(m),
@@ -546,6 +584,8 @@ def run(argv=None) -> int:
             "passed": passed,
             "wall_time_s": time.perf_counter() - started,
         }
+        if timings:
+            report["timings"] = timings[0]
         # strict JSON: a non-finite number becomes a usage error, exit 2
         text = json.dumps(_jsonify(report), sort_keys=True, indent=2,
                           allow_nan=False)

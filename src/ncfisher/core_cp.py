@@ -37,7 +37,7 @@ from .algebra import (
     x,
 )
 from .model import ModelSpec
-from .moments import evaluate_state
+from .moments import Residual, evaluate_state
 
 __all__ = [
     "TrigPoly",
@@ -117,6 +117,18 @@ class CoreWord:
         object.__setattr__(self, "coeff", complex(self.coeff))
 
     @classmethod
+    def _raw(cls, word: Word, r: Fraction, coeff: complex = 1 + 0j
+             ) -> "CoreWord":
+        # the parts must already be canonical: a tuple of primary letters,
+        # a Fraction and a complex, as products and legs of canonical core
+        # words are; skips the checks and coercions of the constructor
+        obj = object.__new__(cls)
+        _set_word(obj, word)
+        _set_r(obj, r)
+        _set_coeff(obj, coeff)
+        return obj
+
+    @classmethod
     def one(cls) -> "CoreWord":
         return cls()
 
@@ -131,24 +143,31 @@ class CoreWord:
     def __mul__(self, other):
         if isinstance(other, CoreWord):
             tail = shift_word(other.word, self.r) if self.r else other.word
-            return CoreWord(self.word + tail, self.r + other.r,
-                            self.coeff * other.coeff)
+            return CoreWord._raw(self.word + tail, self.r + other.r,
+                                 self.coeff * other.coeff)
         if isinstance(other, numbers.Complex):
-            return CoreWord(self.word, self.r, self.coeff * complex(other))
+            return CoreWord._raw(self.word, self.r,
+                                 self.coeff * complex(other))
         return NotImplemented
 
     __rmul__ = __mul__  # only ever called with a scalar on the left
 
     def adjoint(self) -> "CoreWord":
         # (w U_r)* = U_{-r} w* and letters are self-adjoint
-        return CoreWord(shift_word(word_adjoint(self.word), -self.r),
-                        -self.r, self.coeff.conjugate())
+        return CoreWord._raw(shift_word(word_adjoint(self.word), -self.r),
+                             -self.r, self.coeff.conjugate())
+
+
+# slot setters of the frozen dataclass, for CoreWord._raw
+_set_word = CoreWord.word.__set__
+_set_r = CoreWord.r.__set__
+_set_coeff = CoreWord.coeff.__set__
 
 
 def conditional_expectation(m: ModelSpec, cw: CoreWord) -> TrigPoly:
     """Expectation onto the group part: (m U_r) -> state(m) U_r."""
     val = cw.coeff * evaluate_state(m, cw.word)
-    return TrigPoly({cw.r: val}) if val != 0 else TrigPoly.zero()
+    return TrigPoly._raw({cw.r: val} if val != 0 else {})
 
 
 def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
@@ -156,8 +175,13 @@ def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
 
     Agrees with conditional_expectation(X_0 p X_0) term by term.
     """
-    g = m.gen(gen_id)
-    return TrigPoly({t: c * g.eta(t) for t, c in p.terms.items()})
+    eta = m.gen(gen_id).eta
+    out = {}
+    for t, c in p._terms.items():
+        v = c * eta(t)
+        if v != 0:
+            out[t] = v
+    return TrigPoly._raw(out)
 
 
 class EtaBimoduleElem(_SparseSum):
@@ -183,7 +207,7 @@ class EtaBimoduleElem(_SparseSum):
     @staticmethod
     def _legs(key) -> tuple:
         # the coefficient-1 core words (word) U_r of both legs
-        return tuple(CoreWord(w, r) for w, r in key)
+        return tuple(CoreWord._raw(w, r) for w, r in key)
 
     def __iter__(self) -> Iterator:
         """Yield (coeff, a, b) with coefficient-1 core words."""
@@ -234,8 +258,8 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
     letters of other generators are constants."""
     w, r = cw.word, cw.r
     return EtaBimoduleElem(
-        (1.0, CoreWord(w[:k], letter.time, cw.coeff),
-         CoreWord(shift_word(w[k + 1:], -letter.time), r - letter.time))
+        (1.0, CoreWord._raw(w[:k], letter.time, cw.coeff),
+         CoreWord._raw(shift_word(w[k + 1:], -letter.time), r - letter.time))
         for k, letter in enumerate(w)
         if letter.gen == gen_id
     )
@@ -243,21 +267,23 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
 
 def verify_core_identity(
     m: ModelSpec, gen_id: str, q: CoreWord, zeta: NcPoly
-) -> float:
+) -> Residual:
     """Max coefficient deviation between <zeta, Q> and the derivation side.
 
     The left side is E(zeta* Q); the right side pairs the unit tensor with
     the derivative of Q in the group-valued inner product.  Zero for the
-    embedded conjugate variable.
+    embedded conjugate variable.  The scale is the sum of the two sides'
+    largest coefficient magnitudes.
     """
-    lhs: dict = {}
+    lhs_terms: dict = {}
     for w, c in zeta.adjoint().terms.items():
         term = conditional_expectation(m, CoreWord(w, 0, c) * q)
         for r, v in term.terms.items():
-            _accumulate(lhs, r, v)
+            _accumulate(lhs_terms, r, v)
     unit = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
     rhs = eta_inner(m, gen_id, unit, core_differentiate(gen_id, q))
-    return (TrigPoly._raw(lhs) - rhs).max_abs()
+    lhs = TrigPoly._raw(lhs_terms)
+    return Residual((lhs - rhs).max_abs(), lhs.max_abs() + rhs.max_abs())
 
 
 def factoriality_bound(alpha: float, delta: float) -> float:

@@ -28,7 +28,7 @@ from .algebra import (
     y,
 )
 from .model import ModelSpec
-from .moments import evaluate_state
+from .moments import Residual, evaluate_state, expectation
 
 __all__ = [
     "FamilyError",
@@ -163,19 +163,18 @@ def _state_poly_tensor(m: ModelSpec, p: NcPoly, e: TensorElem, y_first: bool,
 
 def verify_insertion_identity(
     m: ModelSpec, gen_id: str, p: NcPoly, q: NcPoly, xi: NcPoly
-) -> float:
+) -> Residual:
     """Residual of state(p xi q) against the two derivative pairings.
 
     For the true conjugate variable xi of ``gen_id`` the value
     state(p xi q) equals state(p Y d(q)) + state(d(p) Y q) with the
     partner letter at time 0 in the middle; the returned residual is the
-    absolute difference.
+    absolute difference, with the sum of the three terms' magnitudes as
+    its scale.
     """
-    from .moments import expectation
-
     lhs = expectation(m, p * xi * q)
     dq = differentiate(gen_id, q)
     dp = differentiate(gen_id, p)
     mid1 = _state_poly_tensor(m, p, dq, True, gen_id)
     mid2 = _state_poly_tensor(m, q, dp, False, gen_id)
-    return abs(lhs - mid1 - mid2)
+    return Residual(abs(lhs - mid1 - mid2), abs(lhs) + abs(mid1) + abs(mid2))

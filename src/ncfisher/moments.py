@@ -20,6 +20,10 @@ first-letter recursion
     phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
 
 which is cubic in the word length.  Nothing is cached between calls.
+A word with an odd number of letters has no pair partition, so its value
+is exactly ``0j`` (both parts +0.0, as the pass itself would give) and no
+kernel is built for it: no tick denominators, no eta calls.  The size
+limit ``MAX_WORD_LETTERS`` is still checked first, whatever the parity.
 
 Bases of many words are evaluated all at once in the free Fock space
 instead (the free Gaussian functor): letter (family, gen, t) acts as
@@ -54,6 +58,7 @@ __all__ = [
     "SizeLimitError",
     "MAX_WORD_LETTERS",
     "StateValue",
+    "Residual",
     "covariance",
     "evaluate_state",
     "evaluate_state_detailed",
@@ -87,6 +92,23 @@ class StateValue:
     partition_count: int
 
 
+class Residual(float):
+    """Absolute residual of an identity between state values, a float,
+    carrying in ``scale`` the summed magnitude of the terms it compares."""
+
+    def __new__(cls, absolute: float, scale: float):
+        obj = super().__new__(cls, absolute)
+        obj.scale = scale
+        return obj
+
+    @property
+    def relative(self) -> float:
+        """The residual over max(1, scale): rounding in large terms is
+        measured against their size, and small terms keep the absolute
+        residual."""
+        return float(self) / max(1.0, self.scale)
+
+
 def covariance(m: ModelSpec, a: Letter, b: Letter) -> complex:
     """Kernel value for the ordered letter pair (a, b): eta at the time
     difference when family and generator agree, zero otherwise.  Times are
@@ -97,6 +119,22 @@ def covariance(m: ModelSpec, a: Letter, b: Letter) -> complex:
     if isinstance(s, Fraction) and isinstance(t, Fraction):
         return m.gen(a.gen).eta(t - s)
     return m.gen(a.gen).eta(complex(t) - complex(s))
+
+
+def _check_length(n: int) -> None:
+    if n > MAX_WORD_LETTERS:
+        raise SizeLimitError(
+            f"words have at most {MAX_WORD_LETTERS} letters, got {n}"
+        )
+
+
+def _is_odd(letters) -> bool:
+    """True when the word has an odd number of letters, so its state is
+    exactly 0; raises :class:`SizeLimitError` first for words over
+    ``MAX_WORD_LETTERS``, whatever their parity."""
+    n = len(letters)
+    _check_length(n)
+    return n % 2 == 1
 
 
 def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
@@ -115,10 +153,7 @@ def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
     ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
-    if n > MAX_WORD_LETTERS:
-        raise SizeLimitError(
-            f"words have at most {MAX_WORD_LETTERS} letters, got {n}"
-        )
+    _check_length(n)
     if offsets is None:
         offsets = [0] * n
     den = math.lcm(*[l.time.denominator for l in letters])
@@ -177,14 +212,17 @@ def pairing_sum(rows, one=1 + 0j):
 
 
 def _phi(m: ModelSpec, letters) -> complex:
+    if _is_odd(letters):
+        return 0j
     return pairing_sum(word_kernel(m, letters))
 
 
 def evaluate_state(m: ModelSpec, w: Word) -> complex:
     """Value of the model state on the word ``w``.
 
-    1 for the empty word, 0 for odd length; otherwise the non-crossing
-    pairing sum, computed by one interval pass over the word's kernel.
+    1 for the empty word, exactly ``0j`` for odd length with no kernel
+    built; otherwise the non-crossing pairing sum, computed by one
+    interval pass over the word's kernel.
     """
     return _phi(m, tuple(w))
 
@@ -214,7 +252,8 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
     one side at the double of its time difference.  ``z`` may be complex;
     at real ``z`` this agrees with evaluating the shifted word directly up
     to rounding.  ``positions`` are 0-based indices and must form a
-    contiguous prefix or suffix block.
+    contiguous prefix or suffix block.  A word of odd length gives
+    exactly ``0j`` with no kernel built.
     """
     letters = tuple(w)
     n = len(letters)
@@ -226,6 +265,8 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
     is_suffix = pos == list(range(n - k, n))
     if not (is_prefix or is_suffix):
         raise ValueError("positions must form a prefix or suffix block")
+    if _is_odd(letters):
+        return 0j
     z, block = complex(z), set(pos)
     offsets = [z if i in block else 0j for i in range(n)]
     return pairing_sum(word_kernel(m, letters, offsets))

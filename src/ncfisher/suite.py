@@ -11,6 +11,7 @@ recorded but no identity is claimed for them.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,6 +49,8 @@ class CheckResult:
     passed: bool
     asserted: bool
     details: dict = field(default_factory=dict)
+    #: wall seconds the check took, set by :func:`run_suite`; not compared
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -190,24 +193,35 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
     )
 
 
+def _worst(residuals) -> tuple:
+    """(largest absolute, largest relative) of some :class:`Residual`s."""
+    worst = worst_relative = 0.0
+    for r in residuals:
+        worst = max(worst, float(r))
+        worst_relative = max(worst_relative, r.relative)
+    return worst, worst_relative
+
+
 def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
-                       count: int, degree: int) -> float:
-    """Worst insertion-identity residual of the letter of ``gen`` at time 0
-    over ``count`` pairs of random ``degree``-letter words drawn from
-    ``rng``."""
+                       count: int, degree: int) -> tuple:
+    """Worst absolute and worst relative insertion-identity residual of
+    the letter of ``gen`` at time 0 over ``count`` pairs of random
+    ``degree``-letter words drawn from ``rng``."""
     xi = NcPoly.letter(x(gen, 0))
-    worst = 0.0
-    for _ in range(count):
-        p = NcPoly.word(random_word(rng, [gen], degree))
-        q = NcPoly.word(random_word(rng, [gen], degree))
-        worst = max(worst, verify_insertion_identity(m, gen, p, q, xi))
-    return worst
+
+    def word():
+        return NcPoly.word(random_word(rng, [gen], degree))
+
+    # p is drawn before q, as arguments are evaluated left to right
+    return _worst(verify_insertion_identity(m, gen, word(), word(), xi)
+                  for _ in range(count))
 
 
 def check_insertion_identity(ctx: SuiteContext) -> CheckResult:
     tol = 1e-9
     m = ctx.two_atom
-    worst = insertion_residual(m, m.generators[0].gen_id, ctx.rng(4), 100, 4)
+    worst, _ = insertion_residual(m, m.generators[0].gen_id, ctx.rng(4),
+                                  100, 4)
     return CheckResult(
         "insertion_identity",
         "inserting the conjugate variable equals the two derivative pairings",
@@ -254,22 +268,22 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
 
 
 def core_residual(m: ModelSpec, gen: str, rng: random.Random,
-                  count: int, degree: int) -> float:
-    """Worst core-identity residual of the letter of ``gen`` at time 0 over
-    ``count`` random core words with ``degree`` letters drawn from
-    ``rng``."""
+                  count: int, degree: int) -> tuple:
+    """Worst absolute and worst relative core-identity residual of the
+    letter of ``gen`` at time 0 over ``count`` random core words with
+    ``degree`` letters drawn from ``rng``."""
     zeta = NcPoly.letter(x(gen, 0))
-    worst = 0.0
-    for _ in range(count):
-        q = random_core_word(rng, [gen], degree)
-        worst = max(worst, verify_core_identity(m, gen, q, zeta))
-    return worst
+    return _worst(
+        verify_core_identity(m, gen, random_core_word(rng, [gen], degree),
+                             zeta)
+        for _ in range(count)
+    )
 
 
 def check_core_identity(ctx: SuiteContext) -> CheckResult:
     tol = 1e-9
     m = ctx.two_atom
-    worst = core_residual(m, m.generators[0].gen_id, ctx.rng(6), 100, 4)
+    worst, _ = core_residual(m, m.generators[0].gen_id, ctx.rng(6), 100, 4)
     return CheckResult(
         "core_identity",
         "group-valued pairing of the embedded conjugate variable matches "
@@ -430,6 +444,12 @@ ALL_CHECK_IDS = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 
 def run_suite(seed: int = 0) -> list:
-    """Run every check, in the order of ``ALL_CHECK_IDS``."""
+    """Run every check, in the order of ``ALL_CHECK_IDS``, and time each."""
     ctx = SuiteContext.fresh(seed)
-    return [fn(ctx) for fn in _CHECKS]
+    results = []
+    for fn in _CHECKS:
+        started = time.perf_counter()
+        result = fn(ctx)
+        result.seconds = time.perf_counter() - started
+        results.append(result)
+    return results

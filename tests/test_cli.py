@@ -19,6 +19,7 @@ from ncfisher.conjugate import BasisSpec, DegenerateGramError, solve_family
 from ncfisher.model import load_model, two_atom_model
 from ncfisher.moments import MAX_WORD_LETTERS
 from ncfisher.suite import (
+    ALL_CHECK_IDS,
     SuiteContext,
     check_core_identity,
     check_insertion_identity,
@@ -538,3 +539,60 @@ def test_python_dash_m_entry_point():
     proc = run_module(["bound", "--alpha", "0.5", "--delta", "0.1"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outputs"]["value"] == 25.0
+
+
+def test_long_words_pass_on_the_relative_residual(capsys):
+    # p xi q of 56 letters with a state value near 9e11: the absolute
+    # residual is rounding far above --tol, the relative one is not
+    code, report = run_json(capsys, ["verify-lemma2", "--count", "1",
+                                     "--degree", "127", "--seed", "2"])
+    out = report["outputs"]
+    assert code == 0 and report["passed"] is True
+    assert out["max_residual"] > report["tolerance"]
+    assert out["max_relative_residual"] < 1e-15
+
+
+@pytest.mark.parametrize("command", sorted(DEGREE_FLAGS))
+def test_relative_residual_is_at_most_the_absolute(capsys, command):
+    flag, _ = DEGREE_FLAGS[command]
+    code, report = run_json(capsys, [command, "--count", "20", flag, "6"])
+    out = report["outputs"]
+    assert code == 0
+    assert 0 <= out["max_relative_residual"] <= out["max_residual"] < 1e-9
+
+
+DRAW_WORK = {"verify-lemma2": cli.lemma2_draw_work,
+             "verify-core": cli.core_draw_work}
+
+
+@pytest.mark.parametrize("command", sorted(DEGREE_FLAGS))
+def test_check_work_budget(command):
+    _, top = DEGREE_FLAGS[command]
+    work = DRAW_WORK[command]
+    # one draw at the largest degree fits, two do not
+    assert work(top) <= cli.MAX_CHECK_WORK < 2 * work(top)
+    # the defaults and the benchmark's runs (count 100, degree 4 to 6)
+    # stay far inside
+    assert 100 * work(6) * 1000 < cli.MAX_CHECK_WORK
+
+
+@pytest.mark.parametrize("command", sorted(DEGREE_FLAGS))
+@pytest.mark.parametrize("count", [2, cli.MAX_CHECK_COUNT])
+def test_check_work_over_budget_is_usage_error(capsys, command, count):
+    flag, top = DEGREE_FLAGS[command]
+    started = time.perf_counter()
+    assert run([command, "--count", str(count), flag, str(top)]) == 2
+    assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "work" in captured.err
+
+
+def test_suite_report_times_each_check_outside_outputs(capsys):
+    code, first = run_json(capsys, ["suite"])
+    _, second = run_json(capsys, ["suite"])
+    assert code == 0
+    assert sorted(first["timings"]) == sorted(ALL_CHECK_IDS)
+    assert all(s >= 0 for s in first["timings"].values())
+    assert "timings" not in json.dumps(first["outputs"])
+    assert json.dumps(first["outputs"]) == json.dumps(second["outputs"])

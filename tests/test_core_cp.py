@@ -262,3 +262,52 @@ def test_factoriality_bound_domain():
         factoriality_bound(1.0, 1.0)
     with pytest.raises(ValueError):
         factoriality_bound(0.5, 0.0)
+
+
+def checked(cw: CoreWord) -> CoreWord:
+    """The same core word through the validating constructor."""
+    return CoreWord(cw.word, cw.r, cw.coeff)
+
+
+def assert_canonical(cw: CoreWord) -> None:
+    built = checked(cw)
+    assert cw == built and hash(cw) == hash(built)
+    assert type(cw.word) is tuple and type(cw.r) is Fraction
+    assert type(cw.coeff) is complex
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_raw_built_core_words_equal_checked_ones(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        a = random_core_word(rng, ["g", "h"], 5) * complex(rng.random(), 1)
+        b = random_core_word(rng, ["g", "h"], 5)
+        for cw in (a * b, b * a, a * 2.5, 3 * b, a.adjoint(), b.adjoint()):
+            assert_canonical(cw)
+        product = CoreWord(a.word + tuple(l.shifted(a.r) for l in b.word),
+                           a.r + b.r, a.coeff * b.coeff)
+        assert a * b == product and hash(a * b) == hash(product)
+        for gen in ("g", "h"):
+            d = core_differentiate(gen, a)
+            for _, left, right in d:
+                assert_canonical(left)
+                assert_canonical(right)
+            legs = EtaBimoduleElem(
+                (c, checked(left), checked(right)) for c, left, right in d)
+            assert legs == d and hash(legs) == hash(d)
+
+
+def test_expectation_and_eta_map_hold_no_zero_coefficient(m, monkeypatch):
+    rng = random.Random(9)
+    for _ in range(40):
+        cw = random_core_word(rng, ["g"], 4)
+        for p in (conditional_expectation(m, cw), conditional_expectation(
+                m, cw * 0), eta_map(m, "g", rng_trig(rng))):
+            assert all(c != 0 for c in p.terms.values())
+    # eta vanishing at t = 1/2 drops that term
+    g = type(m.generators[0])
+    eta = g.eta
+    monkeypatch.setattr(
+        g, "eta", lambda self, t: 0j if t == Fraction(1, 2) else eta(self, t))
+    out = eta_map(m, "g", TrigPoly.u("1/2") + TrigPoly.u(1))
+    assert out.terms == {Fraction(1): m.generators[0].eta(1)}

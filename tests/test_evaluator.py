@@ -20,9 +20,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfisher import moments
-from ncfisher.algebra import Letter, x, y
+from ncfisher import core_cp, moments
+from ncfisher.algebra import Letter, NcPoly, x, y
 from ncfisher.brownian import expand_state
+from ncfisher.core_cp import CoreWord, verify_core_identity
 from ncfisher.model import GeneratorSpec, build_model, tracial_model
 from ncfisher.moments import (
     brute_force_oracle,
@@ -252,8 +253,9 @@ def test_eta_called_once_per_distinct_generator_and_difference(data):
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
                         max_size=16))
+    # an odd word is exactly 0 with no kernel built, so no eta call
     distinct = {(w[i].gen, w[k].time - w[i].time)
-                for i, k in compatible_pairs(w)}
+                for i, k in compatible_pairs(w) if len(w) % 2 == 0}
     with pytest.MonkeyPatch.context() as mp:
         counter = EtaCounter(mp)
         evaluate_state(m, w)
@@ -289,3 +291,61 @@ def test_eta_is_the_literal_exponential_sum(data):
         want = sum(a.w * cmath.exp(2j * math.pi * complex(z) * a.x)
                    for a in g.atoms)
         assert g.eta(z) == want
+
+
+def positive_zero(z: complex) -> bool:
+    return bits(z) == bits(0j)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_odd_words_are_positive_zero_with_no_eta_call(data):
+    m = data.draw(models())
+    w = data.draw(words(m, times=st.one_of(big_times, small_times),
+                        max_size=15).filter(lambda w: len(w) % 2))
+    n = len(w)
+    k = data.draw(st.integers(0, n))
+    block = data.draw(st.sampled_from([range(k), range(k, n)]))
+    z = complex(data.draw(st.integers(-4, 4)) / 4,
+                data.draw(st.sampled_from([0.0, -1.0, 1.0])))
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        plain = evaluate_state(m, w)
+        shifted = evaluate_state_shifted(m, w, block, z)
+    assert positive_zero(plain) and positive_zero(shifted)
+    assert counter.calls == []
+
+
+@pytest.mark.parametrize("n", [moments.MAX_WORD_LETTERS + 1,
+                               moments.MAX_WORD_LETTERS + 2])
+def test_words_over_the_size_limit_are_refused_at_either_parity(n):
+    m = tracial_model()
+    w = (x("g", 0),) * n
+    with pytest.raises(moments.SizeLimitError):
+        evaluate_state(m, w)
+    with pytest.raises(moments.SizeLimitError):
+        evaluate_state_shifted(m, w, range(n // 2, n), 0.5 + 1j)
+
+
+def test_core_identity_builds_kernels_for_even_words_only(monkeypatch):
+    # Q has 5 letters: zeta* Q has 6, and the derivative splits the rest
+    # of Q into a prefix and a suffix of 4 letters together
+    m = tracial_model()
+    evaluated, kernels = [], []
+    original_state = core_cp.evaluate_state
+    original_kernel = moments.word_kernel
+
+    def state(m, w):
+        evaluated.append(len(w))
+        return original_state(m, w)
+
+    def kernel(m, letters, offsets=None):
+        kernels.append(len(letters))
+        return original_kernel(m, letters, offsets)
+
+    monkeypatch.setattr(core_cp, "evaluate_state", state)
+    monkeypatch.setattr(moments, "word_kernel", kernel)
+    q = CoreWord(tuple(x("g", Fraction(k, 2)) for k in range(5)), 1)
+    assert verify_core_identity(m, "g", q, NcPoly.letter(x("g", 0))) < 1e-12
+    assert any(n % 2 for n in evaluated)
+    assert kernels == [n for n in evaluated if n % 2 == 0]
