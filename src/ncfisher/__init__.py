@@ -44,7 +44,6 @@ from .derivation import (
     FamilyError,
     TensorElem,
     differentiate,
-    pair_with_y,
     verify_insertion_identity,
 )
 from .conjugate import (

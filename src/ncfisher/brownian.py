@@ -2,41 +2,44 @@
 
 Replacing every letter X_t of a word by X_t + sqrt(eps) Y_t and expanding
 gives a polynomial in sqrt(eps) whose coefficients are states of mixed
-words: the power eps^(k/2) collects the subsets of k positions flipped to
-the partner family.  Parity kills all odd half-powers, the constant term
-is the original state, and the first-order coefficient matches the sum of
+words: the power eps^(k/2) collects the words with k letters flipped to
+the partner family.  Those sums have a closed form.  A flipped letter
+pairs with a flipped letter of its generator exactly as the letters it
+replaces would, and with an unflipped letter not at all, so a set of
+flipped positions counts for a non-crossing pairing exactly when it is a
+union of that pairing's pairs.  Every pairing of an n-letter word has n/2
+pairs, so the eps^j coefficient is C(n/2, j) times the state of the word
+and every odd half-power is exactly 0: X + sqrt(eps) Y has the law of
+sqrt(1 + eps) X (the free Gaussian functor).  The constant term is the
+original state, and the first-order coefficient matches half the sum of
 single-letter substitutions by the (time-shifted) conjugate variable.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 from typing import Mapping
 
 from .algebra import NcPoly, Word, X_FAMILY
 from .derivation import FamilyError
 from .model import ModelSpec
-from .moments import SizeLimitError, expectation, pairing_sum, word_kernel
+from .moments import Residual, evaluate_state, expectation
 
 __all__ = [
     "EpsExpansion",
-    "MAX_EXPANSION_WORDS",
     "expand_state",
     "verify_gradient_expansion",
 ]
-
-#: most flipped words one expansion may evaluate
-MAX_EXPANSION_WORDS = 100_000
 
 
 @dataclass(frozen=True)
 class EpsExpansion:
     """Coefficients of the expansion, keyed by the power of eps.
 
-    Keys are exact half-integers (Fractions); entries for odd half-powers
-    are present and computed, and vanish by pairing parity.
+    Keys are exact half-integers (Fractions).  Entries for odd half-powers
+    are present and exactly ``0j``: an odd set of flipped letters is not a
+    union of pairs.
     """
 
     coefficients: Mapping
@@ -56,12 +59,13 @@ class EpsExpansion:
 def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
     """State of ``w`` after the substitution, truncated at eps^max_order.
 
-    Sums over subsets of positions replaced by partner letters at the same
-    generator and time, with weight eps^(|subset|/2).  Flipping changes
-    only which letters pair, not their time differences, so the kernel of
-    ``w`` is built once and each subset keeps the pairs on one side of it.
-    Raises :class:`SizeLimitError` before any work when there would be more
-    than ``MAX_EXPANSION_WORDS`` subsets.
+    The coefficient of eps^(k/2), for k = 0 .. min(n, 2 max_order), is the
+    sum of the states of ``w`` with k of its n letters replaced by partner
+    letters at the same generator and time.  A flipped set counts for a
+    pairing exactly when it is a union of the pairing's n/2 pairs, so that
+    sum is C(n/2, k/2) state(w) for even k and exactly ``0j`` for odd k.
+    The state of ``w`` is evaluated once; ``moments.MAX_WORD_LETTERS``
+    bounds the word, and :class:`SizeLimitError` is raised past it.
     """
     letters = tuple(w)
     if any(l.family != X_FAMILY for l in letters):
@@ -69,46 +73,35 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError("max_order must be a nonnegative integer")
     n = len(letters)
-    top = min(n, 2 * max_order)
-    count = 0
-    for k in range(top + 1):
-        count += math.comb(n, k)
-        if count > MAX_EXPANSION_WORDS:
-            raise SizeLimitError(
-                f"expansion of a {n}-letter word to order {max_order} has "
-                f"more than {MAX_EXPANSION_WORDS} flipped words"
-            )
-    rows = word_kernel(m, letters)
-    coeffs = {}
-    for k in range(top + 1):
-        total = 0j
-        for subset in combinations(range(n), k):
-            flipped = [False] * n
-            for i in subset:
-                flipped[i] = True
-            total += pairing_sum([
-                [(j, c) for j, c in row if flipped[j] == flipped[i]]
-                for i, row in enumerate(rows)
-            ])
-        coeffs[Fraction(k, 2)] = total
-    return EpsExpansion(coefficients=coeffs)
+    phi = evaluate_state(m, letters)
+    return EpsExpansion(coefficients={
+        Fraction(k, 2): comb(n // 2, k // 2) * phi if k % 2 == 0 else 0j
+        for k in range(min(n, 2 * max_order) + 1)
+    })
 
 
-def verify_gradient_expansion(m: ModelSpec, w: Word, xi: NcPoly) -> float:
+def verify_gradient_expansion(m: ModelSpec, w: Word, xi: NcPoly) -> Residual:
     """Residual of the first-order coefficient against the substitution sum.
 
-    Compares the eps^1 coefficient with half the sum over positions k of
-    the state of ``w`` with its k-th letter replaced by ``xi`` shifted to
-    that letter's time; small when ``xi`` is the conjugate variable.
+    Compares the eps^1 coefficient c1 with half the sum over positions k
+    of the state of ``w`` with its k-th letter replaced by ``xi`` shifted
+    to that letter's time; small when ``xi`` is the conjugate variable.
+    The scale is |c1| plus half the summed magnitudes of those states.
+    This check is the cost of a long word: n substituted words of about n
+    letters each, so its work grows as n^4 (256^4 at ``MAX_WORD_LETTERS``
+    with a one-letter ``xi``).
     """
     letters = tuple(w)
     c1 = expand_state(m, letters, 1).coefficient(1)
     total = 0j
+    size = 0.0
     for k, letter in enumerate(letters):
         substituted = (
             NcPoly.word(letters[:k])
             * xi.shift(letter.time)
             * NcPoly.word(letters[k + 1:])
         )
-        total += expectation(m, substituted)
-    return abs(c1 - 0.5 * total)
+        value = expectation(m, substituted)
+        total += value
+        size += abs(value)
+    return Residual(abs(c1 - 0.5 * total), abs(c1) + 0.5 * size)

@@ -245,11 +245,13 @@ def _cmd_moment(m, args):
         "value": detail.value,
         "partition_count": detail.partition_count,
     }
+    passed = None
     if len(w) <= ORACLE_MAX_LETTERS:
         oracle = brute_force_oracle(m, w)
         out["oracle_value"] = oracle
         out["oracle_diff"] = abs(detail.value - oracle)
-    return out, None
+        passed = out["oracle_diff"] <= args.tol * max(1.0, detail.magnitude)
+    return out, passed
 
 
 def _solver_health(sol) -> dict:
@@ -386,7 +388,8 @@ def _cmd_brownian(m, args):
         "coefficients": {str(p): c for p, c in
                          sorted(expansion.coefficients.items())},
         "gradient_residual": residual,
-    }, residual < args.tol
+        "gradient_relative_residual": residual.relative,
+    }, residual.relative < args.tol
 
 
 def _cmd_bound(m, args):

@@ -1,7 +1,7 @@
 """Symbolic layer for the crossed product of the model by its modular flow.
 
-Elements are handled in two shapes: trigonometric polynomials (finitely
-supported combinations of the flow unitaries U_r, a *-algebra under
+Elements are handled in two shapes: trigonometric polynomials (finite
+sums of multiples of the flow unitaries U_r, a *-algebra under
 U_s U_t = U_{s+t}) and core words, i.e. scalar multiples of products of
 primary letters and U steps.  The commutation rule U_s X_t = X_{t+s} U_s
 brings every such product to the normal form (word) * U_r with exact

@@ -34,7 +34,6 @@ __all__ = [
     "FamilyError",
     "TensorElem",
     "differentiate",
-    "pair_with_y",
     "verify_insertion_identity",
 ]
 
@@ -129,20 +128,6 @@ def differentiate(gen_id: str, p: NcPoly) -> TensorElem:
             if letter.family == X_FAMILY and letter.gen == gen_id:
                 _accumulate(out, (w[:k], gen_id, letter.time, w[k + 1:]), c)
     return TensorElem._raw(out)
-
-
-def pair_with_y(m: ModelSpec, e: TensorElem, y_time: TimeLike = 0) -> complex:
-    """Inner product of the partner letter at ``y_time`` with ``e``.
-
-    Each term contributes c * state(Y_{y_time} . left . Y_mid . right),
-    the partner letter taken from the term's own generator.
-    """
-    t0 = as_time(y_time)
-    total = 0j
-    for (left, gen, mid, right), c in e._terms.items():
-        word = (y(gen, t0),) + left + (y(gen, mid),) + right
-        total += c * evaluate_state(m, word)
-    return total
 
 
 def _state_poly_tensor(m: ModelSpec, p: NcPoly, e: TensorElem, y_first: bool,

@@ -79,17 +79,19 @@ MAX_WORD_LETTERS = 256
 
 class SizeLimitError(ValueError):
     """Input too large for the work asked of it: a word too long for the
-    interval pass or the exhaustive oracle, or a noise expansion with too
-    many subsets."""
+    interval pass or the exhaustive oracle."""
 
 
 @dataclass(frozen=True)
 class StateValue:
-    """State value plus the number of family-compatible non-crossing
-    pairings that contributed (a diagnostic, not part of the value)."""
+    """State value plus two diagnostics that are not part of it: the
+    number of family-compatible non-crossing pairings that contributed,
+    and ``magnitude``, the sum of the magnitudes of their kernel products,
+    the scale against which the value's rounding is measured."""
 
     value: complex
     partition_count: int
+    magnitude: float
 
 
 class Residual(float):
@@ -239,6 +241,8 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     return StateValue(
         value=pairing_sum(rows),
         partition_count=pairing_sum(mask, 1),
+        magnitude=pairing_sum([[(k, abs(c)) for k, c in row] for row in rows],
+                              1.0),
     )
 
 

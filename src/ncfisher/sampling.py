@@ -8,14 +8,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import NcPoly, Word, X_FAMILY, x, y
+from .algebra import Word, X_FAMILY, x, y
 from .core_cp import CoreWord
 
 __all__ = [
     "HALF_GRID",
     "random_time",
     "random_word",
-    "random_ncpoly",
     "random_core_word",
 ]
 
@@ -45,21 +44,6 @@ def random_word(
         t = random_time(rng, pool)
         letters.append(x(gen, t) if fam == X_FAMILY else y(gen, t))
     return tuple(letters)
-
-
-def random_ncpoly(
-    rng: random.Random,
-    gens,
-    max_len: int,
-    n_terms: int = 3,
-    pool=HALF_GRID,
-) -> NcPoly:
-    terms = []
-    for _ in range(rng.randint(1, n_terms)):
-        w = random_word(rng, gens, max_len, pool=pool)
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        terms.append((w, c))
-    return NcPoly(terms)
 
 
 def random_core_word(

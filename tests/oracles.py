@@ -6,12 +6,23 @@ crossing ones with the literal predicate and multiplies the kernel along
 each survivor, in the same order.  The L2 forms multiply polynomials
 symbolically and evaluate the state word by word, the definitions the
 Fock-coordinate audits of :mod:`ncfisher.conjugate` stand in for.
+``flipped_word_sums`` is the noise expansion by its definition, one
+pairing pass per set of flipped letters, which
+:func:`ncfisher.brownian.expand_state` replaces by its closed form.
+``pair_with_y`` and ``random_ncpoly`` are helpers only the tests use.
 """
 import math
+import random
+from fractions import Fraction
+from itertools import combinations
 
-from ncfisher.algebra import NcPoly
+from ncfisher.algebra import NcPoly, TimeLike, as_time, y
 from ncfisher.conjugate import BasisSpec, solve_conjugate
-from ncfisher.moments import covariance, expectation
+from ncfisher.derivation import TensorElem
+from ncfisher.model import ModelSpec
+from ncfisher.moments import (covariance, evaluate_state, expectation,
+                              pairing_sum, word_kernel)
+from ncfisher.sampling import HALF_GRID, random_word
 
 
 def all_pairings(items):
@@ -76,3 +87,65 @@ def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
     sol0 = solve_conjugate(m, gen, basis, b_gens)
     sol1 = solve_conjugate(m, gen, basis.shifted(s), b_gens, target_time=s)
     return l2_distance(m, sol0.polynomial().shift(s), sol1.polynomial())
+
+
+def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
+    """Noise expansion of ``w`` by enumeration: for k = 0 .. min(n,
+    2 max_order), the key ``Fraction(k, 2)`` holds the sum over every set
+    of k positions of the state of ``w`` with those letters flipped to
+    the partner family.
+
+    Flipping changes only which letters pair, not their time differences,
+    so the kernel of ``w`` is built once and each set keeps the pairs on
+    one side of it.  With ``absolute`` the kernel entries are replaced by
+    their magnitudes, which sums the magnitudes of the pairing terms.
+    """
+    letters = tuple(w)
+    n = len(letters)
+    rows = word_kernel(m, letters)
+    if absolute:
+        rows = [[(j, abs(c)) for j, c in row] for row in rows]
+    coeffs = {}
+    for k in range(min(n, 2 * max_order) + 1):
+        total = 0j
+        for subset in combinations(range(n), k):
+            flipped = [False] * n
+            for i in subset:
+                flipped[i] = True
+            total += pairing_sum([
+                [(j, c) for j, c in row if flipped[j] == flipped[i]]
+                for i, row in enumerate(rows)
+            ])
+        coeffs[Fraction(k, 2)] = total
+    return coeffs
+
+
+def pair_with_y(m: ModelSpec, e: TensorElem, y_time: TimeLike = 0) -> complex:
+    """Inner product of the partner letter at ``y_time`` with ``e``.
+
+    Each term contributes c * state(Y_{y_time} . left . Y_mid . right),
+    the partner letter taken from the term's own generator.
+    """
+    t0 = as_time(y_time)
+    total = 0j
+    for (left, gen, mid, right), c in e._terms.items():
+        word = (y(gen, t0),) + left + (y(gen, mid),) + right
+        total += c * evaluate_state(m, word)
+    return total
+
+
+def random_ncpoly(
+    rng: random.Random,
+    gens,
+    max_len: int,
+    n_terms: int = 3,
+    pool=HALF_GRID,
+) -> NcPoly:
+    """Between 1 and ``n_terms`` random words of at most ``max_len``
+    letters with coefficients uniform in the unit square."""
+    terms = []
+    for _ in range(rng.randint(1, n_terms)):
+        w = random_word(rng, gens, max_len, pool=pool)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        terms.append((w, c))
+    return NcPoly(terms)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from ncfisher import brownian, moments
 from ncfisher.algebra import NcPoly, x, y
 from ncfisher.brownian import expand_state, verify_gradient_expansion
 from ncfisher.derivation import FamilyError
 from ncfisher.model import two_atom_model
-from ncfisher.moments import SizeLimitError, evaluate_state
+from ncfisher.moments import evaluate_state
 from ncfisher.sampling import HALF_GRID, random_word
 
 
@@ -101,9 +102,18 @@ def test_gradient_identity_solver_output(m):
         assert verify_gradient_expansion(m, w, xi) < 1e-8
 
 
-def test_expansion_size_limit_precedes_work(m):
-    w = (x("g", 0),) * 40
-    with pytest.raises(SizeLimitError):
-        expand_state(m, w, 20)
-    # the limit counts only the subsets up to the order
-    assert len(expand_state(m, w, 1).powers()) == 3
+def test_expansion_builds_one_kernel(m, monkeypatch):
+    # the closed form evaluates the word once; enumerating flipped words
+    # would run one pairing pass per set of flipped letters
+    calls = dict.fromkeys(("word_kernel", "pairing_sum"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(moments, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(moments, name, counted)
+        monkeypatch.setattr(brownian, name, counted, raising=False)
+    w = tuple(x("g", Fraction(k % 5, 2)) for k in range(12))
+    exp = expand_state(m, w, 6)
+    assert calls == {"word_kernel": 1, "pairing_sum": 1}
+    assert len(exp.powers()) == 13

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ncfisher
-from ncfisher import cli
+from ncfisher import cli, moments
 from ncfisher.cli import run
 from ncfisher.conjugate import BasisSpec, DegenerateGramError, solve_family
 from ncfisher.model import load_model, two_atom_model
@@ -54,12 +54,25 @@ def test_moment_alternating_word(capsys):
     assert out["value"]["im"] == pytest.approx(expected.imag, abs=1e-10)
     assert out["partition_count"] == 2
     assert out["oracle_diff"] < 1e-10
+    assert report["passed"] is True
 
 
 def test_moment_accepts_partner_letters(capsys):
     code, report = run_json(capsys, ["moment", "--word", "Y:0 X:0 X:0 Y:1"])
     assert code == 0
     assert report["outputs"]["oracle_diff"] < 1e-10
+
+
+def test_moment_asserts_oracle_agreement(monkeypatch, capsys):
+    # past the oracle's 12 letters nothing is asserted
+    word = " ".join(["X:0"] * 14)
+    code, report = run_json(capsys, ["moment", "--word", word])
+    assert (code, report["passed"]) == (0, None)
+    assert "oracle_diff" not in report["outputs"]
+    monkeypatch.setattr(cli, "brute_force_oracle",
+                        lambda m, w: moments.brute_force_oracle(m, w) + 1e-6)
+    code, report = run_json(capsys, ["moment", "--word", "X:0 X:1 X:0 X:1"])
+    assert (code, report["passed"]) == (1, False)
 
 
 def test_brownian_rejects_partner_letters(capsys):
@@ -169,6 +182,20 @@ def test_brownian_command(capsys):
     assert coeffs["1/2"]["re"] == 0.0
 
 
+def test_brownian_passes_on_relative_residual(tmp_path, capsys):
+    # |state| is 2.7e7 here, so the absolute residual is about 1e-6
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0.2, "w": 0.7}]}]}))
+    word = " ".join(f"Xg:{k % 5}/2" for k in range(96))
+    code, report = run_json(capsys, ["brownian", "--model", str(path),
+                                     "--order", "0", "--word", word])
+    out = report["outputs"]
+    assert out["gradient_residual"] > 1e-9
+    assert out["gradient_relative_residual"] < 1e-14
+    assert (code, report["passed"]) == (0, True)
+
+
 def test_model_file_roundtrip(tmp_path, capsys):
     config = {
         "generators": [
@@ -235,15 +262,28 @@ def test_conjugate_degree_bound_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_brownian_expansion_bound_is_usage_error(capsys):
-    word = " ".join(f"X:{k}" for k in range(40))
-    started = time.perf_counter()
-    assert run(["brownian", "--word", word, "--order", "20"]) == 2
-    assert time.perf_counter() - started < 5.0
+def test_brownian_word_over_letter_limit_is_usage_error(monkeypatch, capsys):
+    kernels = []
+    monkeypatch.setattr(moments, "word_kernel",
+                        lambda *args: kernels.append(args))
+    word = " ".join(["X:0"] * (MAX_WORD_LETTERS + 1))
+    assert run(["brownian", "--word", word]) == 2
+    assert kernels == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_brownian_long_expansion_is_quick(capsys):
+    # 41 coefficients of a 40-letter word, each from one state value
+    word = " ".join(f"X:{k}" for k in range(40))
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["brownian", "--word", word,
+                                     "--order", "20"])
+    assert time.perf_counter() - started < 5.0
+    assert code == 0
+    assert len(report["outputs"]["coefficients"]) == 41
 
 
 def test_degenerate_gram_is_usage_error(monkeypatch, capsys):

@@ -25,7 +25,7 @@ from ncfisher.conjugate import (
     solve_conjugate,
     solve_family,
 )
-from ncfisher.derivation import differentiate, pair_with_y
+from ncfisher.derivation import differentiate
 from ncfisher.model import (
     ConfigError,
     build_model,
@@ -35,6 +35,7 @@ from ncfisher.model import (
 from ncfisher.moments import fock_vectors
 from oracles import (
     l2_distance,
+    pair_with_y,
     symbolic_covariance_residual,
     symbolic_self_adjoint_defect,
 )

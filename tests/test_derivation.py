@@ -9,12 +9,12 @@ from ncfisher.derivation import (
     FamilyError,
     TensorElem,
     differentiate,
-    pair_with_y,
     verify_insertion_identity,
 )
 from ncfisher.model import tracial_model, two_atom_model
 from ncfisher.moments import brute_force_oracle, evaluate_state
 from ncfisher.sampling import random_word
+from oracles import pair_with_y
 
 TIMES = [Fraction(k, 2) for k in range(-2, 3)]
 

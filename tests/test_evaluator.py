@@ -4,7 +4,8 @@ Values are compared with the exhaustive oracle within 1e-12 of the pairing
 scale (number of compatible non-crossing pairings times the largest second
 moment to the power of the pair count); partition counts with a literal
 count of the oracle's compatible non-crossing pairings; the noise
-expansion exactly with its definition as a sum of states of flipped words.
+expansion's closed form with its definition as a sum of states of flipped
+words, within 1e-12 of the summed magnitudes of their pairing terms.
 The kernel is compared bit for bit with the covariance of each letter pair,
 and its eta calls are counted against the distinct differences it needs.
 The pruned depth-first oracle is compared bit for bit with the literal
@@ -33,7 +34,8 @@ from ncfisher.moments import (
     evaluate_state_shifted,
     word_kernel,
 )
-from oracles import all_pairings, is_noncrossing, literal_oracle
+from oracles import (all_pairings, flipped_word_sums, is_noncrossing,
+                     literal_oracle)
 
 RTOL = 1e-12
 
@@ -212,11 +214,28 @@ def test_expansion_is_the_sum_over_flipped_words(data):
                             for k in range(min(n, 2 * order) + 1)]
     for k in range(min(n, 2 * order) + 1):
         total = 0j
+        scale = 0.0
         for subset in combinations(range(n), k):
             flipped = tuple(y(l.gen, l.time) if i in subset else l
                             for i, l in enumerate(w))
-            total += evaluate_state(m, flipped)
-        assert exp.coefficient(Fraction(k, 2)) == total
+            detail = evaluate_state_detailed(m, flipped)
+            total += detail.value
+            scale += detail.magnitude
+        assert abs(exp.coefficient(Fraction(k, 2)) - total) <= RTOL * scale
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_expansion_closed_form_matches_enumeration(data):
+    m = data.draw(models())
+    w = data.draw(words(m, families=(x,), max_size=12))
+    order = data.draw(st.integers(0, 6))
+    got = expand_state(m, w, order).coefficients
+    want = flipped_word_sums(m, w, order)
+    scale = flipped_word_sums(m, w, order, absolute=True)
+    assert list(got) == list(want)
+    for p, value in want.items():
+        assert abs(got[p] - value) <= RTOL * abs(scale[p]), (w, p)
 
 
 @given(data=st.data())

@@ -13,8 +13,9 @@ from ncfisher.moments import (
     expectation,
 )
 from ncfisher.model import tracial_model, two_atom_model
-from ncfisher.sampling import HALF_GRID, random_ncpoly, random_word
-from oracles import all_pairings, inner_product, is_noncrossing
+from ncfisher.sampling import HALF_GRID, random_word
+from oracles import (all_pairings, inner_product, is_noncrossing,
+                     random_ncpoly)
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 
