@@ -80,12 +80,15 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
     })
 
 
-def verify_gradient_expansion(m: ModelSpec, w: Word, xi: NcPoly) -> Residual:
+def verify_gradient_expansion(m: ModelSpec, w: Word,
+                              xi: Mapping[str, NcPoly]) -> Residual:
     """Residual of the first-order coefficient against the substitution sum.
 
     Compares the eps^1 coefficient c1 with half the sum over positions k
-    of the state of ``w`` with its k-th letter replaced by ``xi`` shifted
-    to that letter's time; small when ``xi`` is the conjugate variable.
+    of the state of ``w`` with its k-th letter replaced by ``xi[g]``, g
+    the letter's generator, shifted to the letter's time; small when each
+    ``xi[g]`` is the conjugate variable of g.  ``xi`` maps every generator
+    of ``w`` to its polynomial.
     The scale is |c1| plus half the summed magnitudes of those states.
     This check is the cost of a long word: n substituted words of about n
     letters each, so its work grows as n^4 (256^4 at ``MAX_WORD_LETTERS``
@@ -98,7 +101,7 @@ def verify_gradient_expansion(m: ModelSpec, w: Word, xi: NcPoly) -> Residual:
     for k, letter in enumerate(letters):
         substituted = (
             NcPoly.word(letters[:k])
-            * xi.shift(letter.time)
+            * xi[letter.gen].shift(letter.time)
             * NcPoly.word(letters[k + 1:])
         )
         value = expectation(m, substituted)

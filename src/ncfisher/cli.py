@@ -210,7 +210,9 @@ def _gens_from_args(m: ModelSpec, args) -> list:
 
 
 def _cmd_check_kms(m, args):
-    grid = _parse_floats(args.grid) if args.grid else KMS_GRID
+    grid = KMS_GRID if args.grid is None else _parse_floats(args.grid)
+    if not grid:
+        raise ConfigError(f"--grid {args.grid!r} holds no times")
     for t in grid:
         _check_phase(m, t, "--grid")
     reports = []
@@ -379,9 +381,8 @@ def _cmd_brownian(m, args):
     w = parse_word(m, args.word, allow_y=False)
     if not w:
         raise ConfigError("brownian needs a non-empty word")
-    target = w[0].gen
     expansion = expand_state(m, w, args.order)
-    xi = NcPoly.letter(x(target, 0))
+    xi = {g: NcPoly.letter(x(g, 0)) for g in {l.gen for l in w}}
     residual = verify_gradient_expansion(m, w, xi)
     return {
         "word": word_str(w),
@@ -443,18 +444,7 @@ _HANDLERS = {
 }
 
 
-def _common_flags(tol: float) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="model config JSON; a built-in "
-                        "two-atom example is used when omitted")
-    common.add_argument("--tol", type=float, default=tol)
-    common.add_argument("--seed", type=int, default=0)
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags(1e-9)
-
     parser = argparse.ArgumentParser(
         prog="ncfisher",
         description="moments, conjugate variables and Fisher information "
@@ -462,13 +452,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-kms", parents=[common],
-                       help="detailed balance and boundary identity")
+    def command(name, help, model=True, tol=1e-9, seed=False):
+        # a subcommand with the common flags its handler reads: --model
+        # unless model is false, --tol unless tol is None, --seed if seed
+        p = sub.add_parser(name, help=help)
+        if model:
+            p.add_argument("--model", help="model config JSON; a built-in "
+                           "two-atom example is used when omitted")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        return p
+
+    p = command("check-kms", help="detailed balance and boundary identity")
     p.add_argument("--grid", help="comma separated real times "
                    "(default: 101 points on [-5, 5])")
 
-    p = sub.add_parser("moment", parents=[common],
-                       help="evaluate the state on a word")
+    p = command("moment", help="evaluate the state on a word")
     p.add_argument("--word", required=True,
                    help='e.g. "X:0 X:1 X:0 X:1" or "Y:0 X:1/2"')
 
@@ -477,65 +478,60 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma separated rational times")
         p.add_argument("--degree", type=int, default=degree)
 
-    p = sub.add_parser("conjugate", parents=[common],
-                       help="solve for the conjugate variable")
+    p = command("conjugate", help="solve for the conjugate variable")
     add_basis_flags(p)
     p.add_argument("--target", default="", help="generator id")
     p.add_argument("--b-gens", default="", help="comma separated other ids")
     p.add_argument("--time", default="0", help="target letter time")
 
-    p = sub.add_parser("fisher", parents=[common],
-                       help="summed normalized information of a family")
+    p = command("fisher", tol=None,
+                help="summed normalized information of a family")
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--gens", default="", help="comma separated ids "
                    "(default: all)")
 
-    p = sub.add_parser("cramer-rao", parents=[_common_flags(1e-7)],
-                       help="information-variance audit")
+    p = command("cramer-rao", tol=1e-7, help="information-variance audit")
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--gens", default="")
 
-    p = sub.add_parser("chi-star", parents=[common],
-                       help="entropy-style quadrature")
+    p = command("chi-star", tol=None, help="entropy-style quadrature")
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--gens", default="")
     p.add_argument("--eps", default="0,0.25,0.5,0.75,1")
     p.add_argument("--tail-cutoff", type=float, default=10.0)
 
-    p = sub.add_parser("verify-lemma2", parents=[common],
-                       help="insertion identity on random inputs")
+    p = command("verify-lemma2", seed=True,
+                help="insertion identity on random inputs")
     p.add_argument("--target", default="")
     p.add_argument("--count", type=int, default=100,
                    help=f"random word pairs, 1 to {MAX_CHECK_COUNT}")
     p.add_argument("--degree", type=int, default=4,
                    help=f"most letters in p and q, 1 to {MAX_LEMMA2_DEGREE}")
 
-    p = sub.add_parser("verify-core", parents=[common],
-                       help="crossed-product pairing identity")
+    p = command("verify-core", seed=True,
+                help="crossed-product pairing identity")
     p.add_argument("--target", default="")
     p.add_argument("--count", type=int, default=100,
                    help=f"random core words, 1 to {MAX_CHECK_COUNT}")
     p.add_argument("--x-degree", type=int, default=4,
                    help=f"most letters in Q, 1 to {MAX_CORE_DEGREE}")
 
-    p = sub.add_parser("brownian", parents=[common],
-                       help="noise expansion of a word")
+    p = command("brownian", help="noise expansion of a word")
     p.add_argument("--word", required=True)
     p.add_argument("--order", type=int, default=2)
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="projection information bound")
+    p = command("bound", model=False, tol=None,
+                help="projection information bound")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = sub.add_parser("covariance", parents=[common],
-                       help="modular covariance of the solver")
+    p = command("covariance", help="modular covariance of the solver")
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--target", default="")
     p.add_argument("--shift", default="1/2")
 
-    sub.add_parser("suite", parents=[common],
-                   help="run the full acceptance battery")
+    command("suite", model=False, tol=None, seed=True,
+            help="run the full acceptance battery")
     return parser
 
 
@@ -571,22 +567,23 @@ def run(argv=None) -> int:
     args = _parser().parse_args(_merge_negative_values(list(argv)))
     started = time.perf_counter()
     try:
-        m = load_model(args.model) if args.model else two_atom_model()
+        m = None
+        if "model" in args:
+            m = load_model(args.model) if args.model else two_atom_model()
         handler = _HANDLERS[args.command]
         outputs, passed, *timings = handler(m, args)
         report = {
             "command": args.command,
-            "model_digest": _model_digest(m),
-            "inputs": {
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("command",) and v is not None
-            },
+            "inputs": {k: v for k, v in vars(args).items()
+                       if k != "command" and v is not None},
             "outputs": outputs,
-            "tolerance": args.tol,
             "passed": passed,
-            "wall_time_s": time.perf_counter() - started,
         }
+        if m is not None:
+            report["model_digest"] = _model_digest(m)
+        if "tol" in args:
+            report["tolerance"] = args.tol
+        report["wall_time_s"] = time.perf_counter() - started
         if timings:
             report["timings"] = timings[0]
         # strict JSON: a non-finite number becomes a usage error, exit 2

@@ -246,7 +246,7 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
         )
     tol = 1e-9
     rng = ctx.rng(5)
-    xi = NcPoly.letter(x(gen, 0))
+    xi = {gen: NcPoly.letter(x(gen, 0))}
     worst = 0.0
     for _ in range(50):
         w = random_word(rng, [gen], 6, even=True)

@@ -73,13 +73,13 @@ def test_rejects_partner_letters_and_bad_order(m):
 
 
 def test_gradient_identity_two_letters(m):
-    xi = NcPoly.letter(x("g", 0))
+    xi = {"g": NcPoly.letter(x("g", 0))}
     assert verify_gradient_expansion(m, (x("g", 0), x("g", 0)), xi) < 1e-14
     assert verify_gradient_expansion(m, (x("g", 0), x("g", 1)), xi) < 1e-14
 
 
 def test_gradient_identity_random_words(m):
-    xi = NcPoly.letter(x("g", 0))
+    xi = {"g": NcPoly.letter(x("g", 0))}
     rng = random.Random(18)
     worst = 0.0
     for _ in range(40):
@@ -95,7 +95,7 @@ def test_gradient_identity_solver_output(m):
     sol = solve_conjugate(
         m, "g", BasisSpec(tuple(Fraction(k, 2) for k in range(-1, 2)), 2)
     )
-    xi = sol.polynomial()
+    xi = {"g": sol.polynomial()}
     rng = random.Random(19)
     for _ in range(10):
         w = random_word(rng, ["g"], 4, even=True)

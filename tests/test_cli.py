@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -40,7 +42,8 @@ def test_bound_command(capsys):
     assert code == 0
     assert report["outputs"]["value"] == 25.0
     assert report["command"] == "bound"
-    assert "model_digest" in report
+    # bound reads no model and no tolerance, so its report names neither
+    assert "model_digest" not in report and "tolerance" not in report
 
 
 def test_moment_alternating_word(capsys):
@@ -113,6 +116,15 @@ def test_check_kms(capsys):
     gens = report["outputs"]["generators"]
     assert gens[0]["detailed_balance_ok"] is True
     assert report["outputs"]["max_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("grid", [",", ""])
+def test_check_kms_empty_grid_is_usage_error(capsys, grid):
+    assert run(["check-kms", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_fisher_default(capsys):
@@ -196,6 +208,19 @@ def test_brownian_passes_on_relative_residual(tmp_path, capsys):
     assert (code, report["passed"]) == (0, True)
 
 
+def test_brownian_multi_generator_word(tmp_path, capsys):
+    # each letter is substituted by the conjugate variable of its own
+    # generator, not of the first letter's
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": n, "mode": "half",
+         "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]} for n in "ab"]}))
+    code, report = run_json(capsys, ["brownian", "--model", str(path),
+                                     "--word", "Xa:0 Xa:0 Xb:0 Xb:0"])
+    assert (code, report["passed"]) == (0, True)
+    assert report["outputs"]["gradient_relative_residual"] < 1e-12
+
+
 def test_model_file_roundtrip(tmp_path, capsys):
     config = {
         "generators": [
@@ -235,7 +260,7 @@ def test_missing_model_file(capsys):
 def test_reports_deterministic_modulo_wall_time(capsys):
     def snap():
         code, report = run_json(
-            capsys, ["moment", "--word", "X:0 X:1/2 X:0 X:1/2", "--seed", "7"]
+            capsys, ["moment", "--word", "X:0 X:1/2 X:0 X:1/2"]
         )
         assert code == 0
         report.pop("wall_time_s")
@@ -421,9 +446,11 @@ def test_cramer_rao_compares_against_its_tolerance(capsys):
     assert report["tolerance"] == report["inputs"]["tol"] == 1e-7
     code, report = run_json(capsys, ["cramer-rao", "--tol", "0"])
     assert code == 1 and report["passed"] is False
-    # the other commands keep their own default
-    _, report = run_json(capsys, ["fisher"])
+    # the other commands keep their own default; fisher reads none
+    _, report = run_json(capsys, ["covariance"])
     assert report["tolerance"] == 1e-9
+    _, report = run_json(capsys, ["fisher"])
+    assert "tolerance" not in report and "tol" not in report["inputs"]
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -558,10 +585,11 @@ def test_non_finite_model_numbers_rejected(tmp_path, capsys, text):
 
 
 def test_non_finite_output_is_usage_error(capsys):
-    assert run(["bound", "--alpha", "0.5", "--delta", "0.1",
-                "--tol", "nan"]) == 2
+    # an infinite tail cutoff makes chi-star's value non-finite
+    assert run(["chi-star", "--tail-cutoff", "inf"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: Out of range float values")
     assert "Traceback" not in captured.err
 
 
@@ -636,3 +664,69 @@ def test_suite_report_times_each_check_outside_outputs(capsys):
     assert all(s >= 0 for s in first["timings"].values())
     assert "timings" not in json.dumps(first["outputs"])
     assert json.dumps(first["outputs"]) == json.dumps(second["outputs"])
+
+
+#: the common flags each command reads
+READS = {
+    "check-kms": {"--model", "--tol"},
+    "moment": {"--model", "--tol"},
+    "conjugate": {"--model", "--tol"},
+    "fisher": {"--model"},
+    "cramer-rao": {"--model", "--tol"},
+    "chi-star": {"--model"},
+    "verify-lemma2": {"--model", "--tol", "--seed"},
+    "verify-core": {"--model", "--tol", "--seed"},
+    "brownian": {"--model", "--tol"},
+    "bound": set(),
+    "covariance": {"--model", "--tol"},
+    "suite": {"--seed"},
+}
+REQUIRED = {"moment": ["--word", "X:0 X:1"], "brownian": ["--word", "X:0 X:1"],
+            "bound": ["--alpha", "0.5", "--delta", "0.1"]}
+#: flag -> (command-line text, parsed value)
+COMMON = {"--model": ("model.json", "model.json"), "--tol": ("1", 1.0),
+          "--seed": ("1", 1)}
+
+
+def test_flag_table_covers_every_command():
+    assert set(READS) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("flag", sorted(COMMON))
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_commands_take_only_the_common_flags_they_read(capsys, command,
+                                                       flag):
+    text, value = COMMON[flag]
+    argv = [command, *REQUIRED.get(command, ()), flag, text]
+    if flag in READS[command]:
+        args = cli.build_parser().parse_args(argv)
+        assert vars(args)[flag[2:]] == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ncfisher")
+    assert f"unrecognized arguments: {flag} {text}" in captured.err
+
+
+def readme_commands():
+    """Every ``ncfisher`` line of the README's ``sh`` blocks, as argv
+    without the program name and without comments."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(),
+                        re.M | re.S)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines()
+            if line.startswith("ncfisher ")]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    assert run(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=reject_constant)
