@@ -24,7 +24,7 @@ from typing import Mapping
 from .algebra import NcPoly, Word, X_FAMILY
 from .derivation import FamilyError
 from .model import ModelSpec
-from .moments import Residual, evaluate_state, expectation
+from .moments import Residual, evaluate_state
 
 __all__ = [
     "EpsExpansion",
@@ -81,21 +81,35 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
 
 
 def verify_gradient_expansion(m: ModelSpec, w: Word,
-                              xi: Mapping[str, NcPoly]) -> Residual:
+                              xi: Mapping[str, NcPoly],
+                              state: complex | None = None) -> Residual:
     """Residual of the first-order coefficient against the substitution sum.
 
     Compares the eps^1 coefficient c1 with half the sum over positions k
     of the state of ``w`` with its k-th letter replaced by ``xi[g]``, g
     the letter's generator, shifted to the letter's time; small when each
     ``xi[g]`` is the conjugate variable of g.  ``xi`` maps every generator
-    of ``w`` to its polynomial.
+    of ``w`` to its polynomial.  ``state`` is the state of ``w`` when the
+    caller has it already (the eps^0 coefficient of its expansion).
     The scale is |c1| plus half the summed magnitudes of those states.
-    This check is the cost of a long word: n substituted words of about n
-    letters each, so its work grows as n^4 (256^4 at ``MAX_WORD_LETTERS``
-    with a one-letter ``xi``).
+    Each distinct word of the substituted polynomials is evaluated once,
+    and ``w`` not again, so with ``xi[g]`` the letter X_0 of g, whose
+    substituted words are all ``w``, the check costs nothing more.  In
+    general it is the cost of a long word: n substituted words of about n
+    letters each, so its work grows as n^4 (256^4 at
+    ``MAX_WORD_LETTERS`` with a one-letter ``xi``).
     """
     letters = tuple(w)
-    c1 = expand_state(m, letters, 1).coefficient(1)
+    if state is None:
+        state = expand_state(m, letters, 0).coefficient(0)
+    c1 = comb(len(letters) // 2, 1) * state
+    values = {letters: state}
+
+    def state_of(word):
+        if word not in values:
+            values[word] = evaluate_state(m, word)
+        return values[word]
+
     total = 0j
     size = 0.0
     for k, letter in enumerate(letters):
@@ -104,7 +118,8 @@ def verify_gradient_expansion(m: ModelSpec, w: Word,
             * xi[letter.gen].shift(letter.time)
             * NcPoly.word(letters[k + 1:])
         )
-        value = expectation(m, substituted)
+        value = sum((c * state_of(u) for u, c in substituted.terms.items()),
+                    0j)
         total += value
         size += abs(value)
     return Residual(abs(c1 - 0.5 * total), abs(c1) + 0.5 * size)

@@ -257,10 +257,13 @@ def _cmd_moment(m, args):
 
 
 def _solver_health(sol) -> dict:
-    """Size, rank and conditioning of one Galerkin solve."""
+    """Size, rank and conditioning of one Galerkin solve; more than one
+    prune round means the kept words are ill-conditioned near the
+    prune threshold."""
     return {
         "basis_size": len(sol.basis_words),
         "kept_size": len(sol.kept),
+        "prune_rounds": sol.prune_rounds,
         "fock_dim": sol.fock_dim,
         "gram_condition": sol.gram_condition,
         "residual": sol.residual,
@@ -383,7 +386,7 @@ def _cmd_brownian(m, args):
         raise ConfigError("brownian needs a non-empty word")
     expansion = expand_state(m, w, args.order)
     xi = {g: NcPoly.letter(x(g, 0)) for g in {l.gen for l in w}}
-    residual = verify_gradient_expansion(m, w, xi)
+    residual = verify_gradient_expansion(m, w, xi, expansion.coefficient(0))
     return {
         "word": word_str(w),
         "coefficients": {str(p): c for p, c in

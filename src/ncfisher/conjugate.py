@@ -24,18 +24,21 @@ Three numerical facts shape the implementation:
   k-atom generator span a k-dimensional one-particle space, and the words
   span at most the Fock dimension).  A plain minimum-norm pseudo-inverse
   would therefore smear an exact solution over linearly dependent words.
-  The solver first prunes the basis to a maximal independent subset by
-  Gram-Schmidt on the Fock vectors, scanned in a deterministic order that
-  puts the target letter first (degree ascending, then distance of the
-  letter times from the target time), and solves on the factor
-  V_kept = QR that the scan builds.  Vector-level outputs (residual, norms,
-  the projection itself) do not depend on this choice; only the reported
-  coefficients do, and with it an exactly representable solution is
-  reported concentrated.
+  The solver first prunes the basis to a maximal independent subset of
+  the Fock vectors, greedily in a deterministic order that puts the
+  target letter first (degree ascending, then distance of the letter
+  times from the target time).  In exact arithmetic that keeps the words
+  over the first k letters of each generator, k its atom count, so the
+  prune guesses those and confirms the guess with one QR and one masked
+  projection, correcting it window by window where rounding says
+  otherwise; the solve is on that QR, V_kept = QR.  Vector-level outputs
+  (residual, norms, the projection itself) do not depend on the order;
+  only the reported coefficients do, and with it an exactly representable
+  solution is reported concentrated.
 * The defining equations V_kept^H xi = b are solved as R^H z = b and
   R c = z with xi = Q z, never through the normal equations V_kept^H V_kept,
   so the working condition is that of R, the square root of the Gram's,
-  and no direction the scan kept is dropped afterwards.
+  and no direction the prune kept is dropped afterwards.
 """
 from __future__ import annotations
 
@@ -69,8 +72,8 @@ __all__ = [
     "modular_covariance_check",
 ]
 
-PRUNE_RTOL = 1e-10       # relative Gram-Schmidt residual below which a word
-                         # counts as dependent on its predecessors
+PRUNE_RTOL = 1e-10       # squared residual over squared norm below which
+                         # a word counts as dependent on its predecessors
 MAX_BASIS_ENTRIES = 2_000_000  # words times Fock dimension of one solve
 
 
@@ -187,6 +190,8 @@ class ConjugateSolution:
     words live in (an upper bound on ``len(kept)``); ``gram_condition`` is
     the condition number of the kept words' Gram, cond(R)^2 from the
     singular values of the triangular factor, with nothing cut off.
+    ``prune_rounds`` counts the rounds the prune took: 1 when its guess
+    held, more when words near the threshold overturned it.
     """
 
     target_gen: str
@@ -200,6 +205,7 @@ class ConjugateSolution:
     phi_star: float
     gram_condition: float
     fock_dim: int
+    prune_rounds: int
 
     def polynomial(self) -> NcPoly:
         return NcPoly(
@@ -214,43 +220,99 @@ class ConjugateSolution:
         }
 
 
-def _prune_independent(vecs: np.ndarray) -> tuple:
-    """Greedy scan over the columns of ``vecs`` keeping those whose squared
-    Gram-Schmidt residual against the kept ones exceeds PRUNE_RTOL times
-    their own squared norm (classical Gram-Schmidt, applied twice).
+def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
+    """Greedy prune of the columns of ``vecs``: column j is kept iff its
+    squared residual against the kept columns before it exceeds
+    PRUNE_RTOL times its own squared norm, and no column after the one
+    that completes the space is kept.
 
-    Returns ``(kept, Q, R)`` with ``vecs[:, kept] = Q R``, Q orthonormal
-    and R upper triangular with a positive diagonal: each kept column's
-    projection coefficients from both passes above the diagonal, the norm
-    of its residual on it.
+    ``guess`` is a boolean mask of the columns expected to be kept.  A
+    round decides a window of the open columns.  It projects the guessed
+    columns up to the window's end (cut to the space's dimension) and the
+    window's other columns off the factor of the final ones, and extends
+    that factor by a QR of the guessed ones (block Gram-Schmidt, twice).
+    A guessed column's residual against the guessed columns before it is
+    then on R's diagonal, and one masked projection gives the others'.
+    Where a decision differs from the guess, the decisions before the
+    first difference are final, that column takes its computed decision,
+    the computed decisions after it are the next guess, and the next
+    window is as long as the run the guess held.  A window without a
+    difference is final, and the next one is twice as long.  The first
+    window holds every column, so a right guess is confirmed in one
+    round, and each round makes at least one more decision final.  A
+    round reads no column after the guessed one that completes the space.
+
+    Returns ``(kept, Q, R, rounds)`` with ``vecs[:, kept] = Q R``, Q
+    orthonormal and R upper triangular with a real positive diagonal.
     """
-    dim = vecs.shape[0]
-    q = np.zeros((dim, dim), dtype=complex)  # orthonormal kept directions
+    dim, n = vecs.shape
+    guess = np.array(guess, dtype=bool)
+    q = np.zeros((dim, dim), dtype=complex)  # columns of the factor
     qh = np.zeros((dim, dim), dtype=complex)  # their conjugates, as rows
-    r_fac = np.zeros((dim, dim), dtype=complex)  # kept columns = q r_fac
-    kept: list = []
-    for i in range(vecs.shape[1]):
-        n = len(kept)
-        if n == dim:
-            break  # the kept words span the whole Fock space
-        v = vecs[:, i]
-        d = float(np.vdot(v, v).real)
-        if d <= 0:
-            continue
-        span, span_h = q[:, :n], qh[:n]
-        c = span_h @ v
-        r = v - span @ c
-        c2 = span_h @ r
-        r -= span @ c2
-        res = float(np.vdot(r, r).real)
-        if res > PRUNE_RTOL * d:
-            q[:, n] = r / math.sqrt(res)
-            qh[n] = q[:, n].conj()
-            r_fac[:n, n] = c + c2
-            r_fac[n, n] = math.sqrt(res)
-            kept.append(i)
-    k = len(kept)
-    return kept, q[:, :k], r_fac[:k, :k]
+    r = np.zeros((dim, dim), dtype=complex)
+    final = 0  # the decisions of the columns before this one are final
+    p = 0  # q[:, :p] r[:p, :p] factors the final kept columns
+    width = n  # how many open columns a round decides
+    rounds = 0
+    while True:
+        rounds += 1
+        kept = np.flatnonzero(guess)[:dim]
+        end = kept[-1] + 1 if len(kept) == dim else n
+        stop = min(end, final + width)
+        # the guessed columns before ``stop`` that are not final, then the
+        # window's other columns, projected off the final columns
+        new = kept[p:np.searchsorted(kept, stop)]
+        m = len(new)
+        k = p + m
+        v = vecs[:, final:stop]
+        other = np.flatnonzero(~guess[final:stop])
+        b = np.hstack([vecs[:, new], v[:, other]])
+        c1 = qh[:p] @ b
+        b -= q[:, :p] @ c1
+        # factor the guessed ones
+        q2, r2 = np.linalg.qr(b[:, :m])
+        if p:
+            # project Q off the final columns once more and QR it again, so
+            # that Q stays orthonormal however close the guessed columns
+            # are to each other (block Gram-Schmidt twice)
+            c2 = qh[:p] @ q2
+            q2, r3 = np.linalg.qr(q2 - q[:, :p] @ c2)
+            c1[:, :m] += c2 @ r2
+            r2 = r3 @ r2
+        diag = r2.diagonal()
+        size = np.abs(diag)
+        phase = np.ones_like(diag)
+        np.divide(diag, size, out=phase, where=size > 0)
+        q[:, p:k] = q2 * phase
+        qh[p:k] = q[:, p:k].T.conj()
+        r[:p, p:k] = c1[:, :m]
+        r[p:k, p:k] = r2 * phase.conj()[:, None]
+        r[range(p, k), range(p, k)] = size
+        # residual of each open column against the guessed columns before
+        # it: the diagonal of R for a guessed column, |v - Q Q^H v|^2 for
+        # another (|v|^2 - |Q^H v|^2 would carry a rounding error of order
+        # eps |v|^2 into a residual near PRUNE_RTOL |v|^2)
+        residual = np.empty(stop - final)
+        guessed = new >= final
+        residual[new[guessed] - final] = size[guessed] ** 2
+        w = b[:, m:]
+        c = qh[p:k] @ w
+        c[new[:, None] >= final + other] = 0
+        w -= q[:, p:k] @ c
+        residual[other] = (w.real**2 + w.imag**2).sum(axis=0)
+        norm_sq = (v.real**2 + v.imag**2).sum(axis=0)
+        decided = residual > PRUNE_RTOL * norm_sq
+        differ = np.flatnonzero(decided != guess[final:stop])
+        if len(differ):
+            j = final + differ[0]
+            guess[j:stop] = decided[differ[0]:]
+            final, p = j + 1, p + np.searchsorted(new, j)
+            width = max(1, differ[0])
+        elif stop < end:
+            final, p = stop, k
+            width *= 2
+        else:
+            return kept.tolist(), q[:, :k], r[:k, :k], rounds
 
 
 def solve_conjugate(
@@ -291,11 +353,25 @@ def solve_conjugate(
              for k in range(d)), np.zeros(a**d, dtype=complex))
         for d in range(basis.max_degree + 1)
     ])
+
+    # in exact arithmetic the prune keeps the words over the first k
+    # letters of each generator, k its atom count: those letters span its
+    # one-particle space, and a word with a later letter is a combination
+    # of words that come before it
+    first = np.array([
+        sum(o.gen == l.gen for o in alphabet[:i]) < len(m.gen(l.gen).atoms)
+        for i, l in enumerate(alphabet)
+    ])
+    masks = [np.ones(1, dtype=bool)]
+    for _ in range(basis.max_degree):
+        masks.append(np.multiply.outer(first, masks[-1]).ravel())
+    guess = np.concatenate(masks)
+
     if not basis.include_identity:
-        vecs, b = vecs[:, 1:], b[1:]
+        vecs, b, guess = vecs[:, 1:], b[1:], guess[1:]
     rhs = b.conjugate()
 
-    kept, q, r = _prune_independent(vecs)
+    kept, q, r, rounds = _prune_independent(vecs, guess)
     if not kept:
         raise DegenerateGramError("no basis word survives the rank screen")
 
@@ -318,6 +394,7 @@ def solve_conjugate(
         phi_star=xi_norm_sq / gen.v,
         gram_condition=float(np.linalg.cond(r) ** 2),
         fock_dim=vecs.shape[0],
+        prune_rounds=rounds,
     )
 
 

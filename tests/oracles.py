@@ -9,6 +9,9 @@ Fock-coordinate audits of :mod:`ncfisher.conjugate` stand in for.
 ``flipped_word_sums`` is the noise expansion by its definition, one
 pairing pass per set of flipped letters, which
 :func:`ncfisher.brownian.expand_state` replaces by its closed form.
+``greedy_scan`` is the basis prune of :mod:`ncfisher.conjugate` by its
+definition, one column at a time, which the solver's one-QR
+guess-and-confirm replaces.
 ``pair_with_y`` and ``random_ncpoly`` are helpers only the tests use.
 """
 import math
@@ -16,8 +19,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from ncfisher.algebra import NcPoly, TimeLike, as_time, y
-from ncfisher.conjugate import BasisSpec, solve_conjugate
+from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
 from ncfisher.derivation import TensorElem
 from ncfisher.model import ModelSpec
 from ncfisher.moments import (covariance, evaluate_state, expectation,
@@ -118,6 +123,45 @@ def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
             ])
         coeffs[Fraction(k, 2)] = total
     return coeffs
+
+
+def greedy_scan(vecs: np.ndarray) -> tuple:
+    """Greedy scan over the columns of ``vecs`` keeping those whose squared
+    Gram-Schmidt residual against the kept ones exceeds PRUNE_RTOL times
+    their own squared norm (classical Gram-Schmidt, applied twice).
+
+    Returns ``(kept, Q, R)`` with ``vecs[:, kept] = Q R``, Q orthonormal
+    and R upper triangular with a positive diagonal: each kept column's
+    projection coefficients from both passes above the diagonal, the norm
+    of its residual on it.
+    """
+    dim = vecs.shape[0]
+    q = np.zeros((dim, dim), dtype=complex)  # orthonormal kept directions
+    qh = np.zeros((dim, dim), dtype=complex)  # their conjugates, as rows
+    r_fac = np.zeros((dim, dim), dtype=complex)  # kept columns = q r_fac
+    kept: list = []
+    for i in range(vecs.shape[1]):
+        n = len(kept)
+        if n == dim:
+            break  # the kept words span the whole Fock space
+        v = vecs[:, i]
+        d = float(np.vdot(v, v).real)
+        if d <= 0:
+            continue
+        span, span_h = q[:, :n], qh[:n]
+        c = span_h @ v
+        r = v - span @ c
+        c2 = span_h @ r
+        r -= span @ c2
+        res = float(np.vdot(r, r).real)
+        if res > PRUNE_RTOL * d:
+            q[:, n] = r / math.sqrt(res)
+            qh[n] = q[:, n].conj()
+            r_fac[:n, n] = c + c2
+            r_fac[n, n] = math.sqrt(res)
+            kept.append(i)
+    k = len(kept)
+    return kept, q[:, :k], r_fac[:k, :k]
 
 
 def pair_with_y(m: ModelSpec, e: TensorElem, y_time: TimeLike = 0) -> complex:

@@ -8,7 +8,7 @@ from ncfisher.algebra import NcPoly, x, y
 from ncfisher.brownian import expand_state, verify_gradient_expansion
 from ncfisher.derivation import FamilyError
 from ncfisher.model import two_atom_model
-from ncfisher.moments import evaluate_state
+from ncfisher.moments import evaluate_state, expectation
 from ncfisher.sampling import HALF_GRID, random_word
 
 
@@ -117,3 +117,52 @@ def test_expansion_builds_one_kernel(m, monkeypatch):
     exp = expand_state(m, w, 6)
     assert calls == {"word_kernel": 1, "pairing_sum": 1}
     assert len(exp.powers()) == 13
+
+
+def position_sum_residual(m, w, xi):
+    """The check by its definition: c1 from the order-1 expansion and one
+    state evaluation per position."""
+    letters = tuple(w)
+    c1 = expand_state(m, letters, 1).coefficient(1)
+    values = [
+        expectation(m, NcPoly.word(letters[:k])
+                    * xi[l.gen].shift(l.time)
+                    * NcPoly.word(letters[k + 1:]))
+        for k, l in enumerate(letters)
+    ]
+    return (abs(c1 - 0.5 * sum(values, 0j)),
+            abs(c1) + 0.5 * sum(abs(v) for v in values))
+
+
+def test_gradient_check_evaluates_each_word_once(m, monkeypatch):
+    from ncfisher.conjugate import BasisSpec, solve_conjugate
+
+    evaluated = []
+
+    def counted(model, letters, _original=moments._phi):
+        evaluated.append(letters)
+        return _original(model, letters)
+
+    monkeypatch.setattr(moments, "_phi", counted)
+    solved = solve_conjugate(
+        m, "g", BasisSpec(tuple(Fraction(k, 2) for k in range(-1, 2)), 2)
+    ).polynomial()
+    rng = random.Random(20)
+    for xi in ({"g": NcPoly.letter(x("g", 0))}, {"g": solved}):
+        for _ in range(5):
+            w = random_word(rng, ["g"], 8, even=True)
+            want = position_sum_residual(m, w, xi)
+            evaluated.clear()
+            got = verify_gradient_expansion(m, w, xi)
+            # the same sums, in the same order, to the last bit
+            assert (float(got), got.scale) == want
+            assert len(evaluated) == len(set(evaluated))
+            assert evaluated[0] == w
+            if len(xi["g"]) == 1:
+                # every substituted word is w itself
+                assert evaluated == [w]
+            state = evaluate_state(m, w)
+            evaluated.clear()
+            again = verify_gradient_expansion(m, w, xi, state)
+            assert (float(again), again.scale) == want
+            assert w not in evaluated

@@ -221,6 +221,21 @@ def test_brownian_multi_generator_word(tmp_path, capsys):
     assert report["outputs"]["gradient_relative_residual"] < 1e-12
 
 
+def test_brownian_evaluates_the_word_once(monkeypatch, capsys):
+    # the expansion and the gradient check share the word's state value
+    evaluated = []
+
+    def counted(model, letters, _original=moments._phi):
+        evaluated.append(letters)
+        return _original(model, letters)
+
+    monkeypatch.setattr(moments, "_phi", counted)
+    code, report = run_json(capsys, ["brownian", "--word",
+                                     "X:0 X:1 X:0 X:1/2"])
+    assert (code, report["passed"]) == (0, True)
+    assert len(evaluated) == 1
+
+
 def test_model_file_roundtrip(tmp_path, capsys):
     config = {
         "generators": [
@@ -275,6 +290,7 @@ def test_conjugate_reports_solver_health(capsys):
     out = report["outputs"]
     assert out["fock_dim"] == 15
     assert out["kept_size"] == 15
+    assert out["prune_rounds"] == 1
 
 
 def test_conjugate_degree_bound_is_usage_error(capsys):
@@ -528,6 +544,7 @@ def test_fisher_reports_solver_health(tmp_path, capsys):
         assert out["solver"][g] == {
             "basis_size": len(sol.basis_words),
             "kept_size": len(sol.kept),
+            "prune_rounds": sol.prune_rounds,
             "fock_dim": sol.fock_dim,
             "gram_condition": sol.gram_condition,
             "residual": sol.residual,

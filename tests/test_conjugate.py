@@ -2,11 +2,13 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncfisher import conjugate
 from ncfisher.algebra import NcPoly, x
 from ncfisher.conjugate import (
     PRUNE_RTOL,
@@ -34,6 +36,7 @@ from ncfisher.model import (
 )
 from ncfisher.moments import fock_vectors
 from oracles import (
+    greedy_scan,
     l2_distance,
     pair_with_y,
     symbolic_covariance_residual,
@@ -237,14 +240,21 @@ def unitary(dim, seed):
 
 
 def assert_factor(vecs, want):
-    """The scan keeps ``want`` and returns its factor vecs[:, kept] = QR:
-    Q orthonormal, R upper triangular with a positive real diagonal."""
-    kept, q, r = _prune_independent(vecs)
-    assert kept == want
-    assert np.allclose(vecs[:, kept], q @ r, rtol=0, atol=1e-12)
-    assert np.allclose(q.conj().T @ q, np.eye(len(kept)), rtol=0, atol=1e-12)
-    assert np.array_equal(r, np.triu(r))
-    assert np.all(r.diagonal().real > 0) and not r.diagonal().imag.any()
+    """The prune keeps ``want`` whatever it guesses, and returns its factor
+    vecs[:, kept] = QR: Q orthonormal, R upper triangular with a positive
+    real diagonal.  The right guess is confirmed in one round."""
+    n = vecs.shape[1]
+    right = np.isin(np.arange(n), want)
+    for guess in (right, ~right, np.ones(n, bool), np.zeros(n, bool)):
+        kept, q, r, rounds = _prune_independent(vecs, guess)
+        assert kept == want
+        assert np.allclose(vecs[:, kept], q @ r, rtol=0, atol=1e-12)
+        assert np.allclose(q.conj().T @ q, np.eye(len(kept)), rtol=0,
+                           atol=1e-12)
+        assert np.array_equal(r, np.triu(r))
+        assert np.all(r.diagonal().real > 0) and not r.diagonal().imag.any()
+        assert 1 <= rounds <= n + 1
+    assert _prune_independent(vecs, right)[3] == 1
 
 
 @pytest.mark.parametrize("ratio, kept", [(1e-9, [0, 1]), (1e-11, [0])])
@@ -268,20 +278,118 @@ def test_prune_skips_zero_and_keeps_first_of_parallel():
 
 def test_prune_stops_when_the_space_is_spanned():
     class Reads(np.ndarray):
-        """Logs the column indices read through ``vecs[:, i]``."""
+        """Logs the column indices read through ``vecs[:, key]``."""
 
         def __getitem__(self, key):
-            self.log.append(key[1])
+            cols = key[1]
+            if isinstance(cols, slice):
+                cols = range(*cols.indices(self.shape[1]))
+            self.log.update(np.asarray(cols).tolist())
             return np.asarray(self).__getitem__(key)
 
+    # the last column comes after the one that completes the space: it is
+    # never factored or confirmed, so even a NaN there changes nothing
     u = unitary(2, 3)
-    vecs = np.stack([u[:, 0], u[:, 0] + u[:, 1], u[:, 1], u[:, 0]],
-                    axis=1).view(Reads)
-    vecs.log = []
-    kept, q, r = _prune_independent(vecs)
-    assert kept == [0, 1]
-    assert vecs.log == [0, 1]
-    assert_factor(np.asarray(vecs), kept)
+    vecs = np.stack([u[:, 0], u[:, 0] + u[:, 1], u[:, 1],
+                     np.full(2, np.nan)], axis=1).view(Reads)
+    for guess in ([1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 1]):
+        vecs.log = set()
+        kept, q, r, rounds = _prune_independent(vecs, np.array(guess, bool))
+        assert kept == [0, 1]
+        assert 3 not in vecs.log
+        assert np.isfinite(q).all() and np.isfinite(r).all()
+        assert_factor(np.asarray(vecs)[:, :3], kept)
+
+
+@st.composite
+def planted_columns(draw):
+    """Columns that are random, zero, parallel to an earlier column, or an
+    earlier column plus a direction orthogonal to all earlier columns,
+    scaled so that the squared residual over the squared norm is 1e-9 or
+    1e-11, either side of PRUNE_RTOL."""
+    dim = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(
+        ["random", "zero", "parallel", 1e-9, 1e-11]), min_size=1,
+        max_size=14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols: list = []
+    for kind in kinds:
+        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        scale = complex(*rng.normal(size=2))
+        base = cols[rng.integers(len(cols))] if cols else 0 * z
+        if kind == "random":
+            cols.append(z)
+        elif kind in ("zero", "parallel") or len(cols) >= dim or not base.any():
+            cols.append(0 * z if kind == "zero" else scale * base)
+        else:
+            free = np.linalg.qr(np.stack(cols + [z], axis=1),
+                                "complete")[0][:, len(cols)]
+            eps = math.sqrt(kind / (1 - kind))
+            cols.append(scale * (base / np.linalg.norm(base) + eps * free))
+    return np.stack(cols, axis=1)
+
+
+@given(vecs=planted_columns())
+@settings(max_examples=60, deadline=None)
+def test_prune_matches_the_scan_on_planted_columns(vecs):
+    assert_factor(vecs, greedy_scan(vecs)[0])
+
+
+@given(case=ill_conditioned_cases())
+@settings(max_examples=25, deadline=None)
+def test_prune_matches_the_scan_on_ill_conditioned_solves(case):
+    gens, grid, degree, include_identity = case
+    b_gens = tuple(g["name"] for g in gens[1:])
+    calls = []
+
+    def spy(vecs, guess):
+        out = _prune_independent(vecs, guess)
+        calls.append((vecs, out))
+        return out
+
+    with mock.patch.object(conjugate, "_prune_independent", spy):
+        sol = solve_conjugate(build_model({"generators": gens}), "a",
+                              BasisSpec(grid, degree, include_identity),
+                              b_gens)
+    [(vecs, (kept, q, r, rounds))] = calls
+    want, q0, r0 = greedy_scan(vecs)
+    assert kept == want == list(sol.kept)
+    assert sol.prune_rounds == rounds
+    for q_fac, r_fac in ((q, r), (q0, r0)):
+        assert np.allclose(vecs[:, kept], q_fac @ r_fac, rtol=0, atol=1e-12)
+        assert np.allclose(q_fac.conj().T @ q_fac, np.eye(len(kept)), rtol=0,
+                           atol=1e-12)
+
+
+def benchmark_shapes():
+    """Solves of the benchmark's shapes on the tests' models, at both of
+    its grid steps."""
+    three = build_model({"generators": [
+        {"name": "g", "mode": "half",
+         "atoms": [{"x": 0, "w": 0.5}, {"x": 0.27, "w": 0.6}]}]})
+    pairs = build_model({"generators": [
+        {"name": "1", "mode": "half",
+         "atoms": [{"x": 0.12, "w": 0.7}, {"x": 0.3, "w": 0.5}]},
+        {"name": "2", "mode": "half",
+         "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]}]})
+    for h in (Fraction(3, 4), Fraction(1)):
+        four = (-h, 0, h, 2 * h)
+        five = (-2 * h, -h, 0, h, 2 * h)
+        three_points = (-h, 0, h)
+        for model in (two_atom_model(), three):
+            for grid in (four, five):
+                yield solve_conjugate(model, "g", BasisSpec(grid, 3))
+        yield solve_conjugate(pair_model(), "1", BasisSpec(three_points, 3),
+                              b_gens=("2",))
+        for model in (pair_model(), pairs):
+            yield from solve_family(model, ["1", "2"],
+                                    BasisSpec(three_points, 2))
+
+
+def test_benchmark_shapes_confirm_the_guess_in_one_round():
+    sols = list(benchmark_shapes())
+    assert len(sols) == 18
+    assert [sol.prune_rounds for sol in sols] == [1] * 18
 
 
 def test_repeated_generator_ids_rejected():
