@@ -42,7 +42,6 @@ from .moments import (
 )
 from .derivation import (
     FamilyError,
-    TensorElem,
     differentiate,
     verify_insertion_identity,
 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "X_FAMILY",
@@ -227,8 +227,8 @@ def _term_key(item):
 class NcPoly(_SparseSum):
     """Finite complex linear combination of words, kept in canonical form.
 
-    Canonical form stores no zero coefficients.  Iteration and repr are
-    deterministic: terms are ordered by length, then lexicographically on
+    Canonical form stores no zero coefficients.  ``sorted_terms`` and repr
+    are deterministic: terms are ordered by length, then lexicographically on
     the letter tuples (family, generator id, time).
     """
 
@@ -265,15 +265,6 @@ class NcPoly(_SparseSum):
     def coefficient(self, w: Word) -> complex:
         return self._terms.get(tuple(w), 0j)
 
-    def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
-    def letters(self) -> set:
-        return {letter for w in self._terms for letter in w}
-
-    def __iter__(self) -> Iterator:
-        return iter(self.sorted_terms())
-
     # ------------------------------------------------------------------
     # ring structure
     # ------------------------------------------------------------------
@@ -286,14 +277,6 @@ class NcPoly(_SparseSum):
             for w2, c2 in other._terms.items():
                 _accumulate(out, w1 + w2, c1 * c2)
         return NcPoly._raw(out)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = NcPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     # ------------------------------------------------------------------
     # *-structure and modular shift

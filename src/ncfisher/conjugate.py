@@ -101,7 +101,6 @@ class BasisSpec:
 
     time_grid: tuple
     max_degree: int
-    include_identity: bool = True
 
     def __post_init__(self):
         grid = tuple(as_time(t) for t in self.time_grid)
@@ -115,11 +114,8 @@ class BasisSpec:
 
     def shifted(self, s: TimeLike) -> "BasisSpec":
         ds = as_time(s)
-        return BasisSpec(
-            tuple(t + ds for t in self.time_grid),
-            self.max_degree,
-            self.include_identity,
-        )
+        return BasisSpec(tuple(t + ds for t in self.time_grid),
+                         self.max_degree)
 
 
 def _letter_pivot_key(letter: Letter, target_gen: str, target_time: Fraction):
@@ -138,7 +134,7 @@ def enumerate_basis(
     b_gens: Sequence[str] = (),
     target_time: TimeLike = 0,
 ) -> list:
-    """Basis words in pivot order: identity (optional), then degree by
+    """Basis words in pivot order: the empty word, then degree by
     degree with target-generator letters nearest the target time first.
 
     Letters of flow-fixed generators are collapsed to time 0 before the
@@ -167,8 +163,7 @@ def enumerate_basis(
     atoms = sum(len(m.gen(g).atoms) for g in gens)
     n = dim = 0
     for d in range(spec.max_degree + 1):
-        if d or spec.include_identity:
-            n += len(alphabet) ** d
+        n += len(alphabet) ** d
         dim += atoms**d
         if n * dim > MAX_BASIS_ENTRIES:
             raise BasisError(
@@ -176,7 +171,7 @@ def enumerate_basis(
                 f"of dimension {dim}, over {MAX_BASIS_ENTRIES} entries; "
                 "lower the degree or the grid size"
             )
-    words: list = [()] if spec.include_identity else []
+    words: list = [()]
     for d in range(1, spec.max_degree + 1):
         words.extend(itertools.product(alphabet, repeat=d))
     return words
@@ -367,8 +362,6 @@ def solve_conjugate(
         masks.append(np.multiply.outer(first, masks[-1]).ravel())
     guess = np.concatenate(masks)
 
-    if not basis.include_identity:
-        vecs, b, guess = vecs[:, 1:], b[1:], guess[1:]
     rhs = b.conjugate()
 
     kept, q, r, rounds = _prune_independent(vecs, guess)
@@ -424,8 +417,6 @@ def _basis_norm(
     words = solution.basis_words
     alphabet = [w[0] for w in words if len(w) == 1]
     vecs = fock_vectors(m, alphabet, len(words[-1]))
-    if words[0] != ():
-        vecs = vecs[:, 1:]
     return float(np.linalg.norm(vecs @ coefficients))
 
 

@@ -21,12 +21,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ncfisher.algebra import NcPoly, TimeLike, as_time, y
+from ncfisher.algebra import NcPoly, TimeLike, y
 from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
-from ncfisher.derivation import TensorElem
 from ncfisher.model import ModelSpec
-from ncfisher.moments import (covariance, evaluate_state, expectation,
-                              pairing_sum, word_kernel)
+from ncfisher.moments import covariance, expectation, pairing_sum, word_kernel
 from ncfisher.sampling import HALF_GRID, random_word
 
 
@@ -164,18 +162,11 @@ def greedy_scan(vecs: np.ndarray) -> tuple:
     return kept, q[:, :k], r_fac[:k, :k]
 
 
-def pair_with_y(m: ModelSpec, e: TensorElem, y_time: TimeLike = 0) -> complex:
-    """Inner product of the partner letter at ``y_time`` with ``e``.
-
-    Each term contributes c * state(Y_{y_time} . left . Y_mid . right),
-    the partner letter taken from the term's own generator.
-    """
-    t0 = as_time(y_time)
-    total = 0j
-    for (left, gen, mid, right), c in e._terms.items():
-        word = (y(gen, t0),) + left + (y(gen, mid),) + right
-        total += c * evaluate_state(m, word)
-    return total
+def pair_with_y(m: ModelSpec, gen: str, e: NcPoly,
+                y_time: TimeLike = 0) -> complex:
+    """Inner product of the partner letter of ``gen`` at ``y_time`` with
+    the derivative ``e``: the state of Y_{y_time} . e."""
+    return expectation(m, NcPoly.letter(y(gen, y_time)) * e)
 
 
 def random_ncpoly(

@@ -17,7 +17,6 @@ from ncfisher.algebra import (
     y,
 )
 from ncfisher.core_cp import CoreWord, EtaBimoduleElem, TrigPoly
-from ncfisher.derivation import TensorElem
 
 TIMES = [Fraction(k, 2) for k in range(-2, 3)]
 
@@ -160,9 +159,6 @@ _XU = CoreWord.x_letter("g", 1) * CoreWord.u(1)
 SPARSE_SUMS = {
     "NcPoly": (NcPoly, (x("g", 0),), [x("g", 0)],
                (x("g", 0), y("g", "1/2")), ()),
-    "TensorElem": (TensorElem, ((), "g", Fraction(1), ()),
-                   ([], "g", Fraction(1), []),
-                   ((x("g", 0),), "g", Fraction(0), ()), None),
     "TrigPoly": (TrigPoly, Fraction(1, 2), "1/2", Fraction(-1), 0),
     "EtaBimoduleElem": (_eta_elem, (_XU, CoreWord.one()),
                         (CoreWord.u(1) * CoreWord.x_letter("g", 0),

@@ -118,6 +118,20 @@ def test_check_kms(capsys):
     assert report["outputs"]["max_deviation"] < 1e-12
 
 
+def test_check_kms_is_relative_to_the_mass(tmp_path, capsys):
+    # exactly balanced, but |eta(t+i) - eta(-t)| is about 3e-8 at mass 1e8
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0.2, "w": 1e8}]}]}))
+    code, report = run_json(capsys, ["check-kms", "--model", str(path)])
+    out = report["outputs"]
+    assert out["max_deviation"] > 1e-9
+    assert out["max_relative_deviation"] < 1e-14
+    assert out["generators"][0]["max_relative_deviation"] == pytest.approx(
+        out["max_deviation"] / load_model(path).generators[0].v, rel=1e-12)
+    assert (code, report["passed"]) == (0, True)
+
+
 @pytest.mark.parametrize("grid", [",", ""])
 def test_check_kms_empty_grid_is_usage_error(capsys, grid):
     assert run(["check-kms", "--grid", grid]) == 2
@@ -380,6 +394,23 @@ def test_overflowing_time_tag_is_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "too large for a double" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, model", [
+    (["bound", "--alpha", "0.5", "--delta", "1e-200"], None),
+    (["cramer-rao"], {"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e300}]}]}),
+], ids=["bound", "cramer-rao"])
+def test_overflowing_arithmetic_is_usage_error(tmp_path, capsys, argv, model):
+    if model is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        argv = argv + ["--model", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
 
 

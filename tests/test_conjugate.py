@@ -104,10 +104,6 @@ def test_enumerate_basis_order_and_identity(m):
     assert words[0] == ()
     assert words[1] == (x("g", 0),)
     assert len(words) == 1 + 3 + 9
-    no_id = enumerate_basis(
-        m, "g", BasisSpec(GRID3, 1, include_identity=False)
-    )
-    assert () not in no_id
 
 
 def test_basis_bound_is_checked_before_enumerating(m):
@@ -179,22 +175,22 @@ def ill_conditioned_cases(draw):
     grid = draw(st.sampled_from([(-h, 0, h), (-h, 0, h, 2 * h),
                                  (-2 * h, -h, 0, h, 2 * h)]))
     degree = draw(st.integers(2, 4 if len(names) == 1 else 3))
-    return gens, grid, degree, draw(st.booleans())
+    return gens, grid, degree
 
 
 @given(case=ill_conditioned_cases())
 @example(case=(
     [{"name": "a", "mode": "half",
       "atoms": [{"x": 0.07, "w": 0.723897}, {"x": 0.35, "w": 0.50903}]}],
-    tuple(Fraction(k, 8) for k in range(-2, 3)), 3, True))
+    tuple(Fraction(k, 8) for k in range(-2, 3)), 3))
 @settings(max_examples=40, deadline=None)
 def test_ill_conditioned_solves_match_closed_form(case):
     # quasi-free: the conjugate variable is the target letter over its
     # second moment, so phi_star = 1 and the defining data are matched
-    gens, grid, degree, include_identity = case
+    gens, grid, degree = case
     b_gens = tuple(g["name"] for g in gens[1:])
     sol = solve_conjugate(build_model({"generators": gens}), "a",
-                          BasisSpec(grid, degree, include_identity), b_gens)
+                          BasisSpec(grid, degree), b_gens)
     assert abs(sol.phi_star - 1) < 1e-8
     assert sol.residual < 1e-8
 
@@ -219,8 +215,7 @@ def rhs_cases():
         (pair_model(), "1", ("2",), BasisSpec(GRID3, 2), Fraction(0)),
         (mixed_model(), "t", ("q",), BasisSpec(GRID3, 2), Fraction(1, 2)),
         (mixed_model(), "q", ("t",), BasisSpec(GRID3, 2), Fraction(0)),
-        (pair_model(), "2", ("1",),
-         BasisSpec(GRID3, 2, include_identity=False), Fraction(1, 2)),
+        (pair_model(), "2", ("1",), BasisSpec(GRID3, 2), Fraction(1, 2)),
     ]
 
 
@@ -229,7 +224,8 @@ def test_rhs_matches_derivative_pairing(case):
     model, target, b_gens, spec, t0 = rhs_cases()[case]
     sol = solve_conjugate(model, target, spec, b_gens=b_gens, target_time=t0)
     for w, b in zip(sol.basis_words, sol.rhs):
-        want = pair_with_y(model, differentiate(target, NcPoly.word(w)), t0)
+        want = pair_with_y(model, target,
+                           differentiate(target, NcPoly.word(w)), t0)
         assert abs(b - want) <= 1e-12, w
 
 
@@ -338,7 +334,7 @@ def test_prune_matches_the_scan_on_planted_columns(vecs):
 @given(case=ill_conditioned_cases())
 @settings(max_examples=25, deadline=None)
 def test_prune_matches_the_scan_on_ill_conditioned_solves(case):
-    gens, grid, degree, include_identity = case
+    gens, grid, degree = case
     b_gens = tuple(g["name"] for g in gens[1:])
     calls = []
 
@@ -349,8 +345,7 @@ def test_prune_matches_the_scan_on_ill_conditioned_solves(case):
 
     with mock.patch.object(conjugate, "_prune_independent", spy):
         sol = solve_conjugate(build_model({"generators": gens}), "a",
-                              BasisSpec(grid, degree, include_identity),
-                              b_gens)
+                              BasisSpec(grid, degree), b_gens)
     [(vecs, (kept, q, r, rounds))] = calls
     want, q0, r0 = greedy_scan(vecs)
     assert kept == want == list(sol.kept)
