@@ -18,7 +18,6 @@ from .model import (
     ConfigError,
     DetailedBalanceViolation,
     GeneratorSpec,
-    KmsReport,
     ModelSpec,
     SpectralAtom,
     build_model,
@@ -62,7 +61,7 @@ from .conjugate import (
     solve_conjugate,
     solve_family,
 )
-from .brownian import EpsExpansion, expand_state, verify_gradient_expansion
+from .brownian import expand_state, verify_gradient_expansion
 from .core_cp import (
     CoreWord,
     EtaBimoduleElem,

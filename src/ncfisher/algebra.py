@@ -150,10 +150,6 @@ class _SparseSum:
     def sorted_terms(self) -> list:
         return sorted(self._terms.items(), key=self._sort_key)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -184,12 +180,6 @@ class _SparseSum:
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other):
         """Scalar multiplication; subclasses add their own products."""
@@ -246,10 +236,6 @@ class NcPoly(_SparseSum):
     # ------------------------------------------------------------------
 
     @classmethod
-    def one(cls) -> "NcPoly":
-        return cls._raw({EMPTY_WORD: 1 + 0j})
-
-    @classmethod
     def letter(cls, letter: Letter) -> "NcPoly":
         return cls._raw({(letter,): 1 + 0j})
 
@@ -257,13 +243,6 @@ class NcPoly(_SparseSum):
     def word(cls, w: Word, coeff: complex = 1.0) -> "NcPoly":
         c = complex(coeff)
         return cls._raw({tuple(w): c}) if c != 0 else cls.zero()
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-
-    def coefficient(self, w: Word) -> complex:
-        return self._terms.get(tuple(w), 0j)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -294,12 +273,6 @@ class NcPoly(_SparseSum):
         return NcPoly._raw(
             {tuple(l.shifted(ds) for l in w): c for w, c in self._terms.items()}
         )
-
-    def is_selfadjoint(self, tol: float = 0.0) -> bool:
-        for w, c in self._terms.items():
-            if abs(self._terms.get(word_adjoint(w), 0j) - c.conjugate()) > tol:
-                return False
-        return True
 
     @staticmethod
     def _term_str(w, c) -> str:

@@ -13,10 +13,13 @@ and every odd half-power is exactly 0: X + sqrt(eps) Y has the law of
 sqrt(1 + eps) X (the free Gaussian functor).  The constant term is the
 original state, and the first-order coefficient matches half the sum of
 single-letter substitutions by the (time-shifted) conjugate variable.
+
+An expansion is a plain dict from the power of eps, an exact half-integer
+``Fraction``, to its coefficient.  Numbers hash alike across types, so
+``exp[0]``, ``exp[1]`` and ``exp[Fraction(1, 2)]`` find the same keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping
@@ -26,46 +29,20 @@ from .derivation import FamilyError
 from .model import ModelSpec
 from .moments import Residual, evaluate_state
 
-__all__ = [
-    "EpsExpansion",
-    "expand_state",
-    "verify_gradient_expansion",
-]
+__all__ = ["expand_state", "verify_gradient_expansion"]
 
 
-@dataclass(frozen=True)
-class EpsExpansion:
-    """Coefficients of the expansion, keyed by the power of eps.
-
-    Keys are exact half-integers (Fractions).  Entries for odd half-powers
-    are present and exactly ``0j``: an odd set of flipped letters is not a
-    union of pairs.
-    """
-
-    coefficients: Mapping
-
-    def coefficient(self, power) -> complex:
-        return self.coefficients.get(Fraction(power), 0j)
-
-    def powers(self) -> list:
-        return sorted(self.coefficients)
-
-    def value(self, eps: float) -> complex:
-        return sum(
-            c * (eps ** float(p)) for p, c in self.coefficients.items()
-        )
-
-
-def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
+def expand_state(m: ModelSpec, w: Word, max_order: int) -> dict:
     """State of ``w`` after the substitution, truncated at eps^max_order.
 
-    The coefficient of eps^(k/2), for k = 0 .. min(n, 2 max_order), is the
-    sum of the states of ``w`` with k of its n letters replaced by partner
-    letters at the same generator and time.  A flipped set counts for a
-    pairing exactly when it is a union of the pairing's n/2 pairs, so that
-    sum is C(n/2, k/2) state(w) for even k and exactly ``0j`` for odd k.
-    The state of ``w`` is evaluated once; ``moments.MAX_WORD_LETTERS``
-    bounds the word, and :class:`SizeLimitError` is raised past it.
+    Returns the coefficient of eps^(k/2) under the key ``Fraction(k, 2)``,
+    for k = 0 .. min(n, 2 max_order): the sum of the states of ``w`` with
+    k of its n letters replaced by partner letters at the same generator
+    and time.  A flipped set counts for a pairing exactly when it is a
+    union of the pairing's n/2 pairs, so that sum is C(n/2, k/2) state(w)
+    for even k and exactly ``0j`` for odd k.  The state of ``w`` is
+    evaluated once; ``moments.MAX_WORD_LETTERS`` bounds the word, and
+    :class:`SizeLimitError` is raised past it.
     """
     letters = tuple(w)
     if any(l.family != X_FAMILY for l in letters):
@@ -74,10 +51,10 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> EpsExpansion:
         raise ValueError("max_order must be a nonnegative integer")
     n = len(letters)
     phi = evaluate_state(m, letters)
-    return EpsExpansion(coefficients={
+    return {
         Fraction(k, 2): comb(n // 2, k // 2) * phi if k % 2 == 0 else 0j
         for k in range(min(n, 2 * max_order) + 1)
-    })
+    }
 
 
 def verify_gradient_expansion(m: ModelSpec, w: Word,
@@ -90,7 +67,8 @@ def verify_gradient_expansion(m: ModelSpec, w: Word,
     the letter's generator, shifted to the letter's time; small when each
     ``xi[g]`` is the conjugate variable of g.  ``xi`` maps every generator
     of ``w`` to its polynomial.  ``state`` is the state of ``w`` when the
-    caller has it already (the eps^0 coefficient of its expansion).
+    caller has it already (the eps^0 coefficient of its expansion); it is
+    evaluated here otherwise.
     The scale is |c1| plus half the summed magnitudes of those states.
     Each distinct word of the substituted polynomials is evaluated once,
     and ``w`` not again, so with ``xi[g]`` the letter X_0 of g, whose
@@ -101,7 +79,7 @@ def verify_gradient_expansion(m: ModelSpec, w: Word,
     """
     letters = tuple(w)
     if state is None:
-        state = expand_state(m, letters, 0).coefficient(0)
+        state = evaluate_state(m, letters)
     c1 = comb(len(letters) // 2, 1) * state
     values = {letters: state}
 

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Letter, NcPoly, TimeLike, as_time, x
+from .algebra import Letter, TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
 from .moments import fock_dimension, fock_vectors
 
@@ -201,11 +201,6 @@ class ConjugateSolution:
     gram_condition: float
     fock_dim: int
     prune_rounds: int
-
-    def polynomial(self) -> NcPoly:
-        return NcPoly(
-            {w: c for w, c in zip(self.basis_words, self.coefficients) if c != 0}
-        )
 
     def coefficient_map(self) -> dict:
         return {

@@ -34,7 +34,6 @@ from .algebra import (
     as_time,
     shift_word,
     word_adjoint,
-    x,
 )
 from .model import ModelSpec
 from .moments import Residual, evaluate_state
@@ -62,17 +61,6 @@ class TrigPoly(_SparseSum):
     @staticmethod
     def _normal_term(t, c) -> tuple:
         return as_time(t), complex(c)
-
-    @classmethod
-    def one(cls) -> "TrigPoly":
-        return cls._raw({Fraction(0): 1 + 0j})
-
-    @classmethod
-    def u(cls, t: TimeLike) -> "TrigPoly":
-        return cls._raw({as_time(t): 1 + 0j})
-
-    def coefficient(self, t: TimeLike) -> complex:
-        return self._terms.get(as_time(t), 0j)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
@@ -135,10 +123,6 @@ class CoreWord:
     @classmethod
     def u(cls, r: TimeLike) -> "CoreWord":
         return cls((), r)
-
-    @classmethod
-    def x_letter(cls, gen: str, t: TimeLike = 0) -> "CoreWord":
-        return cls((x(gen, t),))
 
     def __mul__(self, other):
         if isinstance(other, CoreWord):
@@ -213,14 +197,6 @@ class EtaBimoduleElem(_SparseSum):
         """Yield (coeff, a, b) with coefficient-1 core words."""
         for key, c in self.sorted_terms():
             yield (c, *self._legs(key))
-
-    def left_mul(self, cw: CoreWord) -> "EtaBimoduleElem":
-        """x . (a (x) b) = (x a) (x) b."""
-        return EtaBimoduleElem((c, cw * a, b) for c, a, b in self)
-
-    def right_mul(self, cw: CoreWord) -> "EtaBimoduleElem":
-        """(a (x) b) . y = a (x) (b y)."""
-        return EtaBimoduleElem((c, a, b * cw) for c, a, b in self)
 
     @classmethod
     def _term_str(cls, key, c) -> str:

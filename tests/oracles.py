@@ -12,7 +12,9 @@ pairing pass per set of flipped letters, which
 ``greedy_scan`` is the basis prune of :mod:`ncfisher.conjugate` by its
 definition, one column at a time, which the solver's one-QR
 guess-and-confirm replaces.
-``pair_with_y`` and ``random_ncpoly`` are helpers only the tests use.
+``solution_polynomial`` turns a solver result into the polynomial the
+symbolic forms take.  ``pair_with_y`` and ``random_ncpoly`` are helpers
+only the tests use.
 """
 import math
 import random
@@ -80,8 +82,13 @@ def l2_distance(m, p: NcPoly, q: NcPoly) -> float:
     return l2_norm(m, p - q)
 
 
+def solution_polynomial(sol) -> NcPoly:
+    """The solver's conjugate variable as a polynomial in its basis words."""
+    return NcPoly(sol.coefficient_map())
+
+
 def symbolic_self_adjoint_defect(m, sol) -> float:
-    p = sol.polynomial()
+    p = solution_polynomial(sol)
     return l2_norm(m, p - p.adjoint())
 
 
@@ -89,7 +96,8 @@ def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
                                  b_gens=()) -> float:
     sol0 = solve_conjugate(m, gen, basis, b_gens)
     sol1 = solve_conjugate(m, gen, basis.shifted(s), b_gens, target_time=s)
-    return l2_distance(m, sol0.polynomial().shift(s), sol1.polynomial())
+    return l2_distance(m, solution_polynomial(sol0).shift(s),
+                       solution_polynomial(sol1))
 
 
 def flipped_word_sums(m, w, max_order, absolute=False) -> dict:

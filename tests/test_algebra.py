@@ -42,15 +42,15 @@ def test_as_time_exact():
 
 
 def test_empty_word_is_identity():
-    one = NcPoly.one()
-    assert one * one == one
-    assert (one * one).coefficient(EMPTY_WORD) == 1
+    one = NcPoly.word(EMPTY_WORD)
+    assert one * one == one == 1
+    assert (one * one).terms == {EMPTY_WORD: 1}
 
 
 def test_single_letter_product():
     p = NcPoly.letter(x("a", 0)) * NcPoly.letter(x("a", 1))
     assert p == NcPoly.word((x("a", 0), x("a", 1)))
-    assert p.coefficient((x("a", 0), x("a", 1))) == 1
+    assert p.terms == {(x("a", 0), x("a", 1)): 1}
 
 
 def test_hand_expansion():
@@ -80,22 +80,16 @@ def test_shift_examples():
 
 
 def test_zero_coefficients_dropped():
-    assert NcPoly({(x("a", 0),): 0}).is_zero
+    assert NcPoly({(x("a", 0),): 0}) == NcPoly.zero()
     p = NcPoly.letter(x("a", 0))
-    assert (p - p).is_zero
+    assert p - p == NcPoly.zero()
     assert len(p + p) == 1
 
 
 def test_sorted_terms_are_graded():
-    p = NcPoly.word((x("a", 1), x("a", 0))) + NcPoly.one() + NcPoly.letter(y("a", 0))
+    p = NcPoly.word((x("a", 1), x("a", 0))) + 1 + NcPoly.letter(y("a", 0))
     lengths = [len(w) for w, _ in p.sorted_terms()]
     assert lengths == sorted(lengths)
-
-
-def test_selfadjoint_predicate():
-    p = NcPoly.word((x("a", 0), x("a", 1))) + NcPoly.word((x("a", 1), x("a", 0)))
-    assert p.is_selfadjoint()
-    assert not (1j * p).is_selfadjoint()
 
 
 @given(p=polys)
@@ -153,7 +147,7 @@ def _eta_elem(pairs):
     return EtaBimoduleElem((c, a, b) for (a, b), c in pairs)
 
 
-_XU = CoreWord.x_letter("g", 1) * CoreWord.u(1)
+_XU = CoreWord((x("g", 1),)) * CoreWord.u(1)
 # constructor from (key, coefficient) pairs, a key, another spelling of
 # the same key, a second key, and the key of the scalar unit (None: none)
 SPARSE_SUMS = {
@@ -161,7 +155,7 @@ SPARSE_SUMS = {
                (x("g", 0), y("g", "1/2")), ()),
     "TrigPoly": (TrigPoly, Fraction(1, 2), "1/2", Fraction(-1), 0),
     "EtaBimoduleElem": (_eta_elem, (_XU, CoreWord.one()),
-                        (CoreWord.u(1) * CoreWord.x_letter("g", 0),
+                        (CoreWord.u(1) * CoreWord((x("g", 0),)),
                          CoreWord.one()),
                         (CoreWord.one(), CoreWord.u(-1)), None),
 }
@@ -174,11 +168,11 @@ def test_sparse_sum_canonical_form(name):
     assert len(a) == 1 and list(a.terms.values()) == [5]
     assert a == make([(k1, 5)])
     zero = a + (-a)
-    assert zero.is_zero and len(zero) == 0 and zero == type(a).zero()
+    assert len(zero) == 0 and zero == type(a).zero()
     b = make([(k1, 1), (k2, -2)])
     assert a - b == a + (-b)
     assert 2 * a == a * 2 == a + a
-    assert (0 * a).is_zero
+    assert 0 * a == type(a).zero()
     b_again = make([(k2, -2), (k1_again, 1)])
     assert b_again == b and hash(b_again) == hash(b)
     if unit is None:
@@ -188,4 +182,4 @@ def test_sparse_sum_canonical_form(name):
     else:
         assert make([(unit, 3)]) == 3
         assert b + 1 == 1 + b == b + make([(unit, 1)])
-        assert 1 - b == -(b - 1)
+        assert -(b - 1) == 1 + (-b)

@@ -10,6 +10,7 @@ from ncfisher.derivation import FamilyError
 from ncfisher.model import two_atom_model
 from ncfisher.moments import evaluate_state, expectation
 from ncfisher.sampling import HALF_GRID, random_word
+from oracles import solution_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -20,10 +21,10 @@ def m():
 def test_two_letter_expansion(m):
     g = m.generators[0]
     exp = expand_state(m, (x("g", 0), x("g", 0)), 3)
-    assert exp.coefficient(0) == g.eta(0)
-    assert exp.coefficient(1) == g.eta(0)
-    assert exp.coefficient(Fraction(1, 2)) == 0
-    assert exp.powers() == [Fraction(0), Fraction(1, 2), Fraction(1)]
+    assert exp[0] == g.eta(0)
+    assert exp[1] == g.eta(0)
+    assert exp[Fraction(1, 2)] == 0
+    assert sorted(exp) == [Fraction(0), Fraction(1, 2), Fraction(1)]
 
 
 def test_displayed_identity_exact_as_polynomials(m):
@@ -32,20 +33,20 @@ def test_displayed_identity_exact_as_polynomials(m):
     g = m.generators[0]
     for t in HALF_GRID:
         exp = expand_state(m, (x("g", 0), x("g", t)), 2)
-        assert exp.coefficient(0) == g.eta(t)
-        assert exp.coefficient(1) == g.eta(t)
-        assert exp.coefficient(Fraction(1, 2)) == 0
+        assert exp[0] == g.eta(t)
+        assert exp[1] == g.eta(t)
+        assert exp[Fraction(1, 2)] == 0
 
 
 def test_single_letter_expansion_vanishes(m):
     exp = expand_state(m, (x("g", 0),), 2)
-    assert all(c == 0 for c in exp.coefficients.values())
+    assert all(c == 0 for c in exp.values())
 
 
 def test_first_order_counts_pairs(m):
     w = (x("g", 0), x("g", 1), x("g", 0), x("g", 1))
     exp = expand_state(m, w, 1)
-    assert exp.coefficient(1) == pytest.approx(2 * evaluate_state(m, w), abs=1e-12)
+    assert exp[1] == pytest.approx(2 * evaluate_state(m, w), abs=1e-12)
 
 
 def test_odd_powers_vanish_and_constant_term(m):
@@ -53,16 +54,18 @@ def test_odd_powers_vanish_and_constant_term(m):
     for _ in range(25):
         w = random_word(rng, ["g"], 6, even=True)
         exp = expand_state(m, w, 3)
-        assert exp.coefficient(0) == evaluate_state(m, w)
-        for p in exp.powers():
+        assert exp[0] == evaluate_state(m, w)
+        for p, c in exp.items():
             if p.denominator == 2:
-                assert exp.coefficient(p) == 0
+                assert c == 0
 
 
 def test_expansion_value_at_eps(m):
     g = m.generators[0]
+    # the truncated series summed at eps: state(X_eps X_eps) = (1 + eps) eta(0)
     exp = expand_state(m, (x("g", 0), x("g", 0)), 2)
-    assert exp.value(0.25) == pytest.approx(g.eta(0) * 1.25, abs=1e-12)
+    value = sum(c * 0.25 ** float(p) for p, c in exp.items())
+    assert value == pytest.approx(g.eta(0) * 1.25, abs=1e-12)
 
 
 def test_rejects_partner_letters_and_bad_order(m):
@@ -95,7 +98,7 @@ def test_gradient_identity_solver_output(m):
     sol = solve_conjugate(
         m, "g", BasisSpec(tuple(Fraction(k, 2) for k in range(-1, 2)), 2)
     )
-    xi = {"g": sol.polynomial()}
+    xi = {"g": solution_polynomial(sol)}
     rng = random.Random(19)
     for _ in range(10):
         w = random_word(rng, ["g"], 4, even=True)
@@ -116,14 +119,14 @@ def test_expansion_builds_one_kernel(m, monkeypatch):
     w = tuple(x("g", Fraction(k % 5, 2)) for k in range(12))
     exp = expand_state(m, w, 6)
     assert calls == {"word_kernel": 1, "pairing_sum": 1}
-    assert len(exp.powers()) == 13
+    assert len(exp) == 13
 
 
 def position_sum_residual(m, w, xi):
     """The check by its definition: c1 from the order-1 expansion and one
     state evaluation per position."""
     letters = tuple(w)
-    c1 = expand_state(m, letters, 1).coefficient(1)
+    c1 = expand_state(m, letters, 1)[1]
     values = [
         expectation(m, NcPoly.word(letters[:k])
                     * xi[l.gen].shift(l.time)
@@ -144,9 +147,9 @@ def test_gradient_check_evaluates_each_word_once(m, monkeypatch):
         return _original(model, letters)
 
     monkeypatch.setattr(moments, "_phi", counted)
-    solved = solve_conjugate(
+    solved = solution_polynomial(solve_conjugate(
         m, "g", BasisSpec(tuple(Fraction(k, 2) for k in range(-1, 2)), 2)
-    ).polynomial()
+    ))
     rng = random.Random(20)
     for xi in ({"g": NcPoly.letter(x("g", 0))}, {"g": solved}):
         for _ in range(5):

@@ -632,12 +632,51 @@ def test_non_finite_model_numbers_rejected(tmp_path, capsys, text):
     assert "finite" in captured.err
 
 
-def test_non_finite_output_is_usage_error(capsys):
-    # an infinite tail cutoff makes chi-star's value non-finite
-    assert run(["chi-star", "--tail-cutoff", "inf"]) == 2
+def test_non_finite_output_is_usage_error(tmp_path, capsys):
+    # a model that loads can still overflow on a long enough word: 64
+    # pairs of mass 1e6 multiply past the largest double
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+    word = " ".join(["X:0"] * 128)
+    assert run(["moment", "--model", str(path), "--word", word]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: Out of range float values")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, atom, named", [
+    (["conjugate"], {"x": 0, "w": 1e300}, "atom at x=0.0: weight"),
+    (["conjugate"], {"x": 0, "w": 1e-320}, "atom at x=0.0: weight"),
+    (["fisher"], {"x": 0, "w": 1e300}, "atom at x=0.0: weight"),
+    (["conjugate"], {"x": 1e300, "w": 1}, "atom at x=1e+300: frequency"),
+    (["chi-star", "--tail-cutoff", "inf"], None, "--tail-cutoff"),
+    (["chi-star", "--tail-cutoff", "nan"], None, "--tail-cutoff"),
+    (["bound", "--alpha", "0.5", "--delta", "inf"], None, "--delta"),
+    (["bound", "--alpha", "nan", "--delta", "1"], None, "--alpha"),
+    (["chi-star", "--eps", "0,nan"], None, "--eps"),
+    (["chi-star", "--eps", "0,inf"], None, "--eps"),
+    (["check-kms", "--grid", "0,nan"], None, "--grid"),
+    (["moment", "--word", "X:0 X:0", "--tol", "inf"], None, "--tol"),
+    (["verify-core", "--tol", "nan"], None, "--tol"),
+], ids=["conjugate-weight-1e300", "conjugate-weight-1e-320",
+        "fisher-weight-1e300", "conjugate-x-1e300", "tail-cutoff-inf",
+        "tail-cutoff-nan", "delta-inf", "alpha-nan", "eps-nan", "eps-inf",
+        "kms-grid-nan", "tol-inf", "tol-nan"])
+def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
+                                                      atom, named):
+    if atom is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"generators": [
+            {"name": "g", "mode": "half", "atoms": [atom]}]}))
+        argv = argv + ["--model", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0], captured.err
+    assert "JSON compliant" not in captured.err
     assert "Traceback" not in captured.err
 
 

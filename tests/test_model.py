@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,10 +131,8 @@ def test_frequency_literal():
 
 def test_kms_deviation_small_iff_balanced():
     grid = [-5 + 0.1 * k for k in range(101)]
-    rep = check_kms(two_atom_model().generators[0], grid)
-    assert rep.max_deviation < 1e-12
-    rep0 = check_kms(tracial_model().generators[0], grid)
-    assert rep0.max_deviation == 0.0
+    assert check_kms(two_atom_model().generators[0], grid) < 1e-12
+    assert check_kms(tracial_model().generators[0], grid) == 0.0
     # unbalanced atoms produce a genuinely large boundary mismatch
     bad = GeneratorSpec("g", (SpectralAtom(A, 1.0), SpectralAtom(-A, 1.0)))
     dev = max(abs(bad.eta(complex(t, 1)) - bad.eta(-t)) for t in grid)
@@ -211,3 +210,50 @@ def test_non_finite_tolerance_rejected(tol):
         build_model({"generators": [
             {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1}]}],
             "tolerance": tol})
+
+
+BIG = math.sqrt(sys.float_info.max)  # the largest weight with a finite square
+
+
+def half_mode(*atoms):
+    return {"generators": [{"name": "g", "mode": "half",
+                            "atoms": [{"x": x, "w": w} for x, w in atoms]}]}
+
+
+@pytest.mark.parametrize("atoms", [
+    [(0, sys.float_info.min)],
+    [(0, BIG)],
+    [(0, BIG / 4), (1, BIG / 4)],
+    [(112, 1.0)],
+], ids=["smallest-normal-weight", "largest-weight", "large-mass",
+        "fastest-partner"])
+def test_weights_just_inside_the_bounds_load(atoms):
+    g = build_model(half_mode(*atoms)).generators[0]
+    assert all(a.w >= sys.float_info.min for a in g.atoms)
+    assert math.isfinite(g.v * g.v)
+
+
+@pytest.mark.parametrize("config, match", [
+    (half_mode((0, math.nextafter(sys.float_info.min, 0))),
+     "atom at x=0.0: weight .* not a normal double"),
+    (half_mode((0, 1e-320)), "atom at x=0.0: weight .* not a normal double"),
+    (half_mode((0, math.nextafter(BIG, math.inf))),
+     "atom at x=0.0: weight .* finite square"),
+    (half_mode((0, 1e300)), "atom at x=0.0: weight .* finite square"),
+    (half_mode((0, BIG / 2), (1, BIG / 2)), "'g': mass .* square overflows"),
+    (half_mode((113, 1.0)), "atom at x=113.0: frequency too large"),
+    (half_mode((1e300, 1.0)), "atom at x=1e\\+300: frequency too large"),
+    ({"generators": [{"name": "g", "mode": "full", "atoms": [
+        {"x": 0, "w": 1.0}, {"x": 0.5, "w": 1e-320}]}]},
+     "atom at x=0.5: weight .* not a normal double"),
+], ids=["subnormal-weight", "1e-320", "weight-square", "1e300",
+        "mass-square", "partner-underflow", "x-1e300", "full-mode-weight"])
+def test_weights_past_the_bounds_are_refused_at_load(config, match):
+    with pytest.raises(ConfigError, match=match):
+        build_model(config)
+
+
+def test_scaling_is_not_bounded_like_loading():
+    # the bounds are on the model as loaded; chi-star scales it by 1 + eps
+    g = tracial_model().scaled(1e300).generators[0]
+    assert g.v == 1e300
