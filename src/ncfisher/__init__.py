@@ -52,6 +52,7 @@ from .conjugate import (
     DegenerateGramError,
     GridError,
     chi_star,
+    covariance_distance,
     cramer_rao_audit,
     embedded_distance,
     enumerate_basis,

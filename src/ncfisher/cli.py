@@ -39,6 +39,7 @@ from .model import (
     ConfigError,
     KMS_GRID,
     ModelSpec,
+    check_bounds,
     check_kms,
     load_model,
     two_atom_model,
@@ -340,6 +341,14 @@ def _cmd_cramer_rao(m, args):
 def _cmd_chi_star(m, args):
     gens = _gens_from_args(m, args)
     eps = _parse_floats(args.eps, "--eps")
+    # chi_star solves on the model scaled by 1 + eps, which must pass the
+    # bounds of a loaded model; every eps is checked before the first solve
+    for t in eps:
+        try:
+            for g in m.scaled(1.0 + t).generators:
+                check_bounds(g)
+        except ConfigError as exc:
+            raise ConfigError(f"--eps {t}: {exc}") from None
     cutoff = _finite("--tail-cutoff", args.tail_cutoff)
     value = chi_star(m, gens, eps, cutoff, _basis_from_args(m, args))
     return {

@@ -35,13 +35,16 @@ Three numerical facts shape the implementation:
   (residual, norms, the projection itself) do not depend on the order;
   only the reported coefficients do, and with it an exactly representable
   solution is reported concentrated.
-* The defining equations V_kept^H xi = b are solved as R^H z = b and
-  R c = z with xi = Q z, never through the normal equations V_kept^H V_kept,
-  so the working condition is that of R, the square root of the Gram's,
-  and no direction the prune kept is dropped afterwards.
+* The defining equations V_kept^H xi = b are solved as R^H z = b with
+  xi = Q z, never through the normal equations V_kept^H V_kept, so the
+  working condition is that of R, the square root of the Gram's, and no
+  direction the prune kept is dropped afterwards.  The norm of xi is |z|,
+  so the functionals need nothing more; the coefficients on the words,
+  R c = z, and the condition number are computed when first read.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -69,6 +72,7 @@ __all__ = [
     "CramerRaoReport",
     "cramer_rao_audit",
     "chi_star",
+    "covariance_distance",
     "modular_covariance_check",
 ]
 
@@ -181,26 +185,40 @@ def enumerate_basis(
 class ConjugateSolution:
     """Solved Galerkin data for one conjugate-variable problem.
 
+    ``r`` is the triangular factor of the kept words' Fock vectors,
+    V_kept = QR, and ``z`` the reduced solution, R^H z = b[kept], so that
+    xi = Q z and ``xi_norm_sq`` = |z|^2.  ``coefficients`` (xi on the basis
+    words, zero off ``kept``) and ``gram_condition`` (the condition number
+    of the kept words' Gram, cond(R)^2 from the singular values of R, with
+    nothing cut off) are computed on first read and then kept.
     ``fock_dim`` is the dimension of the truncated Fock space the basis
-    words live in (an upper bound on ``len(kept)``); ``gram_condition`` is
-    the condition number of the kept words' Gram, cond(R)^2 from the
-    singular values of the triangular factor, with nothing cut off.
-    ``prune_rounds`` counts the rounds the prune took: 1 when its guess
-    held, more when words near the threshold overturned it.
+    words live in (an upper bound on ``len(kept)``); ``prune_rounds``
+    counts the rounds the prune took: 1 when its guess held, more when
+    words near the threshold overturned it.
     """
 
     target_gen: str
     target_time: Fraction
     basis_words: tuple
     kept: tuple
-    coefficients: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     residual: float
     xi_norm_sq: float
     phi_star: float
-    gram_condition: float
     fock_dim: int
     prune_rounds: int
+
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        c = np.zeros(len(self.basis_words), dtype=complex)
+        c[list(self.kept)] = np.linalg.solve(self.r, self.z)
+        return c
+
+    @functools.cached_property
+    def gram_condition(self) -> float:
+        return float(np.linalg.cond(self.r) ** 2)
 
     def coefficient_map(self) -> dict:
         return {
@@ -257,8 +275,9 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
         v = vecs[:, final:stop]
         other = np.flatnonzero(~guess[final:stop])
         b = np.hstack([vecs[:, new], v[:, other]])
-        c1 = qh[:p] @ b
-        b -= q[:, :p] @ c1
+        if p:
+            c1 = qh[:p] @ b
+            b -= q[:, :p] @ c1
         # factor the guessed ones
         q2, r2 = np.linalg.qr(b[:, :m])
         if p:
@@ -267,7 +286,7 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
             # are to each other (block Gram-Schmidt twice)
             c2 = qh[:p] @ q2
             q2, r3 = np.linalg.qr(q2 - q[:, :p] @ c2)
-            c1[:, :m] += c2 @ r2
+            r[:p, p:k] = c1[:, :m] + c2 @ r2
             r2 = r3 @ r2
         diag = r2.diagonal()
         size = np.abs(diag)
@@ -275,7 +294,6 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
         np.divide(diag, size, out=phase, where=size > 0)
         q[:, p:k] = q2 * phase
         qh[p:k] = q[:, p:k].T.conj()
-        r[:p, p:k] = c1[:, :m]
         r[p:k, p:k] = r2 * phase.conj()[:, None]
         r[range(p, k), range(p, k)] = size
         # residual of each open column against the guessed columns before
@@ -317,15 +335,15 @@ def solve_conjugate(
     Builds the Fock vectors of the basis words and from them
     b_P = <partner, d(P)> for every basis word P, prunes the basis to a
     maximal independent subset with its factor V_kept = QR, and solves
-    R^H z = b[kept], R c = z; the solution is xi = Q z, so
-    xi_norm_sq = |z|^2.  The residual is the Euclidean norm of the
-    unmatched part of the defining data over the full basis, phi_star the
-    solution's squared norm normalized by the target's second moment, and
-    ``gram_condition`` cond(R)^2.
+    R^H z = b[kept]; the solution is xi = Q z, so xi_norm_sq = |z|^2.  The
+    residual is the Euclidean norm of the unmatched part of the defining
+    data over the full basis, and phi_star the solution's squared norm
+    normalized by the target's second moment.  The coefficients (R c = z)
+    and ``gram_condition`` are left to the first read of the solution's
+    properties.
     """
     t0 = as_time(target_time)
     words = enumerate_basis(m, target_gen, basis, b_gens, t0)
-    n = len(words)
     alphabet = [w[0] for w in words if len(w) == 1]
     vecs = fock_vectors(m, alphabet, basis.max_degree)
     gen = m.gen(target_gen)
@@ -363,11 +381,9 @@ def solve_conjugate(
     if not kept:
         raise DegenerateGramError("no basis word survives the rank screen")
 
-    # numpy has no triangular solver; LU on the triangular factors is
+    # numpy has no triangular solver; LU on the triangular factor is
     # still backward stable
     z = np.linalg.solve(r.conj().T, rhs[kept])
-    coefficients = np.zeros(n, dtype=complex)
-    coefficients[kept] = np.linalg.solve(r, z)
     residual = float(np.linalg.norm(vecs.conj().T @ (q @ z) - rhs))
     xi_norm_sq = float(np.vdot(z, z).real)
     return ConjugateSolution(
@@ -375,12 +391,12 @@ def solve_conjugate(
         target_time=t0,
         basis_words=tuple(words),
         kept=tuple(kept),
-        coefficients=coefficients,
+        r=r,
+        z=z,
         rhs=b,
         residual=residual,
         xi_norm_sq=xi_norm_sq,
         phi_star=xi_norm_sq / gen.v,
-        gram_condition=float(np.linalg.cond(r) ** 2),
         fock_dim=vecs.shape[0],
         prune_rounds=rounds,
     )
@@ -546,12 +562,12 @@ def chi_star(
     return quad + tail
 
 
-def modular_covariance_check(
-    m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec,
-    b_gens: Sequence[str] = (),
+def covariance_distance(
+    m: ModelSpec, solution: ConjugateSolution, shifted: ConjugateSolution
 ) -> float:
-    """L2 distance between the shifted solution and the solution of the
-    shifted problem (target letter at time s over the shifted grid).
+    """L2 distance between ``solution`` moved by a time shift s and
+    ``shifted``, the solution of the problem shifted by s (target letter
+    at time s over the grid shifted by s).
 
     The basis is shift-covariant: shifting the words of the unshifted
     solve gives the words of the shifted one, position by position
@@ -559,9 +575,20 @@ def modular_covariance_check(
     vectors do not depend on time).  So the distance is that of the two
     coefficient vectors through the shifted solve's Fock vectors.
     """
+    return _basis_norm(m, shifted,
+                       solution.coefficients - shifted.coefficients)
+
+
+def modular_covariance_check(
+    m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec,
+    b_gens: Sequence[str] = (),
+) -> float:
+    """:func:`covariance_distance` of the solve on ``basis`` and the solve
+    of the problem shifted by ``s``."""
     ds = as_time(s)
-    sol0 = solve_conjugate(m, gen_id, basis, b_gens)
-    sol1 = solve_conjugate(
-        m, gen_id, basis.shifted(ds), b_gens, target_time=ds
+    return covariance_distance(
+        m,
+        solve_conjugate(m, gen_id, basis, b_gens),
+        solve_conjugate(m, gen_id, basis.shifted(ds), b_gens,
+                        target_time=ds),
     )
-    return _basis_norm(m, sol1, sol0.coefficients - sol1.coefficients)

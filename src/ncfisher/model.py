@@ -30,6 +30,7 @@ __all__ = [
     "GeneratorSpec",
     "ModelSpec",
     "KMS_GRID",
+    "check_bounds",
     "check_detailed_balance",
     "check_kms",
     "build_model",
@@ -258,6 +259,26 @@ def _finite_float(value):
     return f if math.isfinite(f) else None
 
 
+def _check_weight(where: str, w: float) -> None:
+    # moments and Gram entries multiply weights, so a subnormal weight or
+    # one with an infinite square makes them 0, inf or NaN
+    if 0 < w < sys.float_info.min or not math.isfinite(w * w):
+        raise ConfigError(f"{where}: weight {w} is not a normal double "
+                          "with a finite square")
+
+
+def check_bounds(g: GeneratorSpec) -> None:
+    """Raise :class:`ConfigError`, naming the atom or the generator,
+    unless every weight of ``g`` is a normal double with a finite square
+    and its mass has a finite square; a loaded model and every model the
+    CLI scales from it must pass."""
+    for a in g.atoms:
+        _check_weight(f"generator {g.gen_id!r}, atom at x={a.x}", a.w)
+    if not math.isfinite(g.v * g.v):
+        raise ConfigError(f"generator {g.gen_id!r}: mass {g.v} is too "
+                          "large, its square overflows a double")
+
+
 def _build_generator(entry) -> GeneratorSpec:
     if not isinstance(entry, dict):
         raise ConfigError("each generator entry must be an object")
@@ -281,11 +302,9 @@ def _build_generator(entry) -> GeneratorSpec:
         xv = _parse_frequency(item["x"])
         wv = _parse_weight(item["w"])
         where = f"generator {name!r}, atom at x={xv}"
-        # moments and Gram entries multiply weights, so a subnormal weight
-        # or one with an infinite square makes them 0, inf or NaN
-        if 0 < wv < sys.float_info.min or not math.isfinite(wv * wv):
-            raise ConfigError(f"{where}: weight {wv} is not a normal double "
-                              "with a finite square")
+        # checked before a partner is derived from it, so that only a
+        # partner that underflows from a valid weight blames the frequency
+        _check_weight(where, wv)
         if mode == "half":
             if xv < 0:
                 raise ConfigError(
@@ -303,9 +322,7 @@ def _build_generator(entry) -> GeneratorSpec:
             atoms.append(SpectralAtom(xv, wv))
 
     g = GeneratorSpec(name, tuple(atoms))
-    if not math.isfinite(g.v * g.v):
-        raise ConfigError(f"generator {name!r}: mass {g.v} is too large, "
-                          "its square overflows a double")
+    check_bounds(g)
     if mode == "full":
         check_detailed_balance(g)
     return g

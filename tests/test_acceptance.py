@@ -3,6 +3,7 @@
 
 import pytest
 
+from ncfisher import conjugate, suite
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
 
 
@@ -32,3 +33,20 @@ def test_suite_deterministic_across_workers():
         assert a.cid == b.cid
         assert a.passed == b.passed
         assert a.details == b.details
+
+
+def test_covariance_check_solves_each_problem_once(monkeypatch):
+    # the unshifted problem, the ten shifted ones and the two larger
+    # adjoint solves, each once
+    solve = conjugate.solve_conjugate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conjugate, "solve_conjugate", counted)
+    monkeypatch.setattr(suite, "solve_conjugate", counted)
+    result = suite.check_covariance_selfadjoint(suite.SuiteContext.fresh(1))
+    assert result.passed
+    assert len(calls) == 13

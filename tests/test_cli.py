@@ -168,6 +168,14 @@ def test_chi_star_command(capsys):
     assert value == pytest.approx(exact, abs=0.05)
 
 
+def test_chi_star_scales_up_to_the_load_time_bounds(capsys):
+    # weights near 1e150 keep finite squares; RuntimeWarning is an error
+    code, report = run_json(
+        capsys, ["chi-star", "--eps", "0,1e150", "--tail-cutoff", "1e300"])
+    assert code == 0
+    assert math.isfinite(report["outputs"]["value"])
+
+
 def test_verify_commands_quick(capsys):
     code, report = run_json(
         capsys, ["verify-lemma2", "--count", "10", "--degree", "3"]
@@ -657,13 +665,15 @@ def test_non_finite_output_is_usage_error(tmp_path, capsys):
     (["bound", "--alpha", "nan", "--delta", "1"], None, "--alpha"),
     (["chi-star", "--eps", "0,nan"], None, "--eps"),
     (["chi-star", "--eps", "0,inf"], None, "--eps"),
+    (["chi-star", "--eps", "0,1e300", "--tail-cutoff", "1e300"], None,
+     "--eps 1e+300"),
     (["check-kms", "--grid", "0,nan"], None, "--grid"),
     (["moment", "--word", "X:0 X:0", "--tol", "inf"], None, "--tol"),
     (["verify-core", "--tol", "nan"], None, "--tol"),
 ], ids=["conjugate-weight-1e300", "conjugate-weight-1e-320",
         "fisher-weight-1e300", "conjugate-x-1e300", "tail-cutoff-inf",
         "tail-cutoff-nan", "delta-inf", "alpha-nan", "eps-nan", "eps-inf",
-        "kms-grid-nan", "tol-inf", "tol-nan"])
+        "eps-1e300", "kms-grid-nan", "tol-inf", "tol-nan"])
 def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
                                                       atom, named):
     if atom is not None:

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 import random
 from fractions import Fraction
@@ -440,6 +440,48 @@ def test_gram_condition_reported(m):
         np.linalg.cond(kept.conj().T @ kept), rel=1e-6)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the test's calls to np.linalg.cond and np.linalg.solve."""
+    calls = dict.fromkeys(("cond", "solve"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kw):
+            calls[_name] += 1
+            return _call(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_coefficients_and_condition_wait_for_their_first_read(m,
+                                                               linalg_calls):
+    sol = solve_conjugate(m, "g", BasisSpec(GRID5, 3))
+    assert linalg_calls == {"cond": 0, "solve": 1}
+    coefficients = sol.coefficients
+    assert sol.coefficients is coefficients
+    assert linalg_calls == {"cond": 0, "solve": 2}
+    condition = sol.gram_condition
+    assert sol.gram_condition == condition
+    assert linalg_calls == {"cond": 1, "solve": 2}
+    # bit for bit the expressions the solve used to evaluate itself
+    kept = list(sol.kept)
+    want = np.zeros(len(sol.basis_words), dtype=complex)
+    want[kept] = np.linalg.solve(sol.r, sol.z)
+    assert np.array_equal(coefficients, want)
+    assert condition == float(np.linalg.cond(sol.r) ** 2)
+    # r is the kept words' triangular factor and z the reduced solution
+    assert np.array_equal(np.triu(sol.r), sol.r)
+    assert np.allclose(sol.r.conj().T @ sol.z, sol.rhs.conj()[kept],
+                       atol=1e-12)
+    assert sol.xi_norm_sq == float(np.vdot(sol.z, sol.z).real)
+
+
+@pytest.mark.parametrize("functional", [fisher_multi, cramer_rao_audit])
+def test_family_functionals_solve_only_for_the_norms(functional,
+                                                     linalg_calls):
+    functional(pair_model(), ["1", "2"], BasisSpec(GRID3, 2))
+    assert linalg_calls == {"cond": 0, "solve": 2}
+
+
 def test_fisher_single_equals_phi_star(m):
     spec = BasisSpec(GRID3, 2)
     sol = solve_conjugate(m, "g", spec)
@@ -596,7 +638,11 @@ def random_coefficients(sol, seed):
     rng = np.random.default_rng(seed)
     n = len(sol.basis_words)
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return dataclasses.replace(sol, coefficients=c)
+    # coefficients is computed on first read; an attribute set on a copy
+    # takes its place
+    rough = copy.copy(sol)
+    object.__setattr__(rough, "coefficients", c)
+    return rough
 
 
 @pytest.mark.parametrize("case", range(4))
