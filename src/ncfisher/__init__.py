@@ -49,7 +49,6 @@ from .conjugate import (
     BasisSpec,
     ConjugateSolution,
     CramerRaoReport,
-    DegenerateGramError,
     GridError,
     chi_star,
     covariance_distance,

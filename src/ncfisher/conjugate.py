@@ -30,11 +30,12 @@ Three numerical facts shape the implementation:
   times from the target time).  In exact arithmetic that keeps the words
   over the first k letters of each generator, k its atom count, so the
   prune guesses those and confirms the guess with one QR and one masked
-  projection, correcting it window by window where rounding says
-  otherwise; the solve is on that QR, V_kept = QR.  Vector-level outputs
-  (residual, norms, the projection itself) do not depend on the order;
-  only the reported coefficients do, and with it an exactly representable
-  solution is reported concentrated.
+  projection; where rounding says otherwise, it scans word by word from
+  the first word the guess got wrong.  The solve is on the factor,
+  V_kept = QR.  Vector-level outputs (residual, norms, the projection
+  itself) do not depend on the order; only the reported coefficients do,
+  and with it an exactly representable solution is reported
+  concentrated.
 * The defining equations V_kept^H xi = b are solved as R^H z = b with
   xi = Q z, never through the normal equations V_kept^H V_kept, so the
   working condition is that of R, the square root of the Gram's, and no
@@ -54,12 +55,11 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Letter, TimeLike, as_time, x
-from .model import ConfigError, ModelSpec
+from .model import ConfigError, ModelSpec, check_bounds
 from .moments import fock_dimension, fock_vectors
 
 __all__ = [
     "BasisError",
-    "DegenerateGramError",
     "GridError",
     "BasisSpec",
     "ConjugateSolution",
@@ -83,10 +83,6 @@ MAX_BASIS_ENTRIES = 2_000_000  # words times Fock dimension of one solve
 
 class BasisError(ValueError):
     """Invalid basis specification for the requested solve."""
-
-
-class DegenerateGramError(RuntimeError):
-    """No basis word survived the rank screen."""
 
 
 class GridError(ValueError):
@@ -192,9 +188,9 @@ class ConjugateSolution:
     of the kept words' Gram, cond(R)^2 from the singular values of R, with
     nothing cut off) are computed on first read and then kept.
     ``fock_dim`` is the dimension of the truncated Fock space the basis
-    words live in (an upper bound on ``len(kept)``); ``prune_rounds``
-    counts the rounds the prune took: 1 when its guess held, more when
-    words near the threshold overturned it.
+    words live in (an upper bound on ``len(kept)``); ``prune_rounds`` is
+    1 when the prune's guess held, and otherwise 1 plus the number of
+    words it then scanned one at a time.
     """
 
     target_gen: str
@@ -234,93 +230,82 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     PRUNE_RTOL times its own squared norm, and no column after the one
     that completes the space is kept.
 
-    ``guess`` is a boolean mask of the columns expected to be kept.  A
-    round decides a window of the open columns.  It projects the guessed
-    columns up to the window's end (cut to the space's dimension) and the
-    window's other columns off the factor of the final ones, and extends
-    that factor by a QR of the guessed ones (block Gram-Schmidt, twice).
-    A guessed column's residual against the guessed columns before it is
-    then on R's diagonal, and one masked projection gives the others'.
-    Where a decision differs from the guess, the decisions before the
-    first difference are final, that column takes its computed decision,
-    the computed decisions after it are the next guess, and the next
-    window is as long as the run the guess held.  A window without a
-    difference is final, and the next one is twice as long.  The first
-    window holds every column, so a right guess is confirmed in one
-    round, and each round makes at least one more decision final.  A
-    round reads no column after the guessed one that completes the space.
+    ``guess`` is a boolean mask of the columns expected to be kept.  One
+    QR of the guessed columns (cut to the space's dimension) puts each
+    one's residual against the guessed columns before it on R's diagonal,
+    and one masked projection gives every other column's.  A right guess
+    is confirmed there.  Where a decision differs from the guess, the
+    decisions before the first difference stand, and so do R's leading
+    columns for them; the columns from it on are then decided one at a
+    time against that factor, by classical Gram-Schmidt applied twice
+    (once, for a column the first projection already shows dependent),
+    until the kept columns span the space.  No column after the one that
+    completes the space is read.
 
     Returns ``(kept, Q, R, rounds)`` with ``vecs[:, kept] = Q R``, Q
-    orthonormal and R upper triangular with a real positive diagonal.
+    orthonormal and R upper triangular with a real positive diagonal;
+    ``rounds`` is 1 plus the number of columns read one at a time.
     """
     dim, n = vecs.shape
-    guess = np.array(guess, dtype=bool)
     q = np.zeros((dim, dim), dtype=complex)  # columns of the factor
     qh = np.zeros((dim, dim), dtype=complex)  # their conjugates, as rows
     r = np.zeros((dim, dim), dtype=complex)
-    final = 0  # the decisions of the columns before this one are final
-    p = 0  # q[:, :p] r[:p, :p] factors the final kept columns
-    width = n  # how many open columns a round decides
-    rounds = 0
-    while True:
-        rounds += 1
-        kept = np.flatnonzero(guess)[:dim]
-        end = kept[-1] + 1 if len(kept) == dim else n
-        stop = min(end, final + width)
-        # the guessed columns before ``stop`` that are not final, then the
-        # window's other columns, projected off the final columns
-        new = kept[p:np.searchsorted(kept, stop)]
-        m = len(new)
-        k = p + m
-        v = vecs[:, final:stop]
-        other = np.flatnonzero(~guess[final:stop])
-        b = np.hstack([vecs[:, new], v[:, other]])
-        if p:
-            c1 = qh[:p] @ b
-            b -= q[:, :p] @ c1
-        # factor the guessed ones
-        q2, r2 = np.linalg.qr(b[:, :m])
-        if p:
-            # project Q off the final columns once more and QR it again, so
-            # that Q stays orthonormal however close the guessed columns
-            # are to each other (block Gram-Schmidt twice)
-            c2 = qh[:p] @ q2
-            q2, r3 = np.linalg.qr(q2 - q[:, :p] @ c2)
-            r[:p, p:k] = c1[:, :m] + c2 @ r2
-            r2 = r3 @ r2
-        diag = r2.diagonal()
-        size = np.abs(diag)
-        phase = np.ones_like(diag)
-        np.divide(diag, size, out=phase, where=size > 0)
-        q[:, p:k] = q2 * phase
-        qh[p:k] = q[:, p:k].T.conj()
-        r[p:k, p:k] = r2 * phase.conj()[:, None]
-        r[range(p, k), range(p, k)] = size
-        # residual of each open column against the guessed columns before
-        # it: the diagonal of R for a guessed column, |v - Q Q^H v|^2 for
-        # another (|v|^2 - |Q^H v|^2 would carry a rounding error of order
-        # eps |v|^2 into a residual near PRUNE_RTOL |v|^2)
-        residual = np.empty(stop - final)
-        guessed = new >= final
-        residual[new[guessed] - final] = size[guessed] ** 2
-        w = b[:, m:]
-        c = qh[p:k] @ w
-        c[new[:, None] >= final + other] = 0
-        w -= q[:, p:k] @ c
-        residual[other] = (w.real**2 + w.imag**2).sum(axis=0)
-        norm_sq = (v.real**2 + v.imag**2).sum(axis=0)
-        decided = residual > PRUNE_RTOL * norm_sq
-        differ = np.flatnonzero(decided != guess[final:stop])
-        if len(differ):
-            j = final + differ[0]
-            guess[j:stop] = decided[differ[0]:]
-            final, p = j + 1, p + np.searchsorted(new, j)
-            width = max(1, differ[0])
-        elif stop < end:
-            final, p = stop, k
-            width *= 2
-        else:
-            return kept.tolist(), q[:, :k], r[:k, :k], rounds
+    kept = np.flatnonzero(guess)[:dim]
+    end = kept[-1] + 1 if len(kept) == dim else n
+    m = len(kept)
+    v = vecs[:, :end]
+    other = np.flatnonzero(~guess[:end])
+    b = np.hstack([vecs[:, kept], v[:, other]])
+    q2, r2 = np.linalg.qr(b[:, :m])
+    diag = r2.diagonal()
+    size = np.abs(diag)
+    phase = np.ones_like(diag)
+    np.divide(diag, size, out=phase, where=size > 0)
+    q[:, :m] = q2 * phase
+    qh[:m] = q[:, :m].T.conj()
+    r[:m, :m] = r2 * phase.conj()[:, None]
+    r[range(m), range(m)] = size
+    # residual of each column against the guessed columns before it: the
+    # diagonal of R for a guessed column, |v - Q Q^H v|^2 for another
+    # (|v|^2 - |Q^H v|^2 would carry a rounding error of order eps |v|^2
+    # into a residual near PRUNE_RTOL |v|^2)
+    residual = np.empty(end)
+    residual[kept] = size**2
+    w = b[:, m:]
+    c = qh[:m] @ w
+    c[kept[:, None] > other] = 0
+    w -= q[:, :m] @ c
+    residual[other] = (w.real**2 + w.imag**2).sum(axis=0)
+    norm_sq = (v.real**2 + v.imag**2).sum(axis=0)
+    differ = np.flatnonzero((residual > PRUNE_RTOL * norm_sq) != guess[:end])
+    if not len(differ):
+        return kept.tolist(), q[:, :m], r[:m, :m], 1
+    j = int(differ[0])
+    k = np.searchsorted(kept, j)
+    kept = kept[:k].tolist()
+    for i in range(j, n):
+        v = vecs[:, i]
+        floor = PRUNE_RTOL * float(np.vdot(v, v).real)
+        c = qh[:k] @ v
+        w = v - q[:, :k] @ c
+        # projecting once more cannot raise the residual, so a column the
+        # first projection takes to the floor is dependent
+        if float(np.vdot(w, w).real) <= floor:
+            continue
+        c2 = qh[:k] @ w
+        w -= q[:, :k] @ c2
+        res = float(np.vdot(w, w).real)
+        if res > floor:
+            q[:, k] = w / math.sqrt(res)
+            qh[k] = q[:, k].conj()
+            r[:k, k] = c + c2
+            r[k, k] = math.sqrt(res)
+            kept.append(i)
+            k += 1
+            if k == dim:
+                break  # the kept columns span the space
+    # one round for the QR, one more per column read from ``j`` to ``i``
+    return kept, q[:, :k], r[:k, :k], i - j + 2
 
 
 def solve_conjugate(
@@ -378,8 +363,6 @@ def solve_conjugate(
     rhs = b.conjugate()
 
     kept, q, r, rounds = _prune_independent(vecs, guess)
-    if not kept:
-        raise DegenerateGramError("no basis word survives the rank screen")
 
     # numpy has no triangular solver; LU on the triangular factor is
     # still backward stable
@@ -533,7 +516,9 @@ def chi_star(
     (n/(1+t) - Fisher(t)) / 2, integrated by trapezoid over ``eps_grid``.
     The tail holds the last computed Fisher value constant on
     [grid end, tail_cutoff] and integrates n/(1+t) there exactly; nothing
-    is added beyond ``tail_cutoff``.
+    is added beyond ``tail_cutoff``.  A :class:`ConfigError` naming the
+    eps is raised, before any solve, when the model scaled by 1 + eps
+    fails :func:`ncfisher.model.check_bounds`.
     """
     gens = list(gens)
     if not gens:
@@ -545,10 +530,15 @@ def chi_star(
         raise GridError("eps grid must be strictly increasing")
     if tail_cutoff < grid[-1]:
         raise GridError("tail cutoff must not precede the grid end")
+    models = [m.scaled(1.0 + t) for t in grid]
+    for t, scaled in zip(grid, models):
+        try:
+            for g in scaled.generators:
+                check_bounds(g)
+        except ConfigError as exc:
+            raise ConfigError(f"--eps {t}: {exc}") from None
     n = len(gens)
-    fishers = [
-        fisher_multi(m.scaled(1.0 + t), gens, basis) for t in grid
-    ]
+    fishers = [fisher_multi(scaled, gens, basis) for scaled in models]
     integrand = [0.5 * (n / (1.0 + t) - f) for t, f in zip(grid, fishers)]
     quad = math.fsum(
         0.5 * (integrand[i] + integrand[i + 1]) * (grid[i + 1] - grid[i])

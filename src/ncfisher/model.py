@@ -121,7 +121,7 @@ class GeneratorSpec:
         )
 
 
-def check_detailed_balance(g: GeneratorSpec, rtol: float = _BALANCE_RTOL) -> None:
+def check_detailed_balance(g: GeneratorSpec) -> None:
     """Raise :class:`DetailedBalanceViolation` unless w(-x) = w(x)e^{-2 pi x}.
 
     Frequencies at ``x`` and ``-x`` must be exact float negations of each
@@ -138,7 +138,8 @@ def check_detailed_balance(g: GeneratorSpec, rtol: float = _BALANCE_RTOL) -> Non
             )
         if a.x > 0:
             expected = a.w * math.exp(-TWO_PI * a.x)
-            if abs(partner.w - expected) > rtol * max(partner.w, expected):
+            if (abs(partner.w - expected)
+                    > _BALANCE_RTOL * max(partner.w, expected)):
                 raise DetailedBalanceViolation(
                     g.gen_id,
                     f"weight at -x must be w(x)*exp(-2*pi*x): "
@@ -270,8 +271,8 @@ def _check_weight(where: str, w: float) -> None:
 def check_bounds(g: GeneratorSpec) -> None:
     """Raise :class:`ConfigError`, naming the atom or the generator,
     unless every weight of ``g`` is a normal double with a finite square
-    and its mass has a finite square; a loaded model and every model the
-    CLI scales from it must pass."""
+    and its mass has a finite square; a loaded model and every model
+    ``conjugate.chi_star`` scales from it must pass."""
     for a in g.atoms:
         _check_weight(f"generator {g.gen_id!r}, atom at x={a.x}", a.w)
     if not math.isfinite(g.v * g.v):
@@ -365,7 +366,7 @@ def load_model(path) -> ModelSpec:
 # ----------------------------------------------------------------------
 
 
-def two_atom_model(gen_id: str = "g", weight: float = 2.0 / 3.0) -> ModelSpec:
+def two_atom_model(gen_id: str = "g") -> ModelSpec:
     """The documented two-atom example: weight 2/3 at ln2/(2 pi), 1/3 at
     the mirror frequency; total mass 1."""
     return build_model(
@@ -374,19 +375,20 @@ def two_atom_model(gen_id: str = "g", weight: float = 2.0 / 3.0) -> ModelSpec:
                 {
                     "name": gen_id,
                     "mode": "half",
-                    "atoms": [{"x": _FREQ_LITERAL, "w": weight}],
+                    "atoms": [{"x": _FREQ_LITERAL, "w": 2.0 / 3.0}],
                 }
             ]
         }
     )
 
 
-def tracial_model(gen_id: str = "g", v: float = 1.0) -> ModelSpec:
-    """Single atom at 0: trivial modular flow, semicircular of variance v."""
+def tracial_model() -> ModelSpec:
+    """Generator "g" with a single atom at 0: trivial modular flow,
+    semicircular of variance 1."""
     return build_model(
         {
             "generators": [
-                {"name": gen_id, "mode": "half", "atoms": [{"x": 0, "w": v}]}
+                {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1.0}]}
             ]
         }
     )

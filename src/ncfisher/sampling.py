@@ -46,13 +46,7 @@ def random_word(
     return tuple(letters)
 
 
-def random_core_word(
-    rng: random.Random,
-    gens,
-    max_x_degree: int,
-    pool=HALF_GRID,
-    u_pool=HALF_GRID,
-) -> CoreWord:
+def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
     """Up to ``max_x_degree`` letters, each preceded by a U step with
     probability 0.6, then a final U step with probability 0.7; the U steps
     are pushed right as they are drawn, so the word comes out in normal
@@ -63,8 +57,8 @@ def random_core_word(
     n_x = rng.randint(0, max_x_degree)
     for _ in range(n_x):
         if rng.random() < 0.6:
-            shift += random_time(rng, u_pool)
-        letters.append(x(rng.choice(gens), random_time(rng, pool) + shift))
+            shift += random_time(rng)
+        letters.append(x(rng.choice(gens), random_time(rng) + shift))
     if rng.random() < 0.7:
-        shift += random_time(rng, u_pool)
+        shift += random_time(rng)
     return CoreWord(tuple(letters), shift)

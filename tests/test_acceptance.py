@@ -50,3 +50,17 @@ def test_covariance_check_solves_each_problem_once(monkeypatch):
     result = suite.check_covariance_selfadjoint(suite.SuiteContext.fresh(1))
     assert result.passed
     assert len(calls) == 13
+
+
+def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):
+    prune = conjugate._prune_independent
+    rounds = []
+
+    def counted(vecs, guess):
+        out = prune(vecs, guess)
+        rounds.append(out[3])
+        return out
+
+    monkeypatch.setattr(conjugate, "_prune_independent", counted)
+    run_suite(seed=0)
+    assert rounds and set(rounds) == {1}

@@ -17,7 +17,7 @@ import pytest
 import ncfisher
 from ncfisher import cli, moments
 from ncfisher.cli import run
-from ncfisher.conjugate import BasisSpec, DegenerateGramError, solve_family
+from ncfisher.conjugate import BasisSpec, solve_family
 from ncfisher.model import load_model, two_atom_model
 from ncfisher.moments import MAX_WORD_LETTERS
 from ncfisher.suite import (
@@ -347,18 +347,6 @@ def test_brownian_long_expansion_is_quick(capsys):
     assert time.perf_counter() - started < 5.0
     assert code == 0
     assert len(report["outputs"]["coefficients"]) == 41
-
-
-def test_degenerate_gram_is_usage_error(monkeypatch, capsys):
-    def degenerate(*args, **kwargs):
-        raise DegenerateGramError("no basis word survives the rank screen")
-
-    monkeypatch.setattr(cli, "solve_conjugate", degenerate)
-    assert run(["conjugate"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err
 
 
 def test_linalg_error_is_usage_error(monkeypatch, capsys):

@@ -239,9 +239,13 @@ def unitary(dim, seed):
 def assert_factor(vecs, want):
     """The prune keeps ``want`` whatever it guesses, and returns its factor
     vecs[:, kept] = QR: Q orthonormal, R upper triangular with a positive
-    real diagonal.  The right guess is confirmed in one round."""
-    n = vecs.shape[1]
+    real diagonal.  The right guess is confirmed in one round; a wrong one
+    takes one more round per column the scan reads, from the first column
+    the guess gets wrong up to the one that completes the space, or up to
+    the last column."""
+    dim, n = vecs.shape
     right = np.isin(np.arange(n), want)
+    done = want[-1] if len(want) == dim else n - 1
     for guess in (right, ~right, np.ones(n, bool), np.zeros(n, bool)):
         kept, q, r, rounds = _prune_independent(vecs, guess)
         assert kept == want
@@ -250,7 +254,9 @@ def assert_factor(vecs, want):
                            atol=1e-12)
         assert np.array_equal(r, np.triu(r))
         assert np.all(r.diagonal().real > 0) and not r.diagonal().imag.any()
-        assert 1 <= rounds <= n + 1
+        wrong = np.flatnonzero(guess[:done + 1] != right[:done + 1])
+        assert type(rounds) is int
+        assert rounds == (done - wrong[0] + 2 if len(wrong) else 1)
     assert _prune_independent(vecs, right)[3] == 1
 
 
@@ -281,21 +287,32 @@ def test_prune_stops_when_the_space_is_spanned():
             cols = key[1]
             if isinstance(cols, slice):
                 cols = range(*cols.indices(self.shape[1]))
-            self.log.update(np.asarray(cols).tolist())
+            self.log.update(np.ravel(cols).tolist())
             return np.asarray(self).__getitem__(key)
 
     # the last column comes after the one that completes the space: it is
-    # never factored or confirmed, so even a NaN there changes nothing
+    # never factored, confirmed or scanned, so even a NaN there changes
+    # nothing
     u = unitary(2, 3)
-    vecs = np.stack([u[:, 0], u[:, 0] + u[:, 1], u[:, 1],
-                     np.full(2, np.nan)], axis=1).view(Reads)
-    for guess in ([1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 1]):
-        vecs.log = set()
-        kept, q, r, rounds = _prune_independent(vecs, np.array(guess, bool))
-        assert kept == [0, 1]
-        assert 3 not in vecs.log
-        assert np.isfinite(q).all() and np.isfinite(r).all()
-        assert_factor(np.asarray(vecs)[:, :3], kept)
+    nan = np.full(2, np.nan)
+    cases = [
+        ([u[:, 0], u[:, 0] + u[:, 1], u[:, 1], nan], [0, 1],
+         ([1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 1])),
+        # the guess takes the parallel column 1, so the scan goes on to
+        # column 2, which the confirming round does not read
+        ([u[:, 0], 2 * u[:, 0], u[:, 1], nan], [0, 2], ([1, 1, 0, 0],)),
+    ]
+    for cols, want, guesses in cases:
+        vecs = np.stack(cols, axis=1).view(Reads)
+        for guess in guesses:
+            vecs.log = set()
+            kept, q, r, rounds = _prune_independent(vecs,
+                                                    np.array(guess, bool))
+            assert kept == want
+            assert 3 not in vecs.log
+            assert set(kept) <= vecs.log
+            assert np.isfinite(q).all() and np.isfinite(r).all()
+            assert_factor(np.asarray(vecs)[:, :3], kept)
 
 
 @st.composite
@@ -333,6 +350,12 @@ def test_prune_matches_the_scan_on_planted_columns(vecs):
 
 
 @given(case=ill_conditioned_cases())
+# a zero atom and one pair at step 1/32: the guess fails within the first
+# 20 words, and the scan decides the rest
+@example(case=(
+    [{"name": "a", "mode": "half",
+      "atoms": [{"x": 0, "w": 0.5}, {"x": 0.27, "w": 0.6}]}],
+    tuple(Fraction(k, 32) for k in range(-2, 3)), 5))
 @settings(max_examples=25, deadline=None)
 def test_prune_matches_the_scan_on_ill_conditioned_solves(case):
     gens, grid, degree = case
@@ -380,12 +403,20 @@ def benchmark_shapes():
         for model in (pair_model(), pairs):
             yield from solve_family(model, ["1", "2"],
                                     BasisSpec(three_points, 2))
+        # the single-generator solves of `chi-star` (the model scaled by
+        # 1 + eps) and `covariance` (the shifted grid)
+        small = BasisSpec(three_points, 2)
+        for eps in (0, 1):
+            yield solve_conjugate(two_atom_model().scaled(1 + eps), "g", small)
+        s = Fraction(1, 2)
+        yield solve_conjugate(two_atom_model(), "g", small.shifted(s),
+                              target_time=s)
 
 
 def test_benchmark_shapes_confirm_the_guess_in_one_round():
     sols = list(benchmark_shapes())
-    assert len(sols) == 18
-    assert [sol.prune_rounds for sol in sols] == [1] * 18
+    assert len(sols) == 24
+    assert [sol.prune_rounds for sol in sols] == [1] * 24
 
 
 def test_repeated_generator_ids_rejected():
@@ -556,6 +587,18 @@ def test_chi_star_grid_validation(m):
         chi_star(m, ["g"], [0.0, 1.0, 1.0], 2.0, spec)
     with pytest.raises(GridError):
         chi_star(m, ["g"], [0.0, 1.0], 0.5, spec)
+
+
+def test_chi_star_bounds_every_scaled_model_before_solving(monkeypatch):
+    # weights near 1e300 have no finite square; no solve runs, so numpy
+    # warns of no overflow
+    solves = []
+    monkeypatch.setattr(conjugate, "solve_conjugate",
+                        lambda *args, **kwargs: solves.append(args))
+    spec = BasisSpec(GRID3, 2)
+    with pytest.raises(ConfigError, match=r"eps 1e\+300: .* weight"):
+        chi_star(two_atom_model(), ["g"], [0.0, 1e300], 1e300, spec)
+    assert solves == []
 
 
 def test_chi_star_quadrature_converges(m):
