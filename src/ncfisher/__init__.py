@@ -61,7 +61,7 @@ from .conjugate import (
     solve_conjugate,
     solve_family,
 )
-from .brownian import expand_state, verify_gradient_expansion
+from .brownian import expand_state
 from .core_cp import (
     CoreWord,
     EtaBimoduleElem,

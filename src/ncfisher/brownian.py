@@ -11,8 +11,7 @@ union of that pairing's pairs.  Every pairing of an n-letter word has n/2
 pairs, so the eps^j coefficient is C(n/2, j) times the state of the word
 and every odd half-power is exactly 0: X + sqrt(eps) Y has the law of
 sqrt(1 + eps) X (the free Gaussian functor).  The constant term is the
-original state, and the first-order coefficient matches half the sum of
-single-letter substitutions by the (time-shifted) conjugate variable.
+original state.
 
 An expansion is a plain dict from the power of eps, an exact half-integer
 ``Fraction``, to its coefficient.  Numbers hash alike across types, so
@@ -22,14 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Mapping
 
-from .algebra import NcPoly, Word, X_FAMILY
+from .algebra import Word, X_FAMILY
 from .derivation import FamilyError
 from .model import ModelSpec
-from .moments import Residual, evaluate_state
+from .moments import evaluate_state
 
-__all__ = ["expand_state", "verify_gradient_expansion"]
+__all__ = ["expand_state"]
 
 
 def expand_state(m: ModelSpec, w: Word, max_order: int) -> dict:
@@ -56,48 +54,3 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> dict:
         for k in range(min(n, 2 * max_order) + 1)
     }
 
-
-def verify_gradient_expansion(m: ModelSpec, w: Word,
-                              xi: Mapping[str, NcPoly],
-                              state: complex | None = None) -> Residual:
-    """Residual of the first-order coefficient against the substitution sum.
-
-    Compares the eps^1 coefficient c1 with half the sum over positions k
-    of the state of ``w`` with its k-th letter replaced by ``xi[g]``, g
-    the letter's generator, shifted to the letter's time; small when each
-    ``xi[g]`` is the conjugate variable of g.  ``xi`` maps every generator
-    of ``w`` to its polynomial.  ``state`` is the state of ``w`` when the
-    caller has it already (the eps^0 coefficient of its expansion); it is
-    evaluated here otherwise.
-    The scale is |c1| plus half the summed magnitudes of those states.
-    Each distinct word of the substituted polynomials is evaluated once,
-    and ``w`` not again, so with ``xi[g]`` the letter X_0 of g, whose
-    substituted words are all ``w``, the check costs nothing more.  In
-    general it is the cost of a long word: n substituted words of about n
-    letters each, so its work grows as n^4 (256^4 at
-    ``MAX_WORD_LETTERS`` with a one-letter ``xi``).
-    """
-    letters = tuple(w)
-    if state is None:
-        state = evaluate_state(m, letters)
-    c1 = comb(len(letters) // 2, 1) * state
-    values = {letters: state}
-
-    def state_of(word):
-        if word not in values:
-            values[word] = evaluate_state(m, word)
-        return values[word]
-
-    total = 0j
-    size = 0.0
-    for k, letter in enumerate(letters):
-        substituted = (
-            NcPoly.word(letters[:k])
-            * xi[letter.gen].shift(letter.time)
-            * NcPoly.word(letters[k + 1:])
-        )
-        value = sum((c * state_of(u) for u, c in substituted.terms.items()),
-                    0j)
-        total += value
-        size += abs(value)
-    return Residual(abs(c1 - 0.5 * total), abs(c1) + 0.5 * size)

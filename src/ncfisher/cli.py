@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import NcPoly, Word, Y_FAMILY, word_str, x, y
-from .brownian import expand_state, verify_gradient_expansion
+from .algebra import Word, Y_FAMILY, word_str, x, y
+from .brownian import expand_state
 from .conjugate import (
     BasisSpec,
     chi_star,
@@ -162,6 +162,29 @@ def _check_phase(m: ModelSpec, t, where: str) -> None:
         )
 
 
+def _check_magnitude(m: ModelSpec, w: Word, factor: int = 1) -> None:
+    """Refuse a word whose state, times ``factor``, may overflow a double.
+
+    A word of n letters has at most C(n/2) non-crossing pairings, C the
+    Catalan number, and each is a product of n/2 covariances of modulus at
+    most the largest mass v among the word's generators, so the state is
+    at most C(n/2) v^(n/2) in modulus; an odd word has no pairing and
+    state exactly 0.  The bound is taken in logs, where it cannot overflow
+    itself.
+    """
+    if len(w) % 2:
+        return
+    h = len(w) // 2
+    v = max((m.gen(letter.gen).v for letter in w), default=1.0)
+    log_bound = (math.lgamma(2 * h + 1) - math.lgamma(h + 1)
+                 - math.lgamma(h + 2) + h * math.log(v) + math.log(factor))
+    if log_bound > math.log(sys.float_info.max):
+        raise ConfigError(
+            f"a word of {len(w)} letters at mass {v!r} may reach "
+            f"e^{log_bound:.1f}, past the largest double"
+        )
+
+
 def _finite(flag: str, value: float) -> float:
     """``value`` of ``flag``, refused unless it is a finite number."""
     if not math.isfinite(value):
@@ -249,6 +272,7 @@ def _cmd_check_kms(m, args):
 
 def _cmd_moment(m, args):
     w = parse_word(m, args.word, allow_y=True)
+    _check_magnitude(m, w)
     detail = evaluate_state_detailed(m, w)
     out = {
         "word": word_str(w),
@@ -393,15 +417,14 @@ def _cmd_brownian(m, args):
     w = parse_word(m, args.word, allow_y=False)
     if not w:
         raise ConfigError("brownian needs a non-empty word")
+    # the largest binomial C(n/2, j) among the printed coefficients
+    h = len(w) // 2
+    _check_magnitude(m, w, math.comb(h, min(max(args.order, 0), h // 2)))
     expansion = expand_state(m, w, args.order)
-    xi = {g: NcPoly.letter(x(g, 0)) for g in {l.gen for l in w}}
-    residual = verify_gradient_expansion(m, w, xi, expansion[0])
     return {
         "word": word_str(w),
         "coefficients": {str(p): c for p, c in sorted(expansion.items())},
-        "gradient_residual": residual,
-        "gradient_relative_residual": residual.relative,
-    }, residual.relative < args.tol
+    }, None
 
 
 def _cmd_bound(m, args):
@@ -526,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-degree", type=int, default=4,
                    help=f"most letters in Q, 1 to {MAX_CORE_DEGREE}")
 
-    p = command("brownian", help="noise expansion of a word")
+    p = command("brownian", tol=None, help="noise expansion of a word")
     p.add_argument("--word", required=True)
     p.add_argument("--order", type=int, default=2)
 

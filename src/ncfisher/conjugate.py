@@ -463,7 +463,6 @@ class CramerRaoReport:
     """
 
     n: int
-    xi_norm_sqs: tuple
     second_moment: float
     phi_star_tuple: float
     lhs: float
@@ -480,16 +479,14 @@ def cramer_rao_audit(
 ) -> CramerRaoReport:
     gens = list(gens)
     sols = tuple(solve_family(m, gens, basis))
-    norms = [sol.xi_norm_sq for sol in sols]
     second_moment = math.fsum(m.gen(g).v for g in gens)
-    phi_star_tuple = math.fsum(norms) / second_moment
+    phi_star_tuple = math.fsum(sol.xi_norm_sq for sol in sols) / second_moment
     lhs = phi_star_tuple * second_moment**2
     n = len(gens)
     rhs = float(n * n)
     normalized = all(abs(m.gen(g).v - 1.0) <= m.tolerance for g in gens)
     return CramerRaoReport(
         n=n,
-        xi_norm_sqs=tuple(norms),
         second_moment=second_moment,
         phi_star_tuple=phi_star_tuple,
         lhs=lhs,

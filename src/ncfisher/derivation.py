@@ -12,7 +12,7 @@ are free and the partner family reproduces the generator's covariance.
 """
 from __future__ import annotations
 
-from .algebra import NcPoly, X_FAMILY, Y_FAMILY, _accumulate, y
+from .algebra import NcPoly, X_FAMILY, Y_FAMILY, _accumulate, x, y
 from .model import ModelSpec
 from .moments import Residual, evaluate_state, expectation
 
@@ -50,18 +50,19 @@ def differentiate(gen_id: str, p: NcPoly) -> NcPoly:
 
 
 def verify_insertion_identity(
-    m: ModelSpec, gen_id: str, p: NcPoly, q: NcPoly, xi: NcPoly
+    m: ModelSpec, gen_id: str, p: NcPoly, q: NcPoly
 ) -> Residual:
     """Residual of state(p xi q) against the two derivative pairings.
 
-    For the true conjugate variable xi of ``gen_id`` the value
-    state(p xi q) equals state(p Y d(q)) + state(d(p) Y q) with the
-    partner letter at time 0 in the middle; the returned residual is the
-    absolute difference, with the sum of the three terms' magnitudes as
-    its scale.  The pairings are summed word by word rather than formed
-    as products, which would hash every product word once more.
+    For the conjugate variable xi of ``gen_id``, which for these free
+    semicircular models is its letter X_0, the value state(p xi q) equals
+    state(p Y d(q)) + state(d(p) Y q) with the partner letter at time 0 in
+    the middle; the returned residual is the absolute difference, with the
+    sum of the three terms' magnitudes as its scale.  The pairings are
+    summed word by word rather than formed as products, which would hash
+    every product word once more.
     """
-    lhs = expectation(m, p * xi * q)
+    lhs = expectation(m, p * NcPoly.letter(x(gen_id, 0)) * q)
     dq = differentiate(gen_id, q)
     dp = differentiate(gen_id, p)
     y0 = (y(gen_id, 0),)

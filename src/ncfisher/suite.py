@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import NcPoly, shift_word, x
-from .brownian import expand_state, verify_gradient_expansion
+from .brownian import expand_state
 from .conjugate import (
     BasisSpec,
     covariance_distance,
@@ -36,7 +36,6 @@ from .sampling import HALF_GRID, random_core_word, random_word
 __all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite",
            "insertion_residual", "core_residual"]
 
-GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
 GRID3 = tuple(Fraction(k, 2) for k in range(-1, 2))
 
 CATALAN = [1, 1, 2, 5, 14, 42]
@@ -88,7 +87,7 @@ class SuiteContext:
 
 def _conjugate_case(m: ModelSpec):
     gen = m.generators[0].gen_id
-    sol = solve_conjugate(m, gen, BasisSpec(GRID5, 3))
+    sol = solve_conjugate(m, gen, BasisSpec(HALF_GRID, 3))
     target = (x(gen, 0),)
     cmap = dict(zip(sol.basis_words, sol.coefficients))
     coeff = cmap.get(target, 0j)
@@ -206,13 +205,12 @@ def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
     """Worst absolute and worst relative insertion-identity residual of
     the letter of ``gen`` at time 0 over ``count`` pairs of random
     ``degree``-letter words drawn from ``rng``."""
-    xi = NcPoly.letter(x(gen, 0))
 
     def word():
         return NcPoly.word(random_word(rng, [gen], degree))
 
     # p is drawn before q, as arguments are evaluated left to right
-    return _worst(verify_insertion_identity(m, gen, word(), word(), xi)
+    return _worst(verify_insertion_identity(m, gen, word(), word())
                   for _ in range(count))
 
 
@@ -235,7 +233,7 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
     gen = m.generators[0].gen_id
     eta = m.generators[0].eta
     exact_ok = True
-    for t in GRID5:
+    for t in HALF_GRID:
         exp = expand_state(m, (x(gen, 0), x(gen, t)), 2)
         target = eta(t)
         exact_ok = exact_ok and (
@@ -243,26 +241,12 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
             and exp[1] == target
             and exp[Fraction(1, 2)] == 0
         )
-    tol = 1e-9
-    rng = ctx.rng(5)
-    xi = {gen: NcPoly.letter(x(gen, 0))}
-    worst = 0.0
-    for _ in range(50):
-        w = random_word(rng, [gen], 6, even=True)
-        worst = max(worst, verify_gradient_expansion(m, w, xi))
-    ok = exact_ok and worst < tol
     return CheckResult(
         "brownian",
-        "noise expansion reproduces (1+eps) exactly and the first-order "
-        "substitution identity",
-        ok,
+        "noise expansion reproduces (1+eps) exactly",
+        exact_ok,
         True,
-        {
-            "two_letter_identity_exact": exact_ok,
-            "max_gradient_residual": worst,
-            "words": 50,
-            "tolerance": tol,
-        },
+        {"two_letter_identity_exact": exact_ok},
     )
 
 
@@ -271,10 +255,8 @@ def core_residual(m: ModelSpec, gen: str, rng: random.Random,
     """Worst absolute and worst relative core-identity residual of the
     letter of ``gen`` at time 0 over ``count`` random core words with
     ``degree`` letters drawn from ``rng``."""
-    zeta = NcPoly.letter(x(gen, 0))
     return _worst(
-        verify_core_identity(m, gen, random_core_word(rng, [gen], degree),
-                             zeta)
+        verify_core_identity(m, gen, random_core_word(rng, [gen], degree))
         for _ in range(count)
     )
 
@@ -309,7 +291,7 @@ def check_covariance_selfadjoint(ctx: SuiteContext) -> CheckResult:
         worst_adj = max(worst_adj, self_adjoint_defect(m, sol_shifted))
     for model in (ctx.two_atom, ctx.tracial):
         g = model.generators[0].gen_id
-        sol = solve_conjugate(model, g, BasisSpec(GRID5, 3))
+        sol = solve_conjugate(model, g, BasisSpec(HALF_GRID, 3))
         worst_adj = max(worst_adj, self_adjoint_defect(model, sol))
     ok = worst_cov < tol and worst_adj < tol
     return CheckResult(
@@ -358,7 +340,7 @@ def check_galerkin_monotonicity(ctx: SuiteContext) -> CheckResult:
         BasisSpec((Fraction(0),), 1),
         BasisSpec((Fraction(0), Fraction(1, 2)), 2),
         BasisSpec(GRID3, 2),
-        BasisSpec(GRID5, 3),
+        BasisSpec(HALF_GRID, 3),
     ]
     norms = [solve_conjugate(m, gen, spec).xi_norm_sq for spec in ladder]
     bound = m.generators[0].eta(0).real

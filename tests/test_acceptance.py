@@ -3,7 +3,7 @@
 
 import pytest
 
-from ncfisher import conjugate, suite
+from ncfisher import conjugate, moments, suite
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
 
 
@@ -64,3 +64,18 @@ def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):
     monkeypatch.setattr(conjugate, "_prune_independent", counted)
     run_suite(seed=0)
     assert rounds and set(rounds) == {1}
+
+
+def test_brownian_check_fails_on_eta_at_minus_t(monkeypatch):
+    # a kernel that evaluates eta(-t) for eta(t): every time negated
+    word_kernel = moments.word_kernel
+
+    def planted(m, letters, offsets=None):
+        letters = tuple(l._replace(time=-l.time) for l in letters)
+        if offsets is not None:
+            offsets = [-o for o in offsets]
+        return word_kernel(m, letters, offsets)
+
+    monkeypatch.setattr(moments, "word_kernel", planted)
+    brownian = {r.cid: r for r in run_suite(seed=0)}["brownian"]
+    assert brownian.asserted and not brownian.passed

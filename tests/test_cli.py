@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import ncfisher
-from ncfisher import cli, moments
+from ncfisher import cli, core_cp, derivation, moments
+from ncfisher.algebra import NcPoly, Y_FAMILY, y
 from ncfisher.cli import run
+from ncfisher.core_cp import TrigPoly
 from ncfisher.conjugate import BasisSpec, solve_family
 from ncfisher.model import load_model, two_atom_model
 from ncfisher.moments import MAX_WORD_LETTERS
@@ -189,6 +191,36 @@ def test_verify_commands_quick(capsys):
     assert code == 0 and report["passed"] is True
 
 
+def test_verify_lemma2_fails_on_a_partner_letter_at_minus_t(monkeypatch,
+                                                           capsys):
+    # a derivation that puts the partner letter at -t for t
+    differentiate = derivation.differentiate
+
+    def planted(gen_id, p):
+        return NcPoly(
+            (tuple(y(l.gen, -l.time) if l.family == Y_FAMILY else l
+                   for l in w), c)
+            for w, c in differentiate(gen_id, p).terms.items()
+        )
+
+    monkeypatch.setattr(derivation, "differentiate", planted)
+    code, report = run_json(capsys, ["verify-lemma2", "--count", "10"])
+    assert (code, report["passed"]) == (1, False)
+    assert report["outputs"]["max_relative_residual"] > 1e-3
+
+
+def test_verify_core_fails_on_eta_at_minus_t(monkeypatch, capsys):
+    # an eta map that multiplies U_t by eta(-t)
+    def planted(m, gen_id, p):
+        eta = m.gen(gen_id).eta
+        return TrigPoly._raw({t: c * eta(-t) for t, c in p.terms.items()})
+
+    monkeypatch.setattr(core_cp, "eta_map", planted)
+    code, report = run_json(capsys, ["verify-core", "--count", "10"])
+    assert (code, report["passed"]) == (1, False)
+    assert report["outputs"]["max_relative_residual"] > 1e-3
+
+
 def test_verify_commands_match_suite_checks(capsys):
     # at seed 0 the suite's rng(k) is Random(k), and the defaults are the
     # suite's model, count and degree
@@ -214,37 +246,41 @@ def test_brownian_command(capsys):
     assert coeffs["0"]["re"] == pytest.approx(1.0, abs=1e-12)
     assert coeffs["1"]["re"] == pytest.approx(1.0, abs=1e-12)
     assert coeffs["1/2"]["re"] == 0.0
+    # the expansion is a report: nothing is asserted, no tolerance is read
+    assert report["passed"] is None and "tolerance" not in report
+    assert sorted(report["outputs"]) == ["coefficients", "word"]
 
 
 def test_brownian_passes_on_relative_residual(tmp_path, capsys):
-    # |state| is 2.7e7 here, so the absolute residual is about 1e-6
+    # |state| is 2.7e7 here, within the magnitude bound at mass 0.9
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"generators": [
         {"name": "g", "mode": "half", "atoms": [{"x": 0.2, "w": 0.7}]}]}))
     word = " ".join(f"Xg:{k % 5}/2" for k in range(96))
     code, report = run_json(capsys, ["brownian", "--model", str(path),
                                      "--order", "0", "--word", word])
-    out = report["outputs"]
-    assert out["gradient_residual"] > 1e-9
-    assert out["gradient_relative_residual"] < 1e-14
-    assert (code, report["passed"]) == (0, True)
+    assert (code, report["passed"]) == (0, None)
+    assert abs(report["outputs"]["coefficients"]["0"]["re"]) > 1e7
 
 
 def test_brownian_multi_generator_word(tmp_path, capsys):
-    # each letter is substituted by the conjugate variable of its own
-    # generator, not of the first letter's
+    # the word pairs within each generator only: state = eta_a(0) eta_b(0),
+    # and its two pairs give c1 = C(2, 1) state
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"generators": [
         {"name": n, "mode": "half",
          "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]} for n in "ab"]}))
     code, report = run_json(capsys, ["brownian", "--model", str(path),
                                      "--word", "Xa:0 Xa:0 Xb:0 Xb:0"])
-    assert (code, report["passed"]) == (0, True)
-    assert report["outputs"]["gradient_relative_residual"] < 1e-12
+    assert (code, report["passed"]) == (0, None)
+    coeffs = report["outputs"]["coefficients"]
+    assert coeffs["0"]["re"] == pytest.approx(1.0, abs=1e-12)
+    assert coeffs["1"] == {"re": 2 * coeffs["0"]["re"],
+                           "im": 2 * coeffs["0"]["im"]}
 
 
 def test_brownian_evaluates_the_word_once(monkeypatch, capsys):
-    # the expansion and the gradient check share the word's state value
+    # every coefficient comes from one state value
     evaluated = []
 
     def counted(model, letters, _original=moments._phi):
@@ -254,8 +290,48 @@ def test_brownian_evaluates_the_word_once(monkeypatch, capsys):
     monkeypatch.setattr(moments, "_phi", counted)
     code, report = run_json(capsys, ["brownian", "--word",
                                      "X:0 X:1 X:0 X:1/2"])
-    assert (code, report["passed"]) == (0, True)
+    assert (code, report["passed"]) == (0, None)
     assert len(evaluated) == 1
+
+
+@pytest.mark.parametrize("command", ["moment", "brownian"])
+def test_word_whose_state_may_overflow_is_refused(tmp_path, monkeypatch,
+                                                  capsys, command):
+    # 128 letters at mass 1e6: C(64) 1e384 is past the largest double
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+    evaluated = []
+    monkeypatch.setattr(moments, "_phi", lambda *args: evaluated.append(args))
+    word = " ".join(["X:0"] * 128)
+    assert run([command, "--model", str(path), "--word", word]) == 2
+    assert evaluated == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "128 letters" in captured.err and "1000000.0" in captured.err
+    assert "JSON" not in captured.err
+    # one letter more leaves no pairing: the state is exactly 0
+    monkeypatch.undo()
+    code, report = run_json(capsys, [command, "--model", str(path),
+                                     "--word", word + " X:0"])
+    assert code == 0 and report["passed"] is None
+
+
+def test_brownian_bound_counts_the_largest_printed_binomial(tmp_path,
+                                                           capsys):
+    # 92 letters at mass 1e6: C(46) 1e276 fits a double, and so does the
+    # order-2 coefficient C(46, 2) C(46) 1e276, but C(46, 23) C(46) 1e276
+    # does not
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+    word = " ".join(["X:0"] * 92)
+    argv = ["brownian", "--model", str(path), "--word", word]
+    code, report = run_json(capsys, argv)
+    assert (code, report["passed"]) == (0, None)
+    assert run(argv + ["--order", "24"]) == 2
+    assert "92 letters" in capsys.readouterr().err
 
 
 def test_model_file_roundtrip(tmp_path, capsys):
@@ -628,14 +704,11 @@ def test_non_finite_model_numbers_rejected(tmp_path, capsys, text):
     assert "finite" in captured.err
 
 
-def test_non_finite_output_is_usage_error(tmp_path, capsys):
-    # a model that loads can still overflow on a long enough word: 64
-    # pairs of mass 1e6 multiply past the largest double
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"generators": [
-        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
-    word = " ".join(["X:0"] * 128)
-    assert run(["moment", "--model", str(path), "--word", word]) == 2
+def test_non_finite_output_is_usage_error(monkeypatch, capsys):
+    # the strict-JSON guard is the last line of defence: an output that is
+    # not finite, which no input check caught, still exits 2
+    monkeypatch.setattr(cli, "factoriality_bound", lambda *args: math.inf)
+    assert run(["bound", "--alpha", "0.5", "--delta", "0.1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: Out of range float values")
@@ -761,7 +834,7 @@ READS = {
     "chi-star": {"--model"},
     "verify-lemma2": {"--model", "--tol", "--seed"},
     "verify-core": {"--model", "--tol", "--seed"},
-    "brownian": {"--model", "--tol"},
+    "brownian": {"--model"},
     "bound": set(),
     "covariance": {"--model", "--tol"},
     "suite": {"--seed"},

@@ -125,17 +125,15 @@ def test_pair_with_y_reference_time(m):
 
 
 def test_insertion_identity_trivial(m):
-    xi = NcPoly.letter(x("g", 0))
     one = NcPoly.word(())
-    assert verify_insertion_identity(m, "g", one, one, xi) == pytest.approx(
+    assert verify_insertion_identity(m, "g", one, one) == pytest.approx(
         0.0, abs=1e-14
     )
 
 
 def test_insertion_identity_one_sided(m):
-    xi = NcPoly.letter(x("g", 0))
     p = NcPoly.letter(x("g", 0))
-    assert verify_insertion_identity(m, "g", p, NcPoly.word(()), xi) < 1e-12
+    assert verify_insertion_identity(m, "g", p, NcPoly.word(())) < 1e-12
 
 
 def _three_terms(rng):
@@ -152,38 +150,34 @@ def _three_terms(rng):
 def test_insertion_terms_match_symbolic_products(m, seed):
     # the word-by-word pairings against the products formed in NcPoly; the
     # residual and its scale expose the two terms through |lhs - t1 - t2|
-    # and |lhs| + |t1| + |t2|, here for three insertions
+    # and |lhs| + |t1| + |t2|
     rng = random.Random(seed)
     p, q = _three_terms(rng), _three_terms(rng)
     y0 = NcPoly.letter(y("g", 0))
     t1 = expectation(m, p * y0 * differentiate("g", q))
     t2 = expectation(m, differentiate("g", p) * y0 * q)
     assert t1 != 0 and t2 != 0
-    for xi in (NcPoly.zero(), NcPoly.letter(x("g", 0)),
-               NcPoly.letter(x("g", "1/2"))):
-        lhs = expectation(m, p * xi * q)
-        scale = abs(lhs) + abs(t1) + abs(t2)
-        res = verify_insertion_identity(m, "g", p, q, xi)
-        assert abs(res.scale - scale) <= 1e-12 * scale
-        assert abs(res - abs(lhs - t1 - t2)) <= 1e-12 * scale
+    lhs = expectation(m, p * NcPoly.letter(x("g", 0)) * q)
+    scale = abs(lhs) + abs(t1) + abs(t2)
+    res = verify_insertion_identity(m, "g", p, q)
+    assert abs(res.scale - scale) <= 1e-12 * scale
+    assert abs(res - abs(lhs - t1 - t2)) <= 1e-12 * scale
 
 
 def test_insertion_identity_random_suite(m):
-    xi = NcPoly.letter(x("g", 0))
     rng = random.Random(21)
     worst = 0.0
     for _ in range(60):
         p = NcPoly.word(random_word(rng, ["g"], 4))
         q = NcPoly.word(random_word(rng, ["g"], 4))
-        worst = max(worst, verify_insertion_identity(m, "g", p, q, xi))
+        worst = max(worst, verify_insertion_identity(m, "g", p, q))
     assert worst < 1e-9
 
 
 def test_insertion_identity_tracial():
     mt = tracial_model()
-    xi = NcPoly.letter(x("g", 0))
     rng = random.Random(22)
     for _ in range(20):
         p = NcPoly.word(random_word(rng, ["g"], 3, pool=(Fraction(0),)))
         q = NcPoly.word(random_word(rng, ["g"], 3, pool=(Fraction(0),)))
-        assert verify_insertion_identity(mt, "g", p, q, xi) < 1e-9
+        assert verify_insertion_identity(mt, "g", p, q) < 1e-9

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncfisher import core_cp, moments
-from ncfisher.algebra import Letter, NcPoly, x, y
+from ncfisher.algebra import Letter, x, y
 from ncfisher.brownian import expand_state
 from ncfisher.core_cp import CoreWord, verify_core_identity
 from ncfisher.model import GeneratorSpec, build_model, tracial_model
@@ -365,6 +365,6 @@ def test_core_identity_builds_kernels_for_even_words_only(monkeypatch):
     monkeypatch.setattr(core_cp, "evaluate_state", state)
     monkeypatch.setattr(moments, "word_kernel", kernel)
     q = CoreWord(tuple(x("g", Fraction(k, 2)) for k in range(5)), 1)
-    assert verify_core_identity(m, "g", q, NcPoly.letter(x("g", 0))) < 1e-12
+    assert verify_core_identity(m, "g", q) < 1e-12
     assert any(n % 2 for n in evaluated)
     assert kernels == [n for n in evaluated if n % 2 == 0]
