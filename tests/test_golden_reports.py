@@ -1,0 +1,29 @@
+"""The CLI's reports stay byte-identical: each golden argv, rerun
+in-process, exits as recorded and prints the recorded report, apart from
+host timings and the model file path (see ``golden_reports.py``)."""
+import json
+
+import pytest
+
+from golden_reports import ARGVS, GOLDEN, run_argv, write_models
+
+CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def model_paths(tmp_path_factory):
+    return write_models(tmp_path_factory.mktemp("golden-models"))
+
+
+def test_golden_file_holds_every_argv_in_order():
+    assert [case["argv"] for case in CASES] == ARGVS
+
+
+@pytest.mark.parametrize(
+    "case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)]
+)
+def test_golden_report(case, model_paths):
+    code, report = run_argv(case["argv"], model_paths)
+    assert code == case["exit"]
+    assert (json.dumps(report, sort_keys=True, indent=1)
+            == json.dumps(case["report"], sort_keys=True, indent=1))
