@@ -162,27 +162,32 @@ def _check_phase(m: ModelSpec, t, where: str) -> None:
         )
 
 
-def _check_magnitude(m: ModelSpec, w: Word, factor: int = 1) -> None:
-    """Refuse a word whose state, times ``factor``, may overflow a double.
+def _check_magnitude(letters: int, v: float, factor: int, subject: str
+                     ) -> None:
+    """Refuse ``subject`` when ``factor`` states of words of up to
+    ``letters`` letters at mass ``v`` may overflow a double in their sum.
 
-    A word of n letters has at most C(n/2) non-crossing pairings, C the
-    Catalan number, and each is a product of n/2 covariances of modulus at
-    most the largest mass v among the word's generators, so the state is
-    at most C(n/2) v^(n/2) in modulus; an odd word has no pairing and
-    state exactly 0.  The bound is taken in logs, where it cannot overflow
-    itself.
+    A word of 2h letters has at most C(h) non-crossing pairings, C the
+    Catalan number, and each is a product of h covariances of modulus at
+    most v, the largest mass among the word's generators, so the state is
+    at most C(h) v^h in modulus; an odd word has no pairing and state
+    exactly 0.  C(h + 1) v / C(h) grows with h, so over h <= letters / 2
+    the bound peaks at h = 0 or at the largest h.  It is taken in logs,
+    where it cannot overflow itself.
     """
-    if len(w) % 2:
-        return
-    h = len(w) // 2
-    v = max((m.gen(letter.gen).v for letter in w), default=1.0)
+    h = letters // 2
     log_bound = (math.lgamma(2 * h + 1) - math.lgamma(h + 1)
                  - math.lgamma(h + 2) + h * math.log(v) + math.log(factor))
     if log_bound > math.log(sys.float_info.max):
-        raise ConfigError(
-            f"a word of {len(w)} letters at mass {v!r} may reach "
-            f"e^{log_bound:.1f}, past the largest double"
-        )
+        raise ConfigError(f"{subject} at mass {v!r} may reach "
+                          f"e^{log_bound:.1f}, past the largest double")
+
+
+def _check_word_magnitude(m: ModelSpec, w: Word, factor: int = 1) -> None:
+    """:func:`_check_magnitude` on one word, whose state is 0 if odd."""
+    if len(w) % 2 == 0:
+        v = max((m.gen(letter.gen).v for letter in w), default=1.0)
+        _check_magnitude(len(w), v, factor, f"a word of {len(w)} letters")
 
 
 def _finite(flag: str, value: float) -> float:
@@ -272,7 +277,7 @@ def _cmd_check_kms(m, args):
 
 def _cmd_moment(m, args):
     w = parse_word(m, args.word, allow_y=True)
-    _check_magnitude(m, w)
+    _check_word_magnitude(m, w)
     detail = evaluate_state_detailed(m, w)
     out = {
         "word": word_str(w),
@@ -390,27 +395,39 @@ def _check_work(count: int, draw_work: int) -> None:
         )
 
 
-def _cmd_verify_lemma2(m, args):
+def _verify(m, args, flag: str, upper: int, draw_work: int, letters: int,
+            residual):
+    """A seeded identity check of ``args.count`` draws at the degree of
+    ``flag``, whose words have up to ``letters`` letters.  It is refused
+    before drawing when over its count, degree or work limits, or when
+    ``letters`` states (the identity sums at most one per letter) may
+    overflow a double at the target generator's mass."""
+    key = flag[2:].replace("-", "_")
+    d = getattr(args, key)
     _check_range("--count", args.count, MAX_CHECK_COUNT)
-    _check_range("--degree", args.degree, MAX_LEMMA2_DEGREE)
-    _check_work(args.count, lemma2_draw_work(args.degree))
-    worst, relative = insertion_residual(m, _resolve_gen(m, args.target),
-                                         random.Random(args.seed), args.count,
-                                         args.degree)
+    _check_range(flag, d, upper)
+    _check_work(args.count, draw_work)
+    gen = _resolve_gen(m, args.target)
+    _check_magnitude(letters, m.gen(gen).v, letters,
+                     f"{flag} {d} (words of up to {letters} letters)")
+    worst, relative = residual(m, gen, random.Random(args.seed), args.count,
+                               d)
     return {"max_residual": worst, "max_relative_residual": relative,
-            "count": args.count, "degree": args.degree}, relative < args.tol
+            "count": args.count, key: d}, relative < args.tol
+
+
+def _cmd_verify_lemma2(m, args):
+    # p xi q, and the up to 2d terms of the two derivative pairings
+    d = args.degree
+    return _verify(m, args, "--degree", MAX_LEMMA2_DEGREE,
+                   lemma2_draw_work(d), 2 * d + 1, insertion_residual)
 
 
 def _cmd_verify_core(m, args):
-    _check_range("--count", args.count, MAX_CHECK_COUNT)
-    _check_range("--x-degree", args.x_degree, MAX_CORE_DEGREE)
-    _check_work(args.count, core_draw_work(args.x_degree))
-    worst, relative = core_residual(m, _resolve_gen(m, args.target),
-                                    random.Random(args.seed), args.count,
-                                    args.x_degree)
-    return {"max_residual": worst, "max_relative_residual": relative,
-            "count": args.count,
-            "x_degree": args.x_degree}, relative < args.tol
+    # zeta* Q, and the up to d terms of the derivative of Q
+    d = args.x_degree
+    return _verify(m, args, "--x-degree", MAX_CORE_DEGREE, core_draw_work(d),
+                   d + 1, core_residual)
 
 
 def _cmd_brownian(m, args):
@@ -419,7 +436,8 @@ def _cmd_brownian(m, args):
         raise ConfigError("brownian needs a non-empty word")
     # the largest binomial C(n/2, j) among the printed coefficients
     h = len(w) // 2
-    _check_magnitude(m, w, math.comb(h, min(max(args.order, 0), h // 2)))
+    _check_word_magnitude(m, w,
+                          math.comb(h, min(max(args.order, 0), h // 2)))
     expansion = expand_state(m, w, args.order)
     return {
         "word": word_str(w),

@@ -193,7 +193,6 @@ class ConjugateSolution:
     words it then scanned one at a time.
     """
 
-    target_gen: str
     target_time: Fraction
     basis_words: tuple
     kept: tuple
@@ -370,7 +369,6 @@ def solve_conjugate(
     residual = float(np.linalg.norm(vecs.conj().T @ (q @ z) - rhs))
     xi_norm_sq = float(np.vdot(z, z).real)
     return ConjugateSolution(
-        target_gen=target_gen,
         target_time=t0,
         basis_words=tuple(words),
         kept=tuple(kept),

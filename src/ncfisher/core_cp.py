@@ -2,10 +2,10 @@
 
 Elements are handled in two shapes: trigonometric polynomials (finite
 sums of multiples of the flow unitaries U_r, a *-algebra under
-U_s U_t = U_{s+t}) and core words, i.e. scalar multiples of products of
-primary letters and U steps.  The commutation rule U_s X_t = X_{t+s} U_s
-brings every such product to the normal form (word) * U_r with exact
-rational bookkeeping, and core words are stored in that form:
+U_s U_t = U_{s+t}) and core words, i.e. products of primary letters and
+U steps.  The commutation rule U_s X_t = X_{t+s} U_s brings every such
+product to the normal form (word) * U_r with exact rational bookkeeping,
+and core words are stored in that form:
 (w, r) (w', r') = (w + sigma_r(w'), r + r').  That is what makes the
 conditional expectation onto the group part computable:
 E(m U_r) = state(m) U_r.
@@ -19,7 +19,6 @@ and the tensor-valued derivation with d(X_t) = U_t (x) U_{-t}, d(U_s) = 0.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -84,17 +83,17 @@ class TrigPoly(_SparseSum):
         return f"({c}) U:{t}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class CoreWord:
-    """Core word in normal form, ``coeff * (word) U_r``.
+    """Core word in normal form, the monomial ``(word) U_r``.
 
     ``word`` holds primary letters only; their times already include every
-    U step written before them, by U_s X_t = X_{t+s} U_s.
+    U step written before them, by U_s X_t = X_{t+s} U_s.  Core words
+    order by (word, r).
     """
 
     word: Word = ()
     r: Fraction = Fraction(0)
-    coeff: complex = 1.0
 
     def __post_init__(self):
         word = tuple(self.word)
@@ -102,18 +101,15 @@ class CoreWord:
             raise ValueError("core words carry primary letters only")
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "r", as_time(self.r))
-        object.__setattr__(self, "coeff", complex(self.coeff))
 
     @classmethod
-    def _raw(cls, word: Word, r: Fraction, coeff: complex = 1 + 0j
-             ) -> "CoreWord":
-        # the parts must already be canonical: a tuple of primary letters,
-        # a Fraction and a complex, as products and legs of canonical core
-        # words are; skips the checks and coercions of the constructor
+    def _raw(cls, word: Word, r: Fraction) -> "CoreWord":
+        # the parts must already be canonical: a tuple of primary letters
+        # and a Fraction, as products and legs of canonical core words
+        # are; skips the checks and coercions of the constructor
         obj = object.__new__(cls)
         _set_word(obj, word)
         _set_r(obj, r)
-        _set_coeff(obj, coeff)
         return obj
 
     @classmethod
@@ -125,32 +121,25 @@ class CoreWord:
         return cls((), r)
 
     def __mul__(self, other):
-        if isinstance(other, CoreWord):
-            tail = shift_word(other.word, self.r) if self.r else other.word
-            return CoreWord._raw(self.word + tail, self.r + other.r,
-                                 self.coeff * other.coeff)
-        if isinstance(other, numbers.Complex):
-            return CoreWord._raw(self.word, self.r,
-                                 self.coeff * complex(other))
-        return NotImplemented
-
-    __rmul__ = __mul__  # only ever called with a scalar on the left
+        if not isinstance(other, CoreWord):
+            return NotImplemented
+        tail = shift_word(other.word, self.r) if self.r else other.word
+        return CoreWord._raw(self.word + tail, self.r + other.r)
 
     def adjoint(self) -> "CoreWord":
         # (w U_r)* = U_{-r} w* and letters are self-adjoint
         return CoreWord._raw(shift_word(word_adjoint(self.word), -self.r),
-                             -self.r, self.coeff.conjugate())
+                             -self.r)
 
 
 # slot setters of the frozen dataclass, for CoreWord._raw
 _set_word = CoreWord.word.__set__
 _set_r = CoreWord.r.__set__
-_set_coeff = CoreWord.coeff.__set__
 
 
 def conditional_expectation(m: ModelSpec, cw: CoreWord) -> TrigPoly:
     """Expectation onto the group part: (m U_r) -> state(m) U_r."""
-    val = cw.coeff * evaluate_state(m, cw.word)
+    val = evaluate_state(m, cw.word)
     return TrigPoly._raw({cw.r: val} if val != 0 else {})
 
 
@@ -171,36 +160,30 @@ def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
 class EtaBimoduleElem(_SparseSum):
     """Finite sum of simple tensors a (x) b of core words.
 
-    Terms are keyed on the normal forms (word, r) of both legs, so the
-    bimodule relations that normal-forming encodes hold on the nose.  The
-    constructor takes ``(coeff, a, b)`` triples.
+    Terms are keyed on the pair of legs (a, b), core words in normal form,
+    so the bimodule relations that normal-forming encodes hold on the
+    nose; every scalar lives in the term's coefficient.  The constructor
+    takes ``(coeff, a, b)`` triples.
     """
 
     __slots__ = ()
 
     @staticmethod
     def _normal_term(coeff, a, b) -> tuple:
-        key = ((a.word, a.r), (b.word, b.r))
-        return key, complex(coeff) * a.coeff * b.coeff
+        return (a, b), complex(coeff)
 
     @classmethod
-    def simple(cls, a: CoreWord, b: CoreWord, coeff: complex = 1.0
-               ) -> "EtaBimoduleElem":
-        return cls([(coeff, a, b)])
-
-    @staticmethod
-    def _legs(key) -> tuple:
-        # the coefficient-1 core words (word) U_r of both legs
-        return tuple(CoreWord._raw(w, r) for w, r in key)
+    def simple(cls, a: CoreWord, b: CoreWord) -> "EtaBimoduleElem":
+        return cls([(1.0, a, b)])
 
     def __iter__(self) -> Iterator:
-        """Yield (coeff, a, b) with coefficient-1 core words."""
-        for key, c in self.sorted_terms():
-            yield (c, *self._legs(key))
+        """Yield (coeff, a, b) in key order."""
+        for (a, b), c in self.sorted_terms():
+            yield c, a, b
 
-    @classmethod
-    def _term_str(cls, key, c) -> str:
-        a, b = cls._legs(key)
+    @staticmethod
+    def _term_str(key, c) -> str:
+        a, b = key
         return f"({c}) {a!r} (x) {b!r}"
 
 
@@ -234,7 +217,7 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
     letters of other generators are constants."""
     w, r = cw.word, cw.r
     return EtaBimoduleElem(
-        (1.0, CoreWord._raw(w[:k], letter.time, cw.coeff),
+        (1.0, CoreWord._raw(w[:k], letter.time),
          CoreWord._raw(shift_word(w[k + 1:], -letter.time), r - letter.time))
         for k, letter in enumerate(w)
         if letter.gen == gen_id

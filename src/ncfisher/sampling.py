@@ -22,26 +22,17 @@ __all__ = [
 HALF_GRID = tuple(Fraction(k, 2) for k in range(-2, 3))
 
 
-def random_time(rng: random.Random, pool=HALF_GRID) -> Fraction:
-    return rng.choice(pool)
+def random_time(rng: random.Random) -> Fraction:
+    return rng.choice(HALF_GRID)
 
 
-def random_word(
-    rng: random.Random,
-    gens,
-    max_len: int,
-    families=(X_FAMILY,),
-    pool=HALF_GRID,
-    even: bool = False,
-) -> Word:
-    n = rng.randint(0, max_len)
-    if even and n % 2:
-        n = n - 1 if n > 0 else 0
+def random_word(rng: random.Random, gens, max_len: int,
+                families=(X_FAMILY,)) -> Word:
     letters = []
-    for _ in range(n):
+    for _ in range(rng.randint(0, max_len)):
         fam = rng.choice(families)
         gen = rng.choice(list(gens))
-        t = random_time(rng, pool)
+        t = random_time(rng)
         letters.append(x(gen, t) if fam == X_FAMILY else y(gen, t))
     return tuple(letters)
 

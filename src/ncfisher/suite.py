@@ -10,6 +10,7 @@ recorded but no identity is claimed for them.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -192,9 +193,17 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
 
 
 def _worst(residuals) -> tuple:
-    """(largest absolute, largest relative) of some :class:`Residual`s."""
+    """(largest absolute, largest relative) of some :class:`Residual`s.
+
+    Raises ArithmeticError on a residual or scale that is not finite,
+    which ``max`` would otherwise pass over (``max(0.0, nan)`` is 0.0).
+    """
     worst = worst_relative = 0.0
     for r in residuals:
+        if not (math.isfinite(r) and math.isfinite(r.scale)):
+            raise ArithmeticError(
+                f"an identity residual is {float(r)} at scale {r.scale}: "
+                f"its terms are not finite doubles")
         worst = max(worst, float(r))
         worst_relative = max(worst_relative, r.relative)
     return worst, worst_relative

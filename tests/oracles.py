@@ -27,7 +27,7 @@ from ncfisher.algebra import NcPoly, TimeLike, y
 from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
 from ncfisher.model import ModelSpec
 from ncfisher.moments import covariance, expectation, pairing_sum, word_kernel
-from ncfisher.sampling import HALF_GRID, random_word
+from ncfisher.sampling import random_word
 
 
 def all_pairings(items):
@@ -182,13 +182,12 @@ def random_ncpoly(
     gens,
     max_len: int,
     n_terms: int = 3,
-    pool=HALF_GRID,
 ) -> NcPoly:
     """Between 1 and ``n_terms`` random words of at most ``max_len``
     letters with coefficients uniform in the unit square."""
     terms = []
     for _ in range(rng.randint(1, n_terms)):
-        w = random_word(rng, gens, max_len, pool=pool)
+        w = random_word(rng, gens, max_len)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((w, c))
     return NcPoly(terms)

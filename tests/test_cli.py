@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import ncfisher
-from ncfisher import cli, core_cp, derivation, moments
+from ncfisher import cli, core_cp, derivation, moments, suite
 from ncfisher.algebra import NcPoly, Y_FAMILY, y
 from ncfisher.cli import run
 from ncfisher.core_cp import TrigPoly
 from ncfisher.conjugate import BasisSpec, solve_family
 from ncfisher.model import load_model, two_atom_model
-from ncfisher.moments import MAX_WORD_LETTERS
+from ncfisher.moments import MAX_WORD_LETTERS, Residual
 from ncfisher.suite import (
     ALL_CHECK_IDS,
     SuiteContext,
@@ -553,10 +553,46 @@ def test_largest_check_degree_runs(capsys, command):
     flag, top = DEGREE_FLAGS[command]
     code, report = run_json(
         capsys, [command, "--count", "1", "--seed", "1", flag, str(top)])
-    # the residuals are absolute, so long words may exceed --tol: a
-    # refusal would be exit 2 with no report
+    # the residuals are absolute, so long words may exceed --tol; a
+    # refusal, by the size limits or the overflow bound at this model's
+    # mass 1, would be exit 2 with no report
     assert code in (0, 1)
     assert report["outputs"][flag[2:].replace("-", "_")] == top
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-core", "--x-degree", "250", "--count", "1", "--seed", "6"],
+    ["verify-lemma2", "--degree", "127", "--count", "1", "--seed", "4"],
+])
+def test_check_degree_whose_words_may_overflow_is_refused(tmp_path,
+                                                          monkeypatch, capsys,
+                                                          argv):
+    # one tracial atom of weight 1e6: each draw of these runs has a NaN
+    # residual
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+
+    def drawn(*args):
+        raise AssertionError("drew an input")
+
+    monkeypatch.setattr(cli, "core_residual", drawn)
+    monkeypatch.setattr(cli, "insertion_residual", drawn)
+    assert run([*argv, "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"{argv[1]} {argv[2]} " in captured.err
+    assert "mass 1000000.0" in captured.err
+
+
+def test_non_finite_check_residual_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(suite, "verify_core_identity",
+                        lambda *args: Residual(math.nan, math.nan))
+    assert run(["verify-core", "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nan" in captured.err
 
 
 def test_cramer_rao_compares_against_its_tolerance(capsys):
