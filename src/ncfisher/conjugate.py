@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -55,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Letter, TimeLike, as_time, x
-from .model import ConfigError, ModelSpec, check_bounds
+from .model import ConfigError, ModelSpec
 from .moments import fock_dimension, fock_vectors
 
 __all__ = [
@@ -140,7 +141,8 @@ def enumerate_basis(
     Letters of flow-fixed generators are collapsed to time 0 before the
     words are formed, so each such generator contributes one letter.
     Raises :class:`BasisError` before enumerating when the word count
-    times the Fock dimension exceeds ``MAX_BASIS_ENTRIES``.
+    times the Fock dimension exceeds ``MAX_BASIS_ENTRIES``, or when the
+    solve's squared numbers may overflow a double.
     """
     t0 = as_time(target_time)
     gens = list(dict.fromkeys([target_gen, *b_gens]))
@@ -171,6 +173,25 @@ def enumerate_basis(
                 f"of dimension {dim}, over {MAX_BASIS_ENTRIES} entries; "
                 "lower the degree or the grid size"
             )
+    # Every squared number of the solve must be a finite double.  A letter
+    # of mass v is 2 sqrt(v) in operator norm, so a word of k <= d letters
+    # has a Fock vector of squared norm at most 4^k v^k.  Its rhs entry is
+    # 0 for even k, and for odd k a state of k + 1 letters, at most
+    # C((k+1)/2) v^((k+1)/2) with C(n)^2 <= 4^(2n-1), C the Catalan number.
+    # Residual and Gram entries sum at most N such terms.  The kept Gram,
+    # whose condition the reports print, holds the vacuum's 1 and norms up
+    # to 4^d v^d, and eigenvalues down to about w^d, w the smallest atom
+    # weight, so its condition grows like s^d, s = max(1, v) / min(1, w).
+    # N 4^d s^e, e = d rounded up to even, bounds all of these scales.
+    v = max(m.gen(g).v for g in gens)
+    w = min(a.w for g in gens for a in m.gen(g).atoms)
+    log_bound = (math.log(n) + d * math.log(4.0)
+                 + (d + d % 2) * math.log(max(1.0, v) / min(1.0, w)))
+    if log_bound > math.log(sys.float_info.max):
+        raise BasisError(
+            f"degree {d} at mass {v!r} and smallest atom weight {w!r} may "
+            f"reach e^{log_bound:.1f} in the solve, past the largest double"
+        )
     words: list = [()]
     for d in range(1, spec.max_degree + 1):
         words.extend(itertools.product(alphabet, repeat=d))
@@ -213,7 +234,13 @@ class ConjugateSolution:
 
     @functools.cached_property
     def gram_condition(self) -> float:
-        return float(np.linalg.cond(self.r) ** 2)
+        cond = float(np.linalg.cond(self.r))
+        if not cond * np.finfo(float).eps < 1:
+            # past 1/eps the SVD can lose a graded R's smallest singular
+            # value, even to 0; R's inverse keeps it
+            cond = float(np.linalg.norm(self.r, 2)
+                         * np.linalg.norm(np.linalg.inv(self.r), 2))
+        return cond**2
 
     def coefficient_map(self) -> dict:
         return {
@@ -259,7 +286,8 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     diag = r2.diagonal()
     size = np.abs(diag)
     phase = np.ones_like(diag)
-    np.divide(diag, size, out=phase, where=size > 0)
+    # 1/size overflows at a subnormal size, a column the prune drops
+    np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
     q[:, :m] = q2 * phase
     qh[:m] = q[:, :m].T.conj()
     r[:m, :m] = r2 * phase.conj()[:, None]
@@ -509,11 +537,11 @@ def chi_star(
     At parameter t the perturbed family is realized inside the model class
     as the generators with all weights scaled by (1 + t); the integrand is
     (n/(1+t) - Fisher(t)) / 2, integrated by trapezoid over ``eps_grid``.
-    The tail holds the last computed Fisher value constant on
-    [grid end, tail_cutoff] and integrates n/(1+t) there exactly; nothing
-    is added beyond ``tail_cutoff``.  A :class:`ConfigError` naming the
-    eps is raised, before any solve, when the model scaled by 1 + eps
-    fails :func:`ncfisher.model.check_bounds`.
+    Fisher(t) equals Fisher(0) (a d-letter word's Fock vector scales by
+    (1+t)^(d/2), its rhs entry by (1+t)^((d+1)/2), and the prune's test
+    is relative), so one family solve on ``m`` serves every t.  The tail
+    holds it constant on [grid end, tail_cutoff] and integrates n/(1+t)
+    there exactly; nothing is added beyond ``tail_cutoff``.
     """
     gens = list(gens)
     if not gens:
@@ -525,16 +553,9 @@ def chi_star(
         raise GridError("eps grid must be strictly increasing")
     if tail_cutoff < grid[-1]:
         raise GridError("tail cutoff must not precede the grid end")
-    models = [m.scaled(1.0 + t) for t in grid]
-    for t, scaled in zip(grid, models):
-        try:
-            for g in scaled.generators:
-                check_bounds(g)
-        except ConfigError as exc:
-            raise ConfigError(f"--eps {t}: {exc}") from None
     n = len(gens)
-    fishers = [fisher_multi(scaled, gens, basis) for scaled in models]
-    integrand = [0.5 * (n / (1.0 + t) - f) for t, f in zip(grid, fishers)]
+    fisher = fisher_multi(m, gens, basis)
+    integrand = [0.5 * (n / (1.0 + t) - fisher) for t in grid]
     quad = math.fsum(
         0.5 * (integrand[i] + integrand[i + 1]) * (grid[i + 1] - grid[i])
         for i in range(len(grid) - 1)
@@ -542,7 +563,7 @@ def chi_star(
     t_end = grid[-1]
     tail = 0.5 * (
         n * math.log((1.0 + tail_cutoff) / (1.0 + t_end))
-        - fishers[-1] * (tail_cutoff - t_end)
+        - fisher * (tail_cutoff - t_end)
     )
     return quad + tail
 
@@ -565,15 +586,13 @@ def covariance_distance(
 
 
 def modular_covariance_check(
-    m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec,
-    b_gens: Sequence[str] = (),
+    m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec
 ) -> float:
     """:func:`covariance_distance` of the solve on ``basis`` and the solve
     of the problem shifted by ``s``."""
     ds = as_time(s)
     return covariance_distance(
         m,
-        solve_conjugate(m, gen_id, basis, b_gens),
-        solve_conjugate(m, gen_id, basis.shifted(ds), b_gens,
-                        target_time=ds),
+        solve_conjugate(m, gen_id, basis),
+        solve_conjugate(m, gen_id, basis.shifted(ds), target_time=ds),
     )

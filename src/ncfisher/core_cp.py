@@ -250,4 +250,7 @@ def factoriality_bound(alpha: float, delta: float) -> float:
     # alpha * (1 - alpha) first: float multiplication commutes, so the
     # alpha <-> 1 - alpha symmetry is exact for exactly-complementary inputs
     prod = alpha * (1.0 - alpha)
-    return (2.0 * prod / delta) ** 2
+    root = 2.0 * prod / delta
+    if root * root == float("inf"):
+        raise ValueError(f"delta {delta!r} is too small, the bound overflows")
+    return root**2

@@ -30,7 +30,6 @@ __all__ = [
     "GeneratorSpec",
     "ModelSpec",
     "KMS_GRID",
-    "check_bounds",
     "check_detailed_balance",
     "check_kms",
     "build_model",
@@ -111,15 +110,6 @@ class GeneratorSpec:
             total += a.w * cmath.exp(phase * a.x)
         return total
 
-    def scaled(self, factor: float) -> "GeneratorSpec":
-        """Same frequencies, all weights multiplied by ``factor`` > 0."""
-        if not factor > 0:
-            raise ConfigError("scale factor must be positive")
-        return GeneratorSpec(
-            self.gen_id,
-            tuple(SpectralAtom(a.x, a.w * factor) for a in self.atoms),
-        )
-
 
 def check_detailed_balance(g: GeneratorSpec) -> None:
     """Raise :class:`DetailedBalanceViolation` unless w(-x) = w(x)e^{-2 pi x}.
@@ -193,9 +183,11 @@ class ModelSpec:
         return self.generators[0]
 
     def scaled(self, factor: float) -> "ModelSpec":
-        """All weights multiplied by ``factor``; balance is preserved."""
+        """All weights multiplied by ``factor`` > 0; balance is preserved."""
         return ModelSpec(
-            tuple(g.scaled(factor) for g in self.generators),
+            tuple(GeneratorSpec(g.gen_id, tuple(SpectralAtom(a.x, a.w * factor)
+                                                for a in g.atoms))
+                  for g in self.generators),
             tolerance=self.tolerance,
         )
 
@@ -260,26 +252,6 @@ def _finite_float(value):
     return f if math.isfinite(f) else None
 
 
-def _check_weight(where: str, w: float) -> None:
-    # moments and Gram entries multiply weights, so a subnormal weight or
-    # one with an infinite square makes them 0, inf or NaN
-    if 0 < w < sys.float_info.min or not math.isfinite(w * w):
-        raise ConfigError(f"{where}: weight {w} is not a normal double "
-                          "with a finite square")
-
-
-def check_bounds(g: GeneratorSpec) -> None:
-    """Raise :class:`ConfigError`, naming the atom or the generator,
-    unless every weight of ``g`` is a normal double with a finite square
-    and its mass has a finite square; a loaded model and every model
-    ``conjugate.chi_star`` scales from it must pass."""
-    for a in g.atoms:
-        _check_weight(f"generator {g.gen_id!r}, atom at x={a.x}", a.w)
-    if not math.isfinite(g.v * g.v):
-        raise ConfigError(f"generator {g.gen_id!r}: mass {g.v} is too "
-                          "large, its square overflows a double")
-
-
 def _build_generator(entry) -> GeneratorSpec:
     if not isinstance(entry, dict):
         raise ConfigError("each generator entry must be an object")
@@ -303,9 +275,13 @@ def _build_generator(entry) -> GeneratorSpec:
         xv = _parse_frequency(item["x"])
         wv = _parse_weight(item["w"])
         where = f"generator {name!r}, atom at x={xv}"
-        # checked before a partner is derived from it, so that only a
-        # partner that underflows from a valid weight blames the frequency
-        _check_weight(where, wv)
+        # moments and Gram entries multiply weights, so a subnormal weight
+        # or one with an infinite square makes them 0, inf or NaN; checked
+        # before a partner is derived from it, so that only a partner that
+        # underflows from a valid weight blames the frequency
+        if 0 < wv < sys.float_info.min or not math.isfinite(wv * wv):
+            raise ConfigError(f"{where}: weight {wv} is not a normal double "
+                              "with a finite square")
         if mode == "half":
             if xv < 0:
                 raise ConfigError(
@@ -323,7 +299,9 @@ def _build_generator(entry) -> GeneratorSpec:
             atoms.append(SpectralAtom(xv, wv))
 
     g = GeneratorSpec(name, tuple(atoms))
-    check_bounds(g)
+    if not math.isfinite(g.v * g.v):
+        raise ConfigError(f"generator {name!r}: mass {g.v} is too "
+                          "large, its square overflows a double")
     if mode == "full":
         check_detailed_balance(g)
     return g
@@ -366,14 +344,14 @@ def load_model(path) -> ModelSpec:
 # ----------------------------------------------------------------------
 
 
-def two_atom_model(gen_id: str = "g") -> ModelSpec:
-    """The documented two-atom example: weight 2/3 at ln2/(2 pi), 1/3 at
-    the mirror frequency; total mass 1."""
+def two_atom_model() -> ModelSpec:
+    """Generator "g", the documented two-atom example: weight 2/3 at
+    ln2/(2 pi), 1/3 at the mirror frequency; total mass 1."""
     return build_model(
         {
             "generators": [
                 {
-                    "name": gen_id,
+                    "name": "g",
                     "mode": "half",
                     "atoms": [{"x": _FREQ_LITERAL, "w": 2.0 / 3.0}],
                 }

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import ncfisher
-from ncfisher import cli, core_cp, derivation, moments, suite
+from ncfisher import cli, conjugate, core_cp, derivation, moments, suite
 from ncfisher.algebra import NcPoly, Y_FAMILY, y
 from ncfisher.cli import run
 from ncfisher.core_cp import TrigPoly
-from ncfisher.conjugate import BasisSpec, solve_family
-from ncfisher.model import load_model, two_atom_model
+from ncfisher.conjugate import BasisSpec, ConjugateSolution, solve_family
+from ncfisher.model import GeneratorSpec, load_model, two_atom_model
 from ncfisher.moments import MAX_WORD_LETTERS, Residual
 from ncfisher.suite import (
     ALL_CHECK_IDS,
@@ -178,6 +178,16 @@ def test_chi_star_scales_up_to_the_load_time_bounds(capsys):
     assert math.isfinite(report["outputs"]["value"])
 
 
+def test_chi_star_runs_at_an_eps_of_1e300(capsys):
+    # chi-star solves the model as given, whatever the eps, so an eps whose
+    # scaled weights would overflow is no longer refused; RuntimeWarning is
+    # an error
+    code, report = run_json(
+        capsys, ["chi-star", "--eps", "0,1e300", "--tail-cutoff", "1e300"])
+    assert code == 0
+    assert math.isfinite(report["outputs"]["value"])
+
+
 def test_verify_commands_quick(capsys):
     code, report = run_json(
         capsys, ["verify-lemma2", "--count", "10", "--degree", "3"]
@@ -219,6 +229,62 @@ def test_verify_core_fails_on_eta_at_minus_t(monkeypatch, capsys):
     code, report = run_json(capsys, ["verify-core", "--count", "10"])
     assert (code, report["passed"]) == (1, False)
     assert report["outputs"]["max_relative_residual"] > 1e-3
+
+
+def plant_eta_sign(monkeypatch):
+    # eta with the sign of its exponent flipped: sum w exp(-2 pi i z x)
+    eta = GeneratorSpec.eta
+    monkeypatch.setattr(GeneratorSpec, "eta", lambda g, z: eta(g, -z))
+
+
+def plant_dropped_kernel_entry(monkeypatch):
+    # the interval pass without the first letter's last kernel entry
+    word_kernel = moments.word_kernel
+
+    def planted(*args):
+        rows = word_kernel(*args)
+        rows[0] = rows[0][:-1]
+        return rows
+
+    monkeypatch.setattr(moments, "word_kernel", planted)
+
+
+def plant_rotated_coefficients(monkeypatch):
+    # xi's coefficients rotated by 1 + 1e-6j
+    coefficients = ConjugateSolution.coefficients.func
+    monkeypatch.setattr(ConjugateSolution, "coefficients", property(
+        lambda sol: coefficients(sol) * (1 + 1e-6j)))
+
+
+def plant_scaled_xi(monkeypatch):
+    # xi scaled by 1 + 1e-6: every linear solve is off by that factor
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solve(a, b) * (1 + 1e-6))
+
+
+def plant_pivot_from_time_zero(monkeypatch):
+    # the pivot order measures letter times from 0, not from the target
+    # time, so the shifted problem's words are not the shifted words
+    key = conjugate._letter_pivot_key
+    monkeypatch.setattr(conjugate, "_letter_pivot_key",
+                        lambda letter, gen, t0: key(letter, gen, Fraction(0)))
+
+
+@pytest.mark.parametrize("argv, plant", [
+    (["check-kms"], plant_eta_sign),
+    (["moment", "--word", "X:0 X:1 X:0 X:1"], plant_dropped_kernel_entry),
+    (["conjugate"], plant_rotated_coefficients),
+    (["cramer-rao"], plant_scaled_xi),
+    (["covariance"], plant_pivot_from_time_zero),
+], ids=["check-kms", "moment", "conjugate", "cramer-rao", "covariance"])
+def test_tol_check_fails_on_a_planted_defect(monkeypatch, capsys, argv,
+                                             plant):
+    code, report = run_json(capsys, argv)
+    assert (code, report["passed"]) == (0, True)
+    plant(monkeypatch)
+    code, report = run_json(capsys, argv)
+    assert (code, report["passed"]) == (1, False)
 
 
 def test_verify_commands_match_suite_checks(capsys):
@@ -751,6 +817,43 @@ def test_non_finite_output_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def heavy_model(tmp_path):
+    """One half-mode atom of weight 1e100 at ln2/(2 pi)."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half",
+         "atoms": [{"x": "ln2/(2pi)", "w": 1e100}]}]}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["conjugate", "fisher", "cramer-rao",
+                                     "chi-star", "covariance"])
+def test_solves_whose_squares_may_overflow_are_refused(tmp_path, capsys,
+                                                       monkeypatch, command):
+    # at degree 3 the squared rhs entries reach about v^4 = 5e401
+    def fock_vectors(*args):
+        raise AssertionError("the solve ran")
+
+    path = heavy_model(tmp_path)
+    monkeypatch.setattr(conjugate, "fock_vectors", fock_vectors)
+    assert run([command, "--degree", "3", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+    mass = load_model(path).gen("g").v
+    assert len(errors) == 1, captured.err
+    assert f"degree 3 at mass {mass!r}" in errors[0]
+    assert "JSON compliant" not in captured.err
+
+
+def test_heavy_solve_at_a_lower_degree_runs(tmp_path, capsys):
+    code, report = run_json(
+        capsys, ["fisher", "--degree", "2", "--model",
+                 str(heavy_model(tmp_path))])
+    assert code == 0
+    assert report["outputs"]["phi_star_total"] == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("argv, atom, named", [
     (["conjugate"], {"x": 0, "w": 1e300}, "atom at x=0.0: weight"),
     (["conjugate"], {"x": 0, "w": 1e-320}, "atom at x=0.0: weight"),
@@ -762,15 +865,13 @@ def test_non_finite_output_is_usage_error(monkeypatch, capsys):
     (["bound", "--alpha", "nan", "--delta", "1"], None, "--alpha"),
     (["chi-star", "--eps", "0,nan"], None, "--eps"),
     (["chi-star", "--eps", "0,inf"], None, "--eps"),
-    (["chi-star", "--eps", "0,1e300", "--tail-cutoff", "1e300"], None,
-     "--eps 1e+300"),
     (["check-kms", "--grid", "0,nan"], None, "--grid"),
     (["moment", "--word", "X:0 X:0", "--tol", "inf"], None, "--tol"),
     (["verify-core", "--tol", "nan"], None, "--tol"),
 ], ids=["conjugate-weight-1e300", "conjugate-weight-1e-320",
         "fisher-weight-1e300", "conjugate-x-1e300", "tail-cutoff-inf",
         "tail-cutoff-nan", "delta-inf", "alpha-nan", "eps-nan", "eps-inf",
-        "eps-1e300", "kms-grid-nan", "tol-inf", "tol-nan"])
+        "kms-grid-nan", "tol-inf", "tol-nan"])
 def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
                                                       atom, named):
     if atom is not None:

@@ -18,6 +18,7 @@ from ncfisher.conjugate import (
     _basis_norm,
     _prune_independent,
     chi_star,
+    covariance_distance,
     cramer_rao_audit,
     embedded_distance,
     enumerate_basis,
@@ -30,6 +31,7 @@ from ncfisher.conjugate import (
 from ncfisher.derivation import differentiate
 from ncfisher.model import (
     ConfigError,
+    ModelSpec,
     build_model,
     tracial_model,
     two_atom_model,
@@ -403,8 +405,9 @@ def benchmark_shapes():
         for model in (pair_model(), pairs):
             yield from solve_family(model, ["1", "2"],
                                     BasisSpec(three_points, 2))
-        # the single-generator solves of `chi-star` (the model scaled by
-        # 1 + eps) and `covariance` (the shifted grid)
+        # single-generator solves of `chi-star` (whose Fisher value holds
+        # for the model scaled by 1 + eps, solved here unscaled and
+        # scaled by 2) and `covariance` (the shifted grid)
         small = BasisSpec(three_points, 2)
         for eps in (0, 1):
             yield solve_conjugate(two_atom_model().scaled(1 + eps), "g", small)
@@ -589,16 +592,27 @@ def test_chi_star_grid_validation(m):
         chi_star(m, ["g"], [0.0, 1.0], 0.5, spec)
 
 
-def test_chi_star_bounds_every_scaled_model_before_solving(monkeypatch):
-    # weights near 1e300 have no finite square; no solve runs, so numpy
-    # warns of no overflow
+@pytest.mark.parametrize("grid", [[0.0, 1e300], [0.0, 0.25, 0.5, 0.75, 1.0]],
+                         ids=["two-points", "five-points"])
+def test_chi_star_solves_the_family_once(monkeypatch, grid):
+    # Fisher does not depend on the scale, so one solve per generator on
+    # the model as given serves every grid point, and no model is scaled
     solves = []
-    monkeypatch.setattr(conjugate, "solve_conjugate",
-                        lambda *args, **kwargs: solves.append(args))
-    spec = BasisSpec(GRID3, 2)
-    with pytest.raises(ConfigError, match=r"eps 1e\+300: .* weight"):
-        chi_star(two_atom_model(), ["g"], [0.0, 1e300], 1e300, spec)
-    assert solves == []
+    solve = conjugate.solve_conjugate
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    def scaled(*args):
+        raise AssertionError("chi_star scaled the model")
+
+    monkeypatch.setattr(conjugate, "solve_conjugate", counted)
+    monkeypatch.setattr(ModelSpec, "scaled", scaled)
+    value = chi_star(pair_model(), ["1", "2"], grid, grid[-1],
+                     BasisSpec(GRID3, 2))
+    assert math.isfinite(value)
+    assert solves == ["1", "2"]
 
 
 def test_chi_star_quadrature_converges(m):
@@ -708,9 +722,12 @@ def test_covariance_residual_matches_symbolic_form(case):
     model, target, b_gens, _ = audit_cases()[case]
     spec = BasisSpec(GRID3, 2)
     for s in (Fraction(0), Fraction(1, 2), Fraction(-3, 4)):
-        assert abs(modular_covariance_check(model, target, s, spec, b_gens)
-                   - symbolic_covariance_residual(model, target, s, spec,
-                                                  b_gens)
+        fock = covariance_distance(
+            model, solve_conjugate(model, target, spec, b_gens),
+            solve_conjugate(model, target, spec.shifted(s), b_gens,
+                            target_time=s))
+        assert abs(fock - symbolic_covariance_residual(model, target, s,
+                                                       spec, b_gens)
                    ) <= AUDIT_TOL
         # the Fock form on coefficients that are not covariant
         sol0 = random_coefficients(

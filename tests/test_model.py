@@ -254,6 +254,6 @@ def test_weights_past_the_bounds_are_refused_at_load(config, match):
 
 
 def test_scaling_is_not_bounded_like_loading():
-    # the bounds are on the model as loaded; chi-star scales it by 1 + eps
+    # the bounds are on the model as loaded; scaling is not loading
     g = tracial_model().scaled(1e300).generators[0]
     assert g.v == 1e300

@@ -113,7 +113,6 @@ def test_state_invariant_under_shift(m):
 
 
 def test_freeness_centered_alternating_vanish():
-    m2 = two_atom_model("a")
     from ncfisher.model import build_model
 
     m2 = build_model(
