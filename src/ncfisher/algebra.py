@@ -1,10 +1,14 @@
 """Exact *-algebra of words in time-indexed self-adjoint generators.
 
 Letters carry a family tag ("X" for the primary generators, "Y" for their
-matched-covariance partners), a generator id, and a modular time.  Times
-are exact rationals (`fractions.Fraction`), so shift bookkeeping never
-accumulates floating-point drift; coefficients are complex doubles and
-exactness claims apply to the word structure only.
+matched-covariance partners), a generator id, and a modular time tag.
+Tags are exact: ints or `fractions.Fraction`s, so shift bookkeeping never
+accumulates floating-point drift.  A tag counts ticks of 1/``time_den``
+of the model it is evaluated with (``ModelSpec.real_time``); at the
+default ``time_den`` of 1 a tag is the time itself.  Int tags keep sums
+and dict keys in int arithmetic, which is what the sampled identity
+checks use.  Coefficients are complex doubles and exactness claims apply
+to the word structure only.
 
 >>> p = NcPoly.letter(x("g", 0)) * NcPoly.letter(x("g", 1))
 >>> p.adjoint() == NcPoly.word((x("g", 1), x("g", 0)))
@@ -22,6 +26,7 @@ __all__ = [
     "X_FAMILY",
     "Y_FAMILY",
     "TimeLike",
+    "Time",
     "as_time",
     "Letter",
     "x",
@@ -39,29 +44,32 @@ Y_FAMILY = "Y"
 
 TimeLike = Union[Fraction, int, str]
 
+#: an exact time tag
+Time = Union[Fraction, int]
 
-def as_time(t: TimeLike) -> Fraction:
-    """Coerce ``t`` to an exact rational time tag.
 
-    Accepts Fractions, ints and strings such as ``"3/2"`` or ``"-0.25"``.
-    Floats are rejected on purpose: callers must decide the exact rational
-    they mean.
+def as_time(t: TimeLike) -> Time:
+    """Coerce ``t`` to an exact time tag.
+
+    Ints and Fractions pass unchanged; strings such as ``"3/2"`` or
+    ``"-0.25"`` become Fractions.  Floats are rejected on purpose (callers
+    must decide the exact rational they mean), and so are bools.
     """
-    if isinstance(t, Fraction):
+    if isinstance(t, (int, Fraction)) and t is not True and t is not False:
         return t
-    if isinstance(t, (int, str)):
+    if isinstance(t, str):
         return Fraction(t)
     raise TypeError(f"time tags are exact rationals, cannot accept {t!r}")
 
 
 class Letter(NamedTuple):
-    """One self-adjoint generator letter at an exact modular time."""
+    """One self-adjoint generator letter at an exact modular time tag."""
 
     family: str
     gen: str
-    time: Fraction
+    time: Time
 
-    def shifted(self, s: Fraction) -> "Letter":
+    def shifted(self, s: Time) -> "Letter":
         return self._replace(time=self.time + s)
 
     def __str__(self) -> str:

@@ -72,11 +72,12 @@ MAX_CORE_DEGREE = MAX_WORD_LETTERS - 1
 #: ``--count`` times the work of one draw, counted as (state evaluations)
 #: x (letters per word)^3 for the cubic interval pass.  256**4 admits one
 #: draw at the largest degree of either command.  The slowest such draws
-#: measured on a 2-core x86-64 host (Python 3.11): 22 s for
-#: ``verify-lemma2`` (p and q of 127 and 126 letters) and 6 s for
-#: ``verify-core`` (Q of 255 letters); the default runs ask for 1/6,500
-#: of it and the heaviest benchmark run (``verify-lemma2 --degree 6``,
-#: count 100) for 1/1,500.
+#: measured on a 2-core x86-64 host (Python 3.11): 29 s for
+#: ``verify-lemma2`` (``--seed 1072``: p and q of 126 and 127 letters)
+#: and 8.5 s for ``verify-core`` (``--seed 2464``: Q of 255 letters),
+#: nearly all of it in the cubic interval pass; the default runs ask for
+#: 1/6,500 of it and the heaviest benchmark run (``verify-lemma2
+#: --degree 6``, count 100) for 1/1,500.
 MAX_CHECK_WORK = 256**4
 
 

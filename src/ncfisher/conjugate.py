@@ -364,7 +364,8 @@ def solve_conjugate(
     # holds the state values of the degree-k words (row 0 of V, from
     # column 1 + a + ... + a^(k-1) on) and e the kernel at target letters
     a = len(alphabet)
-    e = np.array([gen.eta(l.time - t0) if l.gen == target_gen else 0
+    e = np.array([gen.eta(m.real_time(l.time - t0))
+                  if l.gen == target_gen else 0
                   for l in alphabet], dtype=complex)
     phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
            for d in range(basis.max_degree + 1)]

@@ -4,8 +4,9 @@ Elements are handled in two shapes: trigonometric polynomials (finite
 sums of multiples of the flow unitaries U_r, a *-algebra under
 U_s U_t = U_{s+t}) and core words, i.e. products of primary letters and
 U steps.  The commutation rule U_s X_t = X_{t+s} U_s brings every such
-product to the normal form (word) * U_r with exact rational bookkeeping,
-and core words are stored in that form:
+product to the normal form (word) * U_r with exact bookkeeping of the
+time tags (ints or Fractions, ticks of the model's 1/time_den), and core
+words are stored in that form:
 (w, r) (w', r') = (w + sigma_r(w'), r + r').  That is what makes the
 conditional expectation onto the group part computable:
 E(m U_r) = state(m) U_r.
@@ -20,10 +21,10 @@ and the tensor-valued derivation with d(X_t) = U_t (x) U_{-t}, d(U_s) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .algebra import (
+    Time,
     TimeLike,
     Word,
     X_FAMILY,
@@ -55,7 +56,7 @@ class TrigPoly(_SparseSum):
 
     __slots__ = ()
 
-    _UNIT = Fraction(0)
+    _UNIT = 0
 
     @staticmethod
     def _normal_term(t, c) -> tuple:
@@ -67,7 +68,7 @@ class TrigPoly(_SparseSum):
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return super().__mul__(other)
-        out: dict[Fraction, complex] = {}
+        out: dict[Time, complex] = {}
         for s, c1 in self._terms.items():
             for t, c2 in other._terms.items():
                 _accumulate(out, s + t, c1 * c2)
@@ -93,7 +94,7 @@ class CoreWord:
     """
 
     word: Word = ()
-    r: Fraction = Fraction(0)
+    r: Time = 0
 
     def __post_init__(self):
         word = tuple(self.word)
@@ -103,10 +104,10 @@ class CoreWord:
         object.__setattr__(self, "r", as_time(self.r))
 
     @classmethod
-    def _raw(cls, word: Word, r: Fraction) -> "CoreWord":
+    def _raw(cls, word: Word, r: Time) -> "CoreWord":
         # the parts must already be canonical: a tuple of primary letters
-        # and a Fraction, as products and legs of canonical core words
-        # are; skips the checks and coercions of the constructor
+        # and an exact time tag, as products and legs of canonical core
+        # words are; skips the checks and coercions of the constructor
         obj = object.__new__(cls)
         _set_word(obj, word)
         _set_r(obj, r)
@@ -144,14 +145,15 @@ def conditional_expectation(m: ModelSpec, cw: CoreWord) -> TrigPoly:
 
 
 def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
-    """The diagonal completely positive map U_t -> eta(t) U_t.
+    """The diagonal completely positive map U_t -> eta(t) U_t, eta at the
+    real time of the tag t.
 
     Agrees with conditional_expectation(X_0 p X_0) term by term.
     """
     eta = m.gen(gen_id).eta
     out = {}
     for t, c in p._terms.items():
-        v = c * eta(t)
+        v = c * eta(m.real_time(t))
         if v != 0:
             out[t] = v
     return TrigPoly._raw(out)

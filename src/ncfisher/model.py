@@ -17,6 +17,7 @@ mutually free by construction: their cross covariance is identically zero.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ __all__ = [
     "KMS_GRID",
     "check_detailed_balance",
     "check_kms",
+    "finite_max",
     "build_model",
     "load_model",
     "two_atom_model",
@@ -137,19 +139,40 @@ def check_detailed_balance(g: GeneratorSpec) -> None:
                 )
 
 
+def finite_max(values, what: str) -> float:
+    """The largest of ``values``, 0.0 for none.
+
+    Raises ArithmeticError on a value that is not finite, which ``max``
+    would otherwise pass over (``max(0.0, nan)`` is 0.0); ``what`` names
+    the values in the message.
+    """
+    worst = 0.0
+    for v in values:
+        if not math.isfinite(v):
+            raise ArithmeticError(f"{what} is {v}: its terms are not "
+                                  "finite doubles")
+        worst = max(worst, v)
+    return worst
+
+
 def check_kms(g: GeneratorSpec, t_grid: Sequence[float]) -> float:
     """Largest |eta(t+i) - eta(-t)| over the grid; raises
-    :class:`DetailedBalanceViolation` first unless balance holds exactly."""
+    :class:`DetailedBalanceViolation` first unless balance holds exactly,
+    and ArithmeticError on a deviation that is not finite."""
     check_detailed_balance(g)
-    dev = 0.0
-    for t in t_grid:
-        dev = max(dev, abs(g.eta(complex(t, 1.0)) - g.eta(-t)))
-    return dev
+    return finite_max((abs(g.eta(complex(t, 1.0)) - g.eta(-t))
+                       for t in t_grid),
+                      f"the boundary deviation of generator {g.gen_id!r}")
 
 
 @dataclass(eq=False)
 class ModelSpec:
     """A family of mutually free generators plus a default tolerance.
+
+    Time tags used with the model count ticks of 1/``time_den``; every
+    evaluator turns a tag into a real time through :meth:`real_time`.
+    ``time_den`` is not part of the config (:meth:`config_dict`): it
+    fixes how exact times are written, not the model.
 
     Instances are immutable by convention and safe to share between
     workers; evaluation keeps no state on them.
@@ -157,6 +180,7 @@ class ModelSpec:
 
     generators: tuple
     tolerance: float = DEFAULT_TOLERANCE
+    time_den: int = 1
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -165,6 +189,21 @@ class ModelSpec:
             raise ConfigError("generator ids must be unique")
         if not (self.tolerance > 0):
             raise ConfigError("tolerance must be positive")
+        if type(self.time_den) is not int or self.time_den < 1:
+            raise ConfigError(
+                f"time_den must be a positive int, got {self.time_den!r}")
+
+    def real_time(self, tag, den: int = 1):
+        """The real time of the tag ``tag / den``, which counts ticks of
+        1/``time_den``: ``tag / (den * time_den)``, one correctly rounded
+        int division for int ``tag``.  At ``den * time_den == 1`` the tag
+        comes back unchanged, so exact and complex tags pass through."""
+        den *= self.time_den
+        return tag if den == 1 else tag / den
+
+    def with_time_den(self, time_den: int) -> "ModelSpec":
+        """The same model, its time tags counting ticks of 1/``time_den``."""
+        return dataclasses.replace(self, time_den=time_den)
 
     def gen(self, gen_id: str) -> GeneratorSpec:
         for g in self.generators:
@@ -184,12 +223,10 @@ class ModelSpec:
 
     def scaled(self, factor: float) -> "ModelSpec":
         """All weights multiplied by ``factor`` > 0; balance is preserved."""
-        return ModelSpec(
-            tuple(GeneratorSpec(g.gen_id, tuple(SpectralAtom(a.x, a.w * factor)
-                                                for a in g.atoms))
-                  for g in self.generators),
-            tolerance=self.tolerance,
-        )
+        return dataclasses.replace(self, generators=tuple(
+            GeneratorSpec(g.gen_id, tuple(SpectralAtom(a.x, a.w * factor)
+                                          for a in g.atoms))
+            for g in self.generators))
 
     def config_dict(self) -> dict:
         """Canonical full-mode config equivalent to this model."""

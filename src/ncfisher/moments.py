@@ -7,13 +7,18 @@ family and generator id agree, and zero otherwise; this block-diagonal
 kernel is exactly what makes distinct generators (and the X/Y families)
 mutually free.
 
+Time tags are ints or Fractions counting ticks of 1/``time_den`` of the
+model, and every evaluator here turns a tag into a real time through
+``ModelSpec.real_time`` (the tag itself at ``time_den`` 1).
+
 A single word is evaluated in one pass over its kernel.  The kernel holds
-cov(l_i, l_k) for i < k at odd distance.  The word's rational times are put
-over their common denominator as integer ticks, so every time difference is
-an exact int d and eta gets d / den, the correctly rounded double of the
-exact difference; eta is called once per distinct (generator, tick
-difference).  A complex shift of a prefix or suffix block enters as a
-per-letter offset (z on the block, 0 elsewhere) added to d / den.  The pass
+cov(l_i, l_k) for i < k at odd distance.  The word's tags are put over
+their common denominator den as integer ticks (den is 1 for int tags), so
+every tag difference is an exact int d and eta gets d / (den time_den),
+the correctly rounded double of the exact real difference; eta is called
+once per distinct (generator, tick difference).  A complex shift of a
+prefix or suffix block enters as a per-letter offset (z on the block, 0
+elsewhere), in real time, added to that double.  The pass
 fills the pairing sum over index intervals [i, j), shortest first, by the
 first-letter recursion
 
@@ -46,7 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -112,15 +116,14 @@ class Residual(float):
 
 
 def covariance(m: ModelSpec, a: Letter, b: Letter) -> complex:
-    """Kernel value for the ordered letter pair (a, b): eta at the time
-    difference when family and generator agree, zero otherwise.  Times are
-    exact rationals; the oracle also takes complex times."""
+    """Kernel value for the ordered letter pair (a, b): eta at the real
+    time of their tag difference when family and generator agree, zero
+    otherwise.  The difference of exact tags is exact, so eta gets its
+    correctly rounded double; the oracle also takes complex tags, whose
+    difference is taken in complex doubles."""
     if a.family != b.family or a.gen != b.gen:
         return 0j
-    s, t = a.time, b.time
-    if isinstance(s, Fraction) and isinstance(t, Fraction):
-        return m.gen(a.gen).eta(t - s)
-    return m.gen(a.gen).eta(complex(t) - complex(s))
+    return m.gen(a.gen).eta(m.real_time(b.time - a.time))
 
 
 def _check_length(n: int) -> None:
@@ -144,12 +147,13 @@ def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
     increasing k over the later letters at odd distance whose family and
     generator agree with letter i, leaving out exact zeros.
 
-    Letter times are put over their common denominator ``den`` as integer
-    ticks, so time differences are exact ints and eta gets ``d / den``,
-    the correctly rounded float of the exact difference.  ``offsets``, one
-    per letter (default 0), are added to the times after that: the pair
-    (i, k) gets eta at ``d / den + (offsets[k] - offsets[i])``, which is
-    how a complex shift of a block of letters enters.  eta is called once
+    Letter tags are put over their common denominator ``den`` as integer
+    ticks, so tag differences are exact ints d and eta gets
+    ``m.real_time(d, den)``, the correctly rounded float of the exact real
+    difference d / (den time_den).  ``offsets``, one per letter (default
+    0), are real times added after that: the pair (i, k) gets eta at
+    ``m.real_time(d, den) + (offsets[k] - offsets[i])``, which is how a
+    complex shift of a block of letters enters.  eta is called once
     per distinct (generator, tick difference, offset difference), whatever
     the family.  Raises :class:`SizeLimitError` first for words over
     ``MAX_WORD_LETTERS``.
@@ -175,7 +179,8 @@ def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
                     key = (ticks[k] - ti, offsets[k] - oi)
                     c = cache.get(key)
                     if c is None:
-                        c = cache[key] = eta(key[0] / den + key[1])
+                        c = cache[key] = eta(m.real_time(key[0], den)
+                                             + key[1])
                     if c != 0:
                         row.append((k, c))
     return rows
@@ -291,7 +296,7 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     order, so V^H V holds state(w_i* w_j) and row 0 the state values.  The
     one-particle space is the direct sum of C^{k} over the (family,
     generator) pairs of the alphabet, k the generator's atom count; D
-    counts particle numbers up to ``degree``.  Letter times must be real.
+    counts particle numbers up to ``degree``.  Letter tags must be real.
 
     An n-particle tensor is stored first factor fastest, so fewer particles
     fill a prefix of the rows.  The degree-d block is the degree-(d-1)
@@ -311,7 +316,7 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     f = np.zeros((a, k), dtype=complex)  # row l: one-particle vector of l
     for l, letter in enumerate(alphabet):
         start = offsets[(letter.family, letter.gen)]
-        phase = 2j * math.pi * float(letter.time)
+        phase = 2j * math.pi * float(m.real_time(letter.time))
         for j, at in enumerate(m.gen(letter.gen).atoms):
             f[l, start + j] = math.sqrt(at.w) * cmath.exp(phase * at.x)
 

@@ -1,7 +1,9 @@
 """Seeded random inputs for the verification batteries.
 
 Everything here is driven by a caller-owned `random.Random`, so identical
-seeds give identical inputs on every platform.
+seeds give identical inputs on every platform.  Times are drawn from the
+half grid -1, -1/2, 0, 1/2, 1 as int tags in ticks of 1/2, so the words
+are meant for a model with ``time_den`` 2 (``ModelSpec.with_time_den``).
 """
 from __future__ import annotations
 
@@ -13,17 +15,25 @@ from .core_cp import CoreWord
 
 __all__ = [
     "HALF_GRID",
+    "HALF_GRID_TICKS",
+    "TIME_DEN",
     "random_time",
     "random_word",
     "random_core_word",
 ]
 
-#: default rational time pool
-HALF_GRID = tuple(Fraction(k, 2) for k in range(-2, 3))
+#: ticks per unit of time of the drawn tags
+TIME_DEN = 2
+
+#: the half grid -1 .. 1 in ticks of 1/``TIME_DEN``
+HALF_GRID_TICKS = range(-2, 3)
+
+#: the same grid as exact times, for models with ``time_den`` 1
+HALF_GRID = tuple(Fraction(k, TIME_DEN) for k in HALF_GRID_TICKS)
 
 
-def random_time(rng: random.Random) -> Fraction:
-    return rng.choice(HALF_GRID)
+def random_time(rng: random.Random) -> int:
+    return rng.choice(HALF_GRID_TICKS)
 
 
 def random_word(rng: random.Random, gens, max_len: int,
@@ -44,7 +54,7 @@ def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
     form."""
     gens = list(gens)
     letters = []
-    shift = Fraction(0)
+    shift = 0
     n_x = rng.randint(0, max_x_degree)
     for _ in range(n_x):
         if rng.random() < 0.6:

@@ -28,11 +28,12 @@ from .conjugate import (
 )
 from .core_cp import factoriality_bound, verify_core_identity
 from .derivation import verify_insertion_identity
-from .model import (KMS_GRID, ModelSpec, build_model, tracial_model,
-                    two_atom_model)
+from .model import (KMS_GRID, ModelSpec, build_model, finite_max,
+                    tracial_model, two_atom_model)
 from .model import check_kms as kms_deviation
 from .moments import brute_force_oracle, evaluate_state, evaluate_state_shifted
-from .sampling import HALF_GRID, random_core_word, random_word
+from .sampling import (HALF_GRID, TIME_DEN, random_core_word, random_time,
+                       random_word)
 
 __all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite",
            "insertion_residual", "core_residual"]
@@ -123,21 +124,21 @@ def check_quasi_free_conjugate(ctx: SuiteContext) -> CheckResult:
 
 def check_wick_oracle(ctx: SuiteContext) -> CheckResult:
     tol = 1e-10
-    m = ctx.two_atom
+    # the words' tags count ticks of 1/TIME_DEN
+    m = ctx.two_atom.with_time_den(TIME_DEN)
     gen = m.generators[0].gen_id
     rng = ctx.rng(2)
-    worst = 0.0
-    for _ in range(500):
-        w = random_word(rng, [gen], 8, families=("X", "Y"))
-        worst = max(worst, abs(evaluate_state(m, w) - brute_force_oracle(m, w)))
+    words = [random_word(rng, [gen], 8, families=("X", "Y"))
+             for _ in range(500)]
+    worst = finite_max(
+        (abs(evaluate_state(m, w) - brute_force_oracle(m, w)) for w in words),
+        "an oracle difference")
     tm = ctx.tracial
     tgen = tm.generators[0].gen_id
-    catalan_worst = 0.0
-    for k in range(0, 6):
-        word = (x(tgen, 0),) * (2 * k)
-        catalan_worst = max(
-            catalan_worst, abs(evaluate_state(tm, word) - CATALAN[k])
-        )
+    catalan_worst = finite_max(
+        (abs(evaluate_state(tm, (x(tgen, 0),) * (2 * k)) - CATALAN[k])
+         for k in range(0, 6)),
+        "a Catalan difference")
     ok = worst < tol and catalan_worst < tol
     return CheckResult(
         "wick_oracle",
@@ -157,24 +158,26 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
     grid = KMS_GRID
     strip_tol = 1e-12
     word_tol = 1e-9
-    max_dev = 0.0
-    for m in (ctx.two_atom, ctx.tracial, ctx.pair):
-        for g in m.generators:
-            max_dev = max(max_dev, kms_deviation(g, grid))
-    m = ctx.two_atom
+    # kms_deviation refuses a deviation that is not finite
+    max_dev = max(kms_deviation(g, grid)
+                  for m in (ctx.two_atom, ctx.tracial, ctx.pair)
+                  for g in m.generators)
+    # the words' tags and the shift t count ticks of 1/TIME_DEN
+    m = ctx.two_atom.with_time_den(TIME_DEN)
     gen = m.generators[0].gen_id
     rng = ctx.rng(3)
-    word_dev = 0.0
+    devs = []
     for _ in range(50):
         a = random_word(rng, [gen], 3)
         b = random_word(rng, [gen], 3)
-        t = rng.choice(HALF_GRID)
+        t = random_time(rng)
         w = a + b
         lhs = evaluate_state_shifted(
-            m, w, range(len(a), len(w)), complex(t) + 1j
+            m, w, range(len(a), len(w)), complex(m.real_time(t)) + 1j
         )
         rhs = evaluate_state(m, shift_word(b, t) + a)
-        word_dev = max(word_dev, abs(lhs - rhs))
+        devs.append(abs(lhs - rhs))
+    word_dev = finite_max(devs, "a two-word deviation")
     ok = max_dev < strip_tol and word_dev < word_tol
     return CheckResult(
         "kms",
@@ -213,7 +216,9 @@ def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
                        count: int, degree: int) -> tuple:
     """Worst absolute and worst relative insertion-identity residual of
     the letter of ``gen`` at time 0 over ``count`` pairs of random
-    ``degree``-letter words drawn from ``rng``."""
+    ``degree``-letter words drawn from ``rng``, evaluated on ``m`` with
+    the words' tags in ticks of 1/``sampling.TIME_DEN``."""
+    m = m.with_time_den(TIME_DEN)
 
     def word():
         return NcPoly.word(random_word(rng, [gen], degree))
@@ -263,7 +268,9 @@ def core_residual(m: ModelSpec, gen: str, rng: random.Random,
                   count: int, degree: int) -> tuple:
     """Worst absolute and worst relative core-identity residual of the
     letter of ``gen`` at time 0 over ``count`` random core words with
-    ``degree`` letters drawn from ``rng``."""
+    ``degree`` letters drawn from ``rng``, evaluated on ``m`` with the
+    words' tags in ticks of 1/``sampling.TIME_DEN``."""
+    m = m.with_time_den(TIME_DEN)
     return _worst(
         verify_core_identity(m, gen, random_core_word(rng, [gen], degree))
         for _ in range(count)

@@ -79,3 +79,24 @@ def test_brownian_check_fails_on_eta_at_minus_t(monkeypatch):
     monkeypatch.setattr(moments, "word_kernel", planted)
     brownian = {r.cid: r for r in run_suite(seed=0)}["brownian"]
     assert brownian.asserted and not brownian.passed
+
+
+def nan_on_four_letters(evaluate):
+    """``evaluate`` with every state of a 4-letter word planted NaN."""
+    return lambda m, w, *rest: (complex("nan") if len(w) == 4
+                                else evaluate(m, w, *rest))
+
+
+def test_wick_oracle_check_refuses_nan_states(monkeypatch):
+    # max(worst, nan) kept the worst so far: this check used to pass
+    monkeypatch.setattr(suite, "evaluate_state",
+                        nan_on_four_letters(suite.evaluate_state))
+    with pytest.raises(ArithmeticError, match="oracle difference is nan"):
+        suite.check_wick_oracle(suite.SuiteContext.fresh(0))
+
+
+def test_kms_check_refuses_nan_states(monkeypatch):
+    monkeypatch.setattr(suite, "evaluate_state_shifted",
+                        nan_on_four_letters(suite.evaluate_state_shifted))
+    with pytest.raises(ArithmeticError, match="two-word deviation is nan"):
+        suite.check_kms(suite.SuiteContext.fresh(0))

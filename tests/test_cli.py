@@ -661,6 +661,16 @@ def test_non_finite_check_residual_is_usage_error(monkeypatch, capsys):
     assert captured.err.startswith("error:") and "nan" in captured.err
 
 
+def test_non_finite_kms_deviation_is_usage_error(monkeypatch, capsys):
+    eta = GeneratorSpec.eta
+    monkeypatch.setattr(GeneratorSpec, "eta", lambda g, z: (
+        complex("nan") if complex(z).imag else eta(g, z)))
+    assert run(["check-kms"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nan" in captured.err
+
+
 def test_cramer_rao_compares_against_its_tolerance(capsys):
     code, report = run_json(capsys, ["cramer-rao"])
     assert code == 0 and report["passed"] is True

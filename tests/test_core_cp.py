@@ -292,9 +292,12 @@ def checked(cw: CoreWord) -> CoreWord:
 
 
 def assert_canonical(cw: CoreWord) -> None:
+    """Equal to its checked twin, with the int tags of the draws kept
+    ints through products, adjoints and derivative legs."""
     built = checked(cw)
     assert cw == built and hash(cw) == hash(built)
-    assert type(cw.word) is tuple and type(cw.r) is Fraction
+    assert type(cw.word) is tuple and type(cw.r) is int
+    assert all(type(letter.time) is int for letter in cw.word)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -141,6 +141,17 @@ def test_kms_deviation_small_iff_balanced():
         check_kms(bad, grid)
 
 
+def test_kms_deviation_refuses_nan(monkeypatch):
+    # one NaN among finite deviations; max(dev, nan) kept dev
+    g = two_atom_model().generators[0]
+    eta = GeneratorSpec.eta
+    monkeypatch.setattr(GeneratorSpec, "eta", lambda self, z: (
+        complex("nan") if z == complex(0.5, 1.0) else eta(self, z)))
+    with pytest.raises(ArithmeticError, match="generator 'g'"):
+        check_kms(g, [0.0, 0.5, 1.0])
+    assert check_kms(g, [0.0, 1.0]) < 1e-12
+
+
 def test_schema_errors():
     with pytest.raises(ConfigError):
         build_model({})
