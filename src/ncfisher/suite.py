@@ -10,7 +10,6 @@ recorded but no identity is claimed for them.
 """
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -196,20 +195,12 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
 
 
 def _worst(residuals) -> tuple:
-    """(largest absolute, largest relative) of some :class:`Residual`s.
-
-    Raises ArithmeticError on a residual or scale that is not finite,
-    which ``max`` would otherwise pass over (``max(0.0, nan)`` is 0.0).
-    """
-    worst = worst_relative = 0.0
-    for r in residuals:
-        if not (math.isfinite(r) and math.isfinite(r.scale)):
-            raise ArithmeticError(
-                f"an identity residual is {float(r)} at scale {r.scale}: "
-                f"its terms are not finite doubles")
-        worst = max(worst, float(r))
-        worst_relative = max(worst_relative, r.relative)
-    return worst, worst_relative
+    """(largest absolute, largest relative) of some :class:`Residual`s;
+    ``finite_max`` refuses a residual or scale that is not finite."""
+    residuals = list(residuals)
+    worst = finite_max(map(float, residuals), "an identity residual")
+    finite_max((r.scale for r in residuals), "an identity residual's scale")
+    return worst, max((r.relative for r in residuals), default=0.0)
 
 
 def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,

@@ -184,7 +184,10 @@ def random_ncpoly(
     n_terms: int = 3,
 ) -> NcPoly:
     """Between 1 and ``n_terms`` random words of at most ``max_len``
-    letters with coefficients uniform in the unit square."""
+    letters with coefficients uniform in the unit square.  The tags are
+    the draws of :func:`ncfisher.sampling.random_word`, ticks of
+    1/``sampling.TIME_DEN``, so use the polynomial with a model of that
+    ``time_den``."""
     terms = []
     for _ in range(rng.randint(1, n_terms)):
         w = random_word(rng, gens, max_len)

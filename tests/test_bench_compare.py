@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_compare.py`` on fixed numbers.  Nothing
 here runs the benchmark: wall time is never asserted."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,22 @@ def test_a_latency_worse_than_its_bound():
     assert s["within_bound"]
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [50.0, 80.0, 100.0, 120.0, 150.0]
+    # q3 - q1 is 40, twice the bound of 20 at the median 100
+    s = bench_compare.summarize_metric(parent, [95.0] * 5, "higher", 0.2)
+    assert s["within_bound"] == "unresolved"
+    s = bench_compare.summarize_metric(parent, [60.0] * 5, "higher", 0.2)
+    assert s["within_bound"] == "unresolved"
+    # unless every change run beats every parent run
+    s = bench_compare.summarize_metric(parent, [151.0] * 5, "higher", 0.2)
+    assert s["within_bound"] is True
+    s = bench_compare.summarize_metric(parent, [49.0] * 5, "lower", 0.2)
+    assert s["within_bound"] is True
+    s = bench_compare.summarize_metric(parent, [50.0] * 5, "lower", 0.2)
+    assert s["within_bound"] == "unresolved"
+
+
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         bench_compare.summarize_metric([1.0, 2.0], [1.0], "higher")
@@ -85,3 +102,36 @@ def test_workload_summary_sums_ops_and_keeps_the_raw_figures():
     assert raw["ops_per_s"]["change"]["median"] == 65.0
     assert raw["op_p50_ms"]["better"] == "lower"
     assert raw["op_p50_ms"]["change_wins"] == 2
+
+
+def test_main_takes_length_and_workloads_from_the_benchmark(tmp_path,
+                                                            monkeypatch):
+    bench = {"run_seconds": 7, "workloads": [{"name": "a"}, {"name": "b"}],
+             "end_to_end": [{"name": "ops_per_ref_s", "better": "higher",
+                             "bound": 0.2}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload, seed, seconds, trace))
+        result, detail = _run(100.0, 90, 0, 50.0)
+        detail["machine"] = "m"
+        return result, detail
+
+    monkeypatch.setattr(bench_compare, "run_bench", fake_run)
+    parent, change = tmp_path, tmp_path / "change"
+    out = tmp_path / "out.json"
+    assert bench_compare.main([str(parent), str(change), "--out",
+                               str(out), "--change", "note"]) == 0
+    record = json.loads(out.read_text())
+    assert sorted(record["workloads"]) == ["a", "b"]
+    assert record["change"] == "note" and record["machine"] == "m"
+    untraced = [c for c in calls if c[4] == 0]
+    assert len(untraced) == 2 * 2 * bench_compare.PAIRS
+    assert {c[2:4] for c in untraced} == {(bench_compare.SEED, 7)}
+    traced = [c for c in calls if c[4] == 1]
+    assert {c[2] for c in traced} == {bench_compare.TRACE_SEED}
+    assert len(traced) == 4
+    # alternated: the parent first on even pairs
+    firsts = [c[0] for c in untraced[::2]]
+    assert firsts[:2] == [parent.name, "change"]

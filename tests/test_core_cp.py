@@ -18,12 +18,19 @@ from ncfisher.core_cp import (
     verify_core_identity,
 )
 from ncfisher.model import two_atom_model
-from ncfisher.sampling import HALF_GRID, random_core_word
+from ncfisher.sampling import (HALF_GRID, TIME_DEN, random_core_word,
+                               random_time)
 
 
 @pytest.fixture(scope="module")
 def m():
     return two_atom_model()
+
+
+@pytest.fixture(scope="module")
+def mh(m):
+    """The two-atom model on the ticks of the sampled draws."""
+    return m.with_time_den(TIME_DEN)
 
 
 def rng_trig(rng, n_terms=3, exact=False):
@@ -122,14 +129,14 @@ def test_expectation_normal_form_compatible(m):
     assert conditional_expectation(m, a) == conditional_expectation(m, b)
 
 
-def test_expectation_bimodular(m):
+def test_expectation_bimodular(mh):
     rng = random.Random(2)
     for _ in range(20):
         cw = random_core_word(rng, ["g"], 3)
-        s = rng.choice(HALF_GRID)
-        t = rng.choice(HALF_GRID)
-        lhs = conditional_expectation(m, CoreWord.u(s) * cw * CoreWord.u(t))
-        rhs = (TrigPoly({s: 1}) * conditional_expectation(m, cw)
+        s = random_time(rng)
+        t = random_time(rng)
+        lhs = conditional_expectation(mh, CoreWord.u(s) * cw * CoreWord.u(t))
+        rhs = (TrigPoly({s: 1}) * conditional_expectation(mh, cw)
                * TrigPoly({t: 1}))
         assert (lhs - rhs).max_abs() < 1e-12
 
@@ -180,18 +187,18 @@ def test_eta_inner_worked_chain(m):
     assert (out - TrigPoly({s: g.eta(t)})).max_abs() < 1e-12
 
 
-def test_eta_inner_bimodule_shift_identity(m):
+def test_eta_inner_bimodule_shift_identity(mh):
     rng = random.Random(5)
     for _ in range(10):
         xs = [random_core_word(rng, ["g"], 2) for _ in range(4)]
-        r = rng.choice(HALF_GRID)
-        s = rng.choice(HALF_GRID)
+        r = random_time(rng)
+        s = random_time(rng)
         e = EtaBimoduleElem.simple(xs[0], xs[1])
         f = EtaBimoduleElem.simple(xs[2], xs[3])
         shifted_f = act(CoreWord.u(r), f, CoreWord.u(s))
         shifted_e = act(CoreWord.u(-r), e, CoreWord.u(-s))
-        lhs = eta_inner(m, "g", e, shifted_f)
-        rhs = eta_inner(m, "g", shifted_e, f)
+        lhs = eta_inner(mh, "g", e, shifted_f)
+        rhs = eta_inner(mh, "g", shifted_e, f)
         assert (lhs - rhs).max_abs() < 1e-12
 
 
@@ -238,12 +245,12 @@ def test_core_identity_worked_case(m):
     assert verify_core_identity(m, "g", q) < 1e-12
 
 
-def test_core_identity_random(m):
+def test_core_identity_random(mh):
     rng = random.Random(7)
     worst = 0.0
     for _ in range(60):
         q = random_core_word(rng, ["g"], 4)
-        worst = max(worst, verify_core_identity(m, "g", q))
+        worst = max(worst, verify_core_identity(mh, "g", q))
     assert worst < 1e-9
 
 
@@ -321,11 +328,12 @@ def test_raw_built_core_words_equal_checked_ones(seed):
             assert legs == d and hash(legs) == hash(d)
 
 
-def test_expectation_and_eta_map_hold_no_zero_coefficient(m, monkeypatch):
+def test_expectation_and_eta_map_hold_no_zero_coefficient(m, mh,
+                                                            monkeypatch):
     rng = random.Random(9)
     for _ in range(40):
         cw = random_core_word(rng, ["g"], 4)
-        for p in (conditional_expectation(m, cw),
+        for p in (conditional_expectation(mh, cw),
                   eta_map(m, "g", rng_trig(rng))):
             assert all(c != 0 for c in p.terms.values())
     # eta vanishing at t = 1/2 drops that term

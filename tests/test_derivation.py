@@ -12,7 +12,7 @@ from ncfisher.derivation import (
 )
 from ncfisher.model import tracial_model, two_atom_model
 from ncfisher.moments import brute_force_oracle, evaluate_state, expectation
-from ncfisher.sampling import random_word
+from ncfisher.sampling import TIME_DEN, random_word
 from oracles import pair_with_y
 
 TIMES = [Fraction(k, 2) for k in range(-2, 3)]
@@ -165,12 +165,14 @@ def test_insertion_terms_match_symbolic_products(m, seed):
 
 
 def test_insertion_identity_random_suite(m):
+    # the draws' tags count ticks of 1/TIME_DEN
+    mh = m.with_time_den(TIME_DEN)
     rng = random.Random(21)
     worst = 0.0
     for _ in range(60):
         p = NcPoly.word(random_word(rng, ["g"], 4))
         q = NcPoly.word(random_word(rng, ["g"], 4))
-        worst = max(worst, verify_insertion_identity(m, "g", p, q))
+        worst = max(worst, verify_insertion_identity(mh, "g", p, q))
     assert worst < 1e-9
 
 

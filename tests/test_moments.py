@@ -13,7 +13,7 @@ from ncfisher.moments import (
     expectation,
 )
 from ncfisher.model import tracial_model, two_atom_model
-from ncfisher.sampling import HALF_GRID, random_word
+from ncfisher.sampling import HALF_GRID, TIME_DEN, random_time, random_word
 from oracles import (all_pairings, inner_product, is_noncrossing,
                      random_ncpoly)
 
@@ -23,6 +23,12 @@ CATALAN = [1, 1, 2, 5, 14, 42]
 @pytest.fixture(scope="module")
 def m():
     return two_atom_model()
+
+
+@pytest.fixture(scope="module")
+def mh(m):
+    """The two-atom model on the ticks of the sampled draws."""
+    return m.with_time_den(TIME_DEN)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +80,11 @@ def test_pairing_enumeration_counts():
     assert sum(is_noncrossing(p) for p in pairings) == 5  # Catalan(3)
 
 
-def test_oracle_matches_recursion(m):
+def test_oracle_matches_recursion(mh):
     rng = random.Random(11)
     for _ in range(150):
         w = random_word(rng, ["g"], 8, families=("X", "Y"))
-        assert abs(evaluate_state(m, w) - brute_force_oracle(m, w)) < 1e-10
+        assert abs(evaluate_state(mh, w) - brute_force_oracle(mh, w)) < 1e-10
 
 
 def test_oracle_size_limit(m):
@@ -95,21 +101,21 @@ def test_word_length_limit(m):
         evaluate_state_shifted(m, w, [0], 1j)
 
 
-def test_state_of_adjoint_is_conjugate(m):
+def test_state_of_adjoint_is_conjugate(mh):
     rng = random.Random(5)
     for _ in range(50):
         w = random_word(rng, ["g"], 6, families=("X", "Y"))
-        assert evaluate_state(m, word_adjoint(w)) == pytest.approx(
-            evaluate_state(m, w).conjugate(), abs=1e-12
+        assert evaluate_state(mh, word_adjoint(w)) == pytest.approx(
+            evaluate_state(mh, w).conjugate(), abs=1e-12
         )
 
 
-def test_state_invariant_under_shift(m):
+def test_state_invariant_under_shift(mh):
     rng = random.Random(6)
     for _ in range(50):
         w = random_word(rng, ["g"], 6)
-        s = rng.choice(HALF_GRID)
-        assert evaluate_state(m, shift_word(w, s)) == evaluate_state(m, w)
+        s = random_time(rng)
+        assert evaluate_state(mh, shift_word(w, s)) == evaluate_state(mh, w)
 
 
 def test_freeness_centered_alternating_vanish():
@@ -135,7 +141,7 @@ def test_freeness_centered_alternating_vanish():
         assert abs(expectation(m2, prod)) < 1e-12
 
 
-def test_inner_product_basics(m):
+def test_inner_product_basics(m, mh):
     g = m.generators[0]
     x0 = NcPoly.letter(x("g", 0))
     x1 = NcPoly.letter(x("g", 1))
@@ -144,7 +150,7 @@ def test_inner_product_basics(m):
     rng = random.Random(3)
     for _ in range(30):
         p = random_ncpoly(rng, ["g"], 3)
-        val = inner_product(m, p, p)
+        val = inner_product(mh, p, p)
         assert val.real >= -1e-10
         assert abs(val.imag) < 1e-10
 
@@ -158,30 +164,34 @@ def test_shifted_state_two_letter_is_eta(m):
         )
 
 
-def test_shifted_state_at_zero_and_real(m):
+def test_shifted_state_at_zero_and_real(mh):
     rng = random.Random(8)
     for _ in range(30):
         a = random_word(rng, ["g"], 3)
         b = random_word(rng, ["g"], 3)
         w = a + b
         suffix = range(len(a), len(w))
-        assert evaluate_state_shifted(m, w, suffix, 0) == evaluate_state(m, w)
-        t = rng.choice(HALF_GRID)
-        direct = evaluate_state(m, a + shift_word(b, t))
-        assert evaluate_state_shifted(m, w, suffix, t) == pytest.approx(
+        assert (evaluate_state_shifted(mh, w, suffix, 0)
+                == evaluate_state(mh, w))
+        # the shift of a tag counts ticks, the shift of the block real time
+        t = random_time(rng)
+        direct = evaluate_state(mh, a + shift_word(b, t))
+        z = mh.real_time(t)
+        assert evaluate_state_shifted(mh, w, suffix, z) == pytest.approx(
             direct, abs=1e-12
         )
 
 
-def test_shifted_state_kms_boundary(m):
+def test_shifted_state_kms_boundary(mh):
     rng = random.Random(9)
     for _ in range(30):
         a = random_word(rng, ["g"], 3)
         b = random_word(rng, ["g"], 3)
         w = a + b
-        t = rng.choice(HALF_GRID)
-        lhs = evaluate_state_shifted(m, w, range(len(a), len(w)), complex(t) + 1j)
-        rhs = evaluate_state(m, shift_word(b, t) + a)
+        t = random_time(rng)
+        z = complex(mh.real_time(t)) + 1j
+        lhs = evaluate_state_shifted(mh, w, range(len(a), len(w)), z)
+        rhs = evaluate_state(mh, shift_word(b, t) + a)
         assert abs(lhs - rhs) < 1e-9
 
 

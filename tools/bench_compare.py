@@ -1,23 +1,26 @@
 """Run the benchmark on two checkouts and write a before/after record.
 
     python tools/bench_compare.py PARENT CHANGE --out BENCH_<n>.json \\
-        [--workloads galerkin,words,cli] [--seed 11] [--seconds 30] \\
-        [--pairs 10] [--trace-seed 1] [--change "what the change does"]
+        [--change "what the change does"]
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
-``perfbench/``.  For every workload the tool runs ``perfbench/run.py
---trace 0`` of both checkouts as subprocesses, in ``--pairs`` alternated
-pairs (the parent first on even pairs), each run with the same seed and
-length.  Then it runs ``--trace 1`` once per side at ``--trace-seed`` for
-the per-layer counts.  The record holds, per workload and end-to-end
-metric, each side's q1, median and q3 (``statistics.quantiles``,
-inclusive), ``change_wins`` (pairs where the change is better; ties count
-for neither), the ratio of the medians, and two verdicts: ``gain`` (the
-change wins at least nine pairs in ten and its median is better by more
-than the parent's q3 - q1) and ``within_bound`` (its median is not worse
-than the parent's by more than the bound in ``BENCHMARK.json``).  Each
-workload also gets the raw (unscaled) throughput and latencies from the
-runs' detail lines, next to the reference-scaled metrics.
+``perfbench/``.  The run length and the workloads are those of the
+parent's ``BENCHMARK.json``.  For every workload the tool runs
+``perfbench/run.py --trace 0`` of both checkouts as subprocesses, in
+``PAIRS`` alternated pairs (the parent first on even pairs), each run at
+seed ``SEED``.  Then it runs ``--trace 1`` once per side at seed
+``TRACE_SEED`` for the per-layer counts.  The record holds, per workload
+and end-to-end metric, each side's q1, median and q3
+(``statistics.quantiles``, inclusive), ``change_wins`` (pairs where the
+change is better; ties count for neither), the ratio of the medians, and
+two verdicts: ``gain`` (the change wins at least nine pairs in ten and
+its median is better by more than the parent's q3 - q1) and
+``within_bound`` (its median is not worse than the parent's by more than
+the bound in ``BENCHMARK.json``; ``"unresolved"`` when the parent's own
+q3 - q1 is wider than the bound and the change's runs do not all beat
+all of the parent's).  Each workload also gets the raw (unscaled)
+throughput and latencies from the runs' detail lines, next to the
+reference-scaled metrics.
 
 The runs take wall time on a shared host, so no test runs them; the
 tests check the summary functions on fixed numbers.
@@ -36,6 +39,12 @@ RAW = {"ops_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower"}
 
 #: share of pairs the change must win before a gain is claimed
 GAIN_WINS = 0.9
+
+#: alternated pairs per workload, the seed of their runs and that of the
+#: traced run
+PAIRS = 10
+SEED = 11
+TRACE_SEED = 1
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -64,7 +73,8 @@ def summarize_metric(parent: list, change: list, better: str,
     """Summary of one metric over alternated pairs: ``parent[i]`` and
     ``change[i]`` are the two runs of pair i; ``better`` is "higher" or
     "lower"; ``bound`` is the share by which the change's median may be
-    worse than the parent's (no ``within_bound`` without one)."""
+    worse than the parent's (no ``within_bound`` without one; see the
+    module docstring for ``"unresolved"``)."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs per side")
     sign = 1 if better == "higher" else -1
@@ -82,8 +92,14 @@ def summarize_metric(parent: list, change: list, better: str,
         "gain": gain,
     }
     if bound is not None:
-        worse = -sign * (c["median"] - p["median"])
-        out["within_bound"] = worse <= bound * abs(p["median"])
+        allowed = bound * abs(p["median"])
+        beats_all = (min(sign * b for b in change)
+                     > max(sign * a for a in parent))
+        if p["q3"] - p["q1"] > allowed and not beats_all:
+            out["within_bound"] = "unresolved"
+        else:
+            worse = -sign * (c["median"] - p["median"])
+            out["within_bound"] = worse <= allowed
     return out
 
 
@@ -131,48 +147,44 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workloads", default="galerkin,words,cli")
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--trace-seed", type=int, default=1)
     ap.add_argument("--change", dest="note", default="",
                     help="one line on what the change does")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     record = {
         "change": args.note,
         "protocol": (
-            f"perfbench/run.py --workload W --seed {args.seed} --seconds "
-            f"{args.seconds:g} --trace 0 in each checkout, {args.pairs} "
+            f"perfbench/run.py --workload W --seed {SEED} --seconds "
+            f"{seconds:g} --trace 0 in each checkout, {PAIRS} "
             "alternated pairs per workload (the parent first on even "
-            f"pairs); traced_seed_{args.trace_seed} from --seed "
-            f"{args.trace_seed} --trace 1, one run per side; written by "
+            f"pairs); traced_seed_{TRACE_SEED} from --seed "
+            f"{TRACE_SEED} --trace 1, one run per side; written by "
             "tools/bench_compare.py"
         ),
-        "seed": args.seed,
+        "seed": SEED,
         "workloads": {},
-        f"traced_seed_{args.trace_seed}": {},
+        f"traced_seed_{TRACE_SEED}": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                              "parent")
-            got = {s: run_bench(checkouts[s], workload, args.seed,
-                                args.seconds, 0) for s in order}
+            got = {s: run_bench(checkouts[s], workload, SEED, seconds, 0)
+                   for s in order}
             runs.append((got["parent"], got["change"]))
             print(f"{workload} pair {i}: " + ", ".join(
                 f"{s} {got[s][0]['metrics']['ops_per_ref_s']['value']:.1f}"
                 for s in order), file=sys.stderr)
         record["workloads"][workload] = summarize_workload(runs, specs)
         record["machine"] = runs[0][1][1]["machine"]
-        traced = {s: run_bench(checkouts[s], workload, args.trace_seed, 0,
+        traced = {s: run_bench(checkouts[s], workload, TRACE_SEED, seconds,
                                1)[0] for s in checkouts}
-        record[f"traced_seed_{args.trace_seed}"][workload] = traced_counts(
+        record[f"traced_seed_{TRACE_SEED}"][workload] = traced_counts(
             traced["parent"], traced["change"])
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
