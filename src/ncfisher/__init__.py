@@ -49,7 +49,6 @@ from .conjugate import (
     BasisSpec,
     ConjugateSolution,
     CramerRaoReport,
-    GridError,
     chi_star,
     covariance_distance,
     cramer_rao_audit,

@@ -369,15 +369,9 @@ def _cmd_cramer_rao(m, args):
 
 def _cmd_chi_star(m, args):
     gens = _gens_from_args(m, args)
-    eps = _parse_floats(args.eps, "--eps")
     cutoff = _finite("--tail-cutoff", args.tail_cutoff)
-    value = chi_star(m, gens, eps, cutoff, _basis_from_args(m, args))
-    return {
-        "gens": gens,
-        "eps_grid": eps,
-        "tail_cutoff": cutoff,
-        "value": value,
-    }, None
+    value = chi_star(m, gens, cutoff, _basis_from_args(m, args))
+    return {"gens": gens, "tail_cutoff": cutoff, "value": value}, None
 
 
 def _check_range(flag: str, value: int, upper: int) -> None:
@@ -546,10 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--gens", default="")
 
-    p = command("chi-star", tol=None, help="entropy-style quadrature")
+    p = command("chi-star", tol=None,
+                help="entropy-style integral, in closed form")
     add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
     p.add_argument("--gens", default="")
-    p.add_argument("--eps", default="0,0.25,0.5,0.75,1")
     p.add_argument("--tail-cutoff", type=float, default=10.0)
 
     p = command("verify-lemma2", seed=True,
@@ -587,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--grid", "--eps", "--shift", "--time", "--alpha", "--delta",
+_VALUE_FLAGS = ("--grid", "--shift", "--time", "--alpha", "--delta",
                 "--tail-cutoff")
 
 

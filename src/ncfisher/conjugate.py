@@ -61,7 +61,6 @@ from .moments import fock_dimension, fock_vectors
 
 __all__ = [
     "BasisError",
-    "GridError",
     "BasisSpec",
     "ConjugateSolution",
     "enumerate_basis",
@@ -84,10 +83,6 @@ MAX_BASIS_ENTRIES = 2_000_000  # words times Fock dimension of one solve
 
 class BasisError(ValueError):
     """Invalid basis specification for the requested solve."""
-
-
-class GridError(ValueError):
-    """Invalid quadrature grid."""
 
 
 @dataclass(frozen=True)
@@ -441,6 +436,22 @@ def _basis_norm(
     return float(np.linalg.norm(vecs @ coefficients))
 
 
+def _reversal(words: Sequence) -> np.ndarray:
+    """Index of each word's reversal in ``words``, a basis in
+    :func:`enumerate_basis` order, found without hashing a word.
+
+    With a letters, the degree-d words follow the first
+    ``fock_dimension(a, d - 1)`` in ``itertools.product`` order, the C
+    order of an a x ... x a array of their letter indices, and reversing
+    every word transposes that array.
+    """
+    a = sum(len(w) == 1 for w in words)
+    return np.concatenate([
+        fock_dimension(a, d - 1) + np.arange(a**d).reshape((a,) * d).T.ravel()
+        for d in range(len(words[-1]) + 1)
+    ])
+
+
 def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
     """L2 norm of xi - xi*; small for every well-posed solve.
 
@@ -449,10 +460,8 @@ def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
     of basis indices, xi - xi* has coefficients c - conj(c)[rev] and its L2
     norm is that of its Fock vector V (c - conj(c)[rev]).
     """
-    words = solution.basis_words
-    index = {w: i for i, w in enumerate(words)}
-    rev = [index[w[::-1]] for w in words]
     c = solution.coefficients
+    rev = _reversal(solution.basis_words)
     return _basis_norm(m, solution, c - c[rev].conj())
 
 
@@ -529,44 +538,28 @@ def cramer_rao_audit(
 def chi_star(
     m: ModelSpec,
     gens: Sequence[str],
-    eps_grid: Sequence[float],
     tail_cutoff: float,
     basis: BasisSpec,
 ) -> float:
-    """Entropy-style quadrature along the matched-covariance perturbation.
+    """Entropy-style integral along the matched-covariance perturbation.
 
     At parameter t the perturbed family is realized inside the model class
     as the generators with all weights scaled by (1 + t); the integrand is
-    (n/(1+t) - Fisher(t)) / 2, integrated by trapezoid over ``eps_grid``.
-    Fisher(t) equals Fisher(0) (a d-letter word's Fock vector scales by
-    (1+t)^(d/2), its rhs entry by (1+t)^((d+1)/2), and the prune's test
-    is relative), so one family solve on ``m`` serves every t.  The tail
-    holds it constant on [grid end, tail_cutoff] and integrates n/(1+t)
-    there exactly; nothing is added beyond ``tail_cutoff``.
+    (n/(1+t) - Fisher(t)) / 2 on [0, ``tail_cutoff``], and nothing is added
+    beyond it.  Fisher(t) equals Fisher(0) = F (a d-letter word's Fock
+    vector scales by (1+t)^(d/2), its rhs entry by (1+t)^((d+1)/2), and
+    the prune's test is relative), so one family solve on ``m`` serves
+    every t and the integral is (n log(1 + c) - F c) / 2, c the cutoff.
+    Raises :class:`ConfigError` for a negative cutoff.
     """
+    if tail_cutoff < 0:
+        raise ConfigError(f"tail cutoff must not be negative, got "
+                          f"{tail_cutoff}")
     gens = list(gens)
     if not gens:
         return 0.0
-    grid = [float(t) for t in eps_grid]
-    if not grid or grid[0] != 0.0:
-        raise GridError("eps grid must start at 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise GridError("eps grid must be strictly increasing")
-    if tail_cutoff < grid[-1]:
-        raise GridError("tail cutoff must not precede the grid end")
-    n = len(gens)
     fisher = fisher_multi(m, gens, basis)
-    integrand = [0.5 * (n / (1.0 + t) - fisher) for t in grid]
-    quad = math.fsum(
-        0.5 * (integrand[i] + integrand[i + 1]) * (grid[i + 1] - grid[i])
-        for i in range(len(grid) - 1)
-    )
-    t_end = grid[-1]
-    tail = 0.5 * (
-        n * math.log((1.0 + tail_cutoff) / (1.0 + t_end))
-        - fisher * (tail_cutoff - t_end)
-    )
-    return quad + tail
+    return 0.5 * (len(gens) * math.log1p(tail_cutoff) - fisher * tail_cutoff)
 
 
 def covariance_distance(

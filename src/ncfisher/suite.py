@@ -92,8 +92,9 @@ def _conjugate_case(m: ModelSpec):
     target = (x(gen, 0),)
     cmap = dict(zip(sol.basis_words, sol.coefficients))
     coeff = cmap.get(target, 0j)
-    others = max(
-        (abs(c) for w, c in cmap.items() if w != target), default=0.0
+    others = finite_max(
+        (abs(c) for w, c in cmap.items() if w != target),
+        "a coefficient magnitude",
     )
     return coeff, others, sol
 
@@ -289,17 +290,18 @@ def check_covariance_selfadjoint(ctx: SuiteContext) -> CheckResult:
     spec = BasisSpec(GRID3, 2)
     rng = ctx.rng(7)
     shifts = [Fraction(rng.randint(-4, 4), 4) for _ in range(10)]
-    worst_cov = 0.0
     sol = solve_conjugate(m, gen, spec)
-    worst_adj = self_adjoint_defect(m, sol)
+    covs, adjs = [], [self_adjoint_defect(m, sol)]
     for s in shifts:
         sol_shifted = solve_conjugate(m, gen, spec.shifted(s), target_time=s)
-        worst_cov = max(worst_cov, covariance_distance(m, sol, sol_shifted))
-        worst_adj = max(worst_adj, self_adjoint_defect(m, sol_shifted))
+        covs.append(covariance_distance(m, sol, sol_shifted))
+        adjs.append(self_adjoint_defect(m, sol_shifted))
     for model in (ctx.two_atom, ctx.tracial):
         g = model.generators[0].gen_id
         sol = solve_conjugate(model, g, BasisSpec(HALF_GRID, 3))
-        worst_adj = max(worst_adj, self_adjoint_defect(model, sol))
+        adjs.append(self_adjoint_defect(model, sol))
+    worst_cov = finite_max(covs, "a covariance distance")
+    worst_adj = finite_max(adjs, "a self-adjoint defect")
     ok = worst_cov < tol and worst_adj < tol
     return CheckResult(
         "covariance_selfadjoint",

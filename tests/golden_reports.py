@@ -57,7 +57,7 @@ ARGVS = [
     ["bound", "--alpha", "0.5", "--delta", "0.1"],
     ["moment", "--word", "X:0 X:1 X:0 X:1"],
     ["conjugate", "--grid", "-1,0,1", "--degree", "3"],
-    ["chi-star", "--eps", "0,0.25,0.5,1", "--tail-cutoff", "10"],
+    ["chi-star", "--tail-cutoff", "10"],
     # benchmark cli cycle 0 at seed 1
     ["check-kms", "--model", "{model:three-0}"],
     ["moment", "--model", "{model:two-0}", "--word",

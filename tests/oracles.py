@@ -92,6 +92,13 @@ def symbolic_self_adjoint_defect(m, sol) -> float:
     return l2_norm(m, p - p.adjoint())
 
 
+def reversal_by_lookup(words) -> list:
+    """Index of each word's reversal in ``words``, found by keying a dict
+    on the words themselves."""
+    index = {w: i for i, w in enumerate(words)}
+    return [index[w[::-1]] for w in words]
+
+
 def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
                                  b_gens=()) -> float:
     sol0 = solve_conjugate(m, gen, basis, b_gens)

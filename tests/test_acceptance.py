@@ -1,9 +1,11 @@
 """Acceptance battery: one test per exit criterion, shared with the CLI
 ``suite`` subcommand.  Each test prints its own pass/fail line."""
 
+import dataclasses
+
 import pytest
 
-from ncfisher import conjugate, moments, suite
+from ncfisher import cli, conjugate, moments, suite
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
 
 
@@ -100,3 +102,30 @@ def test_kms_check_refuses_nan_states(monkeypatch):
                         nan_on_four_letters(suite.evaluate_state_shifted))
     with pytest.raises(ArithmeticError, match="two-word deviation is nan"):
         suite.check_kms(suite.SuiteContext.fresh(0))
+
+
+def test_covariance_check_refuses_nan_distances(monkeypatch, capsys):
+    # max(worst, nan) kept the worst so far: the check reported 0.0 and
+    # passed
+    monkeypatch.setattr(suite, "covariance_distance",
+                        lambda *args: float("nan"))
+    assert cli.run(["suite", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "covariance distance is nan" in captured.err
+
+
+def test_cramer_rao_check_fails_on_a_scaled_norm(monkeypatch):
+    # xi_norm_sq off by 1e-6 puts n1.lhs past the check's 1e-7 tolerance
+    solve = conjugate.solve_conjugate
+
+    def planted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, xi_norm_sq=sol.xi_norm_sq * (1 + 1e-6))
+
+    ctx = suite.SuiteContext.fresh(0)
+    assert suite.check_cramer_rao(ctx).passed
+    monkeypatch.setattr(conjugate, "solve_conjugate", planted)
+    result = suite.check_cramer_rao(ctx)
+    assert result.asserted and not result.passed
+    assert result.details["n1"]["lhs"] == pytest.approx(1.000001, abs=1e-9)

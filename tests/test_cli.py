@@ -161,31 +161,31 @@ def test_cramer_rao_command(capsys):
 def test_chi_star_command(capsys):
     code, report = run_json(
         capsys,
-        ["chi-star", "--eps", "0,0.5,1", "--tail-cutoff", "2",
-         "--grid", "0", "--degree", "1"],
+        ["chi-star", "--tail-cutoff", "2", "--grid", "0", "--degree", "1"],
     )
     assert code == 0
     value = report["outputs"]["value"]
     exact = 0.5 * (math.log(3.0) - 2.0)
-    assert value == pytest.approx(exact, abs=0.05)
+    assert value == pytest.approx(exact, abs=1e-12)
 
 
 def test_chi_star_scales_up_to_the_load_time_bounds(capsys):
-    # weights near 1e150 keep finite squares; RuntimeWarning is an error
-    code, report = run_json(
-        capsys, ["chi-star", "--eps", "0,1e150", "--tail-cutoff", "1e300"])
+    # F c stays a finite double at a cutoff of 1e300; RuntimeWarning is an
+    # error
+    code, report = run_json(capsys, ["chi-star", "--tail-cutoff", "1e300"])
     assert code == 0
     assert math.isfinite(report["outputs"]["value"])
 
 
-def test_chi_star_runs_at_an_eps_of_1e300(capsys):
-    # chi-star solves the model as given, whatever the eps, so an eps whose
-    # scaled weights would overflow is no longer refused; RuntimeWarning is
-    # an error
-    code, report = run_json(
-        capsys, ["chi-star", "--eps", "0,1e300", "--tail-cutoff", "1e300"])
-    assert code == 0
-    assert math.isfinite(report["outputs"]["value"])
+def test_chi_star_takes_no_eps_flag(capsys):
+    # the integral has a closed form, so there is no grid to pass
+    with pytest.raises(SystemExit) as exc:
+        run(["chi-star", "--eps", "0,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --eps 0,1" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_commands_quick(capsys):
@@ -871,16 +871,15 @@ def test_heavy_solve_at_a_lower_degree_runs(tmp_path, capsys):
     (["conjugate"], {"x": 1e300, "w": 1}, "atom at x=1e+300: frequency"),
     (["chi-star", "--tail-cutoff", "inf"], None, "--tail-cutoff"),
     (["chi-star", "--tail-cutoff", "nan"], None, "--tail-cutoff"),
+    (["chi-star", "--tail-cutoff", "-1"], None, "tail cutoff"),
     (["bound", "--alpha", "0.5", "--delta", "inf"], None, "--delta"),
     (["bound", "--alpha", "nan", "--delta", "1"], None, "--alpha"),
-    (["chi-star", "--eps", "0,nan"], None, "--eps"),
-    (["chi-star", "--eps", "0,inf"], None, "--eps"),
     (["check-kms", "--grid", "0,nan"], None, "--grid"),
     (["moment", "--word", "X:0 X:0", "--tol", "inf"], None, "--tol"),
     (["verify-core", "--tol", "nan"], None, "--tol"),
 ], ids=["conjugate-weight-1e300", "conjugate-weight-1e-320",
         "fisher-weight-1e300", "conjugate-x-1e300", "tail-cutoff-inf",
-        "tail-cutoff-nan", "delta-inf", "alpha-nan", "eps-nan", "eps-inf",
+        "tail-cutoff-nan", "tail-cutoff-negative", "delta-inf", "alpha-nan",
         "kms-grid-nan", "tol-inf", "tol-nan"])
 def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
                                                       atom, named):

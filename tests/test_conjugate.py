@@ -14,7 +14,6 @@ from ncfisher.conjugate import (
     PRUNE_RTOL,
     BasisError,
     BasisSpec,
-    GridError,
     _basis_norm,
     _prune_independent,
     chi_star,
@@ -41,6 +40,7 @@ from oracles import (
     greedy_scan,
     l2_distance,
     pair_with_y,
+    reversal_by_lookup,
     solution_polynomial,
     symbolic_covariance_residual,
     symbolic_self_adjoint_defect,
@@ -433,7 +433,7 @@ def test_repeated_generator_ids_rejected():
         with pytest.raises(ConfigError):
             cramer_rao_audit(mp, gens, spec)
         with pytest.raises(ConfigError):
-            chi_star(mp, gens, [0.0, 1.0], 2.0, spec)
+            chi_star(mp, gens, 2.0, spec)
 
 
 def test_scaling_of_solution(m):
@@ -579,24 +579,21 @@ def test_cramer_rao_audit_only_when_not_normalized(m):
 
 
 def test_chi_star_empty_family_is_zero(m):
-    assert chi_star(m, [], [0.0, 1.0], 2.0, BasisSpec(GRID3, 2)) == 0.0
+    assert chi_star(m, [], 2.0, BasisSpec(GRID3, 2)) == 0.0
 
 
-def test_chi_star_grid_validation(m):
+def test_chi_star_refuses_a_negative_cutoff(m):
     spec = BasisSpec(GRID3, 2)
-    with pytest.raises(GridError):
-        chi_star(m, ["g"], [0.5, 1.0], 2.0, spec)
-    with pytest.raises(GridError):
-        chi_star(m, ["g"], [0.0, 1.0, 1.0], 2.0, spec)
-    with pytest.raises(GridError):
-        chi_star(m, ["g"], [0.0, 1.0], 0.5, spec)
+    for cutoff in (-1.0, -1e-300):
+        with pytest.raises(ConfigError, match="must not be negative"):
+            chi_star(m, ["g"], cutoff, spec)
+    assert chi_star(m, ["g"], 0.0, spec) == 0.0
 
 
-@pytest.mark.parametrize("grid", [[0.0, 1e300], [0.0, 0.25, 0.5, 0.75, 1.0]],
-                         ids=["two-points", "five-points"])
-def test_chi_star_solves_the_family_once(monkeypatch, grid):
+@pytest.mark.parametrize("cutoff", [1e300, 10.0], ids=["huge", "ten"])
+def test_chi_star_solves_the_family_once(monkeypatch, cutoff):
     # Fisher does not depend on the scale, so one solve per generator on
-    # the model as given serves every grid point, and no model is scaled
+    # the model as given serves every t, and no model is scaled
     solves = []
     solve = conjugate.solve_conjugate
 
@@ -609,26 +606,23 @@ def test_chi_star_solves_the_family_once(monkeypatch, grid):
 
     monkeypatch.setattr(conjugate, "solve_conjugate", counted)
     monkeypatch.setattr(ModelSpec, "scaled", scaled)
-    value = chi_star(pair_model(), ["1", "2"], grid, grid[-1],
-                     BasisSpec(GRID3, 2))
+    value = chi_star(pair_model(), ["1", "2"], cutoff, BasisSpec(GRID3, 2))
     assert math.isfinite(value)
     assert solves == ["1", "2"]
 
 
-def test_chi_star_quadrature_converges(m):
-    # on this model the solver value is scale invariant, so the integrand
-    # is (1/(1+t) - 1)/2 and the total has a closed form
-    spec = BasisSpec((Fraction(0),), 1)
+def test_chi_star_is_the_closed_form(m):
+    # the integrand (n/(1+t) - F)/2 integrates to (n log(1+c) - F c)/2;
+    # F is 1 on this model, and the same on the model scaled by 2 and 4
+    spec = BasisSpec(GRID3, 2)
     cutoff = 4.0
-    exact = 0.5 * (math.log(1.0 + cutoff) - cutoff)
-
-    def run(n):
-        grid = [k / n for k in range(n + 1)]
-        return chi_star(m, ["g"], grid, cutoff, spec)
-
-    err_coarse = abs(run(4) - exact)
-    err_fine = abs(run(8) - exact)
-    assert err_fine < err_coarse / 2
+    fisher = fisher_multi(m, ["g"], spec)
+    value = chi_star(m, ["g"], cutoff, spec)
+    assert value == 0.5 * (math.log1p(cutoff) - fisher * cutoff)
+    assert value == pytest.approx(0.5 * (math.log(5.0) - 4.0), abs=1e-12)
+    for scale in (2.0, 4.0):
+        assert chi_star(m.scaled(scale), ["g"], cutoff, spec) == \
+            pytest.approx(value, abs=1e-12)
 
 
 def test_modular_covariance_zero_shift(m):
@@ -715,6 +709,18 @@ def test_self_adjoint_defect_matches_symbolic_form(case):
     assert want > 1
     assert self_adjoint_defect(model, rough) == pytest.approx(
         want, rel=AUDIT_TOL)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_reversal_matches_the_word_lookup(degree):
+    # one generator, two, one collapsed to a single letter, and both kinds
+    for model, target, b_gens in ((two_atom_model(), "g", ()),
+                                  (pair_model(), "1", ("2",)),
+                                  (tracial_model(), "g", ()),
+                                  (mixed_model(), "q", ("t",))):
+        words = enumerate_basis(model, target, BasisSpec(GRID3, degree),
+                                b_gens)
+        assert conjugate._reversal(words).tolist() == reversal_by_lookup(words)
 
 
 @pytest.mark.parametrize("case", range(3))

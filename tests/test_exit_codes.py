@@ -74,11 +74,8 @@ def argvs(draw, ids):
     elif command in ("fisher", "cramer-rao"):
         rest = [*basis, *gens]
     elif command == "chi-star":
-        eps = sorted(draw(st.lists(st.floats(0.01, 10), max_size=2,
-                                   unique=True)))
-        cutoff = draw(st.floats(eps[-1] if eps else 0.0, 100.0))
-        rest = [*basis, *gens, "--eps", joined([0.0, *eps]),
-                "--tail-cutoff", str(cutoff)]
+        rest = [*basis, *gens,
+                "--tail-cutoff", str(draw(st.floats(0.0, 100.0)))]
     elif command == "verify-lemma2":
         rest = [*count, *degree]
     elif command == "verify-core":
