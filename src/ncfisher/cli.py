@@ -47,6 +47,7 @@ from .moments import (
     evaluate_state_detailed,
     MAX_WORD_LETTERS,
     ORACLE_MAX_LETTERS,
+    Residual,
 )
 from .suite import core_residual, insertion_residual, run_suite
 
@@ -217,7 +218,7 @@ def _jsonify(obj):
         return str(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return _jsonify(obj.item())
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonify(asdict(obj))
@@ -241,8 +242,8 @@ def _gens_from_args(m: ModelSpec, args) -> list:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers: each returns (outputs dict, passed flag or None),
-# and ``suite`` also a timings dict that goes next to ``wall_time_s``
+# subcommand handlers: each returns (outputs, verdict: the Residual ``run``
+# judges against --tol, suite's flag or None), ``suite`` also its timings
 # ----------------------------------------------------------------------
 
 
@@ -253,27 +254,17 @@ def _cmd_check_kms(m, args):
         raise ConfigError(f"--grid {args.grid!r} holds no times")
     for t in grid:
         _check_phase(m, t, "--grid")
-    # both sides of the boundary identity are bounded by the mass v, so
-    # the deviation is judged relative to max(1, v)
-    reports = []
-    worst = worst_relative = 0.0
-    for g in m.generators:
-        # check_kms raises unless detailed balance holds
-        dev = check_kms(g, grid)
-        relative = dev / max(1.0, g.v)
-        reports.append(
-            {
-                "gen": g.gen_id,
-                "detailed_balance_ok": True,
-                "max_deviation": dev,
-                "max_relative_deviation": relative,
-            }
-        )
-        worst = max(worst, dev)
-        worst_relative = max(worst_relative, relative)
-    return {"generators": reports, "max_deviation": worst,
-            "max_relative_deviation": worst_relative,
-            "grid_points": len(grid)}, worst_relative < args.tol
+    # both sides of the boundary identity are bounded by the mass v, the
+    # scale of each deviation; check_kms raises unless balance holds
+    residuals = [Residual(check_kms(g, grid), g.v) for g in m.generators]
+    reports = [{"gen": g.gen_id, "detailed_balance_ok": True,
+                "max_deviation": float(r),
+                "max_relative_deviation": r.relative}
+               for g, r in zip(m.generators, residuals)]
+    worst = max(residuals, key=lambda r: r.relative)
+    return {"generators": reports, "max_deviation": max(map(float, residuals)),
+            "max_relative_deviation": worst.relative,
+            "grid_points": len(grid)}, worst
 
 
 def _cmd_moment(m, args):
@@ -285,13 +276,13 @@ def _cmd_moment(m, args):
         "value": detail.value,
         "partition_count": detail.partition_count,
     }
-    passed = None
+    residual = None
     if len(w) <= ORACLE_MAX_LETTERS:
         oracle = brute_force_oracle(m, w)
         out["oracle_value"] = oracle
-        out["oracle_diff"] = abs(detail.value - oracle)
-        passed = out["oracle_diff"] <= args.tol * max(1.0, detail.magnitude)
-    return out, passed
+        residual = Residual(abs(detail.value - oracle), detail.magnitude)
+        out["oracle_diff"] = float(residual)
+    return out, residual
 
 
 def _solver_health(sol) -> dict:
@@ -306,6 +297,7 @@ def _solver_health(sol) -> dict:
         "fock_dim": sol.fock_dim,
         "gram_condition": sol.gram_condition,
         "residual": sol.residual,
+        "residual_over_rhs": sol.residual / float(np.linalg.norm(sol.rhs)),
     }
 
 
@@ -334,7 +326,7 @@ def _cmd_conjugate(m, args):
         "phi_star": sol.phi_star,
         "self_adjoint_defect": defect,
     }
-    return out, defect < args.tol
+    return out, Residual(defect, math.sqrt(sol.xi_norm_sq))
 
 
 def _cmd_fisher(m, args):
@@ -363,8 +355,8 @@ def _cmd_cramer_rao(m, args):
         "solver": {g: _solver_health(sol)
                    for g, sol in zip(gens, rep.solutions)},
     }
-    passed = abs(rep.lhs - rep.rhs) < args.tol if rep.asserted else None
-    return out, passed
+    return out, (Residual(abs(rep.lhs - rep.rhs), rep.rhs) if rep.asserted
+                 else None)
 
 
 def _cmd_chi_star(m, args):
@@ -405,10 +397,9 @@ def _verify(m, args, flag: str, upper: int, draw_work: int, letters: int,
     gen = _resolve_gen(m, args.target)
     _check_magnitude(letters, m.gen(gen).v, letters,
                      f"{flag} {d} (words of up to {letters} letters)")
-    worst, relative = residual(m, gen, random.Random(args.seed), args.count,
-                               d)
-    return {"max_residual": worst, "max_relative_residual": relative,
-            "count": args.count, key: d}, relative < args.tol
+    worst, judged = residual(m, gen, random.Random(args.seed), args.count, d)
+    return {"max_residual": worst, "max_relative_residual": judged.relative,
+            "count": args.count, key: d}, judged
 
 
 def _cmd_verify_lemma2(m, args):
@@ -454,7 +445,7 @@ def _cmd_covariance(m, args):
         m, target, shift, _basis_from_args(m, args)
     )
     return {"target": target, "shift": shift,
-            "residual": residual}, residual < args.tol
+            "residual": float(residual)}, residual
 
 
 def _cmd_suite(m, args):
@@ -619,7 +610,10 @@ def run(argv=None) -> int:
         if "model" in args:
             m = load_model(args.model) if args.model else two_atom_model()
         handler = _HANDLERS[args.command]
-        outputs, passed, *timings = handler(m, args)
+        outputs, verdict, *timings = handler(m, args)
+        # the one pass rule of every --tol verdict
+        relative = verdict.relative if isinstance(verdict, Residual) else None
+        passed = verdict if relative is None else relative < args.tol
         report = {
             "command": args.command,
             "inputs": {k: v for k, v in vars(args).items()
@@ -631,6 +625,8 @@ def run(argv=None) -> int:
             report["model_digest"] = _model_digest(m)
         if "tol" in args:
             report["tolerance"] = args.tol
+        if relative is not None:
+            report["relative_residual"] = relative
         report["wall_time_s"] = time.perf_counter() - started
         if timings:
             report["timings"] = timings[0]
@@ -642,6 +638,9 @@ def run(argv=None) -> int:
         return 2
     print(text)
     status = "ok" if passed in (True, None) else "FAIL"
+    if relative is not None:
+        status += (f": relative residual {relative:.2g} "
+                   f"{'<' if passed else '>='} tol {args.tol}")
     print(f"[{args.command}] {status}", file=sys.stderr)
     return 0 if passed in (True, None) else 1
 

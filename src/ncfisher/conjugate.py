@@ -57,7 +57,7 @@ import numpy as np
 
 from .algebra import Letter, TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
-from .moments import fock_dimension, fock_vectors
+from .moments import Residual, fock_dimension, fock_vectors
 
 __all__ = [
     "BasisError",
@@ -550,7 +550,8 @@ def chi_star(
     vector scales by (1+t)^(d/2), its rhs entry by (1+t)^((d+1)/2), and
     the prune's test is relative), so one family solve on ``m`` serves
     every t and the integral is (n log(1 + c) - F c) / 2, c the cutoff.
-    Raises :class:`ConfigError` for a negative cutoff.
+    Raises :class:`ConfigError` for a negative cutoff, and for one at which
+    the integral is not a finite double.
     """
     if tail_cutoff < 0:
         raise ConfigError(f"tail cutoff must not be negative, got "
@@ -559,7 +560,11 @@ def chi_star(
     if not gens:
         return 0.0
     fisher = fisher_multi(m, gens, basis)
-    return 0.5 * (len(gens) * math.log1p(tail_cutoff) - fisher * tail_cutoff)
+    value = 0.5 * (len(gens) * math.log1p(tail_cutoff) - fisher * tail_cutoff)
+    if not math.isfinite(value):
+        raise ConfigError(f"tail cutoff {tail_cutoff!r} puts chi* at "
+                          f"{value}, past the largest double")
+    return value
 
 
 def covariance_distance(
@@ -581,12 +586,11 @@ def covariance_distance(
 
 def modular_covariance_check(
     m: ModelSpec, gen_id: str, s: TimeLike, basis: BasisSpec
-) -> float:
+) -> Residual:
     """:func:`covariance_distance` of the solve on ``basis`` and the solve
-    of the problem shifted by ``s``."""
+    of the problem shifted by ``s``, on the scale |xi| of the first."""
     ds = as_time(s)
-    return covariance_distance(
-        m,
-        solve_conjugate(m, gen_id, basis),
-        solve_conjugate(m, gen_id, basis.shifted(ds), target_time=ds),
-    )
+    solution = solve_conjugate(m, gen_id, basis)
+    shifted = solve_conjugate(m, gen_id, basis.shifted(ds), target_time=ds)
+    return Residual(covariance_distance(m, solution, shifted),
+                    math.sqrt(solution.xi_norm_sq))

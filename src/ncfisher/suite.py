@@ -196,20 +196,20 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
 
 
 def _worst(residuals) -> tuple:
-    """(largest absolute, largest relative) of some :class:`Residual`s;
-    ``finite_max`` refuses a residual or scale that is not finite."""
+    """(largest absolute value, the one of largest relative value) of some
+    :class:`Residual`s; ``finite_max`` refuses one that is not finite."""
     residuals = list(residuals)
     worst = finite_max(map(float, residuals), "an identity residual")
     finite_max((r.scale for r in residuals), "an identity residual's scale")
-    return worst, max((r.relative for r in residuals), default=0.0)
+    return worst, max(residuals, key=lambda r: r.relative)
 
 
 def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
                        count: int, degree: int) -> tuple:
-    """Worst absolute and worst relative insertion-identity residual of
-    the letter of ``gen`` at time 0 over ``count`` pairs of random
-    ``degree``-letter words drawn from ``rng``, evaluated on ``m`` with
-    the words' tags in ticks of 1/``sampling.TIME_DEN``."""
+    """:func:`_worst` of the insertion identity of the letter of ``gen`` at
+    time 0 over ``count`` pairs of random ``degree``-letter words drawn
+    from ``rng``, evaluated on ``m`` with the words' tags in ticks of
+    1/``sampling.TIME_DEN``."""
     m = m.with_time_den(TIME_DEN)
 
     def word():
@@ -258,10 +258,10 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
 
 def core_residual(m: ModelSpec, gen: str, rng: random.Random,
                   count: int, degree: int) -> tuple:
-    """Worst absolute and worst relative core-identity residual of the
-    letter of ``gen`` at time 0 over ``count`` random core words with
-    ``degree`` letters drawn from ``rng``, evaluated on ``m`` with the
-    words' tags in ticks of 1/``sampling.TIME_DEN``."""
+    """:func:`_worst` of the core identity of the letter of ``gen`` at time
+    0 over ``count`` random core words with ``degree`` letters drawn from
+    ``rng``, evaluated on ``m`` with the words' tags in ticks of
+    1/``sampling.TIME_DEN``."""
     m = m.with_time_den(TIME_DEN)
     return _worst(
         verify_core_identity(m, gen, random_core_word(rng, [gen], degree))

@@ -2,11 +2,13 @@
 ``suite`` subcommand.  Each test prints its own pass/fail line."""
 
 import dataclasses
+import json
 
 import pytest
 
 from ncfisher import cli, conjugate, moments, suite
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
+from test_cli import plant_eta_sign
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +131,52 @@ def test_cramer_rao_check_fails_on_a_scaled_norm(monkeypatch):
     result = suite.check_cramer_rao(ctx)
     assert result.asserted and not result.passed
     assert result.details["n1"]["lhs"] == pytest.approx(1.000001, abs=1e-9)
+
+
+def plant_scaled_z(monkeypatch):
+    # the reduced solution z, and so every coefficient, off by 1 + 1e-6
+    solve = suite.solve_conjugate
+
+    def planted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, z=sol.z * (1 + 1e-6))
+
+    monkeypatch.setattr(suite, "solve_conjugate", planted)
+
+
+def plant_dropped_first_kernel_entry(monkeypatch):
+    # the interval pass without the first letter's first kernel entry
+    word_kernel = moments.word_kernel
+
+    def planted(*args):
+        rows = word_kernel(*args)
+        if rows:
+            rows[0] = rows[0][1:]
+        return rows
+
+    monkeypatch.setattr(moments, "word_kernel", planted)
+
+
+@pytest.mark.parametrize("cid, plant, off", [
+    # measured at seed 0: coeff_on_target 1.000001, max_oracle_diff 3.42,
+    # strip deviation 1.50 and two-word deviation 2.52
+    ("quasi_free_conjugate", plant_scaled_z,
+     lambda d: d["two_atom"]["coeff_on_target"][0] - 1 > 9e-7),
+    ("wick_oracle", plant_dropped_first_kernel_entry,
+     lambda d: d["max_oracle_diff"] > 1),
+    ("kms", plant_eta_sign,
+     lambda d: d["max_eta_strip_deviation"] > 1
+     and d["max_two_word_deviation"] > 1),
+])
+def test_check_fails_on_a_planted_defect(monkeypatch, capsys, cid, plant,
+                                         off):
+    check = getattr(suite, f"check_{cid}")
+    assert check(suite.SuiteContext.fresh(0)).passed
+    plant(monkeypatch)
+    result = check(suite.SuiteContext.fresh(0))
+    assert result.asserted and not result.passed
+    assert off(result.details), result.details
+    assert cli.run(["suite", "--seed", "0"]) == 1
+    checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
+    # a strict JSON false: a numpy bool used to print as "False"
+    assert cid in [c["id"] for c in checks if c["passed"] is False]

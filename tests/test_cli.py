@@ -684,6 +684,118 @@ def test_cramer_rao_compares_against_its_tolerance(capsys):
     assert "tolerance" not in report and "tol" not in report["inputs"]
 
 
+def run_verdict(capsys, argv):
+    """Exit code, report and stderr of ``argv``."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+#: the seven commands judged against --tol, at their defaults; each maps
+#: its outputs to the relative residual they state, where they state it
+TOL_COMMANDS = {
+    "check-kms": (["check-kms"], lambda out: out["max_relative_deviation"]),
+    "moment": (["moment", "--word", "X:0 X:1 X:0 X:1"], None),
+    "conjugate": (["conjugate"], lambda out: out["self_adjoint_defect"]
+                  / max(1.0, math.sqrt(out["xi_norm_sq"]))),
+    "cramer-rao": (["cramer-rao"],
+                   lambda out: abs(out["lhs"] - out["rhs"]) / out["rhs"]),
+    "verify-lemma2": (["verify-lemma2"],
+                      lambda out: out["max_relative_residual"]),
+    "verify-core": (["verify-core"], lambda out: out["max_relative_residual"]),
+    "covariance": (["covariance"], None),
+}
+
+
+def test_tol_table_covers_every_command_that_reads_tol():
+    assert set(TOL_COMMANDS) == {c for c, flags in READS.items()
+                                 if "--tol" in flags}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_passed_is_the_relative_residual_below_the_tolerance(capsys,
+                                                             command):
+    argv, stated = TOL_COMMANDS[command]
+    code, report, err = run_verdict(capsys, argv)
+    relative, tol = report["relative_residual"], report["tolerance"]
+    assert report["passed"] is (relative < tol) is True and code == 0
+    if stated is not None:
+        assert relative == stated(report["outputs"])
+    assert err == (f"[{command}] ok: relative residual {relative:.2g} "
+                   f"< tol {tol}\n")
+
+
+def test_a_failed_verdict_names_its_residual_on_stderr(capsys):
+    # moment passes on relative < tol, so an exact 0 fails --tol 0
+    code, report, err = run_verdict(capsys,
+                                    ["moment", "--word", "X:0 X:0",
+                                     "--tol", "0"])
+    assert (code, report["passed"]) == (1, False)
+    assert report["outputs"]["oracle_diff"] == report["relative_residual"] == 0
+    assert err == "[moment] FAIL: relative residual 0 >= tol 0.0\n"
+
+
+def test_no_relative_residual_where_nothing_is_judged(tmp_path, capsys):
+    # moment past the oracle's 12 letters, and cramer-rao off unit mass
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(two_atom_model().scaled(4).config_dict()))
+    for argv in (["moment", "--word", " ".join(["X:0"] * 13)],
+                 ["cramer-rao", "--model", str(path)]):
+        code, report, err = run_verdict(capsys, argv)
+        assert (code, report["passed"]) == (0, None)
+        assert "tolerance" in report and "relative_residual" not in report
+        assert err == f"[{argv[0]}] ok\n"
+    # and the commands without --tol
+    for argv in (["fisher"], ["chi-star"], ["brownian", "--word", "X:0 X:0"],
+                 ["bound", "--alpha", "0.5", "--delta", "0.1"], ["suite"]):
+        code, report, err = run_verdict(capsys, argv)
+        assert code == 0 and report["passed"] in (True, None)
+        assert "relative_residual" not in report
+        assert err == f"[{argv[0]}] ok\n"
+
+
+def half_mode_atom_file(tmp_path, weight):
+    """One half-mode atom of ``weight`` at ln2/(2 pi): mass 1.5 weight."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half",
+         "atoms": [{"x": "ln2/(2pi)", "w": weight}]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, weight, absolute", [
+    # measured: relative 8.5e-15 (self_adjoint_defect 1.0e-9), 8.3e-14
+    # (1.0e-6) and 6.6e-16 (residual 8.0e-9)
+    ("conjugate", 1e10, "self_adjoint_defect"),
+    ("conjugate", 1e14, "self_adjoint_defect"),
+    ("covariance", 1e14, "residual"),
+])
+def test_a_correct_solve_at_large_mass_passes(tmp_path, capsys, command,
+                                              weight, absolute):
+    # the defect and the covariance distance are judged over |xi|, so
+    # rounding at the model's scale does not fail the solve
+    code, report, _ = run_verdict(
+        capsys, [command, "--model", half_mode_atom_file(tmp_path, weight)])
+    assert (code, report["passed"]) == (0, True)
+    relative = report["relative_residual"]
+    assert relative < 1e-12
+    assert relative == pytest.approx(
+        report["outputs"][absolute] / math.sqrt(1.5 * weight), rel=1e-6)
+
+
+def test_solver_residual_is_reported_over_the_rhs(tmp_path, capsys):
+    # a correct degree-3 solve at weight 1e6: its residual 0.096 is
+    # rounding, 2.6e-15 of |b|
+    path = half_mode_atom_file(tmp_path, 1e6)
+    code, report, _ = run_verdict(capsys, ["conjugate", "--model", path])
+    out = report["outputs"]
+    assert code == 0 and out["residual"] > 0.01
+    sol = conjugate.solve_conjugate(load_model(path), "g", BasisSpec(
+        tuple(Fraction(k, 2) for k in range(-2, 3)), 3))
+    assert out["residual_over_rhs"] == sol.residual / np.linalg.norm(sol.rhs)
+    assert out["residual_over_rhs"] < 1e-14
+
+
 @pytest.mark.parametrize("name", sorted(
     info.name for info in pkgutil.iter_modules(ncfisher.__path__)))
 def test_module_exports_exist(name):
@@ -763,6 +875,7 @@ def test_fisher_reports_solver_health(tmp_path, capsys):
             "fock_dim": sol.fock_dim,
             "gram_condition": sol.gram_condition,
             "residual": sol.residual,
+            "residual_over_rhs": sol.residual / np.linalg.norm(sol.rhs),
         }
     assert out["solver"]["1"]["basis_size"] == 43
     assert out["solver"]["1"]["fock_dim"] == 21
@@ -864,14 +977,17 @@ def test_heavy_solve_at_a_lower_degree_runs(tmp_path, capsys):
     assert report["outputs"]["phi_star_total"] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("argv, atom, named", [
-    (["conjugate"], {"x": 0, "w": 1e300}, "atom at x=0.0: weight"),
-    (["conjugate"], {"x": 0, "w": 1e-320}, "atom at x=0.0: weight"),
-    (["fisher"], {"x": 0, "w": 1e300}, "atom at x=0.0: weight"),
-    (["conjugate"], {"x": 1e300, "w": 1}, "atom at x=1e+300: frequency"),
+@pytest.mark.parametrize("argv, atoms, named", [
+    (["conjugate"], [{"x": 0, "w": 1e300}], "atom at x=0.0: weight"),
+    (["conjugate"], [{"x": 0, "w": 1e-320}], "atom at x=0.0: weight"),
+    (["fisher"], [{"x": 0, "w": 1e300}], "atom at x=0.0: weight"),
+    (["conjugate"], [{"x": 1e300, "w": 1}], "atom at x=1e+300: frequency"),
     (["chi-star", "--tail-cutoff", "inf"], None, "--tail-cutoff"),
     (["chi-star", "--tail-cutoff", "nan"], None, "--tail-cutoff"),
     (["chi-star", "--tail-cutoff", "-1"], None, "tail cutoff"),
+    # F = 2 on two generators, so F times the cutoff is past a double
+    (["chi-star", "--tail-cutoff", "1e308"], [{"x": 0, "w": 1}] * 2,
+     "tail cutoff 1e+308"),
     (["bound", "--alpha", "0.5", "--delta", "inf"], None, "--delta"),
     (["bound", "--alpha", "nan", "--delta", "1"], None, "--alpha"),
     (["check-kms", "--grid", "0,nan"], None, "--grid"),
@@ -879,14 +995,16 @@ def test_heavy_solve_at_a_lower_degree_runs(tmp_path, capsys):
     (["verify-core", "--tol", "nan"], None, "--tol"),
 ], ids=["conjugate-weight-1e300", "conjugate-weight-1e-320",
         "fisher-weight-1e300", "conjugate-x-1e300", "tail-cutoff-inf",
-        "tail-cutoff-nan", "tail-cutoff-negative", "delta-inf", "alpha-nan",
-        "kms-grid-nan", "tol-inf", "tol-nan"])
+        "tail-cutoff-nan", "tail-cutoff-negative", "tail-cutoff-1e308",
+        "delta-inf", "alpha-nan", "kms-grid-nan", "tol-inf", "tol-nan"])
 def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
-                                                      atom, named):
-    if atom is not None:
+                                                      atoms, named):
+    # atoms: one generator of one atom each
+    if atoms is not None:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"generators": [
-            {"name": "g", "mode": "half", "atoms": [atom]}]}))
+            {"name": f"g{i}", "mode": "half", "atoms": [atom]}
+            for i, atom in enumerate(atoms)]}))
         argv = argv + ["--model", str(path)]
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -1,9 +1,12 @@
 """The exit-code contract of ``cli.run``, on drawn models and small argvs.
 
-Every command exits 0, 1 or 2; stdout is strict JSON exactly when the
-exit code is not 2, and empty when it is; no exception escapes, a numpy
-``RuntimeWarning`` included; and no refusal comes from the strict-JSON
-guard, which is the last line of defence rather than an input check.
+Every command exits 0 or 2: the drawn inputs plant no defect, and each
+verdict is judged on a residual relative to its own scale, so no correct
+run fails on the size of its numbers alone.  Stdout is strict JSON
+exactly when the exit code is 0, and empty when it is 2; no exception
+escapes, a numpy ``RuntimeWarning`` included; and no refusal comes from
+the strict-JSON guard, which is the last line of defence rather than an
+input check.
 The models are valid half-mode configs whose weights span 300 decades,
 so that the input bounds, not the draws, keep the arithmetic finite.
 """
@@ -117,7 +120,7 @@ def test_every_command_keeps_the_exit_code_contract(path, data):
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = run(argv)
-    assert code in (0, 1, 2)
+    assert code in (0, 2), out.getvalue()
     if code == 2:
         assert out.getvalue() == ""
     else:
