@@ -62,6 +62,11 @@ def as_time(t: TimeLike) -> Time:
     raise TypeError(f"time tags are exact rationals, cannot accept {t!r}")
 
 
+# _new_letter(Letter, (family, gen, time)) is what Letter(family, gen, time)
+# runs, without the Python-level call of the namedtuple's __new__
+_new_letter = tuple.__new__
+
+
 class Letter(NamedTuple):
     """One self-adjoint generator letter at an exact modular time tag."""
 
@@ -70,7 +75,7 @@ class Letter(NamedTuple):
     time: Time
 
     def shifted(self, s: Time) -> "Letter":
-        return self._replace(time=self.time + s)
+        return _new_letter(Letter, (self[0], self[1], self[2] + s))
 
     def __str__(self) -> str:
         return f"{self.family}{self.gen}:{self.time}"
@@ -98,7 +103,7 @@ def word_adjoint(w: Word) -> Word:
 
 def shift_word(w: Word, s: TimeLike) -> Word:
     ds = as_time(s)
-    return tuple(letter.shifted(ds) for letter in w)
+    return tuple(_new_letter(Letter, (f, g, t + ds)) for f, g, t in w)
 
 
 def word_str(w: Word) -> str:
@@ -279,7 +284,7 @@ class NcPoly(_SparseSum):
         """Add ``s`` to every letter's time tag; a formal *-automorphism."""
         ds = as_time(s)
         return NcPoly._raw(
-            {tuple(l.shifted(ds) for l in w): c for w, c in self._terms.items()}
+            {shift_word(w, ds): c for w, c in self._terms.items()}
         )
 
     @staticmethod

@@ -70,28 +70,32 @@ MAX_LEMMA2_DEGREE = (MAX_WORD_LETTERS - 1) // 2
 MAX_CORE_DEGREE = MAX_WORD_LETTERS - 1
 
 #: most work one ``verify-lemma2`` or ``verify-core`` run may ask for:
-#: ``--count`` times the work of one draw, counted as (state evaluations)
-#: x (letters per word)^3 for the cubic interval pass.  256**4 admits one
-#: draw at the largest degree of either command.  The slowest such draws
+#: ``--count`` times the work of one draw, counted in steps of the cubic
+#: interval pass.  256**4 admits one ``verify-lemma2`` draw at its largest
+#: degree and 128 ``verify-core`` draws at theirs.  The slowest draws
 #: measured on a 2-core x86-64 host (Python 3.11): 29 s for
-#: ``verify-lemma2`` (``--seed 1072``: p and q of 126 and 127 letters)
-#: and 8.5 s for ``verify-core`` (``--seed 2464``: Q of 255 letters),
-#: nearly all of it in the cubic interval pass; the default runs ask for
-#: 1/6,500 of it and the heaviest benchmark run (``verify-lemma2
-#: --degree 6``, count 100) for 1/1,500.
+#: ``verify-lemma2`` (``--seed 1072``: p and q of 126 and 127 letters;
+#: 37 s on a slower run of the same host) and 0.2 s for ``verify-core``
+#: (``--seed 2464``: Q of 255 letters), so the slowest admitted
+#: ``verify-core`` run is at most 128 such draws, about 26 s; the default
+#: runs ask for at most 1/6,500 of the limit and the heaviest benchmark run
+#: (``verify-lemma2 --degree 6``, count 100) for 1/1,500.
 MAX_CHECK_WORK = 256**4
 
 
 def lemma2_draw_work(degree: int) -> int:
     """Work bound of one ``verify-lemma2`` draw: p xi q and the terms of
-    both derivatives are at most 2d + 1 words of at most 2d + 1 letters."""
+    both derivatives are at most 2d + 1 words of at most 2d + 1 letters,
+    each its own cubic pass."""
     return (2 * degree + 1) ** 4
 
 
 def core_draw_work(degree: int) -> int:
-    """Work bound of one ``verify-core`` draw: zeta* Q and, per term of
-    the derivative, two words of at most d + 1 letters together."""
-    return (degree + 1) ** 4
+    """Work bound of one ``verify-core`` draw: one cubic pass over zeta* Q,
+    of at most d + 1 letters, serves both sides.  It counts twice: a step
+    of it measured 1.3 times a step of a ``verify-lemma2`` draw (0.2 s
+    for 256**3 steps against 37 s for 255**4 on one host), rounded up."""
+    return 2 * (degree + 1) ** 3
 
 
 def _model_digest(m: ModelSpec) -> str:

@@ -35,8 +35,9 @@ from .algebra import (
     word_adjoint,
     x,
 )
+from . import moments
 from .model import ModelSpec
-from .moments import Residual, evaluate_state
+from .moments import Residual, evaluate_state, pairing_table
 
 __all__ = [
     "TrigPoly",
@@ -115,7 +116,7 @@ class CoreWord:
 
     @classmethod
     def one(cls) -> "CoreWord":
-        return cls()
+        return cls._raw((), 0)
 
     @classmethod
     def u(cls, r: TimeLike) -> "CoreWord":
@@ -138,9 +139,17 @@ _set_word = CoreWord.word.__set__
 _set_r = CoreWord.r.__set__
 
 
-def conditional_expectation(m: ModelSpec, cw: CoreWord) -> TrigPoly:
-    """Expectation onto the group part: (m U_r) -> state(m) U_r."""
-    val = evaluate_state(m, cw.word)
+def conditional_expectation(m: ModelSpec, cw: CoreWord,
+                            states=None) -> TrigPoly:
+    """Expectation onto the group part: (m U_r) -> state(m) U_r.
+
+    ``states`` maps words to state values already computed (see
+    :func:`verify_core_identity`); a word not in it is evaluated by
+    :func:`evaluate_state`.
+    """
+    val = states.get(cw.word) if states is not None else None
+    if val is None:
+        val = evaluate_state(m, cw.word)
     return TrigPoly._raw({cw.r: val} if val != 0 else {})
 
 
@@ -190,24 +199,28 @@ class EtaBimoduleElem(_SparseSum):
 
 
 def eta_inner(
-    m: ModelSpec, gen_id: str, u: EtaBimoduleElem, v: EtaBimoduleElem
+    m: ModelSpec, gen_id: str, u: EtaBimoduleElem, v: EtaBimoduleElem,
+    states=None,
 ) -> TrigPoly:
     """Group-valued inner product, antilinear in ``u``.
 
     On simple tensors: <a (x) b, a' (x) b'> =
-    E(b* . eta_map(E(a* a')) . b').
+    E(b* . eta_map(E(a* a')) . b').  ``states`` is passed to every
+    :func:`conditional_expectation`.
     """
     out: dict = {}
     for cu, a, b in u:
         b_adj = b.adjoint()
         for cv, a2, b2 in v:
             inner = eta_map(
-                m, gen_id, conditional_expectation(m, a.adjoint() * a2)
+                m, gen_id, conditional_expectation(m, a.adjoint() * a2,
+                                                   states)
             )
             scalar = cu.conjugate() * cv
-            for t, g_c in inner.terms.items():
-                term = conditional_expectation(m, b_adj * CoreWord.u(t) * b2)
-                for r, c in (term * (g_c * scalar)).terms.items():
+            for t, g_c in inner._terms.items():
+                term = conditional_expectation(
+                    m, b_adj * CoreWord._raw((), t) * b2, states)
+                for r, c in (term * (g_c * scalar))._terms.items():
                     _accumulate(out, r, c)
     return TrigPoly._raw(out)
 
@@ -226,8 +239,22 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
     )
 
 
-def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord
-                         ) -> Residual:
+def _interval_states(word, phi, gen_id: str) -> dict:
+    """States of the words that :func:`verify_core_identity` evaluates,
+    read from the pairing table ``phi`` of ``word`` = X_0 w: the whole
+    word, and for each letter of ``gen_id`` in w the prefix before it and
+    the suffix after it."""
+    n = len(word)
+    states = {word: phi[0][n]}
+    for k in range(1, n):
+        if word[k].gen == gen_id:
+            states[word[1:k]] = phi[1][k]
+            states[word[k + 1:]] = phi[k + 1][n]
+    return states
+
+
+def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord,
+                         etas=None) -> Residual:
     """Max coefficient deviation between <zeta, Q> and the derivation side.
 
     zeta is the embedded conjugate variable of ``gen_id``, for these free
@@ -235,10 +262,22 @@ def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord
     right side pairs the unit tensor with the derivative of Q in the
     group-valued inner product.  The scale is the sum of the two sides'
     largest coefficient magnitudes.
+
+    With Q = w U_r, every state either side takes is that of a subword of
+    X_0 w: the whole word, and per term of the derivative a prefix and a
+    suffix of w (the flow shifts a term's legs by -t and the product
+    shifts them back by t, exactly).  So one kernel and one
+    :func:`pairing_table` of X_0 w serve both sides, through a lookup
+    keyed by word; ``etas`` is a run's eta table on ``m`` (see
+    :func:`moments.word_kernel`).
     """
-    lhs = conditional_expectation(m, CoreWord((x(gen_id, 0),)) * q)
+    zq = CoreWord((x(gen_id, 0),)) * q
+    # the kernel is looked up on its module, as evaluate_state's is
+    phi = pairing_table(moments.word_kernel(m, zq.word, None, etas))
+    states = _interval_states(zq.word, phi, gen_id)
+    lhs = conditional_expectation(m, zq, states)
     unit = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
-    rhs = eta_inner(m, gen_id, unit, core_differentiate(gen_id, q))
+    rhs = eta_inner(m, gen_id, unit, core_differentiate(gen_id, q), states)
     return Residual((lhs - rhs).max_abs(), lhs.max_abs() + rhs.max_abs())
 
 

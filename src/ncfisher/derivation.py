@@ -50,7 +50,7 @@ def differentiate(gen_id: str, p: NcPoly) -> NcPoly:
 
 
 def verify_insertion_identity(
-    m: ModelSpec, gen_id: str, p: NcPoly, q: NcPoly
+    m: ModelSpec, gen_id: str, p: NcPoly, q: NcPoly, etas=None
 ) -> Residual:
     """Residual of state(p xi q) against the two derivative pairings.
 
@@ -60,17 +60,18 @@ def verify_insertion_identity(
     the middle; the returned residual is the absolute difference, with the
     sum of the three terms' magnitudes as its scale.  The pairings are
     summed word by word rather than formed as products, which would hash
-    every product word once more.
+    every product word once more.  ``etas`` is a run's eta table on ``m``
+    (see :func:`moments.word_kernel`).
     """
-    lhs = expectation(m, p * NcPoly.letter(x(gen_id, 0)) * q)
+    lhs = expectation(m, p * NcPoly.letter(x(gen_id, 0)) * q, etas)
     dq = differentiate(gen_id, q)
     dp = differentiate(gen_id, p)
     y0 = (y(gen_id, 0),)
     mid1 = mid2 = 0j
     for w, c in p._terms.items():
         for dw, cd in dq._terms.items():
-            mid1 += c * cd * evaluate_state(m, w + y0 + dw)
+            mid1 += c * cd * evaluate_state(m, w + y0 + dw, etas)
     for w, c in q._terms.items():
         for dw, cd in dp._terms.items():
-            mid2 += c * cd * evaluate_state(m, dw + y0 + w)
+            mid2 += c * cd * evaluate_state(m, dw + y0 + w, etas)
     return Residual(abs(lhs - mid1 - mid2), abs(lhs) + abs(mid1) + abs(mid2))

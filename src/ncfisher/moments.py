@@ -24,7 +24,13 @@ first-letter recursion
 
     phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
 
-which is cubic in the word length.  Nothing is cached between calls.
+which is cubic in the word length; :func:`pairing_table` returns the whole
+table, so the state of every subword w[i:j] comes from the one pass.
+Nothing is kept on the model, and nothing is cached between calls unless
+the caller passes one eta table through them: a sampled run of many words
+on one model does (``etas``, a plain dict it owns).  The table holds eta
+by (generator, tick denominator, tick difference, offset difference), so
+each distinct eta value of the run is computed once.
 A word with an odd number of letters has no pair partition, so its value
 is exactly ``0j`` (both parts +0.0, as the pass itself would give) and no
 kernel is built for it: no tick denominators, no eta calls.  The size
@@ -68,6 +74,7 @@ __all__ = [
     "evaluate_state_detailed",
     "evaluate_state_shifted",
     "word_kernel",
+    "pairing_table",
     "pairing_sum",
     "fock_dimension",
     "fock_vectors",
@@ -142,7 +149,7 @@ def _is_odd(letters) -> bool:
     return n % 2 == 1
 
 
-def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
+def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     """Kernel of a word, by rows: row i lists ``(k, cov(l_i, l_k))`` in
     increasing k over the later letters at odd distance whose family and
     generator agree with letter i, leaving out exact zeros.
@@ -154,24 +161,28 @@ def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
     0), are real times added after that: the pair (i, k) gets eta at
     ``m.real_time(d, den) + (offsets[k] - offsets[i])``, which is how a
     complex shift of a block of letters enters.  eta is called once
-    per distinct (generator, tick difference, offset difference), whatever
-    the family.  Raises :class:`SizeLimitError` first for words over
+    per distinct (generator, den, tick difference, offset difference),
+    whatever the family: ``etas`` is the table of those values, a dict
+    that a run on ``m`` may share between its words (default: a fresh one
+    per call).  Raises :class:`SizeLimitError` first for words over
     ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     _check_length(n)
     if offsets is None:
         offsets = [0] * n
+    if etas is None:
+        etas = {}
     den = math.lcm(*[l.time.denominator for l in letters])
     ticks = [l.time.numerator * (den // l.time.denominator) for l in letters]
     classes: dict = {}  # (family, generator) -> positions, increasing
     for i, l in enumerate(letters):
         classes.setdefault((l.family, l.gen), []).append(i)
-    etas: dict = {}  # generator -> {(tick diff, offset diff): eta}
     rows = [[] for _ in range(n)]
     for (_, gen), where in classes.items():
         eta = m.gen(gen).eta
-        cache = etas.setdefault(gen, {})
+        # (generator, den) -> {(tick diff, offset diff): eta}
+        cache = etas.setdefault((gen, den), {})
         for a, i in enumerate(where):
             ti, oi, row = ticks[i], offsets[i], rows[i]
             for k in where[a + 1:]:
@@ -186,26 +197,28 @@ def word_kernel(m: ModelSpec, letters, offsets=None) -> list:
     return rows
 
 
-def pairing_sum(rows, one=1 + 0j):
-    """Non-crossing pairing sum of a whole word from its kernel ``rows``.
+def pairing_table(rows, one=1 + 0j) -> list:
+    """Non-crossing pairing sums of every index interval of a word, from
+    its kernel ``rows``: ``phi[i][j]`` for 0 <= i <= j <= n is the sum over
+    the letters i .. j-1, so the state of the subword w[i:j].
 
-    Fills phi over the index intervals [i, j) of even length, row by row
-    from the last letter, so every interval is filled after the shorter
-    ones it needs:
+    Fills the intervals of even length row by row from the last letter,
+    so every interval is filled after the shorter ones it needs:
 
         phi[i, j) = sum_k rows[i][k] * phi[i+1, k) * phi[k+1, j)
 
     summed in increasing k, the order of the first-letter recursion.
     ``one`` is the value of the empty interval: ``1 + 0j`` for state
     values, or the integer 1 with every row entry 1 to count pairings.
+    An interval of odd length has no pairing and holds ``one - one``;
+    the entries below the diagonal are never read.
     """
     n = len(rows)
     zero = one - one
-    if n % 2:
-        return zero
-    # phi[i][j] for even j - i >= 0; phi[i][i] is the empty interval and
-    # the slots below the diagonal or at odd distance are never read
-    phi = [[one] * (n + 1) for _ in range(n + 1)]
+    # row i starts as one at even distance from i (the empty interval and
+    # the slots the recursion fills) and zero at odd distance
+    pattern = [one, zero] * (n // 2 + 2)
+    phi = [pattern[i % 2:i % 2 + n + 1] for i in range(n + 1)]
     for i in range(n - 2, -1, -1):
         inner, cur, row = phi[i + 1], phi[i], rows[i]
         for j in range(i + 2, n + 1, 2):
@@ -215,23 +228,33 @@ def pairing_sum(rows, one=1 + 0j):
                     break
                 total += c * inner[k] * phi[k + 1][j]
             cur[j] = total
-    return phi[0][n]
+    return phi
 
 
-def _phi(m: ModelSpec, letters) -> complex:
+def pairing_sum(rows, one=1 + 0j):
+    """Non-crossing pairing sum of a whole word from its kernel ``rows``:
+    the [0, n) entry of :func:`pairing_table`, ``one - one`` for odd n."""
+    n = len(rows)
+    if n % 2:
+        return one - one
+    return pairing_table(rows, one)[0][n]
+
+
+def _phi(m: ModelSpec, letters, etas=None) -> complex:
     if _is_odd(letters):
         return 0j
-    return pairing_sum(word_kernel(m, letters))
+    return pairing_sum(word_kernel(m, letters, None, etas))
 
 
-def evaluate_state(m: ModelSpec, w: Word) -> complex:
+def evaluate_state(m: ModelSpec, w: Word, etas=None) -> complex:
     """Value of the model state on the word ``w``.
 
     1 for the empty word, exactly ``0j`` for odd length with no kernel
     built; otherwise the non-crossing pairing sum, computed by one
-    interval pass over the word's kernel.
+    interval pass over the word's kernel.  ``etas`` is a run's eta table
+    on ``m`` (see :func:`word_kernel`).
     """
-    return _phi(m, tuple(w))
+    return _phi(m, tuple(w), etas)
 
 
 def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
@@ -251,7 +274,8 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     )
 
 
-def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
+def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
+                           etas=None) -> complex:
     """Evaluate with ``z`` added to the time tags of a prefix or suffix
     block of ``w``.
 
@@ -262,7 +286,8 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
     at real ``z`` this agrees with evaluating the shifted word directly up
     to rounding.  ``positions`` are 0-based indices and must form a
     contiguous prefix or suffix block.  A word of odd length gives
-    exactly ``0j`` with no kernel built.
+    exactly ``0j`` with no kernel built.  ``etas`` is a run's eta table on
+    ``m`` (see :func:`word_kernel`).
     """
     letters = tuple(w)
     n = len(letters)
@@ -278,7 +303,7 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z) -> complex:
         return 0j
     z, block = complex(z), set(pos)
     offsets = [z if i in block else 0j for i in range(n)]
-    return pairing_sum(word_kernel(m, letters, offsets))
+    return pairing_sum(word_kernel(m, letters, offsets, etas))
 
 
 def fock_dimension(k: int, degree: int) -> int:
@@ -339,9 +364,10 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     return vecs
 
 
-def expectation(m: ModelSpec, p: NcPoly) -> complex:
-    """Linear extension of the state to polynomials."""
-    return sum((c * _phi(m, w) for w, c in p.terms.items()), 0j)
+def expectation(m: ModelSpec, p: NcPoly, etas=None) -> complex:
+    """Linear extension of the state to polynomials; ``etas`` is a run's
+    eta table on ``m`` (see :func:`word_kernel`)."""
+    return sum((c * _phi(m, w, etas) for w, c in p._terms.items()), 0j)
 
 
 # ----------------------------------------------------------------------

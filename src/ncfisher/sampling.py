@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Word, X_FAMILY, x, y
+from .algebra import Letter, Word, X_FAMILY, x
 from .core_cp import CoreWord
 
 __all__ = [
@@ -38,12 +38,14 @@ def random_time(rng: random.Random) -> int:
 
 def random_word(rng: random.Random, gens, max_len: int,
                 families=(X_FAMILY,)) -> Word:
+    """Up to ``max_len`` letters, each of a family of ``families`` (the
+    primary and partner families only) and a generator of ``gens``."""
+    gens = list(gens)
     letters = []
     for _ in range(rng.randint(0, max_len)):
         fam = rng.choice(families)
-        gen = rng.choice(list(gens))
-        t = random_time(rng)
-        letters.append(x(gen, t) if fam == X_FAMILY else y(gen, t))
+        gen = rng.choice(gens)
+        letters.append(Letter(fam, gen, random_time(rng)))
     return tuple(letters)
 
 

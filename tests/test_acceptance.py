@@ -8,7 +8,8 @@ import pytest
 
 from ncfisher import cli, conjugate, moments, suite
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
-from test_cli import plant_eta_sign
+from test_cli import (plant_eta_map_at_minus_t, plant_eta_sign,
+                      plant_short_prefix_read)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +75,11 @@ def test_brownian_check_fails_on_eta_at_minus_t(monkeypatch):
     # a kernel that evaluates eta(-t) for eta(t): every time negated
     word_kernel = moments.word_kernel
 
-    def planted(m, letters, offsets=None):
+    def planted(m, letters, offsets=None, *args, **kwargs):
         letters = tuple(l._replace(time=-l.time) for l in letters)
         if offsets is not None:
             offsets = [-o for o in offsets]
-        return word_kernel(m, letters, offsets)
+        return word_kernel(m, letters, offsets, *args, **kwargs)
 
     monkeypatch.setattr(moments, "word_kernel", planted)
     brownian = {r.cid: r for r in run_suite(seed=0)}["brownian"]
@@ -87,8 +88,8 @@ def test_brownian_check_fails_on_eta_at_minus_t(monkeypatch):
 
 def nan_on_four_letters(evaluate):
     """``evaluate`` with every state of a 4-letter word planted NaN."""
-    return lambda m, w, *rest: (complex("nan") if len(w) == 4
-                                else evaluate(m, w, *rest))
+    return lambda m, w, *rest, **kwargs: (
+        complex("nan") if len(w) == 4 else evaluate(m, w, *rest, **kwargs))
 
 
 def test_wick_oracle_check_refuses_nan_states(monkeypatch):
@@ -148,8 +149,8 @@ def plant_dropped_first_kernel_entry(monkeypatch):
     # the interval pass without the first letter's first kernel entry
     word_kernel = moments.word_kernel
 
-    def planted(*args):
-        rows = word_kernel(*args)
+    def planted(*args, **kwargs):
+        rows = word_kernel(*args, **kwargs)
         if rows:
             rows[0] = rows[0][1:]
         return rows
@@ -167,6 +168,11 @@ def plant_dropped_first_kernel_entry(monkeypatch):
     ("kms", plant_eta_sign,
      lambda d: d["max_eta_strip_deviation"] > 1
      and d["max_two_word_deviation"] > 1),
+    # measured at seed 0: max_residual 0.85 and 2.0
+    ("core_identity", plant_eta_map_at_minus_t,
+     lambda d: d["max_residual"] > 0.5),
+    ("core_identity", plant_short_prefix_read,
+     lambda d: d["max_residual"] > 0.5),
 ])
 def test_check_fails_on_a_planted_defect(monkeypatch, capsys, cid, plant,
                                          off):
@@ -180,3 +186,25 @@ def test_check_fails_on_a_planted_defect(monkeypatch, capsys, cid, plant,
     checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
     # a strict JSON false: a numpy bool used to print as "False"
     assert cid in [c["id"] for c in checks if c["passed"] is False]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_core_identity_fails_on_eta_map_at_minus_t(monkeypatch, seed):
+    # measured: max_residual 0.85 to 1.31 at seeds 0 to 3
+    ctx = suite.SuiteContext.fresh(seed)
+    assert suite.check_core_identity(ctx).passed
+    plant_eta_map_at_minus_t(monkeypatch)
+    result = suite.check_core_identity(ctx)
+    assert result.passed is False
+    assert result.details["max_residual"] > 0.5
+
+
+def test_a_failing_verdict_is_a_python_bool(monkeypatch):
+    # coeff_on_target is a numpy complex, so the verdict built from it
+    # was numpy.False_
+    plant_scaled_z(monkeypatch)
+    results = run_suite(seed=0)
+    failed = [r for r in results if r.cid == "quasi_free_conjugate"]
+    assert failed[0].passed is False
+    assert all(type(r.passed) is bool and type(r.asserted) is bool
+               for r in results)

@@ -219,13 +219,73 @@ def test_verify_lemma2_fails_on_a_partner_letter_at_minus_t(monkeypatch,
     assert report["outputs"]["max_relative_residual"] > 1e-3
 
 
-def test_verify_core_fails_on_eta_at_minus_t(monkeypatch, capsys):
-    # an eta map that multiplies U_t by eta(-t)
+def plant_eta_map_at_minus_t(monkeypatch):
+    # an eta map that multiplies U_t by eta at the real time of -t
     def planted(m, gen_id, p):
         eta = m.gen(gen_id).eta
-        return TrigPoly._raw({t: c * eta(-t) for t, c in p.terms.items()})
+        return TrigPoly._raw({t: c * eta(m.real_time(-t))
+                              for t, c in p.terms.items()})
 
     monkeypatch.setattr(core_cp, "eta_map", planted)
+
+
+def plant_short_prefix_read(monkeypatch):
+    # the core identity's lookup reads each prefix w[:k] one interval
+    # short: from phi[1, k) of zeta* Q = X_0 w, where it reads phi[1, k+1)
+    states = core_cp._interval_states
+
+    def planted(word, phi, gen_id):
+        phi = list(phi)
+        phi[1] = phi[1][:1] + phi[1][:-1]
+        return states(word, phi, gen_id)
+
+    monkeypatch.setattr(core_cp, "_interval_states", planted)
+
+
+def test_verify_core_fails_on_eta_at_minus_t(monkeypatch, capsys):
+    plant_eta_map_at_minus_t(monkeypatch)
+    code, report = run_json(capsys, ["verify-core", "--count", "10"])
+    assert (code, report["passed"]) == (1, False)
+    assert report["outputs"]["max_relative_residual"] > 1e-3
+
+
+@pytest.mark.parametrize("command", ["verify-core", "verify-lemma2"])
+def test_a_sampled_run_calls_eta_once_per_argument(monkeypatch, capsys,
+                                                   command):
+    # the run's kernels share one eta table; eta_map takes eta from the
+    # generator, once per term of the derivative side, at an argument the
+    # kernel of zeta* Q has already met
+    eta, eta_map = GeneratorSpec.eta, core_cp.eta_map
+    kernel_calls, map_calls = [], []
+    calls = kernel_calls
+
+    def counted(g, z):
+        calls.append((g.gen_id, z))
+        return eta(g, z)
+
+    def counted_map(*args):
+        nonlocal calls
+        calls = map_calls
+        try:
+            return eta_map(*args)
+        finally:
+            calls = kernel_calls
+
+    monkeypatch.setattr(GeneratorSpec, "eta", counted)
+    monkeypatch.setattr(core_cp, "eta_map", counted_map)
+    code, _ = run_json(capsys, [command])
+    assert code == 0
+    assert kernel_calls and len(set(kernel_calls)) == len(kernel_calls)
+    if command == "verify-core":
+        assert map_calls and set(map_calls) <= set(kernel_calls)
+    else:
+        assert map_calls == []
+
+
+def test_verify_core_fails_on_a_short_prefix_read(monkeypatch, capsys):
+    code, report = run_json(capsys, ["verify-core", "--count", "10"])
+    assert (code, report["passed"]) == (0, True)
+    plant_short_prefix_read(monkeypatch)
     code, report = run_json(capsys, ["verify-core", "--count", "10"])
     assert (code, report["passed"]) == (1, False)
     assert report["outputs"]["max_relative_residual"] > 1e-3
@@ -241,8 +301,8 @@ def plant_dropped_kernel_entry(monkeypatch):
     # the interval pass without the first letter's last kernel entry
     word_kernel = moments.word_kernel
 
-    def planted(*args):
-        rows = word_kernel(*args)
+    def planted(*args, **kwargs):
+        rows = word_kernel(*args, **kwargs)
         rows[0] = rows[0][:-1]
         return rows
 
@@ -349,9 +409,9 @@ def test_brownian_evaluates_the_word_once(monkeypatch, capsys):
     # every coefficient comes from one state value
     evaluated = []
 
-    def counted(model, letters, _original=moments._phi):
+    def counted(model, letters, *args, _original=moments._phi, **kwargs):
         evaluated.append(letters)
-        return _original(model, letters)
+        return _original(model, letters, *args, **kwargs)
 
     monkeypatch.setattr(moments, "_phi", counted)
     code, report = run_json(capsys, ["brownian", "--word",
@@ -1054,13 +1114,17 @@ def test_relative_residual_is_at_most_the_absolute(capsys, command):
 DRAW_WORK = {"verify-lemma2": cli.lemma2_draw_work,
              "verify-core": cli.core_draw_work}
 
+#: draws admitted at the largest degree: a verify-core draw is one cubic
+#: pass, a verify-lemma2 draw one per word
+TOP_DRAWS = {"verify-lemma2": 1, "verify-core": 128}
+
 
 @pytest.mark.parametrize("command", sorted(DEGREE_FLAGS))
 def test_check_work_budget(command):
     _, top = DEGREE_FLAGS[command]
     work = DRAW_WORK[command]
-    # one draw at the largest degree fits, two do not
-    assert work(top) <= cli.MAX_CHECK_WORK < 2 * work(top)
+    draws = TOP_DRAWS[command]
+    assert draws * work(top) <= cli.MAX_CHECK_WORK < (draws + 1) * work(top)
     # the defaults and the benchmark's runs (count 100, degree 4 to 6)
     # stay far inside
     assert 100 * work(6) * 1000 < cli.MAX_CHECK_WORK
@@ -1070,6 +1134,8 @@ def test_check_work_budget(command):
 @pytest.mark.parametrize("count", [2, cli.MAX_CHECK_COUNT])
 def test_check_work_over_budget_is_usage_error(capsys, command, count):
     flag, top = DEGREE_FLAGS[command]
+    # past the draws admitted at the largest degree
+    count = max(count, TOP_DRAWS[command] + 1)
     started = time.perf_counter()
     assert run([command, "--count", str(count), flag, str(top)]) == 2
     assert time.perf_counter() - started < 5.0

@@ -7,7 +7,9 @@ count of the oracle's compatible non-crossing pairings; the noise
 expansion's closed form with its definition as a sum of states of flipped
 words, within 1e-12 of the summed magnitudes of their pairing terms.
 The kernel is compared bit for bit with the covariance of each letter pair,
-and its eta calls are counted against the distinct differences it needs.
+and its eta calls are counted against the distinct differences it needs,
+for one word or for words that share a run's eta table.  Every entry of a
+word's pairing table is compared bit for bit with its subword's own pass.
 The pruned depth-first oracle is compared bit for bit with the literal
 filter over all pair partitions (``tests/oracles.py``).
 """
@@ -32,6 +34,7 @@ from ncfisher.moments import (
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
+    pairing_table,
     word_kernel,
 )
 from oracles import (all_pairings, flipped_word_sums, is_noncrossing,
@@ -346,25 +349,56 @@ def test_words_over_the_size_limit_are_refused_at_either_parity(n):
         evaluate_state_shifted(m, w, range(n // 2, n), 0.5 + 1j)
 
 
-def test_core_identity_builds_kernels_for_even_words_only(monkeypatch):
-    # Q has 5 letters: zeta* Q has 6, and the derivative splits the rest
-    # of Q into a prefix and a suffix of 4 letters together
+def test_core_identity_builds_one_kernel(monkeypatch):
+    # Q has 5 letters: zeta* Q has 6, and every prefix and suffix the
+    # derivative takes is an interval of its one pairing table
     m = tracial_model()
     evaluated, kernels = [], []
-    original_state = core_cp.evaluate_state
     original_kernel = moments.word_kernel
 
-    def state(m, w):
-        evaluated.append(len(w))
-        return original_state(m, w)
-
-    def kernel(m, letters, offsets=None):
+    def kernel(m, letters, *args, **kwargs):
         kernels.append(len(letters))
-        return original_kernel(m, letters, offsets)
+        return original_kernel(m, letters, *args, **kwargs)
 
-    monkeypatch.setattr(core_cp, "evaluate_state", state)
+    monkeypatch.setattr(core_cp, "evaluate_state",
+                        lambda *args: evaluated.append(args))
     monkeypatch.setattr(moments, "word_kernel", kernel)
     q = CoreWord(tuple(x("g", Fraction(k, 2)) for k in range(5)), 1)
     assert verify_core_identity(m, "g", q) < 1e-12
-    assert any(n % 2 for n in evaluated)
-    assert kernels == [n for n in evaluated if n % 2 == 0]
+    assert kernels == [6]
+    assert evaluated == []
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pairing_table_holds_every_subword_state_bit_for_bit(data):
+    # a subword's own pass puts its tags over its own denominator, the
+    # table over the whole word's; both give eta the same double
+    m = data.draw(models())
+    w = data.draw(words(m, times=st.one_of(big_times, small_times),
+                        max_size=12))
+    phi = pairing_table(word_kernel(m, w))
+    for i in range(len(w) + 1):
+        for j in range(i, len(w) + 1):
+            assert bits(phi[i][j]) == bits(evaluate_state(m, w[i:j])), (i, j)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_shared_eta_table_calls_eta_once_per_argument(data):
+    # int tags at time_den 2, as the sampled checks draw them: each tick
+    # difference is one real time
+    m = data.draw(models()).with_time_den(2)
+    ws = data.draw(st.lists(words(m, times=st.integers(-4, 4), max_size=10),
+                            max_size=6))
+    alone = [evaluate_state(m, w) for w in ws]
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        etas: dict = {}
+        shared = [evaluate_state(m, w, etas) for w in ws]
+    assert [bits(v) for v in shared] == [bits(v) for v in alone]
+    distinct = {(w[i].gen, w[k].time - w[i].time)
+                for w in ws if len(w) % 2 == 0
+                for i, k in compatible_pairs(w)}
+    assert sorted(counter.calls) == sorted(
+        {(g, m.real_time(d)) for g, d in distinct})
