@@ -27,15 +27,16 @@ Three numerical facts shape the implementation:
   The solver first prunes the basis to a maximal independent subset of
   the Fock vectors, greedily in a deterministic order that puts the
   target letter first (degree ascending, then distance of the letter
-  times from the target time).  In exact arithmetic that keeps the words
-  over the first k letters of each generator, k its atom count, so the
-  prune guesses those and confirms the guess with one QR and one masked
-  projection; where rounding says otherwise, it scans word by word from
-  the first word the guess got wrong.  The solve is on the factor,
-  V_kept = QR.  Vector-level outputs (residual, norms, the projection
-  itself) do not depend on the order; only the reported coefficients do,
-  and with it an exactly representable solution is reported
-  concentrated.
+  times from the target time); a family of generators is solved on one
+  basis, one Fock build and one prune, in the order of its first
+  generator.  In exact arithmetic that keeps the words over the first k
+  letters of each generator, k its atom count, so the prune guesses those
+  and confirms the guess with one QR and one masked projection; where
+  rounding says otherwise, it scans word by word from the first word the
+  guess got wrong.  The solve is on the factor, V_kept = QR.  Vector-level
+  outputs (residual, norms, the projection itself) do not depend on the
+  order; only the reported coefficients do, and with it an exactly
+  representable solution is reported concentrated.
 * The defining equations V_kept^H xi = b are solved as R^H z = b with
   xi = Q z, never through the normal equations V_kept^H V_kept, so the
   working condition is that of R, the square root of the Gram's, and no
@@ -123,13 +124,9 @@ def _letter_pivot_key(letter: Letter, target_gen: str, target_time: Fraction):
     )
 
 
-def enumerate_basis(
-    m: ModelSpec,
-    target_gen: str,
-    spec: BasisSpec,
-    b_gens: Sequence[str] = (),
-    target_time: TimeLike = 0,
-) -> list:
+def enumerate_basis(m: ModelSpec, target_gen: str, spec: BasisSpec,
+                    b_gens: Sequence[str] = (),
+                    target_time: TimeLike = 0) -> list:
     """Basis words in pivot order: the empty word, then degree by
     degree with target-generator letters nearest the target time first.
 
@@ -268,24 +265,17 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     ``rounds`` is 1 plus the number of columns read one at a time.
     """
     dim, n = vecs.shape
-    q = np.zeros((dim, dim), dtype=complex)  # columns of the factor
-    qh = np.zeros((dim, dim), dtype=complex)  # their conjugates, as rows
-    r = np.zeros((dim, dim), dtype=complex)
     kept = np.flatnonzero(guess)[:dim]
     end = kept[-1] + 1 if len(kept) == dim else n
     m = len(kept)
-    v = vecs[:, :end]
-    other = np.flatnonzero(~guess[:end])
-    b = np.hstack([vecs[:, kept], v[:, other]])
-    q2, r2 = np.linalg.qr(b[:, :m])
-    diag = r2.diagonal()
+    q, r = np.linalg.qr(vecs[:, kept])
+    diag = r.diagonal()
     size = np.abs(diag)
     phase = np.ones_like(diag)
     # 1/size overflows at a subnormal size, a column the prune drops
     np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
-    q[:, :m] = q2 * phase
-    qh[:m] = q[:, :m].T.conj()
-    r[:m, :m] = r2 * phase.conj()[:, None]
+    q *= phase
+    r *= phase.conj()[:, None]
     r[range(m), range(m)] = size
     # residual of each column against the guessed columns before it: the
     # diagonal of R for a guessed column, |v - Q Q^H v|^2 for another
@@ -293,18 +283,24 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     # into a residual near PRUNE_RTOL |v|^2)
     residual = np.empty(end)
     residual[kept] = size**2
-    w = b[:, m:]
-    c = qh[:m] @ w
+    other = np.flatnonzero(~guess[:end])
+    w = vecs[:, other]
+    c = np.conjugate(q.T, order="C") @ w
     c[kept[:, None] > other] = 0
-    w -= q[:, :m] @ c
+    w -= q @ c
     residual[other] = (w.real**2 + w.imag**2).sum(axis=0)
+    v = vecs[:, :end]
     norm_sq = (v.real**2 + v.imag**2).sum(axis=0)
     differ = np.flatnonzero((residual > PRUNE_RTOL * norm_sq) != guess[:end])
     if not len(differ):
-        return kept.tolist(), q[:, :m], r[:m, :m], 1
+        return kept.tolist(), q, r, 1
     j = int(differ[0])
-    k = np.searchsorted(kept, j)
+    k = int(np.searchsorted(kept, j))
     kept = kept[:k].tolist()
+    # room for the factor's columns, their conjugates as rows, and R
+    q0, r0 = q, r
+    q, qh, r = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    q[:, :m], qh[:m], r[:m, :m] = q0, q0.T.conj(), r0
     for i in range(j, n):
         v = vecs[:, i]
         floor = PRUNE_RTOL * float(np.vdot(v, v).real)
@@ -330,97 +326,98 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     return kept, q[:, :k], r[:k, :k], i - j + 2
 
 
-def solve_conjugate(
-    m: ModelSpec,
-    target_gen: str,
-    basis: BasisSpec,
-    b_gens: Sequence[str] = (),
-    target_time: TimeLike = 0,
-) -> ConjugateSolution:
-    """Solve the truncated defining equations of the conjugate variable.
-
-    Builds the Fock vectors of the basis words and from them
-    b_P = <partner, d(P)> for every basis word P, prunes the basis to a
-    maximal independent subset with its factor V_kept = QR, and solves
-    R^H z = b[kept]; the solution is xi = Q z, so xi_norm_sq = |z|^2.  The
-    residual is the Euclidean norm of the unmatched part of the defining
-    data over the full basis, and phi_star the solution's squared norm
-    normalized by the target's second moment.  The coefficients (R c = z)
-    and ``gram_condition`` are left to the first read of the solution's
-    properties.
-    """
-    t0 = as_time(target_time)
-    words = enumerate_basis(m, target_gen, basis, b_gens, t0)
-    alphabet = [w[0] for w in words if len(w) == 1]
-    vecs = fock_vectors(m, alphabet, basis.max_degree)
+def _rhs(m: ModelSpec, target_gen: str, alphabet: list, phi: list,
+         t0: Fraction) -> np.ndarray:
+    """b_P = <partner, d(P)> of ``target_gen`` on every basis word P: on
+    the degree-d words, sum_k phi_k (x) e (x) phi_{d-1-k}, with phi_k the
+    state values of the degree-k words and e the kernel at the target's
+    letters, 0 at the other generators' (the partner is free of them)."""
     gen = m.gen(target_gen)
-
-    # b on the degree-d words is sum_k phi_k (x) e (x) phi_{d-1-k}: phi_k
-    # holds the state values of the degree-k words (row 0 of V, from
-    # column 1 + a + ... + a^(k-1) on) and e the kernel at target letters
     a = len(alphabet)
     e = np.array([gen.eta(m.real_time(l.time - t0))
                   if l.gen == target_gen else 0
                   for l in alphabet], dtype=complex)
-    phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
-           for d in range(basis.max_degree + 1)]
-    b = np.concatenate([
+    return np.concatenate([
         sum(((phi[k][:, None, None] * e[:, None] * phi[d - 1 - k]).ravel()
              for k in range(d)), np.zeros(a**d, dtype=complex))
-        for d in range(basis.max_degree + 1)
+        for d in range(len(phi))
     ])
+
+
+def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
+           b_gens: Sequence[str] = (), target_time: TimeLike = 0) -> list:
+    """Solutions for every generator in ``targets`` on one basis: the words
+    of :func:`enumerate_basis` over the letters of every target and of
+    ``b_gens``, in the first target's pivot order.  One Fock build and one
+    prune to a maximal independent subset, with its factor V_kept = QR,
+    serve every target.  Each gets its own b_P = <partner, d(P)>, R^H z =
+    b[kept], residual (the norm of the unmatched defining data over the
+    full basis) and phi_star (xi_norm_sq over its second moment)."""
+    t0 = as_time(target_time)
+    words = enumerate_basis(m, targets[0], basis, (*targets[1:], *b_gens),
+                            t0)
+    alphabet = [w[0] for w in words if len(w) == 1]
+    vecs = fock_vectors(m, alphabet, basis.max_degree)
+    a = len(alphabet)
+    phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
+           for d in range(basis.max_degree + 1)]
 
     # in exact arithmetic the prune keeps the words over the first k
     # letters of each generator, k its atom count: those letters span its
     # one-particle space, and a word with a later letter is a combination
-    # of words that come before it
+    # of words that come before it.  The alphabet is grouped by generator.
     first = np.array([
-        sum(o.gen == l.gen for o in alphabet[:i]) < len(m.gen(l.gen).atoms)
-        for i, l in enumerate(alphabet)
+        i < len(m.gen(g).atoms)
+        for g, letters in itertools.groupby(alphabet, lambda l: l.gen)
+        for i, _ in enumerate(letters)
     ])
     masks = [np.ones(1, dtype=bool)]
     for _ in range(basis.max_degree):
         masks.append(np.multiply.outer(first, masks[-1]).ravel())
-    guess = np.concatenate(masks)
+    kept, q, r, rounds = _prune_independent(vecs, np.concatenate(masks))
 
-    rhs = b.conjugate()
-
-    kept, q, r, rounds = _prune_independent(vecs, guess)
-
-    # numpy has no triangular solver; LU on the triangular factor is
-    # still backward stable
-    z = np.linalg.solve(r.conj().T, rhs[kept])
-    residual = float(np.linalg.norm(vecs.conj().T @ (q @ z) - rhs))
-    xi_norm_sq = float(np.vdot(z, z).real)
-    return ConjugateSolution(
-        target_time=t0,
-        basis_words=tuple(words),
-        kept=tuple(kept),
-        r=r,
-        z=z,
-        rhs=b,
-        residual=residual,
-        xi_norm_sq=xi_norm_sq,
-        phi_star=xi_norm_sq / gen.v,
-        fock_dim=vecs.shape[0],
-        prune_rounds=rounds,
-    )
+    words, rh, vh = tuple(words), r.conj().T, vecs.conj().T
+    solutions = []
+    for g in targets:
+        b = _rhs(m, g, alphabet, phi, t0)
+        rhs = b.conjugate()
+        # numpy has no triangular solver; LU on the triangular factor is
+        # still backward stable
+        z = np.linalg.solve(rh, rhs[kept])
+        xi_norm_sq = float(np.vdot(z, z).real)
+        solutions.append(ConjugateSolution(
+            target_time=t0, basis_words=words, kept=tuple(kept), r=r, z=z,
+            rhs=b, residual=float(np.linalg.norm(vh @ (q @ z) - rhs)),
+            xi_norm_sq=xi_norm_sq, phi_star=xi_norm_sq / m.gen(g).v,
+            fock_dim=vecs.shape[0], prune_rounds=rounds))
+    return solutions
 
 
-def solve_family(
-    m: ModelSpec, gens: Sequence[str], basis: BasisSpec
-) -> list:
-    """One solution per generator of the family, in order, each generator
-    solved against the words of all the others; ids must not repeat."""
+def solve_conjugate(m: ModelSpec, target_gen: str, basis: BasisSpec,
+                    b_gens: Sequence[str] = (),
+                    target_time: TimeLike = 0) -> ConjugateSolution:
+    """The conjugate variable of ``target_gen`` at ``target_time``, solved
+    on the words over its letters and those of ``b_gens`` (:func:`_solve`
+    with one target)."""
+    return _solve(m, [target_gen], basis, b_gens, target_time)[0]
+
+
+def solve_family(m: ModelSpec, gens: Sequence[str],
+                 basis: BasisSpec) -> list:
+    """One solution per generator of the family, in order; ids must not
+    repeat.  Every conjugate variable of the family lives in the L2 space
+    of the whole family, so one :func:`_solve` serves all.  The first
+    solution is bit for bit ``solve_conjugate(m, gens[0], basis,
+    b_gens=gens[1:])``; each other one is the projection its own solve
+    gives, computed in the first's pivot order, and shares the first's
+    basis size, kept size, Fock dimension, prune rounds and Gram
+    condition."""
     gens = list(gens)
     if not gens:
         raise ConfigError("at least one generator is required")
     if len(set(gens)) < len(gens):
         raise ConfigError(f"generator ids repeat in {gens}")
-    return [
-        solve_conjugate(m, g, basis, b_gens=tuple(h for h in gens if h != g))
-        for g in gens
-    ]
+    return _solve(m, gens, basis)
 
 
 def _basis_norm(

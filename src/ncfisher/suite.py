@@ -337,7 +337,8 @@ def check_freeness_invariance(ctx: SuiteContext) -> CheckResult:
     sol_with = solve_conjugate(m, "1", spec, b_gens=("2",))
     dist = embedded_distance(m, sol_alone, sol_with)
     dphi = abs(sol_alone.phi_star - sol_with.phi_star)
-    ok = dist < tol and dphi < tol
+    # every word over both generators' six letters: 1 + 6 + 36
+    ok = dist < tol and dphi < tol and len(sol_with.basis_words) == 43
     return CheckResult(
         "freeness_invariance",
         "words of a free generator added to the basis leave the solution "

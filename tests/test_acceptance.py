@@ -120,15 +120,15 @@ def test_covariance_check_refuses_nan_distances(monkeypatch, capsys):
 
 def test_cramer_rao_check_fails_on_a_scaled_norm(monkeypatch):
     # xi_norm_sq off by 1e-6 puts n1.lhs past the check's 1e-7 tolerance
-    solve = conjugate.solve_conjugate
+    solve = conjugate._solve
 
     def planted(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        return dataclasses.replace(sol, xi_norm_sq=sol.xi_norm_sq * (1 + 1e-6))
+        return [dataclasses.replace(sol, xi_norm_sq=sol.xi_norm_sq * (1 + 1e-6))
+                for sol in solve(*args, **kwargs)]
 
     ctx = suite.SuiteContext.fresh(0)
     assert suite.check_cramer_rao(ctx).passed
-    monkeypatch.setattr(conjugate, "solve_conjugate", planted)
+    monkeypatch.setattr(conjugate, "_solve", planted)
     result = suite.check_cramer_rao(ctx)
     assert result.asserted and not result.passed
     assert result.details["n1"]["lhs"] == pytest.approx(1.000001, abs=1e-9)
@@ -158,6 +158,28 @@ def plant_dropped_first_kernel_entry(monkeypatch):
     monkeypatch.setattr(moments, "word_kernel", planted)
 
 
+def plant_ignored_b_gens(monkeypatch):
+    # a basis over the target's letters alone, whatever b_gens asks for
+    enumerate_basis = conjugate.enumerate_basis
+
+    def planted(m, target_gen, spec, b_gens=(), target_time=0):
+        return enumerate_basis(m, target_gen, spec, (), target_time)
+
+    monkeypatch.setattr(conjugate, "enumerate_basis", planted)
+
+
+def plant_all_generator_rhs(monkeypatch):
+    # the partner paired with the letters of every generator, as if each
+    # letter were one of the target's
+    rhs = conjugate._rhs
+
+    def planted(m, target_gen, alphabet, *args):
+        return rhs(m, target_gen, [l._replace(gen=target_gen)
+                                   for l in alphabet], *args)
+
+    monkeypatch.setattr(conjugate, "_rhs", planted)
+
+
 @pytest.mark.parametrize("cid, plant, off", [
     # measured at seed 0: coeff_on_target 1.000001, max_oracle_diff 3.42,
     # strip deviation 1.50 and two-word deviation 2.52
@@ -173,6 +195,12 @@ def plant_dropped_first_kernel_entry(monkeypatch):
      lambda d: d["max_residual"] > 0.5),
     ("core_identity", plant_short_prefix_read,
      lambda d: d["max_residual"] > 0.5),
+    # measured at seed 0: 13 basis words with and without the partner
+    # generator's letters, and xi_distance 1.0
+    ("freeness_invariance", plant_ignored_b_gens,
+     lambda d: d["basis_enlarged"] == d["basis_alone"] == 13),
+    ("freeness_invariance", plant_all_generator_rhs,
+     lambda d: d["xi_distance"] > 0.5),
 ])
 def test_check_fails_on_a_planted_defect(monkeypatch, capsys, cid, plant,
                                          off):

@@ -104,6 +104,32 @@ def test_workload_summary_sums_ops_and_keeps_the_raw_figures():
     assert raw["op_p50_ms"]["change_wins"] == 2
 
 
+def test_kind_medians_take_each_kind_over_the_runs_that_have_it():
+    details = [{"p50_ms_by_kind": {"a": 1.0, "b": 4.0}},
+               {"p50_ms_by_kind": {"a": 3.0, "b": 2.0}},
+               {"p50_ms_by_kind": {"a": 2.0, "c": 7.0}},
+               {}]
+    assert bench_compare.kind_medians(details) == {"a": 2.0, "b": 3.0,
+                                                   "c": 7.0}
+    assert bench_compare.kind_medians([]) == {}
+
+
+def test_workload_summary_holds_each_sides_kind_medians():
+    def run(p50s):
+        result, detail = _run(100.0, 90, 0, 50.0)
+        detail["p50_ms_by_kind"] = p50s
+        return result, detail
+
+    runs = [(run({"x": 1.0, "y": 0.5}), run({"x": 0.6, "y": 0.5})),
+            (run({"x": 1.2, "y": 0.7}), run({"x": 0.8, "y": 0.4})),
+            (run({"x": 1.1, "y": 0.6}), run({"x": 0.7, "y": 0.6}))]
+    specs = {"ops_per_ref_s": {"name": "ops_per_ref_s", "better": "higher",
+                               "bound": 0.2}}
+    kinds = bench_compare.summarize_workload(runs, specs)["p50_ms_by_kind"]
+    assert kinds == {"parent": {"x": 1.1, "y": 0.6},
+                     "change": {"x": 0.7, "y": 0.5}}
+
+
 def test_main_takes_length_and_workloads_from_the_benchmark(tmp_path,
                                                             monkeypatch):
     bench = {"run_seconds": 7, "workloads": [{"name": "a"}, {"name": "b"}],

@@ -436,6 +436,110 @@ def test_repeated_generator_ids_rejected():
             chi_star(mp, gens, 2.0, spec)
 
 
+def three_model():
+    return build_model({"generators": [
+        {"name": "1", "mode": "half",
+         "atoms": [{"x": 0, "w": 0.5}, {"x": 0.27, "w": 0.6}]},
+        {"name": "2", "mode": "half", "atoms": [{"x": 0, "w": 1.0}]},
+        {"name": "3", "mode": "half",
+         "atoms": [{"x": "ln2/(2pi)", "w": 2 / 3}]}]})
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, gens, spec: solve_family(m, gens, spec),
+    lambda m, gens, spec: fisher_multi(m, gens, spec),
+    lambda m, gens, spec: cramer_rao_audit(m, gens, spec),
+    lambda m, gens, spec: chi_star(m, gens, 2.0, spec),
+], ids=["solve_family", "fisher_multi", "cramer_rao_audit", "chi_star"])
+@pytest.mark.parametrize("model, gens", [
+    (pair_model(), ["1", "2"]), (three_model(), ["3", "1", "2"])],
+    ids=["pair", "three"])
+def test_a_family_builds_and_prunes_its_basis_once(monkeypatch, call, model,
+                                                   gens):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fock_vectors", "_prune_independent"):
+        monkeypatch.setattr(conjugate, name,
+                            counted(getattr(conjugate, name)))
+    call(model, gens, BasisSpec(GRID3, 2))
+    assert sorted(calls) == ["_prune_independent", "fock_vectors"]
+
+
+def assert_same_bits(a, b):
+    for name in ("target_time", "basis_words", "kept", "residual",
+                 "xi_norm_sq", "phi_star", "fock_dim", "prune_rounds",
+                 "gram_condition"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("r", "z", "rhs", "coefficients"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("model, gens", [
+    (pair_model(), ["1", "2"]), (pair_model(), ["2", "1"]),
+    (three_model(), ["3", "1", "2"]), (three_model(), ["1", "2", "3"])])
+def test_the_first_family_solution_is_its_own_solve(model, gens):
+    for spec in (BasisSpec(GRID3, 2), BasisSpec(GRID5, 2)):
+        assert_same_bits(solve_family(model, gens, spec)[0],
+                         solve_conjugate(model, gens[0], spec,
+                                         b_gens=gens[1:]))
+
+
+@st.composite
+def families(draw):
+    """Two or three half-mode generators, each tracial (one atom at 0),
+    or with one or two atom pairs at x in [0.02, 0.40] and maybe a zero
+    atom, on a grid of step k/8 around the target time 0."""
+    n = draw(st.integers(2, 3))
+    gens = []
+    for name in "abc"[:n]:
+        if draw(st.integers(0, 3)) == 0:
+            atoms = [{"x": 0, "w": draw(st.floats(0.3, 1.5))}]
+        else:
+            xs = draw(st.lists(st.integers(2, 40), min_size=1, max_size=2,
+                               unique=True))
+            atoms = ([{"x": 0, "w": draw(st.floats(0.3, 0.6))}]
+                     if draw(st.booleans()) else [])
+            atoms += [{"x": k / 100, "w": draw(st.floats(0.4, 0.9))}
+                      for k in sorted(xs)]
+        gens.append({"name": name, "mode": "half", "atoms": atoms})
+    h = Fraction(draw(st.integers(1, 12)), 8)
+    grid = draw(st.sampled_from([(-h, 0, h), (-h, 0, h, 2 * h)]))
+    degree = draw(st.integers(2, 3 if n == 2 else 2))
+    return gens, grid, degree
+
+
+@given(case=families())
+# a zero atom and one pair at step 1/8, next to a tracial generator
+@example(case=(
+    [{"name": "a", "mode": "half",
+      "atoms": [{"x": 0, "w": 0.5}, {"x": 0.27, "w": 0.6}]},
+     {"name": "b", "mode": "half", "atoms": [{"x": 0, "w": 1.0}]}],
+    tuple(Fraction(k, 8) for k in range(-1, 3)), 3))
+@settings(max_examples=30, deadline=None)
+def test_family_solutions_match_their_own_solves(case):
+    # each generator's family solution is its own solve's projection,
+    # computed in the first generator's pivot order: the same kept words,
+    # norm and vector
+    gens, grid, degree = case
+    model = build_model({"generators": gens})
+    names = [g["name"] for g in gens]
+    spec = BasisSpec(grid, degree)
+    for g, sol in zip(names, solve_family(model, names, spec)):
+        own = solve_conjugate(model, g, spec,
+                              b_gens=tuple(h for h in names if h != g))
+        assert ({sol.basis_words[i] for i in sol.kept}
+                == {own.basis_words[i] for i in own.kept})
+        assert sol.xi_norm_sq == pytest.approx(own.xi_norm_sq, rel=1e-12)
+        assert (embedded_distance(model, sol, own)
+                <= 1e-8 * math.sqrt(own.xi_norm_sq))
+
+
 def test_scaling_of_solution(m):
     lam_sq = 2.25
     scaled = m.scaled(lam_sq)
@@ -592,23 +696,23 @@ def test_chi_star_refuses_a_negative_cutoff(m):
 
 @pytest.mark.parametrize("cutoff", [1e300, 10.0], ids=["huge", "ten"])
 def test_chi_star_solves_the_family_once(monkeypatch, cutoff):
-    # Fisher does not depend on the scale, so one solve per generator on
-    # the model as given serves every t, and no model is scaled
+    # Fisher does not depend on the scale, so one family solve on the
+    # model as given serves every t, and no model is scaled
     solves = []
-    solve = conjugate.solve_conjugate
+    solve = conjugate._solve
 
     def counted(*args, **kwargs):
-        solves.append(args[1])
+        solves.append(list(args[1]))
         return solve(*args, **kwargs)
 
     def scaled(*args):
         raise AssertionError("chi_star scaled the model")
 
-    monkeypatch.setattr(conjugate, "solve_conjugate", counted)
+    monkeypatch.setattr(conjugate, "_solve", counted)
     monkeypatch.setattr(ModelSpec, "scaled", scaled)
     value = chi_star(pair_model(), ["1", "2"], cutoff, BasisSpec(GRID3, 2))
     assert math.isfinite(value)
-    assert solves == ["1", "2"]
+    assert solves == [["1", "2"]]
 
 
 def test_chi_star_is_the_closed_form(m):

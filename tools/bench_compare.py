@@ -20,7 +20,8 @@ the bound in ``BENCHMARK.json``; ``"unresolved"`` when the parent's own
 q3 - q1 is wider than the bound and the change's runs do not all beat
 all of the parent's).  Each workload also gets the raw (unscaled)
 throughput and latencies from the runs' detail lines, next to the
-reference-scaled metrics.
+reference-scaled metrics, and each side's median over its runs of every
+op kind's p50 (``p50_ms_by_kind``), which shows which kinds moved.
 
 The runs take wall time on a shared host, so no test runs them; the
 tests check the summary functions on fixed numbers.
@@ -103,6 +104,15 @@ def summarize_metric(parent: list, change: list, better: str,
     return out
 
 
+def kind_medians(details: list) -> dict:
+    """Median over runs of each op kind's p50 (ms), from the detail lines'
+    ``p50_ms_by_kind``; a kind counts only the runs that have it."""
+    kinds = sorted({k for d in details for k in d.get("p50_ms_by_kind", {})})
+    return {k: statistics.median(d["p50_ms_by_kind"][k] for d in details
+                                 if k in d.get("p50_ms_by_kind", {}))
+            for k in kinds}
+
+
 def summarize_workload(runs: list, specs: dict) -> dict:
     """``runs`` holds one ``(parent, change)`` pair of ``(result,
     detail)`` per alternated pair; ``specs`` maps each end-to-end metric
@@ -131,6 +141,8 @@ def summarize_workload(runs: list, specs: dict) -> dict:
                                    [d[name] for _, d in change], better)
             for name, better in RAW.items()
         },
+        "p50_ms_by_kind": {"parent": kind_medians([d for _, d in parent]),
+                           "change": kind_medians([d for _, d in change])},
     }
 
 
