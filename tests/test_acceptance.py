@@ -123,8 +123,8 @@ def test_cramer_rao_check_fails_on_a_scaled_norm(monkeypatch):
     solve = conjugate._solve
 
     def planted(*args, **kwargs):
-        return [dataclasses.replace(sol, xi_norm_sq=sol.xi_norm_sq * (1 + 1e-6))
-                for sol in solve(*args, **kwargs)]
+        return [dataclasses.replace(s, xi_norm_sq=s.xi_norm_sq * (1 + 1e-6))
+                for s in solve(*args, **kwargs)]
 
     ctx = suite.SuiteContext.fresh(0)
     assert suite.check_cramer_rao(ctx).passed
