@@ -191,38 +191,12 @@ def enumerate_basis(m: ModelSpec, target_gen: str, spec: BasisSpec,
 
 
 @dataclass(frozen=True, eq=False)
-class ConjugateSolution:
-    """Solved Galerkin data for one conjugate-variable problem.
+class _KeptFactor:
+    """The triangular factor R of the kept words' Fock vectors, one per
+    solve and shared by every solution of a family, with the condition
+    number of the kept words' Gram computed on its first read."""
 
-    ``r`` is the triangular factor of the kept words' Fock vectors,
-    V_kept = QR, and ``z`` the reduced solution, R^H z = b[kept], so that
-    xi = Q z and ``xi_norm_sq`` = |z|^2.  ``coefficients`` (xi on the basis
-    words, zero off ``kept``) and ``gram_condition`` (the condition number
-    of the kept words' Gram, cond(R)^2 from the singular values of R, with
-    nothing cut off) are computed on first read and then kept.
-    ``fock_dim`` is the dimension of the truncated Fock space the basis
-    words live in (an upper bound on ``len(kept)``); ``prune_rounds`` is
-    1 when the prune's guess held, and otherwise 1 plus the number of
-    words it then scanned one at a time.
-    """
-
-    target_time: Fraction
-    basis_words: tuple
-    kept: tuple
-    r: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    residual: float
-    xi_norm_sq: float
-    phi_star: float
-    fock_dim: int
-    prune_rounds: int
-
-    @functools.cached_property
-    def coefficients(self) -> np.ndarray:
-        c = np.zeros(len(self.basis_words), dtype=complex)
-        c[list(self.kept)] = np.linalg.solve(self.r, self.z)
-        return c
+    r: np.ndarray
 
     @functools.cached_property
     def gram_condition(self) -> float:
@@ -233,6 +207,50 @@ class ConjugateSolution:
             cond = float(np.linalg.norm(self.r, 2)
                          * np.linalg.norm(np.linalg.inv(self.r), 2))
         return cond**2
+
+
+@dataclass(frozen=True, eq=False)
+class ConjugateSolution:
+    """Solved Galerkin data for one conjugate-variable problem.
+
+    ``r`` is the triangular factor of the kept words' Fock vectors,
+    V_kept = QR, and ``z`` the reduced solution, R^H z = b[kept], so that
+    xi = Q z and ``xi_norm_sq`` = |z|^2.  ``coefficients`` (xi on the basis
+    words, zero off ``kept``) and ``gram_condition`` (the condition number
+    of the kept words' Gram, cond(R)^2 from the singular values of R, with
+    nothing cut off) are computed on first read and then kept; the
+    solutions of one family share R, so they share one ``gram_condition``.
+    ``fock_dim`` is the dimension of the truncated Fock space the basis
+    words live in (an upper bound on ``len(kept)``); ``prune_rounds`` is
+    1 when the prune's guess held, and otherwise 1 plus the number of
+    words it then scanned one at a time.
+    """
+
+    target_time: Fraction
+    basis_words: tuple
+    kept: tuple
+    factor: _KeptFactor = field(repr=False)
+    z: np.ndarray = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+    residual: float
+    xi_norm_sq: float
+    phi_star: float
+    fock_dim: int
+    prune_rounds: int
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.factor.r
+
+    @property
+    def gram_condition(self) -> float:
+        return self.factor.gram_condition
+
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        c = np.zeros(len(self.basis_words), dtype=complex)
+        c[list(self.kept)] = np.linalg.solve(self.r, self.z)
+        return c
 
     def coefficient_map(self) -> dict:
         return {
@@ -377,6 +395,7 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
     kept, q, r, rounds = _prune_independent(vecs, np.concatenate(masks))
 
     words, rh, vh = tuple(words), r.conj().T, vecs.conj().T
+    factor = _KeptFactor(r)
     solutions = []
     for g in targets:
         b = _rhs(m, g, alphabet, phi, t0)
@@ -386,8 +405,9 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
         z = np.linalg.solve(rh, rhs[kept])
         xi_norm_sq = float(np.vdot(z, z).real)
         solutions.append(ConjugateSolution(
-            target_time=t0, basis_words=words, kept=tuple(kept), r=r, z=z,
-            rhs=b, residual=float(np.linalg.norm(vh @ (q @ z) - rhs)),
+            target_time=t0, basis_words=words, kept=tuple(kept),
+            factor=factor, z=z, rhs=b,
+            residual=float(np.linalg.norm(vh @ (q @ z) - rhs)),
             xi_norm_sq=xi_norm_sq, phi_star=xi_norm_sq / m.gen(g).v,
             fock_dim=vecs.shape[0], prune_rounds=rounds))
     return solutions
@@ -410,8 +430,8 @@ def solve_family(m: ModelSpec, gens: Sequence[str],
     solution is bit for bit ``solve_conjugate(m, gens[0], basis,
     b_gens=gens[1:])``; each other one is the projection its own solve
     gives, computed in the first's pivot order, and shares the first's
-    basis size, kept size, Fock dimension, prune rounds and Gram
-    condition."""
+    basis size, kept size, Fock dimension, prune rounds and R, so the
+    family computes its Gram condition once."""
     gens = list(gens)
     if not gens:
         raise ConfigError("at least one generator is required")

@@ -12,15 +12,19 @@ model, and every evaluator here turns a tag into a real time through
 ``ModelSpec.real_time`` (the tag itself at ``time_den`` 1).
 
 A single word is evaluated in one pass over its kernel.  The kernel holds
-cov(l_i, l_k) for i < k at odd distance.  The word's tags are put over
-their common denominator den as integer ticks (den is 1 for int tags), so
-every tag difference is an exact int d and eta gets d / (den time_den),
-the correctly rounded double of the exact real difference; eta is called
-once per distinct (generator, tick difference).  A complex shift of a
-prefix or suffix block enters as a per-letter offset (z on the block, 0
-elsewhere), in real time, added to that double.  The pass
-fills the pairing sum over index intervals [i, j), shortest first, by the
-first-letter recursion
+cov(l_i, l_k) for the pairs i < k of one (family, generator) class whose
+inside i+1 .. k-1 can be paired: it holds as many letters of each class
+at even as at odd positions.  Every other pair multiplies an inside whose
+pairing sum the pass computes as exactly +0+0j, so leaving it out changes
+no bit of any value while the values are finite (see :func:`word_kernel`).
+The word's tags are put over their common denominator den as integer
+ticks (den is 1 for int tags), so every tag difference is an exact int d
+and eta gets d / (den time_den), the correctly rounded double of the
+exact real difference; eta is called once per distinct (generator, tick
+difference) among the kernel's pairs.  A complex shift of a prefix or
+suffix block enters as a per-letter offset (z on the block, 0 elsewhere),
+in real time, added to that double.  The pass fills the pairing sum over
+index intervals [i, j), shortest first, by the first-letter recursion
 
     phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
 
@@ -149,10 +153,45 @@ def _is_odd(letters) -> bool:
     return n % 2 == 1
 
 
+def _signature_steps(code: int, b: int) -> tuple:
+    """The steps a letter of the ``code``-th class of a word adds to the
+    suffix signature of :func:`word_kernel`, at an even and at an odd
+    position: +2**(b (code + 1)) and -2**(b (code + 1)), b the bit length
+    of the word's length n."""
+    weight = 1 << (b * (code + 1))
+    return weight, -weight
+
+
 def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     """Kernel of a word, by rows: row i lists ``(k, cov(l_i, l_k))`` in
-    increasing k over the later letters at odd distance whose family and
-    generator agree with letter i, leaving out exact zeros.
+    increasing k over the later letters of its (family, generator) class
+    whose inside, the letters i+1 .. k-1, is balanced: it holds as many
+    letters of each class at even as at odd positions.  Exact zeros are
+    left out.  Only these pairs can occur in a pairing: a pair joins two
+    letters at odd distance, one even and one odd, so the inside of a pair
+    of any pairing is balanced, and a balanced inside has even length.
+
+    The rows come from one pass from the last letter to the first.  The
+    c-th class met steps the signature by +2**(b (c+1)) at an even
+    position and by -2**(b (c+1)) at an odd one
+    (:func:`_signature_steps`), b the bit length of n.  Over any run of
+    letters each class's steps sum to at most n < 2**b times its weight,
+    so the run's signature is 0 exactly when the run is balanced, and
+    adding the class code c < 2**b keeps classes apart.  The pass files
+    each position k under the signature of the letters from k on plus its
+    code; row i is the list filed under the signature of the letters
+    after i plus its own code, read backwards.  Balance, not parity or
+    class alone, is tested, and no collision keeps or drops a pair.
+
+    Leaving the unbalanced pairs out changes no value.  The interval pass
+    computes the pairing sum of an unbalanced interval as exactly +0+0j:
+    with every compatible pair (same class, odd distance) in the kernel,
+    each term has a factor over a shorter unbalanced interval, so it is an
+    exact +-0 when the kernel values and the sums it multiplies are finite,
+    and a +-0 term leaves a running sum that starts at +0 unchanged.  So
+    as long as every value is finite, every entry of
+    :func:`pairing_table` on and above the diagonal, and so every state,
+    is bit for bit the one that kernel gives.
 
     Letter tags are put over their common denominator ``den`` as integer
     ticks, so tag differences are exact ints d and eta gets
@@ -160,12 +199,12 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     difference d / (den time_den).  ``offsets``, one per letter (default
     0), are real times added after that: the pair (i, k) gets eta at
     ``m.real_time(d, den) + (offsets[k] - offsets[i])``, which is how a
-    complex shift of a block of letters enters.  eta is called once
-    per distinct (generator, den, tick difference, offset difference),
-    whatever the family: ``etas`` is the table of those values, a dict
-    that a run on ``m`` may share between its words (default: a fresh one
-    per call).  Raises :class:`SizeLimitError` first for words over
-    ``MAX_WORD_LETTERS``.
+    complex shift of a block of letters enters.  eta is called once per
+    distinct (generator, den, tick difference, offset difference) over the
+    listed pairs, whatever the family: ``etas`` is the table of those
+    values, a dict that a run on ``m`` may share between its words
+    (default: a fresh one per call).  Raises :class:`SizeLimitError`
+    first for words over ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     _check_length(n)
@@ -173,27 +212,42 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
         offsets = [0] * n
     if etas is None:
         etas = {}
-    den = math.lcm(*[l.time.denominator for l in letters])
-    ticks = [l.time.numerator * (den // l.time.denominator) for l in letters]
-    classes: dict = {}  # (family, generator) -> positions, increasing
-    for i, l in enumerate(letters):
-        classes.setdefault((l.family, l.gen), []).append(i)
+    times = [l.time for l in letters]
+    dens = [t.denominator for t in times]
+    den = math.lcm(*dens)
+    ticks = [t.numerator * (den // d) for t, d in zip(times, dens)]
+    b = n.bit_length()
+    classes: dict = {}  # (family, generator) -> (code, even step, odd step)
+    tables: dict = {}  # generator -> (eta, {(tick diff, offset diff): eta})
+    filed: dict = {}  # signature from k on plus k's code -> k, decreasing
     rows = [[] for _ in range(n)]
-    for (_, gen), where in classes.items():
-        eta = m.gen(gen).eta
-        # (generator, den) -> {(tick diff, offset diff): eta}
-        cache = etas.setdefault((gen, den), {})
-        for a, i in enumerate(where):
+    sig = 0  # signature of the letters after i
+    for i in range(n - 1, -1, -1):
+        l = letters[i]
+        cls = (l.family, l.gen)
+        kind = classes.get(cls)
+        if kind is None:
+            code = len(classes)
+            kind = classes[cls] = (code, *_signature_steps(code, b))
+        code, even, odd = kind
+        later = filed.get(sig + code)
+        if later:
+            eta, cache = tables.get(l.gen) or tables.setdefault(
+                l.gen, (m.gen(l.gen).eta, etas.setdefault((l.gen, den), {})))
             ti, oi, row = ticks[i], offsets[i], rows[i]
-            for k in where[a + 1:]:
-                if (k - i) & 1:
-                    key = (ticks[k] - ti, offsets[k] - oi)
-                    c = cache.get(key)
-                    if c is None:
-                        c = cache[key] = eta(m.real_time(key[0], den)
-                                             + key[1])
-                    if c != 0:
-                        row.append((k, c))
+            for k in reversed(later):
+                key = (ticks[k] - ti, offsets[k] - oi)
+                c = cache.get(key)
+                if c is None:
+                    c = cache[key] = eta(m.real_time(key[0], den) + key[1])
+                if c != 0:
+                    row.append((k, c))
+        sig += odd if i & 1 else even
+        later = filed.get(sig + code)
+        if later is None:
+            filed[sig + code] = [i]
+        else:
+            later.append(i)
     return rows
 
 

@@ -6,8 +6,11 @@ crossing ones with the literal predicate and multiplies the kernel along
 each survivor, in the same order.  The L2 forms multiply polynomials
 symbolically and evaluate the state word by word, the definitions the
 Fock-coordinate audits of :mod:`ncfisher.conjugate` stand in for.
+``full_kernel`` is the kernel of every pair that the parity and family
+rules allow, the one :func:`ncfisher.moments.word_kernel` prunes to the
+pairs whose inside can be paired.
 ``flipped_word_sums`` is the noise expansion by its definition, one
-pairing pass per set of flipped letters, which
+pairing pass over the full kernel per set of flipped letters, which
 :func:`ncfisher.brownian.expand_state` replaces by its closed form.
 ``greedy_scan`` is the basis prune of :mod:`ncfisher.conjugate` by its
 definition, one column at a time, which the solver's one-QR
@@ -26,7 +29,7 @@ import numpy as np
 from ncfisher.algebra import NcPoly, TimeLike, y
 from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
 from ncfisher.model import ModelSpec
-from ncfisher.moments import covariance, expectation, pairing_sum, word_kernel
+from ncfisher.moments import covariance, expectation, pairing_sum
 from ncfisher.sampling import random_word
 
 
@@ -107,6 +110,33 @@ def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
                        solution_polynomial(sol1))
 
 
+def full_kernel(m, letters, offsets=None) -> list:
+    """Kernel of every compatible pair, by rows as
+    :func:`ncfisher.moments.word_kernel` gives them: row i lists
+    ``(k, covariance(m, l_i, l_k))`` for every later letter k at odd
+    distance, leaving out exact zeros, among them every pair of letters
+    of two classes.  ``offsets``, one per letter, are real times added to
+    the real time of each pair's tag difference, as ``word_kernel`` adds
+    them."""
+    n = len(letters)
+    rows = []
+    for i, a in enumerate(letters):
+        row = []
+        for k in range(i + 1, n, 2):
+            b = letters[k]
+            if offsets is None:
+                c = covariance(m, a, b)
+            elif (a.family, a.gen) == (b.family, b.gen):
+                c = m.gen(a.gen).eta(m.real_time(b.time - a.time)
+                                     + (offsets[k] - offsets[i]))
+            else:
+                c = 0j
+            if c != 0:
+                row.append((k, c))
+        rows.append(row)
+    return rows
+
+
 def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
     """Noise expansion of ``w`` by enumeration: for k = 0 .. min(n,
     2 max_order), the key ``Fraction(k, 2)`` holds the sum over every set
@@ -114,13 +144,15 @@ def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
     the partner family.
 
     Flipping changes only which letters pair, not their time differences,
-    so the kernel of ``w`` is built once and each set keeps the pairs on
-    one side of it.  With ``absolute`` the kernel entries are replaced by
-    their magnitudes, which sums the magnitudes of the pairing terms.
+    so the full kernel of ``w`` is built once and each set keeps the
+    pairs on one side of it.  The full kernel keeps this oracle
+    independent of the pruning in ``word_kernel``.  With ``absolute`` the
+    kernel entries are replaced by their magnitudes, which sums the
+    magnitudes of the pairing terms.
     """
     letters = tuple(w)
     n = len(letters)
-    rows = word_kernel(m, letters)
+    rows = full_kernel(m, letters)
     if absolute:
         rows = [[(j, abs(c)) for j, c in row] for row in rows]
     coeffs = {}

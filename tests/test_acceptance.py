@@ -227,6 +227,29 @@ def test_core_identity_fails_on_eta_map_at_minus_t(monkeypatch, seed):
     assert result.details["max_residual"] > 0.5
 
 
+def plant_unsigned_signature(monkeypatch):
+    # the kernel's signature as a plain count of letters per class, with
+    # no parity sign: only pairs with nothing inside are kept
+    steps = moments._signature_steps
+    monkeypatch.setattr(moments, "_signature_steps",
+                        lambda code, b: (steps(code, b)[0],) * 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wick_oracle_fails_on_an_unsigned_kernel_signature(monkeypatch,
+                                                          capsys, seed):
+    # measured: max_oracle_diff 2.47 to 3.42 and max_catalan_diff 41 at
+    # seeds 0 to 3
+    assert suite.check_wick_oracle(suite.SuiteContext.fresh(seed)).passed
+    plant_unsigned_signature(monkeypatch)
+    result = suite.check_wick_oracle(suite.SuiteContext.fresh(seed))
+    assert result.asserted and result.passed is False
+    assert result.details["max_oracle_diff"] > 1
+    assert cli.run(["suite", "--seed", str(seed)]) == 1
+    checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
+    assert "wick_oracle" in [c["id"] for c in checks if c["passed"] is False]
+
+
 def test_a_failing_verdict_is_a_python_bool(monkeypatch):
     # coeff_on_target is a numpy complex, so the verdict built from it
     # was numpy.False_

@@ -613,6 +613,14 @@ def test_coefficients_and_condition_wait_for_their_first_read(m,
     assert sol.xi_norm_sq == float(np.vdot(sol.z, sol.z).real)
 
 
+def test_a_family_computes_its_gram_condition_once(linalg_calls):
+    # the family's solutions share one R, so one SVD serves both
+    first, second = solve_family(pair_model(), ["1", "2"], BasisSpec(GRID3, 2))
+    assert linalg_calls["cond"] == 0
+    assert first.gram_condition == second.gram_condition >= 1.0
+    assert linalg_calls["cond"] == 1
+
+
 @pytest.mark.parametrize("functional", [fisher_multi, cramer_rao_audit])
 def test_family_functionals_solve_only_for_the_norms(functional,
                                                      linalg_calls):

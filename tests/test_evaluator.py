@@ -6,9 +6,12 @@ moment to the power of the pair count); partition counts with a literal
 count of the oracle's compatible non-crossing pairings; the noise
 expansion's closed form with its definition as a sum of states of flipped
 words, within 1e-12 of the summed magnitudes of their pairing terms.
-The kernel is compared bit for bit with the covariance of each letter pair,
-and its eta calls are counted against the distinct differences it needs,
-for one word or for words that share a run's eta table.  Every entry of a
+The kernel is compared bit for bit with the covariance of each letter pair
+whose inside can be paired, and its eta calls are counted against the
+distinct differences those pairs need, for one word or for words that
+share a run's eta table.  The pairing table of that kernel is compared bit
+for bit with the one of the full kernel over every compatible pair
+(``tests/oracles.py``).  Every entry of a
 word's pairing table is compared bit for bit with its subword's own pass.
 The pruned depth-first oracle is compared bit for bit with the literal
 filter over all pair partitions (``tests/oracles.py``).
@@ -37,8 +40,8 @@ from ncfisher.moments import (
     pairing_table,
     word_kernel,
 )
-from oracles import (all_pairings, flipped_word_sums, is_noncrossing,
-                     literal_oracle)
+from oracles import (all_pairings, flipped_word_sums, full_kernel,
+                     is_noncrossing, literal_oracle)
 
 RTOL = 1e-12
 
@@ -89,6 +92,20 @@ def compatible_pairs(w):
     """Index pairs i < k at odd distance with equal family and generator."""
     return [(i, k) for i in range(len(w)) for k in range(i + 1, len(w), 2)
             if w[i].family == w[k].family and w[i].gen == w[k].gen]
+
+
+def balanced_pairs(w):
+    """The compatible pairs whose inside, the letters strictly between
+    them, holds as many letters at even as at odd positions of every
+    (family, generator) class."""
+    def balanced(i, k):
+        count: dict = {}
+        for j in range(i + 1, k):
+            cls = (w[j].family, w[j].gen)
+            count[cls] = count.get(cls, 0) + (1 if j % 2 == 0 else -1)
+        return not any(count.values())
+
+    return [(i, k) for i, k in compatible_pairs(w) if balanced(i, k)]
 
 
 class EtaCounter:
@@ -257,16 +274,19 @@ def test_evaluation_leaves_the_model_unchanged(data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_kernel_entries_are_the_letter_covariances(data):
+    # the rows hold the balanced pairs, in increasing k, each with its
+    # covariance; only exact zeros are left out of them
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
                         max_size=16))
     rows = word_kernel(m, w)
-    for i, k in compatible_pairs(w):
+    for i, k in balanced_pairs(w):
         want = covariance(m, w[i], w[k])
         got = dict(rows[i]).get(k, 0j)
         assert got == want, (i, k, got, want)
-    listed = {(i, k) for i, row in enumerate(rows) for k, _ in row}
-    assert listed <= set(compatible_pairs(w))
+    listed = [(i, k) for i, row in enumerate(rows) for k, _ in row]
+    assert listed == [(i, k) for i, k in balanced_pairs(w)
+                      if covariance(m, w[i], w[k]) != 0]
 
 
 @given(data=st.data())
@@ -277,7 +297,7 @@ def test_eta_called_once_per_distinct_generator_and_difference(data):
                         max_size=16))
     # an odd word is exactly 0 with no kernel built, so no eta call
     distinct = {(w[i].gen, w[k].time - w[i].time)
-                for i, k in compatible_pairs(w) if len(w) % 2 == 0}
+                for i, k in balanced_pairs(w) if len(w) % 2 == 0}
     with pytest.MonkeyPatch.context() as mp:
         counter = EtaCounter(mp)
         evaluate_state(m, w)
@@ -384,6 +404,43 @@ def test_pairing_table_holds_every_subword_state_bit_for_bit(data):
 
 
 @given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
+    # Fraction times of big or small denominators, or int ticks at
+    # time_den 2; complex prefix or suffix offsets on some words; one eta
+    # table shared by the words
+    m = data.draw(models())
+    if data.draw(st.booleans()):
+        m, times = m.with_time_den(2), st.integers(-4, 4)
+    else:
+        times = st.one_of(big_times, small_times)
+    etas: dict = {}
+    for w in data.draw(st.lists(words(m, times=times, max_size=12),
+                                min_size=1, max_size=4)):
+        n = len(w)
+        offsets = None
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n))
+            block = data.draw(st.sampled_from([range(k), range(k, n)]))
+            z = complex(data.draw(st.integers(-4, 4)) / 4,
+                        data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
+            offsets = [z if i in block else 0j for i in range(n)]
+        full = full_kernel(m, w, offsets)
+        pruned = word_kernel(m, w, offsets, etas)
+        want, got = pairing_table(full), pairing_table(pruned)
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                assert bits(got[i][j]) == bits(want[i][j]), (w, i, j)
+        for i, row in enumerate(full):
+            assert set(pruned[i]) <= set(row), (w, i)
+            kept = {k for k, _ in pruned[i]}
+            for k, _ in row:
+                if k not in kept:
+                    # the inside of every pair left out sums to +0+0j
+                    assert positive_zero(want[i + 1][k]), (w, i, k)
+
+
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_a_shared_eta_table_calls_eta_once_per_argument(data):
     # int tags at time_den 2, as the sampled checks draw them: each tick
@@ -399,6 +456,6 @@ def test_a_shared_eta_table_calls_eta_once_per_argument(data):
     assert [bits(v) for v in shared] == [bits(v) for v in alone]
     distinct = {(w[i].gen, w[k].time - w[i].time)
                 for w in ws if len(w) % 2 == 0
-                for i, k in compatible_pairs(w)}
+                for i, k in balanced_pairs(w)}
     assert sorted(counter.calls) == sorted(
         {(g, m.real_time(d)) for g, d in distinct})
