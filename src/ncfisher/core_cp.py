@@ -36,7 +36,7 @@ from .algebra import (
     x,
 )
 from . import moments
-from .model import ModelSpec
+from .model import ModelSpec, finite_max
 from .moments import Residual, evaluate_state, pairing_table
 
 __all__ = [
@@ -64,7 +64,11 @@ class TrigPoly(_SparseSum):
         return as_time(t), complex(c)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        """The largest coefficient magnitude, 0.0 for the zero element;
+        raises ArithmeticError on one that is not finite, which ``max``
+        would pass over behind a larger one."""
+        return finite_max((abs(c) for c in self._terms.values()),
+                          "a coefficient magnitude")
 
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
@@ -130,7 +134,8 @@ class CoreWord:
 
     def adjoint(self) -> "CoreWord":
         # (w U_r)* = U_{-r} w* and letters are self-adjoint
-        return CoreWord._raw(shift_word(word_adjoint(self.word), -self.r),
+        word = word_adjoint(self.word)
+        return CoreWord._raw(shift_word(word, -self.r) if self.r else word,
                              -self.r)
 
 
@@ -198,6 +203,11 @@ class EtaBimoduleElem(_SparseSum):
         return f"({c}) {a!r} (x) {b!r}"
 
 
+#: 1 (x) 1, the derivative of X_0, which :func:`verify_core_identity`
+#: pairs with the derivative of Q
+_UNIT_TENSOR = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
+
+
 def eta_inner(
     m: ModelSpec, gen_id: str, u: EtaBimoduleElem, v: EtaBimoduleElem,
     states=None,
@@ -209,19 +219,22 @@ def eta_inner(
     :func:`conditional_expectation`.
     """
     out: dict = {}
+    terms = list(v)  # sorted once
     for cu, a, b in u:
-        b_adj = b.adjoint()
-        for cv, a2, b2 in v:
+        a_adj, b_adj, cu_bar = a.adjoint(), b.adjoint(), cu.conjugate()
+        for cv, a2, b2 in terms:
             inner = eta_map(
-                m, gen_id, conditional_expectation(m, a.adjoint() * a2,
-                                                   states)
+                m, gen_id, conditional_expectation(m, a_adj * a2, states)
             )
-            scalar = cu.conjugate() * cv
+            scalar = cu_bar * cv
             for t, g_c in inner._terms.items():
                 term = conditional_expectation(
                     m, b_adj * CoreWord._raw((), t) * b2, states)
-                for r, c in (term * (g_c * scalar))._terms.items():
-                    _accumulate(out, r, c)
+                # term * (g_c * scalar), accumulated as it is formed
+                s = g_c * scalar
+                if s != 0:
+                    for r, c in term._terms.items():
+                        _accumulate(out, r, c * s)
     return TrigPoly._raw(out)
 
 
@@ -231,12 +244,14 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
     (word[:k] U_t) (x) (sigma_{-t}(word[k+1:]) U_{r-t}); U steps and
     letters of other generators are constants."""
     w, r = cw.word, cw.r
-    return EtaBimoduleElem(
-        (1.0, CoreWord._raw(w[:k], letter.time),
-         CoreWord._raw(shift_word(w[k + 1:], -letter.time), r - letter.time))
+    # the left legs differ in length, so no two terms share a key
+    return EtaBimoduleElem._raw({
+        (CoreWord._raw(w[:k], letter.time),
+         CoreWord._raw(shift_word(w[k + 1:], -letter.time), r - letter.time)):
+        1 + 0j
         for k, letter in enumerate(w)
         if letter.gen == gen_id
-    )
+    })
 
 
 def _interval_states(word, phi, gen_id: str) -> dict:
@@ -276,8 +291,8 @@ def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord,
     phi = pairing_table(moments.word_kernel(m, zq.word, None, etas))
     states = _interval_states(zq.word, phi, gen_id)
     lhs = conditional_expectation(m, zq, states)
-    unit = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
-    rhs = eta_inner(m, gen_id, unit, core_differentiate(gen_id, q), states)
+    rhs = eta_inner(m, gen_id, _UNIT_TENSOR, core_differentiate(gen_id, q),
+                    states)
     return Residual((lhs - rhs).max_abs(), lhs.max_abs() + rhs.max_abs())
 
 

@@ -54,7 +54,8 @@ cross-check of the Fock vectors.
 An independent oracle enumerates pair partitions depth first, dropping a
 partial pairing as soon as a new pair crosses a placed one (the literal
 crossing predicate) or its kernel product is exactly 0; it shares nothing
-with the interval pass above except the covariance kernel.
+with the interval pass above except :func:`covariance`, which it calls
+once per index pair it reaches, never through an eta table.
 """
 from __future__ import annotations
 
@@ -429,12 +430,6 @@ def expectation(m: ModelSpec, p: NcPoly, etas=None) -> complex:
 # ----------------------------------------------------------------------
 
 
-def _crosses(p, q) -> bool:
-    a, b = p
-    c, d = q
-    return (a < c < b < d) or (c < a < d < b)
-
-
 def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
     """Exhaustive evaluation over pair partitions, limited to 12 letters.
 
@@ -444,7 +439,10 @@ def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
     crosses one already placed (the literal interval-crossing predicate)
     or its running kernel product is exactly 0; no completion of it could
     contribute.  The surviving pairings are summed in enumeration order,
-    each the product of its pairs in the order they were placed.
+    each the product of its pairs in the order they were placed.  The
+    covariance of an index pair is computed the first time a branch
+    reaches it and kept for the rest of the call, so :func:`covariance`
+    runs at most once per index pair.
     """
     letters = tuple(w)
     n = len(letters)
@@ -454,23 +452,29 @@ def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
         )
     total = 0j
     placed: list = []
+    covs: dict = {}  # (first, other) -> their covariance
 
     def extend(free, prod):
         nonlocal total
         if not free:
             total += prod
             return
-        first, rest = free[0], free[1:]
-        for i, other in enumerate(rest):
-            pair = (first, other)
-            if any(_crosses(p, pair) for p in placed):
-                continue
-            value = prod * covariance(m, letters[first], letters[other])
-            if value == 0:
-                continue
-            placed.append(pair)
-            extend(rest[:i] + rest[i + 1:], value)
-            placed.pop()
+        c, rest = free[0], free[1:]
+        for i, d in enumerate(rest):
+            # the new pair (c, d) against each placed pair (a, b)
+            for a, b in placed:
+                if a < c < b < d or c < a < d < b:
+                    break
+            else:
+                cov = covs.get((c, d))
+                if cov is None:
+                    cov = covs[c, d] = covariance(m, letters[c], letters[d])
+                value = prod * cov
+                if value == 0:
+                    continue
+                placed.append((c, d))
+                extend(rest[:i] + rest[i + 1:], value)
+                placed.pop()
 
     if n % 2 == 0:
         extend(tuple(range(n)), 1 + 0j)

@@ -4,13 +4,20 @@ Everything here is driven by a caller-owned `random.Random`, so identical
 seeds give identical inputs on every platform.  Times are drawn from the
 half grid -1, -1/2, 0, 1/2, 1 as int tags in ticks of 1/2, so the words
 are meant for a model with ``time_den`` 2 (``ModelSpec.with_time_den``).
+
+Every draw reads ``rng.getrandbits`` directly through :func:`_below`, the
+stdlib's own rejection rule, so a word takes the same calls, and leaves
+the generator in the same state, as if drawn through ``rng.choice`` and
+``rng.randint``: ``choice(seq)`` is ``seq[_below(bits, len(seq))]`` and
+``randint(0, n)`` is ``_below(bits, n + 1)``.  That skips the Python
+frames of ``choice``, ``randint`` and ``randrange`` on every draw.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .algebra import Letter, Word, X_FAMILY, x
+from .algebra import Letter, Word, X_FAMILY, _new_letter
 from .core_cp import CoreWord
 
 __all__ = [
@@ -32,21 +39,37 @@ HALF_GRID_TICKS = range(-2, 3)
 HALF_GRID = tuple(Fraction(k, TIME_DEN) for k in HALF_GRID_TICKS)
 
 
+def _below(bits, n: int) -> int:
+    """A uniform int in [0, ``n``) from ``bits``, a generator's
+    ``getrandbits``: ``Random._randbelow`` for generators that have one,
+    drawing the same bits.  Raises ValueError for ``n`` <= 0, where the
+    rejection loop would never end (``getrandbits(0)`` is 0)."""
+    if n <= 0:
+        raise ValueError(f"nothing to draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_time(rng: random.Random) -> int:
-    return rng.choice(HALF_GRID_TICKS)
+    return HALF_GRID_TICKS[_below(rng.getrandbits, len(HALF_GRID_TICKS))]
 
 
 def random_word(rng: random.Random, gens, max_len: int,
                 families=(X_FAMILY,)) -> Word:
     """Up to ``max_len`` letters, each of a family of ``families`` (the
     primary and partner families only) and a generator of ``gens``."""
-    gens = list(gens)
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        fam = rng.choice(families)
-        gen = rng.choice(gens)
-        letters.append(Letter(fam, gen, random_time(rng)))
-    return tuple(letters)
+    gens, bits = list(gens), rng.getrandbits
+    ticks = HALF_GRID_TICKS
+    n_fam, n_gen, n_tick = len(families), len(gens), len(ticks)
+    return tuple([
+        _new_letter(Letter, (families[_below(bits, n_fam)],
+                             gens[_below(bits, n_gen)],
+                             ticks[_below(bits, n_tick)]))
+        for _ in range(_below(bits, max_len + 1))
+    ])
 
 
 def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
@@ -54,14 +77,18 @@ def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
     probability 0.6, then a final U step with probability 0.7; the U steps
     are pushed right as they are drawn, so the word comes out in normal
     form."""
-    gens = list(gens)
+    gens, bits, uniform = list(gens), rng.getrandbits, rng.random
+    ticks = HALF_GRID_TICKS
+    n_gen, n_tick = len(gens), len(ticks)
     letters = []
     shift = 0
-    n_x = rng.randint(0, max_x_degree)
-    for _ in range(n_x):
-        if rng.random() < 0.6:
-            shift += random_time(rng)
-        letters.append(x(rng.choice(gens), random_time(rng) + shift))
-    if rng.random() < 0.7:
-        shift += random_time(rng)
-    return CoreWord(tuple(letters), shift)
+    for _ in range(_below(bits, max_x_degree + 1)):
+        if uniform() < 0.6:
+            shift += ticks[_below(bits, n_tick)]
+        letters.append(_new_letter(Letter, (X_FAMILY,
+                                            gens[_below(bits, n_gen)],
+                                            ticks[_below(bits, n_tick)]
+                                            + shift)))
+    if uniform() < 0.7:
+        shift += ticks[_below(bits, n_tick)]
+    return CoreWord._raw(tuple(letters), shift)

@@ -61,11 +61,16 @@ class CheckResult:
 
 @dataclass
 class SuiteContext:
+    """The models and seed of one suite run, and its solves so far."""
+
     seed: int
     two_atom: ModelSpec
     tracial: ModelSpec
     pair: ModelSpec
     v4: ModelSpec
+    #: (id of the model, generator, basis) -> (model, solution), see
+    #: :meth:`solve`
+    solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def fresh(cls, seed: int = 0) -> "SuiteContext":
@@ -91,10 +96,21 @@ class SuiteContext:
     def rng(self, salt: int) -> random.Random:
         return random.Random(self.seed * 1000003 + salt)
 
+    def solve(self, m: ModelSpec, gen: str, spec: BasisSpec):
+        """``solve_conjugate(m, gen, spec)``, solved once per context: the
+        checks that ask for the same problem share one solution.  The
+        entry keeps the model, so its id names no other model while the
+        context lives."""
+        key = (id(m), gen, spec)
+        entry = self.solves.get(key)
+        if entry is None:
+            entry = self.solves[key] = (m, solve_conjugate(m, gen, spec))
+        return entry[1]
 
-def _conjugate_case(m: ModelSpec):
+
+def _conjugate_case(ctx: SuiteContext, m: ModelSpec):
     gen = m.generators[0].gen_id
-    sol = solve_conjugate(m, gen, BasisSpec(HALF_GRID, 3))
+    sol = ctx.solve(m, gen, BasisSpec(HALF_GRID, 3))
     target = (x(gen, 0),)
     cmap = dict(zip(sol.basis_words, sol.coefficients))
     coeff = cmap.get(target, 0j)
@@ -110,7 +126,7 @@ def check_quasi_free_conjugate(ctx: SuiteContext) -> CheckResult:
     details = {}
     ok = True
     for label, m in (("two_atom", ctx.two_atom), ("tracial", ctx.tracial)):
-        coeff, others, sol = _conjugate_case(m)
+        coeff, others, sol = _conjugate_case(ctx, m)
         details[label] = {
             "coeff_on_target": [coeff.real, coeff.imag],
             "max_other_coeff": others,
@@ -302,7 +318,7 @@ def check_covariance_selfadjoint(ctx: SuiteContext) -> CheckResult:
     spec = BasisSpec(GRID3, 2)
     rng = ctx.rng(7)
     shifts = [Fraction(rng.randint(-4, 4), 4) for _ in range(10)]
-    sol = solve_conjugate(m, gen, spec)
+    sol = ctx.solve(m, gen, spec)
     covs, adjs = [], [self_adjoint_defect(m, sol)]
     for s in shifts:
         sol_shifted = solve_conjugate(m, gen, spec.shifted(s), target_time=s)
@@ -310,7 +326,7 @@ def check_covariance_selfadjoint(ctx: SuiteContext) -> CheckResult:
         adjs.append(self_adjoint_defect(m, sol_shifted))
     for model in (ctx.two_atom, ctx.tracial):
         g = model.generators[0].gen_id
-        sol = solve_conjugate(model, g, BasisSpec(HALF_GRID, 3))
+        sol = ctx.solve(model, g, BasisSpec(HALF_GRID, 3))
         adjs.append(self_adjoint_defect(model, sol))
     worst_cov = finite_max(covs, "a covariance distance")
     worst_adj = finite_max(adjs, "a self-adjoint defect")
@@ -364,7 +380,7 @@ def check_galerkin_monotonicity(ctx: SuiteContext) -> CheckResult:
         BasisSpec(GRID3, 2),
         BasisSpec(HALF_GRID, 3),
     ]
-    norms = [solve_conjugate(m, gen, spec).xi_norm_sq for spec in ladder]
+    norms = [ctx.solve(m, gen, spec).xi_norm_sq for spec in ladder]
     bound = m.generators[0].eta(0).real
     slack = 1e-10
     nondecreasing = all(b >= a - slack for a, b in zip(norms, norms[1:]))

@@ -16,7 +16,12 @@ pairing pass over the full kernel per set of flipped letters, which
 definition, one column at a time, which the solver's one-QR
 guess-and-confirm replaces.
 ``solution_polynomial`` turns a solver result into the polynomial the
-symbolic forms take.  ``pair_with_y`` and ``random_ncpoly`` are helpers
+symbolic forms take.  ``choice_time``, ``choice_word`` and
+``choice_core_word`` are the draws of :mod:`ncfisher.sampling` through
+``rng.choice``, ``rng.randint`` and ``rng.random``, which the module
+replaces by reading ``rng.getrandbits`` itself.  ``literal_eta_inner``
+is the group-valued inner product of :mod:`ncfisher.core_cp` through the
+generic sum operations, one product and one scaled copy per term.  ``pair_with_y`` and ``random_ncpoly`` are helpers
 only the tests use.
 """
 import math
@@ -26,11 +31,13 @@ from itertools import combinations
 
 import numpy as np
 
-from ncfisher.algebra import NcPoly, TimeLike, y
+from ncfisher.algebra import NcPoly, TimeLike, X_FAMILY, Letter, x, y
 from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
 from ncfisher.model import ModelSpec
+from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
+                               eta_map)
 from ncfisher.moments import covariance, expectation, pairing_sum
-from ncfisher.sampling import random_word
+from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
 def all_pairings(items):
@@ -55,6 +62,51 @@ def is_noncrossing(pairing) -> bool:
             if (a < c < b < d) or (c < a < d < b):
                 return False
     return True
+
+
+def choice_time(rng: random.Random) -> int:
+    return rng.choice(HALF_GRID_TICKS)
+
+
+def choice_word(rng: random.Random, gens, max_len: int,
+                families=(X_FAMILY,)) -> tuple:
+    gens = list(gens)
+    letters = []
+    for _ in range(rng.randint(0, max_len)):
+        fam = rng.choice(families)
+        gen = rng.choice(gens)
+        letters.append(Letter(fam, gen, choice_time(rng)))
+    return tuple(letters)
+
+
+def choice_core_word(rng: random.Random, gens, max_x_degree: int):
+    gens = list(gens)
+    letters = []
+    shift = 0
+    for _ in range(rng.randint(0, max_x_degree)):
+        if rng.random() < 0.6:
+            shift += choice_time(rng)
+        letters.append(x(rng.choice(gens), choice_time(rng) + shift))
+    if rng.random() < 0.7:
+        shift += choice_time(rng)
+    return CoreWord(tuple(letters), shift)
+
+
+def literal_eta_inner(m, gen_id, u, v, states=None):
+    """<u, v> as a sum over pairs of simple tensors a (x) b of ``u`` and
+    a' (x) b' of ``v``, in key order, of conj(c) c' E(b* eta_map(E(a* a'))
+    b'), each term a scaled copy of a :class:`TrigPoly` product."""
+    out = TrigPoly.zero()
+    for cu, a, b in u:
+        for cv, a2, b2 in v:
+            inner = eta_map(m, gen_id,
+                            conditional_expectation(m, a.adjoint() * a2,
+                                                    states))
+            for t, g_c in inner.terms.items():
+                term = conditional_expectation(
+                    m, b.adjoint() * CoreWord.u(t) * b2, states)
+                out = out + term * (g_c * (cu.conjugate() * cv))
+    return out
 
 
 def literal_oracle(m, w) -> complex:

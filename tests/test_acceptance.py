@@ -3,10 +3,12 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
-from ncfisher import cli, conjugate, moments, suite
+from ncfisher import cli, conjugate, derivation, moments, suite
+from ncfisher.algebra import X_FAMILY, NcPoly, _accumulate, y
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
 from test_cli import (plant_eta_map_at_minus_t, plant_eta_sign,
                       plant_short_prefix_read)
@@ -55,6 +57,30 @@ def test_covariance_check_solves_each_problem_once(monkeypatch):
     result = suite.check_covariance_selfadjoint(suite.SuiteContext.fresh(1))
     assert result.passed
     assert len(calls) == 13
+
+
+def test_a_suite_run_solves_each_unshifted_problem_once(monkeypatch):
+    # 24 solves without sharing: quasi_free_conjugate's two half-grid
+    # problems come back in covariance_selfadjoint, the two-atom one also
+    # as the last rung of galerkin_monotonicity, and
+    # covariance_selfadjoint's unshifted problem as the ladder's third rung
+    solve = conjugate._solve
+    runs = []
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        runs[-1].append(out)
+        return out
+
+    monkeypatch.setattr(conjugate, "_solve", counted)
+    for seed in (0, 0, 1):
+        runs.append([])
+        results = run_suite(seed)
+        assert all(r.passed for r in results)
+        assert len(runs[-1]) == 20
+    # the memo lives on the run's context: no solution outlives its run
+    ids = [{id(sol) for out in run for sol in out} for run in runs]
+    assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
 
 
 def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):
@@ -225,6 +251,56 @@ def test_core_identity_fails_on_eta_map_at_minus_t(monkeypatch, seed):
     result = suite.check_core_identity(ctx)
     assert result.passed is False
     assert result.details["max_residual"] > 0.5
+
+
+def plant_dropped_occurrence(monkeypatch):
+    # a Leibniz rule that skips the last occurrence of the generator
+    def planted(gen_id, p):
+        out = {}
+        for w, c in p._terms.items():
+            at = [k for k, l in enumerate(w)
+                  if l.family == X_FAMILY and l.gen == gen_id]
+            for k in at[:-1]:
+                _accumulate(out, w[:k] + (y(gen_id, w[k].time),) + w[k + 1:],
+                            c)
+        return NcPoly._raw(out)
+
+    monkeypatch.setattr(derivation, "differentiate", planted)
+
+
+def plant_unshifted_rhs(monkeypatch):
+    # a solution not shifted with its target: the partner paired at time 0
+    # whatever the target time, so a shifted solve projects X_0 onto the
+    # shifted basis
+    rhs = conjugate._rhs
+
+    def planted(m, target_gen, alphabet, phi, t0):
+        return rhs(m, target_gen, alphabet, phi, Fraction(0))
+
+    monkeypatch.setattr(conjugate, "_rhs", planted)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cid, plant, off", [
+    # measured: max_residual 3.20 to 4.56 at seeds 0 to 3
+    ("insertion_identity", plant_dropped_occurrence,
+     lambda d: d["max_residual"] > 1),
+    # measured: max_covariance_residual 0.51 to 0.68 at seeds 0 to 3, the
+    # self-adjoint defect unchanged
+    ("covariance_selfadjoint", plant_unshifted_rhs,
+     lambda d: d["max_covariance_residual"] > 0.25),
+])
+def test_check_fails_on_a_planted_defect_at_every_seed(monkeypatch, capsys,
+                                                      cid, plant, off, seed):
+    check = getattr(suite, f"check_{cid}")
+    assert check(suite.SuiteContext.fresh(seed)).passed
+    plant(monkeypatch)
+    result = check(suite.SuiteContext.fresh(seed))
+    assert result.asserted and result.passed is False
+    assert off(result.details), result.details
+    assert cli.run(["suite", "--seed", str(seed)]) == 1
+    checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
+    assert cid in [c["id"] for c in checks if c["passed"] is False]
 
 
 def plant_unsigned_signature(monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncfisher import core_cp
 from ncfisher.algebra import x, y
 from ncfisher.core_cp import (
     CoreWord,
@@ -17,9 +18,12 @@ from ncfisher.core_cp import (
     factoriality_bound,
     verify_core_identity,
 )
+from ncfisher.cli import run
 from ncfisher.model import two_atom_model
 from ncfisher.sampling import (HALF_GRID, TIME_DEN, random_core_word,
                                random_time)
+from oracles import literal_eta_inner
+from test_cli import plant_eta_map_at_minus_t
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +204,61 @@ def test_eta_inner_bimodule_shift_identity(mh):
         lhs = eta_inner(mh, "g", e, shifted_f)
         rhs = eta_inner(mh, "g", shifted_e, f)
         assert (lhs - rhs).max_abs() < 1e-12
+
+
+def bits(p: TrigPoly) -> dict:
+    return {t: repr(c) for t, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eta_inner_is_the_literal_sum_bit_for_bit(mh, seed):
+    # sorted term order, conjugated left coefficients and scaled terms
+    # accumulated as they are formed: every coefficient the literal sum's
+    rng = random.Random(seed)
+
+    def element():
+        return EtaBimoduleElem(
+            (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+             random_core_word(rng, ["g"], 3), random_core_word(rng, ["g"], 3))
+            for _ in range(rng.randint(1, 4)))
+
+    for _ in range(10):
+        u, v = element(), element()
+        assert bits(eta_inner(mh, "g", u, v)) == bits(
+            literal_eta_inner(mh, "g", u, v))
+    for _ in range(20):
+        q = random_core_word(rng, ["g"], 6)
+        d = core_differentiate("g", q)
+        one = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
+        assert bits(eta_inner(mh, "g", one, d)) == bits(
+            literal_eta_inner(mh, "g", one, d))
+
+
+def test_max_abs_refuses_a_nan_behind_a_larger_coefficient():
+    # max(2.0, nan) is 2.0: the NaN used to pass unseen
+    assert TrigPoly({0: 2.0, 1: -0.5j}).max_abs() == 2.0
+    assert TrigPoly.zero().max_abs() == 0.0
+    with pytest.raises(ArithmeticError, match="magnitude is nan"):
+        TrigPoly({0: 2.0, 1: complex("nan")}).max_abs()
+
+
+def test_a_nan_coefficient_of_the_core_identity_exits_2(monkeypatch, capsys):
+    # eta at -t breaks the identity (see test_cli.py), and a NaN term
+    # after the real ones, far off every drawn time, never comes first in
+    # the difference of the two sides: ``max`` passed over it, and the
+    # command reported a finite residual and exited 1
+    plant_eta_map_at_minus_t(monkeypatch)
+    eta_map = core_cp.eta_map
+
+    def planted(m, gen_id, p):
+        out = eta_map(m, gen_id, p).terms
+        return TrigPoly._raw({**out, 10**6: complex("nan")} if out else {})
+
+    monkeypatch.setattr(core_cp, "eta_map", planted)
+    assert run(["verify-core", "--count", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nan" in captured.err
 
 
 def test_core_derivative_examples():
