@@ -68,8 +68,7 @@ class SuiteContext:
     tracial: ModelSpec
     pair: ModelSpec
     v4: ModelSpec
-    #: (id of the model, generator, basis) -> (model, solution), see
-    #: :meth:`solve`
+    #: (model, generator, basis) -> solution, see :meth:`solve`
     solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -98,14 +97,13 @@ class SuiteContext:
 
     def solve(self, m: ModelSpec, gen: str, spec: BasisSpec):
         """``solve_conjugate(m, gen, spec)``, solved once per context: the
-        checks that ask for the same problem share one solution.  The
-        entry keeps the model, so its id names no other model while the
-        context lives."""
-        key = (id(m), gen, spec)
-        entry = self.solves.get(key)
-        if entry is None:
-            entry = self.solves[key] = (m, solve_conjugate(m, gen, spec))
-        return entry[1]
+        checks that ask for the same problem share one solution.  A model
+        hashes by identity."""
+        key = (m, gen, spec)
+        sol = self.solves.get(key)
+        if sol is None:
+            sol = self.solves[key] = solve_conjugate(m, gen, spec)
+        return sol
 
 
 def _conjugate_case(ctx: SuiteContext, m: ModelSpec):
