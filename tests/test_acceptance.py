@@ -1,10 +1,27 @@
 """Acceptance battery: one test per exit criterion, shared with the CLI
 ``suite`` subcommand.  Each test prints its own pass/fail line."""
 
+import json
+
 import pytest
 
-from ncfisher import conjugate, suite
+import planted
+from ncfisher import cli, conjugate, suite
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
+
+# rows of the planted-defect table, under the names test ids print
+plant_scaled_z = planted.applier("scaled_z", "plant_scaled_z")
+plant_dropped_first_kernel_entry = planted.applier(
+    "dropped_kernel_entry", "plant_dropped_first_kernel_entry")
+plant_eta_sign = planted.applier("eta_sign", "plant_eta_sign")
+plant_eta_map_at_minus_t = planted.applier(
+    "eta_map_at_minus_t", "plant_eta_map_at_minus_t")
+plant_short_prefix_read = planted.applier(
+    "short_prefix_read", "plant_short_prefix_read")
+plant_ignored_b_gens = planted.applier(
+    "ignored_b_gens", "plant_ignored_b_gens")
+plant_all_generator_rhs = planted.applier(
+    "all_generator_rhs", "plant_all_generator_rhs")
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +105,76 @@ def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):
     monkeypatch.setattr(conjugate, "_prune_independent", counted)
     run_suite(seed=0)
     assert rounds and set(rounds) == {1}
+
+
+@pytest.mark.parametrize("cid, plant, off", [
+    # measured at seed 0: coeff_on_target 1.000001, max_oracle_diff 3.42,
+    # strip deviation 1.50 and two-word deviation 2.52
+    ("quasi_free_conjugate", plant_scaled_z,
+     lambda d: d["two_atom"]["coeff_on_target"][0] - 1 > 9e-7),
+    ("wick_oracle", plant_dropped_first_kernel_entry,
+     lambda d: d["max_oracle_diff"] > 1),
+    ("kms", plant_eta_sign,
+     lambda d: d["max_eta_strip_deviation"] > 1
+     and d["max_two_word_deviation"] > 1),
+    # measured at seed 0: max_residual 0.85 and 2.0
+    ("core_identity", plant_eta_map_at_minus_t,
+     lambda d: d["max_residual"] > 0.5),
+    ("core_identity", plant_short_prefix_read,
+     lambda d: d["max_residual"] > 0.5),
+    # measured at seed 0: 13 basis words with and without the partner
+    # generator's letters, and xi_distance 1.0
+    ("freeness_invariance", plant_ignored_b_gens,
+     lambda d: d["basis_enlarged"] == d["basis_alone"] == 13),
+    ("freeness_invariance", plant_all_generator_rhs,
+     lambda d: d["xi_distance"] > 0.5),
+])
+def test_check_fails_on_a_planted_defect(monkeypatch, capsys, cid, plant,
+                                         off):
+    check = getattr(suite, f"check_{cid}")
+    assert check(suite.SuiteContext.fresh(0)).passed
+    plant(monkeypatch)
+    result = check(suite.SuiteContext.fresh(0))
+    assert result.asserted and not result.passed
+    assert off(result.details), result.details
+    assert cli.run(["suite", "--seed", "0"]) == 1
+    checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
+    # a strict JSON false: a numpy bool used to print as "False"
+    assert cid in [c["id"] for c in checks if c["passed"] is False]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_core_identity_fails_on_eta_map_at_minus_t(monkeypatch, seed):
+    # measured: max_residual 0.85 to 1.31 at seeds 0 to 3
+    ctx = suite.SuiteContext.fresh(seed)
+    assert suite.check_core_identity(ctx).passed
+    plant_eta_map_at_minus_t(monkeypatch)
+    result = suite.check_core_identity(ctx)
+    assert result.passed is False
+    assert result.details["max_residual"] > 0.5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wick_oracle_fails_on_an_unsigned_kernel_signature(monkeypatch,
+                                                          capsys, seed):
+    # measured: max_oracle_diff 2.47 to 3.42 and max_catalan_diff 41 at
+    # seeds 0 to 3
+    assert suite.check_wick_oracle(suite.SuiteContext.fresh(seed)).passed
+    planted.plant(monkeypatch, "unsigned_signature")
+    result = suite.check_wick_oracle(suite.SuiteContext.fresh(seed))
+    assert result.asserted and result.passed is False
+    assert result.details["max_oracle_diff"] > 1
+    assert cli.run(["suite", "--seed", str(seed)]) == 1
+    checks = json.loads(capsys.readouterr().out)["outputs"]["checks"]
+    assert "wick_oracle" in [c["id"] for c in checks if c["passed"] is False]
+
+
+def test_a_failing_verdict_is_a_python_bool(monkeypatch):
+    # coeff_on_target is a numpy complex, so the verdict built from it
+    # was numpy.False_
+    plant_scaled_z(monkeypatch)
+    results = run_suite(seed=0)
+    failed = [r for r in results if r.cid == "quasi_free_conjugate"]
+    assert failed[0].passed is False
+    assert all(type(r.passed) is bool and type(r.asserted) is bool
+               for r in results)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ncfisher
+import planted
 from ncfisher import cli, conjugate, core_cp, moments
 from ncfisher.cli import run
 from ncfisher.conjugate import BasisSpec, solve_family
@@ -230,6 +231,37 @@ def test_a_sampled_run_calls_eta_once_per_argument(monkeypatch, capsys,
         assert map_calls and set(map_calls) <= set(kernel_calls)
     else:
         assert map_calls == []
+
+
+def test_verify_core_fails_on_eta_at_minus_t(monkeypatch, capsys):
+    planted.plant(monkeypatch, "eta_map_at_minus_t")
+    code, report = run_json(capsys, ["verify-core", "--count", "10"])
+    assert (code, report["passed"]) == (1, False)
+    assert report["outputs"]["max_relative_residual"] > 1e-3
+
+
+def test_verify_core_fails_on_a_short_prefix_read(monkeypatch, capsys):
+    code, report = run_json(capsys, ["verify-core", "--count", "10"])
+    assert (code, report["passed"]) == (0, True)
+    planted.plant(monkeypatch, "short_prefix_read")
+    code, report = run_json(capsys, ["verify-core", "--count", "10"])
+    assert (code, report["passed"]) == (1, False)
+    assert report["outputs"]["max_relative_residual"] > 1e-3
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["check-kms"], "eta_sign"),
+    (["moment", "--word", "X:0 X:1 X:0 X:1"], "dropped_kernel_entry"),
+    (["conjugate"], "rotated_coefficients"),
+    (["cramer-rao"], "scaled_xi"),
+    (["covariance"], "pivot_from_time_zero"),
+], ids=["check-kms", "moment", "conjugate", "cramer-rao", "covariance"])
+def test_tol_check_fails_on_a_planted_defect(monkeypatch, capsys, argv, row):
+    code, report = run_json(capsys, argv)
+    assert (code, report["passed"]) == (0, True)
+    planted.plant(monkeypatch, row)
+    code, report = run_json(capsys, argv)
+    assert (code, report["passed"]) == (1, False)
 
 
 def test_verify_commands_match_suite_checks(capsys):
