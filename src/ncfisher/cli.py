@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import Word, Y_FAMILY, word_str, x, y
 from .brownian import expand_state
 from .conjugate import (
+    BasisError,
     BasisSpec,
     chi_star,
     cramer_rao_audit,
@@ -289,11 +290,18 @@ def _cmd_moment(m, args):
     return out, residual
 
 
-def _solver_health(sol) -> dict:
-    """Size, rank and conditioning of one Galerkin solve.  ``prune_rounds``
-    above 1 means the kept words are ill-conditioned near the prune
-    threshold: the prune's guess failed, and it then scanned
-    ``prune_rounds - 1`` words one at a time."""
+def _solver_health(gen: str, sol) -> dict:
+    """Size, rank and conditioning of the Galerkin solve of generator
+    ``gen``.  ``prune_rounds`` above 1 means the kept words are
+    ill-conditioned near the prune threshold: the prune's guess failed,
+    and it then scanned ``prune_rounds - 1`` words one at a time.  A zero
+    right-hand side, which no residual can be measured against, is
+    refused by name."""
+    rhs_norm = float(np.linalg.norm(sol.rhs))
+    if rhs_norm == 0:
+        raise BasisError(
+            f"generator {gen!r} has a zero right-hand side: no basis word "
+            "pairs with its partner letter")
     return {
         "basis_size": len(sol.basis_words),
         "kept_size": len(sol.kept),
@@ -301,7 +309,7 @@ def _solver_health(sol) -> dict:
         "fock_dim": sol.fock_dim,
         "gram_condition": sol.gram_condition,
         "residual": sol.residual,
-        "residual_over_rhs": sol.residual / float(np.linalg.norm(sol.rhs)),
+        "residual_over_rhs": sol.residual / rhs_norm,
     }
 
 
@@ -321,7 +329,7 @@ def _cmd_conjugate(m, args):
     out = {
         "target": target,
         "target_time": sol.target_time,
-        **_solver_health(sol),
+        **_solver_health(target, sol),
         "coefficients": [
             {"word": word_str(w), "re": c.real, "im": c.imag}
             for w, c in sol.coefficient_map().items()
@@ -338,7 +346,7 @@ def _cmd_fisher(m, args):
     sols = solve_family(m, gens, _basis_from_args(m, args))
     per_gen = {g: sol.phi_star for g, sol in zip(gens, sols)}
     total = sum(sol.phi_star for sol in sols)
-    solver = {g: _solver_health(sol) for g, sol in zip(gens, sols)}
+    solver = {g: _solver_health(g, sol) for g, sol in zip(gens, sols)}
     return {"gens": gens, "per_gen": per_gen, "phi_star_total": total,
             "solver": solver}, None
 
@@ -356,7 +364,7 @@ def _cmd_cramer_rao(m, args):
         "normalized": rep.normalized,
         "asserted": rep.asserted,
         "note": rep.note,
-        "solver": {g: _solver_health(sol)
+        "solver": {g: _solver_health(g, sol)
                    for g, sol in zip(gens, rep.solutions)},
     }
     return out, (Residual(abs(rep.lhs - rep.rhs), rep.rhs) if rep.asserted

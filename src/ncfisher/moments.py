@@ -18,23 +18,26 @@ at even as at odd positions.  Every other pair multiplies an inside whose
 pairing sum the pass computes as exactly +0+0j, so leaving it out changes
 no bit of any value while the values are finite (see :func:`word_kernel`).
 The word's tags are put over their common denominator den as integer
-ticks (den is 1 for int tags), so every tag difference is an exact int d
-and eta gets d / (den time_den), the correctly rounded double of the
-exact real difference; eta is called once per distinct (generator, tick
-difference) among the kernel's pairs.  A complex shift of a prefix or
-suffix block enters as a per-letter offset (z on the block, 0 elsewhere),
-in real time, added to that double.  The pass fills the pairing sum over
-index intervals [i, j), shortest first, by the first-letter recursion
+ticks (int tags are their own ticks, at den 1), so every tag difference
+is an exact int d and eta gets d / (den time_den), the correctly rounded
+double of the exact real difference; eta is called once per distinct
+(generator, tick difference) among the kernel's pairs.  A complex shift
+of a prefix or suffix block enters as a per-letter offset (z on the
+block, 0 elsewhere), in real time, added to that double.  The pass fills
+the pairing sum over index intervals [i, j) by the first-letter recursion
 
     phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
 
-which is cubic in the word length; :func:`pairing_table` returns the whole
-table, so the state of every subword w[i:j] comes from the one pass.
-Nothing is kept on the model, and nothing is cached between calls unless
-the caller passes one eta table through them: a sampled run of many words
-on one model does (``etas``, a plain dict it owns).  The table holds eta
-by (generator, tick denominator, tick difference, offset difference), so
-each distinct eta value of the run is computed once.
+row by row from the last letter, each kernel entry (i, k) adding its term
+to every interval [i, j) that ends after k; this is cubic in the word
+length.  :func:`pairing_table` returns the whole table, so the state of
+every subword w[i:j] comes from the one pass.  Nothing is kept on the
+model, and nothing is cached between calls unless the caller passes one
+eta table through them: a sampled run of many words on one model does
+(``etas``, a plain dict it owns).  The table holds eta per (generator,
+tick denominator), keyed by the tick difference d, or by (d, offset
+difference) where the offsets differ, so each distinct eta value of the
+run is computed once.
 A word with an odd number of letters has no pair partition, so its value
 is exactly ``0j`` (both parts +0.0, as the pass itself would give) and no
 kernel is built for it: no tick denominators, no eta calls.  The size
@@ -197,29 +200,33 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     Letter tags are put over their common denominator ``den`` as integer
     ticks, so tag differences are exact ints d and eta gets
     ``m.real_time(d, den)``, the correctly rounded float of the exact real
-    difference d / (den time_den).  ``offsets``, one per letter (default
-    0), are real times added after that: the pair (i, k) gets eta at
-    ``m.real_time(d, den) + (offsets[k] - offsets[i])``, which is how a
-    complex shift of a block of letters enters.  eta is called once per
-    distinct (generator, den, tick difference, offset difference) over the
-    listed pairs, whatever the family: ``etas`` is the table of those
-    values, a dict that a run on ``m`` may share between its words
-    (default: a fresh one per call).  Raises :class:`SizeLimitError`
-    first for words over ``MAX_WORD_LETTERS``.
+    difference d / (den time_den); int tags are their own ticks, at den
+    1.  ``offsets``, one per letter (default 0), are real times added
+    after that: the pair (i, k) gets eta at ``m.real_time(d, den) + od``,
+    od = ``offsets[k] - offsets[i]``, which is how a complex shift of a
+    block of letters enters.  eta is called once per distinct (generator,
+    den, d, od) over the listed pairs, whatever the family: ``etas`` is
+    the table of those values, a dict that a run on ``m`` may share
+    between its words (default: a fresh one per call).  It maps (generator,
+    den) to a dict keyed by d where od is 0 and by (d, od) elsewhere, so a
+    pair inside a shifted block shares the entry of an unshifted pair.
+    Raises :class:`SizeLimitError` first for words over
+    ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     _check_length(n)
-    if offsets is None:
-        offsets = [0] * n
     if etas is None:
         etas = {}
     times = [l.time for l in letters]
-    dens = [t.denominator for t in times]
-    den = math.lcm(*dens)
-    ticks = [t.numerator * (den // d) for t, d in zip(times, dens)]
+    if all(type(t) is int for t in times):
+        den, ticks = 1, times
+    else:
+        dens = [t.denominator for t in times]
+        den = math.lcm(*dens)
+        ticks = [t.numerator * (den // d) for t, d in zip(times, dens)]
     b = n.bit_length()
     classes: dict = {}  # (family, generator) -> (code, even step, odd step)
-    tables: dict = {}  # generator -> (eta, {(tick diff, offset diff): eta})
+    tables: dict = {}  # generator -> (eta, {d or (d, offset diff): eta})
     filed: dict = {}  # signature from k on plus k's code -> k, decreasing
     rows = [[] for _ in range(n)]
     sig = 0  # signature of the letters after i
@@ -235,12 +242,16 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
         if later:
             eta, cache = tables.get(l.gen) or tables.setdefault(
                 l.gen, (m.gen(l.gen).eta, etas.setdefault((l.gen, den), {})))
-            ti, oi, row = ticks[i], offsets[i], rows[i]
+            ti, row = ticks[i], rows[i]
+            oi = offsets[i] if offsets else 0
             for k in reversed(later):
-                key = (ticks[k] - ti, offsets[k] - oi)
+                key = d = ticks[k] - ti
+                od = offsets[k] - oi if offsets else 0
+                if od:
+                    key = (d, od)
                 c = cache.get(key)
                 if c is None:
-                    c = cache[key] = eta(m.real_time(key[0], den) + key[1])
+                    c = cache[key] = eta(m.real_time(d, den) + od)
                 if c != 0:
                     row.append((k, c))
         sig += odd if i & 1 else even
@@ -257,32 +268,33 @@ def pairing_table(rows, one=1 + 0j) -> list:
     its kernel ``rows``: ``phi[i][j]`` for 0 <= i <= j <= n is the sum over
     the letters i .. j-1, so the state of the subword w[i:j].
 
-    Fills the intervals of even length row by row from the last letter,
-    so every interval is filled after the shorter ones it needs:
+    Every row lists k at odd distance from i, as every kernel does.  The
+    first-letter recursion
 
         phi[i, j) = sum_k rows[i][k] * phi[i+1, k) * phi[k+1, j)
 
-    summed in increasing k, the order of the first-letter recursion.
-    ``one`` is the value of the empty interval: ``1 + 0j`` for state
-    values, or the integer 1 with every row entry 1 to count pairings.
-    An interval of odd length has no pairing and holds ``one - one``;
-    the entries below the diagonal are never read.
+    is filled row by row from the last letter, so row i reads only rows
+    after it.  Each entry (k, c) of row i forms c * phi[i+1, k) once and
+    adds its product with phi[k+1, j) to phi[i, j) for j = k+1, k+3, ..,
+    n, so every interval sums its terms from ``one - one`` in increasing
+    k, the order of the recursion.  ``one`` is the value of the empty
+    interval: ``1 + 0j`` for state values, or the integer 1 with every row
+    entry 1 to count pairings.  An interval of odd length has no pairing
+    and holds ``one - one``, and so does every entry below the diagonal.
     """
     n = len(rows)
     zero = one - one
-    # row i starts as one at even distance from i (the empty interval and
-    # the slots the recursion fills) and zero at odd distance
-    pattern = [one, zero] * (n // 2 + 2)
-    phi = [pattern[i % 2:i % 2 + n + 1] for i in range(n + 1)]
+    phi = [[zero] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        phi[i][i] = one
     for i in range(n - 2, -1, -1):
-        inner, cur, row = phi[i + 1], phi[i], rows[i]
-        for j in range(i + 2, n + 1, 2):
-            total = zero
-            for k, c in row:
-                if k >= j:
-                    break
-                total += c * inner[k] * phi[k + 1][j]
-            cur[j] = total
+        inner, cur = phi[i + 1], phi[i]
+        for k, c in rows[i]:
+            # c * inner[k] * after[j] multiplies left to right: the same
+            # double whether or not the first product is hoisted
+            ck, after = c * inner[k], phi[k + 1]
+            for j in range(k + 1, n + 1, 2):
+                cur[j] += ck * after[j]
     return phi
 
 

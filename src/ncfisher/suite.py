@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import NcPoly, shift_word, x
+from .algebra import NcPoly, TimeLike, as_time, shift_word, x
 from .brownian import expand_state
 from .conjugate import (
     BasisSpec,
@@ -68,7 +68,7 @@ class SuiteContext:
     tracial: ModelSpec
     pair: ModelSpec
     v4: ModelSpec
-    #: (model, generator, basis) -> solution, see :meth:`solve`
+    #: (model, generator, basis, target time) -> solution, see :meth:`solve`
     solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -95,14 +95,18 @@ class SuiteContext:
     def rng(self, salt: int) -> random.Random:
         return random.Random(self.seed * 1000003 + salt)
 
-    def solve(self, m: ModelSpec, gen: str, spec: BasisSpec):
-        """``solve_conjugate(m, gen, spec)``, solved once per context: the
-        checks that ask for the same problem share one solution.  A model
-        hashes by identity."""
-        key = (m, gen, spec)
+    def solve(self, m: ModelSpec, gen: str, spec: BasisSpec,
+              target_time: TimeLike = 0):
+        """``solve_conjugate(m, gen, spec, target_time=target_time)``,
+        solved once per context: the checks that ask for the same problem
+        share one solution.  A model hashes by identity, and a target time
+        by its value, so a shift of 0 is the unshifted problem."""
+        t0 = as_time(target_time)
+        key = (m, gen, spec, t0)
         sol = self.solves.get(key)
         if sol is None:
-            sol = self.solves[key] = solve_conjugate(m, gen, spec)
+            sol = self.solves[key] = solve_conjugate(m, gen, spec,
+                                                     target_time=t0)
         return sol
 
 
@@ -319,7 +323,7 @@ def check_covariance_selfadjoint(ctx: SuiteContext) -> CheckResult:
     sol = ctx.solve(m, gen, spec)
     covs, adjs = [], [self_adjoint_defect(m, sol)]
     for s in shifts:
-        sol_shifted = solve_conjugate(m, gen, spec.shifted(s), target_time=s)
+        sol_shifted = ctx.solve(m, gen, spec.shifted(s), s)
         covs.append(covariance_distance(m, sol, sol_shifted))
         adjs.append(self_adjoint_defect(m, sol_shifted))
     for model in (ctx.two_atom, ctx.tracial):

@@ -9,6 +9,10 @@ Fock-coordinate audits of :mod:`ncfisher.conjugate` stand in for.
 ``full_kernel`` is the kernel of every pair that the parity and family
 rules allow, the one :func:`ncfisher.moments.word_kernel` prunes to the
 pairs whose inside can be paired.
+``row_by_row_table`` is the pairing table of
+:func:`ncfisher.moments.pairing_table` filled one interval at a time,
+each summing its kernel entries in increasing k, the order that the
+package's hoisted loop must keep bit for bit.
 ``flipped_word_sums`` is the noise expansion by its definition, one
 pairing pass over the full kernel per set of flipped letters, which
 :func:`ncfisher.brownian.expand_state` replaces by its closed form.
@@ -187,6 +191,31 @@ def full_kernel(m, letters, offsets=None) -> list:
                 row.append((k, c))
         rows.append(row)
     return rows
+
+
+def row_by_row_table(rows, one=1 + 0j) -> list:
+    """Non-crossing pairing sums of every index interval [i, j) from the
+    kernel ``rows``, as :func:`ncfisher.moments.pairing_table` gives them
+    on and above the diagonal: for each row i from the last letter and
+    each j at even distance, the sum from ``one - one`` of
+    ``c * phi[i+1][k] * phi[k+1][j]`` over the entries (k, c) with k < j,
+    in increasing k.  Intervals of odd length hold ``one - one``."""
+    n = len(rows)
+    zero = one - one
+    # row i starts as one at even distance from i (the empty interval and
+    # the slots the recursion fills) and zero at odd distance
+    pattern = [one, zero] * (n // 2 + 2)
+    phi = [pattern[i % 2:i % 2 + n + 1] for i in range(n + 1)]
+    for i in range(n - 2, -1, -1):
+        inner, cur, row = phi[i + 1], phi[i], rows[i]
+        for j in range(i + 2, n + 1, 2):
+            total = zero
+            for k, c in row:
+                if k >= j:
+                    break
+                total += c * inner[k] * phi[k + 1][j]
+            cur[j] = total
+    return phi
 
 
 def flipped_word_sums(m, w, max_order, absolute=False) -> dict:

@@ -2,11 +2,13 @@
 ``suite`` subcommand.  Each test prints its own pass/fail line."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import planted
 from ncfisher import cli, conjugate, suite
+from ncfisher.algebra import as_time
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
 
 # rows of the planted-defect table, under the names test ids print
@@ -53,33 +55,46 @@ def test_suite_deterministic_across_workers():
 
 
 def test_covariance_check_solves_each_problem_once(monkeypatch):
-    # the unshifted problem, the ten shifted ones and the two larger
-    # adjoint solves, each once
+    # the unshifted problem, each distinct shift (a shift of 0 is the
+    # unshifted problem) and the two larger adjoint solves, each once,
+    # however often the draws repeat a shift: 9, 9, 9 and 7 solves for the
+    # ten shifts at seeds 0-3
     solve = conjugate.solve_conjugate
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counted(m, gen, spec, b_gens=(), target_time=0):
+        calls.append((m, gen, spec, tuple(b_gens), as_time(target_time)))
+        return solve(m, gen, spec, b_gens, target_time)
 
     monkeypatch.setattr(conjugate, "solve_conjugate", counted)
     monkeypatch.setattr(suite, "solve_conjugate", counted)
-    result = suite.check_covariance_selfadjoint(suite.SuiteContext.fresh(1))
-    assert result.passed
-    assert len(calls) == 13
+    for seed, solves in enumerate((9, 9, 9, 7)):
+        calls.clear()
+        result = suite.check_covariance_selfadjoint(
+            suite.SuiteContext.fresh(seed))
+        assert result.passed
+        shifts = {Fraction(s) for s in result.details["shifts"]}
+        assert len(calls) == len(set(calls)) == 3 + len(shifts - {0})
+        assert len(calls) == solves
 
 
 def test_a_suite_run_solves_each_unshifted_problem_once(monkeypatch):
-    # 24 solves without sharing: quasi_free_conjugate's two half-grid
+    # 24 solves without sharing, 20 with one solve per unshifted
+    # problem: quasi_free_conjugate's two half-grid
     # problems come back in covariance_selfadjoint, the two-atom one also
     # as the last rung of galerkin_monotonicity, and
-    # covariance_selfadjoint's unshifted problem as the ladder's third rung
+    # covariance_selfadjoint's unshifted problem as the ladder's third
+    # rung.  Each repeated shift is solved once too, which leaves 16 solves
+    # at seeds 0 and 1 for 15 distinct problems (model, targets, basis,
+    # b_gens, target time): cramer_rao's single-generator audit solves
+    # the unshifted covariance problem again, through solve_family
     solve = conjugate._solve
     runs = []
 
-    def counted(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        runs[-1].append(out)
+    def counted(m, targets, basis, b_gens=(), target_time=0):
+        out = solve(m, targets, basis, b_gens, target_time)
+        runs[-1].append(((m, tuple(targets), basis, tuple(b_gens),
+                          as_time(target_time)), out))
         return out
 
     monkeypatch.setattr(conjugate, "_solve", counted)
@@ -87,9 +102,10 @@ def test_a_suite_run_solves_each_unshifted_problem_once(monkeypatch):
         runs.append([])
         results = run_suite(seed)
         assert all(r.passed for r in results)
-        assert len(runs[-1]) == 20
+        assert len(runs[-1]) == 16
+        assert len({problem for problem, _ in runs[-1]}) == 15
     # the memo lives on the run's context: no solution outlives its run
-    ids = [{id(sol) for out in run for sol in out} for run in runs]
+    ids = [{id(sol) for _, out in run for sol in out} for run in runs]
     assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
 
 

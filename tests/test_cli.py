@@ -852,9 +852,24 @@ def test_cramer_rao_reports_solver_health(tmp_path, capsys):
                                    Fraction(1, 2)), 2))
     assert list(out["solver"]) == ["1", "2"]
     for g, sol in zip(["1", "2"], sols):
-        assert out["solver"][g] == cli._solver_health(sol)
+        assert out["solver"][g] == cli._solver_health(g, sol)
     assert out["solver"]["1"]["basis_size"] == 43
     assert out["solver"]["1"]["fock_dim"] == 21
+
+
+@pytest.mark.parametrize("command", ["fisher", "cramer-rao"])
+def test_a_zero_right_hand_side_is_refused_by_name(tmp_path, monkeypatch,
+                                                   capsys, command):
+    # a family basis over the first generator's letters alone leaves the
+    # second one's partner no word to pair with, so its b is exactly 0
+    path = pair_model_file(tmp_path)
+    planted.plant(monkeypatch, "ignored_b_gens")
+    assert run([command, "--model", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator '2' has a zero right-hand side: no basis word "
+        "pairs with its partner letter\n")
 
 
 @pytest.mark.parametrize("command", ["fisher", "cramer-rao", "chi-star"])

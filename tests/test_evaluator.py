@@ -11,14 +11,16 @@ whose inside can be paired, and its eta calls are counted against the
 distinct differences those pairs need, for one word or for words that
 share a run's eta table.  The pairing table of that kernel is compared bit
 for bit with the one of the full kernel over every compatible pair
-(``tests/oracles.py``).  Every entry of a
-word's pairing table is compared bit for bit with its subword's own pass.
+(``tests/oracles.py``), and with the table filled one interval at a time
+in the order of the first-letter recursion.  Every entry of a word's
+pairing table is compared bit for bit with its subword's own pass.
 The pruned depth-first oracle is compared bit for bit with the literal
 filter over all pair partitions (``tests/oracles.py``).
 """
 import cmath
 import copy
 import math
+import random
 import struct
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncfisher import core_cp, moments
-from ncfisher.algebra import Letter, x, y
+from ncfisher.algebra import Letter, shift_word, x, y
 from ncfisher.brownian import expand_state
 from ncfisher.core_cp import CoreWord, verify_core_identity
 from ncfisher.model import GeneratorSpec, build_model, tracial_model
@@ -41,7 +43,7 @@ from ncfisher.moments import (
     word_kernel,
 )
 from oracles import (all_pairings, flipped_word_sums, full_kernel,
-                     is_noncrossing, literal_oracle)
+                     is_noncrossing, literal_oracle, row_by_row_table)
 
 RTOL = 1e-12
 
@@ -443,6 +445,47 @@ def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
 
 
 @given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pairing_table_sums_each_interval_in_the_recursion_order(data):
+    # Fraction tags or int ticks at time_den 2, complex prefix or suffix
+    # offsets on some words; the state values, the pairing counts (the
+    # integer mode of evaluate_state_detailed) and the summed magnitudes.
+    # A kernel of 6 to 14 letters with every odd-distance entry, of random
+    # full-precision values, sums three or more rounded terms into most
+    # intervals, so any other summation order changes some bit of it
+    m = data.draw(models())
+    if data.draw(st.booleans()):
+        m, times = m.with_time_den(2), st.integers(-4, 4)
+    else:
+        times = st.one_of(big_times, small_times)
+    w = data.draw(words(m, max_size=14, times=times))
+    n = len(w)
+    offsets = None
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, n))
+        block = data.draw(st.sampled_from([range(k), range(k, n)]))
+        z = complex(data.draw(st.integers(-4, 4)) / 4,
+                    data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
+        offsets = [z if i in block else 0j for i in range(n)]
+    rows = word_kernel(m, w, offsets)
+    mask = [[(k, 1) for i2, k in compatible_pairs(w) if i2 == i]
+            for i in range(n)]
+    magnitudes = [[(k, abs(c)) for k, c in row] for row in rows]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    size = data.draw(st.integers(6, 14))
+    dense = [[(k, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+              for k in range(i + 1, size, 2)] for i in range(size)]
+    for table_rows, one in ((rows, 1 + 0j), (mask, 1), (magnitudes, 1.0),
+                            (dense, 1 + 0j)):
+        want = row_by_row_table(table_rows, one)
+        got = pairing_table(table_rows, one)
+        for i in range(len(table_rows) + 1):
+            for j in range(i, len(table_rows) + 1):
+                assert type(got[i][j]) is type(want[i][j]), (w, i, j)
+                assert bits(got[i][j]) == bits(want[i][j]), (w, i, j, one)
+
+
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_a_shared_eta_table_calls_eta_once_per_argument(data):
     # int tags at time_den 2, as the sampled checks draw them: each tick
@@ -461,3 +504,45 @@ def test_a_shared_eta_table_calls_eta_once_per_argument(data):
                 for i, k in balanced_pairs(w)}
     assert sorted(counter.calls) == sorted(
         {(g, m.real_time(d)) for g, d in distinct})
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_plain_and_shifted_words_share_one_eta_table(data):
+    # the word pairs of the kms check: int tags at time_den 2, a + b with
+    # the suffix b shifted by t + i, and sigma_t(b) a.  A pair on one side
+    # of the block asks eta at the real time of its tick difference, as a
+    # plain word's pair does, and a pair across it at that time plus or
+    # minus the shift; the shift's imaginary part 1 keeps these apart
+    m = data.draw(models()).with_time_den(2)
+    cases = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        a, b = (data.draw(words(m, times=st.integers(-4, 4), max_size=5))
+                for _ in range(2))
+        t = data.draw(st.integers(-4, 4))
+        z = complex(m.real_time(t)) + 1j
+        cases.append((a + b, range(len(a), len(a) + len(b)), z))
+        cases.append((shift_word(b, t) + a, None, None))
+
+    def evaluate(w, block, z, etas=None):
+        if block is None:
+            return evaluate_state(m, w, etas)
+        return evaluate_state_shifted(m, w, block, z, etas)
+
+    alone = [evaluate(*case) for case in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        etas: dict = {}
+        shared = [evaluate(*case, etas) for case in cases]
+    assert [bits(v) for v in shared] == [bits(v) for v in alone]
+    arguments = set()
+    for w, block, z in cases:
+        if len(w) % 2:
+            continue
+        off = [z if block is not None and i in block else 0j
+               for i in range(len(w))]
+        arguments |= {(w[i].gen,
+                       m.real_time(w[k].time - w[i].time) + (off[k] - off[i]))
+                      for i, k in balanced_pairs(w)}
+    assert len(counter.calls) == len(set(counter.calls)) == len(arguments)
+    assert set(counter.calls) == arguments
