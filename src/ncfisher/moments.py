@@ -218,12 +218,9 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     if etas is None:
         etas = {}
     times = [l.time for l in letters]
-    if all(type(t) is int for t in times):
-        den, ticks = 1, times
-    else:
-        dens = [t.denominator for t in times]
-        den = math.lcm(*dens)
-        ticks = [t.numerator * (den // d) for t, d in zip(times, dens)]
+    dens = [t.denominator for t in times]
+    den = math.lcm(*dens)
+    ticks = [t.numerator * (den // d) for t, d in zip(times, dens)]
     b = n.bit_length()
     classes: dict = {}  # (family, generator) -> (code, even step, odd step)
     tables: dict = {}  # generator -> (eta, {d or (d, offset diff): eta})
