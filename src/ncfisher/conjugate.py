@@ -528,10 +528,15 @@ class CramerRaoReport:
 
 
 def cramer_rao_audit(
-    m: ModelSpec, gens: Sequence[str], basis: BasisSpec
+    m: ModelSpec, gens: Sequence[str], basis: BasisSpec, solutions=None
 ) -> CramerRaoReport:
+    """The Cramer-Rao product of the family ``gens`` on ``basis``.
+    ``solutions``, one per generator, are the family's solutions on that
+    basis when the caller has them (as :func:`solve_family` gives them);
+    without them the family is solved here."""
     gens = list(gens)
-    sols = tuple(solve_family(m, gens, basis))
+    sols = tuple(solve_family(m, gens, basis) if solutions is None
+                 else solutions)
     second_moment = math.fsum(m.gen(g).v for g in gens)
     phi_star_tuple = math.fsum(sol.xi_norm_sq for sol in sols) / second_moment
     lhs = phi_star_tuple * second_moment**2

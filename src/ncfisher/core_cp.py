@@ -37,7 +37,7 @@ from .algebra import (
 )
 from . import moments
 from .model import ModelSpec, finite_max
-from .moments import Residual, evaluate_state, pairing_table
+from .moments import Residual, evaluate_state
 
 __all__ = [
     "TrigPoly",
@@ -256,15 +256,15 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
 
 def _interval_states(word, phi, gen_id: str) -> dict:
     """States of the words that :func:`verify_core_identity` evaluates,
-    read from the pairing table ``phi`` of ``word`` = X_0 w: the whole
-    word, and for each letter of ``gen_id`` in w the prefix before it and
-    the suffix after it."""
+    read from the rows ``phi`` that :func:`moments.interval_states` gives
+    for ``word`` = X_0 w: the whole word, and for each letter of
+    ``gen_id`` in w the prefix before it and the suffix after it."""
     n = len(word)
-    states = {word: phi[0][n]}
+    states = {word: phi[0].get(n, 0j)}
     for k in range(1, n):
         if word[k].gen == gen_id:
-            states[word[1:k]] = phi[1][k]
-            states[word[k + 1:]] = phi[k + 1][n]
+            states[word[1:k]] = phi[1].get(k, 0j)
+            states[word[k + 1:]] = phi[k + 1].get(n, 0j)
     return states
 
 
@@ -281,14 +281,14 @@ def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord,
     With Q = w U_r, every state either side takes is that of a subword of
     X_0 w: the whole word, and per term of the derivative a prefix and a
     suffix of w (the flow shifts a term's legs by -t and the product
-    shifts them back by t, exactly).  So one kernel and one
-    :func:`pairing_table` of X_0 w serve both sides, through a lookup
-    keyed by word; ``etas`` is a run's eta table on ``m`` (see
-    :func:`moments.word_kernel`).
+    shifts them back by t, exactly).  So one
+    :func:`moments.interval_states` pass over X_0 w serves both sides,
+    through a lookup keyed by word; ``etas`` is a run's eta table on ``m``
+    (see :func:`moments.interval_states`).
     """
     zq = CoreWord((x(gen_id, 0),)) * q
-    # the kernel is looked up on its module, as evaluate_state's is
-    phi = pairing_table(moments.word_kernel(m, zq.word, None, etas))
+    # the pass is looked up on its module, as evaluate_state's is
+    phi = moments.interval_states(m, zq.word, None, etas)
     states = _interval_states(zq.word, phi, gen_id)
     lhs = conditional_expectation(m, zq, states)
     rhs = eta_inner(m, gen_id, _UNIT_TENSOR, core_differentiate(gen_id, q),

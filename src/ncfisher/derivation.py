@@ -61,7 +61,7 @@ def verify_insertion_identity(
     sum of the three terms' magnitudes as its scale.  The pairings are
     summed word by word rather than formed as products, which would hash
     every product word once more.  ``etas`` is a run's eta table on ``m``
-    (see :func:`moments.word_kernel`).
+    (see :func:`moments.interval_states`).
     """
     lhs = expectation(m, p * NcPoly.letter(x(gen_id, 0)) * q, etas)
     dq = differentiate(gen_id, q)

@@ -11,36 +11,45 @@ Time tags are ints or Fractions counting ticks of 1/``time_den`` of the
 model, and every evaluator here turns a tag into a real time through
 ``ModelSpec.real_time`` (the tag itself at ``time_den`` 1).
 
-A single word is evaluated in one pass over its kernel.  The kernel holds
-cov(l_i, l_k) for the pairs i < k of one (family, generator) class whose
-inside i+1 .. k-1 can be paired: it holds as many letters of each class
-at even as at odd positions.  Every other pair multiplies an inside whose
-pairing sum the pass computes as exactly +0+0j, so leaving it out changes
-no bit of any value while the values are finite (see :func:`word_kernel`).
+A single word is evaluated in one pass from its last letter to its first
+(:func:`interval_states`), by the first-letter recursion over index
+intervals [i, j)
+
+    phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j).
+
+At letter i the pass finds the later letters k of i's (family,
+generator) class whose inside i+1 .. k-1 can be paired: it is balanced,
+holding as many letters of each class at even as at odd positions.  It
+looks up cov(l_i, l_k) in the eta table and adds the term to row i at
+once, for every end j that row k+1 holds.  A row holds phi[i, i) = 1 and
+the ends its terms reach, every one the end of a balanced interval.  Any
+other interval, about nine in ten of a word's, has a pairing sum that a
+dense fill of the same recursion computes as exactly +0+0j: each of its
+terms multiplies a sum the dense fill holds at +0+0j, and a finite
+product with it is a signed zero that leaves a sum starting at +0
+unchanged.  The pass reads such an interval as 0j, so while the values
+are finite every state is bit for bit the dense fill's
+(:func:`pairing_table`, over :func:`word_kernel`'s rows).  A NaN kernel
+value is not finite: the dense fill spreads NaN * 0 into unbalanced
+intervals, and the pass leaves them 0j.
 The word's tags are put over their common denominator den as integer
 ticks (int tags are their own ticks, at den 1), so every tag difference
 is an exact int d and eta gets d / (den time_den), the correctly rounded
 double of the exact real difference; eta is called once per distinct
-(generator, tick difference) among the kernel's pairs.  A complex shift
+(generator, tick difference) among the balanced pairs.  A complex shift
 of a prefix or suffix block enters as a per-letter offset (z on the
-block, 0 elsewhere), in real time, added to that double.  The pass fills
-the pairing sum over index intervals [i, j) by the first-letter recursion
-
-    phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j),
-
-row by row from the last letter, each kernel entry (i, k) adding its term
-to every interval [i, j) that ends after k; this is cubic in the word
-length.  :func:`pairing_table` returns the whole table, so the state of
-every subword w[i:j] comes from the one pass.  Nothing is kept on the
-model, and nothing is cached between calls unless the caller passes one
-eta table through them: a sampled run of many words on one model does
-(``etas``, a plain dict it owns).  The table holds eta per (generator,
-tick denominator), keyed by the tick difference d, or by (d, offset
-difference) where the offsets differ, so each distinct eta value of the
-run is computed once.
+block, 0 elsewhere), in real time, added to that double.  The work is
+cubic in the word length at worst.  The rows give the state of every
+subword w[i:j], so one pass serves every interval a caller reads.
+Nothing is kept on the model, and nothing is cached between calls unless
+the caller passes one eta table through them: a sampled run of many
+words on one model does (``etas``, a plain dict it owns).  The table
+holds eta per (generator, tick denominator), keyed by the tick
+difference d, or by (d, offset difference) where the offsets differ, so
+each distinct eta value of the run is computed once.
 A word with an odd number of letters has no pair partition, so its value
-is exactly ``0j`` (both parts +0.0, as the pass itself would give) and no
-kernel is built for it: no tick denominators, no eta calls.  The size
+is exactly ``0j`` (both parts +0.0, as the pass itself would give) and
+the pass does not run: no tick denominators, no eta calls.  The size
 limit ``MAX_WORD_LETTERS`` is still checked first, whatever the parity.
 
 Bases of many words are evaluated all at once in the free Fock space
@@ -81,9 +90,9 @@ __all__ = [
     "evaluate_state",
     "evaluate_state_detailed",
     "evaluate_state_shifted",
+    "interval_states",
     "word_kernel",
     "pairing_table",
-    "pairing_sum",
     "fock_dimension",
     "fock_vectors",
     "expectation",
@@ -159,43 +168,43 @@ def _is_odd(letters) -> bool:
 
 def _signature_steps(code: int, b: int) -> tuple:
     """The steps a letter of the ``code``-th class of a word adds to the
-    suffix signature of :func:`word_kernel`, at an even and at an odd
+    suffix signature of :func:`interval_states`, at an even and at an odd
     position: +2**(b (code + 1)) and -2**(b (code + 1)), b the bit length
     of the word's length n."""
     weight = 1 << (b * (code + 1))
     return weight, -weight
 
 
-def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
-    """Kernel of a word, by rows: row i lists ``(k, cov(l_i, l_k))`` in
-    increasing k over the later letters of its (family, generator) class
-    whose inside, the letters i+1 .. k-1, is balanced: it holds as many
-    letters of each class at even as at odd positions.  Exact zeros are
-    left out.  Only these pairs can occur in a pairing: a pair joins two
-    letters at odd distance, one even and one odd, so the inside of a pair
-    of any pairing is balanced, and a balanced inside has even length.
+def interval_states(m: ModelSpec, letters, offsets=None, etas=None,
+                    rows=None) -> list:
+    """Pairing sums of the index intervals of a word, by one pass from its
+    last letter to its first: ``phi[i].get(j, 0j)`` is the state of the
+    subword w[i:j], for 0 <= i <= j <= n.
 
-    The rows come from one pass from the last letter to the first.  The
-    c-th class met steps the signature by +2**(b (c+1)) at an even
-    position and by -2**(b (c+1)) at an odd one
-    (:func:`_signature_steps`), b the bit length of n.  Over any run of
-    letters each class's steps sum to at most n < 2**b times its weight,
-    so the run's signature is 0 exactly when the run is balanced, and
-    adding the class code c < 2**b keeps classes apart.  The pass files
-    each position k under the signature of the letters from k on plus its
-    code; row i is the list filed under the signature of the letters
-    after i plus its own code, read backwards.  Balance, not parity or
-    class alone, is tested, and no collision keeps or drops a pair.
+    Row ``phi[i]`` maps an end j to phi[i, j).  It holds i, at 1 + 0j, and
+    each end j that a term reaches: the pass adds, for each later letter k
+    of i's (family, generator) class with a balanced inside and in
+    increasing k, c * phi[i+1, k) * phi[k+1, j) to phi[i, j) for every end
+    j of row k+1, each interval summing from 0j in the order of the
+    recursion.  c = cov(l_i, l_k), and exact zeros add nothing.  Every end
+    of row k+1 is the end of an interval balanced with [k+1, ..), and the
+    pair (i, k) with its inside is balanced, so every end stored is that
+    of a balanced interval; every other read is 0j, the +0+0j a dense fill
+    gives there while every value is finite (see the module docstring).
 
-    Leaving the unbalanced pairs out changes no value.  The interval pass
-    computes the pairing sum of an unbalanced interval as exactly +0+0j:
-    with every compatible pair (same class, odd distance) in the kernel,
-    each term has a factor over a shorter unbalanced interval, so it is an
-    exact +-0 when the kernel values and the sums it multiplies are finite,
-    and a +-0 term leaves a running sum that starts at +0 unchanged.  So
-    as long as every value is finite, every entry of
-    :func:`pairing_table` on and above the diagonal, and so every state,
-    is bit for bit the one that kernel gives.
+    The partners k come from one signature filing.  The c-th class met
+    steps the signature by +2**(b (c+1)) at an even position and by
+    -2**(b (c+1)) at an odd one (:func:`_signature_steps`), b the bit
+    length of n.  Over any run of letters each class's steps sum to at
+    most n < 2**b times its weight, so the run's signature is 0 exactly
+    when the run is balanced, and adding the class code c < 2**b keeps
+    classes apart.  The pass files each position k under the signature of
+    the letters from k on plus its code; the partners of i are the list
+    filed under the signature of the letters after i plus its own code,
+    read backwards.  Balance, not parity or class alone, is tested, and no
+    collision keeps or drops a pair.  Only these pairs can occur in a
+    pairing: a pair joins two letters at odd distance, one even and one
+    odd, so the inside of a pair of any pairing is balanced.
 
     Letter tags are put over their common denominator ``den`` as integer
     ticks, so tag differences are exact ints d and eta gets
@@ -205,27 +214,28 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     after that: the pair (i, k) gets eta at ``m.real_time(d, den) + od``,
     od = ``offsets[k] - offsets[i]``, which is how a complex shift of a
     block of letters enters.  eta is called once per distinct (generator,
-    den, d, od) over the listed pairs, whatever the family: ``etas`` is
+    den, d, od) over the balanced pairs, whatever the family: ``etas`` is
     the table of those values, a dict that a run on ``m`` may share
     between its words (default: a fresh one per call).  It maps (generator,
     den) to a dict keyed by d where od is 0 and by (d, od) elsewhere, so a
     pair inside a shifted block shares the entry of an unshifted pair.
-    Raises :class:`SizeLimitError` first for words over
-    ``MAX_WORD_LETTERS``.
+    ``rows``, a list of n lists, collects the kernel the pass meets: row i
+    gets ``(k, c)`` for each term it adds.  Raises :class:`SizeLimitError`
+    first for words over ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     _check_length(n)
     if etas is None:
         etas = {}
-    times = [l.time for l in letters]
-    dens = [t.denominator for t in times]
-    den = math.lcm(*dens)
-    ticks = [t.numerator * (den // d) for t, d in zip(times, dens)]
+    ratios = [l.time.as_integer_ratio() for l in letters]
+    den = math.lcm(*[d for _, d in ratios])
+    ticks = [p * (den // d) for p, d in ratios]
+    scale = den * m.time_den  # m.real_time(d, den) is d / scale
     b = n.bit_length()
     classes: dict = {}  # (family, generator) -> (code, even step, odd step)
     tables: dict = {}  # generator -> (eta, {d or (d, offset diff): eta})
     filed: dict = {}  # signature from k on plus k's code -> k, decreasing
-    rows = [[] for _ in range(n)]
+    phi = [None] * n + [{n: 1 + 0j}]
     sig = 0  # signature of the letters after i
     for i in range(n - 1, -1, -1):
         l = letters[i]
@@ -236,10 +246,11 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
             kind = classes[cls] = (code, *_signature_steps(code, b))
         code, even, odd = kind
         later = filed.get(sig + code)
+        cur = phi[i] = {i: 1 + 0j}
         if later:
             eta, cache = tables.get(l.gen) or tables.setdefault(
                 l.gen, (m.gen(l.gen).eta, etas.setdefault((l.gen, den), {})))
-            ti, row = ticks[i], rows[i]
+            inner, ti = phi[i + 1], ticks[i]
             oi = offsets[i] if offsets else 0
             for k in reversed(later):
                 key = d = ticks[k] - ti
@@ -248,22 +259,39 @@ def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
                     key = (d, od)
                 c = cache.get(key)
                 if c is None:
-                    c = cache[key] = eta(m.real_time(d, den) + od)
+                    c = cache[key] = eta(
+                        (d if scale == 1 else d / scale) + od)
                 if c != 0:
-                    row.append((k, c))
+                    if rows is not None:
+                        rows[i].append((k, c))
+                    ck = c * inner.get(k, 0j)
+                    for j, a in phi[k + 1].items():
+                        cur[j] = cur.get(j, 0j) + ck * a
         sig += odd if i & 1 else even
         later = filed.get(sig + code)
         if later is None:
             filed[sig + code] = [i]
         else:
             later.append(i)
+    return phi
+
+
+def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
+    """Kernel of a word, by rows, as :func:`interval_states` meets it: row
+    i lists ``(k, cov(l_i, l_k))`` in increasing k over the later letters
+    of its (family, generator) class whose inside is balanced, leaving out
+    exact zeros.  The row view of the pass, for :func:`pairing_table`."""
+    rows = [[] for _ in letters]
+    interval_states(m, letters, offsets, etas, rows)
     return rows
 
 
 def pairing_table(rows, one=1 + 0j) -> list:
     """Non-crossing pairing sums of every index interval of a word, from
     its kernel ``rows``: ``phi[i][j]`` for 0 <= i <= j <= n is the sum over
-    the letters i .. j-1, so the state of the subword w[i:j].
+    the letters i .. j-1, so the state of the subword w[i:j].  The dense
+    view of :func:`interval_states`, for the diagnostics of
+    :func:`evaluate_state_detailed` and for tests.
 
     Every row lists k at odd distance from i, as every kernel does.  The
     first-letter recursion
@@ -295,28 +323,20 @@ def pairing_table(rows, one=1 + 0j) -> list:
     return phi
 
 
-def pairing_sum(rows, one=1 + 0j):
-    """Non-crossing pairing sum of a whole word from its kernel ``rows``:
-    the [0, n) entry of :func:`pairing_table`, ``one - one`` for odd n."""
-    n = len(rows)
-    if n % 2:
-        return one - one
-    return pairing_table(rows, one)[0][n]
-
-
 def _phi(m: ModelSpec, letters, etas=None) -> complex:
     if _is_odd(letters):
         return 0j
-    return pairing_sum(word_kernel(m, letters, None, etas))
+    n = len(letters)
+    return interval_states(m, letters, None, etas)[0].get(n, 0j)
 
 
 def evaluate_state(m: ModelSpec, w: Word, etas=None) -> complex:
     """Value of the model state on the word ``w``.
 
-    1 for the empty word, exactly ``0j`` for odd length with no kernel
-    built; otherwise the non-crossing pairing sum, computed by one
-    interval pass over the word's kernel.  ``etas`` is a run's eta table
-    on ``m`` (see :func:`word_kernel`).
+    1 for the empty word, exactly ``0j`` for odd length with no pass
+    run; otherwise the non-crossing pairing sum, read from one
+    :func:`interval_states` pass.  ``etas`` is a run's eta table on ``m``
+    (see :func:`interval_states`).
     """
     return _phi(m, tuple(w), etas)
 
@@ -324,17 +344,19 @@ def evaluate_state(m: ModelSpec, w: Word, etas=None) -> complex:
 def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     letters = tuple(w)
     n = len(letters)
-    rows = word_kernel(m, letters)  # checks the length before the mask
+    rows = [[] for _ in letters]
+    # the pass checks the length before the mask is built
+    value = interval_states(m, letters, None, None, rows)[0].get(n, 0j)
     mask = [
         [(k, 1) for k in range(i + 1, n, 2)
          if letters[k].family == a.family and letters[k].gen == a.gen]
         for i, a in enumerate(letters)
     ]
     return StateValue(
-        value=pairing_sum(rows),
-        partition_count=pairing_sum(mask, 1),
-        magnitude=pairing_sum([[(k, abs(c)) for k, c in row] for row in rows],
-                              1.0),
+        value=value,
+        partition_count=pairing_table(mask, 1)[0][n],
+        magnitude=pairing_table(
+            [[(k, abs(c)) for k, c in row] for row in rows], 1.0)[0][n],
     )
 
 
@@ -350,8 +372,8 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
     at real ``z`` this agrees with evaluating the shifted word directly up
     to rounding.  ``positions`` are 0-based indices and must form a
     contiguous prefix or suffix block.  A word of odd length gives
-    exactly ``0j`` with no kernel built.  ``etas`` is a run's eta table on
-    ``m`` (see :func:`word_kernel`).
+    exactly ``0j`` with no pass run.  ``etas`` is a run's eta table on
+    ``m`` (see :func:`interval_states`).
     """
     letters = tuple(w)
     n = len(letters)
@@ -367,7 +389,7 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
         return 0j
     z, block = complex(z), set(pos)
     offsets = [z if i in block else 0j for i in range(n)]
-    return pairing_sum(word_kernel(m, letters, offsets, etas))
+    return interval_states(m, letters, offsets, etas)[0].get(n, 0j)
 
 
 def fock_dimension(k: int, degree: int) -> int:
@@ -430,7 +452,7 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
 
 def expectation(m: ModelSpec, p: NcPoly, etas=None) -> complex:
     """Linear extension of the state to polynomials; ``etas`` is a run's
-    eta table on ``m`` (see :func:`word_kernel`)."""
+    eta table on ``m`` (see :func:`interval_states`)."""
     return sum((c * _phi(m, w, etas) for w, c in p._terms.items()), 0j)
 
 

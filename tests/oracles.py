@@ -40,7 +40,7 @@ from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
 from ncfisher.model import ModelSpec
 from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
                                eta_map)
-from ncfisher.moments import covariance, expectation, pairing_sum
+from ncfisher.moments import covariance, expectation, pairing_table
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
@@ -243,10 +243,10 @@ def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
             flipped = [False] * n
             for i in subset:
                 flipped[i] = True
-            total += pairing_sum([
+            total += pairing_table([
                 [(j, c) for j, c in row if flipped[j] == flipped[i]]
                 for i, row in enumerate(rows)
-            ])
+            ])[0][n]
         coeffs[Fraction(k, 2)] = total
     return coeffs
 

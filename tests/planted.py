@@ -33,12 +33,12 @@ class Row:
     margins: dict = dataclasses.field(default_factory=dict)
 
 
-def kernel_at_minus_t(word_kernel):
+def kernel_at_minus_t(interval_states):
     def planted(m, letters, offsets=None, *args, **kwargs):
         letters = tuple(l._replace(time=-l.time) for l in letters)
         if offsets is not None:
             offsets = [-o for o in offsets]
-        return word_kernel(m, letters, offsets, *args, **kwargs)
+        return interval_states(m, letters, offsets, *args, **kwargs)
     return planted
 
 
@@ -61,12 +61,16 @@ def scaled_z(solve):
     return planted
 
 
-def without_first_kernel_entry(word_kernel):
-    def planted(*args, **kwargs):
-        rows = word_kernel(*args, **kwargs)
+def without_first_kernel_entry(interval_states):
+    """The pass over the kernel it meets, less the first letter's first
+    entry: the rows' dense table, read as the pass's rows are."""
+    def planted(m, letters, offsets=None, etas=None, rows=None):
+        if rows is None:
+            rows = [[] for _ in letters]
+        interval_states(m, letters, offsets, etas, rows)
         if rows:
             rows[0] = rows[0][1:]
-        return rows
+        return [dict(enumerate(row)) for row in moments.pairing_table(rows)]
     return planted
 
 
@@ -84,7 +88,7 @@ def nan_eta_map_term(m, gen_id, p):
 def short_prefix_read(states):
     def planted(word, phi, gen_id):
         phi = list(phi)
-        phi[1] = phi[1][:1] + phi[1][:-1]
+        phi[1] = {j + 1: v for j, v in phi[1].items()}
         return states(word, phi, gen_id)
     return planted
 
@@ -122,7 +126,7 @@ def phi_star_over_v_squared(solve):
 ROWS = {
     # a kernel that evaluates eta(-t) for eta(t): every time negated
     "kernel_eta_at_minus_t": Row(
-        moments, "word_kernel", kernel_at_minus_t,
+        moments, "interval_states", kernel_at_minus_t,
         fails="brownian core_identity kms wick_oracle",
         exits={"moment": 1, "verify-core": 1}),
     # max(worst, nan) kept the worst so far: these checks used to pass
@@ -151,7 +155,7 @@ ROWS = {
     # the interval pass without the first letter's first kernel entry;
     # measured: max_oracle_diff 3.42 at seed 0
     "dropped_kernel_entry": Row(
-        moments, "word_kernel", without_first_kernel_entry,
+        moments, "interval_states", without_first_kernel_entry,
         fails="brownian core_identity insertion_identity kms wick_oracle",
         exits={"moment": 1, "verify-lemma2": 1, "verify-core": 1},
         margins={"wick_oracle": lambda d: d["max_oracle_diff"] > 1}),

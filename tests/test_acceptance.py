@@ -84,10 +84,9 @@ def test_a_suite_run_solves_each_unshifted_problem_once(monkeypatch):
     # problems come back in covariance_selfadjoint, the two-atom one also
     # as the last rung of galerkin_monotonicity, and
     # covariance_selfadjoint's unshifted problem as the ladder's third
-    # rung.  Each repeated shift is solved once too, which leaves 16 solves
-    # at seeds 0 and 1 for 15 distinct problems (model, targets, basis,
-    # b_gens, target time): cramer_rao's single-generator audit solves
-    # the unshifted covariance problem again, through solve_family
+    # rung and as cramer_rao's single-generator audit.  Each repeated
+    # shift is solved once too, which leaves 15 solves at seeds 0 and 1,
+    # one per distinct problem (model, targets, basis, b_gens, target time)
     solve = conjugate._solve
     runs = []
 
@@ -102,7 +101,7 @@ def test_a_suite_run_solves_each_unshifted_problem_once(monkeypatch):
         runs.append([])
         results = run_suite(seed)
         assert all(r.passed for r in results)
-        assert len(runs[-1]) == 16
+        assert len(runs[-1]) == 15
         assert len({problem for problem, _ in runs[-1]}) == 15
     # the memo lives on the run's context: no solution outlives its run
     ids = [{id(sol) for _, out in run for sol in out} for run in runs]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncfisher import brownian, moments
+from ncfisher import moments
 from ncfisher.algebra import NcPoly, x, y
 from ncfisher.brownian import expand_state
 from ncfisher.derivation import FamilyError
@@ -84,17 +84,17 @@ def test_rejects_partner_letters_and_bad_order(m):
 def test_expansion_builds_one_kernel(m, monkeypatch):
     # the closed form evaluates the word once; enumerating flipped words
     # would run one pairing pass per set of flipped letters
-    calls = dict.fromkeys(("word_kernel", "pairing_sum"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(moments, name)):
-            calls[_name] += 1
-            return _original(*args)
+    passes = []
+    original = moments.interval_states
 
-        monkeypatch.setattr(moments, name, counted)
-        monkeypatch.setattr(brownian, name, counted, raising=False)
+    def counted(m, letters, *args):
+        passes.append(len(letters))
+        return original(m, letters, *args)
+
+    monkeypatch.setattr(moments, "interval_states", counted)
     w = tuple(x("g", Fraction(k % 5, 2)) for k in range(12))
     exp = expand_state(m, w, 6)
-    assert calls == {"word_kernel": 1, "pairing_sum": 1}
+    assert passes == [12]
     assert len(exp) == 13
 
 

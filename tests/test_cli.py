@@ -445,12 +445,12 @@ def test_conjugate_degree_bound_is_usage_error(capsys):
 
 
 def test_brownian_word_over_letter_limit_is_usage_error(monkeypatch, capsys):
-    kernels = []
-    monkeypatch.setattr(moments, "word_kernel",
-                        lambda *args: kernels.append(args))
+    passes = []
+    monkeypatch.setattr(moments, "interval_states",
+                        lambda *args: passes.append(args))
     word = " ".join(["X:0"] * (MAX_WORD_LETTERS + 1))
     assert run(["brownian", "--word", word]) == 2
-    assert kernels == []
+    assert passes == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

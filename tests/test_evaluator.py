@@ -13,7 +13,12 @@ share a run's eta table.  The pairing table of that kernel is compared bit
 for bit with the one of the full kernel over every compatible pair
 (``tests/oracles.py``), and with the table filled one interval at a time
 in the order of the first-letter recursion.  Every entry of a word's
-pairing table is compared bit for bit with its subword's own pass.
+pairing table is compared bit for bit with its subword's own pass.  The
+rows of :func:`ncfisher.moments.interval_states` are compared with the
+dense table of the kernel they meet: every end a row stores closes a
+balanced interval and holds that table's entry bit for bit, and every
+other interval is +0+0j there; a NaN covariance reaches only the
+balanced intervals.
 The pruned depth-first oracle is compared bit for bit with the literal
 filter over all pair partitions (``tests/oracles.py``).
 """
@@ -40,6 +45,7 @@ from ncfisher.moments import (
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
+    interval_states,
     pairing_table,
     word_kernel,
 )
@@ -97,18 +103,20 @@ def compatible_pairs(w):
             if w[i].family == w[k].family and w[i].gen == w[k].gen]
 
 
+def balanced(w, i, j):
+    """True when the letters i .. j-1 of ``w`` hold as many letters at
+    even as at odd positions of every (family, generator) class."""
+    count: dict = {}
+    for p in range(i, j):
+        cls = (w[p].family, w[p].gen)
+        count[cls] = count.get(cls, 0) + (1 if p % 2 == 0 else -1)
+    return not any(count.values())
+
+
 def balanced_pairs(w):
     """The compatible pairs whose inside, the letters strictly between
-    them, holds as many letters at even as at odd positions of every
-    (family, generator) class."""
-    def balanced(i, k):
-        count: dict = {}
-        for j in range(i + 1, k):
-            cls = (w[j].family, w[j].gen)
-            count[cls] = count.get(cls, 0) + (1 if j % 2 == 0 else -1)
-        return not any(count.values())
-
-    return [(i, k) for i, k in compatible_pairs(w) if balanced(i, k)]
+    them, is balanced."""
+    return [(i, k) for i, k in compatible_pairs(w) if balanced(w, i + 1, k)]
 
 
 class EtaCounter:
@@ -376,21 +384,21 @@ def test_words_over_the_size_limit_are_refused_at_either_parity(n):
 
 def test_core_identity_builds_one_kernel(monkeypatch):
     # Q has 5 letters: zeta* Q has 6, and every prefix and suffix the
-    # derivative takes is an interval of its one pairing table
+    # derivative takes is an interval of its one pass
     m = tracial_model()
-    evaluated, kernels = [], []
-    original_kernel = moments.word_kernel
+    evaluated, passes = [], []
+    original = moments.interval_states
 
-    def kernel(m, letters, *args, **kwargs):
-        kernels.append(len(letters))
-        return original_kernel(m, letters, *args, **kwargs)
+    def counted(m, letters, *args):
+        passes.append(len(letters))
+        return original(m, letters, *args)
 
     monkeypatch.setattr(core_cp, "evaluate_state",
                         lambda *args: evaluated.append(args))
-    monkeypatch.setattr(moments, "word_kernel", kernel)
+    monkeypatch.setattr(moments, "interval_states", counted)
     q = CoreWord(tuple(x("g", Fraction(k, 2)) for k in range(5)), 1)
     assert verify_core_identity(m, "g", q) < 1e-12
-    assert kernels == [6]
+    assert passes == [6]
     assert evaluated == []
 
 
@@ -443,6 +451,57 @@ def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
                 if k not in kept:
                     # the inside of every pair left out sums to +0+0j
                     assert positive_zero(want[i + 1][k]), (w, i, k)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_pass_stores_the_balanced_intervals_of_the_dense_table(data):
+    # 0 to 24 letters; Fraction tags of big and small denominators, or int
+    # ticks at time_den 2; complex prefix or suffix offsets on some words;
+    # one eta table shared by the words.  Every end a row stores closes a
+    # balanced interval and holds the dense table's entry bit for bit;
+    # every other interval is +0+0j in the dense table
+    m = data.draw(models())
+    if data.draw(st.booleans()):
+        m, times = m.with_time_den(2), st.integers(-4, 4)
+    else:
+        times = st.one_of(big_times, small_times)
+    etas: dict = {}
+    for w in data.draw(st.lists(words(m, times=times, max_size=24),
+                                min_size=1, max_size=3)):
+        n = len(w)
+        offsets = None
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n))
+            block = data.draw(st.sampled_from([range(k), range(k, n)]))
+            z = complex(data.draw(st.integers(-4, 4)) / 4,
+                        data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
+            offsets = [z if i in block else 0j for i in range(n)]
+        phi = interval_states(m, w, offsets, etas)
+        want = pairing_table(word_kernel(m, w, offsets, etas))
+        assert len(phi) == n + 1
+        for i, row in enumerate(phi):
+            assert all(i <= j <= n and balanced(w, i, j) for j in row), (
+                w, i, sorted(row))
+            for j in range(i, n + 1):
+                if j in row:
+                    assert bits(row[j]) == bits(want[i][j]), (w, i, j)
+                else:
+                    assert positive_zero(want[i][j]), (w, i, j)
+
+
+def test_a_nan_covariance_stays_in_the_balanced_intervals(monkeypatch):
+    # the dense fill spreads NaN * 0 into the intervals no term reaches,
+    # so it reads NaN on a word that is not balanced; the pass reads 0j
+    m = tracial_model()
+    monkeypatch.setattr(GeneratorSpec, "eta", lambda g, z: complex("nan"))
+    even = (x("g", 0), x("g", 1), y("g", 0), y("g", 1))
+    uneven = (x("g", 0), x("g", 1), y("g", 0), x("g", 0))
+    assert cmath.isnan(evaluate_state(m, even))
+    assert cmath.isnan(evaluate_state_shifted(m, even, range(2, 4), 1j))
+    assert positive_zero(evaluate_state(m, uneven))
+    assert positive_zero(evaluate_state_shifted(m, uneven, range(2, 4), 1j))
+    assert cmath.isnan(pairing_table(word_kernel(m, uneven))[0][4])
 
 
 @given(data=st.data())
