@@ -17,26 +17,28 @@ intervals [i, j)
 
     phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j).
 
-At letter i the pass finds the later letters k of i's (family,
-generator) class whose inside i+1 .. k-1 can be paired: it is balanced,
-holding as many letters of each class at even as at odd positions.  It
-looks up cov(l_i, l_k) in the eta table and adds the term to row i at
-once, for every end j that row k+1 holds.  A row holds phi[i, i) = 1 and
-the ends its terms reach, every one the end of a balanced interval.  Any
-other interval, about nine in ten of a word's, has a pairing sum that a
-dense fill of the same recursion computes as exactly +0+0j: each of its
-terms multiplies a sum the dense fill holds at +0+0j, and a finite
-product with it is a signed zero that leaves a sum starting at +0
-unchanged.  The pass reads such an interval as 0j, so while the values
-are finite every state is bit for bit the dense fill's
-(:func:`pairing_table`, over :func:`word_kernel`'s rows).  A NaN kernel
-value is not finite: the dense fill spreads NaN * 0 into unbalanced
-intervals, and the pass leaves them 0j.
+A row holds phi[i, i) = 1 and exactly the ends j of the intervals
+[i, j) that have a pairing with nonzero covariances, every one of them
+balanced (as many letters of each class at even as at odd positions).
+At letter i the pass visits the later letters k of i's (family,
+generator) class whose inside, the interval [i+1, k), is an end of row
+i+1.  It looks up cov(l_i, l_k) in the eta table and adds the term to
+row i at once, for every end j that row k+1 holds.  Any other interval,
+about nine in ten of a word's, has a pairing sum that a dense fill of the
+same recursion over every pair of one class (:func:`pairing_table`)
+computes as exactly +0+0j: each of its terms multiplies a sum the dense
+fill holds at +0+0j, and a finite product with it is a signed zero.  The
+same holds for the terms of the pairs the pass skips.  No sum ever holds
+-0.0, since it starts at +0 and an exact cancellation rounds to +0, so
+adding a signed zero to it changes no bit.  The pass reads every interval no term reaches as 0j,
+so while the values are finite every state is bit for bit the dense
+fill's.  A NaN kernel value is not finite: the dense fill spreads
+NaN * 0 into the intervals no term reaches, and the pass leaves them 0j.
 The word's tags are put over their common denominator den as integer
 ticks (int tags are their own ticks, at den 1), so every tag difference
 is an exact int d and eta gets d / (den time_den), the correctly rounded
 double of the exact real difference; eta is called once per distinct
-(generator, tick difference) among the balanced pairs.  A complex shift
+(generator, tick difference) among the pairs it visits.  A complex shift
 of a prefix or suffix block enters as a per-letter offset (z on the
 block, 0 elsewhere), in real time, added to that double.  The work is
 cubic in the word length at worst.  The rows give the state of every
@@ -91,7 +93,6 @@ __all__ = [
     "evaluate_state_detailed",
     "evaluate_state_shifted",
     "interval_states",
-    "word_kernel",
     "pairing_table",
     "fock_dimension",
     "fock_vectors",
@@ -166,45 +167,23 @@ def _is_odd(letters) -> bool:
     return n % 2 == 1
 
 
-def _signature_steps(code: int, b: int) -> tuple:
-    """The steps a letter of the ``code``-th class of a word adds to the
-    suffix signature of :func:`interval_states`, at an even and at an odd
-    position: +2**(b (code + 1)) and -2**(b (code + 1)), b the bit length
-    of the word's length n."""
-    weight = 1 << (b * (code + 1))
-    return weight, -weight
-
-
-def interval_states(m: ModelSpec, letters, offsets=None, etas=None,
-                    rows=None) -> list:
+def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     """Pairing sums of the index intervals of a word, by one pass from its
     last letter to its first: ``phi[i].get(j, 0j)`` is the state of the
     subword w[i:j], for 0 <= i <= j <= n.
 
     Row ``phi[i]`` maps an end j to phi[i, j).  It holds i, at 1 + 0j, and
-    each end j that a term reaches: the pass adds, for each later letter k
-    of i's (family, generator) class with a balanced inside and in
-    increasing k, c * phi[i+1, k) * phi[k+1, j) to phi[i, j) for every end
-    j of row k+1, each interval summing from 0j in the order of the
-    recursion.  c = cov(l_i, l_k), and exact zeros add nothing.  Every end
-    of row k+1 is the end of an interval balanced with [k+1, ..), and the
-    pair (i, k) with its inside is balanced, so every end stored is that
-    of a balanced interval; every other read is 0j, the +0+0j a dense fill
-    gives there while every value is finite (see the module docstring).
-
-    The partners k come from one signature filing.  The c-th class met
-    steps the signature by +2**(b (c+1)) at an even position and by
-    -2**(b (c+1)) at an odd one (:func:`_signature_steps`), b the bit
-    length of n.  Over any run of letters each class's steps sum to at
-    most n < 2**b times its weight, so the run's signature is 0 exactly
-    when the run is balanced, and adding the class code c < 2**b keeps
-    classes apart.  The pass files each position k under the signature of
-    the letters from k on plus its code; the partners of i are the list
-    filed under the signature of the letters after i plus its own code,
-    read backwards.  Balance, not parity or class alone, is tested, and no
-    collision keeps or drops a pair.  Only these pairs can occur in a
-    pairing: a pair joins two letters at odd distance, one even and one
-    odd, so the inside of a pair of any pairing is balanced.
+    exactly the ends j for which [i, j) has a pairing whose covariances
+    are all nonzero.  The partners of letter i are the later letters k of
+    its (family, generator) class whose inside [i+1, k) row i+1 holds; in
+    increasing k, the pass adds c * phi[i+1, k) * phi[k+1, j) to
+    phi[i, j) for every end j of row k+1, each interval summing from 0j in
+    the order of the recursion.  c = cov(l_i, l_k), and exact zeros add
+    nothing.  Every other pair has an inside with no such pairing, so each
+    of its terms is a signed zero in a dense fill; no entry holds -0.0,
+    so adding it would change no bit, and every interval no term reaches
+    reads 0j, the +0+0j a dense fill gives there while every value is
+    finite (see the module docstring).
 
     Letter tags are put over their common denominator ``den`` as integer
     ticks, so tag differences are exact ints d and eta gets
@@ -214,14 +193,14 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None,
     after that: the pair (i, k) gets eta at ``m.real_time(d, den) + od``,
     od = ``offsets[k] - offsets[i]``, which is how a complex shift of a
     block of letters enters.  eta is called once per distinct (generator,
-    den, d, od) over the balanced pairs, whatever the family: ``etas`` is
-    the table of those values, a dict that a run on ``m`` may share
-    between its words (default: a fresh one per call).  It maps (generator,
-    den) to a dict keyed by d where od is 0 and by (d, od) elsewhere, so a
-    pair inside a shifted block shares the entry of an unshifted pair.
-    ``rows``, a list of n lists, collects the kernel the pass meets: row i
-    gets ``(k, c)`` for each term it adds.  Raises :class:`SizeLimitError`
-    first for words over ``MAX_WORD_LETTERS``.
+    den, d, od) over the partner pairs, whatever the family, and a
+    generator's eta is first looked up at its first partner pair: ``etas``
+    is the table of those values, a dict that a run on ``m`` may share
+    between its words (default: a fresh one per call).  It maps
+    (generator, den) to a dict keyed by d where od is 0 and by (d, od)
+    elsewhere, so a pair inside a shifted block shares the entry of an
+    unshifted pair.  Raises :class:`SizeLimitError` first for words over
+    ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     _check_length(n)
@@ -231,67 +210,48 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None,
     den = math.lcm(*[d for _, d in ratios])
     ticks = [p * (den // d) for p, d in ratios]
     scale = den * m.time_den  # m.real_time(d, den) is d / scale
-    b = n.bit_length()
-    classes: dict = {}  # (family, generator) -> (code, even step, odd step)
     tables: dict = {}  # generator -> (eta, {d or (d, offset diff): eta})
-    filed: dict = {}  # signature from k on plus k's code -> k, decreasing
+    later: dict = {}  # (family, generator) -> its positions after i
     phi = [None] * n + [{n: 1 + 0j}]
-    sig = 0  # signature of the letters after i
     for i in range(n - 1, -1, -1):
         l = letters[i]
-        cls = (l.family, l.gen)
-        kind = classes.get(cls)
-        if kind is None:
-            code = len(classes)
-            kind = classes[cls] = (code, *_signature_steps(code, b))
-        code, even, odd = kind
-        later = filed.get(sig + code)
         cur = phi[i] = {i: 1 + 0j}
-        if later:
-            eta, cache = tables.get(l.gen) or tables.setdefault(
-                l.gen, (m.gen(l.gen).eta, etas.setdefault((l.gen, den), {})))
-            inner, ti = phi[i + 1], ticks[i]
-            oi = offsets[i] if offsets else 0
-            for k in reversed(later):
-                key = d = ticks[k] - ti
-                od = offsets[k] - oi if offsets else 0
-                if od:
-                    key = (d, od)
-                c = cache.get(key)
-                if c is None:
-                    c = cache[key] = eta(
-                        (d if scale == 1 else d / scale) + od)
-                if c != 0:
-                    if rows is not None:
-                        rows[i].append((k, c))
-                    ck = c * inner.get(k, 0j)
-                    for j, a in phi[k + 1].items():
-                        cur[j] = cur.get(j, 0j) + ck * a
-        sig += odd if i & 1 else even
-        later = filed.get(sig + code)
-        if later is None:
-            filed[sig + code] = [i]
-        else:
-            later.append(i)
+        ks = later.get((l.family, l.gen))
+        if ks is None:
+            later[l.family, l.gen] = [i]
+            continue
+        inner, cache = phi[i + 1], None
+        for k in reversed(ks):
+            a = inner.get(k)
+            if a is None:
+                continue
+            if cache is None:
+                eta, cache = tables.get(l.gen) or tables.setdefault(
+                    l.gen,
+                    (m.gen(l.gen).eta, etas.setdefault((l.gen, den), {})))
+                ti = ticks[i]
+                oi = offsets[i] if offsets else 0
+            key = d = ticks[k] - ti
+            od = offsets[k] - oi if offsets else 0
+            if od:
+                key = (d, od)
+            c = cache.get(key)
+            if c is None:
+                c = cache[key] = eta((d if scale == 1 else d / scale) + od)
+            if c != 0:
+                ck = c * a
+                for j, b in phi[k + 1].items():
+                    cur[j] = cur.get(j, 0j) + ck * b
+        ks.append(i)
     return phi
-
-
-def word_kernel(m: ModelSpec, letters, offsets=None, etas=None) -> list:
-    """Kernel of a word, by rows, as :func:`interval_states` meets it: row
-    i lists ``(k, cov(l_i, l_k))`` in increasing k over the later letters
-    of its (family, generator) class whose inside is balanced, leaving out
-    exact zeros.  The row view of the pass, for :func:`pairing_table`."""
-    rows = [[] for _ in letters]
-    interval_states(m, letters, offsets, etas, rows)
-    return rows
 
 
 def pairing_table(rows, one=1 + 0j) -> list:
     """Non-crossing pairing sums of every index interval of a word, from
     its kernel ``rows``: ``phi[i][j]`` for 0 <= i <= j <= n is the sum over
     the letters i .. j-1, so the state of the subword w[i:j].  The dense
-    view of :func:`interval_states`, for the diagnostics of
-    :func:`evaluate_state_detailed` and for tests.
+    fill of the recursion :func:`interval_states` runs, for the pairing
+    count of :func:`evaluate_state_detailed` and as the tests' reference.
 
     Every row lists k at odd distance from i, as every kernel does.  The
     first-letter recursion
@@ -342,21 +302,36 @@ def evaluate_state(m: ModelSpec, w: Word, etas=None) -> complex:
 
 
 def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
+    """Value of the model state on ``w`` with two diagnostics.
+
+    ``value`` is the pairing sum of one :func:`interval_states` pass, run
+    at either parity.  ``partition_count`` is the exact int count of the
+    non-crossing pairings of letters of one (family, generator) class,
+    whatever their kernel values: :func:`pairing_table` with every such
+    pair at odd distance entered as 1.  ``magnitude``, the sum of the
+    moduli of the pairing terms, is the real part of a second pass that
+    reads the first pass's eta table with every value replaced by its
+    modulus, so it meets the same pairs, every lookup hits and eta is not
+    called again.  Its sums are complex, so past overflow inf * 0 in an
+    imaginary part makes the magnitude NaN where a float fill reads inf.
+    """
     letters = tuple(w)
     n = len(letters)
-    rows = [[] for _ in letters]
+    etas: dict = {}
     # the pass checks the length before the mask is built
-    value = interval_states(m, letters, None, None, rows)[0].get(n, 0j)
+    value = interval_states(m, letters, None, etas)[0].get(n, 0j)
     mask = [
         [(k, 1) for k in range(i + 1, n, 2)
          if letters[k].family == a.family and letters[k].gen == a.gen]
         for i, a in enumerate(letters)
     ]
+    moduli = {key: {d: abs(c) for d, c in table.items()}
+              for key, table in etas.items()}
     return StateValue(
         value=value,
         partition_count=pairing_table(mask, 1)[0][n],
-        magnitude=pairing_table(
-            [[(k, abs(c)) for k, c in row] for row in rows], 1.0)[0][n],
+        magnitude=interval_states(m, letters, None, moduli)[0].get(
+            n, 0j).real,
     )
 
 

@@ -7,8 +7,11 @@ each survivor, in the same order.  The L2 forms multiply polynomials
 symbolically and evaluate the state word by word, the definitions the
 Fock-coordinate audits of :mod:`ncfisher.conjugate` stand in for.
 ``full_kernel`` is the kernel of every pair that the parity and family
-rules allow, the one :func:`ncfisher.moments.word_kernel` prunes to the
-pairs whose inside can be paired.
+rules allow.  ``pairable_kernel`` keeps the pairs of it whose inside has
+a pairing with nonzero covariances, the pairs
+:func:`ncfisher.moments.interval_states` visits, found by the pairing
+count over the full kernel (``pairing_counts``); ``pairable_pairs``
+lists those pairs, whatever their own covariance.
 ``row_by_row_table`` is the pairing table of
 :func:`ncfisher.moments.pairing_table` filled one interval at a time,
 each summing its kernel entries in increasing k, the order that the
@@ -167,13 +170,13 @@ def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
 
 
 def full_kernel(m, letters, offsets=None) -> list:
-    """Kernel of every compatible pair, by rows as
-    :func:`ncfisher.moments.word_kernel` gives them: row i lists
+    """Kernel of every compatible pair, by rows for
+    :func:`ncfisher.moments.pairing_table`: row i lists
     ``(k, covariance(m, l_i, l_k))`` for every later letter k at odd
     distance, leaving out exact zeros, among them every pair of letters
     of two classes.  ``offsets``, one per letter, are real times added to
-    the real time of each pair's tag difference, as ``word_kernel`` adds
-    them."""
+    the real time of each pair's tag difference, as
+    :func:`ncfisher.moments.interval_states` adds them."""
     n = len(letters)
     rows = []
     for i, a in enumerate(letters):
@@ -191,6 +194,35 @@ def full_kernel(m, letters, offsets=None) -> list:
                 row.append((k, c))
         rows.append(row)
     return rows
+
+
+def pairing_counts(rows) -> list:
+    """``counts[i][j]``, the number of pairings of the letters i .. j-1
+    over the entries of the kernel ``rows``: :func:`pairing_table` with
+    every entry 1.  Over :func:`full_kernel`, the pairings whose
+    covariances are all nonzero."""
+    return pairing_table([[(k, 1) for k, _ in row] for row in rows], 1)
+
+
+def pairable_pairs(m, letters, offsets=None) -> list:
+    """The pairs (i, k) of letters of one (family, generator) class whose
+    inside, the letters strictly between them, has a pairing with nonzero
+    covariances, whatever the covariance of the pair itself."""
+    counts = pairing_counts(full_kernel(m, letters, offsets))
+    n = len(letters)
+    return [(i, k) for i, a in enumerate(letters) for k in range(i + 1, n)
+            if (a.family, a.gen) == (letters[k].family, letters[k].gen)
+            and counts[i + 1][k]]
+
+
+def pairable_kernel(m, letters, offsets=None) -> list:
+    """The rows of :func:`full_kernel` less every entry (k, c) of row i
+    whose inside [i+1, k) has no pairing with nonzero covariances: the
+    kernel :func:`ncfisher.moments.interval_states` meets."""
+    rows = full_kernel(m, letters, offsets)
+    counts = pairing_counts(rows)
+    return [[(k, c) for k, c in row if counts[i + 1][k]]
+            for i, row in enumerate(rows)]
 
 
 def row_by_row_table(rows, one=1 + 0j) -> list:
@@ -227,8 +259,8 @@ def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
     Flipping changes only which letters pair, not their time differences,
     so the full kernel of ``w`` is built once and each set keeps the
     pairs on one side of it.  The full kernel keeps this oracle
-    independent of the pruning in ``word_kernel``.  With ``absolute`` the
-    kernel entries are replaced by their magnitudes, which sums the
+    independent of the pairs the interval pass skips.  With ``absolute``
+    the kernel entries are replaced by their magnitudes, which sums the
     magnitudes of the pairing terms.
     """
     letters = tuple(w)

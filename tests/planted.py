@@ -20,6 +20,7 @@ from ncfisher.conjugate import ConjugateSolution
 from ncfisher.core_cp import TrigPoly
 from ncfisher.model import GeneratorSpec
 from ncfisher.moments import Residual
+from oracles import full_kernel, pairable_kernel
 
 
 @dataclasses.dataclass
@@ -61,16 +62,29 @@ def scaled_z(solve):
     return planted
 
 
-def without_first_kernel_entry(interval_states):
+def dense_rows(rows) -> list:
+    """The dense table of the kernel ``rows``, as rows of the pass."""
+    return [dict(enumerate(row)) for row in moments.pairing_table(rows)]
+
+
+def without_first_kernel_entry(_):
     """The pass over the kernel it meets, less the first letter's first
     entry: the rows' dense table, read as the pass's rows are."""
-    def planted(m, letters, offsets=None, etas=None, rows=None):
-        if rows is None:
-            rows = [[] for _ in letters]
-        interval_states(m, letters, offsets, etas, rows)
+    def planted(m, letters, offsets=None, etas=None):
+        rows = pairable_kernel(m, letters, offsets)
         if rows:
             rows[0] = rows[0][1:]
-        return [dict(enumerate(row)) for row in moments.pairing_table(rows)]
+        return dense_rows(rows)
+    return planted
+
+
+def adjacent_pairs_only(_):
+    """The pass over the kernel of the adjacent pairs of one class alone,
+    the pairs with nothing inside: the rows' dense table."""
+    def planted(m, letters, offsets=None, etas=None):
+        return dense_rows([[(k, c) for k, c in row if k == i + 1]
+                           for i, row in enumerate(
+                               full_kernel(m, letters, offsets))])
     return planted
 
 
@@ -217,12 +231,11 @@ ROWS = {
         exits={"covariance": 1},
         margins={"covariance_selfadjoint":
                  lambda d: d["max_covariance_residual"] > 0.25}),
-    # the kernel's signature as a plain count of letters per class, with
-    # no parity sign: only pairs with nothing inside are kept;
+    # a pass that pairs only letters with nothing inside, the effect of a
+    # partner rule that counts a class's letters with no parity sign;
     # measured: max_oracle_diff 2.47 to 3.42 at seeds 0 to 3
     "unsigned_signature": Row(
-        moments, "_signature_steps",
-        lambda steps: lambda code, b: (steps(code, b)[0],) * 2,
+        moments, "interval_states", adjacent_pairs_only,
         fails="core_identity kms wick_oracle",
         exits={"moment": 1, "verify-core": 1},
         margins={"wick_oracle": lambda d: d["max_oracle_diff"] > 1}),

@@ -1,5 +1,7 @@
-"""The summary of ``tools/bench_compare.py`` on fixed numbers.  Nothing
-here runs the benchmark: wall time is never asserted."""
+"""The summary of ``tools/bench_compare.py`` on fixed numbers, and its
+refusal of checkouts that differ in holding a bytecode cache, on
+temporary trees.  Nothing here runs the benchmark: wall time is never
+asserted."""
 import importlib.util
 import json
 from pathlib import Path
@@ -161,3 +163,23 @@ def test_main_takes_length_and_workloads_from_the_benchmark(tmp_path,
     # alternated: the parent first on even pairs
     firsts = [c[0] for c in untraced[::2]]
     assert firsts[:2] == [parent.name, "change"]
+
+
+def test_a_bytecode_cache_on_one_side_only_is_refused(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / bench_compare.CACHE).mkdir(parents=True)
+    change.mkdir()
+    checkouts = {"parent": parent, "change": change}
+    refusal = bench_compare.cache_mismatch(checkouts)
+    assert str(parent / bench_compare.CACHE) in refusal
+    assert str(change) not in refusal
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main([str(parent), str(change), "--out",
+                               str(out)]) == 2
+    assert str(parent / bench_compare.CACHE) in capsys.readouterr().err
+    assert not out.exists()
+    (change / bench_compare.CACHE).mkdir(parents=True)
+    assert bench_compare.cache_mismatch(checkouts) is None
+    for side in checkouts.values():
+        (side / bench_compare.CACHE).rmdir()
+    assert bench_compare.cache_mismatch(checkouts) is None

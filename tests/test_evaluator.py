@@ -6,19 +6,23 @@ moment to the power of the pair count); partition counts with a literal
 count of the oracle's compatible non-crossing pairings; the noise
 expansion's closed form with its definition as a sum of states of flipped
 words, within 1e-12 of the summed magnitudes of their pairing terms.
-The kernel is compared bit for bit with the covariance of each letter pair
-whose inside can be paired, and its eta calls are counted against the
-distinct differences those pairs need, for one word or for words that
-share a run's eta table.  The pairing table of that kernel is compared bit
-for bit with the one of the full kernel over every compatible pair
-(``tests/oracles.py``), and with the table filled one interval at a time
-in the order of the first-letter recursion.  Every entry of a word's
-pairing table is compared bit for bit with its subword's own pass.  The
-rows of :func:`ncfisher.moments.interval_states` are compared with the
-dense table of the kernel they meet: every end a row stores closes a
-balanced interval and holds that table's entry bit for bit, and every
-other interval is +0+0j there; a NaN covariance reaches only the
-balanced intervals.
+The pass's eta table is compared bit for bit with the covariance of
+each letter pair whose inside has a pairing with nonzero covariances
+(``pairable_pairs`` in ``tests/oracles.py``), and its eta calls are
+counted against the distinct differences those pairs need, for one word
+or for words that share a run's eta table; one word pins a pair whose
+inside is balanced but cannot be paired.  The pairing table of the
+kernel of those pairs is compared bit for bit with the one of the full
+kernel over every compatible pair, and with the table filled one
+interval at a time in the order of the first-letter recursion.  Every
+entry of a word's pairing table is compared bit for bit with its
+subword's own pass.  The rows of :func:`ncfisher.moments.interval_states`
+are compared with the dense table of the full kernel: a row stores
+exactly the ends of the intervals that have a pairing with nonzero
+covariances and holds that table's entry there bit for bit, and every
+other interval is +0+0j there; a NaN covariance reaches only the stored
+intervals.  The ``magnitude`` of ``evaluate_state_detailed`` is compared
+bit for bit with the dense fill over the moduli of the full kernel.
 The pruned depth-first oracle is compared bit for bit with the literal
 filter over all pair partitions (``tests/oracles.py``).
 """
@@ -47,10 +51,10 @@ from ncfisher.moments import (
     evaluate_state_shifted,
     interval_states,
     pairing_table,
-    word_kernel,
 )
 from oracles import (all_pairings, flipped_word_sums, full_kernel,
-                     is_noncrossing, literal_oracle, row_by_row_table)
+                     is_noncrossing, literal_oracle, pairable_kernel,
+                     pairable_pairs, pairing_counts, row_by_row_table)
 
 RTOL = 1e-12
 
@@ -111,12 +115,6 @@ def balanced(w, i, j):
         cls = (w[p].family, w[p].gen)
         count[cls] = count.get(cls, 0) + (1 if p % 2 == 0 else -1)
     return not any(count.values())
-
-
-def balanced_pairs(w):
-    """The compatible pairs whose inside, the letters strictly between
-    them, is balanced."""
-    return [(i, k) for i, k in compatible_pairs(w) if balanced(w, i + 1, k)]
 
 
 class EtaCounter:
@@ -224,6 +222,31 @@ def test_partition_count_includes_zero_kernel_values(monkeypatch):
     assert detail.partition_count == 1
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_magnitude_is_the_moduli_table_bit_for_bit(data):
+    # the second pass reads the moduli of the first pass's eta table: it
+    # sums the moduli of the pairing terms in the order of the recursion,
+    # as the dense fill over the moduli of the full kernel does, and it
+    # calls eta no more than the value's pass does
+    m = data.draw(models())
+    if data.draw(st.booleans()):
+        m, times = m.with_time_den(2), st.integers(-4, 4)
+    else:
+        times = st.one_of(big_times, small_times)
+    w = data.draw(words(m, times=times, max_size=16))
+    moduli = [[(k, abs(c)) for k, c in row] for row in full_kernel(m, w)]
+    want = row_by_row_table(moduli, 1.0)[0][len(w)]
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        got = evaluate_state_detailed(m, w).magnitude
+        detailed = list(counter.calls)
+        interval_states(m, w)
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", want), w
+    assert detailed == counter.calls[len(detailed):]
+
+
 def test_equal_time_differences_of_two_generators():
     # the kernel looks eta up per generator, not per time difference alone
     m = build_model({"generators": [
@@ -287,19 +310,49 @@ def test_evaluation_leaves_the_model_unchanged(data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_kernel_entries_are_the_letter_covariances(data):
-    # the rows hold the balanced pairs, in increasing k, each with its
-    # covariance; only exact zeros are left out of them
+    # the pass looks up the covariance of exactly the pairs whose inside
+    # has a pairing with nonzero covariances, and its eta table holds each
+    # bit for bit, keyed by generator, tick denominator and tick difference
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
                         max_size=16))
-    rows = word_kernel(m, w)
-    for i, k in balanced_pairs(w):
-        want = covariance(m, w[i], w[k])
-        got = dict(rows[i]).get(k, 0j)
-        assert got == want, (i, k, got, want)
-    listed = [(i, k) for i, row in enumerate(rows) for k, _ in row]
-    assert listed == [(i, k) for i, k in balanced_pairs(w)
-                      if covariance(m, w[i], w[k]) != 0]
+    etas: dict = {}
+    interval_states(m, w, None, etas)
+    den = math.lcm(*[l.time.denominator for l in w])
+    got = {(g, d_den, d): bits(c) for (g, d_den), table in etas.items()
+           for d, c in table.items()}
+    want = {(w[i].gen, den, (w[k].time - w[i].time) * den):
+            bits(covariance(m, w[i], w[k]))
+            for i, k in pairable_pairs(m, w)}
+    assert got == want, w
+
+
+def test_a_balanced_inside_that_cannot_be_paired():
+    # A A B C A B C A in the classes A = X_a, B = Y_a, C = X_b: the inside
+    # of the pair (0, 7) is balanced, but its first A pairs only with the
+    # A at 4, around B C, so it has no pairing.  The pass skips the pair
+    # and never asks eta at t_7 - t_0 = 7/2, which no other pair of a has;
+    # with the outer pair of a generator the model lacks, it never looks
+    # that generator up
+    m = build_model({"generators": [
+        {"name": "a", "mode": "half",
+         "atoms": [{"x": 0.1, "w": 1.0}, {"x": 0.3, "w": 0.5}]},
+        {"name": "b", "mode": "half", "atoms": [{"x": 0.2, "w": 0.7}]}]})
+    times = [Fraction(k, 2) for k in range(8)]
+    make = [x, x, y, x, x, y, x, x]
+    gens = "aaabaaba"
+    w = tuple(f(g, t) for f, g, t in zip(make, gens, times))
+    assert balanced(w, 1, 7)
+    assert (0, 7) not in pairable_pairs(m, w)
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        value = evaluate_state(m, w)
+    assert ("a", Fraction(7, 2)) not in counter.calls
+    assert 7 not in interval_states(m, w)[1]
+    assert bits(value) == bits(pairing_table(full_kernel(m, w))[0][8])
+    assert value == brute_force_oracle(m, w), w
+    unknown = (x("z", 0),) + w[1:7] + (x("z", 1),)
+    assert positive_zero(evaluate_state(m, unknown))
 
 
 @given(data=st.data())
@@ -310,7 +363,7 @@ def test_eta_called_once_per_distinct_generator_and_difference(data):
                         max_size=16))
     # an odd word is exactly 0 with no kernel built, so no eta call
     distinct = {(w[i].gen, w[k].time - w[i].time)
-                for i, k in balanced_pairs(w) if len(w) % 2 == 0}
+                for i, k in pairable_pairs(m, w) if len(w) % 2 == 0}
     with pytest.MonkeyPatch.context() as mp:
         counter = EtaCounter(mp)
         evaluate_state(m, w)
@@ -410,7 +463,7 @@ def test_pairing_table_holds_every_subword_state_bit_for_bit(data):
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
                         max_size=12))
-    phi = pairing_table(word_kernel(m, w))
+    phi = pairing_table(pairable_kernel(m, w))
     for i in range(len(w) + 1):
         for j in range(i, len(w) + 1):
             assert bits(phi[i][j]) == bits(evaluate_state(m, w[i:j])), (i, j)
@@ -420,14 +473,12 @@ def test_pairing_table_holds_every_subword_state_bit_for_bit(data):
 @settings(max_examples=60, deadline=None)
 def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
     # Fraction times of big or small denominators, or int ticks at
-    # time_den 2; complex prefix or suffix offsets on some words; one eta
-    # table shared by the words
+    # time_den 2; complex prefix or suffix offsets on some words
     m = data.draw(models())
     if data.draw(st.booleans()):
         m, times = m.with_time_den(2), st.integers(-4, 4)
     else:
         times = st.one_of(big_times, small_times)
-    etas: dict = {}
     for w in data.draw(st.lists(words(m, times=times, max_size=12),
                                 min_size=1, max_size=4)):
         n = len(w)
@@ -439,7 +490,7 @@ def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
                         data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
             offsets = [z if i in block else 0j for i in range(n)]
         full = full_kernel(m, w, offsets)
-        pruned = word_kernel(m, w, offsets, etas)
+        pruned = pairable_kernel(m, w, offsets)
         want, got = pairing_table(full), pairing_table(pruned)
         for i in range(n + 1):
             for j in range(i, n + 1):
@@ -458,8 +509,9 @@ def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
 def test_the_pass_stores_the_balanced_intervals_of_the_dense_table(data):
     # 0 to 24 letters; Fraction tags of big and small denominators, or int
     # ticks at time_den 2; complex prefix or suffix offsets on some words;
-    # one eta table shared by the words.  Every end a row stores closes a
-    # balanced interval and holds the dense table's entry bit for bit;
+    # one eta table shared by the words.  A row stores exactly the ends
+    # of the intervals that have a pairing with nonzero covariances, each
+    # balanced, and holds the full kernel's dense table there bit for bit;
     # every other interval is +0+0j in the dense table
     m = data.draw(models())
     if data.draw(st.booleans()):
@@ -478,11 +530,12 @@ def test_the_pass_stores_the_balanced_intervals_of_the_dense_table(data):
                         data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
             offsets = [z if i in block else 0j for i in range(n)]
         phi = interval_states(m, w, offsets, etas)
-        want = pairing_table(word_kernel(m, w, offsets, etas))
+        full = full_kernel(m, w, offsets)
+        want, counts = pairing_table(full), pairing_counts(full)
         assert len(phi) == n + 1
         for i, row in enumerate(phi):
-            assert all(i <= j <= n and balanced(w, i, j) for j in row), (
-                w, i, sorted(row))
+            assert set(row) == {j for j in range(i, n + 1) if counts[i][j]}
+            assert all(balanced(w, i, j) for j in row), (w, i, sorted(row))
             for j in range(i, n + 1):
                 if j in row:
                     assert bits(row[j]) == bits(want[i][j]), (w, i, j)
@@ -501,7 +554,7 @@ def test_a_nan_covariance_stays_in_the_balanced_intervals(monkeypatch):
     assert cmath.isnan(evaluate_state_shifted(m, even, range(2, 4), 1j))
     assert positive_zero(evaluate_state(m, uneven))
     assert positive_zero(evaluate_state_shifted(m, uneven, range(2, 4), 1j))
-    assert cmath.isnan(pairing_table(word_kernel(m, uneven))[0][4])
+    assert cmath.isnan(pairing_table(full_kernel(m, uneven))[0][4])
 
 
 @given(data=st.data())
@@ -527,7 +580,7 @@ def test_pairing_table_sums_each_interval_in_the_recursion_order(data):
         z = complex(data.draw(st.integers(-4, 4)) / 4,
                     data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
         offsets = [z if i in block else 0j for i in range(n)]
-    rows = word_kernel(m, w, offsets)
+    rows = pairable_kernel(m, w, offsets)
     mask = [[(k, 1) for i2, k in compatible_pairs(w) if i2 == i]
             for i in range(n)]
     magnitudes = [[(k, abs(c)) for k, c in row] for row in rows]
@@ -561,7 +614,7 @@ def test_a_shared_eta_table_calls_eta_once_per_argument(data):
     assert [bits(v) for v in shared] == [bits(v) for v in alone]
     distinct = {(w[i].gen, w[k].time - w[i].time)
                 for w in ws if len(w) % 2 == 0
-                for i, k in balanced_pairs(w)}
+                for i, k in pairable_pairs(m, w)}
     assert sorted(counter.calls) == sorted(
         {(g, m.real_time(d)) for g, d in distinct})
 
@@ -604,7 +657,7 @@ def test_plain_and_shifted_words_share_one_eta_table(data):
             continue
         off = [z if block is not None and i in block else 0j
                for i in range(len(w))]
-        for i, k in balanced_pairs(w):
+        for i, k in pairable_pairs(m, w, off):
             d, od = w[k].time - w[i].time, off[k] - off[i]
             arguments[w[i].gen, d, od] = (w[i].gen, m.real_time(d) + od)
     assert Counter(counter.calls) == Counter(arguments.values())

@@ -23,8 +23,14 @@ throughput and latencies from the runs' detail lines, next to the
 reference-scaled metrics, and each side's median over its runs of every
 op kind's p50 (``p50_ms_by_kind``), which shows which kinds moved.
 
+Before the first pair the tool refuses, with exit 2, two checkouts of
+which only one holds a bytecode cache (``CACHE``): its runs would import
+warm against the other's cold, and ``setup_s`` would compare the two
+imports rather than the code.
+
 The runs take wall time on a shared host, so no test runs them; the
-tests check the summary functions on fixed numbers.
+tests check the summary functions on fixed numbers and the refusal on
+temporary trees.
 """
 from __future__ import annotations
 
@@ -46,6 +52,21 @@ GAIN_WINS = 0.9
 PAIRS = 10
 SEED = 11
 TRACE_SEED = 1
+
+#: the package's bytecode cache, relative to a checkout
+CACHE = Path("src/ncfisher/__pycache__")
+
+
+def cache_mismatch(checkouts: dict) -> str | None:
+    """The refusal when only some of ``checkouts`` (side -> path) hold
+    ``CACHE``, naming each directory that holds it; None otherwise."""
+    held = [str(path / CACHE) for path in checkouts.values()
+            if (path / CACHE).is_dir()]
+    if not held or len(held) == len(checkouts):
+        return None
+    return (f"only {', '.join(held)} exists, so one side would import "
+            "warm and the other cold; remove it, or run the package once "
+            "in every checkout")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -162,11 +183,15 @@ def main(argv=None) -> int:
     ap.add_argument("--change", dest="note", default="",
                     help="one line on what the change does")
     args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    refusal = cache_mismatch(checkouts)
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    checkouts = {"parent": args.parent, "change": args.change}
     record = {
         "change": args.note,
         "protocol": (
