@@ -31,7 +31,8 @@ Three numerical facts shape the implementation:
   basis, one Fock build and one prune, in the order of its first
   generator.  In exact arithmetic that keeps the words over the first k
   letters of each generator, k its atom count, so the prune guesses those
-  and confirms the guess with one QR and one masked projection; where
+  and confirms the guess with one QR and one product with Q^H (plus one
+  masked projection where the guess does not fill the space); where
   rounding says otherwise, it scans word by word from the first word the
   guess got wrong.  The solve is on the factor, V_kept = QR.  Vector-level
   outputs (residual, norms, the projection itself) do not depend on the
@@ -260,6 +261,16 @@ class ConjugateSolution:
         }
 
 
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of the complex matrix ``a``: re^2 +
+    im^2 per entry, summed down the column.  The same doubles as
+    ``(a.real**2 + a.imag**2).sum(axis=0)``, with the imaginary squares
+    added in place, so with one temporary as large as ``a`` fewer."""
+    sq = a.real**2
+    sq += a.imag**2
+    return sq.sum(axis=0)
+
+
 def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     """Greedy prune of the columns of ``vecs``: column j is kept iff its
     squared residual against the kept columns before it exceeds
@@ -268,8 +279,12 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
 
     ``guess`` is a boolean mask of the columns expected to be kept.  One
     QR of the guessed columns (cut to the space's dimension) puts each
-    one's residual against the guessed columns before it on R's diagonal,
-    and one masked projection gives every other column's.  A right guess
+    one's residual against the guessed columns before it on R's diagonal.
+    Every other column's comes from one product Q^H v: where the guess
+    numbers as many columns as the space's dimension, Q is square and
+    unitary, and the residual is the squared norm of the entries of Q^H v
+    at the guessed columns after it; otherwise one masked projection
+    subtracts Q Q^H v over the guessed columns before it.  A right guess
     is confirmed there.  Where a decision differs from the guess, the
     decisions before the first difference stand, and so do R's leading
     columns for them; the columns from it on are then decided one at a
@@ -296,19 +311,24 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     r *= phase.conj()[:, None]
     r[range(m), range(m)] = size
     # residual of each column against the guessed columns before it: the
-    # diagonal of R for a guessed column, |v - Q Q^H v|^2 for another
-    # (|v|^2 - |Q^H v|^2 would carry a rounding error of order eps |v|^2
-    # into a residual near PRUNE_RTOL |v|^2)
+    # diagonal of R for a guessed column.  For another, with Q masked to
+    # those columns, |v - Q Q^H v|^2; where the guess fills the space, Q
+    # is unitary and that is the squared tail of Q^H v past them, with no
+    # subtraction.  (|v|^2 - |Q^H v|^2 would carry a rounding error of
+    # order eps |v|^2 into a residual near PRUNE_RTOL |v|^2.)
     residual = np.empty(end)
     residual[kept] = size**2
     other = np.flatnonzero(~guess[:end])
     w = vecs[:, other]
     c = np.conjugate(q.T, order="C") @ w
-    c[kept[:, None] > other] = 0
-    w -= q @ c
-    residual[other] = (w.real**2 + w.imag**2).sum(axis=0)
-    v = vecs[:, :end]
-    norm_sq = (v.real**2 + v.imag**2).sum(axis=0)
+    if m == dim:
+        c[kept[:, None] < other] = 0
+        w = c
+    else:
+        c[kept[:, None] > other] = 0
+        w -= q @ c
+    residual[other] = _squared_norms(w)
+    norm_sq = _squared_norms(vecs[:, :end])
     differ = np.flatnonzero((residual > PRUNE_RTOL * norm_sq) != guess[:end])
     if not len(differ):
         return kept.tolist(), q, r, 1
@@ -394,7 +414,7 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
         masks.append(np.multiply.outer(first, masks[-1]).ravel())
     kept, q, r, rounds = _prune_independent(vecs, np.concatenate(masks))
 
-    words, rh, vh = tuple(words), r.conj().T, vecs.conj().T
+    words, rh = tuple(words), r.conj().T
     factor = _KeptFactor(r)
     solutions = []
     for g in targets:
@@ -404,10 +424,12 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
         # still backward stable
         z = np.linalg.solve(rh, rhs[kept])
         xi_norm_sq = float(np.vdot(z, z).real)
+        # V^H (Q z), conjugated around V^T rather than through a copy of V^H
+        vh_xi = (vecs.T @ (q @ z).conj()).conj()
         solutions.append(ConjugateSolution(
             target_time=t0, basis_words=words, kept=tuple(kept),
             factor=factor, z=z, rhs=b,
-            residual=float(np.linalg.norm(vh @ (q @ z) - rhs)),
+            residual=float(np.linalg.norm(vh_xi - rhs)),
             xi_norm_sq=xi_norm_sq, phi_star=xi_norm_sq / m.gen(g).v,
             fock_dim=vecs.shape[0], prune_rounds=rounds))
     return solutions

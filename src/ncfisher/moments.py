@@ -313,7 +313,9 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     reads the first pass's eta table with every value replaced by its
     modulus, so it meets the same pairs, every lookup hits and eta is not
     called again.  Its sums are complex, so past overflow inf * 0 in an
-    imaginary part makes the magnitude NaN where a float fill reads inf.
+    imaginary part makes that real part NaN.  Every term is >= 0, so such
+    a NaN is read as inf, the value of a float fill; the magnitude stays
+    NaN only where a modulus is itself NaN.
     """
     letters = tuple(w)
     n = len(letters)
@@ -327,11 +329,15 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     ]
     moduli = {key: {d: abs(c) for d, c in table.items()}
               for key, table in etas.items()}
+    magnitude = interval_states(m, letters, None, moduli)[0].get(n, 0j).real
+    if math.isnan(magnitude) and not any(
+            math.isnan(c) for table in moduli.values()
+            for c in table.values()):
+        magnitude = math.inf
     return StateValue(
         value=value,
         partition_count=pairing_table(mask, 1)[0][n],
-        magnitude=interval_states(m, letters, None, moduli)[0].get(
-            n, 0j).real,
+        magnitude=magnitude,
     )
 
 
@@ -386,10 +392,12 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
 
     An n-particle tensor is stored first factor fastest, so fewer particles
     fill a prefix of the rows.  The degree-d block is the degree-(d-1)
-    block with all a letters applied at once: one batched annihilation (a
-    contraction with the conjugated one-particle vectors), one batched
-    creation (an outer product), and a reshape that puts letter l applied
-    to word j in column l a^{d-1} + j.
+    block with all a letters applied at once, built in its own slice of
+    V, seen as rows x a x a^{d-1} so that letter l applied to word j is
+    column l a^{d-1} + j: one batched creation (an outer product) written
+    into the rows past the vacuum, then one batched annihilation (a
+    contraction with the conjugated one-particle vectors) added in place
+    to the rows of two particles fewer.
     """
     offsets: dict = {}
     k = 0
@@ -409,19 +417,23 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     vecs = np.zeros((fock_dimension(k, degree), fock_dimension(a, degree)),
                     dtype=complex, order="F")
     vecs[0, 0] = 1
+    if not a:
+        return vecs  # no word but the empty one
     block = vecs[:1, :1]  # degree d - 1, up to d - 1 particles
     for d in range(1, degree + 1):
         rows, n = block.shape
+        first = fock_dimension(a, d - 1)  # words of lower degree come first
+        out = vecs[:1 + rows * k, first:first + a * n]
+        new = out.reshape(len(out), a, n)
         # creation: row 1 + r k + i of l on word j is f[l, i] block[r, j]
-        created = block[:, None, None] * f.T[:, :, None]  # (rows, k, a, n)
-        new = np.zeros((1 + rows * k, a, n), dtype=complex)
-        new[1:] = created.reshape(rows * k, a, n)
+        created = new[1:].reshape(rows, k, a, n)
+        # a reshape copies where it cannot view; a copy would lose the writes
+        assert np.shares_memory(created, vecs)
+        np.multiply(block[:, None, None], f.T[:, :, None], out=created)
         # annihilation: contract the first factor with conj(f[l])
         below = fock_dimension(k, d - 2)
         new[:below] += f.conj() @ block[1:].reshape(below, k, n)
-        block = new.reshape(len(new), a * n)
-        first = fock_dimension(a, d - 1)  # words of lower degree come first
-        vecs[:len(block), first:first + a * n] = block
+        block = out
     return vecs
 
 

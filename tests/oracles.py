@@ -21,7 +21,12 @@ pairing pass over the full kernel per set of flipped letters, which
 :func:`ncfisher.brownian.expand_state` replaces by its closed form.
 ``greedy_scan`` is the basis prune of :mod:`ncfisher.conjugate` by its
 definition, one column at a time, which the solver's one-QR
-guess-and-confirm replaces.
+guess-and-confirm replaces; ``masked_projection_prune`` is that
+guess-and-confirm with every other column confirmed by a masked
+projection, the reference for its cheaper confirm of a guess that fills
+the space.  ``batched_fock_vectors`` is the Fock build of
+:mod:`ncfisher.moments` with each degree's block made in a fresh array
+and copied into V, the reference for the build in place.
 ``solution_polynomial`` turns a solver result into the polynomial the
 symbolic forms take.  ``choice_time``, ``choice_word`` and
 ``choice_core_word`` are the draws of :mod:`ncfisher.sampling` through
@@ -31,8 +36,10 @@ is the group-valued inner product of :mod:`ncfisher.core_cp` through the
 generic sum operations, one product and one scaled copy per term.  ``pair_with_y`` and ``random_ncpoly`` are helpers
 only the tests use.
 """
+import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,7 +50,8 @@ from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
 from ncfisher.model import ModelSpec
 from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
                                eta_map)
-from ncfisher.moments import covariance, expectation, pairing_table
+from ncfisher.moments import (covariance, expectation, fock_dimension,
+                              pairing_table)
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
@@ -320,6 +328,102 @@ def greedy_scan(vecs: np.ndarray) -> tuple:
             kept.append(i)
     k = len(kept)
     return kept, q[:, :k], r_fac[:k, :k]
+
+
+def batched_fock_vectors(m, alphabet, degree) -> np.ndarray:
+    """:func:`ncfisher.moments.fock_vectors` as it was built before it
+    wrote into V: each degree's block made in a fresh array from the
+    outer product of the lower block with the one-particle vectors, the
+    annihilation contraction added to it, and the block copied into V."""
+    offsets: dict = {}
+    k = 0
+    for letter in alphabet:
+        key = (letter.family, letter.gen)
+        if key not in offsets:
+            offsets[key] = k
+            k += len(m.gen(letter.gen).atoms)
+    a = len(alphabet)
+    f = np.zeros((a, k), dtype=complex)
+    for l, letter in enumerate(alphabet):
+        start = offsets[(letter.family, letter.gen)]
+        phase = 2j * math.pi * float(m.real_time(letter.time))
+        for j, at in enumerate(m.gen(letter.gen).atoms):
+            f[l, start + j] = math.sqrt(at.w) * cmath.exp(phase * at.x)
+
+    vecs = np.zeros((fock_dimension(k, degree), fock_dimension(a, degree)),
+                    dtype=complex, order="F")
+    vecs[0, 0] = 1
+    block = vecs[:1, :1]
+    for d in range(1, degree + 1):
+        rows, n = block.shape
+        created = block[:, None, None] * f.T[:, :, None]
+        new = np.zeros((1 + rows * k, a, n), dtype=complex)
+        new[1:] = created.reshape(rows * k, a, n)
+        below = fock_dimension(k, d - 2)
+        new[:below] += f.conj() @ block[1:].reshape(below, k, n)
+        block = new.reshape(len(new), a * n)
+        first = fock_dimension(a, d - 1)
+        vecs[:len(block), first:first + a * n] = block
+    return vecs
+
+
+def masked_projection_prune(vecs: np.ndarray, guess: np.ndarray) -> tuple:
+    """:func:`ncfisher.conjugate._prune_independent` with the confirm it
+    had before it read a guess that fills the space through the tail of
+    Q^H v: every other column's residual is |v - Q Q^H v|^2, with Q
+    masked to the guessed columns before it.  The same QR, decisions and
+    scan; returns ``(kept, Q, R, rounds)``."""
+    dim, n = vecs.shape
+    kept = np.flatnonzero(guess)[:dim]
+    end = kept[-1] + 1 if len(kept) == dim else n
+    m = len(kept)
+    q, r = np.linalg.qr(vecs[:, kept])
+    diag = r.diagonal()
+    size = np.abs(diag)
+    phase = np.ones_like(diag)
+    np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
+    q *= phase
+    r *= phase.conj()[:, None]
+    r[range(m), range(m)] = size
+    residual = np.empty(end)
+    residual[kept] = size**2
+    other = np.flatnonzero(~guess[:end])
+    w = vecs[:, other]
+    c = np.conjugate(q.T, order="C") @ w
+    c[kept[:, None] > other] = 0
+    w -= q @ c
+    residual[other] = (w.real**2 + w.imag**2).sum(axis=0)
+    v = vecs[:, :end]
+    norm_sq = (v.real**2 + v.imag**2).sum(axis=0)
+    differ = np.flatnonzero((residual > PRUNE_RTOL * norm_sq) != guess[:end])
+    if not len(differ):
+        return kept.tolist(), q, r, 1
+    j = int(differ[0])
+    k = int(np.searchsorted(kept, j))
+    kept = kept[:k].tolist()
+    q0, r0 = q, r
+    q, qh, r = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    q[:, :m], qh[:m], r[:m, :m] = q0, q0.T.conj(), r0
+    for i in range(j, n):
+        v = vecs[:, i]
+        floor = PRUNE_RTOL * float(np.vdot(v, v).real)
+        c = qh[:k] @ v
+        w = v - q[:, :k] @ c
+        if float(np.vdot(w, w).real) <= floor:
+            continue
+        c2 = qh[:k] @ w
+        w -= q[:, :k] @ c2
+        res = float(np.vdot(w, w).real)
+        if res > floor:
+            q[:, k] = w / math.sqrt(res)
+            qh[k] = q[:, k].conj()
+            r[:k, k] = c + c2
+            r[k, k] = math.sqrt(res)
+            kept.append(i)
+            k += 1
+            if k == dim:
+                break
+    return kept, q[:, :k], r[:k, :k], i - j + 2
 
 
 def pair_with_y(m: ModelSpec, gen: str, e: NcPoly,

@@ -80,12 +80,14 @@ def test_unpaired_runs_are_refused():
         bench_compare.summarize_metric([1.0, 2.0], [1.0], "higher")
 
 
-def _run(ops_per_ref_s, attempted, failed, ops_per_s):
+def _run(ops_per_ref_s, attempted, failed, ops_per_s, cycles=11,
+         op_time_s=0.1):
     result = {"attempted": attempted, "failed": failed,
               "metrics": {"ops_per_ref_s": {"value": ops_per_ref_s,
                                             "unit": "1/s"}}}
     detail = {"ops_per_s": ops_per_s, "op_p50_ms": 1000 / ops_per_s,
-              "op_tail_ms": 2000 / ops_per_s}
+              "op_tail_ms": 2000 / ops_per_s, "cycles": cycles,
+              "op_time_s": op_time_s}
     return result, detail
 
 
@@ -130,6 +132,21 @@ def test_workload_summary_holds_each_sides_kind_medians():
     kinds = bench_compare.summarize_workload(runs, specs)["p50_ms_by_kind"]
     assert kinds == {"parent": {"x": 1.1, "y": 0.6},
                      "change": {"x": 0.7, "y": 0.5}}
+
+
+def test_workload_summary_holds_each_sides_run_length():
+    # a run that stops at 11 cycles rests on about 0.1 s of op time
+    runs = [(_run(100.0, 99, 0, 50.0, 11, 0.082),
+             _run(110.0, 99, 0, 55.0, 11, 0.075)),
+            (_run(100.0, 99, 0, 50.0, 11, 0.090),
+             _run(110.0, 99, 0, 55.0, 11, 0.071)),
+            (_run(100.0, 108, 0, 50.0, 12, 0.095),
+             _run(110.0, 99, 0, 55.0, 11, 0.080))]
+    specs = {"ops_per_ref_s": {"name": "ops_per_ref_s", "better": "higher",
+                               "bound": 0.2}}
+    length = bench_compare.summarize_workload(runs, specs)["run_length"]
+    assert length == {"parent": {"cycles": 11, "op_time_s": 0.090},
+                      "change": {"cycles": 11, "op_time_s": 0.075}}
 
 
 def test_main_takes_length_and_workloads_from_the_benchmark(tmp_path,

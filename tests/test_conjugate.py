@@ -39,6 +39,7 @@ from ncfisher.moments import fock_vectors
 from oracles import (
     greedy_scan,
     l2_distance,
+    masked_projection_prune,
     pair_with_y,
     reversal_by_lookup,
     solution_polynomial,
@@ -318,15 +319,18 @@ def test_prune_stops_when_the_space_is_spanned():
 
 
 @st.composite
-def planted_columns(draw):
+def planted_columns(draw, ratios=(1e-9, 1e-11), span=False):
     """Columns that are random, zero, parallel to an earlier column, or an
     earlier column plus a direction orthogonal to all earlier columns,
-    scaled so that the squared residual over the squared norm is 1e-9 or
-    1e-11, either side of PRUNE_RTOL."""
+    scaled so that the squared residual over the squared norm is one of
+    ``ratios`` (by default 1e-9 or 1e-11, either side of PRUNE_RTOL).
+    With ``span``, as many random columns as the space's dimension follow,
+    so the scan's kept columns span it."""
     dim = draw(st.integers(1, 6))
     kinds = draw(st.lists(st.sampled_from(
-        ["random", "zero", "parallel", 1e-9, 1e-11]), min_size=1,
+        ["random", "zero", "parallel", *ratios]), min_size=1,
         max_size=14))
+    kinds += ["random"] * dim * span
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cols: list = []
     for kind in kinds:
@@ -349,6 +353,59 @@ def planted_columns(draw):
 @settings(max_examples=60, deadline=None)
 def test_prune_matches_the_scan_on_planted_columns(vecs):
     assert_factor(vecs, greedy_scan(vecs)[0])
+
+
+def assert_confirms_as_the_reference(vecs, guess):
+    """The prune keeps the scan's columns, and its kept columns, Q, R and
+    rounds are bit for bit those of the masked-projection confirm."""
+    got = _prune_independent(vecs, guess)
+    want = masked_projection_prune(vecs, guess)
+    assert got[0] == want[0] == greedy_scan(vecs)[0]
+    for a, b in zip(got[1:3], want[1:3]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
+
+
+NEAR = (PRUNE_RTOL * (1 + 1e-3), PRUNE_RTOL * (1 - 1e-3))
+
+
+@given(vecs=planted_columns(NEAR + (1e-9, 1e-11), span=True),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_confirms_agree_with_the_masked_projection(vecs, data):
+    # with the spanning columns the scan's kept columns fill the space, so
+    # its decisions are a square guess; one flip makes it square or not,
+    # and wrong at the first column, in the middle or at the last the
+    # prune reads.  Columns sit just above and just below PRUNE_RTOL
+    dim, n = vecs.shape
+    if data.draw(st.booleans()):
+        vecs = vecs[:, :data.draw(st.integers(1, n))]
+        n = vecs.shape[1]
+    want = greedy_scan(vecs)[0]
+    right = np.isin(np.arange(n), want)
+    last = want[-1] if len(want) == dim else n - 1
+    assert_confirms_as_the_reference(vecs, right)
+    for j in {0, last // 2, last}:
+        guess = right.copy()
+        guess[j] = not guess[j]
+        assert_confirms_as_the_reference(vecs, guess)
+
+
+@pytest.mark.parametrize("ratio", NEAR)
+@pytest.mark.parametrize("spanning", [True, False])
+def test_a_right_guess_near_the_threshold_confirms_in_one_round(ratio,
+                                                                 spanning):
+    # u0, then a column at ``ratio`` from it, then u1 and, if spanning, u2:
+    # the scan keeps three columns of three (a square guess) or two
+    u = unitary(3, 4)
+    eps = math.sqrt(ratio / (1 - ratio))
+    cols = [u[:, 0], (1 - 2j) * (u[:, 0] + eps * u[:, 1]), u[:, 1]]
+    vecs = np.stack(cols + [u[:, 2]] * spanning, axis=1)
+    want = [0, 1 if ratio > PRUNE_RTOL else 2, 3][:2 + spanning]
+    assert greedy_scan(vecs)[0] == want
+    guess = np.isin(np.arange(vecs.shape[1]), want)
+    assert _prune_independent(vecs, guess)[3] == 1
+    assert_confirms_as_the_reference(vecs, guess)
 
 
 @given(case=ill_conditioned_cases())

@@ -247,6 +247,24 @@ def test_magnitude_is_the_moduli_table_bit_for_bit(data):
     assert detailed == counter.calls[len(detailed):]
 
 
+def test_a_magnitude_past_overflow_reads_inf(monkeypatch):
+    # one atom of weight 1e80: the terms of 8 equal letters overflow to
+    # inf, and at 10 the complex second pass meets inf * 0 in an imaginary
+    # part; the float fill over the moduli reads inf at both
+    m = build_model({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0.1, "w": 1e80}]}]})
+    for n in (8, 10):
+        w = (x("g", 0),) * n
+        moduli = [[(k, abs(c)) for k, c in row] for row in full_kernel(m, w)]
+        assert row_by_row_table(moduli, 1.0)[0][n] == math.inf
+        assert evaluate_state_detailed(m, w).magnitude == math.inf
+    # a modulus that is itself NaN keeps the magnitude NaN
+    monkeypatch.setattr(GeneratorSpec, "eta", lambda g, z: complex("nan"))
+    for n in (4, 10):
+        assert math.isnan(
+            evaluate_state_detailed(m, (x("g", 0),) * n).magnitude)
+
+
 def test_equal_time_differences_of_two_generators():
     # the kernel looks eta up per generator, not per time difference alone
     m = build_model({"generators": [

@@ -3,7 +3,8 @@
 Gram entries of the vectors W.Omega must be state values of w_i* w_j, and
 vacuum components state values of the words themselves, within 1e-12 of
 the pairing scale (number of compatible non-crossing pairings times the
-largest second moment to the power of the pair count).
+largest second moment to the power of the pair count).  The build in
+place must equal the batched build of ``tests/oracles.py`` bit for bit.
 """
 import cmath
 import itertools
@@ -23,6 +24,7 @@ from ncfisher.moments import (
     fock_dimension,
     fock_vectors,
 )
+from oracles import batched_fock_vectors
 
 RTOL = 1e-12
 KINDS = ("two_atom", "three_atom", "tracial")
@@ -143,6 +145,29 @@ def test_mixed_family_words(data, kinds):
     degree = data.draw(st.integers(1, 4))
     n = fock_dimension(len(alphabet), degree)
     check_basis(m, alphabet, degree, picks_from(data.draw, n))
+
+
+@given(data=st.data(),
+       kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_the_build_in_place_is_the_batched_build_bit_for_bit(data, kinds):
+    # X and Y letters of 1-3 generators, flow-fixed ones (the tracial
+    # kind) included, at degrees 0-4
+    m = data.draw(models(kinds))
+    degree = data.draw(st.integers(0, 4))
+    letter = st.builds(
+        lambda fam, g, t: fam(str(g), Fraction(t, 4)),
+        st.sampled_from([x, y]),
+        st.integers(0, len(kinds) - 1),
+        st.integers(-8, 8),
+    )
+    alphabet = data.draw(st.lists(letter, min_size=1,
+                                  max_size=3 if degree == 4 else 4,
+                                  unique=True))
+    got = fock_vectors(m, alphabet, degree)
+    want = batched_fock_vectors(m, alphabet, degree)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_empty_basis_is_the_vacuum():

@@ -21,7 +21,9 @@ q3 - q1 is wider than the bound and the change's runs do not all beat
 all of the parent's).  Each workload also gets the raw (unscaled)
 throughput and latencies from the runs' detail lines, next to the
 reference-scaled metrics, and each side's median over its runs of every
-op kind's p50 (``p50_ms_by_kind``), which shows which kinds moved.
+op kind's p50 (``p50_ms_by_kind``), which shows which kinds moved, and
+each side's median ``cycles`` and ``op_time_s`` (``run_length``), the
+length of run every figure of the workload rests on.
 
 Before the first pair the tool refuses, with exit 2, two checkouts of
 which only one holds a bytecode cache (``CACHE``): its runs would import
@@ -43,6 +45,9 @@ from pathlib import Path
 
 #: unscaled figures of a run's detail line, with the side that is better
 RAW = {"ops_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower"}
+
+#: figures of a run's detail line that say how long it ran
+RUN_LENGTH = ("cycles", "op_time_s")
 
 #: share of pairs the change must win before a gain is claimed
 GAIN_WINS = 0.9
@@ -134,6 +139,13 @@ def kind_medians(details: list) -> dict:
             for k in kinds}
 
 
+def run_length(details: list) -> dict:
+    """Median over runs of each ``RUN_LENGTH`` figure: the whole cycles a
+    run completed and the op time (s) its metrics rest on."""
+    return {name: statistics.median(d[name] for d in details)
+            for name in RUN_LENGTH}
+
+
 def summarize_workload(runs: list, specs: dict) -> dict:
     """``runs`` holds one ``(parent, change)`` pair of ``(result,
     detail)`` per alternated pair; ``specs`` maps each end-to-end metric
@@ -164,6 +176,8 @@ def summarize_workload(runs: list, specs: dict) -> dict:
         },
         "p50_ms_by_kind": {"parent": kind_medians([d for _, d in parent]),
                            "change": kind_medians([d for _, d in change])},
+        "run_length": {"parent": run_length([d for _, d in parent]),
+                       "change": run_length([d for _, d in change])},
     }
 
 
