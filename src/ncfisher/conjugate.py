@@ -16,9 +16,10 @@ Three numerical facts shape the implementation:
   t_k of eta(t_k - t0) state(W[:k]) state(W[k+1:]), on each degree a sum
   of tensor products of state values (row 0 of V) and the kernel on the
   alphabet.  The L2 audits (``self_adjoint_defect``, the covariance and
-  freeness distances) are norms of Fock vectors V c too, with V rebuilt
-  from the basis alphabet; the consistency of V with the single-word
-  interval pass of :mod:`ncfisher.moments` is pinned by the tests.
+  freeness distances) are norms of Fock vectors V c too, with the V the
+  solve built, kept on its solutions; the consistency of V with the
+  single-word interval pass of :mod:`ncfisher.moments` is pinned by the
+  tests.
 * Gram matrices of time-translate words are not merely ill-conditioned but
   exactly rank-deficient for finitely-atomic covariances (translates of a
   k-atom generator span a k-dimensional one-particle space, and the words
@@ -57,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Letter, TimeLike, as_time, x
+from .algebra import TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
 from .moments import Residual, fock_dimension, fock_vectors
 
@@ -116,13 +117,19 @@ class BasisSpec:
                          self.max_degree)
 
 
-def _letter_pivot_key(letter: Letter, target_gen: str, target_time: Fraction):
-    return (
-        letter.gen != target_gen,
-        letter.gen,
-        abs(letter.time - target_time),
-        letter.time,
-    )
+def _ticks(times) -> tuple:
+    """(den, ticks): exact ``times`` over their common denominator den, as
+    the int ticks time * den."""
+    ratios = [t.as_integer_ratio() for t in times]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [p * (den // d) for p, d in ratios]
+
+
+def _letter_pivot_key(gen: str, tick: int, target_gen: str,
+                      target_tick: int):
+    """Target generator first, then by generator, distance from the target
+    time and time, on ticks of one common denominator."""
+    return (gen != target_gen, gen, abs(tick - target_tick), tick)
 
 
 def enumerate_basis(m: ModelSpec, target_gen: str, spec: BasisSpec,
@@ -145,13 +152,17 @@ def enumerate_basis(m: ModelSpec, target_gen: str, spec: BasisSpec,
         raise BasisError(
             f"target time {t0} must belong to the basis time grid"
         )
-    alphabet = [x(g, t) for g in gens for t in spec.time_grid]
-    alphabet.sort(key=lambda l: _letter_pivot_key(l, target_gen, t0))
-    tracial = {g.gen_id for g in m.generators if g.is_tracial}
-    alphabet = list(dict.fromkeys(
-        l._replace(time=Fraction(0)) if l.gen in tracial else l
-        for l in alphabet
-    ))
+    _, (tick0, *ticks) = _ticks((t0, *spec.time_grid))
+    order = sorted(((g, i) for g in gens for i in range(len(ticks))),
+                   key=lambda gi: _letter_pivot_key(gi[0], ticks[gi[1]],
+                                                    target_gen, tick0))
+    alphabet = [x(g, spec.time_grid[i]) for g, i in order]
+    tracial = {g for g in gens if m.gen(g).is_tracial}
+    if tracial:
+        alphabet = list(dict.fromkeys(
+            l._replace(time=Fraction(0)) if l.gen in tracial else l
+            for l in alphabet
+        ))
 
     # word count and Fock dimension, summed degree by degree so that a
     # huge degree stops at the first one over the bound
@@ -221,8 +232,10 @@ class ConjugateSolution:
     of the kept words' Gram, cond(R)^2 from the singular values of R, with
     nothing cut off) are computed on first read and then kept; the
     solutions of one family share R, so they share one ``gram_condition``.
-    ``fock_dim`` is the dimension of the truncated Fock space the basis
-    words live in (an upper bound on ``len(kept)``); ``prune_rounds`` is
+    ``vecs`` is V, the Fock vectors of the basis words the solve built,
+    one array shared by the solutions of a family; ``fock_dim``, its row
+    count, is the dimension of the truncated Fock space the basis words
+    live in (an upper bound on ``len(kept)``); ``prune_rounds`` is
     1 when the prune's guess held, and otherwise 1 plus the number of
     words it then scanned one at a time.
     """
@@ -231,17 +244,21 @@ class ConjugateSolution:
     basis_words: tuple
     kept: tuple
     factor: _KeptFactor = field(repr=False)
+    vecs: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     residual: float
     xi_norm_sq: float
     phi_star: float
-    fock_dim: int
     prune_rounds: int
 
     @property
     def r(self) -> np.ndarray:
         return self.factor.r
+
+    @property
+    def fock_dim(self) -> int:
+        return self.vecs.shape[0]
 
     @property
     def gram_condition(self) -> float:
@@ -369,15 +386,22 @@ def _rhs(m: ModelSpec, target_gen: str, alphabet: list, phi: list,
     """b_P = <partner, d(P)> of ``target_gen`` on every basis word P: on
     the degree-d words, sum_k phi_k (x) e (x) phi_{d-1-k}, with phi_k the
     state values of the degree-k words and e the kernel at the target's
-    letters, 0 at the other generators' (the partner is free of them)."""
+    letters, 0 at the other generators' (the partner is free of them).
+
+    e takes eta at ``m.real_time(d, den)``, d the int tick difference over
+    one denominator den of the letter times and ``t0``.  phi_k is exactly
+    zero at odd k, so the products with an odd factor are left out: each
+    is a signed zero, which changes no bit of a sum started at +0."""
     gen = m.gen(target_gen)
     a = len(alphabet)
-    e = np.array([gen.eta(m.real_time(l.time - t0))
+    den, (tick0, *ticks) = _ticks((t0, *(l.time for l in alphabet)))
+    e = np.array([gen.eta(m.real_time(t - tick0, den))
                   if l.gen == target_gen else 0
-                  for l in alphabet], dtype=complex)
+                  for l, t in zip(alphabet, ticks)], dtype=complex)
     return np.concatenate([
         sum(((phi[k][:, None, None] * e[:, None] * phi[d - 1 - k]).ravel()
-             for k in range(d)), np.zeros(a**d, dtype=complex))
+             for k in range(0, d, 2) if d % 2),
+            np.zeros(a**d, dtype=complex))
         for d in range(len(phi))
     ])
 
@@ -428,10 +452,10 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
         vh_xi = (vecs.T @ (q @ z).conj()).conj()
         solutions.append(ConjugateSolution(
             target_time=t0, basis_words=words, kept=tuple(kept),
-            factor=factor, z=z, rhs=b,
+            factor=factor, vecs=vecs, z=z, rhs=b,
             residual=float(np.linalg.norm(vh_xi - rhs)),
             xi_norm_sq=xi_norm_sq, phi_star=xi_norm_sq / m.gen(g).v,
-            fock_dim=vecs.shape[0], prune_rounds=rounds))
+            prune_rounds=rounds))
     return solutions
 
 
@@ -462,17 +486,12 @@ def solve_family(m: ModelSpec, gens: Sequence[str],
     return _solve(m, gens, basis)
 
 
-def _basis_norm(
-    m: ModelSpec, solution: ConjugateSolution, coefficients: np.ndarray
-) -> float:
+def _basis_norm(solution: ConjugateSolution,
+                coefficients: np.ndarray) -> float:
     """L2 norm of the polynomial with ``coefficients`` on the solution's
-    basis words: the norm of its Fock vector V c, with V rebuilt from the
-    basis's degree-1 words (its alphabet) rather than kept on the
-    solution."""
-    words = solution.basis_words
-    alphabet = [w[0] for w in words if len(w) == 1]
-    vecs = fock_vectors(m, alphabet, len(words[-1]))
-    return float(np.linalg.norm(vecs @ coefficients))
+    basis words: the norm of its Fock vector V c, with the V its solve
+    built."""
+    return float(np.linalg.norm(solution.vecs @ coefficients))
 
 
 def _reversal(words: Sequence) -> np.ndarray:
@@ -501,7 +520,7 @@ def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
     """
     c = solution.coefficients
     rev = _reversal(solution.basis_words)
-    return _basis_norm(m, solution, c - c[rev].conj())
+    return _basis_norm(solution, c - c[rev].conj())
 
 
 def embedded_distance(
@@ -514,7 +533,7 @@ def embedded_distance(
     index = {w: i for i, w in enumerate(outer.basis_words)}
     c = np.zeros(len(outer.basis_words), dtype=complex)
     c[[index[w] for w in inner.basis_words]] = inner.coefficients
-    return _basis_norm(m, outer, c - outer.coefficients)
+    return _basis_norm(outer, c - outer.coefficients)
 
 
 def fisher_multi(
@@ -624,8 +643,7 @@ def covariance_distance(
     vectors do not depend on time).  So the distance is that of the two
     coefficient vectors through the shifted solve's Fock vectors.
     """
-    return _basis_norm(m, shifted,
-                       solution.coefficients - shifted.coefficients)
+    return _basis_norm(shifted, solution.coefficients - shifted.coefficients)
 
 
 def modular_covariance_check(

@@ -93,6 +93,15 @@ class GeneratorSpec:
             raise ConfigError(
                 f"generator {self.gen_id!r} lists duplicate frequencies"
             )
+        # (x, w, w of the mirror atom at -x right after it, or None), for
+        # the real-time eta; half mode writes every mirror right after
+        runs, atoms = [], list(self.atoms)
+        while atoms:
+            a = atoms.pop(0)
+            mirror = atoms.pop(0).w if atoms and atoms[0].x == -a.x else None
+            runs.append((a.x, a.w, mirror))
+        object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_x_max", max(abs(x) for x in freqs))
 
     @property
     def v(self) -> float:
@@ -105,7 +114,28 @@ class GeneratorSpec:
         return all(a.x == 0.0 for a in self.atoms)
 
     def eta(self, z) -> complex:
-        """Two-point function at real or complex time ``z`` (exact sum)."""
+        """Two-point function at real or complex time ``z`` (exact sum).
+
+        At an int or float ``z`` each term is w (cos y, sin y), y =
+        fl(fl(2 pi z) x), summed part by part from +0.0, a mirror atom
+        right after its atom sharing its cos and sin: the bits of the
+        literal sum below, where exp(complex(+-0, y)) is (cos y, sin y)
+        and w (c + i s) is (w c, w s) but for the sign of a zero part,
+        which a sum from +0.0 drops.  Where some y is not finite, and at
+        every other ``z``, the literal sum runs."""
+        if type(z) is float or type(z) is int:
+            t = TWO_PI * z
+            if math.isfinite(t * self._x_max):
+                re = im = 0.0
+                for x, w, wm in self._runs:
+                    y = t * x
+                    c, s = math.cos(y), math.sin(y)
+                    re += w * c
+                    im += w * s
+                    if wm is not None:
+                        re += wm * c
+                        im -= wm * s
+                return complex(re, im)
         phase = 2j * math.pi * complex(z)
         total = 0
         for a in self.atoms:

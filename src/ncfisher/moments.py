@@ -65,7 +65,8 @@ degree, degree by degree with all letters applied at once; the interval
 pass stays the evaluator for single words, complex shifts included, and the
 cross-check of the Fock vectors.
 
-An independent oracle enumerates pair partitions depth first, dropping a
+An independent oracle enumerates pair partitions depth first, passing
+over a pair with an odd number of free letters inside and dropping a
 partial pairing as soon as a new pair crosses a placed one (the literal
 crossing predicate) or its kernel product is exactly 0; it shares nothing
 with the interval pass above except :func:`covariance`, which it calls
@@ -453,9 +454,12 @@ def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
 
     Pair partitions are enumerated depth first: the first free letter is
     paired with each later free letter in turn, and the rest is paired
-    recursively.  A partial pairing is dropped as soon as its new pair
-    crosses one already placed (the literal interval-crossing predicate)
-    or its running kernel product is exactly 0; no completion of it could
+    recursively.  A later letter with an odd number of free letters
+    between the two is passed over: those letters could only pair with
+    each other, or across the new pair.  A partial pairing is dropped as
+    soon as its new pair crosses one already placed (the literal
+    interval-crossing predicate) or its running kernel product is exactly
+    0.  No completion of a pairing passed over or dropped could
     contribute.  The surviving pairings are summed in enumeration order,
     each the product of its pairs in the order they were placed.  The
     covariance of an index pair is computed the first time a branch
@@ -478,7 +482,10 @@ def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
             total += prod
             return
         c, rest = free[0], free[1:]
-        for i, d in enumerate(rest):
+        # rest[:i], the free letters between c and d, must pair among
+        # themselves, so i is even
+        for i in range(0, len(rest), 2):
+            d = rest[i]
             # the new pair (c, d) against each placed pair (a, b)
             for a, b in placed:
                 if a < c < b < d or c < a < d < b:

@@ -238,16 +238,17 @@ def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
     """:func:`_worst` of the insertion identity of the letter of ``gen`` at
     time 0 over ``count`` pairs of random ``degree``-letter words drawn
     from ``rng``, evaluated on ``m`` with the words' tags in ticks of
-    1/``sampling.TIME_DEN``, through one eta table."""
+    1/``sampling.TIME_DEN``, through one eta table.  Every pair is drawn
+    first, p before q; a pair drawn again is checked once, since it has
+    the same residual, so :func:`_worst` sees the same values in the
+    order they were first drawn."""
     m = m.with_time_den(TIME_DEN)
     etas: dict = {}
-
-    def word():
-        return NcPoly.word(random_word(rng, [gen], degree))
-
-    # p is drawn before q, as arguments are evaluated left to right
-    return _worst(verify_insertion_identity(m, gen, word(), word(), etas)
-                  for _ in range(count))
+    pairs = [(random_word(rng, [gen], degree),
+              random_word(rng, [gen], degree)) for _ in range(count)]
+    return _worst(verify_insertion_identity(m, gen, NcPoly.word(p),
+                                            NcPoly.word(q), etas)
+                  for p, q in dict.fromkeys(pairs))
 
 
 def check_insertion_identity(ctx: SuiteContext) -> CheckResult:
@@ -291,14 +292,14 @@ def core_residual(m: ModelSpec, gen: str, rng: random.Random,
     """:func:`_worst` of the core identity of the letter of ``gen`` at time
     0 over ``count`` random core words with ``degree`` letters drawn from
     ``rng``, evaluated on ``m`` with the words' tags in ticks of
-    1/``sampling.TIME_DEN``, through one eta table."""
+    1/``sampling.TIME_DEN``, through one eta table.  Every word is drawn
+    first, and a word drawn again is checked once, as in
+    :func:`insertion_residual`."""
     m = m.with_time_den(TIME_DEN)
     etas: dict = {}
-    return _worst(
-        verify_core_identity(m, gen, random_core_word(rng, [gen], degree),
-                             etas)
-        for _ in range(count)
-    )
+    words = [random_core_word(rng, [gen], degree) for _ in range(count)]
+    return _worst(verify_core_identity(m, gen, q, etas)
+                  for q in dict.fromkeys(words))
 
 
 def check_core_identity(ctx: SuiteContext) -> CheckResult:

@@ -27,6 +27,15 @@ projection, the reference for its cheaper confirm of a guess that fills
 the space.  ``batched_fock_vectors`` is the Fock build of
 :mod:`ncfisher.moments` with each degree's block made in a fresh array
 and copied into V, the reference for the build in place.
+``rebuilt_basis_norm`` is the Fock-coordinate norm of the audits with V
+rebuilt from the basis alphabet, as the audits computed it before they
+read the V of the solve.  ``literal_eta`` is the two-point function as the
+literal complex exponential sum, which the real-time eta of
+:mod:`ncfisher.model` replaces.  ``fraction_alphabet`` and ``all_k_rhs``
+are the Galerkin set-up on Fraction times: the basis alphabet sorted by
+the Fraction pivot key, with the tracial collapse always run, and the
+right-hand side over Fraction time differences with every product of
+state factors, the references for the set-up on integer ticks.
 ``solution_polynomial`` turns a solver result into the polynomial the
 symbolic forms take.  ``choice_time``, ``choice_word`` and
 ``choice_core_word`` are the draws of :mod:`ncfisher.sampling` through
@@ -51,7 +60,7 @@ from ncfisher.model import ModelSpec
 from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
                                eta_map)
 from ncfisher.moments import (covariance, expectation, fock_dimension,
-                              pairing_table)
+                              fock_vectors, pairing_table)
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
@@ -155,6 +164,57 @@ def l2_distance(m, p: NcPoly, q: NcPoly) -> float:
 def solution_polynomial(sol) -> NcPoly:
     """The solver's conjugate variable as a polynomial in its basis words."""
     return NcPoly(sol.coefficient_map())
+
+
+def rebuilt_basis_norm(m, sol, coefficients) -> float:
+    """Norm of the Fock vector V c of ``coefficients`` on the basis words
+    of ``sol``, with V rebuilt from the basis's degree-1 words."""
+    words = sol.basis_words
+    alphabet = [w[0] for w in words if len(w) == 1]
+    return float(np.linalg.norm(
+        fock_vectors(m, alphabet, len(words[-1])) @ coefficients))
+
+
+def literal_eta(g, z) -> complex:
+    """sum_k w_k exp(2 pi i z x_k) in complex arithmetic, term by term."""
+    phase = 2j * math.pi * complex(z)
+    total = 0
+    for a in g.atoms:
+        total += a.w * cmath.exp(phase * a.x)
+    return total
+
+
+def fraction_alphabet(m, target_gen, spec: BasisSpec, b_gens=(),
+                      target_time: TimeLike = 0) -> list:
+    """The letters of :func:`ncfisher.conjugate.enumerate_basis` in pivot
+    order, sorted on Fraction times: target generator first, then by
+    generator, distance from the target time and time; the letters of
+    flow-fixed generators then collapsed to time 0."""
+    t0 = Fraction(target_time)
+    gens = list(dict.fromkeys([target_gen, *b_gens]))
+    alphabet = [x(g, t) for g in gens for t in spec.time_grid]
+    alphabet.sort(key=lambda l: (l.gen != target_gen, l.gen,
+                                 abs(l.time - t0), l.time))
+    tracial = {g.gen_id for g in m.generators if g.is_tracial}
+    return list(dict.fromkeys(
+        l._replace(time=Fraction(0)) if l.gen in tracial else l
+        for l in alphabet))
+
+
+def all_k_rhs(m, target_gen, alphabet, phi, t0) -> np.ndarray:
+    """The right-hand side of :func:`ncfisher.conjugate._rhs` with the
+    kernel at ``m.real_time`` of each Fraction time difference and every
+    product phi_k (x) e (x) phi_{d-1-k}, odd k included."""
+    gen = m.gen(target_gen)
+    a = len(alphabet)
+    e = np.array([gen.eta(m.real_time(l.time - t0))
+                  if l.gen == target_gen else 0
+                  for l in alphabet], dtype=complex)
+    return np.concatenate([
+        sum(((phi[k][:, None, None] * e[:, None] * phi[d - 1 - k]).ravel()
+             for k in range(d)), np.zeros(a**d, dtype=complex))
+        for d in range(len(phi))
+    ])
 
 
 def symbolic_self_adjoint_defect(m, sol) -> float:

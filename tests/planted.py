@@ -262,7 +262,8 @@ ROWS = {
     # time, so the shifted problem's words are not the shifted words
     "pivot_from_time_zero": Row(
         conjugate, "_letter_pivot_key",
-        lambda key: lambda letter, gen, t0: key(letter, gen, Fraction(0)),
+        lambda key: lambda gen, tick, target_gen, tick0: key(
+            gen, tick, target_gen, 0),
         fails="covariance_selfadjoint",
         exits={"covariance": 1}),
     "nan_core_residual": Row(

@@ -9,6 +9,7 @@ import pytest
 import planted
 from ncfisher import cli, conjugate, suite
 from ncfisher.algebra import as_time
+from ncfisher.sampling import random_core_word, random_word
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
 
 # rows of the planted-defect table, under the names test ids print
@@ -96,16 +97,60 @@ def test_a_suite_run_solves_each_unshifted_problem_once(monkeypatch):
                           as_time(target_time)), out))
         return out
 
+    # and each solve builds its Fock vectors once, for the solve and for
+    # every audit of its solutions
+    fock, builds = conjugate.fock_vectors, []
+    monkeypatch.setattr(conjugate, "fock_vectors",
+                        lambda *args: builds.append(args) or fock(*args))
     monkeypatch.setattr(conjugate, "_solve", counted)
     for seed in (0, 0, 1):
         runs.append([])
+        builds.clear()
         results = run_suite(seed)
         assert all(r.passed for r in results)
         assert len(runs[-1]) == 15
         assert len({problem for problem, _ in runs[-1]}) == 15
+        assert len(builds) == 15
     # the memo lives on the run's context: no solution outlives its run
     ids = [{id(sol) for _, out in run for sol in out} for run in runs]
     assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
+
+
+def test_a_suite_run_checks_each_distinct_draw_once(monkeypatch):
+    # the sampled identities draw all their inputs first, from the checks'
+    # own streams, and check each distinct core word and (p, q) pair once,
+    # in the order first drawn
+    checked = {"core": [], "insertion": []}
+    core = suite.verify_core_identity
+    insertion = suite.verify_insertion_identity
+
+    def core_checked(m, gen, q, etas):
+        checked["core"].append(q)
+        return core(m, gen, q, etas)
+
+    def insertion_checked(m, gen, p, q, etas):
+        (pw,), (qw,) = p.terms, q.terms
+        checked["insertion"].append((pw, qw))
+        return insertion(m, gen, p, q, etas)
+
+    monkeypatch.setattr(suite, "verify_core_identity", core_checked)
+    monkeypatch.setattr(suite, "verify_insertion_identity",
+                        insertion_checked)
+    repeats = 0
+    for seed in range(4):
+        ctx = suite.SuiteContext.fresh(seed)
+        rng = ctx.rng(6)
+        cores = [random_core_word(rng, ["g"], 4) for _ in range(100)]
+        rng = ctx.rng(4)
+        pairs = [(random_word(rng, ["g"], 4), random_word(rng, ["g"], 4))
+                 for _ in range(100)]
+        for draws in checked.values():
+            draws.clear()
+        assert all(r.passed for r in run_suite(seed))
+        assert checked["core"] == list(dict.fromkeys(cores))
+        assert checked["insertion"] == list(dict.fromkeys(pairs))
+        repeats += 200 - len(checked["core"]) - len(checked["insertion"])
+    assert repeats > 0
 
 
 def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):

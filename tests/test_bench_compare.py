@@ -81,13 +81,13 @@ def test_unpaired_runs_are_refused():
 
 
 def _run(ops_per_ref_s, attempted, failed, ops_per_s, cycles=11,
-         op_time_s=0.1):
+         op_time_s=0.1, calibration_ms=20.0):
     result = {"attempted": attempted, "failed": failed,
               "metrics": {"ops_per_ref_s": {"value": ops_per_ref_s,
                                             "unit": "1/s"}}}
     detail = {"ops_per_s": ops_per_s, "op_p50_ms": 1000 / ops_per_s,
               "op_tail_ms": 2000 / ops_per_s, "cycles": cycles,
-              "op_time_s": op_time_s}
+              "op_time_s": op_time_s, "calibration_ms": calibration_ms}
     return result, detail
 
 
@@ -147,6 +147,22 @@ def test_workload_summary_holds_each_sides_run_length():
     length = bench_compare.summarize_workload(runs, specs)["run_length"]
     assert length == {"parent": {"cycles": 11, "op_time_s": 0.090},
                       "change": {"cycles": 11, "op_time_s": 0.075}}
+
+
+def test_workload_summary_holds_each_sides_calibration_time():
+    # the same raw throughput on both sides, the change's kernel slower:
+    # its ref-scaled throughput reads higher with no op faster
+    runs = [(_run(100.0, 99, 0, 50.0, calibration_ms=20.0),
+             _run(110.0, 99, 0, 50.0, calibration_ms=22.0)),
+            (_run(100.0, 99, 0, 50.0, calibration_ms=21.0),
+             _run(110.0, 99, 0, 50.0, calibration_ms=23.5)),
+            (_run(100.0, 99, 0, 50.0, calibration_ms=19.0),
+             _run(110.0, 99, 0, 50.0, calibration_ms=22.5))]
+    specs = {"ops_per_ref_s": {"name": "ops_per_ref_s", "better": "higher",
+                               "bound": 0.2}}
+    s = bench_compare.summarize_workload(runs, specs)
+    assert s["calibration_ms"] == {"parent": 20.0, "change": 22.5}
+    assert s["raw"]["ops_per_s"]["median_ratio"] == 1.0
 
 
 def test_main_takes_length_and_workloads_from_the_benchmark(tmp_path,

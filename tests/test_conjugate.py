@@ -35,12 +35,15 @@ from ncfisher.model import (
     tracial_model,
     two_atom_model,
 )
-from ncfisher.moments import fock_vectors
+from ncfisher.moments import fock_dimension, fock_vectors
 from oracles import (
+    all_k_rhs,
+    fraction_alphabet,
     greedy_scan,
     l2_distance,
     masked_projection_prune,
     pair_with_y,
+    rebuilt_basis_norm,
     reversal_by_lookup,
     solution_polynomial,
     symbolic_covariance_residual,
@@ -221,6 +224,39 @@ def rhs_cases():
         (mixed_model(), "q", ("t",), BasisSpec(GRID3, 2), Fraction(0)),
         (pair_model(), "2", ("1",), BasisSpec(GRID3, 2), Fraction(1, 2)),
     ]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_set_up_on_ticks_is_the_set_up_on_fractions(data):
+    # the pivot order and the rhs on integer ticks are bit for bit those
+    # on Fraction times, the rhs with every product of state factors
+    model, target, b_gens = data.draw(st.sampled_from([
+        (two_atom_model(), "g", ()), (tracial_model(), "g", ()),
+        (mixed_model(), "q", ("t",)), (mixed_model(), "t", ("q",)),
+        (pair_model(), "1", ("2",)), (three_model(), "2", ("3", "1"))]))
+    model = model.with_time_den(data.draw(st.sampled_from([1, 3])))
+    times = data.draw(st.lists(
+        st.builds(Fraction, st.integers(-12, 12),
+                  st.sampled_from([1, 2, 3, 4, 6])),
+        min_size=1, max_size=4, unique=True))
+    t0 = data.draw(st.sampled_from(times))
+    if data.draw(st.booleans()):
+        # times mirrored about the target time tie on their distance to it
+        times = list(dict.fromkeys(times + [2 * t0 - t for t in times]))
+    degree = data.draw(st.integers(1, 3 if len(times) < 3 else 2))
+    spec = BasisSpec(tuple(times), degree)
+    words = enumerate_basis(model, target, spec, b_gens, t0)
+    alphabet = [w[0] for w in words if len(w) == 1]
+    assert alphabet == fraction_alphabet(model, target, spec, b_gens, t0)
+    a = len(alphabet)
+    vecs = fock_vectors(model, alphabet, degree)
+    phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
+           for d in range(degree + 1)]
+    for g in (target, *b_gens):
+        got = conjugate._rhs(model, g, alphabet, phi, t0)
+        assert got.tobytes() == all_k_rhs(model, g, alphabet, phi,
+                                          t0).tobytes()
 
 
 @pytest.mark.parametrize("case", range(len(rhs_cases())))
@@ -892,6 +928,36 @@ def test_reversal_matches_the_word_lookup(degree):
         assert conjugate._reversal(words).tolist() == reversal_by_lookup(words)
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_the_audits_read_the_fock_vectors_of_their_solve(monkeypatch, case):
+    # each audit's norm is, byte for byte, the norm through V rebuilt from
+    # the basis alphabet, and no audit builds a V
+    model, target, b_gens, spec = audit_cases()[case]
+    s = Fraction(1, 2)
+    sol = solve_conjugate(model, target, spec, b_gens)
+    shifted = solve_conjugate(model, target, spec.shifted(s), b_gens,
+                              target_time=s)
+    alone = solve_conjugate(model, target, spec)
+    norm, norms = conjugate._basis_norm, []
+
+    def recorded(solution, coefficients):
+        norms.append((solution, coefficients))
+        return norm(solution, coefficients)
+
+    def built(*args):
+        raise AssertionError("an audit built Fock vectors")
+
+    monkeypatch.setattr(conjugate, "_basis_norm", recorded)
+    monkeypatch.setattr(conjugate, "fock_vectors", built)
+    got = [self_adjoint_defect(model, sol),
+           covariance_distance(model, sol, shifted),
+           embedded_distance(model, alone, sol)]
+    monkeypatch.undo()
+    assert [n[0] for n in norms] == [sol, shifted, sol]
+    assert got == [rebuilt_basis_norm(model, solution, c)
+                   for solution, c in norms]
+
+
 @pytest.mark.parametrize("case", range(3))
 def test_covariance_residual_matches_symbolic_form(case):
     model, target, b_gens, _ = audit_cases()[case]
@@ -912,8 +978,7 @@ def test_covariance_residual_matches_symbolic_form(case):
                             target_time=s), 2)
         want = l2_distance(model, solution_polynomial(sol0).shift(s),
                            solution_polynomial(sol1))
-        got = _basis_norm(model, sol1,
-                          sol0.coefficients - sol1.coefficients)
+        got = _basis_norm(sol1, sol0.coefficients - sol1.coefficients)
         assert want > 1
         assert got == pytest.approx(want, rel=AUDIT_TOL)
 

@@ -171,8 +171,10 @@ def test_oracle_is_the_literal_filter_bit_for_bit(data):
 def test_oracle_prunes_crossing_pairings(monkeypatch):
     # 12 equal letters: 10,395 pair partitions, 132 of them non-crossing;
     # the literal filter multiplies up to 6 covariances on each survivor,
-    # and the oracle computes each index pair's covariance once: at most
-    # 12 * 11 / 2 = 66 calls
+    # and the oracle computes each index pair's covariance once, and only
+    # for a pair with an even number of free letters between the two:
+    # here the 6 * 6 = 36 pairs at odd distance (61 of the 66 index pairs
+    # without that rule)
     calls = []
     original = moments.covariance
 
@@ -182,7 +184,7 @@ def test_oracle_prunes_crossing_pairings(monkeypatch):
 
     monkeypatch.setattr(moments, "covariance", counted)
     assert brute_force_oracle(tracial_model(), (x("g", 0),) * 12) == 132
-    assert len(calls) <= 66
+    assert len(calls) == 36
 
 
 @given(data=st.data())

@@ -1,8 +1,11 @@
 import math
+import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncfisher.model import (
     ConfigError,
@@ -16,6 +19,7 @@ from ncfisher.model import (
     tracial_model,
     two_atom_model,
 )
+from oracles import literal_eta
 
 A = LN2_OVER_2PI
 
@@ -26,6 +30,49 @@ def test_tracial_eta_is_constant():
         assert g.eta(z) == pytest.approx(1.0)
     assert g.is_tracial
     assert g.v == 1.0
+
+
+@st.composite
+def generators(draw):
+    """Atoms at x and -x, as half mode writes them (x, then -x) or in any
+    order, so that mirrors need not be adjacent; with or without an atom
+    at 0, or with that atom alone."""
+    xs = draw(st.lists(st.floats(1e-3, 3.0), max_size=3, unique=True))
+    atoms = []
+    for xv in xs:
+        w = draw(st.floats(1e-2, 3.0))
+        atoms += [SpectralAtom(xv, w),
+                  SpectralAtom(-xv, w * math.exp(-2 * math.pi * xv))]
+    if not atoms or draw(st.booleans()):
+        atoms.insert(draw(st.integers(0, len(atoms))),
+                     SpectralAtom(0.0, draw(st.floats(1e-2, 3.0))))
+    if draw(st.booleans()):
+        atoms = draw(st.permutations(atoms))
+    return GeneratorSpec("g", tuple(atoms))
+
+
+def eta_outcome(eta, g, z):
+    """The bits of ``eta(g, z)``, or the type of what it raised."""
+    try:
+        value = eta(g, z)
+    except Exception as exc:
+        return type(exc)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+@given(g=generators(), z=st.one_of(
+    st.floats(), st.integers(-10**6, 10**6), st.integers(),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, math.inf,
+                     -math.inf, math.nan, 10**400, 1.5 + 0.5j,
+                     Fraction(1, 3)]),
+    st.fractions(max_denominator=12)))
+@settings(max_examples=400, deadline=None)
+def test_eta_is_the_literal_sum_bit_for_bit(g, z):
+    # at a real time eta sums cos and sin, a mirror sharing them; every
+    # value, and every error at a time that is not finite, is the literal
+    # complex exponential sum's
+    assert eta_outcome(GeneratorSpec.eta, g, z) == eta_outcome(literal_eta,
+                                                               g, z)
 
 
 def test_two_atom_eta_values():

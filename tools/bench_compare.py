@@ -23,7 +23,10 @@ throughput and latencies from the runs' detail lines, next to the
 reference-scaled metrics, and each side's median over its runs of every
 op kind's p50 (``p50_ms_by_kind``), which shows which kinds moved, and
 each side's median ``cycles`` and ``op_time_s`` (``run_length``), the
-length of run every figure of the workload rests on.
+length of run every figure of the workload rests on, and each side's
+median ``calibration_ms`` (``calibration_ms``), the calibration kernel's
+time that scales the ``_ref`` figures: a ref-scaled move with raw figures
+that did not move came from the kernel, not from the ops.
 
 Before the first pair the tool refuses, with exit 2, two checkouts of
 which only one holds a bytecode cache (``CACHE``): its runs would import
@@ -146,6 +149,12 @@ def run_length(details: list) -> dict:
             for name in RUN_LENGTH}
 
 
+def calibration_ms(details: list) -> float:
+    """Median over runs of ``calibration_ms``, the median time (ms) of a
+    run's calibration kernel."""
+    return statistics.median(d["calibration_ms"] for d in details)
+
+
 def summarize_workload(runs: list, specs: dict) -> dict:
     """``runs`` holds one ``(parent, change)`` pair of ``(result,
     detail)`` per alternated pair; ``specs`` maps each end-to-end metric
@@ -178,6 +187,8 @@ def summarize_workload(runs: list, specs: dict) -> dict:
                            "change": kind_medians([d for _, d in change])},
         "run_length": {"parent": run_length([d for _, d in parent]),
                        "change": run_length([d for _, d in change])},
+        "calibration_ms": {"parent": calibration_ms([d for _, d in parent]),
+                           "change": calibration_ms([d for _, d in change])},
     }
 
 
