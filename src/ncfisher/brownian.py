@@ -1,17 +1,5 @@
-"""Exact expansion of states under the matched-noise substitution.
-
-Replacing every letter X_t of a word by X_t + sqrt(eps) Y_t and expanding
-gives a polynomial in sqrt(eps) whose coefficients are states of mixed
-words: the power eps^(k/2) collects the words with k letters flipped to
-the partner family.  Those sums have a closed form.  A flipped letter
-pairs with a flipped letter of its generator exactly as the letters it
-replaces would, and with an unflipped letter not at all, so a set of
-flipped positions counts for a non-crossing pairing exactly when it is a
-union of that pairing's pairs.  Every pairing of an n-letter word has n/2
-pairs, so the eps^j coefficient is C(n/2, j) times the state of the word
-and every odd half-power is exactly 0: X + sqrt(eps) Y has the law of
-sqrt(1 + eps) X (the free Gaussian functor).  The constant term is the
-original state.
+"""Exact expansion of states under the matched-noise substitution
+X_t -> X_t + sqrt(eps) Y_t, in closed form (:func:`expand_state`).
 
 An expansion is a plain dict from the power of eps, an exact half-integer
 ``Fraction``, to its coefficient.  Numbers hash alike across types, so
@@ -36,10 +24,13 @@ def expand_state(m: ModelSpec, w: Word, max_order: int) -> dict:
     Returns the coefficient of eps^(k/2) under the key ``Fraction(k, 2)``,
     for k = 0 .. min(n, 2 max_order): the sum of the states of ``w`` with
     k of its n letters replaced by partner letters at the same generator
-    and time.  A flipped set counts for a pairing exactly when it is a
-    union of the pairing's n/2 pairs, so that sum is C(n/2, k/2) state(w)
-    for even k and exactly ``0j`` for odd k.  The state of ``w`` is
-    evaluated once; ``moments.MAX_WORD_LETTERS`` bounds the word, and
+    and time.  A partner letter pairs with a partner letter as the
+    letters they replace would, and with a primary letter not at all, so
+    a flipped set counts for a non-crossing pairing exactly when it is a
+    union of the pairing's n/2 pairs, and that sum is C(n/2, k/2) state(w)
+    for even k and exactly ``0j`` for odd k: X + sqrt(eps) Y has the law
+    of sqrt(1 + eps) X.  The state of ``w`` is evaluated once, whatever
+    ``max_order``; ``moments.MAX_WORD_LETTERS`` bounds the word, and
     :class:`SizeLimitError` is raised past it.
     """
     letters = tuple(w)

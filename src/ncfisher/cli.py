@@ -17,7 +17,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +57,10 @@ _WORD_TOKEN = re.compile(r"^([XY])([A-Za-z0-9_]*):(-?[0-9./]+)$")
 
 #: largest phase |t| x, in turns, of a time tag t at the model's fastest
 #: frequency x; beyond it the double of t x has too few bits after the
-#: point for the exact identities (covariance, adjoint) to hold
+#: point for the exact identities (covariance, adjoint) to hold.  On the
+#: default model the largest ``covariance --shift`` it admits, 594,062,
+#: leaves a residual of 5e-11; a bound of 2**24 turns admits a residual
+#: of 1.3e-9, a false FAIL
 MAX_PHASE_TURNS = 2**16
 
 #: most random inputs one ``verify-lemma2`` or ``verify-core`` run draws
@@ -213,20 +215,15 @@ def _parse_floats(text: str, flag: str) -> list:
 
 
 def _jsonify(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    """A report value as JSON values.  Reports hold Python scalars, float
+    subclasses such as ``np.float64``, complex numbers (as ``re`` and
+    ``im``), Fractions (as text), dicts and lists."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _jsonify(obj.item())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
@@ -241,9 +238,15 @@ def _basis_from_args(m: ModelSpec, args) -> BasisSpec:
 
 
 def _gens_from_args(m: ModelSpec, args) -> list:
-    if getattr(args, "gens", None):
-        return [_resolve_gen(m, g.strip()) for g in args.gens.split(",")]
-    return list(m.gen_ids())
+    """The ids of ``--gens``, empty tokens skipped; every generator when
+    the flag is omitted."""
+    if not args.gens:
+        return list(m.gen_ids())
+    gens = [_resolve_gen(m, g.strip()) for g in args.gens.split(",")
+            if g.strip()]
+    if not gens:
+        raise ConfigError(f"--gens {args.gens!r} names no generator")
+    return gens
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +276,9 @@ def _cmd_check_kms(m, args):
 
 
 def _cmd_moment(m, args):
+    """The state of ``--word``, judged on ``oracle_diff`` over max(1, the
+    summed pairing magnitude) where the oracle runs, at most
+    ``ORACLE_MAX_LETTERS`` letters, and unjudged past it."""
     w = parse_word(m, args.word, allow_y=True)
     _check_word_magnitude(m, w)
     detail = evaluate_state_detailed(m, w)
@@ -294,7 +300,11 @@ def _solver_health(gen: str, sol) -> dict:
     """Size, rank and conditioning of the Galerkin solve of generator
     ``gen``.  ``prune_rounds`` above 1 means the kept words are
     ill-conditioned near the prune threshold: the prune's guess failed,
-    and it then scanned ``prune_rounds - 1`` words one at a time.  A zero
+    and it then scanned ``prune_rounds - 1`` words one at a time.
+    ``residual_over_rhs`` is the residual over |b|: at large mass the
+    residual is rounding at the model's scale, 0.096 for a correct
+    degree-3 solve on one atom of weight 1e6, which is 2.6e-15 of |b|
+    (``test_solver_residual_is_reported_over_the_rhs``).  A zero
     right-hand side, which no residual can be measured against, is
     refused by name."""
     rhs_norm = float(np.linalg.norm(sol.rhs))

@@ -1,50 +1,14 @@
 """Galerkin solver for conjugate variables and the derived functionals.
 
-The defining data of the conjugate variable of a generator are the pairings
-b_P = <partner, d(P)> over polynomials P; the solver truncates both trial
-and test space to the span of a finite word basis, so the solution is the
-orthogonal projection of the true conjugate variable onto that span
-whenever the latter exists.
-
-Three numerical facts shape the implementation:
-
-* The basis is every word over one alphabet up to the degree, so
-  :func:`ncfisher.moments.fock_vectors` builds the vectors W.Omega in the
-  truncated free Fock space degree by degree, all letters at once, and the
-  Gram matrix is V^H V.  By freeness the partner letter of b_W pairs only
-  with the inserted partner, so b_W = sum over target letters W_k at time
-  t_k of eta(t_k - t0) state(W[:k]) state(W[k+1:]), on each degree a sum
-  of tensor products of state values (row 0 of V) and the kernel on the
-  alphabet.  The L2 audits (``self_adjoint_defect``, the covariance and
-  freeness distances) are norms of Fock vectors V c too, with the V the
-  solve built, kept on its solutions; the consistency of V with the
-  single-word interval pass of :mod:`ncfisher.moments` is pinned by the
-  tests.
-* Gram matrices of time-translate words are not merely ill-conditioned but
-  exactly rank-deficient for finitely-atomic covariances (translates of a
-  k-atom generator span a k-dimensional one-particle space, and the words
-  span at most the Fock dimension).  A plain minimum-norm pseudo-inverse
-  would therefore smear an exact solution over linearly dependent words.
-  The solver first prunes the basis to a maximal independent subset of
-  the Fock vectors, greedily in a deterministic order that puts the
-  target letter first (degree ascending, then distance of the letter
-  times from the target time); a family of generators is solved on one
-  basis, one Fock build and one prune, in the order of its first
-  generator.  In exact arithmetic that keeps the words over the first k
-  letters of each generator, k its atom count, so the prune guesses those
-  and confirms the guess with one QR and one product with Q^H (plus one
-  masked projection where the guess does not fill the space); where
-  rounding says otherwise, it scans word by word from the first word the
-  guess got wrong.  The solve is on the factor, V_kept = QR.  Vector-level
-  outputs (residual, norms, the projection itself) do not depend on the
-  order; only the reported coefficients do, and with it an exactly
-  representable solution is reported concentrated.
-* The defining equations V_kept^H xi = b are solved as R^H z = b with
-  xi = Q z, never through the normal equations V_kept^H V_kept, so the
-  working condition is that of R, the square root of the Gram's, and no
-  direction the prune kept is dropped afterwards.  The norm of xi is |z|,
-  so the functionals need nothing more; the coefficients on the words,
-  R c = z, and the condition number are computed when first read.
+The conjugate variable xi of a generator's letter is defined by its
+pairings b_P = <partner, d(P)> with every polynomial P.  The solver
+truncates trial and test space to the span of a finite word basis
+(:func:`enumerate_basis`), so its solution is the orthogonal projection of
+xi onto that span whenever xi exists.  :func:`_solve` builds the words'
+vectors in the truncated free Fock space
+(:func:`ncfisher.moments.fock_vectors`), prunes them to an independent
+subset (:func:`_prune_independent`) and solves on its QR factor; the L2
+audits are norms of Fock vectors too, with the V the solve built.
 """
 from __future__ import annotations
 
@@ -138,8 +102,11 @@ def enumerate_basis(m: ModelSpec, target_gen: str, spec: BasisSpec,
     """Basis words in pivot order: the empty word, then degree by
     degree with target-generator letters nearest the target time first.
 
-    Letters of flow-fixed generators are collapsed to time 0 before the
-    words are formed, so each such generator contributes one letter.
+    The order decides which words the prune keeps, so it moves only the
+    printed coefficients, not xi, and an exactly representable solution
+    is printed concentrated.  Letters of flow-fixed generators are
+    collapsed to time 0 before the words are formed, so each such
+    generator contributes one letter.
     Raises :class:`BasisError` before enumerating when the word count
     times the Fock dimension exceeds ``MAX_BASIS_ENTRIES``, or when the
     solve's squared numbers may overflow a double.
@@ -312,7 +279,9 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
 
     Returns ``(kept, Q, R, rounds)`` with ``vecs[:, kept] = Q R``, Q
     orthonormal and R upper triangular with a real positive diagonal;
-    ``rounds`` is 1 plus the number of columns read one at a time.
+    ``rounds`` is 1 plus the number of columns read one at a time.  The
+    tests pin ``kept`` to a plain column-by-column scan
+    (``tests/oracles.greedy_scan``).
     """
     dim, n = vecs.shape
     kept = np.flatnonzero(guess)[:dim]
@@ -383,10 +352,13 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
 
 def _rhs(m: ModelSpec, target_gen: str, alphabet: list, phi: list,
          t0: Fraction) -> np.ndarray:
-    """b_P = <partner, d(P)> of ``target_gen`` on every basis word P: on
-    the degree-d words, sum_k phi_k (x) e (x) phi_{d-1-k}, with phi_k the
-    state values of the degree-k words and e the kernel at the target's
-    letters, 0 at the other generators' (the partner is free of them).
+    """b_P = <partner, d(P)> of ``target_gen`` on every basis word P.  The
+    partner pairs only with the letter it replaces, so b_W is the sum over
+    the target's letters W_k, at time t_k, of eta(t_k - t0) state(W[:k])
+    state(W[k+1:]): on the degree-d words, sum_k phi_k (x) e (x)
+    phi_{d-1-k}, with phi_k the state values of the degree-k words and e
+    the kernel at the target's letters, 0 at the other generators' (the
+    partner is free of them).
 
     e takes eta at ``m.real_time(d, den)``, d the int tick difference over
     one denominator den of the letter times and ``t0``.  phi_k is exactly
@@ -412,9 +384,15 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
     of :func:`enumerate_basis` over the letters of every target and of
     ``b_gens``, in the first target's pivot order.  One Fock build and one
     prune to a maximal independent subset, with its factor V_kept = QR,
-    serve every target.  Each gets its own b_P = <partner, d(P)>, R^H z =
-    b[kept], residual (the norm of the unmatched defining data over the
-    full basis) and phi_star (xi_norm_sq over its second moment)."""
+    serve every target.  The prune is needed: translates of a k-atom
+    generator span a k-dimensional one-particle space, so the words'
+    Gram is exactly rank-deficient, and a minimum-norm pseudo-inverse
+    would smear an exact solution over dependent words.  Each target gets
+    its own b_P = <partner, d(P)>, R^H z = b[kept], residual (the norm of
+    the unmatched defining data over the full basis) and phi_star
+    (xi_norm_sq over its second moment).  The normal equations are never
+    formed, so the working condition is cond(R), the square root of the
+    Gram's."""
     t0 = as_time(target_time)
     words = enumerate_basis(m, targets[0], basis, (*targets[1:], *b_gens),
                             t0)

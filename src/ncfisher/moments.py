@@ -1,76 +1,15 @@
 """State evaluation by the non-crossing pairing formula.
 
-A word of letters evaluates to the sum over non-crossing pair partitions
-of the product of two-letter covariances.  The covariance of two letters
-is the generator's two-point function at their time difference when both
-family and generator id agree, and zero otherwise; this block-diagonal
-kernel is exactly what makes distinct generators (and the X/Y families)
-mutually free.
+A word of letters evaluates to the sum over its non-crossing pair
+partitions of the product of two-letter covariances (:func:`covariance`):
+the generator's eta at the letters' time difference when family and
+generator id agree, and zero otherwise.  This block-diagonal kernel is
+what makes distinct generators, and the X and Y families, mutually free.
 
-Time tags are ints or Fractions counting ticks of 1/``time_den`` of the
-model, and every evaluator here turns a tag into a real time through
-``ModelSpec.real_time`` (the tag itself at ``time_den`` 1).
-
-A single word is evaluated in one pass from its last letter to its first
-(:func:`interval_states`), by the first-letter recursion over index
-intervals [i, j)
-
-    phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j).
-
-A row holds phi[i, i) = 1 and exactly the ends j of the intervals
-[i, j) that have a pairing with nonzero covariances, every one of them
-balanced (as many letters of each class at even as at odd positions).
-At letter i the pass visits the later letters k of i's (family,
-generator) class whose inside, the interval [i+1, k), is an end of row
-i+1.  It looks up cov(l_i, l_k) in the eta table and adds the term to
-row i at once, for every end j that row k+1 holds.  Any other interval,
-about nine in ten of a word's, has a pairing sum that a dense fill of the
-same recursion over every pair of one class (:func:`pairing_table`)
-computes as exactly +0+0j: each of its terms multiplies a sum the dense
-fill holds at +0+0j, and a finite product with it is a signed zero.  The
-same holds for the terms of the pairs the pass skips.  No sum ever holds
--0.0, since it starts at +0 and an exact cancellation rounds to +0, so
-adding a signed zero to it changes no bit.  The pass reads every interval no term reaches as 0j,
-so while the values are finite every state is bit for bit the dense
-fill's.  A NaN kernel value is not finite: the dense fill spreads
-NaN * 0 into the intervals no term reaches, and the pass leaves them 0j.
-The word's tags are put over their common denominator den as integer
-ticks (int tags are their own ticks, at den 1), so every tag difference
-is an exact int d and eta gets d / (den time_den), the correctly rounded
-double of the exact real difference; eta is called once per distinct
-(generator, tick difference) among the pairs it visits.  A complex shift
-of a prefix or suffix block enters as a per-letter offset (z on the
-block, 0 elsewhere), in real time, added to that double.  The work is
-cubic in the word length at worst.  The rows give the state of every
-subword w[i:j], so one pass serves every interval a caller reads.
-Nothing is kept on the model, and nothing is cached between calls unless
-the caller passes one eta table through them: a sampled run of many
-words on one model does (``etas``, a plain dict it owns).  The table
-holds eta per (generator, tick denominator), keyed by the tick
-difference d, or by (d, offset difference) where the offsets differ, so
-each distinct eta value of the run is computed once.
-A word with an odd number of letters has no pair partition, so its value
-is exactly ``0j`` (both parts +0.0, as the pass itself would give) and
-the pass does not run: no tick denominators, no eta calls.  The size
-limit ``MAX_WORD_LETTERS`` is still checked first, whatever the parity.
-
-Bases of many words are evaluated all at once in the free Fock space
-instead (the free Gaussian functor): letter (family, gen, t) acts as
-creation plus annihilation of the one-particle vector with components
-sqrt(w_j) exp(2 pi i t x_j) in the block of (family, gen), so
-<f_s, f_t> = eta(t - s), and the word W maps the vacuum to a vector W.Omega
-with state(U* W) = <U.Omega, W.Omega>.  :func:`fock_vectors` builds these
-vectors for every word over an alphabet of real-time letters up to a
-degree, degree by degree with all letters applied at once; the interval
-pass stays the evaluator for single words, complex shifts included, and the
-cross-check of the Fock vectors.
-
-An independent oracle enumerates pair partitions depth first, passing
-over a pair with an odd number of free letters inside and dropping a
-partial pairing as soon as a new pair crosses a placed one (the literal
-crossing predicate) or its kernel product is exactly 0; it shares nothing
-with the interval pass above except :func:`covariance`, which it calls
-once per index pair it reaches, never through an eta table.
+Three evaluators compute it independently: :func:`interval_states`, one
+pass per word, behind :func:`evaluate_state` and its variants;
+:func:`fock_vectors`, every word of a basis at once in the free Fock
+space; and :func:`brute_force_oracle`, exhaustive up to 12 letters.
 """
 from __future__ import annotations
 
@@ -175,16 +114,22 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
 
     Row ``phi[i]`` maps an end j to phi[i, j).  It holds i, at 1 + 0j, and
     exactly the ends j for which [i, j) has a pairing whose covariances
-    are all nonzero.  The partners of letter i are the later letters k of
+    are all nonzero, each balanced: as many letters of each class at even
+    as at odd positions.  The partners of letter i are the later letters k of
     its (family, generator) class whose inside [i+1, k) row i+1 holds; in
     increasing k, the pass adds c * phi[i+1, k) * phi[k+1, j) to
     phi[i, j) for every end j of row k+1, each interval summing from 0j in
-    the order of the recursion.  c = cov(l_i, l_k), and exact zeros add
-    nothing.  Every other pair has an inside with no such pairing, so each
-    of its terms is a signed zero in a dense fill; no entry holds -0.0,
-    so adding it would change no bit, and every interval no term reaches
-    reads 0j, the +0+0j a dense fill gives there while every value is
-    finite (see the module docstring).
+    the order of the first-letter recursion
+
+        phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j).
+
+    c = cov(l_i, l_k), and exact zeros add nothing.  Every other pair has
+    an inside with no such pairing, so each of its terms is a signed zero
+    in the dense fill of :func:`pairing_table`; no entry holds -0.0, so
+    adding it would change no bit, and every interval no term reaches
+    reads 0j, the +0+0j the dense fill gives there while every value is
+    finite.  A NaN covariance is not: the dense fill spreads NaN * 0 into
+    those intervals, and the pass leaves them 0j.
 
     Letter tags are put over their common denominator ``den`` as integer
     ticks, so tag differences are exact ints d and eta gets
@@ -390,6 +335,9 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     one-particle space is the direct sum of C^{k} over the (family,
     generator) pairs of the alphabet, k the generator's atom count; D
     counts particle numbers up to ``degree``.  Letter tags must be real.
+    Letter l at time t acts as creation plus annihilation of its
+    one-particle vector f_t[j] = sqrt(w_j) exp(2 pi i t x_j) in its
+    block, so <f_s, f_t> = eta(t - s) (the free Gaussian functor).
 
     An n-particle tensor is stored first factor fastest, so fewer particles
     fill a prefix of the rows.  The degree-d block is the degree-(d-1)
@@ -464,7 +412,7 @@ def brute_force_oracle(m: ModelSpec, w: Word) -> complex:
     each the product of its pairs in the order they were placed.  The
     covariance of an index pair is computed the first time a branch
     reaches it and kept for the rest of the call, so :func:`covariance`
-    runs at most once per index pair.
+    runs at most once per index pair, never through an eta table.
     """
     letters = tuple(w)
     n = len(letters)

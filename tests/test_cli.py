@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden_reports
 import ncfisher
 import planted
 from ncfisher import cli, conjugate, core_cp, moments
@@ -883,6 +884,15 @@ def test_repeated_generator_ids_are_usage_errors(tmp_path, capsys, command):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fisher", "cramer-rao", "chi-star"])
+def test_gens_skips_empty_tokens(tmp_path, capsys, command):
+    # as --b-gens and --grid do
+    for model, gen in ([], "g"), (["--model", pair_model_file(tmp_path)], "1"):
+        _, want = run_json(capsys, [command, *model, "--gens", gen])
+        code, got = run_json(capsys, [command, *model, "--gens", gen + ","])
+        assert code == 0 and got["outputs"] == want["outputs"]
+
+
 @pytest.mark.parametrize("text", [
     '{"generators": [{"name": "q", "mode": "half",'
     ' "atoms": [{"x": NaN, "w": 1}]}]}',
@@ -950,7 +960,7 @@ def test_heavy_solve_at_a_lower_degree_runs(tmp_path, capsys):
     assert report["outputs"]["phi_star_total"] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("argv, atoms, named", [
+@pytest.mark.parametrize("argv, model, named", [
     (["conjugate"], [{"x": 0, "w": 1e300}], "atom at x=0.0: weight"),
     (["conjugate"], [{"x": 0, "w": 1e-320}], "atom at x=0.0: weight"),
     (["fisher"], [{"x": 0, "w": 1e300}], "atom at x=0.0: weight"),
@@ -966,18 +976,41 @@ def test_heavy_solve_at_a_lower_degree_runs(tmp_path, capsys):
     (["check-kms", "--grid", "0,nan"], None, "--grid"),
     (["moment", "--word", "X:0 X:0", "--tol", "inf"], None, "--tol"),
     (["verify-core", "--tol", "nan"], None, "--tol"),
+    (["conjugate", "--time", "abc"], None, "bad time 'abc' in --time"),
+    (["conjugate", "--grid", "1/0,0"], None, "bad time '1/0' in --grid"),
+    (["check-kms", "--grid", "a,b"], None, "bad number list 'a,b'"),
+    (["brownian", "--word", ""], None, "non-empty word"),
+    (["conjugate"], [{"x": 0, "w": 1}] * 2, "several generators"),
+    (["fisher", "--gens", ","], None, "--gens ',' names no generator"),
+    (["chi-star", "--gens", " , "], None, "names no generator"),
+    # a model file as raw text
+    (["check-kms"], "[]", "must be a JSON object"),
+    (["check-kms"], '{"generators": [1]}', "entry must be an object"),
+    (["check-kms"], '{"generators": [{"name": 1, "mode": "half", '
+     '"atoms": [{"x": 0, "w": 1}]}]}', "name must be a non-empty string"),
+    (["check-kms"], '{"generators": [{"name": "q", "mode": "half", '
+     '"atoms": [{"x": 0}]}]}', "atoms need x and w fields"),
+    (["check-kms"], '{"generators": [{"name": "q", "mode": "half", '
+     '"atoms": [{"x": 0, "w": "1"}]}]}', "weight must be a finite number"),
+    (["check-kms"], '{"generators": [', "invalid JSON"),
 ], ids=["conjugate-weight-1e300", "conjugate-weight-1e-320",
         "fisher-weight-1e300", "conjugate-x-1e300", "tail-cutoff-inf",
         "tail-cutoff-nan", "tail-cutoff-negative", "tail-cutoff-1e308",
-        "delta-inf", "alpha-nan", "kms-grid-nan", "tol-inf", "tol-nan"])
+        "delta-inf", "alpha-nan", "kms-grid-nan", "tol-inf", "tol-nan",
+        "time-not-a-number", "grid-zero-denominator", "kms-grid-not-numbers",
+        "brownian-empty-word", "conjugate-no-target", "fisher-gens-empty",
+        "chi-star-gens-empty", "config-not-an-object",
+        "generator-not-an-object", "name-not-a-string", "atom-without-w",
+        "weight-a-string", "invalid-json"])
 def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
-                                                      atoms, named):
-    # atoms: one generator of one atom each
-    if atoms is not None:
+                                                      model, named):
+    # model: a list of atoms, one generator of one atom each, or the model
+    # file's raw text
+    if model is not None:
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"generators": [
-            {"name": f"g{i}", "mode": "half", "atoms": [atom]}
-            for i, atom in enumerate(atoms)]}))
+        path.write_text(model if isinstance(model, str) else json.dumps(
+            {"generators": [{"name": f"g{i}", "mode": "half", "atoms": [atom]}
+                            for i, atom in enumerate(model)]}))
         argv = argv + ["--model", str(path)]
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -1131,3 +1164,8 @@ def reject_constant(name):
 def test_readme_examples_run(capsys, argv):
     assert run(argv) == 0
     json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+
+
+def test_readme_examples_are_the_first_golden_argvs():
+    # so the golden file pins each example's report byte for byte
+    assert readme_commands() == golden_reports.ARGVS[:5]
