@@ -262,17 +262,15 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     that completes the space is kept.
 
     ``guess`` is a boolean mask of the columns expected to be kept.  One
-    QR of the guessed columns (cut to the space's dimension) puts each
-    one's residual against the guessed columns before it on R's diagonal.
-    Every other column's comes from one product Q^H v: where the guess
-    numbers as many columns as the space's dimension, Q is square and
-    unitary, and the residual is the squared norm of the entries of Q^H v
-    at the guessed columns after it; otherwise one masked projection
-    subtracts Q Q^H v over the guessed columns before it.  A right guess
-    is confirmed there.  Where a decision differs from the guess, the
-    decisions before the first difference stand, and so do R's leading
-    columns for them; the columns from it on are then decided one at a
-    time against that factor, by classical Gram-Schmidt applied twice
+    complete QR of the guessed columns (cut to the space's dimension)
+    gives a unitary Q whose leading columns span them, and puts each
+    guessed column's residual against the guessed columns before it on
+    R's diagonal.  Every other column's residual is one tail of Q^H v: the
+    squared norm of its entries past the guessed columns before it.  A
+    right guess is confirmed there.  Where a decision differs from the
+    guess, the decisions before the first difference stand, and so do R's
+    leading columns for them; the columns from it on are then decided one
+    at a time against that factor, by classical Gram-Schmidt applied twice
     (once, for a column the first projection already shows dependent),
     until the kept columns span the space.  No column after the one that
     completes the space is read.
@@ -287,44 +285,36 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     kept = np.flatnonzero(guess)[:dim]
     end = kept[-1] + 1 if len(kept) == dim else n
     m = len(kept)
-    q, r = np.linalg.qr(vecs[:, kept])
+    q, r = np.linalg.qr(vecs[:, kept], mode="complete")
     diag = r.diagonal()
     size = np.abs(diag)
     phase = np.ones_like(diag)
     # 1/size overflows at a subnormal size, a column the prune drops
     np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
-    q *= phase
-    r *= phase.conj()[:, None]
+    q[:, :m] *= phase
+    r[:m] *= phase.conj()[:, None]
     r[range(m), range(m)] = size
-    # residual of each column against the guessed columns before it: the
-    # diagonal of R for a guessed column.  For another, with Q masked to
-    # those columns, |v - Q Q^H v|^2; where the guess fills the space, Q
-    # is unitary and that is the squared tail of Q^H v past them, with no
-    # subtraction.  (|v|^2 - |Q^H v|^2 would carry a rounding error of
+    # residual of each column against the guessed columns before it: R's
+    # diagonal for a guessed column, the tail of Q^H v for another.
+    # (|v|^2 less the head's squares would carry a rounding error of
     # order eps |v|^2 into a residual near PRUNE_RTOL |v|^2.)
     residual = np.empty(end)
     residual[kept] = size**2
     other = np.flatnonzero(~guess[:end])
-    w = vecs[:, other]
-    c = np.conjugate(q.T, order="C") @ w
-    if m == dim:
-        c[kept[:, None] < other] = 0
-        w = c
-    else:
-        c[kept[:, None] > other] = 0
-        w -= q @ c
-    residual[other] = _squared_norms(w)
+    c = np.conjugate(q.T, order="C") @ vecs[:, other]
+    c[:m][kept[:, None] < other] = 0
+    residual[other] = _squared_norms(c)
     norm_sq = _squared_norms(vecs[:, :end])
     differ = np.flatnonzero((residual > PRUNE_RTOL * norm_sq) != guess[:end])
     if not len(differ):
-        return kept.tolist(), q, r, 1
+        return kept.tolist(), q[:, :m], r[:m], 1
     j = int(differ[0])
     k = int(np.searchsorted(kept, j))
     kept = kept[:k].tolist()
-    # room for the factor's columns, their conjugates as rows, and R
-    q0, r0 = q, r
-    q, qh, r = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
-    q[:, :m], qh[:m], r[:m, :m] = q0, q0.T.conj(), r0
+    # the scan writes each kept column into Q and its conjugate into Q^H
+    # from column k on, and its coefficients into R padded to dim x dim
+    qh = np.conjugate(q.T, order="C")
+    r = np.pad(r, ((0, 0), (0, dim - m)))
     for i in range(j, n):
         v = vecs[:, i]
         floor = PRUNE_RTOL * float(np.vdot(v, v).real)
@@ -442,7 +432,9 @@ def solve_conjugate(m: ModelSpec, target_gen: str, basis: BasisSpec,
                     target_time: TimeLike = 0) -> ConjugateSolution:
     """The conjugate variable of ``target_gen`` at ``target_time``, solved
     on the words over its letters and those of ``b_gens`` (:func:`_solve`
-    with one target)."""
+    with one target).  Its ``xi_norm_sq`` is the squared norm of xi_B,
+    the projection of xi onto the span of the basis words: a lower bound
+    on the squared norm of xi, which the basis grid sets."""
     return _solve(m, [target_gen], basis, b_gens, target_time)[0]
 
 
@@ -488,7 +480,7 @@ def _reversal(words: Sequence) -> np.ndarray:
     ])
 
 
-def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
+def self_adjoint_defect(solution: ConjugateSolution) -> float:
     """L2 norm of xi - xi*; small for every well-posed solve.
 
     Letters are self-adjoint, so the adjoint of a word is the word reversed
@@ -501,9 +493,8 @@ def self_adjoint_defect(m: ModelSpec, solution: ConjugateSolution) -> float:
     return _basis_norm(solution, c - c[rev].conj())
 
 
-def embedded_distance(
-    m: ModelSpec, inner: ConjugateSolution, outer: ConjugateSolution
-) -> float:
+def embedded_distance(inner: ConjugateSolution,
+                      outer: ConjugateSolution) -> float:
     """L2 distance between two solutions when every basis word of ``inner``
     is a basis word of ``outer``: ``inner``'s coefficients are scattered
     onto ``outer``'s words, and the difference is measured through
@@ -608,9 +599,8 @@ def chi_star(
     return value
 
 
-def covariance_distance(
-    m: ModelSpec, solution: ConjugateSolution, shifted: ConjugateSolution
-) -> float:
+def covariance_distance(solution: ConjugateSolution,
+                        shifted: ConjugateSolution) -> float:
     """L2 distance between ``solution`` moved by a time shift s and
     ``shifted``, the solution of the problem shifted by s (target letter
     at time s over the grid shifted by s).
@@ -632,5 +622,5 @@ def modular_covariance_check(
     ds = as_time(s)
     solution = solve_conjugate(m, gen_id, basis)
     shifted = solve_conjugate(m, gen_id, basis.shifted(ds), target_time=ds)
-    return Residual(covariance_distance(m, solution, shifted),
+    return Residual(covariance_distance(solution, shifted),
                     math.sqrt(solution.xi_norm_sq))

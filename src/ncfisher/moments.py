@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_state_detailed",
     "evaluate_state_shifted",
     "interval_states",
-    "pairing_table",
     "fock_dimension",
     "fock_vectors",
     "expectation",
@@ -123,13 +122,12 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
 
         phi[i, j) = sum_k cov(l_i, l_k) phi[i+1, k) phi[k+1, j).
 
-    c = cov(l_i, l_k), and exact zeros add nothing.  Every other pair has
-    an inside with no such pairing, so each of its terms is a signed zero
-    in the dense fill of :func:`pairing_table`; no entry holds -0.0, so
-    adding it would change no bit, and every interval no term reaches
-    reads 0j, the +0+0j the dense fill gives there while every value is
-    finite.  A NaN covariance is not: the dense fill spreads NaN * 0 into
-    those intervals, and the pass leaves them 0j.
+    c = cov(l_i, l_k), and exact zeros add nothing.  Every other pair's
+    inside has no such pairing, so its terms are signed zeros, none -0.0:
+    adding them would change no bit, and every interval no term reaches
+    reads 0j, as in a dense fill over every pair at odd distance while
+    every value is finite.  A dense fill spreads a NaN covariance into
+    those intervals as NaN * 0; the pass leaves them 0j.
 
     Letter tags are put over their common denominator ``den`` as integer
     ticks, so tag differences are exact ints d and eta gets
@@ -192,43 +190,6 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     return phi
 
 
-def pairing_table(rows, one=1 + 0j) -> list:
-    """Non-crossing pairing sums of every index interval of a word, from
-    its kernel ``rows``: ``phi[i][j]`` for 0 <= i <= j <= n is the sum over
-    the letters i .. j-1, so the state of the subword w[i:j].  The dense
-    fill of the recursion :func:`interval_states` runs, for the pairing
-    count of :func:`evaluate_state_detailed` and as the tests' reference.
-
-    Every row lists k at odd distance from i, as every kernel does.  The
-    first-letter recursion
-
-        phi[i, j) = sum_k rows[i][k] * phi[i+1, k) * phi[k+1, j)
-
-    is filled row by row from the last letter, so row i reads only rows
-    after it.  Each entry (k, c) of row i forms c * phi[i+1, k) once and
-    adds its product with phi[k+1, j) to phi[i, j) for j = k+1, k+3, ..,
-    n, so every interval sums its terms from ``one - one`` in increasing
-    k, the order of the recursion.  ``one`` is the value of the empty
-    interval: ``1 + 0j`` for state values, or the integer 1 with every row
-    entry 1 to count pairings.  An interval of odd length has no pairing
-    and holds ``one - one``, and so does every entry below the diagonal.
-    """
-    n = len(rows)
-    zero = one - one
-    phi = [[zero] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        phi[i][i] = one
-    for i in range(n - 2, -1, -1):
-        inner, cur = phi[i + 1], phi[i]
-        for k, c in rows[i]:
-            # c * inner[k] * after[j] multiplies left to right: the same
-            # double whether or not the first product is hoisted
-            ck, after = c * inner[k], phi[k + 1]
-            for j in range(k + 1, n + 1, 2):
-                cur[j] += ck * after[j]
-    return phi
-
-
 def _phi(m: ModelSpec, letters, etas=None) -> complex:
     if _is_odd(letters):
         return 0j
@@ -251,28 +212,31 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     """Value of the model state on ``w`` with two diagnostics.
 
     ``value`` is the pairing sum of one :func:`interval_states` pass, run
-    at either parity.  ``partition_count`` is the exact int count of the
-    non-crossing pairings of letters of one (family, generator) class,
-    whatever their kernel values: :func:`pairing_table` with every such
-    pair at odd distance entered as 1.  ``magnitude``, the sum of the
-    moduli of the pairing terms, is the real part of a second pass that
-    reads the first pass's eta table with every value replaced by its
-    modulus, so it meets the same pairs, every lookup hits and eta is not
-    called again.  Its sums are complex, so past overflow inf * 0 in an
-    imaginary part makes that real part NaN.  Every term is >= 0, so such
-    a NaN is read as inf, the value of a float fill; the magnitude stays
-    NaN only where a modulus is itself NaN.
+    at either parity.  ``partition_count`` is the number of non-crossing
+    pairings of letters of one (family, generator) class, whatever their
+    kernel values: the first-letter recursion over every such pair at odd
+    distance, in Python ints, so it stays exact past 2^53.  ``magnitude``,
+    the sum of the moduli of the pairing terms, is the real part of a
+    second pass that reads the first pass's eta table with every value
+    replaced by its modulus, so it meets the same pairs, every lookup hits
+    and eta is not called again.  Its sums are complex, so past overflow
+    inf * 0 in an imaginary part makes that real part NaN.  Every term is
+    >= 0, so such a NaN is read as inf, the value of a float fill; the
+    magnitude stays NaN only where a modulus is itself NaN.
     """
     letters = tuple(w)
     n = len(letters)
     etas: dict = {}
-    # the pass checks the length before the mask is built
+    # the pass checks the length before the counts are filled
     value = interval_states(m, letters, None, etas)[0].get(n, 0j)
-    mask = [
-        [(k, 1) for k in range(i + 1, n, 2)
-         if letters[k].family == a.family and letters[k].gen == a.gen]
-        for i, a in enumerate(letters)
-    ]
+    count = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for i in range(n - 2, -1, -1):
+        cls = letters[i].family, letters[i].gen
+        for k in range(i + 1, n, 2):
+            inner = count[i + 1][k]
+            if inner and (letters[k].family, letters[k].gen) == cls:
+                for j in range(k + 1, n + 1, 2):
+                    count[i][j] += inner * count[k + 1][j]
     moduli = {key: {d: abs(c) for d, c in table.items()}
               for key, table in etas.items()}
     magnitude = interval_states(m, letters, None, moduli)[0].get(n, 0j).real
@@ -282,7 +246,7 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
         magnitude = math.inf
     return StateValue(
         value=value,
-        partition_count=pairing_table(mask, 1)[0][n],
+        partition_count=count[0][n],
         magnitude=magnitude,
     )
 

@@ -324,15 +324,15 @@ def check_covariance_selfadjoint(ctx: SuiteContext) -> CheckResult:
     rng = ctx.rng(7)
     shifts = [Fraction(rng.randint(-4, 4), 4) for _ in range(10)]
     sol = ctx.solve(m, gen, spec)
-    covs, adjs = [], [self_adjoint_defect(m, sol)]
+    covs, adjs = [], [self_adjoint_defect(sol)]
     for s in shifts:
         sol_shifted = ctx.solve(m, gen, spec.shifted(s), s)
-        covs.append(covariance_distance(m, sol, sol_shifted))
-        adjs.append(self_adjoint_defect(m, sol_shifted))
+        covs.append(covariance_distance(sol, sol_shifted))
+        adjs.append(self_adjoint_defect(sol_shifted))
     for model in (ctx.two_atom, ctx.tracial):
         g = model.generators[0].gen_id
         sol = ctx.solve(model, g, BasisSpec(HALF_GRID, 3))
-        adjs.append(self_adjoint_defect(model, sol))
+        adjs.append(self_adjoint_defect(sol))
     worst_cov = finite_max(covs, "a covariance distance")
     worst_adj = finite_max(adjs, "a self-adjoint defect")
     ok = worst_cov < tol and worst_adj < tol
@@ -356,7 +356,7 @@ def check_freeness_invariance(ctx: SuiteContext) -> CheckResult:
     spec = BasisSpec(GRID3, 2)
     sol_alone = solve_conjugate(m, "1", spec, b_gens=())
     sol_with = solve_conjugate(m, "1", spec, b_gens=("2",))
-    dist = embedded_distance(m, sol_alone, sol_with)
+    dist = embedded_distance(sol_alone, sol_with)
     dphi = abs(sol_alone.phi_star - sol_with.phi_star)
     # every word over both generators' six letters: 1 + 6 + 36
     ok = dist < tol and dphi < tol and len(sol_with.basis_words) == 43

@@ -12,10 +12,10 @@ a pairing with nonzero covariances, the pairs
 :func:`ncfisher.moments.interval_states` visits, found by the pairing
 count over the full kernel (``pairing_counts``); ``pairable_pairs``
 lists those pairs, whatever their own covariance.
-``row_by_row_table`` is the pairing table of
-:func:`ncfisher.moments.pairing_table` filled one interval at a time,
-each summing its kernel entries in increasing k, the order that the
-package's hoisted loop must keep bit for bit.
+``row_by_row_table`` is the pairing table of a kernel filled one
+interval at a time, each summing its kernel entries in increasing k, the
+order of the first-letter recursion that the interval pass keeps bit for
+bit.
 ``flipped_word_sums`` is the noise expansion by its definition, one
 pairing pass over the full kernel per set of flipped letters, which
 :func:`ncfisher.brownian.expand_state` replaces by its closed form.
@@ -23,8 +23,8 @@ pairing pass over the full kernel per set of flipped letters, which
 definition, one column at a time, which the solver's one-QR
 guess-and-confirm replaces; ``masked_projection_prune`` is that
 guess-and-confirm with every other column confirmed by a masked
-projection, the reference for its cheaper confirm of a guess that fills
-the space.  ``batched_fock_vectors`` is the Fock build of
+projection, the reference for its confirm through the tail of Q^H v.
+``batched_fock_vectors`` is the Fock build of
 :mod:`ncfisher.moments` with each degree's block made in a fresh array
 and copied into V, the reference for the build in place.
 ``rebuilt_basis_norm`` is the Fock-coordinate norm of the audits with V
@@ -60,7 +60,7 @@ from ncfisher.model import ModelSpec
 from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
                                eta_map)
 from ncfisher.moments import (covariance, expectation, fock_dimension,
-                              fock_vectors, pairing_table)
+                              fock_vectors)
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
@@ -239,7 +239,7 @@ def symbolic_covariance_residual(m, gen, s, basis: BasisSpec,
 
 def full_kernel(m, letters, offsets=None) -> list:
     """Kernel of every compatible pair, by rows for
-    :func:`ncfisher.moments.pairing_table`: row i lists
+    :func:`row_by_row_table`: row i lists
     ``(k, covariance(m, l_i, l_k))`` for every later letter k at odd
     distance, leaving out exact zeros, among them every pair of letters
     of two classes.  ``offsets``, one per letter, are real times added to
@@ -266,10 +266,10 @@ def full_kernel(m, letters, offsets=None) -> list:
 
 def pairing_counts(rows) -> list:
     """``counts[i][j]``, the number of pairings of the letters i .. j-1
-    over the entries of the kernel ``rows``: :func:`pairing_table` with
-    every entry 1.  Over :func:`full_kernel`, the pairings whose
+    over the entries of the kernel ``rows``: :func:`row_by_row_table`
+    with every entry 1.  Over :func:`full_kernel`, the pairings whose
     covariances are all nonzero."""
-    return pairing_table([[(k, 1) for k, _ in row] for row in rows], 1)
+    return row_by_row_table([[(k, 1) for k, _ in row] for row in rows], 1)
 
 
 def pairable_pairs(m, letters, offsets=None) -> list:
@@ -294,12 +294,12 @@ def pairable_kernel(m, letters, offsets=None) -> list:
 
 
 def row_by_row_table(rows, one=1 + 0j) -> list:
-    """Non-crossing pairing sums of every index interval [i, j) from the
-    kernel ``rows``, as :func:`ncfisher.moments.pairing_table` gives them
-    on and above the diagonal: for each row i from the last letter and
-    each j at even distance, the sum from ``one - one`` of
-    ``c * phi[i+1][k] * phi[k+1][j]`` over the entries (k, c) with k < j,
-    in increasing k.  Intervals of odd length hold ``one - one``."""
+    """Non-crossing pairing sums ``phi[i][j]`` of every index interval
+    [i, j), 0 <= i <= j <= n, from the kernel ``rows``: for each row i
+    from the last letter and each j at even distance, the sum from
+    ``one - one`` of ``c * phi[i+1][k] * phi[k+1][j]`` over the entries
+    (k, c) with k < j, in increasing k.  Intervals of odd length hold
+    ``one - one``; nothing reads the entries below the diagonal."""
     n = len(rows)
     zero = one - one
     # row i starts as one at even distance from i (the empty interval and
@@ -343,7 +343,7 @@ def flipped_word_sums(m, w, max_order, absolute=False) -> dict:
             flipped = [False] * n
             for i in subset:
                 flipped[i] = True
-            total += pairing_table([
+            total += row_by_row_table([
                 [(j, c) for j, c in row if flipped[j] == flipped[i]]
                 for i, row in enumerate(rows)
             ])[0][n]
@@ -429,10 +429,11 @@ def batched_fock_vectors(m, alphabet, degree) -> np.ndarray:
 
 def masked_projection_prune(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     """:func:`ncfisher.conjugate._prune_independent` with the confirm it
-    had before it read a guess that fills the space through the tail of
-    Q^H v: every other column's residual is |v - Q Q^H v|^2, with Q
-    masked to the guessed columns before it.  The same QR, decisions and
-    scan; returns ``(kept, Q, R, rounds)``."""
+    had before it read every other column through the tail of Q^H v for
+    a unitary Q: a reduced QR of the guessed columns, and each other
+    column's residual |v - Q Q^H v|^2, with Q masked to the guessed
+    columns before it.  The same decisions and scan, on zeroed buffers;
+    returns ``(kept, Q, R, rounds)``."""
     dim, n = vecs.shape
     kept = np.flatnonzero(guess)[:dim]
     end = kept[-1] + 1 if len(kept) == dim else n

@@ -408,7 +408,8 @@ NEAR = (PRUNE_RTOL * (1 + 1e-3), PRUNE_RTOL * (1 - 1e-3))
 @given(vecs=planted_columns(NEAR + (1e-9, 1e-11), span=True),
        data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_both_confirms_agree_with_the_masked_projection(vecs, data):
+def test_square_and_short_guesses_confirm_as_the_masked_projection(vecs,
+                                                                   data):
     # with the spanning columns the scan's kept columns fill the space, so
     # its decisions are a square guess; one flip makes it square or not,
     # and wrong at the first column, in the middle or at the last the
@@ -629,7 +630,7 @@ def test_family_solutions_match_their_own_solves(case):
         assert ({sol.basis_words[i] for i in sol.kept}
                 == {own.basis_words[i] for i in own.kept})
         assert sol.xi_norm_sq == pytest.approx(own.xi_norm_sq, rel=1e-12)
-        assert (embedded_distance(model, sol, own)
+        assert (embedded_distance(sol, own)
                 <= 1e-8 * math.sqrt(own.xi_norm_sq))
 
 
@@ -658,7 +659,7 @@ def test_rhs_scales_with_weights(m):
 
 def test_solution_self_adjoint(m):
     sol = solve_conjugate(m, "g", BasisSpec(GRID5, 3))
-    assert self_adjoint_defect(m, sol) < 1e-8
+    assert self_adjoint_defect(sol) < 1e-8
 
 
 def test_gram_condition_reported(m):
@@ -905,14 +906,14 @@ def random_coefficients(sol, seed):
 def test_self_adjoint_defect_matches_symbolic_form(case):
     model, target, b_gens, spec = audit_cases()[case]
     sol = solve_conjugate(model, target, spec, b_gens=b_gens)
-    assert abs(self_adjoint_defect(model, sol)
+    assert abs(self_adjoint_defect(sol)
                - symbolic_self_adjoint_defect(model, sol)) <= AUDIT_TOL
     rough = random_coefficients(
         solve_conjugate(model, target, BasisSpec(GRID3, 2), b_gens=b_gens),
         case)
     want = symbolic_self_adjoint_defect(model, rough)
     assert want > 1
-    assert self_adjoint_defect(model, rough) == pytest.approx(
+    assert self_adjoint_defect(rough) == pytest.approx(
         want, rel=AUDIT_TOL)
 
 
@@ -949,9 +950,9 @@ def test_the_audits_read_the_fock_vectors_of_their_solve(monkeypatch, case):
 
     monkeypatch.setattr(conjugate, "_basis_norm", recorded)
     monkeypatch.setattr(conjugate, "fock_vectors", built)
-    got = [self_adjoint_defect(model, sol),
-           covariance_distance(model, sol, shifted),
-           embedded_distance(model, alone, sol)]
+    got = [self_adjoint_defect(sol),
+           covariance_distance(sol, shifted),
+           embedded_distance(alone, sol)]
     monkeypatch.undo()
     assert [n[0] for n in norms] == [sol, shifted, sol]
     assert got == [rebuilt_basis_norm(model, solution, c)
@@ -964,7 +965,7 @@ def test_covariance_residual_matches_symbolic_form(case):
     spec = BasisSpec(GRID3, 2)
     for s in (Fraction(0), Fraction(1, 2), Fraction(-3, 4)):
         fock = covariance_distance(
-            model, solve_conjugate(model, target, spec, b_gens),
+            solve_conjugate(model, target, spec, b_gens),
             solve_conjugate(model, target, spec.shifted(s), b_gens,
                             target_time=s))
         assert abs(fock - symbolic_covariance_residual(model, target, s,
@@ -1009,5 +1010,5 @@ def test_embedded_distance_matches_symbolic_form():
                           random_coefficients(enlarged, 4))):
         want = l2_distance(mp, solution_polynomial(inner),
                            solution_polynomial(outer))
-        got = embedded_distance(mp, inner, outer)
+        got = embedded_distance(inner, outer)
         assert abs(got - want) <= AUDIT_TOL * max(1.0, want)

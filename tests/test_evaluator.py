@@ -11,10 +11,10 @@ each letter pair whose inside has a pairing with nonzero covariances
 (``pairable_pairs`` in ``tests/oracles.py``), and its eta calls are
 counted against the distinct differences those pairs need, for one word
 or for words that share a run's eta table; one word pins a pair whose
-inside is balanced but cannot be paired.  The pairing table of the
-kernel of those pairs is compared bit for bit with the one of the full
-kernel over every compatible pair, and with the table filled one
-interval at a time in the order of the first-letter recursion.  Every
+inside is balanced but cannot be paired.  The pairing table
+(``row_by_row_table``, filled one interval at a time in the order of the
+first-letter recursion) of the kernel of those pairs is compared bit for
+bit with the one of the full kernel over every compatible pair.  Every
 entry of a word's pairing table is compared bit for bit with its
 subword's own pass.  The rows of :func:`ncfisher.moments.interval_states`
 are compared with the dense table of the full kernel: a row stores
@@ -29,7 +29,6 @@ filter over all pair partitions (``tests/oracles.py``).
 import cmath
 import copy
 import math
-import random
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -50,7 +49,6 @@ from ncfisher.moments import (
     evaluate_state_detailed,
     evaluate_state_shifted,
     interval_states,
-    pairing_table,
 )
 from oracles import (all_pairings, flipped_word_sums, full_kernel,
                      is_noncrossing, literal_oracle, pairable_kernel,
@@ -369,7 +367,7 @@ def test_a_balanced_inside_that_cannot_be_paired():
         value = evaluate_state(m, w)
     assert ("a", Fraction(7, 2)) not in counter.calls
     assert 7 not in interval_states(m, w)[1]
-    assert bits(value) == bits(pairing_table(full_kernel(m, w))[0][8])
+    assert bits(value) == bits(row_by_row_table(full_kernel(m, w))[0][8])
     assert value == brute_force_oracle(m, w), w
     unknown = (x("z", 0),) + w[1:7] + (x("z", 1),)
     assert positive_zero(evaluate_state(m, unknown))
@@ -483,7 +481,7 @@ def test_pairing_table_holds_every_subword_state_bit_for_bit(data):
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
                         max_size=12))
-    phi = pairing_table(pairable_kernel(m, w))
+    phi = row_by_row_table(pairable_kernel(m, w))
     for i in range(len(w) + 1):
         for j in range(i, len(w) + 1):
             assert bits(phi[i][j]) == bits(evaluate_state(m, w[i:j])), (i, j)
@@ -511,7 +509,7 @@ def test_the_pruned_kernel_leaves_every_table_entry_unchanged(data):
             offsets = [z if i in block else 0j for i in range(n)]
         full = full_kernel(m, w, offsets)
         pruned = pairable_kernel(m, w, offsets)
-        want, got = pairing_table(full), pairing_table(pruned)
+        want, got = row_by_row_table(full), row_by_row_table(pruned)
         for i in range(n + 1):
             for j in range(i, n + 1):
                 assert bits(got[i][j]) == bits(want[i][j]), (w, i, j)
@@ -551,7 +549,7 @@ def test_the_pass_stores_the_balanced_intervals_of_the_dense_table(data):
             offsets = [z if i in block else 0j for i in range(n)]
         phi = interval_states(m, w, offsets, etas)
         full = full_kernel(m, w, offsets)
-        want, counts = pairing_table(full), pairing_counts(full)
+        want, counts = row_by_row_table(full), pairing_counts(full)
         assert len(phi) == n + 1
         for i, row in enumerate(phi):
             assert set(row) == {j for j in range(i, n + 1) if counts[i][j]}
@@ -574,48 +572,7 @@ def test_a_nan_covariance_stays_in_the_balanced_intervals(monkeypatch):
     assert cmath.isnan(evaluate_state_shifted(m, even, range(2, 4), 1j))
     assert positive_zero(evaluate_state(m, uneven))
     assert positive_zero(evaluate_state_shifted(m, uneven, range(2, 4), 1j))
-    assert cmath.isnan(pairing_table(full_kernel(m, uneven))[0][4])
-
-
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_pairing_table_sums_each_interval_in_the_recursion_order(data):
-    # Fraction tags or int ticks at time_den 2, complex prefix or suffix
-    # offsets on some words; the state values, the pairing counts (the
-    # integer mode of evaluate_state_detailed) and the summed magnitudes.
-    # A kernel of 6 to 14 letters with every odd-distance entry, of random
-    # full-precision values, sums three or more rounded terms into most
-    # intervals, so any other summation order changes some bit of it
-    m = data.draw(models())
-    if data.draw(st.booleans()):
-        m, times = m.with_time_den(2), st.integers(-4, 4)
-    else:
-        times = st.one_of(big_times, small_times)
-    w = data.draw(words(m, max_size=14, times=times))
-    n = len(w)
-    offsets = None
-    if data.draw(st.booleans()):
-        k = data.draw(st.integers(0, n))
-        block = data.draw(st.sampled_from([range(k), range(k, n)]))
-        z = complex(data.draw(st.integers(-4, 4)) / 4,
-                    data.draw(st.sampled_from([-1.0, 0.5, 1.0])))
-        offsets = [z if i in block else 0j for i in range(n)]
-    rows = pairable_kernel(m, w, offsets)
-    mask = [[(k, 1) for i2, k in compatible_pairs(w) if i2 == i]
-            for i in range(n)]
-    magnitudes = [[(k, abs(c)) for k, c in row] for row in rows]
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    size = data.draw(st.integers(6, 14))
-    dense = [[(k, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-              for k in range(i + 1, size, 2)] for i in range(size)]
-    for table_rows, one in ((rows, 1 + 0j), (mask, 1), (magnitudes, 1.0),
-                            (dense, 1 + 0j)):
-        want = row_by_row_table(table_rows, one)
-        got = pairing_table(table_rows, one)
-        for i in range(len(table_rows) + 1):
-            for j in range(i, len(table_rows) + 1):
-                assert type(got[i][j]) is type(want[i][j]), (w, i, j)
-                assert bits(got[i][j]) == bits(want[i][j]), (w, i, j, one)
+    assert cmath.isnan(row_by_row_table(full_kernel(m, uneven))[0][4])
 
 
 @given(data=st.data())

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -65,6 +66,13 @@ def test_partition_count_catalan(m):
     assert detail.partition_count == 2
     detail8 = evaluate_state_detailed(m, (x("g", 0),) * 8)
     assert detail8.partition_count == CATALAN[4]
+    # Catalan(32) and Catalan(64) are past 2^53, where a float count
+    # would round
+    for h in (32, 64):
+        count = evaluate_state_detailed(m, (x("g", 0),) * (2 * h)
+                                        ).partition_count
+        assert type(count) is int
+        assert count == math.comb(2 * h, h) // (h + 1)
 
 
 def test_tracial_moments_are_catalan(mt):

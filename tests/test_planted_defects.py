@@ -9,15 +9,21 @@ must print nothing on stdout and an ``error:`` line holding the row's
 
 Where an outcome differs from its row, the failure prints the observed
 ``fails=`` and ``exits=`` lines in the table's syntax: after an intended
-change, copy them over the row's.
+change, copy them over the row's.  The README's census of the rows is
+checked against ``ROWS`` cell by cell.
 """
 
 import json
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 from ncfisher import cli
+from ncfisher.suite import ALL_CHECK_IDS
 from planted import ROWS, plant
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SEEDS = range(4)
 
@@ -100,3 +106,35 @@ def test_planted_defect(monkeypatch, capsys, name):
         seen = ([reports[key]] if key in COMMANDS
                 else [reports[seed][key] for seed in SEEDS])
         assert all(holds(d) for d in seen), (key, seen)
+
+
+def census() -> tuple:
+    """The header and the body rows of the README's census table, each a
+    list of its stripped cells."""
+    def cells(line):
+        return [c.strip() for c in line.strip().strip("|").split("|")]
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("| row |"))
+    body = takewhile(lambda l: l.startswith("|"), lines[start + 2:])
+    return cells(lines[start]), [cells(l) for l in body]
+
+
+def test_the_readme_census_is_the_rows_outcome():
+    # a check column per suite check, in suite order, then a command
+    # column per command of COMMANDS; F a failing check, 1 or 2 an exit
+    # code, 2 in a check column the check at which the suite refuses
+    header, body = census()
+    assert len(header) == 1 + len(ALL_CHECK_IDS) + len(COMMANDS)
+    assert [cells[0] for cells in body] == [f"`{name}`" for name in ROWS]
+    for name, *cells in body:
+        row = ROWS[name.strip("`")]
+        checks = dict(zip(ALL_CHECK_IDS, cells))
+        commands = dict(zip(COMMANDS, cells[len(ALL_CHECK_IDS):]))
+        assert set(checks.values()) <= {"F", "2", "·"}, name
+        assert ({c for c, v in checks.items() if v == "F"}
+                == set(row.fails.split())), name
+        assert ({c: int(v) for c, v in commands.items() if v != "·"}
+                == {c: v for c, v in row.exits.items() if c != "suite"}), name
+        refusals = [c for c, v in checks.items() if v == "2"]
+        assert len(refusals) == (1 if row.exits.get("suite") == 2 else 0), (
+            name)
