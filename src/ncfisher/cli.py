@@ -9,6 +9,7 @@ double.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -214,20 +215,12 @@ def _parse_floats(text: str, flag: str) -> list:
     return [_finite(flag, v) for v in values]
 
 
-def _jsonify(obj):
-    """A report value as JSON values.  Reports hold Python scalars, float
-    subclasses such as ``np.float64``, complex numbers (as ``re`` and
-    ``im``), Fractions (as text), dicts and lists."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+def _json_default(obj):
+    """A report value json cannot encode: a complex number, a state or
+    an expansion coefficient, as ``re`` and ``im``; anything else, a
+    Fraction time or shift, as its text."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [_jsonify(v) for v in obj]
     return str(obj)
 
 
@@ -369,19 +362,10 @@ def _cmd_fisher(m, args):
 def _cmd_cramer_rao(m, args):
     gens = _gens_from_args(m, args)
     rep = cramer_rao_audit(m, gens, _basis_from_args(m, args))
-    out = {
-        "n": rep.n,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "ratio": rep.ratio,
-        "second_moment": rep.second_moment,
-        "phi_star_tuple": rep.phi_star_tuple,
-        "normalized": rep.normalized,
-        "asserted": rep.asserted,
-        "note": rep.note,
-        "solver": {g: _solver_health(g, sol)
-                   for g, sol in zip(gens, rep.solutions)},
-    }
+    out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+           if f.name != "solutions"}
+    out["solver"] = {g: _solver_health(g, sol)
+                     for g, sol in zip(gens, rep.solutions)}
     return out, (Residual(abs(rep.lhs - rep.rhs), rep.rhs) if rep.asserted
                  else None)
 
@@ -658,8 +642,8 @@ def run(argv=None) -> int:
         if timings:
             report["timings"] = timings[0]
         # strict JSON: a non-finite number becomes a usage error, exit 2
-        text = json.dumps(_jsonify(report), sort_keys=True, indent=2,
-                          allow_nan=False)
+        text = json.dumps(report, sort_keys=True, indent=2,
+                          allow_nan=False, default=_json_default)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -204,8 +204,8 @@ class ModelSpec:
     ``time_den`` is not part of the config (:meth:`config_dict`): it
     fixes how exact times are written, not the model.
 
-    Instances are immutable by convention and safe to share between
-    workers; evaluation keeps no state on them.
+    Instances are immutable by convention; evaluation keeps no state on
+    them.
     """
 
     generators: tuple

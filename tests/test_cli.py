@@ -755,10 +755,12 @@ def test_solver_residual_is_reported_over_the_rhs(tmp_path, capsys):
     assert out["residual_over_rhs"] < 1e-14
 
 
-@pytest.mark.parametrize("name", sorted(
-    info.name for info in pkgutil.iter_modules(ncfisher.__path__)))
+@pytest.mark.parametrize("name", ["__init__", *sorted(
+    info.name for info in pkgutil.iter_modules(ncfisher.__path__))])
 def test_module_exports_exist(name):
-    module = importlib.import_module(f"ncfisher.{name}")
+    # ``__init__`` stands for the package itself
+    module = importlib.import_module(
+        "ncfisher" if name == "__init__" else f"ncfisher.{name}")
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
 
