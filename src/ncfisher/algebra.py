@@ -103,7 +103,7 @@ def word_adjoint(w: Word) -> Word:
 
 def shift_word(w: Word, s: TimeLike) -> Word:
     ds = as_time(s)
-    return tuple(_new_letter(Letter, (f, g, t + ds)) for f, g, t in w)
+    return tuple([_new_letter(Letter, (f, g, t + ds)) for f, g, t in w])
 
 
 def word_str(w: Word) -> str:

@@ -20,7 +20,7 @@ and the tensor-valued derivation with d(X_t) = U_t (x) U_{-t}, d(U_s) = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .algebra import (
@@ -89,34 +89,42 @@ class TrigPoly(_SparseSum):
         return f"({c}) U:{t}"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CoreWord:
+class CoreWord(tuple):
     """Core word in normal form, the monomial ``(word) U_r``.
 
     ``word`` holds primary letters only; their times already include every
-    U step written before them, by U_s X_t = X_{t+s} U_s.  Core words
-    order by (word, r).
+    U step written before them, by U_s X_t = X_{t+s} U_s.  A core word is
+    the tuple ``(word, r)``, so it hashes, compares and orders as that
+    pair does, in C.  It is a monomial, not a sum or a sequence: it takes
+    no scalars, and ``2 * cw`` and ``cw + cw`` are refused rather than
+    repeating or concatenating the pair.
     """
 
-    word: Word = ()
-    r: Time = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        word = tuple(self.word)
+    _fields = ("word", "r")
+
+    def __new__(cls, word: Word = (), r: TimeLike = 0):
+        word = tuple(word)
         if any(letter.family != X_FAMILY for letter in word):
             raise ValueError("core words carry primary letters only")
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "r", as_time(self.r))
+        return tuple.__new__(cls, (word, as_time(r)))
 
     @classmethod
     def _raw(cls, word: Word, r: Time) -> "CoreWord":
         # the parts must already be canonical: a tuple of primary letters
         # and an exact time tag, as products and legs of canonical core
         # words are; skips the checks and coercions of the constructor
-        obj = object.__new__(cls)
-        _set_word(obj, word)
-        _set_r(obj, r)
-        return obj
+        return tuple.__new__(cls, (word, r))
+
+    word = property(itemgetter(0), doc="the primary letters, in order")
+    r = property(itemgetter(1), doc="the time tag of the trailing U step")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"CoreWord(word={self[0]!r}, r={self[1]!r})"
 
     @classmethod
     def one(cls) -> "CoreWord":
@@ -128,20 +136,24 @@ class CoreWord:
 
     def __mul__(self, other):
         if not isinstance(other, CoreWord):
-            return NotImplemented
-        tail = shift_word(other.word, self.r) if self.r else other.word
-        return CoreWord._raw(self.word + tail, self.r + other.r)
+            return self._refuse(other)
+        word, r = self
+        tail = shift_word(other[0], r) if r else other[0]
+        return CoreWord._raw(word + tail, r + other[1])
+
+    def _refuse(self, other):
+        # a core word is a monomial, not a sequence: returning
+        # NotImplemented would let tuple repetition or concatenation answer
+        raise TypeError(f"a core word takes no {type(other).__name__} "
+                        "operand here")
+
+    __rmul__ = __add__ = _refuse
 
     def adjoint(self) -> "CoreWord":
         # (w U_r)* = U_{-r} w* and letters are self-adjoint
-        word = word_adjoint(self.word)
-        return CoreWord._raw(shift_word(word, -self.r) if self.r else word,
-                             -self.r)
-
-
-# slot setters of the frozen dataclass, for CoreWord._raw
-_set_word = CoreWord.word.__set__
-_set_r = CoreWord.r.__set__
+        word, r = self
+        word = word_adjoint(word)
+        return CoreWord._raw(shift_word(word, -r) if r else word, -r)
 
 
 def conditional_expectation(m: ModelSpec, cw: CoreWord,
@@ -152,10 +164,11 @@ def conditional_expectation(m: ModelSpec, cw: CoreWord,
     :func:`verify_core_identity`); a word not in it is evaluated by
     :func:`evaluate_state`.
     """
-    val = states.get(cw.word) if states is not None else None
+    word, r = cw
+    val = states.get(word) if states is not None else None
     if val is None:
-        val = evaluate_state(m, cw.word)
-    return TrigPoly._raw({cw.r: val} if val != 0 else {})
+        val = evaluate_state(m, word)
+    return TrigPoly._raw({r: val} if val != 0 else {})
 
 
 def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
@@ -243,7 +256,7 @@ def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
     position k, with normal-form time t, contributes
     (word[:k] U_t) (x) (sigma_{-t}(word[k+1:]) U_{r-t}); U steps and
     letters of other generators are constants."""
-    w, r = cw.word, cw.r
+    w, r = cw
     # the left legs differ in length, so no two terms share a key
     return EtaBimoduleElem._raw({
         (CoreWord._raw(w[:k], letter.time),
@@ -286,7 +299,7 @@ def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord,
     through a lookup keyed by word; ``etas`` is a run's eta table on ``m``
     (see :func:`moments.interval_states`).
     """
-    zq = CoreWord((x(gen_id, 0),)) * q
+    zq = CoreWord._raw((x(gen_id, 0),), 0) * q
     # the pass is looked up on its module, as evaluate_state's is
     phi = moments.interval_states(m, zq.word, None, etas)
     states = _interval_states(zq.word, phi, gen_id)

@@ -12,7 +12,8 @@ are free and the partner family reproduces the generator's covariance.
 """
 from __future__ import annotations
 
-from .algebra import NcPoly, X_FAMILY, Y_FAMILY, _accumulate, x, y
+from .algebra import (Letter, NcPoly, X_FAMILY, Y_FAMILY, _accumulate,
+                      _new_letter, x, y)
 from .model import ModelSpec
 from .moments import Residual, evaluate_state, expectation
 
@@ -44,8 +45,8 @@ def differentiate(gen_id: str, p: NcPoly) -> NcPoly:
                 )
         for k, letter in enumerate(w):
             if letter.family == X_FAMILY and letter.gen == gen_id:
-                _accumulate(out, w[:k] + (y(gen_id, letter.time),) + w[k + 1:],
-                            c)
+                partner = _new_letter(Letter, (Y_FAMILY, gen_id, letter.time))
+                _accumulate(out, w[:k] + (partner,) + w[k + 1:], c)
     return NcPoly._raw(out)
 
 

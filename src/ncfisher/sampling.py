@@ -5,12 +5,18 @@ seeds give identical inputs on every platform.  Times are drawn from the
 half grid -1, -1/2, 0, 1/2, 1 as int tags in ticks of 1/2, so the words
 are meant for a model with ``time_den`` 2 (``ModelSpec.with_time_den``).
 
-Every draw reads ``rng.getrandbits`` directly through :func:`_below`, the
-stdlib's own rejection rule, so a word takes the same calls, and leaves
-the generator in the same state, as if drawn through ``rng.choice`` and
-``rng.randint``: ``choice(seq)`` is ``seq[_below(bits, len(seq))]`` and
-``randint(0, n)`` is ``_below(bits, n + 1)``.  That skips the Python
-frames of ``choice``, ``randint`` and ``randrange`` on every draw.
+Every draw reads ``rng.getrandbits`` directly by the stdlib's own
+rejection rule, ``Random._randbelow``, so a word takes the same calls,
+and leaves the generator in the same state, as if drawn through
+``rng.choice`` and ``rng.randint``: ``choice(seq)`` is
+``seq[_below(bits, len(seq))]`` and ``randint(0, n)`` is
+``_below(bits, n + 1)``.  That skips the Python frames of ``choice``,
+``randint`` and ``randrange``.  Single draws (a word's length, a time,
+a core word's last U step) go through :func:`_below`; the per-letter
+indices run its rejection loop inline, which skips one Python call per
+index.  A draw from an empty ``gens`` or ``families`` is refused with
+ValueError at the index that would draw from it, as :func:`_below`
+refuses it.
 """
 from __future__ import annotations
 
@@ -64,12 +70,29 @@ def random_word(rng: random.Random, gens, max_len: int,
     gens, bits = list(gens), rng.getrandbits
     ticks = HALF_GRID_TICKS
     n_fam, n_gen, n_tick = len(families), len(gens), len(ticks)
-    return tuple([
-        _new_letter(Letter, (families[_below(bits, n_fam)],
-                             gens[_below(bits, n_gen)],
-                             ticks[_below(bits, n_tick)]))
-        for _ in range(_below(bits, max_len + 1))
-    ])
+    k_fam, k_gen = n_fam.bit_length(), n_gen.bit_length()
+    k_tick = n_tick.bit_length()
+    count = _below(bits, max_len + 1)
+    if count and not (n_fam and n_gen):
+        # refuse where the first letter's draws would: the loops below
+        # would never end on getrandbits(0)
+        _below(bits, n_fam)
+        _below(bits, n_gen)
+    letters = []
+    append = letters.append
+    for _ in range(count):
+        # _below(bits, n) for each index, inline
+        f = bits(k_fam)
+        while f >= n_fam:
+            f = bits(k_fam)
+        g = bits(k_gen)
+        while g >= n_gen:
+            g = bits(k_gen)
+        t = bits(k_tick)
+        while t >= n_tick:
+            t = bits(k_tick)
+        append(_new_letter(Letter, (families[f], gens[g], ticks[t])))
+    return tuple(letters)
 
 
 def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
@@ -80,15 +103,30 @@ def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
     gens, bits, uniform = list(gens), rng.getrandbits, rng.random
     ticks = HALF_GRID_TICKS
     n_gen, n_tick = len(gens), len(ticks)
-    letters = []
-    shift = 0
-    for _ in range(_below(bits, max_x_degree + 1)):
+    k_gen, k_tick = n_gen.bit_length(), n_tick.bit_length()
+    count = _below(bits, max_x_degree + 1)
+    if count and not n_gen:
+        # refuse where the first letter's draws would, as in random_word
         if uniform() < 0.6:
-            shift += ticks[_below(bits, n_tick)]
-        letters.append(_new_letter(Letter, (X_FAMILY,
-                                            gens[_below(bits, n_gen)],
-                                            ticks[_below(bits, n_tick)]
-                                            + shift)))
+            _below(bits, n_tick)
+        _below(bits, n_gen)
+    letters = []
+    append = letters.append
+    shift = 0
+    for _ in range(count):
+        # _below(bits, n) for each index, inline
+        if uniform() < 0.6:
+            s = bits(k_tick)
+            while s >= n_tick:
+                s = bits(k_tick)
+            shift += ticks[s]
+        g = bits(k_gen)
+        while g >= n_gen:
+            g = bits(k_gen)
+        t = bits(k_tick)
+        while t >= n_tick:
+            t = bits(k_tick)
+        append(_new_letter(Letter, (X_FAMILY, gens[g], ticks[t] + shift)))
     if uniform() < 0.7:
         shift += ticks[_below(bits, n_tick)]
     return CoreWord._raw(tuple(letters), shift)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import planted
-from ncfisher import cli, conjugate, suite
+from ncfisher import cli, conjugate, model, suite
 from ncfisher.algebra import as_time
 from ncfisher.sampling import random_core_word, random_word
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
@@ -151,6 +151,30 @@ def test_a_suite_run_checks_each_distinct_draw_once(monkeypatch):
         assert checked["insertion"] == list(dict.fromkeys(pairs))
         repeats += 200 - len(checked["core"]) - len(checked["insertion"])
     assert repeats > 0
+
+
+def test_kms_scans_each_distinct_measure_once(monkeypatch):
+    # pair's two generators are copies of two_atom's, so the four
+    # generators hold two measures; the maximum is the one over all four
+    scanned = []
+    deviation = suite.kms_deviation
+
+    def counted(g, grid):
+        scanned.append(g.gen_id)
+        return deviation(g, grid)
+
+    monkeypatch.setattr(suite, "kms_deviation", counted)
+    for seed in range(4):
+        ctx = suite.SuiteContext.fresh(seed)
+        gens = [g for m in (ctx.two_atom, ctx.tracial, ctx.pair)
+                for g in m.generators]
+        assert len(gens) == 4
+        want = max(deviation(g, model.KMS_GRID) for g in gens)
+        scanned.clear()
+        result = suite.check_kms(ctx)
+        assert scanned == [ctx.two_atom.generators[0].gen_id,
+                           ctx.tracial.generators[0].gen_id]
+        assert result.details["max_eta_strip_deviation"] == want
 
 
 def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):

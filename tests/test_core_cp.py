@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -94,12 +95,16 @@ def test_core_word_rejects_partner_letters():
 
 
 def test_core_word_is_a_monomial():
-    # every scalar lives in the sum that holds the core word
+    # every scalar lives in the sum that holds the core word; a core word
+    # is a tuple, so an int on either side must not repeat it
     cw = CoreWord((x("g", 0),), "1/2")
-    assert [f.name for f in dataclasses.fields(CoreWord)] == ["word", "r"]
+    assert CoreWord._fields == ("word", "r")
+    assert tuple(cw) == (cw.word, cw.r) == ((x("g", 0),), Fraction(1, 2))
     for scaled in (lambda: 2 * cw, lambda: cw * 2, lambda: cw * 1j):
         with pytest.raises(TypeError):
             scaled()
+    with pytest.raises(TypeError):
+        cw + cw  # not the concatenated pairs
     d = core_differentiate("g", cw * cw)
     assert len(d) == 2
     assert all(type(a) is CoreWord and type(b) is CoreWord for a, b in d.terms)
@@ -109,6 +114,29 @@ def test_core_words_order_by_word_then_time():
     rng = random.Random(11)
     cws = [random_core_word(rng, ["g", "h"], 3) for _ in range(60)]
     assert sorted(cws) == sorted(cws, key=lambda cw: (cw.word, cw.r))
+
+
+def test_core_words_hash_compare_and_order_as_their_pairs():
+    # so no dict, set or sort order can differ from the (word, r) pairs'
+    rng = random.Random(12)
+    cws = [random_core_word(rng, ["g", "h"], 3) for _ in range(60)]
+    pairs = [(cw.word, cw.r) for cw in cws]
+    assert len(set(pairs)) < len(pairs)  # some draws repeat
+    for cw, p in zip(cws, pairs):
+        assert hash(cw) == hash(p)
+        for cw2, p2 in zip(cws, pairs):
+            assert (cw == cw2) == (p == p2)
+            assert (cw < cw2) == (p < p2)
+    assert list(dict.fromkeys(cws)) == [CoreWord._raw(*p)
+                                        for p in dict.fromkeys(pairs)]
+
+
+def test_core_words_survive_copy_and_repr():
+    cw = CoreWord((x("g", 1), x("g", "1/2")), -2)
+    assert repr(cw) == f"CoreWord(word={cw.word!r}, r=-2)"
+    for copied in (copy.copy(cw), copy.deepcopy(cw),
+                   pickle.loads(pickle.dumps(cw))):
+        assert type(copied) is CoreWord and copied == cw
 
 
 def test_expectation_examples(m):

@@ -15,7 +15,8 @@ from ncfisher.sampling import (_below, random_core_word, random_time,
                                random_word)
 from oracles import choice_core_word, choice_time, choice_word
 
-GENS = [["g"], ["g", "h"], ["g", "h", "k"]]
+# five generators take 3 index bits, so 3 draws in 8 are rejected
+GENS = [["g"], ["g", "h"], ["g", "h", "k"], ["a", "b", "c", "d", "e"]]
 FAMILIES = [("X",), ("X", "Y")]
 
 
@@ -56,6 +57,44 @@ def test_below_refuses_an_empty_range(n):
     # getrandbits(0) is 0, so the rejection loop would never end
     with pytest.raises(ValueError):
         _below(random.Random(0).getrandbits, n)
+
+
+@pytest.mark.parametrize("gens, families", [([], ("X",)), ([], ("X", "Y")),
+                                             (["g"], ()), ([], ())])
+def test_an_empty_draw_is_refused_where_choice_refuses_it(gens, families):
+    # choice raises IndexError before drawing from an empty sequence; the
+    # draws raise ValueError at the same index, the generator where the
+    # choice draws leave it
+    for seed in range(20):
+        for degree in range(4):
+            new, ref = random.Random(seed), random.Random(seed)
+            try:
+                want = choice_word(ref, gens, degree, families)
+            except IndexError:
+                with pytest.raises(ValueError):
+                    random_word(new, gens, degree, families)
+            else:
+                assert want == ()
+                assert random_word(new, gens, degree, families) == ()
+            assert new.getstate() == ref.getstate()
+
+
+def test_an_empty_core_draw_is_refused_where_choice_refuses_it():
+    refused = 0
+    for seed in range(20):
+        for degree in range(4):
+            new, ref = random.Random(seed), random.Random(seed)
+            try:
+                want = choice_core_word(ref, [], degree)
+            except IndexError:
+                refused += 1
+                with pytest.raises(ValueError):
+                    random_core_word(new, [], degree)
+            else:
+                assert want.word == ()
+                assert random_core_word(new, [], degree) == want
+            assert new.getstate() == ref.getstate()
+    assert 0 < refused < 60  # 20 draws at degree 0 return the empty word
 
 
 def test_empty_generators_and_negative_degrees_raise():
