@@ -128,8 +128,8 @@ class _SparseSum:
     constructor item into a normalized ``(key, coefficient)`` pair in
     ``_normal_term``, set ``_UNIT`` to the key of the scalar unit when
     numbers coerce to elements (None: no coercion), and define their own
-    products, adjoint, sort key (``_sort_key``) and term text
-    (``_term_str``).
+    products, adjoint, sort key (``_sort_key``) and key text
+    (``_key_str``).
     """
 
     __slots__ = ("_terms",)
@@ -218,7 +218,10 @@ class _SparseSum:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        bits = [self._term_str(k, c) for k, c in self.sorted_terms()]
+        # str() brackets a complex only when its real part shows: strip
+        # that pair so that each coefficient prints inside one
+        bits = [f"({str(c).strip('()')}) {self._key_str(k)}"
+                for k, c in self.sorted_terms()]
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
 
 
@@ -287,6 +290,4 @@ class NcPoly(_SparseSum):
             {shift_word(w, ds): c for w, c in self._terms.items()}
         )
 
-    @staticmethod
-    def _term_str(w, c) -> str:
-        return f"({c}) {word_str(w)}"
+    _key_str = staticmethod(word_str)

@@ -301,7 +301,8 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     residual = np.empty(end)
     residual[kept] = size**2
     other = np.flatnonzero(~guess[:end])
-    c = np.conjugate(q.T, order="C") @ vecs[:, other]
+    qh = np.conjugate(q.T, order="C")
+    c = qh @ vecs[:, other]
     c[:m][kept[:, None] < other] = 0
     residual[other] = _squared_norms(c)
     norm_sq = _squared_norms(vecs[:, :end])
@@ -313,7 +314,6 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
     kept = kept[:k].tolist()
     # the scan writes each kept column into Q and its conjugate into Q^H
     # from column k on, and its coefficients into R padded to dim x dim
-    qh = np.conjugate(q.T, order="C")
     r = np.pad(r, ((0, 0), (0, dim - m)))
     for i in range(j, n):
         v = vecs[:, i]

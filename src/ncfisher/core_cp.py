@@ -85,8 +85,8 @@ class TrigPoly(_SparseSum):
         )
 
     @staticmethod
-    def _term_str(t, c) -> str:
-        return f"({c}) U:{t}"
+    def _key_str(t) -> str:
+        return f"U:{t}"
 
 
 class CoreWord(tuple):
@@ -211,9 +211,9 @@ class EtaBimoduleElem(_SparseSum):
             yield c, a, b
 
     @staticmethod
-    def _term_str(key, c) -> str:
+    def _key_str(key) -> str:
         a, b = key
-        return f"({c}) {a!r} (x) {b!r}"
+        return f"{a!r} (x) {b!r}"
 
 
 #: 1 (x) 1, the derivative of X_0, which :func:`verify_core_identity`

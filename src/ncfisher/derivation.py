@@ -38,12 +38,11 @@ def differentiate(gen_id: str, p: NcPoly) -> NcPoly:
     """
     out = {}
     for w, c in p._terms.items():
-        for letter in w:
+        for k, letter in enumerate(w):
             if letter.family == Y_FAMILY:
                 raise FamilyError(
                     "differentiation is defined on primary-family polynomials"
                 )
-        for k, letter in enumerate(w):
             if letter.family == X_FAMILY and letter.gen == gen_id:
                 partner = _new_letter(Letter, (Y_FAMILY, gen_id, letter.time))
                 _accumulate(out, w[:k] + (partner,) + w[k + 1:], c)

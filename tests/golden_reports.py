@@ -3,24 +3,30 @@
 Run ``python tests/golden_reports.py`` from the repository root to rerun
 every argv in-process through ``ncfisher.cli.run`` and rewrite
 ``tests/golden_reports.json``.  ``test_golden_reports.py`` reruns the
-same argvs and compares each exit code and report with the file exactly.
-A change that alters a report on purpose regenerates the file, so the
-diff of the file shows what changed.
+same argvs and compares each exit code and report with the file exactly,
+and ``tools/identity_check.py`` replays them through :func:`replay` on
+two checkouts.  A change that alters a report on purpose regenerates the
+file, so the diff of the file shows what changed.
 
 The argvs are the README examples and the eighteen commands of two
-benchmark ``cli`` cycles, copied as literals; an argument
-``{model:<stem>}`` stands for the file of ``MODELS[<stem>]``.  A report
-is compared without ``wall_time_s`` and ``timings``, which measure the
-host, and without ``inputs.model``, the path of a temporary file.
+benchmark ``cli`` cycles, copied as literals, then the sampled checks
+at seeds 0-3; an argument ``{model:<stem>}`` stands for the file of
+``MODELS[<stem>]``.  :func:`run_argv` writes the models' directory as
+``{models}`` in stdout and stderr, and drops the report's ``HOST_KEYS``,
+which measure the host, and its ``inputs.model``.
 """
 import contextlib
 import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+#: report keys that measure the host
+HOST_KEYS = ("wall_time_s", "timings")
 
 MODELS = {
     "two-0": {"generators": [
@@ -130,48 +136,57 @@ ARGVS = [
     ["fisher", "--model", "{model:two-1}", "--grid", "-2,-1,0,1,2",
      "--degree", "3"],
     ["suite", "--seed", "592026"],
-]
+] + [
+    # the sampled checks at seeds 0-3, but ``suite --seed 0``, which
+    # prints the README's ``suite`` report
+    argv + ["--seed", str(seed)]
+    for seed in range(4)
+    for argv in (["suite"], ["verify-core", "--x-degree", "6"],
+                 ["verify-lemma2", "--degree", "6"])
+][1:]
 
 
-def write_models(directory) -> dict:
-    """Write each model config to ``directory``; map stem to file path."""
-    paths = {}
+def write_models(directory) -> None:
+    """Write each model config to ``directory`` as ``<stem>.json``."""
     for stem, config in MODELS.items():
-        path = os.path.join(directory, f"{stem}.json")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(os.path.join(directory, f"{stem}.json"), "w",
+                  encoding="utf-8") as fh:
             json.dump(config, fh)
-        paths[stem] = path
-    return paths
 
 
-def run_argv(argv: list, model_paths: dict) -> tuple:
-    """Exit code and comparable report (None without one) of ``argv``."""
+def run_argv(argv: list, models: str) -> dict:
+    """Exit code, comparable report (None without one) and stderr of
+    ``argv``, run in-process on the model configs written to ``models``."""
     from ncfisher import cli
 
-    argv = [model_paths[a[len("{model:"):-1]] if a.startswith("{model:")
-            else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(argv)
-    if not out.getvalue():
-        return code, None
-    report = json.loads(out.getvalue())
-    report.pop("wall_time_s")
-    report.pop("timings", None)
-    report["inputs"].pop("model", None)
-    return code, report
+    argv = [os.path.join(models, a[len("{model:"):-1] + ".json")
+            if a.startswith("{model:") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stdout, stderr = (buf.getvalue().replace(models, "{models}")
+                      for buf in (out, err))
+    report = json.loads(stdout) if stdout else None
+    if report is not None:
+        for key in HOST_KEYS:
+            report.pop(key, None)
+        report["inputs"].pop("model", None)
+    return {"exit": code, "report": report, "stderr": stderr}
+
+
+def replay() -> list:
+    """Each argv of ``ARGVS`` with its run, on freshly written models."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_models(tmp)
+        return [{"argv": argv, **run_argv(argv, tmp)} for argv in ARGVS]
 
 
 def main() -> None:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_models(tmp)
-        cases = []
-        for argv in ARGVS:
-            code, report = run_argv(argv, paths)
-            cases.append({"argv": argv, "exit": code, "report": report})
+    cases = [{key: case[key] for key in ("argv", "exit", "report")}
+             for case in replay()]
     GOLDEN.write_text(json.dumps(cases, sort_keys=True, indent=1) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(cases)} reports to {GOLDEN}", file=sys.stderr)

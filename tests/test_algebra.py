@@ -161,6 +161,22 @@ SPARSE_SUMS = {
 }
 
 
+REPRS = {
+    "NcPoly": "NcPoly((1+0j) Xg:0 + (2j) Xg:0 Yg:1/2)",
+    "TrigPoly": "TrigPoly((2j) U:-1 + (1+0j) U:1/2)",
+    "EtaBimoduleElem": (
+        "EtaBimoduleElem((2j) CoreWord(word=(), r=0) (x) "
+        "CoreWord(word=(), r=-1) + (1+0j) CoreWord(word=(Letter(family='X', "
+        "gen='g', time=1),), r=1) (x) CoreWord(word=(), r=0))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_SUMS))
+def test_sparse_sum_repr_brackets_each_coefficient_once(name):
+    make, k1, _, k2, _ = SPARSE_SUMS[name]
+    assert repr(make([(k1, 1), (k2, 2j)])) == REPRS[name]
+
+
 @pytest.mark.parametrize("name", sorted(SPARSE_SUMS))
 def test_sparse_sum_canonical_form(name):
     make, k1, k1_again, k2, unit = SPARSE_SUMS[name]

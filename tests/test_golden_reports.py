@@ -11,8 +11,10 @@ CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
-def model_paths(tmp_path_factory):
-    return write_models(tmp_path_factory.mktemp("golden-models"))
+def models(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden-models")
+    write_models(directory)
+    return str(directory)
 
 
 def test_golden_file_holds_every_argv_in_order():
@@ -22,8 +24,8 @@ def test_golden_file_holds_every_argv_in_order():
 @pytest.mark.parametrize(
     "case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)]
 )
-def test_golden_report(case, model_paths):
-    code, report = run_argv(case["argv"], model_paths)
-    assert code == case["exit"]
-    assert (json.dumps(report, sort_keys=True, indent=1)
+def test_golden_report(case, models):
+    run = run_argv(case["argv"], models)
+    assert run["exit"] == case["exit"]
+    assert (json.dumps(run["report"], sort_keys=True, indent=1)
             == json.dumps(case["report"], sort_keys=True, indent=1))

@@ -8,12 +8,12 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_check.py"
 
-# ``VALUE`` and ``WALL`` are set per checkout; ``ODD`` names the one argv
-# whose value is ``VALUE`` (every other prints 0.1)
+# ``VALUE``, ``WALL`` and ``STATUS`` are set per checkout; ``ODD`` names
+# the one argv whose value is ``VALUE`` (every other prints 0.1)
 STUB_CLI = '''
 import json, sys, time
 
-VALUE, WALL, ODD = {value!r}, {wall!r}, {odd!r}
+VALUE, WALL, STATUS, ODD = {value!r}, {wall!r}, {status!r}, {odd!r}
 
 
 def run(argv):
@@ -26,19 +26,20 @@ def run(argv):
         "timings": {{"cpu": time.process_time()}},
         "wall_time_s": WALL,
     }}))
-    print("[" + argv[0] + "] ok", file=sys.stderr)
+    print("[" + argv[0] + "] " + STATUS, file=sys.stderr)
     return 0
 '''
 
 ODD = ["suite", "--seed", "2"]
 
 
-def checkout(root: Path, name: str, value=0.1, wall=1.0) -> Path:
+def checkout(root: Path, name: str, value=0.1, wall=1.0,
+             status="ok") -> Path:
     pkg = root / name / "src" / "ncfisher"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text(STUB_CLI.format(value=value, wall=wall,
-                                                odd=ODD))
+                                                status=status, odd=ODD))
     return root / name
 
 
@@ -51,8 +52,8 @@ def test_identical_trees_pass(tmp_path):
     proc = check(checkout(tmp_path, "a"), checkout(tmp_path, "b"))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # the golden argvs, then suite, verify-core and verify-lemma2 at
-    # seeds 0-3; one sha256 per side
+    # the golden argvs, ending with verify-core and verify-lemma2 at
+    # seeds 0-3 and suite at seeds 1-3; one sha256 per side
     assert len(lines) > 12
     assert lines[-1].endswith(" verify-lemma2 --degree 6 --seed 3")
     for line in lines:
@@ -76,3 +77,10 @@ def test_a_difference_in_wall_time_alone_passes(tmp_path):
     proc = check(checkout(tmp_path, "a", wall=1.0),
                  checkout(tmp_path, "b", wall=2.5))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_difference_in_stderr_alone_fails_and_is_named(tmp_path):
+    proc = check(checkout(tmp_path, "a"),
+                 checkout(tmp_path, "b", status="FAIL"))
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == "differs: suite: stderr"
