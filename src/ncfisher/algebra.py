@@ -74,9 +74,6 @@ class Letter(NamedTuple):
     gen: str
     time: Time
 
-    def shifted(self, s: Time) -> "Letter":
-        return _new_letter(Letter, (self[0], self[1], self[2] + s))
-
     def __str__(self) -> str:
         return f"{self.family}{self.gen}:{self.time}"
 

@@ -163,8 +163,7 @@ def _parse_time(m: ModelSpec, text: str, where: str) -> Fraction:
 def _check_phase(m: ModelSpec, t, where: str) -> None:
     """Refuse a time whose phase at the model's fastest frequency exceeds
     ``MAX_PHASE_TURNS`` turns, or that is not a finite number."""
-    fastest = max((abs(a.x) for g in m.generators for a in g.atoms),
-                  default=0.0)
+    fastest = max(abs(a.x) for g in m.generators for a in g.atoms)
     if not abs(t) * fastest <= MAX_PHASE_TURNS:
         raise ConfigError(
             f"time {t} in {where} is not within {MAX_PHASE_TURNS} turns "

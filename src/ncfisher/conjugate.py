@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import TimeLike, as_time, x
 from .model import ConfigError, ModelSpec
-from .moments import Residual, fock_dimension, fock_vectors
+from .moments import Residual, _ticks, fock_dimension, fock_vectors
 
 __all__ = [
     "BasisError",
@@ -79,14 +79,6 @@ class BasisSpec:
         ds = as_time(s)
         return BasisSpec(tuple(t + ds for t in self.time_grid),
                          self.max_degree)
-
-
-def _ticks(times) -> tuple:
-    """(den, ticks): exact ``times`` over their common denominator den, as
-    the int ticks time * den."""
-    ratios = [t.as_integer_ratio() for t in times]
-    den = math.lcm(*[d for _, d in ratios])
-    return den, [p * (den // d) for p, d in ratios]
 
 
 def _letter_pivot_key(gen: str, tick: int, target_gen: str,
@@ -582,15 +574,13 @@ def chi_star(
     vector scales by (1+t)^(d/2), its rhs entry by (1+t)^((d+1)/2), and
     the prune's test is relative), so one family solve on ``m`` serves
     every t and the integral is (n log(1 + c) - F c) / 2, c the cutoff.
-    Raises :class:`ConfigError` for a negative cutoff, and for one at which
-    the integral is not a finite double.
+    Raises :class:`ConfigError` for a negative cutoff, for an empty
+    family (:func:`solve_family`), and for a cutoff at which the integral
+    is not a finite double.
     """
     if tail_cutoff < 0:
         raise ConfigError(f"tail cutoff must not be negative, got "
                           f"{tail_cutoff}")
-    gens = list(gens)
-    if not gens:
-        return 0.0
     fisher = fisher_multi(m, gens, basis)
     value = 0.5 * (len(gens) * math.log1p(tail_cutoff) - fisher * tail_cutoff)
     if not math.isfinite(value):

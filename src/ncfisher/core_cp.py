@@ -1,12 +1,13 @@
 """Symbolic layer for the crossed product of the model by its modular flow.
 
 Elements are handled in two shapes: trigonometric polynomials (finite
-sums of multiples of the flow unitaries U_r, a *-algebra under
-U_s U_t = U_{s+t}) and core words, i.e. products of primary letters and
-U steps.  The commutation rule U_s X_t = X_{t+s} U_s brings every such
-product to the normal form (word) * U_r with exact bookkeeping of the
-time tags (ints or Fractions, ticks of the model's 1/time_den), and core
-words are stored in that form:
+sums of multiples of the flow unitaries U_r, held as coefficient maps:
+the values of the expectation and of the inner product below) and core
+words, i.e. products of primary letters and U steps.  With
+U_s U_t = U_{s+t}, the commutation rule U_s X_t = X_{t+s} U_s brings
+every such product to the normal form (word) * U_r with exact
+bookkeeping of the time tags (ints or Fractions, ticks of the model's
+1/time_den), and core words are stored in that form:
 (w, r) (w', r') = (w + sigma_r(w'), r + r').  That is what makes the
 conditional expectation onto the group part computable:
 E(m U_r) = state(m) U_r.
@@ -69,20 +70,6 @@ class TrigPoly(_SparseSum):
         would pass over behind a larger one."""
         return finite_max((abs(c) for c in self._terms.values()),
                           "a coefficient magnitude")
-
-    def __mul__(self, other):
-        if not isinstance(other, TrigPoly):
-            return super().__mul__(other)
-        out: dict[Time, complex] = {}
-        for s, c1 in self._terms.items():
-            for t, c2 in other._terms.items():
-                _accumulate(out, s + t, c1 * c2)
-        return TrigPoly._raw(out)
-
-    def adjoint(self) -> "TrigPoly":
-        return TrigPoly._raw(
-            {-t: c.conjugate() for t, c in self._terms.items()}
-        )
 
     @staticmethod
     def _key_str(t) -> str:

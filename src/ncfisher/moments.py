@@ -106,6 +106,14 @@ def _is_odd(letters) -> bool:
     return n % 2 == 1
 
 
+def _ticks(times) -> tuple:
+    """(den, ticks): exact ``times`` over their common denominator den, as
+    the int ticks time * den."""
+    ratios = [t.as_integer_ratio() for t in times]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [p * (den // d) for p, d in ratios]
+
+
 def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     """Pairing sums of the index intervals of a word, by one pass from its
     last letter to its first: ``phi[i].get(j, 0j)`` is the state of the
@@ -150,9 +158,7 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     _check_length(n)
     if etas is None:
         etas = {}
-    ratios = [l.time.as_integer_ratio() for l in letters]
-    den = math.lcm(*[d for _, d in ratios])
-    ticks = [p * (den // d) for p, d in ratios]
+    den, ticks = _ticks(l.time for l in letters)
     scale = den * m.time_den  # m.real_time(d, den) is d / scale
     tables: dict = {}  # generator -> (eta, {d or (d, offset diff): eta})
     later: dict = {}  # (family, generator) -> its positions after i

@@ -458,7 +458,7 @@ _CHECKS = [
 ALL_CHECK_IDS = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 
-def run_suite(seed: int = 0) -> list:
+def run_suite(seed: int) -> list:
     """Run every check, in the order of ``ALL_CHECK_IDS``, and time each."""
     ctx = SuiteContext.fresh(seed)
     results = []

@@ -10,8 +10,10 @@ file, so the diff of the file shows what changed.
 
 The argvs are the README examples and the eighteen commands of two
 benchmark ``cli`` cycles, copied as literals, then the sampled checks
-at seeds 0-3; an argument ``{model:<stem>}`` stands for the file of
-``MODELS[<stem>]``.  :func:`run_argv` writes the models' directory as
+at seeds 0-3, then the README ``moment`` example on the built-in model
+written as a full-mode config (``full-lit``); an argument
+``{model:<stem>}`` stands for the file of ``MODELS[<stem>]``.
+:func:`run_argv` writes the models' directory as
 ``{models}`` in stdout and stderr, and drops the report's ``HOST_KEYS``,
 which measure the host, and its ``inputs.model``.
 """
@@ -54,6 +56,13 @@ MODELS = {
          "atoms": [{"x": 0.27, "w": 0.8450718291397447}]},
         {"name": "b", "mode": "half",
          "atoms": [{"x": 0.33, "w": 0.8882958656701435}]},
+    ]},
+    # the built-in two-atom model, both atoms listed, as config_dict
+    # writes it
+    "full-lit": {"generators": [
+        {"name": "g", "mode": "full",
+         "atoms": [{"x": "ln2/(2pi)", "w": 0.6666666666666666},
+                   {"x": "-ln2/(2pi)", "w": 0.3333333333333333}]},
     ]},
 }
 
@@ -143,7 +152,9 @@ ARGVS = [
     for seed in range(4)
     for argv in (["suite"], ["verify-core", "--x-degree", "6"],
                  ["verify-lemma2", "--degree", "6"])
-][1:]
+][1:] + [
+    ["moment", "--model", "{model:full-lit}", "--word", "X:0 X:1 X:0 X:1"],
+]
 
 
 def write_models(directory) -> None:

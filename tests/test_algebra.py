@@ -189,6 +189,9 @@ def test_sparse_sum_canonical_form(name):
     assert a - b == a + (-b)
     assert 2 * a == a * 2 == a + a
     assert 0 * a == type(a).zero()
+    for op in (lambda: a - "x", lambda: a * "x", lambda: "x" * a):
+        with pytest.raises(TypeError):
+            op()
     b_again = make([(k2, -2), (k1_again, 1)])
     assert b_again == b and hash(b_again) == hash(b)
     if unit is None:

@@ -188,6 +188,15 @@ def test_chi_star_takes_no_eps_flag(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_value_flag_without_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["conjugate", "--grid"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--grid: expected one argument" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_commands_quick(capsys):
     code, report = run_json(
         capsys, ["verify-lemma2", "--count", "10", "--degree", "3"]
@@ -199,6 +208,14 @@ def test_verify_commands_quick(capsys):
         capsys, ["verify-core", "--count", "10", "--x-degree", "3"]
     )
     assert code == 0 and report["passed"] is True
+
+
+@pytest.mark.parametrize("command, key", [("verify-core", "x_degree"),
+                                          ("verify-lemma2", "degree")])
+def test_sampled_checks_default_to_degree_four(capsys, command, key):
+    code, report = run_json(capsys, [command, "--count", "1"])
+    assert code == 0
+    assert report["inputs"][key] == report["outputs"][key] == 4
 
 
 @pytest.mark.parametrize("command", ["verify-core", "verify-lemma2"])
@@ -338,13 +355,19 @@ def test_brownian_evaluates_the_word_once(monkeypatch, capsys):
     assert len(evaluated) == 1
 
 
+def tracial_atom_file(tmp_path, weight):
+    """One atom of ``weight`` at 0: the model's mass is ``weight``."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": weight}]}]}))
+    return str(path)
+
+
 @pytest.mark.parametrize("command", ["moment", "brownian"])
 def test_word_whose_state_may_overflow_is_refused(tmp_path, monkeypatch,
                                                   capsys, command):
     # 128 letters at mass 1e6: C(64) 1e384 is past the largest double
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"generators": [
-        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+    path = tracial_atom_file(tmp_path, 1e6)
     evaluated = []
     monkeypatch.setattr(moments, "_phi", lambda *args: evaluated.append(args))
     word = " ".join(["X:0"] * 128)
@@ -362,14 +385,55 @@ def test_word_whose_state_may_overflow_is_refused(tmp_path, monkeypatch,
     assert code == 0 and report["passed"] is None
 
 
+def mass_at_log_margin(log_count, h, margin):
+    """The mass v at which log_count + h log v is ``margin`` past the log
+    of the largest double."""
+    return math.exp((math.log(sys.float_info.max) + margin - log_count) / h)
+
+
+def log_catalan(h):
+    return math.log(math.comb(2 * h, h) // (h + 1))
+
+
+@pytest.mark.parametrize("margin", [-0.05, 0.05])
+def test_moment_refusal_sits_at_the_largest_double(tmp_path, capsys, margin):
+    # 128 letters at one tracial atom: the bound C(64) v^64 is 0.05 below
+    # or above the largest double in logs
+    v = mass_at_log_margin(log_catalan(64), 64, margin)
+    code = run(["moment", "--model", tracial_atom_file(tmp_path, v),
+                "--word", " ".join(["X:0"] * 128)])
+    captured = capsys.readouterr()
+    if margin < 0:
+        assert code == 0
+        value = json.loads(captured.out)["outputs"]["value"]["re"]
+        assert value == pytest.approx(math.exp(log_catalan(64)) * v**64,
+                                      rel=1e-9)
+    else:
+        assert code == 2
+        assert "may reach" in captured.err
+
+
+def test_brownian_refusal_is_decided_by_the_binomial(tmp_path, capsys):
+    # 92 letters, so the printed coefficients reach C(46, min(order, 23))
+    # C(46) v^46; C(46, 23) / C(46, 22) = 24/23, and the mass puts the
+    # largest double between the two bounds
+    log_counts = [log_catalan(46) + math.log(math.comb(46, j))
+                  for j in (22, 23)]
+    v = mass_at_log_margin(sum(log_counts) / 2, 46, 0.0)
+    argv = ["brownian", "--model", tracial_atom_file(tmp_path, v),
+            "--word", " ".join(["X:0"] * 92)]
+    code, report = run_json(capsys, argv + ["--order", "22"])
+    assert (code, report["passed"]) == (0, None)
+    assert run(argv + ["--order", "23"]) == 2
+    assert "92 letters" in capsys.readouterr().err
+
+
 def test_brownian_bound_counts_the_largest_printed_binomial(tmp_path,
                                                            capsys):
     # 92 letters at mass 1e6: C(46) 1e276 fits a double, and so does the
     # order-2 coefficient C(46, 2) C(46) 1e276, but C(46, 23) C(46) 1e276
     # does not
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"generators": [
-        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+    path = tracial_atom_file(tmp_path, 1e6)
     word = " ".join(["X:0"] * 92)
     argv = ["brownian", "--model", str(path), "--word", word]
     code, report = run_json(capsys, argv)
@@ -613,9 +677,7 @@ def test_check_degree_whose_words_may_overflow_is_refused(tmp_path,
                                                           argv):
     # one tracial atom of weight 1e6: each draw of these runs has a NaN
     # residual
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"generators": [
-        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]}]}))
+    path = tracial_atom_file(tmp_path, 1e6)
 
     def drawn(*args):
         raise AssertionError("drew an input")

@@ -784,8 +784,9 @@ def test_cramer_rao_audit_only_when_not_normalized(m):
     assert rep.ratio == pytest.approx(16.0, abs=1e-6)
 
 
-def test_chi_star_empty_family_is_zero(m):
-    assert chi_star(m, [], 2.0, BasisSpec(GRID3, 2)) == 0.0
+def test_chi_star_refuses_an_empty_family(m):
+    with pytest.raises(ConfigError, match="at least one generator"):
+        chi_star(m, [], 2.0, BasisSpec(GRID3, 2))
 
 
 def test_chi_star_refuses_a_negative_cutoff(m):
@@ -995,7 +996,8 @@ def test_shifted_basis_words_are_the_shifted_problems_words(case):
     for s in (Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)):
         words1 = enumerate_basis(model, target, spec.shifted(s), b_gens,
                                  target_time=s)
-        shifted = [tuple(l if l.gen in tracial else l.shifted(s) for l in w)
+        shifted = [tuple(l if l.gen in tracial
+                         else l._replace(time=l.time + s) for l in w)
                    for w in words0]
         assert shifted == words1
 

@@ -29,3 +29,14 @@ def test_golden_report(case, models):
     assert run["exit"] == case["exit"]
     assert (json.dumps(run["report"], sort_keys=True, indent=1)
             == json.dumps(case["report"], sort_keys=True, indent=1))
+
+
+def test_a_full_mode_config_prints_the_built_in_models_report():
+    # config_dict writes the built-in model in full mode; that config,
+    # with its frequency literal, loads back to the same model and digest
+    word = ["--word", "X:0 X:1 X:0 X:1"]
+    built_in = CASES[ARGVS.index(["moment", *word])]
+    full = CASES[ARGVS.index(["moment", "--model", "{model:full-lit}",
+                              *word])]
+    assert full["exit"] == built_in["exit"] == 0
+    assert full["report"] == built_in["report"]

@@ -52,10 +52,13 @@ def test_identical_trees_pass(tmp_path):
     proc = check(checkout(tmp_path, "a"), checkout(tmp_path, "b"))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # the golden argvs, ending with verify-core and verify-lemma2 at
-    # seeds 0-3 and suite at seeds 1-3; one sha256 per side
+    # the golden argvs: verify-core and verify-lemma2 at seeds 0-3 and
+    # suite at seeds 1-3, then the README moment example on a full-mode
+    # model; one sha256 per side
     assert len(lines) > 12
-    assert lines[-1].endswith(" verify-lemma2 --degree 6 --seed 3")
+    assert lines[-2].endswith(" verify-lemma2 --degree 6 --seed 3")
+    assert lines[-1].endswith(
+        " moment --model {model:full-lit} --word X:0 X:1 X:0 X:1")
     for line in lines:
         parent, change, _ = line.split(" ", 2)
         assert parent == change and len(parent) == 64

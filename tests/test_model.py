@@ -12,6 +12,7 @@ from ncfisher.model import (
     DetailedBalanceViolation,
     GeneratorSpec,
     LN2_OVER_2PI,
+    ModelSpec,
     SpectralAtom,
     build_model,
     check_detailed_balance,
@@ -232,6 +233,21 @@ def test_atom_validation():
         SpectralAtom(0.0, 0.0)
     with pytest.raises(ConfigError):
         GeneratorSpec("g", (SpectralAtom(0.1, 1.0), SpectralAtom(0.1, 2.0)))
+
+
+def test_constructors_refuse_what_build_model_refuses_first():
+    # build_model refuses an empty atom list and a tolerance that is not
+    # positive before it constructs anything; the constructors hold too
+    with pytest.raises(ConfigError, match="no atoms"):
+        GeneratorSpec("g", ())
+    g = GeneratorSpec("g", (SpectralAtom(0.0, 1.0),))
+    for tol in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="tolerance must be positive"):
+            ModelSpec((g,), tolerance=tol)
+    with pytest.raises(ConfigError, match="unique"):
+        ModelSpec((g, g))
+    with pytest.raises(ConfigError, match="time_den"):
+        ModelSpec((g,), time_den=0)
 
 
 def test_scaling_preserves_balance():

@@ -211,6 +211,11 @@ def test_shifted_state_block_validation(m):
         evaluate_state_shifted(m, w, [0, 2], 1)  # not contiguous
     with pytest.raises(ValueError):
         evaluate_state_shifted(m, w, [4], 1)  # out of range
+    # [0, 1, 2] is a prefix block of a three-letter word: only the range
+    # check refuses it on a two-letter one
+    for positions in ([2], [1, 2], [0, 1, 2]):
+        with pytest.raises(ValueError, match="positions out of range"):
+            evaluate_state_shifted(m, w[:2], positions, 0.5j)
     # prefix and full blocks are fine
     evaluate_state_shifted(m, w, [0, 1], 1)
     evaluate_state_shifted(m, w, range(4), 1)
