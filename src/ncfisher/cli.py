@@ -5,6 +5,14 @@ a one-line human summary goes to stderr.  Exit codes: 0 when every
 asserted check passed, 1 on an assertion failure, 2 on configuration or
 usage errors, inputs over a size limit and arithmetic that overflows a
 double.
+
+Each command runs in a process of its own, so a command imports only
+the modules it runs: this module imports at its top what parsing,
+dispatch and every model command need (``algebra``, ``model``,
+``moments``), and each handler imports the solver, the battery, the
+core layer or numpy when it is called.  ``moment``, ``check-kms``,
+``brownian`` and ``bound`` start without compiling the Galerkin solver
+or loading numpy.
 """
 from __future__ import annotations
 
@@ -14,27 +22,12 @@ import functools
 import hashlib
 import json
 import math
-import random
 import re
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import Word, Y_FAMILY, word_str, x, y
-from .brownian import expand_state
-from .conjugate import (
-    BasisError,
-    BasisSpec,
-    chi_star,
-    cramer_rao_audit,
-    modular_covariance_check,
-    self_adjoint_defect,
-    solve_conjugate,
-    solve_family,
-)
-from .core_cp import factoriality_bound
 from .model import (
     ConfigError,
     KMS_GRID,
@@ -50,7 +43,6 @@ from .moments import (
     ORACLE_MAX_LETTERS,
     Residual,
 )
-from .suite import core_residual, insertion_residual, run_suite
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -223,7 +215,9 @@ def _json_default(obj):
     return str(obj)
 
 
-def _basis_from_args(m: ModelSpec, args) -> BasisSpec:
+def _basis_from_args(m: ModelSpec, args):
+    from .conjugate import BasisSpec
+
     grid = tuple(_parse_time(m, tok, "--grid")
                  for tok in args.grid.split(",") if tok.strip())
     return BasisSpec(grid, args.degree)
@@ -299,6 +293,10 @@ def _solver_health(gen: str, sol) -> dict:
     (``test_solver_residual_is_reported_over_the_rhs``).  A zero
     right-hand side, which no residual can be measured against, is
     refused by name."""
+    import numpy as np
+
+    from .conjugate import BasisError
+
     rhs_norm = float(np.linalg.norm(sol.rhs))
     if rhs_norm == 0:
         raise BasisError(
@@ -321,6 +319,8 @@ def _cmd_conjugate(m, args):
     the coefficients by a real 1 + e scales xi - xi* by 1 + e, so a defect
     at rounding level stays there: the judged residual cannot see a
     uniform scaling of the printed coefficients."""
+    from .conjugate import self_adjoint_defect, solve_conjugate
+
     target = _resolve_gen(m, args.target)
     b_gens = tuple(
         _resolve_gen(m, g.strip()) for g in args.b_gens.split(",") if g.strip()
@@ -349,6 +349,8 @@ def _cmd_conjugate(m, args):
 
 
 def _cmd_fisher(m, args):
+    from .conjugate import solve_family
+
     gens = _gens_from_args(m, args)
     sols = solve_family(m, gens, _basis_from_args(m, args))
     per_gen = {g: sol.phi_star for g, sol in zip(gens, sols)}
@@ -359,6 +361,8 @@ def _cmd_fisher(m, args):
 
 
 def _cmd_cramer_rao(m, args):
+    from .conjugate import cramer_rao_audit
+
     gens = _gens_from_args(m, args)
     rep = cramer_rao_audit(m, gens, _basis_from_args(m, args))
     out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
@@ -370,6 +374,8 @@ def _cmd_cramer_rao(m, args):
 
 
 def _cmd_chi_star(m, args):
+    from .conjugate import chi_star
+
     gens = _gens_from_args(m, args)
     cutoff = _finite("--tail-cutoff", args.tail_cutoff)
     value = chi_star(m, gens, cutoff, _basis_from_args(m, args))
@@ -399,6 +405,8 @@ def _verify(m, args, flag: str, upper: int, draw_work: int, letters: int,
     before drawing when over its count, degree or work limits, or when
     ``letters`` states (the identity sums at most one per letter) may
     overflow a double at the target generator's mass."""
+    import random
+
     key = flag[2:].replace("-", "_")
     d = getattr(args, key)
     _check_range("--count", args.count, MAX_CHECK_COUNT)
@@ -413,6 +421,8 @@ def _verify(m, args, flag: str, upper: int, draw_work: int, letters: int,
 
 
 def _cmd_verify_lemma2(m, args):
+    from .suite import insertion_residual
+
     # p xi q, and the up to 2d terms of the two derivative pairings
     d = args.degree
     return _verify(m, args, "--degree", MAX_LEMMA2_DEGREE,
@@ -420,6 +430,8 @@ def _cmd_verify_lemma2(m, args):
 
 
 def _cmd_verify_core(m, args):
+    from .suite import core_residual
+
     # zeta* Q, and the up to d terms of the derivative of Q
     d = args.x_degree
     return _verify(m, args, "--x-degree", MAX_CORE_DEGREE, core_draw_work(d),
@@ -427,6 +439,8 @@ def _cmd_verify_core(m, args):
 
 
 def _cmd_brownian(m, args):
+    from .brownian import expand_state
+
     w = parse_word(m, args.word, allow_y=False)
     if not w:
         raise ConfigError("brownian needs a non-empty word")
@@ -442,6 +456,8 @@ def _cmd_brownian(m, args):
 
 
 def _cmd_bound(m, args):
+    from .core_cp import factoriality_bound
+
     alpha = _finite("--alpha", args.alpha)
     delta = _finite("--delta", args.delta)
     return {"alpha": alpha, "delta": delta,
@@ -449,6 +465,8 @@ def _cmd_bound(m, args):
 
 
 def _cmd_covariance(m, args):
+    from .conjugate import modular_covariance_check
+
     target = _resolve_gen(m, args.target)
     shift = _parse_time(m, args.shift, "--shift")
     residual = modular_covariance_check(
@@ -459,6 +477,8 @@ def _cmd_covariance(m, args):
 
 
 def _cmd_suite(m, args):
+    from .suite import run_suite
+
     results = run_suite(seed=args.seed)
     ok = all(r.passed for r in results if r.asserted)
     checks = [

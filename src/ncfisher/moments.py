@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import Letter, NcPoly, Word
 from .model import ModelSpec
 
@@ -144,15 +142,16 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
     1.  ``offsets``, one per letter (default 0), are real times added
     after that: the pair (i, k) gets eta at ``m.real_time(d, den) + od``,
     od = ``offsets[k] - offsets[i]``, which is how a complex shift of a
-    block of letters enters.  eta is called once per distinct (generator,
-    den, d, od) over the partner pairs, whatever the family, and a
-    generator's eta is first looked up at its first partner pair: ``etas``
-    is the table of those values, a dict that a run on ``m`` may share
-    between its words (default: a fresh one per call).  It maps
-    (generator, den) to a dict keyed by d where od is 0 and by (d, od)
-    elsewhere, so a pair inside a shifted block shares the entry of an
-    unshifted pair.  Raises :class:`SizeLimitError` first for words over
-    ``MAX_WORD_LETTERS``.
+    block of letters enters; where od is 0, a complex 0j included, eta
+    gets the real time alone and runs its real path.  eta is called once
+    per distinct (generator, den, d, od) over the partner pairs, whatever
+    the family, and a generator's eta is first looked up at its first
+    partner pair: ``etas`` is the table of those values, a dict that a run
+    on ``m`` may share between its words (default: a fresh one per call).
+    It maps (generator, den) to a dict keyed by d where od is 0 and by
+    (d, od) elsewhere, so a pair inside a shifted block shares the entry
+    of an unshifted pair.  Raises :class:`SizeLimitError` first for words
+    over ``MAX_WORD_LETTERS``.
     """
     n = len(letters)
     _check_length(n)
@@ -187,7 +186,8 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
                 key = (d, od)
             c = cache.get(key)
             if c is None:
-                c = cache[key] = eta((d if scale == 1 else d / scale) + od)
+                t = d if scale == 1 else d / scale
+                c = cache[key] = eta(t + od if od else t)
             if c != 0:
                 ck = c * a
                 for j, b in phi[k + 1].items():
@@ -318,6 +318,8 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     contraction with the conjugated one-particle vectors) added in place
     to the rows of two particles fewer.
     """
+    import numpy as np  # here, so that the other evaluators start without it
+
     offsets: dict = {}
     k = 0
     for letter in alphabet:

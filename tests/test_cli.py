@@ -17,7 +17,7 @@ import pytest
 import golden_reports
 import ncfisher
 import planted
-from ncfisher import cli, conjugate, core_cp, moments
+from ncfisher import cli, conjugate, core_cp, moments, suite
 from ncfisher.cli import run
 from ncfisher.conjugate import BasisSpec, solve_family
 from ncfisher.model import GeneratorSpec, load_model, two_atom_model
@@ -537,7 +537,7 @@ def test_linalg_error_is_usage_error(monkeypatch, capsys):
     def unconverged(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(cli, "solve_conjugate", unconverged)
+    monkeypatch.setattr(conjugate, "solve_conjugate", unconverged)
     assert run(["conjugate"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -682,8 +682,8 @@ def test_check_degree_whose_words_may_overflow_is_refused(tmp_path,
     def drawn(*args):
         raise AssertionError("drew an input")
 
-    monkeypatch.setattr(cli, "core_residual", drawn)
-    monkeypatch.setattr(cli, "insertion_residual", drawn)
+    monkeypatch.setattr(suite, "core_residual", drawn)
+    monkeypatch.setattr(suite, "insertion_residual", drawn)
     assert run([*argv, "--model", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -979,7 +979,7 @@ def test_non_finite_model_numbers_rejected(tmp_path, capsys, text):
 def test_non_finite_output_is_usage_error(monkeypatch, capsys):
     # the strict-JSON guard is the last line of defence: an output that is
     # not finite, which no input check caught, still exits 2
-    monkeypatch.setattr(cli, "factoriality_bound", lambda *args: math.inf)
+    monkeypatch.setattr(core_cp, "factoriality_bound", lambda *args: math.inf)
     assert run(["bound", "--alpha", "0.5", "--delta", "0.1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

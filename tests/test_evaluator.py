@@ -41,7 +41,8 @@ from ncfisher import core_cp, moments
 from ncfisher.algebra import Letter, shift_word, x, y
 from ncfisher.brownian import expand_state
 from ncfisher.core_cp import CoreWord, verify_core_identity
-from ncfisher.model import GeneratorSpec, build_model, tracial_model
+from ncfisher.model import (GeneratorSpec, build_model, tracial_model,
+                           two_atom_model)
 from ncfisher.moments import (
     brute_force_oracle,
     covariance,
@@ -638,3 +639,37 @@ def test_plain_and_shifted_words_share_one_eta_table(data):
             d, od = w[k].time - w[i].time, off[k] - off[i]
             arguments[w[i].gen, d, od] = (w[i].gen, m.real_time(d) + od)
     assert Counter(counter.calls) == Counter(arguments.values())
+
+
+def test_same_side_pairs_of_a_shifted_word_take_the_real_path():
+    # a pair on one side of the block has offset difference 0j, so eta
+    # gets its real time alone, a float, and its real path gives the bits
+    # of the literal complex sum; a pair across the block gets that time
+    # minus z, a complex
+    m = two_atom_model()
+    gen = m.sole_generator().gen_id
+    w = tuple(x(gen, Fraction(t)) for t in ("0", "1/3", "1/2", "1", "5/4", "2"))
+    block, z = range(2), 0.25 + 0.5j
+    original = GeneratorSpec.eta
+
+    def evaluate(as_complex):
+        calls = []
+
+        def eta(g, t):
+            calls.append(t)
+            return original(g, complex(t) if as_complex else t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GeneratorSpec, "eta", eta)
+            return evaluate_state_shifted(m, w, block, z), calls
+
+    value, calls = evaluate(False)
+    pairs = [(i, k) for i in range(len(w)) for k in range(i + 1, len(w), 2)]
+    same = {float(w[k].time - w[i].time) for i, k in pairs
+            if (i in block) == (k in block)}
+    across = {float(w[k].time - w[i].time) + (0j - z) for i, k in pairs
+              if (i in block) != (k in block)}
+    assert sorted(t for t in calls if type(t) is float) == sorted(same)
+    assert {t for t in calls if type(t) is complex} == across
+    assert len(calls) == len(same) + len(across)
+    assert bits(value) == bits(evaluate(True)[0])

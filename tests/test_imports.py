@@ -1,13 +1,18 @@
-"""Names bound by imports, read with ``ast`` and never executed.
+"""Names bound by imports, and the modules a command loads.
 
 Every name a module imports is read there, and every name the benchmark
 under ``perfbench/`` reads from the package exists.  A benchmark run
 that reads a missing name fails as a whole, and its output is not shown
-beside the tests, so the names are checked here.
+beside the tests, so the names are checked here, read with ``ast`` and
+never executed.  The CLI imports only what a command runs, which a fresh
+interpreter shows.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from ncfisher import cli, suite
@@ -82,3 +87,44 @@ def test_the_benchmark_calls_into_the_package_resolve():
     # the tracer wraps the entries of both in place
     assert isinstance(suite._CHECKS, list)
     assert isinstance(cli._HANDLERS, dict)
+
+
+# run in a fresh interpreter: the ncfisher modules and whether numpy is
+# loaded after importing the CLI, after the commands that need neither
+# the solver nor numpy, and after one that solves
+LOADED_BY_COMMANDS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+stages = []
+
+def loaded():
+    stages.append(sorted(n for n in sys.modules
+                         if n == "ncfisher" or n.startswith("ncfisher."))
+                  + ["numpy"] * ("numpy" in sys.modules))
+
+def run(*argvs):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ncfisher.cli.run(argv) == 0, argv
+    loaded()
+
+import ncfisher.cli
+loaded()
+run(["moment", "--word", "X:0 X:1 X:0 X:1"], ["check-kms"],
+    ["brownian", "--word", "X:0 X:1/2"],
+    ["bound", "--alpha", "0.5", "--delta", "0.1"])
+run(["conjugate"])
+print(json.dumps(stages))
+"""
+
+
+def test_a_command_imports_only_what_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_COMMANDS, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported, unsolved, solved = json.loads(proc.stdout)
+    assert imported == ["ncfisher", "ncfisher.algebra", "ncfisher.cli",
+                        "ncfisher.model", "ncfisher.moments"]
+    assert not {"numpy", "ncfisher.conjugate", "ncfisher.suite"} & set(unsolved)
+    assert {"numpy", "ncfisher.conjugate"} <= set(solved)

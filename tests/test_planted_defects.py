@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ncfisher import cli
+from ncfisher import cli, suite
 from ncfisher.suite import ALL_CHECK_IDS
 from planted import ROWS, plant
 
@@ -60,7 +60,7 @@ def observe(monkeypatch, capsys, error="nan"):
     """``fails`` and ``exits`` as they are, and the details of each suite
     run and the outputs of each command; every verdict the suite builds
     is a Python bool."""
-    run_suite = cli.run_suite
+    run_suite = suite.run_suite
     verdicts = []
 
     def spied(seed):
@@ -68,7 +68,7 @@ def observe(monkeypatch, capsys, error="nan"):
         verdicts.extend(v for r in results for v in (r.passed, r.asserted))
         return results
 
-    monkeypatch.setattr(cli, "run_suite", spied)
+    monkeypatch.setattr(suite, "run_suite", spied)
     fails, codes, reports = {}, {}, {}
     for seed in SEEDS:
         codes[seed], report = run_command(
