@@ -12,20 +12,30 @@ dispatch and every model command need (``algebra``, ``model``,
 ``moments``), and each handler imports the solver, the battery, the
 core layer or numpy when it is called.  ``moment``, ``check-kms``,
 ``brownian`` and ``bound`` start without compiling the Galerkin solver
-or loading numpy.
+or loading numpy, and no command loads OpenSSL: the model digest takes
+SHA-256 from the interpreter's own module, not from ``hashlib``.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import re
 import sys
 import time
 from fractions import Fraction
+
+try:
+    # hashlib loads OpenSSL, which is heavy to start; the interpreter's
+    # own SHA-256 gives the same digest (3.12 on: _sha2, before: _sha256)
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .algebra import Word, Y_FAMILY, word_str, x, y
 from .model import (
@@ -96,7 +106,7 @@ def core_draw_work(degree: int) -> int:
 
 def _model_digest(m: ModelSpec) -> str:
     blob = json.dumps(m.config_dict(), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _resolve_gen(m: ModelSpec, name: str) -> str:

@@ -403,6 +403,9 @@ def load_model(path) -> ModelSpec:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(
+                f"JSON in {path} is nested too deeply to read") from None
     return build_model(config)
 
 

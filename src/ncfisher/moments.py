@@ -6,17 +6,16 @@ the generator's eta at the letters' time difference when family and
 generator id agree, and zero otherwise.  This block-diagonal kernel is
 what makes distinct generators, and the X and Y families, mutually free.
 
-Three evaluators compute it independently: :func:`interval_states`, one
-pass per word, behind :func:`evaluate_state` and its variants;
-:func:`fock_vectors`, every word of a basis at once in the free Fock
-space; and :func:`brute_force_oracle`, exhaustive up to 12 letters.
+Two evaluators here compute it independently: :func:`interval_states`,
+one pass per word, behind :func:`evaluate_state` and its variants; and
+:func:`brute_force_oracle`, exhaustive up to 12 letters.  A third, the
+Fock build of the Galerkin solver (:func:`ncfisher.conjugate.fock_vectors`),
+gives every word of a basis at once in the free Fock space.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import Letter, NcPoly, Word
 from .model import ModelSpec
@@ -31,8 +30,6 @@ __all__ = [
     "evaluate_state_detailed",
     "evaluate_state_shifted",
     "interval_states",
-    "fock_dimension",
-    "fock_vectors",
     "expectation",
     "brute_force_oracle",
 ]
@@ -287,75 +284,6 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
     z, block = complex(z), set(pos)
     offsets = [z if i in block else 0j for i in range(n)]
     return interval_states(m, letters, offsets, etas)[0].get(n, 0j)
-
-
-def fock_dimension(k: int, degree: int) -> int:
-    """Dimension 1 + k + ... + k^degree of the full Fock space over a
-    k-dimensional one-particle space, truncated at ``degree`` particles."""
-    return sum(k**n for n in range(degree + 1))
-
-
-def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
-    """Vectors W.Omega of every word over ``alphabet`` with at most
-    ``degree`` letters, in the truncated full Fock space.
-
-    Returns the D x n complex matrix V with one column per word, degree by
-    degree from the empty word and each degree in ``itertools.product``
-    order, so V^H V holds state(w_i* w_j) and row 0 the state values.  The
-    one-particle space is the direct sum of C^{k} over the (family,
-    generator) pairs of the alphabet, k the generator's atom count; D
-    counts particle numbers up to ``degree``.  Letter tags must be real.
-    Letter l at time t acts as creation plus annihilation of its
-    one-particle vector f_t[j] = sqrt(w_j) exp(2 pi i t x_j) in its
-    block, so <f_s, f_t> = eta(t - s) (the free Gaussian functor).
-
-    An n-particle tensor is stored first factor fastest, so fewer particles
-    fill a prefix of the rows.  The degree-d block is the degree-(d-1)
-    block with all a letters applied at once, built in its own slice of
-    V, seen as rows x a x a^{d-1} so that letter l applied to word j is
-    column l a^{d-1} + j: one batched creation (an outer product) written
-    into the rows past the vacuum, then one batched annihilation (a
-    contraction with the conjugated one-particle vectors) added in place
-    to the rows of two particles fewer.
-    """
-    import numpy as np  # here, so that the other evaluators start without it
-
-    offsets: dict = {}
-    k = 0
-    for letter in alphabet:
-        key = (letter.family, letter.gen)
-        if key not in offsets:
-            offsets[key] = k
-            k += len(m.gen(letter.gen).atoms)
-    a = len(alphabet)
-    f = np.zeros((a, k), dtype=complex)  # row l: one-particle vector of l
-    for l, letter in enumerate(alphabet):
-        start = offsets[(letter.family, letter.gen)]
-        phase = 2j * math.pi * float(m.real_time(letter.time))
-        for j, at in enumerate(m.gen(letter.gen).atoms):
-            f[l, start + j] = math.sqrt(at.w) * cmath.exp(phase * at.x)
-
-    vecs = np.zeros((fock_dimension(k, degree), fock_dimension(a, degree)),
-                    dtype=complex, order="F")
-    vecs[0, 0] = 1
-    if not a:
-        return vecs  # no word but the empty one
-    block = vecs[:1, :1]  # degree d - 1, up to d - 1 particles
-    for d in range(1, degree + 1):
-        rows, n = block.shape
-        first = fock_dimension(a, d - 1)  # words of lower degree come first
-        out = vecs[:1 + rows * k, first:first + a * n]
-        new = out.reshape(len(out), a, n)
-        # creation: row 1 + r k + i of l on word j is f[l, i] block[r, j]
-        created = new[1:].reshape(rows, k, a, n)
-        # a reshape copies where it cannot view; a copy would lose the writes
-        assert np.shares_memory(created, vecs)
-        np.multiply(block[:, None, None], f.T[:, :, None], out=created)
-        # annihilation: contract the first factor with conj(f[l])
-        below = fock_dimension(k, d - 2)
-        new[:below] += f.conj() @ block[1:].reshape(below, k, n)
-        block = out
-    return vecs
 
 
 def expectation(m: ModelSpec, p: NcPoly, etas=None) -> complex:

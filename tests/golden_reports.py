@@ -3,19 +3,21 @@
 Run ``python tests/golden_reports.py`` from the repository root to rerun
 every argv in-process through ``ncfisher.cli.run`` and rewrite
 ``tests/golden_reports.json``.  ``test_golden_reports.py`` reruns the
-same argvs and compares each exit code and report with the file exactly,
-and ``tools/identity_check.py`` replays them through :func:`replay` on
-two checkouts.  A change that alters a report on purpose regenerates the
+same argvs and compares each exit code, report and stderr text with
+the file exactly, and ``tools/identity_check.py`` replays them through
+:func:`replay` on two checkouts.  A change that alters a report on purpose regenerates the
 file, so the diff of the file shows what changed.
 
 The argvs are the README examples and the eighteen commands of two
 benchmark ``cli`` cycles, copied as literals, then the sampled checks
 at seeds 0-3, then the README ``moment`` example on the built-in model
-written as a full-mode config (``full-lit``); an argument
+written as a full-mode config (``full-lit``), then the refusals: each
+command judged against ``--tol`` failing at ``--tol 0`` (exit 1), and
+one input of each kind the CLI refuses (exit 2).  An argument
 ``{model:<stem>}`` stands for the file of ``MODELS[<stem>]``.
-:func:`run_argv` writes the models' directory as
-``{models}`` in stdout and stderr, and drops the report's ``HOST_KEYS``,
-which measure the host, and its ``inputs.model``.
+:func:`run_argv` writes the models' directory as ``{models}`` in stdout
+and stderr, pins argparse's line width, and drops the report's
+``HOST_KEYS``, which measure the host, and its ``inputs.model``.
 """
 import contextlib
 import io
@@ -23,7 +25,9 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
+from unittest import mock
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -64,6 +68,13 @@ MODELS = {
          "atoms": [{"x": "ln2/(2pi)", "w": 0.6666666666666666},
                    {"x": "-ln2/(2pi)", "w": 0.3333333333333333}]},
     ]},
+    # one tracial atom of mass 1e6, at which long words may overflow
+    "heavy": {"generators": [
+        {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1e6}]},
+    ]},
+    # nested past what json reads, so written as text: json.dump cannot
+    # write it either
+    "nested": '{"generators": ' + "[" * 1000 + "]" * 1000 + "}",
 }
 
 ARGVS = [
@@ -154,30 +165,56 @@ ARGVS = [
                  ["verify-lemma2", "--degree", "6"])
 ][1:] + [
     ["moment", "--model", "{model:full-lit}", "--word", "X:0 X:1 X:0 X:1"],
+    # every judged command fails at --tol 0: exit 1
+    ["check-kms", "--tol", "0"],
+    ["moment", "--word", "X:0 X:1 X:0 X:1", "--tol", "0"],
+    ["conjugate", "--tol", "0"],
+    ["cramer-rao", "--tol", "0"],
+    ["verify-lemma2", "--count", "10", "--tol", "0"],
+    ["verify-core", "--count", "10", "--tol", "0"],
+    ["covariance", "--tol", "0"],
+    # one refused input of each kind: exit 2
+    ["conjugate", "--grid"],
+    ["conjugate", "--target", "h"],
+    ["moment", "--word", " ".join(["X:0"] * 257)],
+    ["verify-core", "--model", "{model:heavy}", "--x-degree", "250",
+     "--count", "1"],
+    ["moment", "--word", "X:0 X:0", "--tol", "nan"],
+    ["moment", "--model", "{model:nested}", "--word", "X:0 X:0"],
 ]
 
 
 def write_models(directory) -> None:
-    """Write each model config to ``directory`` as ``<stem>.json``."""
+    """Write each model config to ``directory`` as ``<stem>.json``, a
+    text config as it is."""
     for stem, config in MODELS.items():
         with open(os.path.join(directory, f"{stem}.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(config, fh)
+            fh.write(config if isinstance(config, str)
+                     else json.dumps(config))
 
 
 def run_argv(argv: list, models: str) -> dict:
     """Exit code, comparable report (None without one) and stderr of
-    ``argv``, run in-process on the model configs written to ``models``."""
+    ``argv``, run in-process on the model configs written to ``models``;
+    an exception that escapes ``cli.run`` is exit 1."""
     from ncfisher import cli
 
     argv = [os.path.join(models, a[len("{model:"):-1] + ".json")
             if a.startswith("{model:") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps its usage lines to the terminal's width, pinned here
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = cli.run(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            # as an uncaught exception ends a process: exit 1, and the
+            # exception on stderr (here without its traceback)
+            code = 1
+            err.write("".join(traceback.format_exception_only(exc)))
     stdout, stderr = (buf.getvalue().replace(models, "{models}")
                       for buf in (out, err))
     report = json.loads(stdout) if stdout else None
@@ -196,7 +233,7 @@ def replay() -> list:
 
 
 def main() -> None:
-    cases = [{key: case[key] for key in ("argv", "exit", "report")}
+    cases = [{key: case[key] for key in ("argv", "exit", "report", "stderr")}
              for case in replay()]
     GOLDEN.write_text(json.dumps(cases, sort_keys=True, indent=1) + "\n",
                       encoding="utf-8")

@@ -25,7 +25,7 @@ guess-and-confirm replaces; ``masked_projection_prune`` is that
 guess-and-confirm with every other column confirmed by a masked
 projection, the reference for its confirm through the tail of Q^H v.
 ``batched_fock_vectors`` is the Fock build of
-:mod:`ncfisher.moments` with each degree's block made in a fresh array
+:mod:`ncfisher.conjugate` with each degree's block made in a fresh array
 and copied into V, the reference for the build in place.
 ``rebuilt_basis_norm`` is the Fock-coordinate norm of the audits with V
 rebuilt from the basis alphabet, as the audits computed it before they
@@ -55,12 +55,12 @@ from itertools import combinations
 import numpy as np
 
 from ncfisher.algebra import NcPoly, TimeLike, X_FAMILY, Letter, x, y
-from ncfisher.conjugate import PRUNE_RTOL, BasisSpec, solve_conjugate
+from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec, fock_dimension,
+                                 fock_vectors, solve_conjugate)
 from ncfisher.model import ModelSpec
 from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
                                eta_map)
-from ncfisher.moments import (covariance, expectation, fock_dimension,
-                              fock_vectors)
+from ncfisher.moments import covariance, expectation
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
@@ -391,7 +391,7 @@ def greedy_scan(vecs: np.ndarray) -> tuple:
 
 
 def batched_fock_vectors(m, alphabet, degree) -> np.ndarray:
-    """:func:`ncfisher.moments.fock_vectors` as it was built before it
+    """:func:`ncfisher.conjugate.fock_vectors` as it was built before it
     wrote into V: each degree's block made in a fresh array from the
     outer product of the lower block with the one-particle vectors, the
     annihilation contraction added to it, and the block copied into V."""

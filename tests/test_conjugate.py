@@ -22,6 +22,8 @@ from ncfisher.conjugate import (
     embedded_distance,
     enumerate_basis,
     fisher_multi,
+    fock_dimension,
+    fock_vectors,
     modular_covariance_check,
     self_adjoint_defect,
     solve_conjugate,
@@ -35,7 +37,6 @@ from ncfisher.model import (
     tracial_model,
     two_atom_model,
 )
-from ncfisher.moments import fock_dimension, fock_vectors
 from oracles import (
     all_k_rhs,
     fraction_alphabet,

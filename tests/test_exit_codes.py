@@ -126,3 +126,17 @@ def test_every_command_keeps_the_exit_code_contract(path, data):
     else:
         strict_json(out.getvalue())
     assert "JSON compliant" not in err.getvalue()
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_a_deeply_nested_model_file_is_a_usage_error(tmp_path, capsys,
+                                                     depth):
+    # json.load gives up on it with a RecursionError, which must not
+    # escape as a traceback and exit 1, the code of a failed assertion
+    path = tmp_path / "nested.json"
+    path.write_text('{"generators": ' + "[" * depth + "]" * depth + "}")
+    assert run(["moment", "--word", "X:0 X:0", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: JSON in {path} is nested too deeply to read"]

@@ -16,14 +16,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ncfisher.algebra import word_adjoint, x, y
-from ncfisher.conjugate import BasisSpec, enumerate_basis, solve_conjugate
-from ncfisher.model import GeneratorSpec, build_model, two_atom_model
-from ncfisher.moments import (
-    evaluate_state,
-    evaluate_state_detailed,
+from ncfisher.conjugate import (
+    BasisSpec,
+    enumerate_basis,
     fock_dimension,
     fock_vectors,
+    solve_conjugate,
 )
+from ncfisher.model import GeneratorSpec, build_model, two_atom_model
+from ncfisher.moments import evaluate_state, evaluate_state_detailed
 from oracles import batched_fock_vectors
 
 RTOL = 1e-12

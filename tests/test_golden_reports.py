@@ -1,6 +1,7 @@
 """The CLI's reports stay byte-identical: each golden argv, rerun
-in-process, exits as recorded and prints the recorded report, apart from
-host timings and the model file path (see ``golden_reports.py``)."""
+in-process, exits as recorded and prints the recorded report and stderr
+text, apart from host timings and the model file path (see
+``golden_reports.py``)."""
 import json
 
 import pytest
@@ -29,6 +30,7 @@ def test_golden_report(case, models):
     assert run["exit"] == case["exit"]
     assert (json.dumps(run["report"], sort_keys=True, indent=1)
             == json.dumps(case["report"], sort_keys=True, indent=1))
+    assert run["stderr"] == case["stderr"]
 
 
 def test_a_full_mode_config_prints_the_built_in_models_report():

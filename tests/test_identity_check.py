@@ -1,6 +1,7 @@
 """``tools/identity_check.py`` on two temporary checkouts of a stub
-package: a ``cli.run`` that prints a fixed report per argv, so each
-difference between the two sides is planted on purpose."""
+package: a ``cli.run`` that prints a fixed report per argv, and library
+calls that return fixed values, so each difference between the two sides
+is planted on purpose."""
 import math
 import subprocess
 import sys
@@ -32,14 +33,58 @@ def run(argv):
 
 ODD = ["suite", "--seed", "2"]
 
+# the calls of the library ops; ``WORD`` is the value of every 14-letter
+# word, the fourth op of each ``words`` cycle
+STUB_LIBRARY = {
+    "model.py": "def build_model(config):\n    return config\n",
+    "algebra.py": ("import collections\n"
+                   "Letter = collections.namedtuple('Letter', "
+                   "'family gen time')\n"),
+    "conjugate.py": '''
+import types
+
+
+def BasisSpec(grid, degree):
+    return grid, degree
+
+
+def solve_conjugate(m, target, basis, b_gens=()):
+    return types.SimpleNamespace(kept=(0,), r=0.5, z=0.25, rhs=1.0,
+                                 residual=0.0, xi_norm_sq=1.0)
+
+
+def fisher_multi(m, gens, basis):
+    return float(len(gens))
+
+
+def cramer_rao_audit(m, gens, basis):
+    return types.SimpleNamespace(
+        lhs=1.0, rhs=1.0,
+        solutions=[solve_conjugate(m, g, basis) for g in gens])
+''',
+    "moments.py": '''
+WORD = {word!r}
+
+
+def evaluate_state(m, letters):
+    return complex(WORD if len(letters) == 14 else 0.5)
+
+
+def evaluate_state_shifted(m, letters, positions, z):
+    return 0.5j
+''',
+}
+
 
 def checkout(root: Path, name: str, value=0.1, wall=1.0,
-             status="ok") -> Path:
+             status="ok", word=0.5) -> Path:
     pkg = root / name / "src" / "ncfisher"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text(STUB_CLI.format(value=value, wall=wall,
                                                 status=status, odd=ODD))
+    for module, text in STUB_LIBRARY.items():
+        (pkg / module).write_text(text.format(word=word))
     return root / name
 
 
@@ -52,13 +97,20 @@ def test_identical_trees_pass(tmp_path):
     proc = check(checkout(tmp_path, "a"), checkout(tmp_path, "b"))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    names = [line.split(" ", 2)[2] for line in lines]
     # the golden argvs: verify-core and verify-lemma2 at seeds 0-3 and
-    # suite at seeds 1-3, then the README moment example on a full-mode
-    # model; one sha256 per side
+    # suite at seeds 1-3, the README moment example on a full-mode model,
+    # and the refusals, the nested model file last; then the library ops
+    # of galerkin and words cycles 0-1; one sha256 per side
     assert len(lines) > 12
-    assert lines[-2].endswith(" verify-lemma2 --degree 6 --seed 3")
-    assert lines[-1].endswith(
-        " moment --model {model:full-lit} --word X:0 X:1 X:0 X:1")
+    end = names.index("moment --model {model:nested} --word X:0 X:0") + 1
+    assert names[end - 15] == "verify-lemma2 --degree 6 --seed 3"
+    assert names[end - 14] == (
+        "moment --model {model:full-lit} --word X:0 X:1 X:0 X:1")
+    assert names[end:end + 2] == ["galerkin[0.0] fisher_multi (3,2)",
+                                  "galerkin[0.1] cramer_rao_audit (3,2)"]
+    assert len(names) - end == 2 * (9 + 12)
+    assert names[-1] == "words[1.11] shifted 20"
     for line in lines:
         parent, change, _ = line.split(" ", 2)
         assert parent == change and len(parent) == 64
@@ -87,3 +139,14 @@ def test_a_difference_in_stderr_alone_fails_and_is_named(tmp_path):
                  checkout(tmp_path, "b", status="FAIL"))
     assert proc.returncode == 1
     assert proc.stderr.strip() == "differs: suite: stderr"
+
+
+def test_a_library_value_one_bit_off_fails_and_is_named(tmp_path):
+    nudged = math.nextafter(0.5, 1.0)
+    proc = check(checkout(tmp_path, "a"),
+                 checkout(tmp_path, "b", word=nudged))
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == "differs: words[0.3] state 14: value"
+    differing = [line.split(" ", 2)[2] for line in proc.stdout.splitlines()
+                 if line.split(" ")[0] != line.split(" ")[1]]
+    assert differing == ["words[0.3] state 14", "words[1.3] state 14"]

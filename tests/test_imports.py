@@ -5,17 +5,22 @@ under ``perfbench/`` reads from the package exists.  A benchmark run
 that reads a missing name fails as a whole, and its output is not shown
 beside the tests, so the names are checked here, read with ``ast`` and
 never executed.  The CLI imports only what a command runs, which a fresh
-interpreter shows.
+interpreter shows, and no command loads OpenSSL through ``hashlib``: the
+model digest takes SHA-256 from the interpreter's own module.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ncfisher import cli, suite
+from ncfisher.model import build_model, tracial_model, two_atom_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,9 +94,10 @@ def test_the_benchmark_calls_into_the_package_resolve():
     assert isinstance(cli._HANDLERS, dict)
 
 
-# run in a fresh interpreter: the ncfisher modules and whether numpy is
-# loaded after importing the CLI, after the commands that need neither
-# the solver nor numpy, and after one that solves
+# run in a fresh interpreter: the ncfisher modules, and whether numpy and
+# hashlib (whose ``_hashlib`` loads OpenSSL) are loaded, after importing
+# the CLI, after the commands that need neither the solver nor numpy, and
+# after one that solves
 LOADED_BY_COMMANDS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -100,7 +106,8 @@ stages = []
 def loaded():
     stages.append(sorted(n for n in sys.modules
                          if n == "ncfisher" or n.startswith("ncfisher."))
-                  + ["numpy"] * ("numpy" in sys.modules))
+                  + [n for n in ("numpy", "hashlib", "_hashlib")
+                     if n in sys.modules])
 
 def run(*argvs):
     for argv in argvs:
@@ -128,3 +135,51 @@ def test_a_command_imports_only_what_it_runs():
                         "ncfisher.model", "ncfisher.moments"]
     assert not {"numpy", "ncfisher.conjugate", "ncfisher.suite"} & set(unsolved)
     assert {"numpy", "ncfisher.conjugate"} <= set(solved)
+    for stage in (imported, unsolved, solved):
+        assert not {"hashlib", "_hashlib"} & set(stage)
+
+
+def fresh_stdout(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter, with ``sys`` imported
+    and ``src/`` first on its path."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, sys.argv[1]); {code}",
+         str(ROOT / "src")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_state_evaluators_load_neither_numpy_nor_the_solver():
+    loaded = fresh_stdout("import ncfisher.moments; print(*sys.modules)")
+    assert not {"numpy", "ncfisher.conjugate"} & set(loaded.split())
+
+
+def three_generator_model():
+    return build_model({"generators": [
+        {"name": "a", "mode": "half", "atoms": [{"x": 0.18, "w": 0.75}]},
+        {"name": "b", "mode": "half",
+         "atoms": [{"x": 0.1, "w": 0.5}, {"x": 0.3, "w": 0.2}]},
+        {"name": "c", "mode": "half",
+         "atoms": [{"x": 0, "w": 0.4}, {"x": 0.28, "w": 0.48}]},
+    ]})
+
+
+def hashlib_digest(m) -> str:
+    blob = json.dumps(m.config_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model", [two_atom_model, tracial_model,
+                                   three_generator_model])
+def test_the_model_digest_is_hashlibs_sha256(model):
+    m = model()
+    assert cli._model_digest(m) == hashlib_digest(m)
+
+
+def test_without_the_interpreters_sha256_the_digest_falls_back_to_hashlib():
+    out = fresh_stdout('sys.modules["_sha2"] = sys.modules["_sha256"] = None; '
+                       "from ncfisher import cli, model; "
+                       'print("hashlib" in sys.modules, '
+                       "cli._model_digest(model.two_atom_model()))")
+    assert out.split() == ["True", hashlib_digest(two_atom_model())]

@@ -13,14 +13,13 @@ import pytest
 
 from ncfisher import suite
 from ncfisher.algebra import X_FAMILY, as_time, x, y
-from ncfisher.conjugate import BasisSpec, solve_conjugate
+from ncfisher.conjugate import BasisSpec, fock_vectors, solve_conjugate
 from ncfisher.core_cp import CoreWord, TrigPoly, eta_map, verify_core_identity
 from ncfisher.model import ConfigError, build_model, two_atom_model
 from ncfisher.moments import (
     brute_force_oracle,
     evaluate_state,
     evaluate_state_shifted,
-    fock_vectors,
 )
 from ncfisher.sampling import (
     HALF_GRID,

@@ -1,38 +1,122 @@
-"""Check that two checkouts print the same CLI reports, bit for bit.
+"""Check that two checkouts print the same CLI reports and compute the
+same library results, bit for bit.
 
     python tools/identity_check.py PARENT CHANGE
 
-PARENT and CHANGE are two checkouts of the repository.  Each replays the
-golden argvs through the golden runner (``replay`` of
-``tests/golden_reports.py``, of the repository that holds this tool) in
-one fresh ``python`` subprocess with that checkout's ``src/`` and this
-repository's ``tests/`` first on ``sys.path``, so both sides run the
-same argvs on the same model configs.  This process never imports
-``ncfisher``.
+PARENT and CHANGE are two checkouts of the repository.  Each runs in one
+fresh ``python`` subprocess with that checkout's ``src/`` and this
+repository's ``tests/``, ``perfbench/`` and ``tools/`` first on
+``sys.path``, and BLAS at one thread, as in the benchmark.  There it
+replays the golden argvs through the golden runner (``replay`` of
+``tests/golden_reports.py``), so both sides run the same argvs on the
+same model configs, and then runs the library ops of :func:`library_ops`.
+This process never imports ``ncfisher``.
 
 Each argv's exit code, report and stderr text are compared as JSON, as
 the runner leaves them: without the report's host keys and
 ``inputs.model``, and with the models' directory written as a
 placeholder.  A float that differs in one bit prints differently, so it
-differs here.  The tool prints one sha256 per argv and side, and exits 0
-when every argv matches, or 1 naming the first argv that differs and its
-differing keys.
+differs here.  Each library op is compared by the sha256 of the bytes of
+each field of its result.  The tool prints one sha256 per argv or op and
+side, and exits 0 when every argv and op matches, or 1 naming the first
+argv that differs and its differing keys, or else the first op that
+differs and its differing fields.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
-TESTS = Path(__file__).resolve().parents[1] / "tests"
+ROOT = Path(__file__).resolve().parents[1]
+PATHS = [ROOT / "tests", ROOT / "perfbench", ROOT / "tools"]
 
-#: runs in each checkout, with its ``src/`` and ``TESTS`` as arguments:
-#: prints the JSON list of the golden runs
+#: the benchmark workloads, cycles and seed of the library ops
+LIBRARY_CYCLES = {"galerkin": 2, "words": 2}
+LIBRARY_SEED = 11
+
+#: runs in each checkout, with its ``src/`` and ``PATHS`` as arguments:
+#: prints the golden runs and the library ops' digests as JSON
 RUNNER = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
-          "from golden_reports import replay; json.dump(replay(), sys.stdout)")
+          "from golden_reports import replay; import identity_check; "
+          "json.dump([replay(), identity_check.library_ops()], sys.stdout)")
+
+
+def field_digest(value) -> str:
+    """sha256 of the bits of one field of a library result: a number's
+    doubles, an array's dtype, shape and bytes, or another value's
+    repr."""
+    if isinstance(value, (float, complex)):
+        z = complex(value)
+        data = struct.pack("<dd", z.real, z.imag)
+    elif hasattr(value, "tobytes"):
+        data = f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    else:
+        data = repr(value).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def solution_fields(sol, prefix: str = "") -> dict:
+    """The fields of a Galerkin solution that the op digests."""
+    return {f"{prefix}{name}": getattr(sol, name)
+            for name in ("kept", "r", "z", "rhs", "residual", "xi_norm_sq")}
+
+
+def galerkin_fields(op: dict) -> dict:
+    """The result fields of a ``galerkin`` op: a solution's, the value of
+    ``fisher_multi``, or both sides and every solution of
+    ``cramer_rao_audit``."""
+    from ncfisher import conjugate, model
+
+    m = model.build_model({"generators": op["gens"]})
+    basis = conjugate.BasisSpec(op["grid"], op["degree"])
+    names = [g["name"] for g in op["gens"]]
+    if op["kind"] == "solve_conjugate":
+        return solution_fields(conjugate.solve_conjugate(
+            m, names[0], basis, b_gens=tuple(names[1:])))
+    if op["kind"] == "fisher_multi":
+        return {"value": conjugate.fisher_multi(m, names, basis)}
+    rep = conjugate.cramer_rao_audit(m, names, basis)
+    fields = {"lhs": rep.lhs, "rhs": rep.rhs}
+    for g, sol in zip(names, rep.solutions):
+        fields.update(solution_fields(sol, f"{g}."))
+    return fields
+
+
+def words_fields(op: dict) -> dict:
+    """The value of a ``words`` op, plain or with a shifted suffix."""
+    from ncfisher import algebra, model, moments
+
+    m = model.build_model({"generators": op["gens"]})
+    letters = tuple(algebra.Letter(*l) for l in op["word"])
+    if op["kind"] == "state":
+        return {"value": moments.evaluate_state(m, letters)}
+    return {"value": moments.evaluate_state_shifted(
+        m, letters, range(op["split"], len(letters)), complex(op["t"]) + 1j)}
+
+
+def library_ops() -> list:
+    """The ``galerkin`` and ``words`` ops of ``LIBRARY_CYCLES`` at
+    ``LIBRARY_SEED``, from this repository's ``perfbench/inputs.py``, each
+    run through the package calls of ``perfbench/ops.py`` on the
+    ``ncfisher`` first on ``sys.path``: one ``{"op", "fields"}`` per op,
+    ``fields`` mapping each field of its result to its
+    :func:`field_digest`.  Runs only in a checkout's subprocess."""
+    import inputs
+
+    fields_of = {"galerkin": galerkin_fields, "words": words_fields}
+    return [{"op": f"{workload}[{cycle}.{i}] {op['label']}",
+             "fields": {k: field_digest(v)
+                        for k, v in fields_of[workload](op).items()}}
+            for workload, count in LIBRARY_CYCLES.items()
+            for cycle in range(count)
+            for i, op in enumerate(
+                inputs.CYCLES[workload](LIBRARY_SEED, cycle))]
 
 
 def digest(run: dict) -> str:
@@ -60,22 +144,29 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     args = ap.parse_args(argv)
-    parent, change = (json.loads(subprocess.run(
+    env = {**os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    (parent, parent_ops), (change, change_ops) = (json.loads(subprocess.run(
         [sys.executable, "-c", RUNNER, str((path / "src").resolve()),
-         str(TESTS)], cwd=path, stdout=subprocess.PIPE, text=True,
-        check=True).stdout) for path in (args.parent, args.change))
+         *map(str, PATHS)], cwd=path, env=env, stdout=subprocess.PIPE,
+        text=True, check=True).stdout) for path in (args.parent, args.change))
+    # (name, parent side, change side) of each argv's run, then each op's
+    # field digests
+    pairs = ([(" ".join(a["argv"]), a, b) for a, b in zip(parent, change)]
+             + [(a["op"], a["fields"], b["fields"])
+                for a, b in zip(parent_ops, change_ops)])
     first = None
-    for a, b in zip(parent, change):
+    for name, a, b in pairs:
         digests = digest(a), digest(b)
-        print(f"{digests[0]} {digests[1]} {' '.join(a['argv'])}")
+        print(f"{digests[0]} {digests[1]} {name}")
         if first is None and digests[0] != digests[1]:
-            first = a["argv"], differing_keys(a, b)
+            first = name, differing_keys(a, b)
     if first is not None:
-        argv, keys = first
-        print(f"differs: {' '.join(argv)}: {', '.join(keys)}",
-              file=sys.stderr)
+        name, keys = first
+        print(f"differs: {name}: {', '.join(keys)}", file=sys.stderr)
         return 1
-    print(f"identical: {len(parent)} argvs", file=sys.stderr)
+    print(f"identical: {len(parent)} argvs, {len(parent_ops)} library ops",
+          file=sys.stderr)
     return 0
 
 
