@@ -8,7 +8,9 @@ of the model it is evaluated with (``ModelSpec.real_time``); at the
 default ``time_den`` of 1 a tag is the time itself.  Int tags keep sums
 and dict keys in int arithmetic, which is what the sampled identity
 checks use.  Coefficients are complex doubles and exactness claims apply
-to the word structure only.
+to the word structure only.  A polynomial, :class:`NcPoly`, is one dict
+from words to coefficients that holds no zero coefficient; the core
+layer keeps its sums as plain dicts of the same kind.
 
 >>> p = NcPoly.letter(x("g", 0)) * NcPoly.letter(x("g", 1))
 >>> p.adjoint() == NcPoly.word((x("g", 1), x("g", 0)))
@@ -117,58 +119,67 @@ def _accumulate(data: dict, key, c) -> None:
         data[key] = acc
 
 
-class _SparseSum:
-    """Finite complex linear combination of hashable keys, kept canonical.
+def _term_key(item):
+    w = item[0]
+    return (len(w), w)
 
-    The canonical form is one dict ``_terms`` with no zero coefficients;
-    equal canonical forms are equal elements.  Subclasses turn one
-    constructor item into a normalized ``(key, coefficient)`` pair in
-    ``_normal_term``, set ``_UNIT`` to the key of the scalar unit when
-    numbers coerce to elements (None: no coercion), and define their own
-    products, adjoint, sort key (``_sort_key``) and key text
-    (``_key_str``).
+
+class NcPoly:
+    """Finite complex linear combination of words, kept in canonical form.
+
+    The canonical form is one dict ``_terms`` from words to coefficients
+    with no zero coefficients; equal canonical forms are equal elements,
+    and a number is the multiple of the empty word.  ``sorted_terms`` and
+    repr are deterministic: terms are ordered by length, then
+    lexicographically on the letter tuples (family, generator id, time).
     """
 
     __slots__ = ("_terms",)
-
-    _UNIT = None
-    _sort_key = None
 
     def __init__(self, terms=None):
         data: dict = {}
         if terms is not None:
             items = terms.items() if hasattr(terms, "items") else terms
-            for item in items:
-                _accumulate(data, *self._normal_term(*item))
+            for w, c in items:
+                _accumulate(data, tuple(w), complex(c))
         self._terms = data
 
     @classmethod
-    def _raw(cls, data: dict):
-        # data must already be canonical (no zeros, normalized keys)
+    def _raw(cls, data: dict) -> "NcPoly":
+        # data must already be canonical (no zeros, tuple words)
         obj = object.__new__(cls)
         obj._terms = data
         return obj
 
     @classmethod
-    def zero(cls):
+    def zero(cls) -> "NcPoly":
         return cls._raw({})
+
+    @classmethod
+    def letter(cls, letter: Letter) -> "NcPoly":
+        return cls._raw({(letter,): 1 + 0j})
+
+    @classmethod
+    def word(cls, w: Word, coeff: complex = 1.0) -> "NcPoly":
+        c = complex(coeff)
+        return cls._raw({tuple(w): c}) if c != 0 else cls.zero()
 
     @property
     def terms(self) -> dict:
         return dict(self._terms)
 
     def sorted_terms(self) -> list:
-        return sorted(self._terms.items(), key=self._sort_key)
+        return sorted(self._terms.items(), key=_term_key)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def _coerce(self, other):
-        if isinstance(other, type(self)):
+        if isinstance(other, NcPoly):
             return other
-        if self._UNIT is not None and isinstance(other, numbers.Complex):
+        if isinstance(other, numbers.Complex):
             c = complex(other)
-            return self._raw({self._UNIT: c} if c != 0 else {})
+            return NcPoly._raw({EMPTY_WORD: c} if c != 0 else {})
         return None
 
     def __add__(self, other):
@@ -176,14 +187,14 @@ class _SparseSum:
         if rhs is None:
             return NotImplemented
         out = dict(self._terms)
-        for key, c in rhs._terms.items():
-            _accumulate(out, key, c)
-        return self._raw(out)
+        for w, c in rhs._terms.items():
+            _accumulate(out, w, c)
+        return NcPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self._terms.items()})
+        return NcPoly._raw({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -192,13 +203,18 @@ class _SparseSum:
         return self + (-rhs)
 
     def __mul__(self, other):
-        """Scalar multiplication; subclasses add their own products."""
+        if isinstance(other, NcPoly):
+            out: dict[Word, complex] = {}
+            for w1, c1 in self._terms.items():
+                for w2, c2 in other._terms.items():
+                    _accumulate(out, w1 + w2, c1 * c2)
+            return NcPoly._raw(out)
         if not isinstance(other, numbers.Complex):
             return NotImplemented
         c = complex(other)
         if c == 0:
-            return self.zero()
-        return self._raw({k: cc * c for k, cc in self._terms.items()})
+            return NcPoly.zero()
+        return NcPoly._raw({w: cc * c for w, cc in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):
@@ -217,62 +233,9 @@ class _SparseSum:
     def __repr__(self) -> str:
         # str() brackets a complex only when its real part shows: strip
         # that pair so that each coefficient prints inside one
-        bits = [f"({str(c).strip('()')}) {self._key_str(k)}"
-                for k, c in self.sorted_terms()]
-        return f"{type(self).__name__}({' + '.join(bits) or 0})"
-
-
-def _term_key(item):
-    w = item[0]
-    return (len(w), w)
-
-
-class NcPoly(_SparseSum):
-    """Finite complex linear combination of words, kept in canonical form.
-
-    Canonical form stores no zero coefficients.  ``sorted_terms`` and repr
-    are deterministic: terms are ordered by length, then lexicographically on
-    the letter tuples (family, generator id, time).
-    """
-
-    __slots__ = ()
-
-    _UNIT = EMPTY_WORD
-    _sort_key = staticmethod(_term_key)
-
-    @staticmethod
-    def _normal_term(w, c) -> tuple:
-        return tuple(w), complex(c)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def letter(cls, letter: Letter) -> "NcPoly":
-        return cls._raw({(letter,): 1 + 0j})
-
-    @classmethod
-    def word(cls, w: Word, coeff: complex = 1.0) -> "NcPoly":
-        c = complex(coeff)
-        return cls._raw({tuple(w): c}) if c != 0 else cls.zero()
-
-    # ------------------------------------------------------------------
-    # ring structure
-    # ------------------------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, NcPoly):
-            return super().__mul__(other)
-        out: dict[Word, complex] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                _accumulate(out, w1 + w2, c1 * c2)
-        return NcPoly._raw(out)
-
-    # ------------------------------------------------------------------
-    # *-structure and modular shift
-    # ------------------------------------------------------------------
+        bits = [f"({str(c).strip('()')}) {word_str(w)}"
+                for w, c in self.sorted_terms()]
+        return f"NcPoly({' + '.join(bits) or 0})"
 
     def adjoint(self) -> "NcPoly":
         """Word reversal plus coefficient conjugation; an involution."""
@@ -286,5 +249,3 @@ class NcPoly(_SparseSum):
         return NcPoly._raw(
             {shift_word(w, ds): c for w, c in self._terms.items()}
         )
-
-    _key_str = staticmethod(word_str)

@@ -3,17 +3,18 @@
 Reports go to stdout as JSON (sorted keys, lossless float round-trip);
 a one-line human summary goes to stderr.  Exit codes: 0 when every
 asserted check passed, 1 on an assertion failure, 2 on configuration or
-usage errors, inputs over a size limit and arithmetic that overflows a
-double.
+usage errors, inputs over a size limit, arithmetic that overflows a
+double and a stdout that cannot take the report (a closed pipe, a full
+disk).
 
 Each command runs in a process of its own, so a command imports only
 the modules it runs: this module imports at its top what parsing,
 dispatch and every model command need (``algebra``, ``model``,
 ``moments``), and each handler imports the solver, the battery, the
-core layer or numpy when it is called.  ``moment``, ``check-kms``,
-``brownian`` and ``bound`` start without compiling the Galerkin solver
-or loading numpy, and no command loads OpenSSL: the model digest takes
-SHA-256 from the interpreter's own module, not from ``hashlib``.
+core layer or numpy when it is called.  Only the solver commands and
+``suite`` compile the Galerkin solver and load numpy, and no command
+loads OpenSSL: the model digest takes SHA-256 from the interpreter's own
+module, not from ``hashlib``.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -431,7 +433,7 @@ def _verify(m, args, flag: str, upper: int, draw_work: int, letters: int,
 
 
 def _cmd_verify_lemma2(m, args):
-    from .suite import insertion_residual
+    from .sampling import insertion_residual
 
     # p xi q, and the up to 2d terms of the two derivative pairings
     d = args.degree
@@ -440,7 +442,7 @@ def _cmd_verify_lemma2(m, args):
 
 
 def _cmd_verify_core(m, args):
-    from .suite import core_residual
+    from .sampling import core_residual
 
     # zeta* Q, and the up to d terms of the derivative of Q
     d = args.x_degree
@@ -673,16 +675,31 @@ def run(argv=None) -> int:
         # strict JSON: a non-finite number becomes a usage error, exit 2
         text = json.dumps(report, sort_keys=True, indent=2,
                           allow_nan=False, default=_json_default)
+        # a stdout that cannot take the report fails here, not at exit
+        print(text)
+        sys.stdout.flush()
     except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit: let that flush
+            # reach the null device, not the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _status(f"error: {exc}")
         return 2
-    print(text)
     status = "ok" if passed in (True, None) else "FAIL"
     if relative is not None:
         status += (f": relative residual {relative:.2g} "
                    f"{'<' if passed else '>='} tol {args.tol}")
-    print(f"[{args.command}] {status}", file=sys.stderr)
+    _status(f"[{args.command}] {status}")
     return 0 if passed in (True, None) else 1
+
+
+def _status(line: str) -> None:
+    """Print ``line`` to stderr; when stderr cannot take it, the exit code
+    alone tells the outcome."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def main() -> None:

@@ -1,8 +1,8 @@
 """Symbolic layer for the crossed product of the model by its modular flow.
 
-Elements are handled in two shapes: trigonometric polynomials (finite
-sums of multiples of the flow unitaries U_r, held as coefficient maps:
-the values of the expectation and of the inner product below) and core
+Elements are handled in two shapes: trigonometric polynomials, finite
+sums of multiples of the flow unitaries U_r held as dicts {r: coefficient}
+(the values of the expectation and of the inner product below), and core
 words, i.e. products of primary letters and U steps.  With
 U_s U_t = U_{s+t}, the commutation rule U_s X_t = X_{t+s} U_s brings
 every such product to the normal form (word) * U_r with exact
@@ -13,23 +13,24 @@ conditional expectation onto the group part computable:
 E(m U_r) = state(m) U_r.
 
 On top of that sit the diagonal completely positive map
-U_t -> eta(t) U_t, the group-valued inner product of simple tensors
+U_t -> eta(t) U_t, the group-valued inner product of sums of simple
+tensors, held as dicts {(a, b): coefficient} keyed on their legs (core
+words in normal form, so the bimodule relations hold on the nose),
 
     <a (x) b, a' (x) b'> = E(b* eta_map(E(a* a')) b'),
 
 and the tensor-valued derivation with d(X_t) = U_t (x) U_{-t}, d(U_s) = 0.
+No dict holds a zero coefficient.
 """
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator
 
 from .algebra import (
     Time,
     TimeLike,
     Word,
     X_FAMILY,
-    _SparseSum,
     _accumulate,
     as_time,
     shift_word,
@@ -41,9 +42,7 @@ from .model import ModelSpec, finite_max
 from .moments import Residual, evaluate_state
 
 __all__ = [
-    "TrigPoly",
     "CoreWord",
-    "EtaBimoduleElem",
     "conditional_expectation",
     "eta_map",
     "eta_inner",
@@ -51,29 +50,6 @@ __all__ = [
     "verify_core_identity",
     "factoriality_bound",
 ]
-
-
-class TrigPoly(_SparseSum):
-    """Finitely supported combination of flow unitaries, sum a_k U_{t_k}."""
-
-    __slots__ = ()
-
-    _UNIT = 0
-
-    @staticmethod
-    def _normal_term(t, c) -> tuple:
-        return as_time(t), complex(c)
-
-    def max_abs(self) -> float:
-        """The largest coefficient magnitude, 0.0 for the zero element;
-        raises ArithmeticError on one that is not finite, which ``max``
-        would pass over behind a larger one."""
-        return finite_max((abs(c) for c in self._terms.values()),
-                          "a coefficient magnitude")
-
-    @staticmethod
-    def _key_str(t) -> str:
-        return f"U:{t}"
 
 
 class CoreWord(tuple):
@@ -144,8 +120,9 @@ class CoreWord(tuple):
 
 
 def conditional_expectation(m: ModelSpec, cw: CoreWord,
-                            states=None) -> TrigPoly:
-    """Expectation onto the group part: (m U_r) -> state(m) U_r.
+                            states=None) -> dict:
+    """Expectation onto the group part: (m U_r) -> state(m) U_r, as the
+    map {r: state(m)}, empty when the state is 0.
 
     ``states`` maps words to state values already computed (see
     :func:`verify_core_identity`); a word not in it is evaluated by
@@ -155,103 +132,73 @@ def conditional_expectation(m: ModelSpec, cw: CoreWord,
     val = states.get(word) if states is not None else None
     if val is None:
         val = evaluate_state(m, word)
-    return TrigPoly._raw({r: val} if val != 0 else {})
+    return {r: val} if val != 0 else {}
 
 
-def eta_map(m: ModelSpec, gen_id: str, p: TrigPoly) -> TrigPoly:
+def eta_map(m: ModelSpec, gen_id: str, p: dict) -> dict:
     """The diagonal completely positive map U_t -> eta(t) U_t, eta at the
-    real time of the tag t.
+    real time of the tag t, dropping the terms it sends to 0.
 
     Agrees with conditional_expectation(X_0 p X_0) term by term.
     """
     eta = m.gen(gen_id).eta
     out = {}
-    for t, c in p._terms.items():
+    for t, c in p.items():
         v = c * eta(m.real_time(t))
         if v != 0:
             out[t] = v
-    return TrigPoly._raw(out)
-
-
-class EtaBimoduleElem(_SparseSum):
-    """Finite sum of simple tensors a (x) b of core words.
-
-    Terms are keyed on the pair of legs (a, b), core words in normal form,
-    so the bimodule relations that normal-forming encodes hold on the
-    nose; every scalar lives in the term's coefficient.  The constructor
-    takes ``(coeff, a, b)`` triples.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _normal_term(coeff, a, b) -> tuple:
-        return (a, b), complex(coeff)
-
-    @classmethod
-    def simple(cls, a: CoreWord, b: CoreWord) -> "EtaBimoduleElem":
-        return cls([(1.0, a, b)])
-
-    def __iter__(self) -> Iterator:
-        """Yield (coeff, a, b) in key order."""
-        for (a, b), c in self.sorted_terms():
-            yield c, a, b
-
-    @staticmethod
-    def _key_str(key) -> str:
-        a, b = key
-        return f"{a!r} (x) {b!r}"
+    return out
 
 
 #: 1 (x) 1, the derivative of X_0, which :func:`verify_core_identity`
 #: pairs with the derivative of Q
-_UNIT_TENSOR = EtaBimoduleElem.simple(CoreWord.one(), CoreWord.one())
+_UNIT_TENSOR = {(CoreWord.one(), CoreWord.one()): 1 + 0j}
 
 
-def eta_inner(
-    m: ModelSpec, gen_id: str, u: EtaBimoduleElem, v: EtaBimoduleElem,
-    states=None,
-) -> TrigPoly:
-    """Group-valued inner product, antilinear in ``u``.
+def eta_inner(m: ModelSpec, gen_id: str, u: dict, v: dict,
+              states=None) -> dict:
+    """Group-valued inner product of two sums of simple tensors,
+    antilinear in ``u``.
 
     On simple tensors: <a (x) b, a' (x) b'> =
-    E(b* . eta_map(E(a* a')) . b').  ``states`` is passed to every
+    E(b* . eta_map(E(a* a')) . b').  The terms of each sum are taken in
+    the order of their legs.  ``states`` is passed to every
     :func:`conditional_expectation`.
     """
     out: dict = {}
-    terms = list(v)  # sorted once
-    for cu, a, b in u:
+    terms = sorted(v.items())  # sorted once
+    for (a, b), cu in sorted(u.items()):
         a_adj, b_adj, cu_bar = a.adjoint(), b.adjoint(), cu.conjugate()
-        for cv, a2, b2 in terms:
+        for (a2, b2), cv in terms:
             inner = eta_map(
                 m, gen_id, conditional_expectation(m, a_adj * a2, states)
             )
             scalar = cu_bar * cv
-            for t, g_c in inner._terms.items():
+            for t, g_c in inner.items():
                 term = conditional_expectation(
                     m, b_adj * CoreWord._raw((), t) * b2, states)
                 # term * (g_c * scalar), accumulated as it is formed
                 s = g_c * scalar
                 if s != 0:
-                    for r, c in term._terms.items():
+                    for r, c in term.items():
                         _accumulate(out, r, c * s)
-    return TrigPoly._raw(out)
+    return out
 
 
-def core_differentiate(gen_id: str, cw: CoreWord) -> EtaBimoduleElem:
+def core_differentiate(gen_id: str, cw: CoreWord) -> dict:
     """Tensor-valued derivation on (word) U_r: the letter of ``gen_id`` at
     position k, with normal-form time t, contributes
     (word[:k] U_t) (x) (sigma_{-t}(word[k+1:]) U_{r-t}); U steps and
     letters of other generators are constants."""
     w, r = cw
     # the left legs differ in length, so no two terms share a key
-    return EtaBimoduleElem._raw({
+    return {
         (CoreWord._raw(w[:k], letter.time),
          CoreWord._raw(shift_word(w[k + 1:], -letter.time), r - letter.time)):
         1 + 0j
         for k, letter in enumerate(w)
         if letter.gen == gen_id
-    })
+    }
 
 
 def _interval_states(word, phi, gen_id: str) -> dict:
@@ -293,7 +240,15 @@ def verify_core_identity(m: ModelSpec, gen_id: str, q: CoreWord,
     lhs = conditional_expectation(m, zq, states)
     rhs = eta_inner(m, gen_id, _UNIT_TENSOR, core_differentiate(gen_id, q),
                     states)
-    return Residual((lhs - rhs).max_abs(), lhs.max_abs() + rhs.max_abs())
+    diff = {r: lhs.get(r, 0j) - rhs.get(r, 0j) for r in {**lhs, **rhs}}
+    return Residual(_max_abs(diff), _max_abs(lhs) + _max_abs(rhs))
+
+
+def _max_abs(p: dict) -> float:
+    """The largest coefficient magnitude of ``p``, 0.0 for none; raises
+    ArithmeticError on one that is not finite, which ``max`` would pass
+    over behind a larger one."""
+    return finite_max(map(abs, p.values()), "a coefficient magnitude")
 
 
 def factoriality_bound(alpha: float, delta: float) -> float:

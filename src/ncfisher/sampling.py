@@ -17,14 +17,19 @@ indices run its rejection loop inline, which skips one Python call per
 index.  A draw from an empty ``gens`` or ``families`` is refused with
 ValueError at the index that would draw from it, as :func:`_below`
 refuses it.
+
+:func:`insertion_residual` and :func:`core_residual` run the sampled
+identities for the battery and for ``verify-lemma2`` and ``verify-core``.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .algebra import Letter, Word, X_FAMILY, _new_letter
-from .core_cp import CoreWord
+from .algebra import Letter, NcPoly, Word, X_FAMILY, _new_letter
+from .core_cp import CoreWord, verify_core_identity
+from .derivation import verify_insertion_identity
+from .model import ModelSpec, finite_max
 
 __all__ = [
     "HALF_GRID",
@@ -33,6 +38,8 @@ __all__ = [
     "random_time",
     "random_word",
     "random_core_word",
+    "insertion_residual",
+    "core_residual",
 ]
 
 #: ticks per unit of time of the drawn tags
@@ -130,3 +137,45 @@ def random_core_word(rng: random.Random, gens, max_x_degree: int) -> CoreWord:
     if uniform() < 0.7:
         shift += ticks[_below(bits, n_tick)]
     return CoreWord._raw(tuple(letters), shift)
+
+
+def _worst(residuals) -> tuple:
+    """(largest absolute value, the one of largest relative value) of some
+    :class:`Residual`s; ``finite_max`` refuses one that is not finite."""
+    residuals = list(residuals)
+    worst = finite_max(map(float, residuals), "an identity residual")
+    finite_max((r.scale for r in residuals), "an identity residual's scale")
+    return worst, max(residuals, key=lambda r: r.relative)
+
+
+def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
+                       count: int, degree: int) -> tuple:
+    """:func:`_worst` of the insertion identity of the letter of ``gen`` at
+    time 0 over ``count`` pairs of random ``degree``-letter words drawn
+    from ``rng``, evaluated on ``m`` with the words' tags in ticks of
+    1/``TIME_DEN``, through one eta table.  Every pair is drawn
+    first, p before q; a pair drawn again is checked once, since it has
+    the same residual, so :func:`_worst` sees the same values in the
+    order they were first drawn."""
+    m = m.with_time_den(TIME_DEN)
+    etas: dict = {}
+    pairs = [(random_word(rng, [gen], degree),
+              random_word(rng, [gen], degree)) for _ in range(count)]
+    return _worst(verify_insertion_identity(m, gen, NcPoly.word(p),
+                                            NcPoly.word(q), etas)
+                  for p, q in dict.fromkeys(pairs))
+
+
+def core_residual(m: ModelSpec, gen: str, rng: random.Random,
+                  count: int, degree: int) -> tuple:
+    """:func:`_worst` of the core identity of the letter of ``gen`` at time
+    0 over ``count`` random core words with ``degree`` letters drawn from
+    ``rng``, evaluated on ``m`` with the words' tags in ticks of
+    1/``TIME_DEN``, through one eta table.  Every word is drawn
+    first, and a word drawn again is checked once, as in
+    :func:`insertion_residual`."""
+    m = m.with_time_den(TIME_DEN)
+    etas: dict = {}
+    words = [random_core_word(rng, [gen], degree) for _ in range(count)]
+    return _worst(verify_core_identity(m, gen, q, etas)
+                  for q in dict.fromkeys(words))

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .algebra import NcPoly, TimeLike, as_time, shift_word, x
+from .algebra import TimeLike, as_time, shift_word, x
 from .brownian import expand_state
 from .conjugate import (
     BasisSpec,
@@ -25,17 +25,15 @@ from .conjugate import (
     self_adjoint_defect,
     solve_conjugate,
 )
-from .core_cp import factoriality_bound, verify_core_identity
-from .derivation import verify_insertion_identity
+from .core_cp import factoriality_bound
 from .model import (KMS_GRID, ModelSpec, finite_max, tracial_model,
                     two_atom_model)
 from .model import check_kms as kms_deviation
 from .moments import brute_force_oracle, evaluate_state, evaluate_state_shifted
-from .sampling import (HALF_GRID, TIME_DEN, random_core_word, random_time,
-                       random_word)
+from .sampling import (HALF_GRID, TIME_DEN, core_residual,
+                       insertion_residual, random_time, random_word)
 
-__all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite",
-           "insertion_residual", "core_residual"]
+__all__ = ["CheckResult", "SuiteContext", "ALL_CHECK_IDS", "run_suite"]
 
 GRID3 = tuple(Fraction(k, 2) for k in range(-1, 2))
 
@@ -218,33 +216,6 @@ def check_kms(ctx: SuiteContext) -> CheckResult:
     )
 
 
-def _worst(residuals) -> tuple:
-    """(largest absolute value, the one of largest relative value) of some
-    :class:`Residual`s; ``finite_max`` refuses one that is not finite."""
-    residuals = list(residuals)
-    worst = finite_max(map(float, residuals), "an identity residual")
-    finite_max((r.scale for r in residuals), "an identity residual's scale")
-    return worst, max(residuals, key=lambda r: r.relative)
-
-
-def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
-                       count: int, degree: int) -> tuple:
-    """:func:`_worst` of the insertion identity of the letter of ``gen`` at
-    time 0 over ``count`` pairs of random ``degree``-letter words drawn
-    from ``rng``, evaluated on ``m`` with the words' tags in ticks of
-    1/``sampling.TIME_DEN``, through one eta table.  Every pair is drawn
-    first, p before q; a pair drawn again is checked once, since it has
-    the same residual, so :func:`_worst` sees the same values in the
-    order they were first drawn."""
-    m = m.with_time_den(TIME_DEN)
-    etas: dict = {}
-    pairs = [(random_word(rng, [gen], degree),
-              random_word(rng, [gen], degree)) for _ in range(count)]
-    return _worst(verify_insertion_identity(m, gen, NcPoly.word(p),
-                                            NcPoly.word(q), etas)
-                  for p, q in dict.fromkeys(pairs))
-
-
 def check_insertion_identity(ctx: SuiteContext) -> CheckResult:
     tol = 1e-9
     m = ctx.two_atom
@@ -277,21 +248,6 @@ def check_brownian(ctx: SuiteContext) -> CheckResult:
         exact_ok,
         {"two_letter_identity_exact": exact_ok},
     )
-
-
-def core_residual(m: ModelSpec, gen: str, rng: random.Random,
-                  count: int, degree: int) -> tuple:
-    """:func:`_worst` of the core identity of the letter of ``gen`` at time
-    0 over ``count`` random core words with ``degree`` letters drawn from
-    ``rng``, evaluated on ``m`` with the words' tags in ticks of
-    1/``sampling.TIME_DEN``, through one eta table.  Every word is drawn
-    first, and a word drawn again is checked once, as in
-    :func:`insertion_residual`."""
-    m = m.with_time_den(TIME_DEN)
-    etas: dict = {}
-    words = [random_core_word(rng, [gen], degree) for _ in range(count)]
-    return _worst(verify_core_identity(m, gen, q, etas)
-                  for q in dict.fromkeys(words))
 
 
 def check_core_identity(ctx: SuiteContext) -> CheckResult:

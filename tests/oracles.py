@@ -58,8 +58,7 @@ from ncfisher.algebra import NcPoly, TimeLike, X_FAMILY, Letter, x, y
 from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec, fock_dimension,
                                  fock_vectors, solve_conjugate)
 from ncfisher.model import ModelSpec
-from ncfisher.core_cp import (CoreWord, TrigPoly, conditional_expectation,
-                               eta_map)
+from ncfisher.core_cp import CoreWord, conditional_expectation, eta_map
 from ncfisher.moments import covariance, expectation
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
@@ -119,17 +118,27 @@ def choice_core_word(rng: random.Random, gens, max_x_degree: int):
 def literal_eta_inner(m, gen_id, u, v, states=None):
     """<u, v> as a sum over pairs of simple tensors a (x) b of ``u`` and
     a' (x) b' of ``v``, in key order, of conj(c) c' E(b* eta_map(E(a* a'))
-    b'), each term a scaled copy of a :class:`TrigPoly` product."""
-    out = TrigPoly.zero()
-    for cu, a, b in u:
-        for cv, a2, b2 in v:
+    b'): each term's coefficients scaled by its scalar and added into the
+    sum in turn, a sum that drops every key whose coefficient adds up to
+    zero."""
+    out = {}
+    for (a, b), cu in sorted(u.items()):
+        for (a2, b2), cv in sorted(v.items()):
             inner = eta_map(m, gen_id,
                             conditional_expectation(m, a.adjoint() * a2,
                                                     states))
-            for t, g_c in inner.terms.items():
+            for t, g_c in inner.items():
                 term = conditional_expectation(
                     m, b.adjoint() * CoreWord.u(t) * b2, states)
-                out = out + term * (g_c * (cu.conjugate() * cv))
+                scalar = g_c * (cu.conjugate() * cv)
+                if scalar == 0:
+                    continue
+                for r, c in term.items():
+                    total = out.get(r, 0j) + c * scalar
+                    if total == 0:
+                        out.pop(r, None)
+                    else:
+                        out[r] = total
     return out
 
 

@@ -14,10 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from ncfisher import (brownian, conjugate, core_cp, derivation, moments,
-                      suite)
+                      sampling, suite)
 from ncfisher.algebra import X_FAMILY, Y_FAMILY, NcPoly, _accumulate, y
 from ncfisher.conjugate import ConjugateSolution
-from ncfisher.core_cp import TrigPoly
 from ncfisher.model import GeneratorSpec
 from ncfisher.moments import Residual
 from oracles import full_kernel, pairable_kernel, row_by_row_table
@@ -90,13 +89,12 @@ def adjacent_pairs_only(_):
 
 def eta_map_at_minus_t(m, gen_id, p):
     eta = m.gen(gen_id).eta
-    return TrigPoly._raw({t: c * eta(m.real_time(-t))
-                          for t, c in p.terms.items()})
+    return {t: c * eta(m.real_time(-t)) for t, c in p.items()}
 
 
 def nan_eta_map_term(m, gen_id, p):
-    out = eta_map_at_minus_t(m, gen_id, p).terms
-    return TrigPoly._raw({**out, 10**6: complex("nan")} if out else {})
+    out = eta_map_at_minus_t(m, gen_id, p)
+    return {**out, 10**6: complex("nan")} if out else {}
 
 
 def short_prefix_read(states):
@@ -267,7 +265,7 @@ ROWS = {
         fails="covariance_selfadjoint",
         exits={"covariance": 1}),
     "nan_core_residual": Row(
-        suite, "verify_core_identity",
+        sampling, "verify_core_identity",
         lambda _: lambda *a: Residual(float("nan"), float("nan")),
         exits={"suite": 2, "verify-core": 2}),
     "nan_eta_off_the_real_line": Row(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import planted
-from ncfisher import cli, conjugate, model, suite
+from ncfisher import cli, conjugate, model, sampling, suite
 from ncfisher.algebra import as_time
 from ncfisher.sampling import random_core_word, random_word
 from ncfisher.suite import ALL_CHECK_IDS, run_suite
@@ -121,8 +121,8 @@ def test_a_suite_run_checks_each_distinct_draw_once(monkeypatch):
     # own streams, and check each distinct core word and (p, q) pair once,
     # in the order first drawn
     checked = {"core": [], "insertion": []}
-    core = suite.verify_core_identity
-    insertion = suite.verify_insertion_identity
+    core = sampling.verify_core_identity
+    insertion = sampling.verify_insertion_identity
 
     def core_checked(m, gen, q, etas):
         checked["core"].append(q)
@@ -133,8 +133,8 @@ def test_a_suite_run_checks_each_distinct_draw_once(monkeypatch):
         checked["insertion"].append((pw, qw))
         return insertion(m, gen, p, q, etas)
 
-    monkeypatch.setattr(suite, "verify_core_identity", core_checked)
-    monkeypatch.setattr(suite, "verify_insertion_identity",
+    monkeypatch.setattr(sampling, "verify_core_identity", core_checked)
+    monkeypatch.setattr(sampling, "verify_insertion_identity",
                         insertion_checked)
     repeats = 0
     for seed in range(4):

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 import golden_reports
 import ncfisher
 import planted
-from ncfisher import cli, conjugate, core_cp, moments, suite
+from ncfisher import cli, conjugate, core_cp, moments, sampling
 from ncfisher.cli import run
 from ncfisher.conjugate import BasisSpec, solve_family
 from ncfisher.model import GeneratorSpec, load_model, two_atom_model
@@ -682,8 +683,8 @@ def test_check_degree_whose_words_may_overflow_is_refused(tmp_path,
     def drawn(*args):
         raise AssertionError("drew an input")
 
-    monkeypatch.setattr(suite, "core_residual", drawn)
-    monkeypatch.setattr(suite, "insertion_residual", drawn)
+    monkeypatch.setattr(sampling, "core_residual", drawn)
+    monkeypatch.setattr(sampling, "insertion_residual", drawn)
     assert run([*argv, "--model", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1085,20 +1086,70 @@ def test_bad_inputs_are_refused_before_the_json_guard(tmp_path, capsys, argv,
     assert "Traceback" not in captured.err
 
 
-def run_module(argv):
-    """``python -m ncfisher`` with ``argv`` in a fresh process."""
+def run_module(argv, stdout=subprocess.PIPE):
+    """``python -m ncfisher`` with ``argv`` in a fresh process, its stdout
+    on ``stdout``."""
     src = str(Path(ncfisher.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "ncfisher", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
 
 
 def test_python_dash_m_entry_point():
     proc = run_module(["bound", "--alpha", "0.5", "--delta", "0.1"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outputs"]["value"] == 25.0
+
+
+def assert_one_error_line(proc):
+    # the report could not be written: a usage-level failure, exit 2,
+    # told in one line, and no traceback at the interpreter's exit either
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_a_report_written_to_a_closed_pipe_exits_2():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(["moment", "--word", "X:0 X:1"], stdout=write)
+    finally:
+        os.close(write)
+    assert_one_error_line(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_a_report_written_to_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = run_module(["moment", "--word", "X:0 X:1"], stdout=full)
+    assert_one_error_line(proc)
+
+
+class Unwritable(io.TextIOBase):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cramer-rao"], 0),
+    (["cramer-rao", "--tol", "0"], 1),
+    (["moment", "--word", "X:0 Q:1"], 2),
+])
+def test_a_status_line_stderr_cannot_take_keeps_the_exit_code(
+        monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "stderr", Unwritable())
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    if code == 2:
+        assert out == ""
+    else:
+        assert json.loads(out)["passed"] is (code == 0)
 
 
 def test_long_words_pass_on_the_relative_residual(capsys):

@@ -96,8 +96,9 @@ def test_the_benchmark_calls_into_the_package_resolve():
 
 # run in a fresh interpreter: the ncfisher modules, and whether numpy and
 # hashlib (whose ``_hashlib`` loads OpenSSL) are loaded, after importing
-# the CLI, after the commands that need neither the solver nor numpy, and
-# after one that solves
+# the CLI, after the commands that need neither the solver, the battery
+# nor numpy (the two sampled identity checks among them), and after one
+# that solves
 LOADED_BY_COMMANDS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -119,7 +120,8 @@ import ncfisher.cli
 loaded()
 run(["moment", "--word", "X:0 X:1 X:0 X:1"], ["check-kms"],
     ["brownian", "--word", "X:0 X:1/2"],
-    ["bound", "--alpha", "0.5", "--delta", "0.1"])
+    ["bound", "--alpha", "0.5", "--delta", "0.1"],
+    ["verify-lemma2", "--count", "3"], ["verify-core", "--count", "3"])
 run(["conjugate"])
 print(json.dumps(stages))
 """

@@ -67,56 +67,44 @@ def solution_fields(sol, prefix: str = "") -> dict:
             for name in ("kept", "r", "z", "rhs", "residual", "xi_norm_sq")}
 
 
-def galerkin_fields(op: dict) -> dict:
+def galerkin_fields(op: dict, result) -> dict:
     """The result fields of a ``galerkin`` op: a solution's, the value of
     ``fisher_multi``, or both sides and every solution of
     ``cramer_rao_audit``."""
-    from ncfisher import conjugate, model
-
-    m = model.build_model({"generators": op["gens"]})
-    basis = conjugate.BasisSpec(op["grid"], op["degree"])
-    names = [g["name"] for g in op["gens"]]
     if op["kind"] == "solve_conjugate":
-        return solution_fields(conjugate.solve_conjugate(
-            m, names[0], basis, b_gens=tuple(names[1:])))
+        return solution_fields(result)
     if op["kind"] == "fisher_multi":
-        return {"value": conjugate.fisher_multi(m, names, basis)}
-    rep = conjugate.cramer_rao_audit(m, names, basis)
-    fields = {"lhs": rep.lhs, "rhs": rep.rhs}
-    for g, sol in zip(names, rep.solutions):
-        fields.update(solution_fields(sol, f"{g}."))
+        return {"value": result}
+    fields = {"lhs": result.lhs, "rhs": result.rhs}
+    for g, sol in zip(op["gens"], result.solutions):
+        fields.update(solution_fields(sol, f"{g['name']}."))
     return fields
-
-
-def words_fields(op: dict) -> dict:
-    """The value of a ``words`` op, plain or with a shifted suffix."""
-    from ncfisher import algebra, model, moments
-
-    m = model.build_model({"generators": op["gens"]})
-    letters = tuple(algebra.Letter(*l) for l in op["word"])
-    if op["kind"] == "state":
-        return {"value": moments.evaluate_state(m, letters)}
-    return {"value": moments.evaluate_state_shifted(
-        m, letters, range(op["split"], len(letters)), complex(op["t"]) + 1j)}
 
 
 def library_ops() -> list:
     """The ``galerkin`` and ``words`` ops of ``LIBRARY_CYCLES`` at
     ``LIBRARY_SEED``, from this repository's ``perfbench/inputs.py``, each
-    run through the package calls of ``perfbench/ops.py`` on the
-    ``ncfisher`` first on ``sys.path``: one ``{"op", "fields"}`` per op,
-    ``fields`` mapping each field of its result to its
+    prepared and called by ``perfbench/ops.py`` on the ``ncfisher`` first
+    on ``sys.path``: one ``{"op", "fields"}`` per op, ``fields`` mapping
+    each field of its result (a ``words`` op's is its value) to its
     :func:`field_digest`.  Runs only in a checkout's subprocess."""
     import inputs
+    import ops
 
-    fields_of = {"galerkin": galerkin_fields, "words": words_fields}
-    return [{"op": f"{workload}[{cycle}.{i}] {op['label']}",
-             "fields": {k: field_digest(v)
-                        for k, v in fields_of[workload](op).items()}}
-            for workload, count in LIBRARY_CYCLES.items()
-            for cycle in range(count)
+    out = []
+    for workload, count in LIBRARY_CYCLES.items():
+        for cycle in range(count):
             for i, op in enumerate(
-                inputs.CYCLES[workload](LIBRARY_SEED, cycle))]
+                    inputs.CYCLES[workload](LIBRARY_SEED, cycle)):
+                if workload == "galerkin":
+                    fields = galerkin_fields(
+                        op, ops.prepare_galerkin(op).call())
+                else:
+                    fields = {"value": ops.prepare_words(op).call()}
+                out.append({"op": f"{workload}[{cycle}.{i}] {op['label']}",
+                            "fields": {k: field_digest(v)
+                                       for k, v in fields.items()}})
+    return out
 
 
 def digest(run: dict) -> str:
