@@ -5,6 +5,13 @@ partitions of the product of two-letter covariances (:func:`covariance`):
 the generator's eta at the letters' time difference when family and
 generator id agree, and zero otherwise.  This block-diagonal kernel is
 what makes distinct generators, and the X and Y families, mutually free.
+So a word with no non-crossing pairing within its (family, generator)
+classes has state exactly 0: one scan with a stack of classes, which
+pops a letter's class when it is on top and pushes it otherwise, ends
+non-empty exactly then (the class sequence is not the identity in the
+free product of one Z/2 per class; odd length is a special case).
+:func:`evaluate_state`, :func:`evaluate_state_shifted` and
+:func:`expectation` read ``0j`` for such a word with no pass run.
 
 Two evaluators here compute it independently: :func:`interval_states`,
 one pass per word, behind :func:`evaluate_state` and its variants; and
@@ -92,13 +99,20 @@ def _check_length(n: int) -> None:
         )
 
 
-def _is_odd(letters) -> bool:
-    """True when the word has an odd number of letters, so its state is
-    exactly 0; raises :class:`SizeLimitError` first for words over
-    ``MAX_WORD_LETTERS``, whatever their parity."""
-    n = len(letters)
-    _check_length(n)
-    return n % 2 == 1
+def _unpairable(letters) -> bool:
+    """True when the word has no non-crossing pairing within its (family,
+    generator) classes, so its state is exactly 0: the stack scan of the
+    module docstring ends non-empty.  Raises :class:`SizeLimitError` first
+    for words over ``MAX_WORD_LETTERS``, whatever their letters."""
+    _check_length(len(letters))
+    stack = []
+    for l in letters:
+        cls = l.family, l.gen
+        if stack and stack[-1] == cls:
+            stack.pop()
+        else:
+            stack.append(cls)
+    return bool(stack)
 
 
 def _ticks(times) -> tuple:
@@ -194,7 +208,10 @@ def interval_states(m: ModelSpec, letters, offsets=None, etas=None) -> list:
 
 
 def _phi(m: ModelSpec, letters, etas=None) -> complex:
-    if _is_odd(letters):
+    """The state of ``letters``: exactly ``0j`` with no pass run and no
+    eta call for a word with no pairing within its classes, where the pass
+    would store no end n in row 0 and read the same positive zero."""
+    if _unpairable(letters):
         return 0j
     n = len(letters)
     return interval_states(m, letters, None, etas)[0].get(n, 0j)
@@ -203,8 +220,9 @@ def _phi(m: ModelSpec, letters, etas=None) -> complex:
 def evaluate_state(m: ModelSpec, w: Word, etas=None) -> complex:
     """Value of the model state on the word ``w``.
 
-    1 for the empty word, exactly ``0j`` for odd length with no pass
-    run; otherwise the non-crossing pairing sum, read from one
+    1 for the empty word, exactly ``0j`` with no pass run for a word with
+    no pairing within its (family, generator) classes, odd ones included;
+    otherwise the non-crossing pairing sum, read from one
     :func:`interval_states` pass.  ``etas`` is a run's eta table on ``m``
     (see :func:`interval_states`).
     """
@@ -215,10 +233,13 @@ def evaluate_state_detailed(m: ModelSpec, w: Word) -> StateValue:
     """Value of the model state on ``w`` with two diagnostics.
 
     ``value`` is the pairing sum of one :func:`interval_states` pass, run
-    at either parity.  ``partition_count`` is the number of non-crossing
-    pairings of letters of one (family, generator) class, whatever their
-    kernel values: the first-letter recursion over every such pair at odd
-    distance, in Python ints, so it stays exact past 2^53.  ``magnitude``,
+    whether or not the word can be paired within its classes: the
+    ``moment`` command reports this value against the exhaustive oracle,
+    so it is the pass's own reading, not the class scan's.
+    ``partition_count`` is the number of non-crossing pairings of letters
+    of one (family, generator) class, whatever their kernel values: the
+    first-letter recursion over every such pair at odd distance, in
+    Python ints, so it stays exact past 2^53.  ``magnitude``,
     the sum of the moduli of the pairing terms, is the real part of a
     second pass that reads the first pass's eta table with every value
     replaced by its modulus, so it meets the same pairs, every lookup hits
@@ -265,9 +286,10 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
     one side at the double of its time difference.  ``z`` may be complex;
     at real ``z`` this agrees with evaluating the shifted word directly up
     to rounding.  ``positions`` are 0-based indices and must form a
-    contiguous prefix or suffix block.  A word of odd length gives
-    exactly ``0j`` with no pass run.  ``etas`` is a run's eta table on
-    ``m`` (see :func:`interval_states`).
+    contiguous prefix or suffix block.  A word with no pairing within its
+    (family, generator) classes, odd ones included, gives exactly ``0j``
+    with no pass run: the shift moves times, not classes.  ``etas`` is a
+    run's eta table on ``m`` (see :func:`interval_states`).
     """
     letters = tuple(w)
     n = len(letters)
@@ -279,7 +301,7 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
     is_suffix = pos == list(range(n - k, n))
     if not (is_prefix or is_suffix):
         raise ValueError("positions must form a prefix or suffix block")
-    if _is_odd(letters):
+    if _unpairable(letters):
         return 0j
     z, block = complex(z), set(pos)
     offsets = [z if i in block else 0j for i in range(n)]

@@ -11,7 +11,10 @@ rules allow.  ``pairable_kernel`` keeps the pairs of it whose inside has
 a pairing with nonzero covariances, the pairs
 :func:`ncfisher.moments.interval_states` visits, found by the pairing
 count over the full kernel (``pairing_counts``); ``pairable_pairs``
-lists those pairs, whatever their own covariance.
+lists those pairs, whatever their own covariance.  ``class_pairings``
+counts the pairings of a word within its classes over a kernel of ones,
+the existence check the class scan of :mod:`ncfisher.moments` is judged
+against.
 ``row_by_row_table`` is the pairing table of a kernel filled one
 interval at a time, each summing its kernel entries in increasing k, the
 order of the first-letter recursion that the interval pass keeps bit for
@@ -279,6 +282,18 @@ def pairing_counts(rows) -> list:
     with every entry 1.  Over :func:`full_kernel`, the pairings whose
     covariances are all nonzero."""
     return row_by_row_table([[(k, 1) for k, _ in row] for row in rows], 1)
+
+
+def class_pairings(letters) -> int:
+    """The number of non-crossing pairings of ``letters`` within their
+    (family, generator) classes, whatever their covariances:
+    :func:`pairing_counts` over the kernel of ones on every pair of one
+    class at odd distance."""
+    n = len(letters)
+    rows = [[(k, 1) for k in range(i + 1, n, 2)
+             if (a.family, a.gen) == (letters[k].family, letters[k].gen)]
+            for i, a in enumerate(letters)]
+    return pairing_counts(rows)[0][n]
 
 
 def pairable_pairs(m, letters, offsets=None) -> list:

@@ -24,7 +24,11 @@ other interval is +0+0j there; a NaN covariance reaches only the stored
 intervals.  The ``magnitude`` of ``evaluate_state_detailed`` is compared
 bit for bit with the dense fill over the moduli of the full kernel.
 The pruned depth-first oracle is compared bit for bit with the literal
-filter over all pair partitions (``tests/oracles.py``).
+filter over all pair partitions (``tests/oracles.py``).  The class scan
+that reads a word with no pairing within its (family, generator) classes
+as +0+0j, with no pass and no eta call, is compared with the pairing count
+over a kernel of ones (``class_pairings``), and the states it guards with
+the pass read directly, bit for bit.
 """
 import cmath
 import copy
@@ -51,9 +55,10 @@ from ncfisher.moments import (
     evaluate_state_shifted,
     interval_states,
 )
-from oracles import (all_pairings, flipped_word_sums, full_kernel,
-                     is_noncrossing, literal_oracle, pairable_kernel,
-                     pairable_pairs, pairing_counts, row_by_row_table)
+from oracles import (all_pairings, class_pairings, flipped_word_sums,
+                     full_kernel, is_noncrossing, literal_oracle,
+                     pairable_kernel, pairable_pairs, pairing_counts,
+                     row_by_row_table)
 
 RTOL = 1e-12
 
@@ -372,6 +377,9 @@ def test_a_balanced_inside_that_cannot_be_paired():
     assert value == brute_force_oracle(m, w), w
     unknown = (x("z", 0),) + w[1:7] + (x("z", 1),)
     assert positive_zero(evaluate_state(m, unknown))
+    # the class scan reads that word 0 before any pass; the pass alone
+    # reads it 0 too
+    assert positive_zero(interval_states(m, unknown)[0].get(8, 0j))
 
 
 @given(data=st.data())
@@ -380,9 +388,10 @@ def test_eta_called_once_per_distinct_generator_and_difference(data):
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
                         max_size=16))
-    # an odd word is exactly 0 with no kernel built, so no eta call
+    # a word with no pairing within its classes, odd ones included, is
+    # exactly 0 with no pass run, so no eta call
     distinct = {(w[i].gen, w[k].time - w[i].time)
-                for i, k in pairable_pairs(m, w) if len(w) % 2 == 0}
+                for i, k in pairable_pairs(m, w) if class_pairings(w)}
     with pytest.MonkeyPatch.context() as mp:
         counter = EtaCounter(mp)
         evaluate_state(m, w)
@@ -424,34 +433,99 @@ def positive_zero(z: complex) -> bool:
     return bits(z) == bits(0j)
 
 
+def assert_zero_with_no_pass(m, w, block, z):
+    """``w`` reads +0+0j, plain and shifted, with no eta call and no
+    interval pass."""
+    passes = []
+    original = moments.interval_states
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        counter = EtaCounter(mp)
+        mp.setattr(moments, "interval_states", counted)
+        plain = evaluate_state(m, w)
+        shifted = evaluate_state_shifted(m, w, block, z)
+    assert positive_zero(plain) and positive_zero(shifted), w
+    assert counter.calls == [] and passes == [], w
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_odd_words_are_positive_zero_with_no_eta_call(data):
+    # every word with no pairing within its classes: the odd ones, and
+    # even ones such as X Y X Y
     m = data.draw(models())
     w = data.draw(words(m, times=st.one_of(big_times, small_times),
-                        max_size=15).filter(lambda w: len(w) % 2))
+                        max_size=15).filter(lambda w: not class_pairings(w)))
     n = len(w)
     k = data.draw(st.integers(0, n))
     block = data.draw(st.sampled_from([range(k), range(k, n)]))
     z = complex(data.draw(st.integers(-4, 4)) / 4,
                 data.draw(st.sampled_from([0.0, -1.0, 1.0])))
-    with pytest.MonkeyPatch.context() as mp:
-        counter = EtaCounter(mp)
-        plain = evaluate_state(m, w)
-        shifted = evaluate_state_shifted(m, w, block, z)
-    assert positive_zero(plain) and positive_zero(shifted)
-    assert counter.calls == []
+    assert_zero_with_no_pass(m, w, block, z)
+
+
+@pytest.mark.parametrize("classes", [
+    "Xg Yg Xg Yg", "Xg Xg Yg Xg", "Yg Xg Xg Xg Xg Xg", "Xg Xh Xg Xh",
+    "Xg Yg Xh Yh Xg Yg Xh Yh", "Xg Xg Yg Yg Xg Yg"])
+def test_even_words_with_no_class_pairing_are_positive_zero(classes):
+    # balanced or not, these even words have no pairing within their
+    # classes; one Y among Xs leaves an odd class
+    m = build_model({"generators": [
+        {"name": g, "mode": "half", "atoms": [{"x": 0.1, "w": 1.0}]}
+        for g in "gh"]})
+    w = tuple((x if c[0] == "X" else y)(c[1], Fraction(t, 2))
+              for t, c in enumerate(classes.split()))
+    assert not class_pairings(w) and moments._unpairable(w)
+    assert_zero_with_no_pass(m, w, range(len(w) // 2), 0.25 + 1j)
+
+
+@st.composite
+def pairable_words(draw, m, max_size=16):
+    """A word whose classes mirror about its middle, rotated: it has a
+    pairing within its classes, whatever its times."""
+    half = draw(words(m, max_size=max_size // 2))
+    mirror = tuple(l._replace(time=draw(small_times)) for l in half[::-1])
+    w = half + mirror
+    k = draw(st.integers(0, len(w)))
+    return w[k:] + w[:k]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_class_scan_is_the_pairing_existence_bit_for_bit(data):
+    # the scan agrees with the pairing count over a kernel of ones, and
+    # the state, plain or shifted, is the bits of the pass read directly
+    m = data.draw(models())
+    w = data.draw(st.one_of(words(m, max_size=16), pairable_words(m)))
+    n = len(w)
+    assert moments._unpairable(w) == (class_pairings(w) == 0), w
+    k = data.draw(st.integers(0, n))
+    block = data.draw(st.sampled_from([range(k), range(k, n)]))
+    z = complex(data.draw(st.integers(-4, 4)) / 4,
+                data.draw(st.sampled_from([0.0, -1.0, 1.0])))
+    offsets = [z if i in block else 0j for i in range(n)]
+    assert bits(evaluate_state(m, w)) == bits(
+        interval_states(m, w)[0].get(n, 0j)), w
+    assert bits(evaluate_state_shifted(m, w, block, z)) == bits(
+        interval_states(m, w, offsets)[0].get(n, 0j)), w
 
 
 @pytest.mark.parametrize("n", [moments.MAX_WORD_LETTERS + 1,
                                moments.MAX_WORD_LETTERS + 2])
 def test_words_over_the_size_limit_are_refused_at_either_parity(n):
+    # a word of one class can be paired at even length, X Y X Y ... never
     m = tracial_model()
-    w = (x("g", 0),) * n
-    with pytest.raises(moments.SizeLimitError):
-        evaluate_state(m, w)
-    with pytest.raises(moments.SizeLimitError):
-        evaluate_state_shifted(m, w, range(n // 2, n), 0.5 + 1j)
+    for w in ((x("g", 0),) * n, (x("g", 0), y("g", 0)) * (n // 2)
+              + (x("g", 0),) * (n % 2)):
+        assert len(w) == n
+        with pytest.raises(moments.SizeLimitError):
+            evaluate_state(m, w)
+        with pytest.raises(moments.SizeLimitError):
+            evaluate_state_shifted(m, w, range(n // 2, n), 0.5 + 1j)
 
 
 def test_core_identity_builds_one_kernel(monkeypatch):
@@ -573,6 +647,11 @@ def test_a_nan_covariance_stays_in_the_balanced_intervals(monkeypatch):
     assert cmath.isnan(evaluate_state_shifted(m, even, range(2, 4), 1j))
     assert positive_zero(evaluate_state(m, uneven))
     assert positive_zero(evaluate_state_shifted(m, uneven, range(2, 4), 1j))
+    # the class scan reads the uneven word 0 before any pass; the pass
+    # alone reads it 0 too
+    assert positive_zero(interval_states(m, uneven)[0].get(4, 0j))
+    assert positive_zero(
+        interval_states(m, uneven, [0j, 0j, 1j, 1j])[0].get(4, 0j))
     assert cmath.isnan(row_by_row_table(full_kernel(m, uneven))[0][4])
 
 
@@ -591,7 +670,7 @@ def test_a_shared_eta_table_calls_eta_once_per_argument(data):
         shared = [evaluate_state(m, w, etas) for w in ws]
     assert [bits(v) for v in shared] == [bits(v) for v in alone]
     distinct = {(w[i].gen, w[k].time - w[i].time)
-                for w in ws if len(w) % 2 == 0
+                for w in ws if class_pairings(w)
                 for i, k in pairable_pairs(m, w)}
     assert sorted(counter.calls) == sorted(
         {(g, m.real_time(d)) for g, d in distinct})
@@ -631,7 +710,7 @@ def test_plain_and_shifted_words_share_one_eta_table(data):
     assert [bits(v) for v in shared] == [bits(v) for v in alone]
     arguments: dict = {}  # (generator, d, od) -> (generator, argument)
     for w, block, z in cases:
-        if len(w) % 2:
+        if not class_pairings(w):
             continue
         off = [z if block is not None and i in block else 0j
                for i in range(len(w))]
