@@ -21,8 +21,8 @@ True
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Union
 
 __all__ = [
     "X_FAMILY",
@@ -44,10 +44,11 @@ __all__ = [
 X_FAMILY = "X"
 Y_FAMILY = "Y"
 
-TimeLike = Union[Fraction, int, str]
+#: what :func:`as_time` accepts
+TimeLike = Fraction | int | str
 
 #: an exact time tag
-Time = Union[Fraction, int]
+Time = Fraction | int
 
 
 def as_time(t: TimeLike) -> Time:
@@ -69,12 +70,11 @@ def as_time(t: TimeLike) -> Time:
 _new_letter = tuple.__new__
 
 
-class Letter(NamedTuple):
-    """One self-adjoint generator letter at an exact modular time tag."""
+class Letter(namedtuple("Letter", "family gen time")):
+    """One self-adjoint generator letter at an exact modular time tag:
+    ``family`` and ``gen`` are strs, ``time`` a :data:`Time`."""
 
-    family: str
-    gen: str
-    time: Time
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.family}{self.gen}:{self.time}"

@@ -14,12 +14,17 @@ dispatch and every model command need (``algebra``, ``model``,
 core layer or numpy when it is called.  Only the solver commands and
 ``suite`` compile the Galerkin solver and load numpy, and no command
 loads OpenSSL: the model digest takes SHA-256 from the interpreter's own
-module, not from ``hashlib``.
+module, not from ``hashlib``.  A command that does not load numpy loads
+neither ``dataclasses`` nor ``typing`` either: ``dataclasses`` brings
+``inspect`` (with ``ast``, ``dis`` and ``tokenize``), and with
+``typing`` that was about a quarter of such a process's time, so the
+values it builds are plain classes and a letter is a
+``collections.namedtuple``.  numpy loads ``inspect`` itself, so the
+solver and the battery keep their dataclasses.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -373,6 +378,8 @@ def _cmd_fisher(m, args):
 
 
 def _cmd_cramer_rao(m, args):
+    import dataclasses
+
     from .conjugate import cramer_rao_audit
 
     gens = _gens_from_args(m, args)

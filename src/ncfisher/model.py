@@ -17,12 +17,9 @@ mutually free by construction: their cross covariance is identically zero.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "ConfigError",
@@ -66,42 +63,82 @@ class DetailedBalanceViolation(ValueError):
         super().__init__(f"generator {gen_id!r}: {message}")
 
 
-@dataclass(frozen=True)
-class SpectralAtom:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes.  An instance compares, hashes,
+    prints and pickles by the constructor arguments that ``_fields``
+    names, in order, and refuses assignment: its constructor fills its
+    ``__slots__`` with ``object.__setattr__``.  This is what a frozen
+    dataclass gives, without the import of ``dataclasses``, whose
+    ``inspect`` a command that never loads numpy would pay for alone."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpectralAtom(_Frozen):
     """One atom of a generator's spectral measure: weight ``w`` at ``x``."""
 
-    x: float
-    w: float
+    __slots__ = _fields = ("x", "w")
 
-    def __post_init__(self):
-        if not (self.w > 0):
-            raise ConfigError(f"atom weight must be positive, got {self.w}")
+    def __init__(self, x: float, w: float):
+        if not (w > 0):
+            raise ConfigError(f"atom weight must be positive, got {w}")
+        _set(self, "x", x)
+        _set(self, "w", w)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Frozen):
     """A single semicircular generator with an atomic spectral measure."""
 
-    gen_id: str
-    atoms: tuple
+    __slots__ = ("gen_id", "atoms", "_runs", "_x_max")
+    _fields = ("gen_id", "atoms")
 
-    def __post_init__(self):
-        if not self.atoms:
-            raise ConfigError(f"generator {self.gen_id!r} has no atoms")
-        freqs = [a.x for a in self.atoms]
+    def __init__(self, gen_id: str, atoms: tuple):
+        if not atoms:
+            raise ConfigError(f"generator {gen_id!r} has no atoms")
+        freqs = [a.x for a in atoms]
         if len(set(freqs)) != len(freqs):
             raise ConfigError(
-                f"generator {self.gen_id!r} lists duplicate frequencies"
+                f"generator {gen_id!r} lists duplicate frequencies"
             )
+        _set(self, "gen_id", gen_id)
+        _set(self, "atoms", atoms)
         # (x, w, w of the mirror atom at -x right after it, or None), for
         # the real-time eta; half mode writes every mirror right after
-        runs, atoms = [], list(self.atoms)
+        runs, atoms = [], list(atoms)
         while atoms:
             a = atoms.pop(0)
             mirror = atoms.pop(0).w if atoms and atoms[0].x == -a.x else None
             runs.append((a.x, a.w, mirror))
-        object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "_x_max", max(abs(x) for x in freqs))
+        _set(self, "_runs", tuple(runs))
+        _set(self, "_x_max", max(abs(x) for x in freqs))
 
     @property
     def v(self) -> float:
@@ -185,7 +222,7 @@ def finite_max(values, what: str) -> float:
     return worst
 
 
-def check_kms(g: GeneratorSpec, t_grid: Sequence[float]) -> float:
+def check_kms(g: GeneratorSpec, t_grid) -> float:
     """Largest |eta(t+i) - eta(-t)| over the grid; raises
     :class:`DetailedBalanceViolation` first unless balance holds exactly,
     and ArithmeticError on a deviation that is not finite."""
@@ -195,7 +232,6 @@ def check_kms(g: GeneratorSpec, t_grid: Sequence[float]) -> float:
                       f"the boundary deviation of generator {g.gen_id!r}")
 
 
-@dataclass(eq=False)
 class ModelSpec:
     """A family of mutually free generators plus a default tolerance.
 
@@ -205,15 +241,14 @@ class ModelSpec:
     fixes how exact times are written, not the model.
 
     Instances are immutable by convention; evaluation keeps no state on
-    them.
+    them.  A model compares and hashes by identity.
     """
 
-    generators: tuple
-    tolerance: float = DEFAULT_TOLERANCE
-    time_den: int = 1
-
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
+    def __init__(self, generators, tolerance: float = DEFAULT_TOLERANCE,
+                 time_den: int = 1):
+        self.generators = tuple(generators)
+        self.tolerance = tolerance
+        self.time_den = time_den
         ids = [g.gen_id for g in self.generators]
         if len(set(ids)) != len(ids):
             raise ConfigError("generator ids must be unique")
@@ -222,6 +257,10 @@ class ModelSpec:
         if type(self.time_den) is not int or self.time_den < 1:
             raise ConfigError(
                 f"time_den must be a positive int, got {self.time_den!r}")
+
+    def __repr__(self):
+        return (f"ModelSpec(generators={self.generators!r}, "
+                f"tolerance={self.tolerance!r}, time_den={self.time_den!r})")
 
     def real_time(self, tag, den: int = 1):
         """The real time of the tag ``tag / den``, which counts ticks of
@@ -233,7 +272,7 @@ class ModelSpec:
 
     def with_time_den(self, time_den: int) -> "ModelSpec":
         """The same model, its time tags counting ticks of 1/``time_den``."""
-        return dataclasses.replace(self, time_den=time_den)
+        return ModelSpec(self.generators, self.tolerance, time_den)
 
     def gen(self, gen_id: str) -> GeneratorSpec:
         for g in self.generators:
@@ -253,10 +292,10 @@ class ModelSpec:
 
     def scaled(self, factor: float) -> "ModelSpec":
         """All weights multiplied by ``factor`` > 0; balance is preserved."""
-        return dataclasses.replace(self, generators=tuple(
+        return ModelSpec(tuple(
             GeneratorSpec(g.gen_id, tuple(SpectralAtom(a.x, a.w * factor)
                                           for a in g.atoms))
-            for g in self.generators))
+            for g in self.generators), self.tolerance, self.time_den)
 
     def config_dict(self) -> dict:
         """Canonical full-mode config equivalent to this model."""

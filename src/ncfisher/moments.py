@@ -22,10 +22,9 @@ gives every word of a basis at once in the free Fock space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import Letter, NcPoly, Word
-from .model import ModelSpec
+from .model import ModelSpec, _Frozen, _set
 
 __all__ = [
     "SizeLimitError",
@@ -52,16 +51,19 @@ class SizeLimitError(ValueError):
     interval pass or the exhaustive oracle."""
 
 
-@dataclass(frozen=True)
-class StateValue:
+class StateValue(_Frozen):
     """State value plus two diagnostics that are not part of it: the
     number of family-compatible non-crossing pairings that contributed,
     and ``magnitude``, the sum of the magnitudes of their kernel products,
     the scale against which the value's rounding is measured."""
 
-    value: complex
-    partition_count: int
-    magnitude: float
+    __slots__ = _fields = ("value", "partition_count", "magnitude")
+
+    def __init__(self, value: complex, partition_count: int,
+                 magnitude: float):
+        _set(self, "value", value)
+        _set(self, "partition_count", partition_count)
+        _set(self, "magnitude", magnitude)
 
 
 class Residual(float):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import TimeLike, as_time, shift_word, x
@@ -26,8 +26,8 @@ from .conjugate import (
     solve_conjugate,
 )
 from .core_cp import factoriality_bound
-from .model import (KMS_GRID, ModelSpec, finite_max, tracial_model,
-                    two_atom_model)
+from .model import (KMS_GRID, GeneratorSpec, ModelSpec, finite_max,
+                    tracial_model, two_atom_model)
 from .model import check_kms as kms_deviation
 from .moments import brute_force_oracle, evaluate_state, evaluate_state_shifted
 from .sampling import (HALF_GRID, TIME_DEN, core_residual,
@@ -78,7 +78,7 @@ class SuiteContext:
             seed=seed,
             two_atom=two_atom,
             tracial=tracial_model(),
-            pair=ModelSpec(tuple(replace(g, gen_id=i) for i in "12")),
+            pair=ModelSpec(tuple(GeneratorSpec(i, g.atoms) for i in "12")),
             v4=two_atom.scaled(4.0),
         )
 

@@ -45,8 +45,13 @@ symbolic forms take.  ``choice_time``, ``choice_word`` and
 ``rng.choice``, ``rng.randint`` and ``rng.random``, which the module
 replaces by reading ``rng.getrandbits`` itself.  ``literal_eta_inner``
 is the group-valued inner product of :mod:`ncfisher.core_cp` through the
-generic sum operations, one product and one scaled copy per term.  ``pair_with_y`` and ``random_ncpoly`` are helpers
-only the tests use.
+generic sum operations, one product and one scaled copy per term.
+``one_particle_projection`` is every Galerkin answer in closed form: a
+letter X_t acts on the vacuum as the one-particle vector
+f_t[j] = sqrt(w_j) e^{2 pi i t x_j} over its generator's atoms, so the
+solution is the projection of f_{t0} onto the span of the grid's
+vectors, whatever the degree.  ``pair_with_y`` and ``random_ncpoly`` are
+helpers only the tests use.
 """
 import cmath
 import math
@@ -57,7 +62,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ncfisher.algebra import NcPoly, TimeLike, X_FAMILY, Letter, x, y
+from ncfisher.algebra import (NcPoly, TimeLike, X_FAMILY, Letter, as_time,
+                              x, y)
 from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec, fock_dimension,
                                  fock_vectors, solve_conjugate)
 from ncfisher.model import ModelSpec
@@ -509,6 +515,33 @@ def masked_projection_prune(vecs: np.ndarray, guess: np.ndarray) -> tuple:
             if k == dim:
                 break
     return kept, q[:, :k], r[:k, :k], i - j + 2
+
+
+def one_particle_projection(m: ModelSpec, gen: str, time_grid,
+                            target_time: TimeLike = 0) -> tuple:
+    """(||P_K f_{t0}||^2, {letter: coefficient}) for the conjugate
+    variable of ``gen`` at ``target_time`` on a basis over ``time_grid``.
+
+    K is the span of the one-particle vectors f_t of the grid's letters
+    of ``gen``, built from the model's atoms; a flow-fixed generator's
+    letters are one operator, X_0.  Other generators' vectors are
+    orthogonal to f_{t0}, so they do not enter.  The fit of f_{t0} by the
+    letters' vectors is QR least squares; they must be independent.
+    """
+    g = m.gen(gen)
+    times = [Fraction(0)] if g.is_tracial else list(time_grid)
+    root_w = np.sqrt([a.w for a in g.atoms])
+    xs = np.array([a.x for a in g.atoms])
+
+    def vector(t):
+        return root_w * np.exp(2j * math.pi * float(m.real_time(t)) * xs)
+
+    a = np.column_stack([vector(as_time(t)) for t in times])
+    q, r = np.linalg.qr(a)
+    qf = q.conj().T @ vector(as_time(target_time))
+    coefficients = np.linalg.solve(r, qf)
+    return (float(np.vdot(qf, qf).real),
+            {x(gen, t): c for t, c in zip(times, coefficients)})
 
 
 def pair_with_y(m: ModelSpec, gen: str, e: NcPoly,

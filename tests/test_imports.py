@@ -6,7 +6,13 @@ that reads a missing name fails as a whole, and its output is not shown
 beside the tests, so the names are checked here, read with ``ast`` and
 never executed.  The CLI imports only what a command runs, which a fresh
 interpreter shows, and no command loads OpenSSL through ``hashlib``: the
-model digest takes SHA-256 from the interpreter's own module.
+model digest takes SHA-256 from the interpreter's own module.  A command
+that never loads numpy loads neither ``dataclasses`` nor the ``inspect``
+it imports (with ``ast``, ``dis`` and ``tokenize``), and, shown in an
+interpreter started with ``-S``, not ``typing`` either: the value
+classes on that path are plain classes and ``Letter`` a
+``collections.namedtuple``.  Without ``-S`` a ``.pth`` file of the
+installed site packages may load ``typing`` before the package does.
 """
 
 import ast
@@ -94,12 +100,17 @@ def test_the_benchmark_calls_into_the_package_resolve():
     assert isinstance(cli._HANDLERS, dict)
 
 
-# run in a fresh interpreter: the ncfisher modules, and whether numpy and
-# hashlib (whose ``_hashlib`` loads OpenSSL) are loaded, after importing
-# the CLI, after the commands that need neither the solver, the battery
-# nor numpy (the two sampled identity checks among them), and after one
-# that solves
-LOADED_BY_COMMANDS = """
+#: stdlib modules a numpy-free command has no use for: ``hashlib``, whose
+#: ``_hashlib`` loads OpenSSL; ``dataclasses`` and the ``inspect`` it
+#: imports; and ``typing``
+HEAVY = ("hashlib", "_hashlib", "dataclasses", "inspect", "typing")
+
+# run in a fresh interpreter: the ncfisher modules, and which of numpy and
+# HEAVY are loaded, after importing the CLI, after the commands that need
+# neither the solver, the battery nor numpy (the two sampled identity
+# checks among them), and after one that solves; with -S, numpy, a site
+# package, is out of reach and that last stage is left out
+LOADED_BY_COMMANDS = f"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 stages = []
@@ -107,7 +118,7 @@ stages = []
 def loaded():
     stages.append(sorted(n for n in sys.modules
                          if n == "ncfisher" or n.startswith("ncfisher."))
-                  + [n for n in ("numpy", "hashlib", "_hashlib")
+                  + [n for n in ("numpy", *{HEAVY!r})
                      if n in sys.modules])
 
 def run(*argvs):
@@ -122,23 +133,40 @@ run(["moment", "--word", "X:0 X:1 X:0 X:1"], ["check-kms"],
     ["brownian", "--word", "X:0 X:1/2"],
     ["bound", "--alpha", "0.5", "--delta", "0.1"],
     ["verify-lemma2", "--count", "3"], ["verify-core", "--count", "3"])
-run(["conjugate"])
+if not sys.flags.no_site:
+    run(["conjugate"])
 print(json.dumps(stages))
 """
 
 
-def test_a_command_imports_only_what_it_runs():
+def loaded_by_commands(*flags) -> list:
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_BY_COMMANDS, str(ROOT / "src")],
+        [sys.executable, *flags, "-c", LOADED_BY_COMMANDS, str(ROOT / "src")],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    imported, unsolved, solved = json.loads(proc.stdout)
-    assert imported == ["ncfisher", "ncfisher.algebra", "ncfisher.cli",
-                        "ncfisher.model", "ncfisher.moments"]
+    return json.loads(proc.stdout)
+
+
+#: the package modules ``import ncfisher.cli`` loads
+CLI_MODULES = ["ncfisher", "ncfisher.algebra", "ncfisher.cli",
+               "ncfisher.model", "ncfisher.moments"]
+
+
+def test_a_command_imports_only_what_it_runs():
+    imported, unsolved, solved = loaded_by_commands()
+    assert [n for n in imported if n.startswith("ncfisher")] == CLI_MODULES
     assert not {"numpy", "ncfisher.conjugate", "ncfisher.suite"} & set(unsolved)
     assert {"numpy", "ncfisher.conjugate"} <= set(solved)
     for stage in (imported, unsolved, solved):
         assert not {"hashlib", "_hashlib"} & set(stage)
+    for stage in (imported, unsolved):
+        assert not {"dataclasses", "inspect"} & set(stage)
+    # without -S, the site packages' start-up may load typing; with -S
+    # only the package and what it imports are loaded, and no HEAVY one
+    imported, unsolved = loaded_by_commands("-S")
+    assert imported == CLI_MODULES
+    for stage in (imported, unsolved):
+        assert not {"numpy", *HEAVY} & set(stage)
 
 
 def fresh_stdout(code: str) -> str:
