@@ -10,8 +10,9 @@ classes has state exactly 0: one scan with a stack of classes, which
 pops a letter's class when it is on top and pushes it otherwise, ends
 non-empty exactly then (the class sequence is not the identity in the
 free product of one Z/2 per class; odd length is a special case).
-:func:`evaluate_state`, :func:`evaluate_state_shifted` and
-:func:`expectation` read ``0j`` for such a word with no pass run.
+:func:`evaluate_state` and :func:`evaluate_state_shifted` read ``0j``
+for such a word with no pass run.  A sum of words is a plain dict
+``{word: coeff}``, and its state is taken word by word.
 
 Two evaluators here compute it independently: :func:`interval_states`,
 one pass per word, behind :func:`evaluate_state` and its variants; and
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import Letter, NcPoly, Word
+from .algebra import Letter, Word
 from .model import ModelSpec, _Frozen, _set
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "evaluate_state_detailed",
     "evaluate_state_shifted",
     "interval_states",
-    "expectation",
     "brute_force_oracle",
 ]
 
@@ -308,12 +308,6 @@ def evaluate_state_shifted(m: ModelSpec, w: Word, positions, z,
     z, block = complex(z), set(pos)
     offsets = [z if i in block else 0j for i in range(n)]
     return interval_states(m, letters, offsets, etas)[0].get(n, 0j)
-
-
-def expectation(m: ModelSpec, p: NcPoly, etas=None) -> complex:
-    """Linear extension of the state to polynomials; ``etas`` is a run's
-    eta table on ``m`` (see :func:`interval_states`)."""
-    return sum((c * _phi(m, w, etas) for w, c in p._terms.items()), 0j)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Letter, NcPoly, Word, X_FAMILY, _new_letter
+from .algebra import Letter, Word, X_FAMILY, _new_letter
 from .core_cp import CoreWord, verify_core_identity
 from .derivation import verify_insertion_identity
 from .model import ModelSpec, finite_max
@@ -161,8 +161,7 @@ def insertion_residual(m: ModelSpec, gen: str, rng: random.Random,
     etas: dict = {}
     pairs = [(random_word(rng, [gen], degree),
               random_word(rng, [gen], degree)) for _ in range(count)]
-    return _worst(verify_insertion_identity(m, gen, NcPoly.word(p),
-                                            NcPoly.word(q), etas)
+    return _worst(verify_insertion_identity(m, gen, p, q, etas)
                   for p, q in dict.fromkeys(pairs))
 
 

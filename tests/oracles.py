@@ -3,9 +3,17 @@
 The exhaustive oracle of :mod:`ncfisher.moments` prunes its enumeration;
 ``literal_oracle`` here enumerates every pair partition, filters the
 crossing ones with the literal predicate and multiplies the kernel along
-each survivor, in the same order.  The L2 forms multiply polynomials
-symbolically and evaluate the state word by word, the definitions the
-Fock-coordinate audits of :mod:`ncfisher.conjugate` stand in for.
+each survivor, in the same order.  ``NcPoly`` is the reference algebra
+of polynomials in words, one canonical ``{word: coeff}`` dict with sums,
+products, adjoint and shift; ``expectation`` is the state extended
+linearly to it and ``derivative`` the derivation of
+:mod:`ncfisher.derivation`, which takes one word, extended linearly.
+``insertion_by_products`` is the insertion identity on polynomials with
+p X_0 q formed as a product, the form that
+:func:`ncfisher.derivation.verify_insertion_identity` evaluates on words.
+The L2 forms multiply polynomials symbolically and evaluate the state
+word by word, the definitions the Fock-coordinate audits of
+:mod:`ncfisher.conjugate` stand in for.
 ``full_kernel`` is the kernel of every pair that the parity and family
 rules allow.  ``pairable_kernel`` keeps the pairs of it whose inside has
 a pairing with nonzero covariances, the pairs
@@ -55,6 +63,7 @@ helpers only the tests use.
 """
 import cmath
 import math
+import numbers
 import random
 import sys
 from fractions import Fraction
@@ -62,13 +71,15 @@ from itertools import combinations
 
 import numpy as np
 
-from ncfisher.algebra import (NcPoly, TimeLike, X_FAMILY, Letter, as_time,
-                              x, y)
+from ncfisher.algebra import (EMPTY_WORD, TimeLike, Word, X_FAMILY, Letter,
+                              _accumulate, as_time, shift_word, word_adjoint,
+                              word_str, x, y)
 from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec, fock_dimension,
                                  fock_vectors, solve_conjugate)
 from ncfisher.model import ModelSpec
 from ncfisher.core_cp import CoreWord, conditional_expectation, eta_map
-from ncfisher.moments import covariance, expectation
+from ncfisher.derivation import differentiate
+from ncfisher.moments import Residual, covariance, evaluate_state
 from ncfisher.sampling import HALF_GRID_TICKS, random_word
 
 
@@ -164,6 +175,171 @@ def literal_oracle(m, w) -> complex:
             prod *= covariance(m, letters[i], letters[j])
         total += prod
     return total
+
+
+def _term_key(item):
+    w = item[0]
+    return (len(w), w)
+
+
+class NcPoly:
+    """Finite complex linear combination of words, kept in canonical form.
+
+    The canonical form is one dict ``_terms`` from words to coefficients
+    with no zero coefficients; equal canonical forms are equal elements,
+    and a number is the multiple of the empty word.  ``sorted_terms`` and
+    repr are deterministic: terms are ordered by length, then
+    lexicographically on the letter tuples (family, generator id, time).
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        data: dict = {}
+        if terms is not None:
+            items = terms.items() if hasattr(terms, "items") else terms
+            for w, c in items:
+                _accumulate(data, tuple(w), complex(c))
+        self._terms = data
+
+    @classmethod
+    def _raw(cls, data: dict) -> "NcPoly":
+        # data must already be canonical (no zeros, tuple words)
+        obj = object.__new__(cls)
+        obj._terms = data
+        return obj
+
+    @classmethod
+    def zero(cls) -> "NcPoly":
+        return cls._raw({})
+
+    @classmethod
+    def letter(cls, letter: Letter) -> "NcPoly":
+        return cls._raw({(letter,): 1 + 0j})
+
+    @classmethod
+    def word(cls, w: Word, coeff: complex = 1.0) -> "NcPoly":
+        c = complex(coeff)
+        return cls._raw({tuple(w): c}) if c != 0 else cls.zero()
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def sorted_terms(self) -> list:
+        return sorted(self._terms.items(), key=_term_key)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _coerce(self, other):
+        if isinstance(other, NcPoly):
+            return other
+        if isinstance(other, numbers.Complex):
+            c = complex(other)
+            return NcPoly._raw({EMPTY_WORD: c} if c != 0 else {})
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for w, c in rhs._terms.items():
+            _accumulate(out, w, c)
+        return NcPoly._raw(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return NcPoly._raw({w: -c for w, c in self._terms.items()})
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __mul__(self, other):
+        if isinstance(other, NcPoly):
+            out: dict[Word, complex] = {}
+            for w1, c1 in self._terms.items():
+                for w2, c2 in other._terms.items():
+                    _accumulate(out, w1 + w2, c1 * c2)
+            return NcPoly._raw(out)
+        if not isinstance(other, numbers.Complex):
+            return NotImplemented
+        c = complex(other)
+        if c == 0:
+            return NcPoly.zero()
+        return NcPoly._raw({w: cc * c for w, cc in self._terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, numbers.Complex):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._terms == rhs._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        # str() brackets a complex only when its real part shows: strip
+        # that pair so that each coefficient prints inside one
+        bits = [f"({str(c).strip('()')}) {word_str(w)}"
+                for w, c in self.sorted_terms()]
+        return f"NcPoly({' + '.join(bits) or 0})"
+
+    def adjoint(self) -> "NcPoly":
+        """Word reversal plus coefficient conjugation; an involution."""
+        return NcPoly._raw(
+            {word_adjoint(w): c.conjugate() for w, c in self._terms.items()}
+        )
+
+    def shift(self, s: TimeLike) -> "NcPoly":
+        """Add ``s`` to every letter's time tag; a formal *-automorphism."""
+        ds = as_time(s)
+        return NcPoly._raw(
+            {shift_word(w, ds): c for w, c in self._terms.items()}
+        )
+
+
+def expectation(m, p: NcPoly, etas=None) -> complex:
+    """Linear extension of the state to polynomials."""
+    return sum((c * evaluate_state(m, w, etas) for w, c in p._terms.items()),
+               0j)
+
+
+def derivative(gen_id: str, p: NcPoly) -> NcPoly:
+    """:func:`ncfisher.derivation.differentiate` extended linearly to a
+    polynomial of primary-family words."""
+    return NcPoly((dw, c * cd) for w, c in p._terms.items()
+                  for dw, cd in differentiate(gen_id, w).items())
+
+
+def insertion_by_products(m, gen_id: str, p: NcPoly, q: NcPoly,
+                          etas=None):
+    """The insertion identity on polynomials: state(p X_0 q) formed as a
+    product against the pairings of ``p`` with d(q) and of d(p) with
+    ``q``, summed term by term, as a residual and its scale in the form of
+    :func:`ncfisher.derivation.verify_insertion_identity`."""
+    lhs = expectation(m, p * NcPoly.letter(x(gen_id, 0)) * q, etas)
+    dq = derivative(gen_id, q)
+    dp = derivative(gen_id, p)
+    y0 = (y(gen_id, 0),)
+    mid1 = mid2 = 0j
+    for w, c in p._terms.items():
+        for dw, cd in dq._terms.items():
+            mid1 += c * cd * evaluate_state(m, w + y0 + dw, etas)
+    for w, c in q._terms.items():
+        for dw, cd in dp._terms.items():
+            mid2 += c * cd * evaluate_state(m, dw + y0 + w, etas)
+    return Residual(abs(lhs - mid1 - mid2), abs(lhs) + abs(mid1) + abs(mid2))
 
 
 def inner_product(m, p: NcPoly, q: NcPoly) -> complex:
@@ -544,11 +720,12 @@ def one_particle_projection(m: ModelSpec, gen: str, time_grid,
             {x(gen, t): c for t, c in zip(times, coefficients)})
 
 
-def pair_with_y(m: ModelSpec, gen: str, e: NcPoly,
+def pair_with_y(m: ModelSpec, gen: str, e: dict,
                 y_time: TimeLike = 0) -> complex:
     """Inner product of the partner letter of ``gen`` at ``y_time`` with
-    the derivative ``e``: the state of Y_{y_time} . e."""
-    return expectation(m, NcPoly.letter(y(gen, y_time)) * e)
+    the derivative ``e``, a ``{word: coeff}`` dict: the state of
+    Y_{y_time} . e."""
+    return expectation(m, NcPoly.letter(y(gen, y_time)) * NcPoly(e))
 
 
 def random_ncpoly(

@@ -15,7 +15,7 @@ import numpy as np
 
 from ncfisher import (brownian, conjugate, core_cp, derivation, moments,
                       sampling, suite)
-from ncfisher.algebra import X_FAMILY, Y_FAMILY, NcPoly, _accumulate, y
+from ncfisher.algebra import X_FAMILY, Y_FAMILY, y
 from ncfisher.conjugate import ConjugateSolution
 from ncfisher.model import GeneratorSpec
 from ncfisher.moments import Residual
@@ -105,21 +105,17 @@ def short_prefix_read(states):
     return planted
 
 
-def dropped_last_occurrence(gen_id, p):
-    out = {}
-    for w, c in p._terms.items():
-        at = [k for k, l in enumerate(w)
-              if l.family == X_FAMILY and l.gen == gen_id]
-        for k in at[:-1]:
-            _accumulate(out, w[:k] + (y(gen_id, w[k].time),) + w[k + 1:], c)
-    return NcPoly._raw(out)
+def dropped_last_occurrence(gen_id, w):
+    at = [k for k, l in enumerate(w)
+          if l.family == X_FAMILY and l.gen == gen_id]
+    return {w[:k] + (y(gen_id, w[k].time),) + w[k + 1:]: 1 + 0j
+            for k in at[:-1]}
 
 
 def partner_at_minus_t(differentiate):
-    return lambda gen_id, p: NcPoly(
-        (tuple(y(l.gen, -l.time) if l.family == Y_FAMILY else l for l in w),
-         c)
-        for w, c in differentiate(gen_id, p).terms.items())
+    return lambda gen_id, w: {
+        tuple(y(l.gen, -l.time) if l.family == Y_FAMILY else l for l in dw): c
+        for dw, c in differentiate(gen_id, w).items()}
 
 
 def unpairable_by_letter(_):

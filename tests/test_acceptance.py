@@ -129,8 +129,7 @@ def test_a_suite_run_checks_each_distinct_draw_once(monkeypatch):
         return core(m, gen, q, etas)
 
     def insertion_checked(m, gen, p, q, etas):
-        (pw,), (qw,) = p.terms, q.terms
-        checked["insertion"].append((pw, qw))
+        checked["insertion"].append((p, q))
         return insertion(m, gen, p, q, etas)
 
     monkeypatch.setattr(sampling, "verify_core_identity", core_checked)

@@ -8,7 +8,6 @@ import ncfisher.algebra
 from ncfisher.algebra import (
     EMPTY_WORD,
     Letter,
-    NcPoly,
     X_FAMILY,
     Y_FAMILY,
     as_time,
@@ -16,6 +15,7 @@ from ncfisher.algebra import (
     x,
     y,
 )
+from oracles import NcPoly
 
 TIMES = [Fraction(k, 2) for k in range(-2, 3)]
 

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ncfisher import moments
-from ncfisher.algebra import NcPoly, x, y
+from ncfisher.algebra import x, y
 from ncfisher.brownian import expand_state
 from ncfisher.derivation import FamilyError
 from ncfisher.model import two_atom_model
-from ncfisher.moments import evaluate_state, expectation
+from ncfisher.moments import evaluate_state
 from ncfisher.sampling import HALF_GRID
-from oracles import solution_polynomial
+from oracles import NcPoly, expectation, solution_polynomial
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import planted
 
 from ncfisher import conjugate
-from ncfisher.algebra import NcPoly, x
+from ncfisher.algebra import x
 from ncfisher.conjugate import (
     PRUNE_RTOL,
     BasisError,
@@ -268,8 +268,7 @@ def test_rhs_matches_derivative_pairing(case):
     model, target, b_gens, spec, t0 = rhs_cases()[case]
     sol = solve_conjugate(model, target, spec, b_gens=b_gens, target_time=t0)
     for w, b in zip(sol.basis_words, sol.rhs):
-        want = pair_with_y(model, target,
-                           differentiate(target, NcPoly.word(w)), t0)
+        want = pair_with_y(model, target, differentiate(target, w), t0)
         assert abs(b - want) <= 1e-12, w
 
 

@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfisher.algebra import NcPoly, X_FAMILY, Y_FAMILY, x, y
+from ncfisher import cli, sampling, suite
+from ncfisher.algebra import X_FAMILY, Y_FAMILY, x, y
 from ncfisher.derivation import (
     FamilyError,
     differentiate,
     verify_insertion_identity,
 )
 from ncfisher.model import tracial_model, two_atom_model
-from ncfisher.moments import brute_force_oracle, evaluate_state, expectation
+from ncfisher.moments import brute_force_oracle, evaluate_state
 from ncfisher.sampling import TIME_DEN, random_word
-from oracles import pair_with_y
+from oracles import (NcPoly, derivative, expectation, insertion_by_products,
+                     pair_with_y)
 
 TIMES = [Fraction(k, 2) for k in range(-2, 3)]
 
@@ -33,54 +35,54 @@ def m():
 
 
 def test_generator_case():
-    d = differentiate("g", NcPoly.letter(x("g", "3/2")))
-    assert d == NcPoly.letter(y("g", "3/2"))
+    d = differentiate("g", (x("g", "3/2"),))
+    assert d == {(y("g", "3/2"),): 1}
 
 
 def test_leibniz_by_hand():
-    d = differentiate("g", NcPoly.word((x("g", 0), x("g", 1))))
-    expected = NcPoly.word((y("g", 0), x("g", 1))) + NcPoly.word(
-        (x("g", 0), y("g", 1))
-    )
+    d = differentiate("g", (x("g", 0), x("g", 1)))
+    expected = {(y("g", 0), x("g", 1)): 1, (x("g", 0), y("g", 1)): 1}
     assert d == expected
 
 
 def test_other_generators_are_constants():
-    d = differentiate("h", NcPoly.word((x("g", 0), x("g", 2))))
-    assert d == NcPoly.zero()
+    d = differentiate("h", (x("g", 0), x("g", 2)))
+    assert d == {}
 
 
 def test_rejects_partner_letters():
     with pytest.raises(FamilyError):
-        differentiate("g", NcPoly.word((y("g", 0),)))
+        differentiate("g", (y("g", 0),))
 
 
+# the laws of the derivation on polynomials, by its linear extension
 @given(p=x_polys, q=x_polys)
 @settings(max_examples=60)
 def test_leibniz_rule(p, q):
-    lhs = differentiate("g", p * q)
-    rhs = differentiate("g", p) * q + p * differentiate("g", q)
+    lhs = derivative("g", p * q)
+    rhs = derivative("g", p) * q + p * derivative("g", q)
     assert lhs == rhs
 
 
 @given(p=x_polys, s=st.sampled_from(TIMES))
 @settings(max_examples=60)
 def test_modular_covariance(p, s):
-    assert differentiate("g", p.shift(s)) == differentiate("g", p).shift(s)
+    assert derivative("g", p.shift(s)) == derivative("g", p).shift(s)
 
 
 @given(p=x_polys)
 @settings(max_examples=60)
 def test_star_derivation(p):
-    assert differentiate("g", p.adjoint()) == differentiate("g", p).adjoint()
+    assert derivative("g", p.adjoint()) == derivative("g", p).adjoint()
 
 
 @given(w=gh_words, c=coeffs.filter(bool))
 @settings(max_examples=60)
 def test_one_partner_letter_at_the_replaced_time(w, c):
-    d = differentiate("g", NcPoly.word(w, c))
+    d = derivative("g", NcPoly.word(w, c))
     # one word per occurrence of the generator, each with coefficient c
     assert len(d) == sum(letter.gen == "g" for letter in w)
+    assert differentiate("g", w) == {dw: 1 for dw in d.terms}
     for dw, cd in d.terms.items():
         [k] = [i for i, letter in enumerate(dw) if letter.family == Y_FAMILY]
         assert dw[k].gen == "g" and cd == c
@@ -89,21 +91,19 @@ def test_one_partner_letter_at_the_replaced_time(w, c):
 
 def test_pair_with_y_single_letter(m):
     g = m.generators[0]
-    val = pair_with_y(m, "g", differentiate("g", NcPoly.letter(x("g", 0))))
+    val = pair_with_y(m, "g", differentiate("g", (x("g", 0),)))
     assert val == pytest.approx(g.eta(0), abs=1e-12)
 
 
 def test_pair_with_y_parity_zero(m):
-    val = pair_with_y(
-        m, "g", differentiate("g", NcPoly.word((x("g", 0), x("g", 1))))
-    )
+    val = pair_with_y(m, "g", differentiate("g", (x("g", 0), x("g", 1))))
     assert val == 0
 
 
 def test_pair_with_y_three_letters_against_oracle(m):
     # the three mixed words the derivative produces, summed by the oracle
     p_word = (x("g", 0), x("g", 1), x("g", 0))
-    val = pair_with_y(m, "g", differentiate("g", NcPoly.word(p_word)))
+    val = pair_with_y(m, "g", differentiate("g", p_word))
     words = [
         (y("g", 0), y("g", 0), x("g", 1), x("g", 0)),
         (y("g", 0), x("g", 0), y("g", 1), x("g", 0)),
@@ -118,46 +118,43 @@ def test_pair_with_y_three_letters_against_oracle(m):
 
 def test_pair_with_y_reference_time(m):
     g = m.generators[0]
-    e = differentiate("g", NcPoly.letter(x("g", "1/2")))
+    e = differentiate("g", (x("g", "1/2"),))
     assert pair_with_y(m, "g", e, y_time="1/2") == pytest.approx(
         g.eta(0), abs=1e-12
     )
 
 
 def test_insertion_identity_trivial(m):
-    one = NcPoly.word(())
-    assert verify_insertion_identity(m, "g", one, one) == pytest.approx(
+    assert verify_insertion_identity(m, "g", (), ()) == pytest.approx(
         0.0, abs=1e-14
     )
 
 
 def test_insertion_identity_one_sided(m):
-    p = NcPoly.letter(x("g", 0))
-    assert verify_insertion_identity(m, "g", p, NcPoly.word(())) < 1e-12
+    assert verify_insertion_identity(m, "g", (x("g", 0),), ()) < 1e-12
 
 
-def _three_terms(rng):
-    # words of one, two and three letters, so that both pairings see
-    # words of even length
-    return NcPoly(
-        (tuple(x("g", rng.choice(TIMES)) for _ in range(k)),
-         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        for k in (1, 2, 3)
-    )
+def _word_pair(rng):
+    # p of one or three letters and q of two, so that p X_0 q and both
+    # pairings are words of even length
+    def word(k):
+        return tuple(x("g", rng.choice(TIMES)) for _ in range(k))
+    return word(rng.choice((1, 3))), word(2)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_insertion_terms_match_symbolic_products(m, seed):
-    # the word-by-word pairings against the products formed in NcPoly; the
-    # residual and its scale expose the two terms through |lhs - t1 - t2|
-    # and |lhs| + |t1| + |t2|
+    # the pairings over the derivative dicts against the products formed
+    # in NcPoly; the residual and its scale expose the two terms through
+    # |lhs - t1 - t2| and |lhs| + |t1| + |t2|
     rng = random.Random(seed)
-    p, q = _three_terms(rng), _three_terms(rng)
+    p, q = _word_pair(rng)
+    pp, qq = NcPoly.word(p), NcPoly.word(q)
     y0 = NcPoly.letter(y("g", 0))
-    t1 = expectation(m, p * y0 * differentiate("g", q))
-    t2 = expectation(m, differentiate("g", p) * y0 * q)
+    t1 = expectation(m, pp * y0 * derivative("g", qq))
+    t2 = expectation(m, derivative("g", pp) * y0 * qq)
     assert t1 != 0 and t2 != 0
-    lhs = expectation(m, p * NcPoly.letter(x("g", 0)) * q)
+    lhs = expectation(m, pp * NcPoly.letter(x("g", 0)) * qq)
     scale = abs(lhs) + abs(t1) + abs(t2)
     res = verify_insertion_identity(m, "g", p, q)
     assert abs(res.scale - scale) <= 1e-12 * scale
@@ -170,8 +167,8 @@ def test_insertion_identity_random_suite(m):
     rng = random.Random(21)
     worst = 0.0
     for _ in range(60):
-        p = NcPoly.word(random_word(rng, ["g"], 4))
-        q = NcPoly.word(random_word(rng, ["g"], 4))
+        p = random_word(rng, ["g"], 4)
+        q = random_word(rng, ["g"], 4)
         worst = max(worst, verify_insertion_identity(mh, "g", p, q))
     assert worst < 1e-9
 
@@ -181,6 +178,31 @@ def test_insertion_identity_tracial():
     rng = random.Random(22)
     for _ in range(20):
         # up to three letters, all at time 0
-        p = NcPoly.word((x("g", 0),) * rng.randint(0, 3))
-        q = NcPoly.word((x("g", 0),) * rng.randint(0, 3))
+        p = (x("g", 0),) * rng.randint(0, 3)
+        q = (x("g", 0),) * rng.randint(0, 3)
         assert verify_insertion_identity(mt, "g", p, q) < 1e-9
+
+
+def test_sampled_residuals_equal_the_product_form_bit_for_bit(monkeypatch,
+                                                              capsys):
+    # every pair that verify-lemma2 at seeds 0-3 and the suite's
+    # insertion_identity check draw, as the run checks it, against the
+    # polynomial form with p X_0 q formed as a product
+    checked = []
+
+    def recorded(m, gen_id, p, q, etas=None):
+        r = verify_insertion_identity(m, gen_id, p, q, etas)
+        checked.append((m, gen_id, p, q, r))
+        return r
+
+    monkeypatch.setattr(sampling, "verify_insertion_identity", recorded)
+    for seed in range(4):
+        assert cli.run(["verify-lemma2", "--seed", str(seed)]) == 0
+        suite.check_insertion_identity(suite.SuiteContext.fresh(seed))
+    capsys.readouterr()
+    assert len(checked) > 600
+    tables = {}
+    for m, gen_id, p, q, r in checked:
+        want = insertion_by_products(m, gen_id, NcPoly.word(p),
+                                     NcPoly.word(q), tables.setdefault(m, {}))
+        assert (float(r), r.scale) == (float(want), want.scale), (p, q)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ncfisher.algebra import NcPoly, shift_word, word_adjoint, x, y
+from ncfisher.algebra import shift_word, word_adjoint, x, y
 from ncfisher.moments import (
     MAX_WORD_LETTERS,
     SizeLimitError,
@@ -11,12 +11,11 @@ from ncfisher.moments import (
     evaluate_state,
     evaluate_state_detailed,
     evaluate_state_shifted,
-    expectation,
 )
 from ncfisher.model import tracial_model, two_atom_model
 from ncfisher.sampling import HALF_GRID, TIME_DEN, random_time, random_word
-from oracles import (all_pairings, inner_product, is_noncrossing,
-                     random_ncpoly)
+from oracles import (NcPoly, all_pairings, expectation, inner_product,
+                     is_noncrossing, random_ncpoly)
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 

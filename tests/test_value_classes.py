@@ -41,10 +41,15 @@ def values():
     ]
 
 
-@pytest.mark.parametrize("a, b, other", values())
+# beside each class, the plain tuple of the first instance's field
+# values: it hashes alike but is no instance, so it compares unequal
+@pytest.mark.parametrize("a, b, other", values() + [
+    (a, b, plain) for (a, b, _), plain in zip(values(), [
+        (0.25, 0.5), ("g", (ATOM, MIRROR)), (1 + 2j, 3, 4.5)])])
 def test_value_classes_compare_and_hash_by_their_fields(a, b, other):
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != other and not a == other
+    assert other != a and not other == a
     assert len({a, b, other}) == 2
 
 
