@@ -7,9 +7,12 @@ truncates trial and test space to the span of a finite word basis
 xi onto that span whenever xi exists.  :func:`_solve` builds the words'
 vectors in the truncated free Fock space (:func:`fock_vectors`), prunes
 them to an independent subset (:func:`_prune_independent`) and solves on
-its QR factor; the L2 audits are norms of Fock vectors too, with the V
-the solve built.  Row 0 of V holds the state of every basis word, so the
-Fock build is an evaluator of the state beside the two of
+its QR factor.  The Fock space is the free Gaussian functor of the
+letters' one-particle space, so one QR of the guessed letters' vectors
+there rotates the build into a frame where the guessed words' factor is
+read off V, not computed.  The L2 audits are norms of Fock vectors too,
+with the V the solve built.  Row 0 of V holds the state of every basis
+word, so the Fock build is an evaluator of the state beside the two of
 :mod:`ncfisher.moments`, independent of both.
 """
 from __future__ import annotations
@@ -196,8 +199,11 @@ class ConjugateSolution:
     of the kept words' Gram, cond(R)^2 from the singular values of R, with
     nothing cut off) are computed on first read and then kept; the
     solutions of one family share R, so they share one ``gram_condition``.
-    ``vecs`` is V, the Fock vectors of the basis words the solve built,
-    one array shared by the solutions of a family; ``fock_dim``, its row
+    ``vecs`` is V in the solve's orthonormal frame: F(Q_F)^H V, the Fock
+    vectors of the basis words rotated by the Fock image of one unitary
+    on the one-particle space (:func:`_solve`), so it has V's Gram and
+    V's row 0, and every L2 norm through it is V's.  It is one array
+    shared by the solutions of a family; ``fock_dim``, its row
     count, is the dimension of the truncated Fock space the basis words
     live in (an upper bound on ``len(kept)``); ``prune_rounds`` is
     1 when the prune's guess held, and otherwise 1 plus the number of
@@ -248,19 +254,45 @@ def fock_dimension(k: int, degree: int) -> int:
     return sum(k**n for n in range(degree + 1))
 
 
-def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
-    """Vectors W.Omega of every word over ``alphabet`` with at most
-    ``degree`` letters, in the truncated full Fock space.
+def one_particle_vectors(m: ModelSpec,
+                         alphabet: Sequence[Letter]) -> np.ndarray:
+    """The a x k complex matrix whose row l is the one-particle vector of
+    letter l of ``alphabet``: f_t[j] = sqrt(w_j) exp(2 pi i t x_j) over its
+    generator's atoms, at time t, so <f_s, f_t> = eta(t - s).
+
+    The one-particle space is the direct sum of C^{k_g} over the (family,
+    generator) pairs of the alphabet, in order of first appearance, k_g
+    the generator's atom count; k sums them.  Letter tags must be real.
+    """
+    offsets: dict = {}
+    k = 0
+    for letter in alphabet:
+        key = (letter.family, letter.gen)
+        if key not in offsets:
+            offsets[key] = k
+            k += len(m.gen(letter.gen).atoms)
+    f = np.zeros((len(alphabet), k), dtype=complex)
+    for l, letter in enumerate(alphabet):
+        start = offsets[(letter.family, letter.gen)]
+        phase = 2j * math.pi * float(m.real_time(letter.time))
+        for j, at in enumerate(m.gen(letter.gen).atoms):
+            f[l, start + j] = math.sqrt(at.w) * cmath.exp(phase * at.x)
+    return f
+
+
+def fock_vectors(f: np.ndarray, degree: int) -> np.ndarray:
+    """Vectors W.Omega of every word with at most ``degree`` letters over
+    an alphabet whose letter l acts as creation plus annihilation of the
+    one-particle vector ``f[l]`` (:func:`one_particle_vectors`), in the
+    truncated full Fock space over C^k, k = ``f.shape[1]``: the free
+    Gaussian functor.
 
     Returns the D x n complex matrix V with one column per word, degree by
     degree from the empty word and each degree in ``itertools.product``
-    order, so V^H V holds state(w_i* w_j) and row 0 the state values.  The
-    one-particle space is the direct sum of C^{k} over the (family,
-    generator) pairs of the alphabet, k the generator's atom count; D
-    counts particle numbers up to ``degree``.  Letter tags must be real.
-    Letter l at time t acts as creation plus annihilation of its
-    one-particle vector f_t[j] = sqrt(w_j) exp(2 pi i t x_j) in its
-    block, so <f_s, f_t> = eta(t - s) (the free Gaussian functor).
+    order, so V^H V holds state(w_i* w_j) and row 0 the state values; D
+    counts particle numbers up to ``degree``.  The functor carries a
+    unitary U on C^k to F(U) on the Fock space, so the rows U^H f[l] give
+    F(U)^H V, with the same Gram and the same row 0.
 
     An n-particle tensor is stored first factor fastest, so fewer particles
     fill a prefix of the rows.  The degree-d block is the degree-(d-1)
@@ -271,30 +303,16 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
     contraction with the conjugated one-particle vectors) added in place
     to the rows of two particles fewer.
     """
-    offsets: dict = {}
-    k = 0
-    for letter in alphabet:
-        key = (letter.family, letter.gen)
-        if key not in offsets:
-            offsets[key] = k
-            k += len(m.gen(letter.gen).atoms)
-    a = len(alphabet)
-    f = np.zeros((a, k), dtype=complex)  # row l: one-particle vector of l
-    for l, letter in enumerate(alphabet):
-        start = offsets[(letter.family, letter.gen)]
-        phase = 2j * math.pi * float(m.real_time(letter.time))
-        for j, at in enumerate(m.gen(letter.gen).atoms):
-            f[l, start + j] = math.sqrt(at.w) * cmath.exp(phase * at.x)
-
+    a, k = f.shape
     vecs = np.zeros((fock_dimension(k, degree), fock_dimension(a, degree)),
                     dtype=complex, order="F")
     vecs[0, 0] = 1
     if not a:
         return vecs  # no word but the empty one
     block = vecs[:1, :1]  # degree d - 1, up to d - 1 particles
+    first = 1  # words of lower degree come first
     for d in range(1, degree + 1):
         rows, n = block.shape
-        first = fock_dimension(a, d - 1)  # words of lower degree come first
         out = vecs[:1 + rows * k, first:first + a * n]
         new = out.reshape(len(out), a, n)
         # creation: row 1 + r k + i of l on word j is f[l, i] block[r, j]
@@ -302,83 +320,76 @@ def fock_vectors(m: ModelSpec, alphabet: Sequence[Letter], degree: int):
         # a reshape copies where it cannot view; a copy would lose the writes
         assert np.shares_memory(created, vecs)
         np.multiply(block[:, None, None], f.T[:, :, None], out=created)
-        # annihilation: contract the first factor with conj(f[l])
-        below = fock_dimension(k, d - 2)
+        # annihilation: contract the first factor with conj(f[l]), into
+        # the rows of up to d - 2 particles
+        below = (rows - 1) // k
         new[:below] += f.conj() @ block[1:].reshape(below, k, n)
         block = out
+        first += a * n
     return vecs
 
 
-def _squared_norms(a: np.ndarray) -> np.ndarray:
-    """Squared norm of each column of the complex matrix ``a``: re^2 +
-    im^2 per entry, summed down the column.  The same doubles as
-    ``(a.real**2 + a.imag**2).sum(axis=0)``, with the imaginary squares
-    added in place, so with one temporary as large as ``a`` fewer."""
-    sq = a.real**2
-    sq += a.imag**2
-    return sq.sum(axis=0)
-
-
-def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
+def _prune_independent(vecs: np.ndarray, guess: np.ndarray,
+                       rows: np.ndarray) -> tuple:
     """Greedy prune of the columns of ``vecs``: column j is kept iff its
     squared residual against the kept columns before it exceeds
     PRUNE_RTOL times its own squared norm, and no column after the one
     that completes the space is kept.
 
-    ``guess`` is a boolean mask of the columns expected to be kept.  One
-    complete QR of the guessed columns (cut to the space's dimension)
-    gives a unitary Q whose leading columns span them, and puts each
-    guessed column's residual against the guessed columns before it on
-    R's diagonal.  Every other column's residual is one tail of Q^H v: the
-    squared norm of its entries past the guessed columns before it.  A
-    right guess is confirmed there.  Where a decision differs from the
-    guess, the decisions before the first difference stand, and so do R's
-    leading columns for them; the columns from it on are then decided one
-    at a time against that factor, by classical Gram-Schmidt applied twice
-    (once, for a column the first projection already shows dependent),
-    until the kept columns span the space.  No column after the one that
-    completes the space is read.
+    ``guess`` is a boolean mask of the columns expected to be kept, and
+    the guessed columns (cut to the space's dimension) must come already
+    factored: zero off ``rows``, and on ``rows``, taken in their order,
+    upper triangular with a real diagonal that is positive or zero.  So
+    they are E R, E the unit vectors of ``rows``, and R is read off.  A
+    column's residual against the guessed columns before it is the
+    squared norm of its entries off their rows: R's squared diagonal for
+    a guessed column.  A right guess is confirmed there.  Where a
+    decision differs from the guess, the decisions before the first
+    difference stand, and so do R's leading columns for them; the columns
+    from it on are then decided one at a time against that factor, by
+    classical Gram-Schmidt applied twice (once, for a column the first
+    projection already shows dependent), until the kept columns span the
+    space.  No column after the one that completes the space is read.
 
-    Returns ``(kept, Q, R, rounds)`` with ``vecs[:, kept] = Q R``, Q
-    orthonormal and R upper triangular with a real positive diagonal;
+    Returns ``(kept, rows, q, R, rounds)`` with ``vecs[:, kept] = Q R``
+    for Q = [E | q], E the unit vectors of the returned ``rows`` (the
+    leading guessed columns kept) and ``q`` the orthonormal columns the
+    scan added; R is upper triangular with a real positive diagonal, and
     ``rounds`` is 1 plus the number of columns read one at a time.  The
     tests pin ``kept`` to a plain column-by-column scan
     (``tests/oracles.greedy_scan``).
     """
     dim, n = vecs.shape
     kept = np.flatnonzero(guess)[:dim]
-    end = kept[-1] + 1 if len(kept) == dim else n
     m = len(kept)
-    q, r = np.linalg.qr(vecs[:, kept], mode="complete")
-    diag = r.diagonal()
-    size = np.abs(diag)
-    phase = np.ones_like(diag)
-    # 1/size overflows at a subnormal size, a column the prune drops
-    np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
-    q[:, :m] *= phase
-    r[:m] *= phase.conj()[:, None]
-    r[range(m), range(m)] = size
-    # residual of each column against the guessed columns before it: R's
-    # diagonal for a guessed column, the tail of Q^H v for another.
-    # (|v|^2 less the head's squares would carry a rounding error of
-    # order eps |v|^2 into a residual near PRUNE_RTOL |v|^2.)
-    residual = np.empty(end)
-    residual[kept] = size**2
-    other = np.flatnonzero(~guess[:end])
-    qh = np.conjugate(q.T, order="C")
-    c = qh @ vecs[:, other]
-    c[:m][kept[:, None] < other] = 0
-    residual[other] = _squared_norms(c)
-    norm_sq = _squared_norms(vecs[:, :end])
+    end = kept[-1] + 1 if m == dim else n
+    # residual of each column against the guessed columns before it, the
+    # squares off their rows summed directly (|v|^2 less the squares on
+    # them would carry a rounding error of order eps |v|^2 into a residual
+    # near PRUNE_RTOL |v|^2)
+    sq = vecs[:, :end].real**2
+    sq += vecs[:, :end].imag**2
+    norm_sq = sq.sum(axis=0)
+    rank = np.full(dim, m)  # a row's place in ``rows``, m off them
+    rank[rows] = np.arange(m)
+    before = np.cumsum(guess[:end]) - guess[:end]
+    sq[rank[:, None] < before] = 0
+    residual = sq.sum(axis=0)
     differ = np.flatnonzero((residual > PRUNE_RTOL * norm_sq) != guess[:end])
     if not len(differ):
-        return kept.tolist(), q[:, :m], r[:m], 1
+        return (kept.tolist(), rows, np.zeros((dim, 0), dtype=complex),
+                vecs[rows[:, None], kept], 1)
     j = int(differ[0])
-    k = int(np.searchsorted(kept, j))
+    k = head = int(np.searchsorted(kept, j))
     kept = kept[:k].tolist()
-    # the scan writes each kept column into Q and its conjugate into Q^H
-    # from column k on, and its coefficients into R padded to dim x dim
-    r = np.pad(r, ((0, 0), (0, dim - m)))
+    # the scan starts from the unit vectors of the rows of the guessed
+    # columns that stand, writes each kept column into Q and its conjugate
+    # into Q^H from column k on, and its coefficients into R
+    q = np.zeros((dim, dim), dtype=complex)
+    q[rows[:k], np.arange(k)] = 1
+    qh = q.T.copy()
+    r = np.zeros((dim, dim), dtype=complex)
+    r[:k, :k] = vecs[rows[:k, None], kept]
     for i in range(j, n):
         v = vecs[:, i]
         floor = PRUNE_RTOL * float(np.vdot(v, v).real)
@@ -400,8 +411,8 @@ def _prune_independent(vecs: np.ndarray, guess: np.ndarray) -> tuple:
             k += 1
             if k == dim:
                 break  # the kept columns span the space
-    # one round for the QR, one more per column read from ``j`` to ``i``
-    return kept, q[:, :k], r[:k, :k], i - j + 2
+    # one round for the guess, one more per column read from ``j`` to ``i``
+    return kept, rows[:head], q[:, head:k], r[:k, :k], i - j + 2
 
 
 def _rhs(m: ModelSpec, target_gen: str, alphabet: list, phi: list,
@@ -432,6 +443,37 @@ def _rhs(m: ModelSpec, target_gen: str, alphabet: list, phi: list,
     ])
 
 
+@functools.lru_cache(maxsize=64)
+def _guess(counts: tuple, degree: int) -> tuple:
+    """Where the prune's guess puts the words over an alphabet grouped by
+    generator, with ``counts`` the (letter count, atom count) pair of each
+    group in order.  In exact arithmetic the prune keeps the words over
+    the first atom-count letters of each generator (the guessed letters):
+    they span its one-particle space, and a word with a later letter is a
+    combination of words that come before it.
+
+    Returns ``(letters, words, rows)``: the guessed letters' indices in
+    the alphabet, the boolean mask of the guessed words in basis order,
+    and, in that order, the row of each guessed word's own coordinate in
+    a Fock space over C^k whose first coordinates are those of the
+    guessed letters: particle number, then product order over the
+    guessed letters, each tensor stored first factor fastest."""
+    first = np.concatenate([np.arange(n) < min(n, k) for n, k in counts])
+    k = sum(k for _, k in counts)
+    guessed = int(first.sum())
+    masks = [np.ones(1, dtype=bool)]
+    own = [np.zeros(1, dtype=np.intp)]  # tensor offsets of the last degree
+    for d in range(1, degree + 1):
+        masks.append(np.multiply.outer(first, masks[-1]).ravel())
+        own.append((np.arange(guessed)[:, None] + k * own[-1]).ravel())
+    rows = np.concatenate([fock_dimension(k, d - 1) + offsets
+                           for d, offsets in enumerate(own)])
+    out = (np.flatnonzero(first), np.concatenate(masks), rows)
+    for array in out:
+        array.flags.writeable = False  # shared by every solve of the shape
+    return out
+
+
 def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
            b_gens: Sequence[str] = (), target_time: TimeLike = 0) -> list:
     """Solutions for every generator in ``targets`` on one basis: the words
@@ -441,34 +483,47 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
     serve every target.  The prune is needed: translates of a k-atom
     generator span a k-dimensional one-particle space, so the words'
     Gram is exactly rank-deficient, and a minimum-norm pseudo-inverse
-    would smear an exact solution over dependent words.  Each target gets
-    its own b_P = <partner, d(P)>, R^H z = b[kept], residual (the norm of
-    the unmatched defining data over the full basis) and phi_star
-    (xi_norm_sq over its second moment).  The normal equations are never
-    formed, so the working condition is cond(R), the square root of the
-    Gram's."""
+    would smear an exact solution over dependent words.
+
+    The factor comes from one QR of the guessed letters' one-particle
+    vectors (:func:`_guess`), F_G = Q_F R_F with a real positive diagonal:
+    the Fock build runs on the rotated vectors Q_F^H f, with R_F's columns
+    written exactly for the guessed letters, so it gives V in the frame of
+    F(Q_F), where every guessed word's vector is zero off the guessed
+    rows and upper triangular on them.  That is R, and Q = F(Q_F) E is
+    never formed.  Each target gets its own b_P = <partner, d(P)>,
+    R^H z = b[kept], residual (the norm of the unmatched defining data
+    over the full basis, V^H Q z - b with z placed on the guessed rows)
+    and phi_star (xi_norm_sq over its second moment).  The normal
+    equations are never formed, so the working condition is cond(R), the
+    square root of the Gram's."""
     t0 = as_time(target_time)
     words = enumerate_basis(m, targets[0], basis, (*targets[1:], *b_gens),
                             t0)
-    alphabet = [w[0] for w in words if len(w) == 1]
-    vecs = fock_vectors(m, alphabet, basis.max_degree)
-    a = len(alphabet)
-    phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
-           for d in range(basis.max_degree + 1)]
-
-    # in exact arithmetic the prune keeps the words over the first k
-    # letters of each generator, k its atom count: those letters span its
-    # one-particle space, and a word with a later letter is a combination
-    # of words that come before it.  The alphabet is grouped by generator.
-    first = np.array([
-        i < len(m.gen(g).atoms)
-        for g, letters in itertools.groupby(alphabet, lambda l: l.gen)
-        for i, _ in enumerate(letters)
-    ])
-    masks = [np.ones(1, dtype=bool)]
-    for _ in range(basis.max_degree):
-        masks.append(np.multiply.outer(first, masks[-1]).ravel())
-    kept, q, r, rounds = _prune_independent(vecs, np.concatenate(masks))
+    alphabet = [w[0] for w in itertools.takewhile(
+        lambda w: len(w) == 1, itertools.islice(words, 1, None))]
+    counts = tuple((len(list(group)), len(m.gen(g).atoms))
+                   for g, group in itertools.groupby(alphabet,
+                                                     lambda l: l.gen))
+    letters, guess, rows = _guess(counts, basis.max_degree)
+    f = one_particle_vectors(m, alphabet)
+    q_f, r_f = np.linalg.qr(f[letters].T, mode="complete")
+    diag = r_f.diagonal()
+    size = np.abs(diag)
+    phase = np.ones_like(diag)
+    # 1/size overflows at a subnormal size, a letter the prune drops
+    np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
+    q_f[:, :len(letters)] *= phase
+    r_f[:len(letters)] *= phase.conj()[:, None]
+    np.fill_diagonal(r_f, size)
+    rotated = f @ q_f.conj()
+    rotated[letters] = r_f.T  # exact zeros below R_F's diagonal
+    vecs = fock_vectors(rotated, basis.max_degree)
+    # the words of degree d are columns ends[d] to ends[d + 1]
+    ends = list(itertools.accumulate(
+        (len(alphabet)**d for d in range(basis.max_degree + 1)), initial=0))
+    phi = [vecs[0, ends[d]:ends[d + 1]] for d in range(basis.max_degree + 1)]
+    kept, rows, q, r, rounds = _prune_independent(vecs, guess, rows)
 
     words, rh = tuple(words), r.conj().T
     factor = _KeptFactor(r)
@@ -480,8 +535,11 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
         # still backward stable
         z = np.linalg.solve(rh, rhs[kept])
         xi_norm_sq = float(np.vdot(z, z).real)
-        # V^H (Q z), conjugated around V^T rather than through a copy of V^H
-        vh_xi = (vecs.T @ (q @ z).conj()).conj()
+        # xi = Q z: z's head placed on ``rows``, its tail through ``q``
+        xi = q @ z[len(rows):]
+        xi[rows] += z[:len(rows)]
+        # V^H xi, conjugated around V^T rather than through a copy of V^H
+        vh_xi = (vecs.T @ xi.conj()).conj()
         solutions.append(ConjugateSolution(
             target_time=t0, basis_words=words, kept=tuple(kept),
             factor=factor, vecs=vecs, z=z, rhs=b,

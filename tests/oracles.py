@@ -31,10 +31,14 @@ bit.
 pairing pass over the full kernel per set of flipped letters, which
 :func:`ncfisher.brownian.expand_state` replaces by its closed form.
 ``greedy_scan`` is the basis prune of :mod:`ncfisher.conjugate` by its
-definition, one column at a time, which the solver's one-QR
-guess-and-confirm replaces; ``masked_projection_prune`` is that
-guess-and-confirm with every other column confirmed by a masked
-projection, the reference for its confirm through the tail of Q^H v.
+definition, one column at a time, which the solver's guess-and-confirm
+replaces; ``masked_projection_prune`` is that guess-and-confirm with one
+QR of the guessed columns and every other column confirmed by a masked
+projection, the reference for its confirm through the entries off the
+guessed rows.  ``guessed_frame`` is the factoring step the prune dropped
+when the solver began to read the factor off its Fock build: one
+complete QR of the guessed columns of any matrix, which puts them in
+the frame the prune takes.
 ``batched_fock_vectors`` is the Fock build of
 :mod:`ncfisher.conjugate` with each degree's block made in a fresh array
 and copied into V, the reference for the build in place.
@@ -75,7 +79,8 @@ from ncfisher.algebra import (EMPTY_WORD, TimeLike, Word, X_FAMILY, Letter,
                               _accumulate, as_time, shift_word, word_adjoint,
                               word_str, x, y)
 from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec, fock_dimension,
-                                 fock_vectors, solve_conjugate)
+                                 fock_vectors, one_particle_vectors,
+                                 solve_conjugate)
 from ncfisher.model import ModelSpec
 from ncfisher.core_cp import CoreWord, conditional_expectation, eta_map
 from ncfisher.derivation import differentiate
@@ -365,8 +370,8 @@ def rebuilt_basis_norm(m, sol, coefficients) -> float:
     of ``sol``, with V rebuilt from the basis's degree-1 words."""
     words = sol.basis_words
     alphabet = [w[0] for w in words if len(w) == 1]
-    return float(np.linalg.norm(
-        fock_vectors(m, alphabet, len(words[-1])) @ coefficients))
+    return float(np.linalg.norm(fock_vectors(
+        one_particle_vectors(m, alphabet), len(words[-1])) @ coefficients))
 
 
 def literal_eta(g, z) -> complex:
@@ -594,6 +599,32 @@ def greedy_scan(vecs: np.ndarray) -> tuple:
             kept.append(i)
     k = len(kept)
     return kept, q[:, :k], r_fac[:k, :k]
+
+
+def guessed_frame(vecs: np.ndarray, guess: np.ndarray) -> tuple:
+    """The columns of ``vecs`` in the frame that
+    :func:`ncfisher.conjugate._prune_independent` takes: one complete QR
+    of the guessed columns (cut to the space's dimension), V_G = Q R with
+    R's diagonal made real and positive where it is not 0, and Q^H
+    applied to every column, with the guessed ones written as R exactly.
+
+    Returns ``(w, rows, q)`` with ``vecs = q w`` up to rounding, Q
+    unitary, and the guessed columns of ``w`` zero past their first
+    ``len(rows)`` rows and upper triangular on ``rows = 0, 1, ...``."""
+    dim = vecs.shape[0]
+    kept = np.flatnonzero(guess)[:dim]
+    m = len(kept)
+    q, r = np.linalg.qr(np.asarray(vecs)[:, kept], mode="complete")
+    diag = r.diagonal()
+    size = np.abs(diag)
+    phase = np.ones_like(diag)
+    np.divide(diag, size, out=phase, where=size >= sys.float_info.min)
+    q[:, :m] *= phase
+    r[:m] *= phase.conj()[:, None]
+    r[range(m), range(m)] = size
+    w = q.conj().T @ np.asarray(vecs)
+    w[:, kept] = r
+    return w, np.arange(m), q
 
 
 def batched_fock_vectors(m, alphabet, degree) -> np.ndarray:

@@ -135,9 +135,10 @@ def unpairable_by_letter(_):
 
 
 def truncated_prune(prune):
-    def planted(vecs, guess):
-        kept, q, r, rounds = prune(vecs, guess)
-        return kept[:2], q[:, :2], r[:2, :2], rounds
+    def planted(vecs, guess, rows):
+        kept, rows, q, r, rounds = prune(vecs, guess, rows)
+        rows = rows[:2]  # Q = [E | q]: its first two columns
+        return kept[:2], rows, q[:, :2 - len(rows)], r[:2, :2], rounds
     return planted
 
 

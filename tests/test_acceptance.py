@@ -180,9 +180,9 @@ def test_suite_prunes_confirm_the_guess_in_one_round(monkeypatch):
     prune = conjugate._prune_independent
     rounds = []
 
-    def counted(vecs, guess):
-        out = prune(vecs, guess)
-        rounds.append(out[3])
+    def counted(vecs, guess, rows):
+        out = prune(vecs, guess, rows)
+        rounds.append(out[-1])
         return out
 
     monkeypatch.setattr(conjugate, "_prune_independent", counted)

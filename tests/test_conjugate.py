@@ -27,6 +27,7 @@ from ncfisher.conjugate import (
     fock_dimension,
     fock_vectors,
     modular_covariance_check,
+    one_particle_vectors,
     self_adjoint_defect,
     solve_conjugate,
     solve_family,
@@ -43,6 +44,7 @@ from oracles import (
     all_k_rhs,
     fraction_alphabet,
     greedy_scan,
+    guessed_frame,
     l2_distance,
     masked_projection_prune,
     one_particle_projection,
@@ -254,7 +256,7 @@ def test_the_set_up_on_ticks_is_the_set_up_on_fractions(data):
     alphabet = [w[0] for w in words if len(w) == 1]
     assert alphabet == fraction_alphabet(model, target, spec, b_gens, t0)
     a = len(alphabet)
-    vecs = fock_vectors(model, alphabet, degree)
+    vecs = fock_vectors(one_particle_vectors(model, alphabet), degree)
     phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
            for d in range(degree + 1)]
     for g in (target, *b_gens):
@@ -278,6 +280,33 @@ def unitary(dim, seed):
     return np.linalg.qr(z)[0]
 
 
+def unit_columns(rows, q):
+    """Q = [E | q], E the unit vectors of ``rows``: the prune's Q in the
+    frame it reads."""
+    e = np.zeros((q.shape[0], len(rows)), dtype=complex)
+    e[rows, range(len(rows))] = 1
+    return np.hstack([e, q])
+
+
+def prune(vecs, guess):
+    """The prune on any columns: ``guessed_frame`` puts them in the frame
+    it takes, and its Q is carried back.  Returns ``(kept, Q, R, rounds)``
+    with vecs[:, kept] = Q R; Q's unit columns carry back as columns of
+    the frame's unitary, bit for bit."""
+    w, rows, q0 = guessed_frame(vecs, guess)
+    kept, head, q, r, rounds = _prune_independent(w, guess, rows)
+    return kept, np.hstack([q0[:, head], q0 @ q]), r, rounds
+
+
+def assert_qr(cols, q, r):
+    """cols = QR to rounding, with Q orthonormal and R upper triangular
+    with a positive real diagonal."""
+    assert np.allclose(cols, q @ r, rtol=0, atol=1e-12)
+    assert np.allclose(q.conj().T @ q, np.eye(len(r)), rtol=0, atol=1e-12)
+    assert np.array_equal(r, np.triu(r))
+    assert np.all(r.diagonal().real > 0) and not r.diagonal().imag.any()
+
+
 def assert_factor(vecs, want):
     """The prune keeps ``want`` whatever it guesses, and returns its factor
     vecs[:, kept] = QR: Q orthonormal, R upper triangular with a positive
@@ -289,17 +318,13 @@ def assert_factor(vecs, want):
     right = np.isin(np.arange(n), want)
     done = want[-1] if len(want) == dim else n - 1
     for guess in (right, ~right, np.ones(n, bool), np.zeros(n, bool)):
-        kept, q, r, rounds = _prune_independent(vecs, guess)
+        kept, q, r, rounds = prune(vecs, guess)
         assert kept == want
-        assert np.allclose(vecs[:, kept], q @ r, rtol=0, atol=1e-12)
-        assert np.allclose(q.conj().T @ q, np.eye(len(kept)), rtol=0,
-                           atol=1e-12)
-        assert np.array_equal(r, np.triu(r))
-        assert np.all(r.diagonal().real > 0) and not r.diagonal().imag.any()
+        assert_qr(vecs[:, kept], q, r)
         wrong = np.flatnonzero(guess[:done + 1] != right[:done + 1])
         assert type(rounds) is int
         assert rounds == (done - wrong[0] + 2 if len(wrong) else 1)
-    assert _prune_independent(vecs, right)[3] == 1
+    assert prune(vecs, right)[3] == 1
 
 
 @pytest.mark.parametrize("ratio, kept", [(1e-9, [0, 1]), (1e-11, [0])])
@@ -332,8 +357,8 @@ def test_prune_stops_when_the_space_is_spanned():
             self.log.update(np.ravel(cols).tolist())
             return np.asarray(self).__getitem__(key)
 
-    # the last column comes after the one that completes the space: it is
-    # never factored, confirmed or scanned, so even a NaN there changes
+    # the last column comes after the one that completes the space: the
+    # prune never confirms or scans it, so even a NaN there changes
     # nothing
     u = unitary(2, 3)
     nan = np.full(2, np.nan)
@@ -345,16 +370,18 @@ def test_prune_stops_when_the_space_is_spanned():
         ([u[:, 0], 2 * u[:, 0], u[:, 1], nan], [0, 2], ([1, 1, 0, 0],)),
     ]
     for cols, want, guesses in cases:
-        vecs = np.stack(cols, axis=1).view(Reads)
+        vecs = np.stack(cols, axis=1)
         for guess in guesses:
-            vecs.log = set()
-            kept, q, r, rounds = _prune_independent(vecs,
-                                                    np.array(guess, bool))
+            guess = np.array(guess, bool)
+            w, rows, _ = guessed_frame(vecs, guess)
+            w = w.view(Reads)
+            w.log = set()
+            kept, _, q, r, rounds = _prune_independent(w, guess, rows)
             assert kept == want
-            assert 3 not in vecs.log
-            assert set(kept) <= vecs.log
+            assert 3 not in w.log
+            assert set(kept) <= w.log
             assert np.isfinite(q).all() and np.isfinite(r).all()
-            assert_factor(np.asarray(vecs)[:, :3], kept)
+            assert_factor(vecs[:, :3], kept)
 
 
 @st.composite
@@ -395,14 +422,27 @@ def test_prune_matches_the_scan_on_planted_columns(vecs):
 
 
 def assert_confirms_as_the_reference(vecs, guess):
-    """The prune keeps the scan's columns, and its kept columns, Q, R and
-    rounds are bit for bit those of the masked-projection confirm."""
-    got = _prune_independent(vecs, guess)
+    """The prune keeps the scan's columns and takes the rounds of the
+    masked-projection confirm; where the guess holds, its Q and R are bit
+    for bit the reference's.  A failed guess scans in the guessed frame,
+    the reference in the columns' own, so there the two agree to
+    rounding: both factor the kept columns, and R, unique for a full-rank
+    QR with a positive diagonal, is the reference's within
+    1e-13 cond(R) ||R||, some 450 times the rounding bound of a QR."""
+    kept, q, r, rounds = prune(vecs, guess)
     want = masked_projection_prune(vecs, guess)
-    assert got[0] == want[0] == greedy_scan(vecs)[0]
-    for a, b in zip(got[1:3], want[1:3]):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert got[3] == want[3]
+    assert kept == want[0] == greedy_scan(vecs)[0]
+    assert rounds == want[3]
+    if rounds == 1:
+        for a, b in zip((q, r), want[1:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert_qr(vecs[:, kept], q, r)
+        assert r.shape == want[2].shape
+        if kept:
+            bound = (1e-13 * np.linalg.cond(want[2])
+                     * np.linalg.norm(want[2], 2))
+            assert np.allclose(r, want[2], rtol=0, atol=bound)
 
 
 NEAR = (PRUNE_RTOL * (1 + 1e-3), PRUNE_RTOL * (1 - 1e-3))
@@ -444,7 +484,7 @@ def test_a_right_guess_near_the_threshold_confirms_in_one_round(ratio,
     want = [0, 1 if ratio > PRUNE_RTOL else 2, 3][:2 + spanning]
     assert greedy_scan(vecs)[0] == want
     guess = np.isin(np.arange(vecs.shape[1]), want)
-    assert _prune_independent(vecs, guess)[3] == 1
+    assert prune(vecs, guess)[3] == 1
     assert_confirms_as_the_reference(vecs, guess)
 
 
@@ -461,22 +501,74 @@ def test_prune_matches_the_scan_on_ill_conditioned_solves(case):
     b_gens = tuple(g["name"] for g in gens[1:])
     calls = []
 
-    def spy(vecs, guess):
-        out = _prune_independent(vecs, guess)
+    def spy(vecs, guess, rows):
+        out = _prune_independent(vecs, guess, rows)
         calls.append((vecs, out))
         return out
 
     with mock.patch.object(conjugate, "_prune_independent", spy):
         sol = solve_conjugate(build_model({"generators": gens}), "a",
                               BasisSpec(grid, degree), b_gens)
-    [(vecs, (kept, q, r, rounds))] = calls
+    [(vecs, (kept, rows, q, r, rounds))] = calls
     want, q0, r0 = greedy_scan(vecs)
     assert kept == want == list(sol.kept)
     assert sol.prune_rounds == rounds
-    for q_fac, r_fac in ((q, r), (q0, r0)):
+    for q_fac, r_fac in ((unit_columns(rows, q), r), (q0, r0)):
         assert np.allclose(vecs[:, kept], q_fac @ r_fac, rtol=0, atol=1e-12)
         assert np.allclose(q_fac.conj().T @ q_fac, np.eye(len(kept)), rtol=0,
                            atol=1e-12)
+
+
+@st.composite
+def frame_cases(draw):
+    """1-3 half-mode generators, each with one atom pair, a pair and a
+    zero atom, or a zero atom alone (tracial, one letter); grids of 1-4
+    points, so a three-atom generator may have fewer letters than atoms
+    and the guess fall short of the space; every other generator a
+    ``b_gens`` entry."""
+    gens = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["pair", "pair_and_zero", "zero"]))
+        atoms = ([{"x": 0, "w": draw(st.floats(0.2, 1.5))}]
+                 if kind != "pair" else [])
+        if kind != "zero":
+            atoms.append({"x": draw(st.floats(0.05, 0.4)),
+                          "w": draw(st.floats(0.2, 1.5))})
+        gens.append({"name": str(i), "mode": "half", "atoms": atoms})
+    den = draw(st.sampled_from([1, 2, 4]))
+    grid = tuple(Fraction(k, den) for k in sorted(draw(st.sets(
+        st.integers(-4, 4), min_size=1, max_size=4 if len(gens) == 1
+        else 3))))
+    degree = draw(st.integers(1, 3 if len(gens) == 1 else 2))
+    return gens, grid, degree, draw(st.sampled_from(grid))
+
+
+# the largest |entry| difference over the largest |entry|, of the Gram
+# and of row 0, between the solve's V and V built from the alphabet:
+# measured at most 4.1e-15 and 1.2e-15 on 600 such solves
+FRAME_RTOL = 1e-13
+
+
+@given(case=frame_cases())
+@settings(max_examples=60, deadline=None)
+def test_the_solve_reads_its_factor_in_a_frame_of_the_fock_vectors(case):
+    # sol.vecs is V rotated by the Fock image of a unitary: V's Gram and
+    # V's states; the guessed words' columns there are R itself, exactly
+    # upper triangular; and the prune keeps the plain scan's words of V
+    gens, grid, degree, t0 = case
+    m = build_model({"generators": gens})
+    sol = solve_conjugate(m, "0", BasisSpec(grid, degree),
+                          tuple(g["name"] for g in gens[1:]), t0)
+    alphabet = [w[0] for w in sol.basis_words if len(w) == 1]
+    vecs = fock_vectors(one_particle_vectors(m, alphabet), degree)
+    gram, want = sol.vecs.conj().T @ sol.vecs, vecs.conj().T @ vecs
+    assert np.abs(gram - want).max() <= FRAME_RTOL * np.abs(want).max()
+    assert (np.abs(sol.vecs[0] - vecs[0]).max()
+            <= FRAME_RTOL * np.abs(vecs[0]).max())
+    assert np.array_equal(np.triu(sol.r), sol.r)
+    assert np.all(sol.r.diagonal().real > 0)
+    assert not sol.r.diagonal().imag.any()
+    assert list(sol.kept) == greedy_scan(vecs)[0]
 
 
 def benchmark_shapes():
@@ -747,7 +839,8 @@ def test_gram_condition_reported(m):
     assert sol.gram_condition >= 1.0
     # the condition of the kept words' Gram, which the solve never forms
     alphabet = [w[0] for w in sol.basis_words if len(w) == 1]
-    kept = fock_vectors(m, alphabet, 2)[:, list(sol.kept)]
+    kept = fock_vectors(one_particle_vectors(m, alphabet),
+                        2)[:, list(sol.kept)]
     assert sol.gram_condition == pytest.approx(
         np.linalg.cond(kept.conj().T @ kept), rel=1e-6)
 
@@ -1012,8 +1105,10 @@ def test_reversal_matches_the_word_lookup(degree):
 
 @pytest.mark.parametrize("case", range(4))
 def test_the_audits_read_the_fock_vectors_of_their_solve(monkeypatch, case):
-    # each audit's norm is, byte for byte, the norm through V rebuilt from
-    # the basis alphabet, and no audit builds a V
+    # each audit's norm is, byte for byte, the norm through the V of its
+    # solve, and no audit builds a V.  That V is in the solve's frame: its
+    # norms are those through V rebuilt from the basis alphabet, within
+    # 1e-13 of |c| (measured: 2e-16)
     model, target, b_gens, spec = audit_cases()[case]
     s = Fraction(1, 2)
     sol = solve_conjugate(model, target, spec, b_gens)
@@ -1036,8 +1131,11 @@ def test_the_audits_read_the_fock_vectors_of_their_solve(monkeypatch, case):
            embedded_distance(alone, sol)]
     monkeypatch.undo()
     assert [n[0] for n in norms] == [sol, shifted, sol]
-    assert got == [rebuilt_basis_norm(model, solution, c)
+    assert got == [float(np.linalg.norm(solution.vecs @ c))
                    for solution, c in norms]
+    for value, (solution, c) in zip(got, norms):
+        assert abs(value - rebuilt_basis_norm(model, solution, c)) <= (
+            1e-13 * np.linalg.norm(c))
 
 
 @pytest.mark.parametrize("case", range(3))

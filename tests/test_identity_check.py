@@ -121,8 +121,10 @@ def test_a_float_one_bit_off_fails_and_is_named(tmp_path):
     proc = check(checkout(tmp_path, "a"),
                  checkout(tmp_path, "b", value=nudged))
     assert proc.returncode == 1
-    assert proc.stderr.strip() == (
-        "differs: suite --seed 2: report.outputs.value")
+    assert proc.stderr.splitlines() == [
+        "differs: suite --seed 2: report.outputs.value: "
+        "0.1 -> 0.10000000000000002",
+        "differs: 1 of 66 argvs, 0 of 42 library ops"]
     differing = [line for line in proc.stdout.splitlines()
                  if line.split(" ")[0] != line.split(" ")[1]]
     assert [line.split(" ", 2)[2] for line in differing] == [" ".join(ODD)]
@@ -138,7 +140,11 @@ def test_a_difference_in_stderr_alone_fails_and_is_named(tmp_path):
     proc = check(checkout(tmp_path, "a"),
                  checkout(tmp_path, "b", status="FAIL"))
     assert proc.returncode == 1
-    assert proc.stderr.strip() == "differs: suite: stderr"
+    *named, count = proc.stderr.splitlines()
+    assert named[0] == "differs: suite: stderr"
+    assert len(named) == 66 and all(line.endswith(": stderr")
+                                    for line in named)
+    assert count == "differs: 66 of 66 argvs, 0 of 42 library ops"
 
 
 def test_a_library_value_one_bit_off_fails_and_is_named(tmp_path):
@@ -146,7 +152,28 @@ def test_a_library_value_one_bit_off_fails_and_is_named(tmp_path):
     proc = check(checkout(tmp_path, "a"),
                  checkout(tmp_path, "b", word=nudged))
     assert proc.returncode == 1
-    assert proc.stderr.strip() == "differs: words[0.3] state 14: value"
+    assert proc.stderr.splitlines() == [
+        f"differs: words[{cycle}.3] state 14: value: "
+        "(0.5+0j) -> (0.5000000000000001+0j)" for cycle in (0, 1)] + [
+        "differs: 0 of 66 argvs, 2 of 42 library ops"]
     differing = [line.split(" ", 2)[2] for line in proc.stdout.splitlines()
                  if line.split(" ")[0] != line.split(" ")[1]]
     assert differing == ["words[0.3] state 14", "words[1.3] state 14"]
+
+
+def test_every_difference_is_named_with_both_floats(tmp_path):
+    # one argv differs in a float and in stderr, the others in stderr, and
+    # two library ops in a complex value: each is named, argvs first
+    nudged = math.nextafter(0.1, 1.0)
+    proc = check(checkout(tmp_path, "a"),
+                 checkout(tmp_path, "b", value=nudged, status="FAIL",
+                          word=0.25))
+    assert proc.returncode == 1
+    *named, count = proc.stderr.splitlines()
+    assert len(named) == 66 + 2
+    assert ("differs: suite --seed 2: report.outputs.value: "
+            "0.1 -> 0.10000000000000002, stderr") in named[:66]
+    assert named[66:] == [
+        f"differs: words[{cycle}.3] state 14: value: (0.5+0j) -> (0.25+0j)"
+        for cycle in (0, 1)]
+    assert count == "differs: 66 of 66 argvs, 2 of 42 library ops"

@@ -18,9 +18,11 @@ the runner leaves them: without the report's host keys and
 placeholder.  A float that differs in one bit prints differently, so it
 differs here.  Each library op is compared by the sha256 of the bytes of
 each field of its result.  The tool prints one sha256 per argv or op and
-side, and exits 0 when every argv and op matches, or 1 naming the first
-argv that differs and its differing keys, or else the first op that
-differs and its differing fields.
+side, and exits 0 when every argv and op matches.  Otherwise it names
+on stderr every argv that differs with its differing keys, then every
+op that differs with its differing fields, each on one line with both
+values of a differing float (``key: parent -> change``), then a count
+of each, and exits 1.
 """
 from __future__ import annotations
 
@@ -85,9 +87,10 @@ def library_ops() -> list:
     """The ``galerkin`` and ``words`` ops of ``LIBRARY_CYCLES`` at
     ``LIBRARY_SEED``, from this repository's ``perfbench/inputs.py``, each
     prepared and called by ``perfbench/ops.py`` on the ``ncfisher`` first
-    on ``sys.path``: one ``{"op", "fields"}`` per op, ``fields`` mapping
-    each field of its result (a ``words`` op's is its value) to its
-    :func:`field_digest`.  Runs only in a checkout's subprocess."""
+    on ``sys.path``: one ``{"op", "fields", "values"}`` per op, ``fields``
+    mapping each field of its result (a ``words`` op's is its value) to
+    its :func:`field_digest`, and ``values`` each float or complex field
+    to its repr.  Runs only in a checkout's subprocess."""
     import inputs
     import ops
 
@@ -103,7 +106,10 @@ def library_ops() -> list:
                     fields = {"value": ops.prepare_words(op).call()}
                 out.append({"op": f"{workload}[{cycle}.{i}] {op['label']}",
                             "fields": {k: field_digest(v)
-                                       for k, v in fields.items()}})
+                                       for k, v in fields.items()},
+                            "values": {k: repr(v)
+                                       for k, v in fields.items()
+                                       if isinstance(v, (float, complex))}})
     return out
 
 
@@ -115,7 +121,7 @@ def digest(run: dict) -> str:
 def differing_keys(a, b, path: str = "") -> list:
     """Dotted paths of the leaves where ``a`` and ``b`` differ, leaves
     compared by their JSON text, so 0.0 differs from -0.0 and 1 from
-    1.0."""
+    1.0; a path where both leaves are floats reads ``path: a -> b``."""
     if isinstance(a, dict) and isinstance(b, dict):
         keys = sorted(set(a) | set(b))
         return [k for key in keys
@@ -124,7 +130,21 @@ def differing_keys(a, b, path: str = "") -> list:
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [k for i, (x, y) in enumerate(zip(a, b))
                 for k in differing_keys(x, y, f"{path}[{i}]")]
-    return [] if json.dumps(a) == json.dumps(b) else [path.lstrip(".")]
+    if json.dumps(a) == json.dumps(b):
+        return []
+    if isinstance(a, float) and isinstance(b, float):
+        return [f"{path.lstrip('.')}: {a!r} -> {b!r}"]
+    return [path.lstrip(".")]
+
+
+def differing_fields(a: dict, b: dict) -> list:
+    """The fields of two runs of a library op whose digests differ; a
+    field that is a float or complex on both sides reads
+    ``field: a -> b``."""
+    return [f"{k}: {a['values'][k]} -> {b['values'][k]}"
+            if k in a["values"] and k in b["values"] else k
+            for k in sorted(set(a["fields"]) | set(b["fields"]))
+            if a["fields"].get(k) != b["fields"].get(k)]
 
 
 def main(argv=None) -> int:
@@ -138,20 +158,25 @@ def main(argv=None) -> int:
         [sys.executable, "-c", RUNNER, str((path / "src").resolve()),
          *map(str, PATHS)], cwd=path, env=env, stdout=subprocess.PIPE,
         text=True, check=True).stdout) for path in (args.parent, args.change))
-    # (name, parent side, change side) of each argv's run, then each op's
-    # field digests
-    pairs = ([(" ".join(a["argv"]), a, b) for a, b in zip(parent, change)]
-             + [(a["op"], a["fields"], b["fields"])
+    # (name, parent side, change side, how they differ) of each argv's
+    # run, then of each op
+    pairs = ([(" ".join(a["argv"]), a, b, differing_keys)
+              for a, b in zip(parent, change)]
+             + [(a["op"], a, b, differing_fields)
                 for a, b in zip(parent_ops, change_ops)])
-    first = None
-    for name, a, b in pairs:
+    differs = []
+    for i, (name, a, b, keys) in enumerate(pairs):
         digests = digest(a), digest(b)
         print(f"{digests[0]} {digests[1]} {name}")
-        if first is None and digests[0] != digests[1]:
-            first = name, differing_keys(a, b)
-    if first is not None:
-        name, keys = first
-        print(f"differs: {name}: {', '.join(keys)}", file=sys.stderr)
+        if digests[0] != digests[1]:
+            differs.append(i)
+            print(f"differs: {name}: {', '.join(keys(a, b))}",
+                  file=sys.stderr)
+    if differs:
+        argvs = sum(i < len(parent) for i in differs)
+        print(f"differs: {argvs} of {len(parent)} argvs, "
+              f"{len(differs) - argvs} of {len(parent_ops)} library ops",
+              file=sys.stderr)
         return 1
     print(f"identical: {len(parent)} argvs, {len(parent_ops)} library ops",
           file=sys.stderr)
