@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_help
 import golden_reports
 import ncfisher
 import planted
@@ -832,6 +833,19 @@ def without_wall_time(text):
     report = json.loads(text)
     report.pop("wall_time_s")
     return report
+
+
+HELP_SNAPSHOT = json.loads(cli_help.SNAPSHOT.read_text())
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SNAPSHOT["help"]))
+def test_parser_matches_its_snapshot(command):
+    # "" is the top-level parser, which has no arguments entry
+    now = cli_help.snapshot(cli)
+    assert now["help"][command] == HELP_SNAPSHOT["help"][command]
+    assert (now["arguments"].get(command)
+            == HELP_SNAPSHOT["arguments"].get(command))
+    assert set(cli._VALUE_FLAGS) == set(HELP_SNAPSHOT["value_flags"])
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
