@@ -21,6 +21,12 @@ neither ``dataclasses`` nor ``typing`` either: ``dataclasses`` brings
 values it builds are plain classes and a letter is a
 ``collections.namedtuple``.  numpy loads ``inspect`` itself, so the
 solver and the battery keep their dataclasses.
+
+Each command is declared once, in the table ``_COMMANDS``: its handler,
+its help and its flags with their ``add_argument`` keywords.
+:func:`build_parser`, the handler map ``_HANDLERS`` and the flags whose
+value may start with ``-`` (``_VALUE_FLAGS``) are read off that table,
+so a new command is one entry there and one handler.
 """
 from __future__ import annotations
 
@@ -514,20 +520,78 @@ def _cmd_suite(m, args):
     return {"checks": checks, "all_passed": ok}, ok, timings
 
 
-_HANDLERS = {
-    "check-kms": _cmd_check_kms,
-    "moment": _cmd_moment,
-    "conjugate": _cmd_conjugate,
-    "fisher": _cmd_fisher,
-    "cramer-rao": _cmd_cramer_rao,
-    "chi-star": _cmd_chi_star,
-    "verify-lemma2": _cmd_verify_lemma2,
-    "verify-core": _cmd_verify_core,
-    "brownian": _cmd_brownian,
-    "bound": _cmd_bound,
-    "covariance": _cmd_covariance,
-    "suite": _cmd_suite,
+#: the common flags; a command lists among its flags those its handler reads
+_MODEL = ("--model", dict(help="model config JSON; a built-in two-atom "
+                          "example is used when omitted"))
+_TOL = ("--tol", dict(type=float, default=1e-9))
+_SEED = ("--seed", dict(type=int, default=0))
+#: the basis flags of the commands that solve a family
+_BASIS = (("--grid", dict(default="-1/2,0,1/2", negative=True,
+                          help="comma separated rational times")),
+          ("--degree", dict(type=int, default=2)))
+
+#: every command, in the order ``--help`` lists them: name -> (handler,
+#: help, flags).  A flag is (name, keywords of ``add_argument``), added in
+#: order; ``negative=True`` is not passed on: it marks a flag whose value
+#: may start with "-" (``_VALUE_FLAGS``)
+_COMMANDS = {
+    "check-kms": (_cmd_check_kms, "detailed balance and boundary identity", (
+        _MODEL, _TOL,
+        ("--grid", dict(negative=True, help="comma separated real times "
+                        "(default: 101 points on [-5, 5])")))),
+    "moment": (_cmd_moment, "evaluate the state on a word", (
+        _MODEL, _TOL,
+        ("--word", dict(required=True,
+                        help='e.g. "X:0 X:1 X:0 X:1" or "Y:0 X:1/2"')))),
+    "conjugate": (_cmd_conjugate, "solve for the conjugate variable", (
+        _MODEL, _TOL,
+        ("--grid", dict(default="-1,-1/2,0,1/2,1", negative=True,
+                        help="comma separated rational times")),
+        ("--degree", dict(type=int, default=3)),
+        ("--target", dict(default="", help="generator id")),
+        ("--b-gens", dict(default="", help="comma separated other ids")),
+        ("--time", dict(default="0", negative=True,
+                        help="target letter time")))),
+    "fisher": (_cmd_fisher, "summed normalized information of a family", (
+        _MODEL, *_BASIS,
+        ("--gens", dict(default="", help="comma separated ids "
+                        "(default: all)")))),
+    "cramer-rao": (_cmd_cramer_rao, "information-variance audit", (
+        _MODEL, ("--tol", dict(type=float, default=1e-7)), *_BASIS,
+        ("--gens", dict(default="")))),
+    "chi-star": (_cmd_chi_star, "entropy-style integral, in closed form", (
+        _MODEL, *_BASIS, ("--gens", dict(default="")),
+        ("--tail-cutoff", dict(type=float, default=10.0, negative=True)))),
+    "verify-lemma2": (_cmd_verify_lemma2,
+                      "insertion identity on random inputs", (
+        _MODEL, _TOL, _SEED, ("--target", dict(default="")),
+        ("--count", dict(type=int, default=100,
+                         help=f"random word pairs, 1 to {MAX_CHECK_COUNT}")),
+        ("--degree", dict(type=int, default=4, help="most letters in p and "
+                          f"q, 1 to {MAX_LEMMA2_DEGREE}")))),
+    "verify-core": (_cmd_verify_core, "crossed-product pairing identity", (
+        _MODEL, _TOL, _SEED, ("--target", dict(default="")),
+        ("--count", dict(type=int, default=100,
+                         help=f"random core words, 1 to {MAX_CHECK_COUNT}")),
+        ("--x-degree", dict(type=int, default=4, help="most letters in Q, "
+                            f"1 to {MAX_CORE_DEGREE}")))),
+    "brownian": (_cmd_brownian, "noise expansion of a word", (
+        _MODEL, ("--word", dict(required=True)),
+        ("--order", dict(type=int, default=2)))),
+    "bound": (_cmd_bound, "projection information bound", (
+        ("--alpha", dict(type=float, required=True, negative=True)),
+        ("--delta", dict(type=float, required=True, negative=True)))),
+    "covariance": (_cmd_covariance, "modular covariance of the solver", (
+        _MODEL, _TOL, *_BASIS, ("--target", dict(default="")),
+        ("--shift", dict(default="1/2", negative=True)))),
+    "suite": (_cmd_suite, "run the full acceptance battery", (_SEED,)),
 }
+
+_HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
+
+_VALUE_FLAGS = frozenset(flag for _, _, flags in _COMMANDS.values()
+                         for flag, keywords in flags
+                         if keywords.get("negative"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,92 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
         "for modular-flow semicircular families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, model=True, tol=1e-9, seed=False):
-        # a subcommand with the common flags its handler reads: --model
-        # unless model is false, --tol unless tol is None, --seed if seed
-        p = sub.add_parser(name, help=help)
-        if model:
-            p.add_argument("--model", help="model config JSON; a built-in "
-                           "two-atom example is used when omitted")
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        return p
-
-    p = command("check-kms", help="detailed balance and boundary identity")
-    p.add_argument("--grid", help="comma separated real times "
-                   "(default: 101 points on [-5, 5])")
-
-    p = command("moment", help="evaluate the state on a word")
-    p.add_argument("--word", required=True,
-                   help='e.g. "X:0 X:1 X:0 X:1" or "Y:0 X:1/2"')
-
-    def add_basis_flags(p, degree=3, grid="-1,-1/2,0,1/2,1"):
-        p.add_argument("--grid", default=grid,
-                       help="comma separated rational times")
-        p.add_argument("--degree", type=int, default=degree)
-
-    p = command("conjugate", help="solve for the conjugate variable")
-    add_basis_flags(p)
-    p.add_argument("--target", default="", help="generator id")
-    p.add_argument("--b-gens", default="", help="comma separated other ids")
-    p.add_argument("--time", default="0", help="target letter time")
-
-    p = command("fisher", tol=None,
-                help="summed normalized information of a family")
-    add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
-    p.add_argument("--gens", default="", help="comma separated ids "
-                   "(default: all)")
-
-    p = command("cramer-rao", tol=1e-7, help="information-variance audit")
-    add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
-    p.add_argument("--gens", default="")
-
-    p = command("chi-star", tol=None,
-                help="entropy-style integral, in closed form")
-    add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
-    p.add_argument("--gens", default="")
-    p.add_argument("--tail-cutoff", type=float, default=10.0)
-
-    p = command("verify-lemma2", seed=True,
-                help="insertion identity on random inputs")
-    p.add_argument("--target", default="")
-    p.add_argument("--count", type=int, default=100,
-                   help=f"random word pairs, 1 to {MAX_CHECK_COUNT}")
-    p.add_argument("--degree", type=int, default=4,
-                   help=f"most letters in p and q, 1 to {MAX_LEMMA2_DEGREE}")
-
-    p = command("verify-core", seed=True,
-                help="crossed-product pairing identity")
-    p.add_argument("--target", default="")
-    p.add_argument("--count", type=int, default=100,
-                   help=f"random core words, 1 to {MAX_CHECK_COUNT}")
-    p.add_argument("--x-degree", type=int, default=4,
-                   help=f"most letters in Q, 1 to {MAX_CORE_DEGREE}")
-
-    p = command("brownian", tol=None, help="noise expansion of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--order", type=int, default=2)
-
-    p = command("bound", model=False, tol=None,
-                help="projection information bound")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-
-    p = command("covariance", help="modular covariance of the solver")
-    add_basis_flags(p, degree=2, grid="-1/2,0,1/2")
-    p.add_argument("--target", default="")
-    p.add_argument("--shift", default="1/2")
-
-    command("suite", model=False, tol=None, seed=True,
-            help="run the full acceptance battery")
+    for name, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in flags:
+            p.add_argument(flag, **{k: v for k, v in keywords.items()
+                                    if k != "negative"})
     return parser
-
-
-_VALUE_FLAGS = ("--grid", "--shift", "--time", "--alpha", "--delta",
-                "--tail-cutoff")
 
 
 def _merge_negative_values(argv):

@@ -254,7 +254,7 @@ def fock_dimension(k: int, degree: int) -> int:
     return sum(k**n for n in range(degree + 1))
 
 
-def one_particle_vectors(m: ModelSpec,
+def _one_particle_vectors(m: ModelSpec,
                          alphabet: Sequence[Letter]) -> np.ndarray:
     """The a x k complex matrix whose row l is the one-particle vector of
     letter l of ``alphabet``: f_t[j] = sqrt(w_j) exp(2 pi i t x_j) over its
@@ -283,7 +283,7 @@ def one_particle_vectors(m: ModelSpec,
 def fock_vectors(f: np.ndarray, degree: int) -> np.ndarray:
     """Vectors W.Omega of every word with at most ``degree`` letters over
     an alphabet whose letter l acts as creation plus annihilation of the
-    one-particle vector ``f[l]`` (:func:`one_particle_vectors`), in the
+    one-particle vector ``f[l]`` (:func:`_one_particle_vectors`), in the
     truncated full Fock space over C^k, k = ``f.shape[1]``: the free
     Gaussian functor.
 
@@ -506,7 +506,7 @@ def _solve(m: ModelSpec, targets: Sequence[str], basis: BasisSpec,
                    for g, group in itertools.groupby(alphabet,
                                                      lambda l: l.gen))
     letters, guess, rows = _guess(counts, basis.max_degree)
-    f = one_particle_vectors(m, alphabet)
+    f = _one_particle_vectors(m, alphabet)
     q_f, r_f = np.linalg.qr(f[letters].T, mode="complete")
     diag = r_f.diagonal()
     size = np.abs(diag)

@@ -78,9 +78,9 @@ import numpy as np
 from ncfisher.algebra import (EMPTY_WORD, TimeLike, Word, X_FAMILY, Letter,
                               _accumulate, as_time, shift_word, word_adjoint,
                               word_str, x, y)
-from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec, fock_dimension,
-                                 fock_vectors, one_particle_vectors,
-                                 solve_conjugate)
+from ncfisher.conjugate import (PRUNE_RTOL, BasisSpec,
+                                 _one_particle_vectors, fock_dimension,
+                                 fock_vectors, solve_conjugate)
 from ncfisher.model import ModelSpec
 from ncfisher.core_cp import CoreWord, conditional_expectation, eta_map
 from ncfisher.derivation import differentiate
@@ -371,7 +371,7 @@ def rebuilt_basis_norm(m, sol, coefficients) -> float:
     words = sol.basis_words
     alphabet = [w[0] for w in words if len(w) == 1]
     return float(np.linalg.norm(fock_vectors(
-        one_particle_vectors(m, alphabet), len(words[-1])) @ coefficients))
+        _one_particle_vectors(m, alphabet), len(words[-1])) @ coefficients))
 
 
 def literal_eta(g, z) -> complex:

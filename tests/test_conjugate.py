@@ -17,6 +17,7 @@ from ncfisher.conjugate import (
     BasisError,
     BasisSpec,
     _basis_norm,
+    _one_particle_vectors,
     _prune_independent,
     chi_star,
     covariance_distance,
@@ -27,7 +28,6 @@ from ncfisher.conjugate import (
     fock_dimension,
     fock_vectors,
     modular_covariance_check,
-    one_particle_vectors,
     self_adjoint_defect,
     solve_conjugate,
     solve_family,
@@ -256,7 +256,7 @@ def test_the_set_up_on_ticks_is_the_set_up_on_fractions(data):
     alphabet = [w[0] for w in words if len(w) == 1]
     assert alphabet == fraction_alphabet(model, target, spec, b_gens, t0)
     a = len(alphabet)
-    vecs = fock_vectors(one_particle_vectors(model, alphabet), degree)
+    vecs = fock_vectors(_one_particle_vectors(model, alphabet), degree)
     phi = [vecs[0, fock_dimension(a, d - 1):fock_dimension(a, d)]
            for d in range(degree + 1)]
     for g in (target, *b_gens):
@@ -560,7 +560,7 @@ def test_the_solve_reads_its_factor_in_a_frame_of_the_fock_vectors(case):
     sol = solve_conjugate(m, "0", BasisSpec(grid, degree),
                           tuple(g["name"] for g in gens[1:]), t0)
     alphabet = [w[0] for w in sol.basis_words if len(w) == 1]
-    vecs = fock_vectors(one_particle_vectors(m, alphabet), degree)
+    vecs = fock_vectors(_one_particle_vectors(m, alphabet), degree)
     gram, want = sol.vecs.conj().T @ sol.vecs, vecs.conj().T @ vecs
     assert np.abs(gram - want).max() <= FRAME_RTOL * np.abs(want).max()
     assert (np.abs(sol.vecs[0] - vecs[0]).max()
@@ -839,7 +839,7 @@ def test_gram_condition_reported(m):
     assert sol.gram_condition >= 1.0
     # the condition of the kept words' Gram, which the solve never forms
     alphabet = [w[0] for w in sol.basis_words if len(w) == 1]
-    kept = fock_vectors(one_particle_vectors(m, alphabet),
+    kept = fock_vectors(_one_particle_vectors(m, alphabet),
                         2)[:, list(sol.kept)]
     assert sol.gram_condition == pytest.approx(
         np.linalg.cond(kept.conj().T @ kept), rel=1e-6)

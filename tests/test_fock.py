@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from ncfisher.algebra import word_adjoint, x, y
 from ncfisher.conjugate import (
     BasisSpec,
+    _one_particle_vectors,
     enumerate_basis,
     fock_dimension,
     fock_vectors,
-    one_particle_vectors,
     solve_conjugate,
 )
 from ncfisher.model import GeneratorSpec, build_model, two_atom_model
@@ -75,7 +75,7 @@ def words_over(alphabet, degree):
 def check_basis(m, alphabet, degree, picks):
     """Gram entries of the picked columns and the vacuum components of
     every column (all words up to the degree, so every suffix too)."""
-    vecs = fock_vectors(one_particle_vectors(m, alphabet), degree)
+    vecs = fock_vectors(_one_particle_vectors(m, alphabet), degree)
     words = words_over(alphabet, degree)
     assert vecs.shape[1] == len(words)
     gram = vecs.conj().T @ vecs
@@ -166,7 +166,7 @@ def test_the_build_in_place_is_the_batched_build_bit_for_bit(data, kinds):
     alphabet = data.draw(st.lists(letter, min_size=1,
                                   max_size=3 if degree == 4 else 4,
                                   unique=True))
-    got = fock_vectors(one_particle_vectors(m, alphabet), degree)
+    got = fock_vectors(_one_particle_vectors(m, alphabet), degree)
     want = batched_fock_vectors(m, alphabet, degree)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -176,7 +176,7 @@ def test_empty_basis_is_the_vacuum():
     m = build_model({"generators": [
         {"name": "g", "mode": "half", "atoms": [{"x": 0, "w": 1}]}]})
     for degree in (0, 3):
-        vecs = fock_vectors(one_particle_vectors(m, []), degree)
+        vecs = fock_vectors(_one_particle_vectors(m, []), degree)
         assert np.array_equal(vecs, np.ones((1, 1)))
     assert evaluate_state(m, ()) == 1
 
@@ -232,7 +232,7 @@ def test_solve_counts_and_fock_layout(monkeypatch):
     assert 0 < len(eta_calls) <= len(alphabet)
     monkeypatch.undo()
 
-    vecs = fock_vectors(one_particle_vectors(m, alphabet), 3)
+    vecs = fock_vectors(_one_particle_vectors(m, alphabet), 3)
     k = len(m.gen("g").atoms)
     assert vecs.shape == (fock_dimension(k, 3),
                           sum(len(alphabet) ** d for d in range(4)))

@@ -13,8 +13,8 @@ import pytest
 
 from ncfisher import sampling
 from ncfisher.algebra import X_FAMILY, as_time, x, y
-from ncfisher.conjugate import (BasisSpec, fock_vectors,
-                                one_particle_vectors, solve_conjugate)
+from ncfisher.conjugate import (BasisSpec, _one_particle_vectors,
+                                fock_vectors, solve_conjugate)
 from ncfisher.core_cp import CoreWord, eta_map, verify_core_identity
 from ncfisher.model import ConfigError, build_model, two_atom_model
 from ncfisher.moments import (
@@ -126,8 +126,8 @@ def test_tick_model_maps_and_solves_as_the_unit_model(make):
         assert same(c, mapped[Fraction(k, TIME_DEN)])
 
     alphabet2 = [x(gen, k) for gen in m.gen_ids() for k in (-1, 0, 3)]
-    assert (fock_vectors(one_particle_vectors(m2, alphabet2), 3).tobytes()
-            == fock_vectors(one_particle_vectors(m, as_unit(alphabet2)),
+    assert (fock_vectors(_one_particle_vectors(m2, alphabet2), 3).tobytes()
+            == fock_vectors(_one_particle_vectors(m, as_unit(alphabet2)),
                             3).tobytes())
 
     grid = (-2, -1, 0, 1, 2)
